@@ -22,6 +22,7 @@ from .fasta import FastaError
 from .gbdt import GbdtError, load_model, save_model, train
 from .ligand_features import (
     FingerprintFormatError,
+    graph_block,
     ligand_graph_features,
 )
 from .metrics import MetricsError, build_report, write_report
@@ -40,7 +41,7 @@ _DATA_ERRORS = (
     DatasetError, FastaError, ParseError, GbdtError, MetricsError,
     FingerprintFormatError, UnknownResidueError, EmptySequenceError,
     FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError,
-    json.JSONDecodeError,
+    json.JSONDecodeError, UnicodeDecodeError,
 )
 
 
@@ -232,29 +233,11 @@ def cmd_export_graphs(args, cfg: PipelineConfig) -> int:
         for rec in records:
             lig = lig_cache.get(rec.ligand.source)
             if lig is None:
-                feats = ligand_graph_features(rec.ligand)
-                lig = {
-                    "node_features": feats.node_features.tolist(),
-                    "edge_list": [list(e) for e in feats.edge_list],
-                    "edge_features": feats.edge_features.tolist(),
-                    "feature_names": {
-                        "node": list(feats.node_feature_names),
-                        "edge": list(feats.edge_feature_names),
-                    },
-                }
+                lig = graph_block(ligand_graph_features(rec.ligand))
                 lig_cache[rec.ligand.source] = lig
             rgraph = rec_cache.get(rec.receptor.residues)
             if rgraph is None:
-                rfeats = receptor_graph_features(rec.receptor, table)
-                rgraph = {
-                    "node_features": rfeats.node_features.tolist(),
-                    "edge_list": [list(e) for e in rfeats.edge_list],
-                    "edge_features": [],
-                    "feature_names": {
-                        "node": list(rfeats.node_feature_names),
-                        "edge": [],
-                    },
-                }
+                rgraph = graph_block(receptor_graph_features(rec.receptor, table))
                 rec_cache[rec.receptor.residues] = rgraph
             line = {"id": rec.pair_key, "ligand": lig, "receptor": rgraph}
             fh.write(json.dumps(line, sort_keys=True) + "\n")

@@ -291,6 +291,6 @@ def load_config(path=None) -> PipelineConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_mapping(parse_toml(text))

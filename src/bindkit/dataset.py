@@ -119,9 +119,15 @@ def pair_key(receptor: ProteinSequence, ligand: Molecule) -> str:
     is invariant under atom reordering of the input SMILES; the receptor
     contributes its residue string.
     """
-    ids = full_refinement_ids(ligand)
-    payload = receptor.residues + "|" + ",".join(str(i) for i in ids)
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    return _pair_key(receptor.residues, _ligand_identity(ligand))
+
+
+def _ligand_identity(ligand: Molecule) -> str:
+    return ",".join(str(i) for i in full_refinement_ids(ligand))
+
+
+def _pair_key(residues: str, ligand_identity: str) -> str:
+    return hashlib.sha256(f"{residues}|{ligand_identity}".encode("ascii")).hexdigest()
 
 
 def file_digest(path) -> str:
@@ -200,8 +206,9 @@ def ingest(
     groups: dict[str, list[float]] = {}
     heads: dict[str, tuple[ProteinSequence, Molecule]] = {}
     seq_cache: dict[str, ProteinSequence] = {}
-    mol_cache: dict[str, Molecule] = {}
-    key_cache: dict[tuple[str, str], str] = {}
+    # SMILES -> (molecule, ligand identity): the identity depends on the
+    # ligand alone, so it is refined once per distinct SMILES.
+    mol_cache: dict[str, tuple[Molecule, str]] = {}
 
     for row in rows:
         n_input += 1
@@ -225,26 +232,22 @@ def ingest(
             seq = seq_cache.get(residues)
             if seq is None:
                 try:
-                    seq = _inline_receptor(residues)
-                    receptor_descriptor(seq)   # validates the alphabet
-                except (FastaError, KeyError):
+                    seq = _inline_receptor(residues)   # validates the alphabet
+                except FastaError:
                     drops["bad_receptor"] += 1
                     continue
                 seq_cache[residues] = seq
-        mol = mol_cache.get(row.ligand)
-        if mol is None:
+        cached = mol_cache.get(row.ligand)
+        if cached is None:
             try:
                 mol = from_smiles(row.ligand)
             except (ParseError, ValenceError):
                 drops["bad_smiles"] += 1
                 continue
-            mol_cache[row.ligand] = mol
+            cached = mol_cache[row.ligand] = (mol, _ligand_identity(mol))
+        mol, identity = cached
         stereo_total += mol.stereo_warnings
-        ck = (seq.residues, row.ligand)
-        key = key_cache.get(ck)
-        if key is None:
-            key = pair_key(seq, mol)
-            key_cache[ck] = key
+        key = _pair_key(seq.residues, identity)
         if key not in groups:
             groups[key] = []
             heads[key] = (seq, mol)

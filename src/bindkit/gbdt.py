@@ -427,6 +427,36 @@ def load_model(path) -> GbdtModel:
                           feature_count=int(doc["feature_count"]),
                           params=params, degenerate=bool(doc.get("degenerate",
                                                                  False)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
+    for k, tree in enumerate(model.trees):
+        _check_tree(tree, model.feature_count, k)
     return model
+
+
+def _check_tree(tree: Tree, feature_count: int, k: int) -> None:
+    """Reject a tree that routing could not walk to a leaf: arrays of
+    unequal length, a pointer or feature index out of range, or an internal
+    node not reached exactly once from the root (a cycle, a shared subtree
+    or an orphan)."""
+    n = len(tree.feature)
+    if tree.leaf_value.ndim != 1 or any(
+            a.ndim != 1 or len(a) != n
+            for a in (tree.feature, tree.threshold, tree.left, tree.right)):
+        raise ModelFormatError(f"tree {k}: node arrays differ in length")
+    if n and not (tree.feature.min() >= 0 and tree.feature.max() < feature_count):
+        raise ModelFormatError(f"tree {k}: feature index outside [0, {feature_count})")
+    reached = np.zeros(n, dtype=bool)
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if not -len(tree.leaf_value) <= node < n:    # leaf i is stored as ~i
+            raise ModelFormatError(f"tree {k}: pointer {node} out of range")
+        if node >= 0:
+            if reached[node]:
+                raise ModelFormatError(f"tree {k}: node {node} is reached twice")
+            reached[node] = True
+            stack += (int(tree.left[node]), int(tree.right[node]))
+    if not reached.all():
+        raise ModelFormatError(f"tree {k}: node {int(np.argmin(reached))} "
+                               "is not reached from the root")

@@ -36,6 +36,7 @@ __all__ = [
     "write_fingerprints_csv",
     "write_fingerprints_afsf",
     "read_fingerprints_afsf",
+    "graph_block",
     "write_ligand_graphs",
     "NODE_FEATURE_NAMES",
     "EDGE_FEATURE_NAMES",
@@ -102,6 +103,27 @@ def atom_invariant(mol: Molecule, index: int, degree: int) -> int:
     ))
 
 
+def _initial_ids(mol: Molecule):
+    """Adjacency of an annotated molecule and its radius-0 atom identifiers."""
+    _require_annotated(mol)
+    adjacency = mol.neighbors()
+    return adjacency, [atom_invariant(mol, i, len(nbrs))
+                       for i, nbrs in enumerate(adjacency)]
+
+
+def _refine(ids: list[int], adjacency) -> list[int]:
+    """One refinement round: each atom hashes its own identifier followed by
+    its neighbors' (bond code, identifier) pairs in ascending order."""
+    new_ids = []
+    for i, nbrs in enumerate(adjacency):
+        flat = [ids[i]]
+        for code, nbr_id in sorted((_BOND_CODE[order], ids[j]) for j, order in nbrs):
+            flat.append(code)
+            flat.append(nbr_id)
+        new_ids.append(_hash_ints(flat))
+    return new_ids
+
+
 def morgan_environments(
     mol: Molecule, radius: int = 2,
 ) -> list[tuple[int, int, frozenset[int]]]:
@@ -113,37 +135,17 @@ def morgan_environments(
     are processed in ascending identifier order, which makes the result
     independent of atom input order.
     """
-    _require_annotated(mol)
+    adjacency, ids = _initial_ids(mol)
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    adjacency = mol.neighbors()
-    n = len(mol.atoms)
-    ids = [atom_invariant(mol, i, len(adjacency[i])) for i in range(n)]
-    spans = [frozenset([i]) for i in range(n)]
-
+    spans = [frozenset([i]) for i in range(len(ids))]
     kept: list[tuple[int, int, frozenset[int]]] = []
     seen_spans: set[frozenset[int]] = set()
-    for ident, span in sorted(zip(ids, spans)):
-        if span not in seen_spans:
-            seen_spans.add(span)
-            kept.append((0, ident, span))
-
-    for r in range(1, radius + 1):
-        new_ids = []
-        new_spans = []
-        for i in range(n):
-            pairs = sorted((_BOND_CODE[order], ids[j]) for j, order in adjacency[i])
-            flat = [ids[i]]
-            for code, nbr_id in pairs:
-                flat.append(code)
-                flat.append(nbr_id)
-            new_ids.append(_hash_ints(flat))
-            grown = set(spans[i])
-            for j, _ in adjacency[i]:
-                grown |= spans[j]
-            new_spans.append(frozenset(grown))
-        ids = new_ids
-        spans = new_spans
+    for r in range(radius + 1):
+        if r:
+            ids = _refine(ids, adjacency)
+            spans = [span.union(*(spans[j] for j, _ in nbrs))
+                     for span, nbrs in zip(spans, adjacency)]
         for ident, span in sorted(zip(ids, spans), key=lambda t: (t[0], sorted(t[1]))):
             if span not in seen_spans:
                 seen_spans.add(span)
@@ -187,21 +189,10 @@ def full_refinement_ids(mol: Molecule) -> tuple[int, ...]:
     stabilization, capped at n_atoms rounds).  The sorted result is invariant
     under atom reordering and suits whole-molecule hashing.
     """
-    _require_annotated(mol)
-    adjacency = mol.neighbors()
-    n = len(mol.atoms)
-    ids = [atom_invariant(mol, i, len(adjacency[i])) for i in range(n)]
+    adjacency, ids = _initial_ids(mol)
     distinct = len(set(ids))
-    for _ in range(n):
-        new_ids = []
-        for i in range(n):
-            pairs = sorted((_BOND_CODE[order], ids[j]) for j, order in adjacency[i])
-            flat = [ids[i]]
-            for code, nbr_id in pairs:
-                flat.append(code)
-                flat.append(nbr_id)
-            new_ids.append(_hash_ints(flat))
-        ids = new_ids
+    for _ in range(len(ids)):
+        ids = _refine(ids, adjacency)
         now = len(set(ids))
         if now <= distinct:
             break
@@ -343,17 +334,19 @@ def read_fingerprints_afsf(path) -> list[Fingerprint]:
     return out
 
 
-def graph_record(record_id, features: LigandGraphFeatures) -> dict:
+def graph_block(features) -> dict:
+    """JSON-ready block of a ligand or receptor graph's features."""
+    names = features.feature_names
     return {
-        "id": record_id,
         "node_features": features.node_features.tolist(),
         "edge_list": [list(e) for e in features.edge_list],
         "edge_features": features.edge_features.tolist(),
-        "feature_names": {
-            "node": list(features.node_feature_names),
-            "edge": list(features.edge_feature_names),
-        },
+        "feature_names": {"node": list(names["node"]), "edge": list(names["edge"])},
     }
+
+
+def graph_record(record_id, features: LigandGraphFeatures) -> dict:
+    return {"id": record_id, **graph_block(features)}
 
 
 def write_ligand_graphs(path, ids, features_seq) -> None:

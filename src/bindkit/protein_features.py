@@ -208,6 +208,11 @@ class ReceptorGraphFeatures:
     node_feature_names: tuple[str, ...] = RECEPTOR_NODE_FEATURE_NAMES
 
     @property
+    def edge_features(self) -> np.ndarray:
+        """Every backbone edge is the same peptide bond: an empty block."""
+        return np.zeros((0, 0), dtype=np.float64)
+
+    @property
     def feature_names(self) -> dict[str, tuple[str, ...]]:
         return {"node": self.node_feature_names, "edge": ()}
 

@@ -183,9 +183,6 @@ class Molecule:
             adj[bond.b].append((bond.a, bond.order))
         return adj
 
-    def heavy_degree(self, i: int) -> int:
-        return sum(1 for b in self.bonds if b.a == i or b.b == i)
-
 
 class _Parser:
     def __init__(self, text: str):

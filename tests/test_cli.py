@@ -312,3 +312,71 @@ def test_console_entry_point_smoke(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["mae"] == pytest.approx(0.5)
+
+
+# Latin-1 bytes that are not valid UTF-8.
+UNDECODABLE = "Kié µM\n".encode("latin-1")
+
+
+def test_undecodable_raw_tsv_exits_2(tmp_path, capsys):
+    raw = tmp_path / "raw.tsv"
+    raw.write_bytes(b"receptor_fasta\tligand_smiles\tki_nm\n" + UNDECODABLE)
+    assert main(["--quiet", "ingest", "--in", str(raw),
+                 "--out", str(tmp_path / "d")]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_undecodable_fasta_exits_2(tmp_path, capsys):
+    fasta = tmp_path / "receptors.fasta"
+    fasta.write_bytes(b">recA\nMKV" + UNDECODABLE)
+    cfg = tmp_path / "pipeline.toml"
+    cfg.write_text(f'[paths]\nfasta = "{fasta}"\n')
+    assert main(["--quiet", "--config", str(cfg), "ingest", "--in", RAW,
+                 "--out", str(tmp_path / "d")]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_undecodable_config_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "pipeline.toml"
+    cfg.write_bytes(b"# " + UNDECODABLE + b"seed = 3\n")
+    assert main(["--quiet", "--config", str(cfg), "ingest", "--in", RAW,
+                 "--out", str(tmp_path / "d")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def small_model(tmp_path):
+    """A 5-column model file, its JSON document and a features directory."""
+    from bindkit.gbdt import TrainParams, save_model, train
+    rng = np.random.default_rng(0)
+    X = rng.random((40, 5))
+    model, _ = train(X, X[:, 0] - X[:, 3],
+                     TrainParams(n_trees=3, max_depth=3, min_samples_leaf=2))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    feats = tmp_path / "feats"
+    feats.mkdir()
+    np.save(feats / "X.npy", X)
+    return path, json.loads(path.read_text()), feats
+
+
+def test_model_with_cyclic_pointer_exits_2(tmp_path, capsys):
+    from bindkit.gbdt import ModelFormatError
+    path, doc, feats = small_model(tmp_path)
+    tree = doc["trees"][0]
+    assert len(tree["feature"]) > 1
+    tree["left"][-1] = tree["root"]          # the last internal node loops back
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError):    # rejected before routing can hang
+        load_model(path)
+    assert main(["--quiet", "predict", "--model", str(path), "--features",
+                 str(feats), "--out", str(tmp_path / "p")]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+def test_model_with_out_of_range_feature_exits_2(tmp_path, capsys):
+    path, doc, feats = small_model(tmp_path)
+    doc["trees"][0]["feature"][0] = 99
+    path.write_text(json.dumps(doc))
+    assert main(["--quiet", "predict", "--model", str(path), "--features",
+                 str(feats), "--out", str(tmp_path / "p")]) == 2
+    assert "data error" in capsys.readouterr().err

@@ -319,6 +319,45 @@ def test_load_rejects_bad_files(tmp_path):
         load_model(bad_params)
 
 
+# Edits of a saved tree (root 0, internal nodes numbered breadth-first) that
+# routing could not walk safely, with the complaint each must raise.
+BROKEN_TREES = {
+    "short threshold array": (lambda t: {"threshold": t["threshold"][:-1]},
+                              "differ in length"),
+    "nested arrays": (lambda t: {"feature": [[f] for f in t["feature"]]},
+                      "differ in length"),
+    "negative feature": (lambda t: {"feature": [-1] + t["feature"][1:]},
+                         "feature index"),
+    "feature beyond int32": (lambda t: {"feature": [2**40] + t["feature"][1:]},
+                             "malformed"),
+    "root out of range": (lambda t: {"root": len(t["feature"])}, "out of range"),
+    "leaf pointer out of range": (
+        lambda t: {"right": t["right"][:-1] + [~len(t["leaf_value"])]},
+        "out of range"),
+    "self loop": (lambda t: {"left": [0] + t["left"][1:]}, "reached twice"),
+    "shared subtree": (lambda t: {"right": t["left"][:1] + t["right"][1:]},
+                       "reached twice"),
+    "orphan node": (lambda t: {"root": t["left"][0]}, "not reached"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(BROKEN_TREES))
+def test_load_rejects_broken_tree_topology(tmp_path, what):
+    import json
+    X, y = regression_problem(n=60)
+    model, _ = train(X, y, TrainParams(n_trees=1, max_depth=3,
+                                       learning_rate=0.5, min_samples_leaf=2))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    tree = doc["trees"][0]
+    assert tree["root"] == 0 and tree["left"][0] == 1 and len(tree["feature"]) >= 3
+    edit, complaint = BROKEN_TREES[what]
+    path.write_text(json.dumps({**doc, "trees": [{**tree, **edit(tree)}]}))
+    with pytest.raises(ModelFormatError, match=complaint):
+        load_model(path)
+
+
 def test_learnable_signal_is_learned():
     X, y = regression_problem(n=500, noise=0.05)
     Xv, yv = regression_problem(n=200, seed=2, noise=0.05)
