@@ -179,8 +179,13 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
         json.dump(metrics, fh, sort_keys=True, indent=2)
         fh.write("\n")
     last_loss = metrics["train_loss"][-1] if metrics["train_loss"] else None
-    log.info("trained %d trees (final train loss %s) -> %s",
-             len(model.trees), last_loss, args.out)
+    kept = (f", best iteration {metrics['best_iteration']} with "
+            f"{len(model.trees)} trees kept" if valid is not None else "")
+    log.info("trained %d trees, %d internal nodes, %d leaves (final train "
+             "loss %s%s) -> %s", len(model.trees),
+             sum(len(t.feature) for t in model.trees),
+             sum(len(t.leaf_value) for t in model.trees), last_loss, kept,
+             args.out)
     return 0
 
 

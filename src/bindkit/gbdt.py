@@ -8,14 +8,27 @@ Split search is histogram-based: features are binned once on the training
 matrix into at most n_histogram_bins quantile bins whose upper bounds are
 actual data values (columns with few distinct values get exact bins).  A
 split is "x <= t goes left" with t the upper bound of the left bin, so
-routing by bin code and routing by raw value agree on every training row.
+routing by bin code and routing by raw value agree on every training row;
+training routes by raw value and keeps no full code matrix.
+
+The binned matrix holds three classes of column, told apart by bin count.
+Constant (one-bin) columns cannot split and are dropped.  Two-bin columns,
+such as fingerprint bits, keep only their code-1 cells in a row-major CSR:
+a node's code-1 counts and residual sums are one bincount over its cells,
+and the code-0 side is the node's row count and total minus them.  Columns
+with three or more bins keep their codes in one contiguous int32 block that
+one flat bincount histograms per node.  The best gain of each column is
+merged back in original column order.
+
 An exact splitter that scans every distinct value boundary is available as
 params.splitter="exact"; on columns with at most n_histogram_bins distinct
 values both splitters see the same candidate set.
 
 The variance gain of a split is sum_L^2/n_L + sum_R^2/n_R - sum^2/n over
 residuals, maximized; ties resolve to the first candidate in (feature,
-threshold) scan order.  Gains <= 0 make the node a leaf.
+threshold) scan order.  Gains <= 0 make the node a leaf.  Two-bin gains
+near the best are recomputed from the code-0 sum before the tie-break, so
+the trees are those a histogram of every (row, column) cell would grow.
 """
 from __future__ import annotations
 
@@ -142,55 +155,123 @@ class GbdtModel:
 # --- binning -----------------------------------------------------------------
 
 
-def _bin_columns(X: np.ndarray, n_bins: int):
-    """Per-feature ascending bin upper bounds (actual data values) and the
-    per-row bin codes.  Columns with at most n_bins distinct values bin
-    exactly; wider columns keep quantile-ranked values."""
-    n, d = X.shape
+@dataclass(frozen=True, eq=False)
+class _Binned:
+    """The training matrix as split search reads it.  Each column is binned
+    into ascending upper bounds (actual data values) and then stored by its
+    bin count: one-bin columns cannot split and are dropped, two-bin columns
+    keep only their code-1 cells in a row-major CSR, and wider columns keep
+    their codes in one contiguous block."""
+    uppers: list               # per original column, ascending bin uppers
+    pair_cols: np.ndarray      # original index of each two-bin column
+    indptr: np.ndarray         # CSR row offsets, length n + 1
+    indices: np.ndarray        # position in pair_cols of each code-1 cell
+    wide_cols: np.ndarray      # original index of each wider column
+    wide_codes: np.ndarray     # int32 (n, len(wide_cols)) bin codes
+    wide_bins: np.ndarray      # bins per wider column
+
+
+def _bin_columns(X: np.ndarray, n_bins: int) -> _Binned:
+    """Columns with at most n_bins distinct values bin exactly; wider
+    columns keep quantile-ranked values."""
     uppers: list[np.ndarray] = []
-    codes = np.empty((n, d), dtype=np.int32)
-    for f in range(d):
-        col = X[:, f]
-        distinct = np.unique(col)
+    for f in range(X.shape[1]):
+        distinct = np.unique(X[:, f])
         if len(distinct) > n_bins:
             qs = np.linspace(0.0, 1.0, n_bins)
-            distinct = np.unique(np.quantile(col, qs, method="lower"))
+            distinct = np.unique(np.quantile(X[:, f], qs, method="lower"))
         uppers.append(distinct)
-        codes[:, f] = np.searchsorted(distinct, col, side="left")
-    return codes, uppers
+    bins = np.array([len(u) for u in uppers], dtype=np.int64)
+    pair_cols = np.flatnonzero(bins == 2)
+    wide_cols = np.flatnonzero(bins > 2)
+    lower = np.array([uppers[f][0] for f in pair_cols], dtype=np.float64)
+    on = X[:, pair_cols] > lower              # code-1 cells, row-major
+    indptr = np.zeros(len(X) + 1, dtype=np.int64)
+    np.cumsum(on.sum(axis=1), out=indptr[1:])
+    wide_codes = np.empty((len(X), len(wide_cols)), dtype=np.int32)
+    for j, f in enumerate(wide_cols):
+        wide_codes[:, j] = np.searchsorted(uppers[f], X[:, f], side="left")
+    return _Binned(uppers=uppers, pair_cols=pair_cols, indptr=indptr,
+                   indices=np.nonzero(on)[1], wide_cols=wide_cols,
+                   wide_codes=wide_codes, wide_bins=bins[wide_cols])
 
 
 # --- split search ------------------------------------------------------------
 
 
-def _best_split_hist(codes, res, rows, uppers, offsets, max_bins, bins_per_f,
-                     min_leaf):
-    """Best (feature, code threshold, value threshold, gain) on a node, or
-    None.  One flat bincount accumulates counts and residual sums for every
-    (feature, bin) cell at once."""
-    m = rows.size
-    sub = codes[rows]
-    flat = (sub + offsets).ravel()
-    cnt = np.bincount(flat, minlength=offsets[-1] + max_bins).reshape(-1, max_bins)
-    ssum = np.bincount(flat, weights=np.repeat(res[rows], sub.shape[1]),
-                       minlength=offsets[-1] + max_bins).reshape(-1, max_bins)
-    n_left = np.cumsum(cnt, axis=1)
-    s_left = np.cumsum(ssum, axis=1)
-    total = float(res[rows].sum())
-    n_right = m - n_left
+def _gain(s_left, n_left, total, m):
+    """sum_L^2/n_L + sum_R^2/n_R - sum^2/m, elementwise; every splitter uses
+    this one operation order, so equal sums give bit-equal gains."""
     s_right = total - s_left
-    splittable = np.arange(max_bins)[None, :] < (bins_per_f - 1)[:, None]
-    valid = splittable & (n_left >= min_leaf) & (n_right >= min_leaf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain = (s_left * s_left) / n_left + (s_right * s_right) / n_right \
+        return (s_left * s_left) / n_left + (s_right * s_right) / (m - n_left) \
             - (total * total) / m
-    gain = np.where(valid, gain, -np.inf)
-    best = int(np.argmax(gain))          # first best in (feature, bin) order
-    best_gain = gain.ravel()[best]
-    if not np.isfinite(best_gain) or best_gain <= 0.0:
+
+
+def _best_split_hist(X, bm: _Binned, res, rows, min_leaf):
+    """Best (feature, value threshold, gain) on a node, or None.
+
+    Two-bin columns bincount the node's code-1 cells; their bin-0 side is the
+    node total minus the code-1 side.  Wider columns accumulate counts and
+    residual sums for every (column, bin) cell in one flat bincount.  The
+    best gain of each column is merged back in original column order, so the
+    first best candidate in (feature, bin) order wins."""
+    m = rows.size
+    r = res[rows]
+    total = float(r.sum())
+    gain = np.full(len(bm.uppers), -np.inf)
+    code = np.zeros(len(bm.uppers), dtype=np.intp)
+    if bm.pair_cols.size:
+        k = bm.pair_cols.size
+        starts = bm.indptr[rows]
+        lens = bm.indptr[rows + 1] - starts
+        ends = np.cumsum(lens)
+        cells = bm.indices[np.arange(ends[-1])
+                           + np.repeat(starts - (ends - lens), lens)]
+        n0 = m - np.bincount(cells, minlength=k)
+        s0 = total - np.bincount(cells, weights=np.repeat(r, lens), minlength=k)
+        valid = (n0 >= min_leaf) & (m - n0 >= min_leaf)
+        pair_gain = np.where(valid, _gain(s0, n0, total, m), -np.inf)
+        gain[bm.pair_cols] = pair_gain
+    if bm.wide_cols.size:
+        sub = bm.wide_codes[rows]
+        width = int(bm.wide_bins.max())
+        flat = (sub + np.arange(sub.shape[1]) * width).ravel()
+        size = sub.shape[1] * width
+        cnt = np.bincount(flat, minlength=size).reshape(-1, width)
+        ssum = np.bincount(flat, weights=np.repeat(r, sub.shape[1]),
+                           minlength=size).reshape(-1, width)
+        n_left = np.cumsum(cnt, axis=1)
+        splittable = np.arange(width)[None, :] < (bm.wide_bins - 1)[:, None]
+        valid = splittable & (n_left >= min_leaf) & (m - n_left >= min_leaf)
+        g = np.where(valid, _gain(np.cumsum(ssum, axis=1), n_left, total, m),
+                     -np.inf)
+        best_bin = np.argmax(g, axis=1)
+        gain[bm.wide_cols] = g[np.arange(len(g)), best_bin]
+        code[bm.wide_cols] = best_bin
+    f = int(np.argmax(gain))
+    if not np.isfinite(gain[f]):
         return None
-    f, code_t = divmod(best, max_bins)
-    return f, code_t, float(uppers[f][code_t]), float(best_gain)
+    if bm.pair_cols.size:
+        # total - s1 can differ from the code-0 sum in the last bits, which
+        # would flip exact ties such as a column against its complement on
+        # this node.  The difference in a gain is below 20 m^2 eps max(r^2),
+        # so every two-bin gain within twice that of the best is recomputed
+        # from its code-0 sum, accumulated in row order as a full
+        # (row, column) bincount does, before the best is taken again.
+        tol = 40.0 * m * m * np.finfo(np.float64).eps * float(np.max(r * r))
+        if gain[f] + tol <= 0.0:
+            return None
+        near = np.flatnonzero(pair_gain >= gain[f] - tol)
+        cols = bm.pair_cols[near]
+        lows = np.array([bm.uppers[c][0] for c in cols], dtype=np.float64)
+        col, row = np.nonzero((X[np.ix_(rows, cols)] <= lows).T)
+        s0 = np.bincount(col, weights=r[row], minlength=cols.size)
+        gain[cols] = _gain(s0, n0[near], total, m)
+        f = int(np.argmax(gain))
+    if gain[f] <= 0.0:
+        return None
+    return f, float(bm.uppers[f][code[f]]), float(gain[f])
 
 
 def _best_split_exact(X, res, rows, min_leaf):
@@ -199,7 +280,6 @@ def _best_split_exact(X, res, rows, min_leaf):
     data values, and the gain formula is identical."""
     m = rows.size
     total = float(res[rows].sum())
-    base = (total * total) / m
     best = None
     for f in range(X.shape[1]):
         col = X[rows, f]
@@ -211,22 +291,20 @@ def _best_split_exact(X, res, rows, min_leaf):
             continue
         n_left = boundary + 1
         s_left = np.cumsum(sr)[boundary]
-        n_right = m - n_left
-        s_right = total - s_left
-        ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+        ok = (n_left >= min_leaf) & (m - n_left >= min_leaf)
         if not ok.any():
             continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = (s_left * s_left) / n_left + (s_right * s_right) / n_right - base
-        gain = np.where(ok, gain, -np.inf)
+        gain = np.where(ok, _gain(s_left, n_left, total, m), -np.inf)
         k = int(np.argmax(gain))
-        if gain[k] > 0.0 and (best is None or gain[k] > best[3]):
-            best = (f, None, float(sc[boundary[k]]), float(gain[k]))
+        if gain[k] > 0.0 and (best is None or gain[k] > best[2]):
+            best = (f, float(sc[boundary[k]]), float(gain[k]))
     return best
 
 
-def _grow_tree(X, codes, uppers, offsets, max_bins, bins_per_f, res, rows,
+def _grow_tree(X, binned: _Binned | None, res, rows,
                params: TrainParams) -> Tree:
+    """Grow one tree breadth-first; binned is None for the exact splitter.
+    Rows route by raw value, which agrees with bin-code routing."""
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -240,9 +318,8 @@ def _grow_tree(X, codes, uppers, offsets, max_bins, bins_per_f, res, rows,
         node_rows, depth, parent, side = queue.popleft()
         split = None
         if depth < params.max_depth and node_rows.size >= 2 * params.min_samples_leaf:
-            if params.splitter == "histogram":
-                split = _best_split_hist(codes, res, node_rows, uppers, offsets,
-                                         max_bins, bins_per_f,
+            if binned is not None:
+                split = _best_split_hist(X, binned, res, node_rows,
                                          params.min_samples_leaf)
             else:
                 split = _best_split_exact(X, res, node_rows,
@@ -251,16 +328,13 @@ def _grow_tree(X, codes, uppers, offsets, max_bins, bins_per_f, res, rows,
             pointer = ~len(leaf_value)
             leaf_value.append(params.learning_rate * float(res[node_rows].mean()))
         else:
-            f, code_t, value_t, _ = split
+            f, value_t, _ = split
             pointer = len(feature)
             feature.append(f)
             threshold.append(value_t)
             left.append(0)
             right.append(0)
-            if params.splitter == "histogram":
-                go_left = codes[node_rows, f] <= code_t
-            else:
-                go_left = X[node_rows, f] <= value_t
+            go_left = X[node_rows, f] <= value_t
             queue.append((node_rows[go_left], depth + 1, pointer, 0))
             queue.append((node_rows[~go_left], depth + 1, pointer, 1))
         if parent < 0:
@@ -323,13 +397,8 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
             metrics["best_iteration"] = 0
         return model, metrics
 
-    codes = uppers = offsets = bins_per_f = None
-    max_bins = 0
-    if params.splitter == "histogram":
-        codes, uppers = _bin_columns(X, params.n_histogram_bins)
-        bins_per_f = np.array([len(u) for u in uppers], dtype=np.int64)
-        max_bins = int(bins_per_f.max())
-        offsets = np.arange(X.shape[1], dtype=np.int64) * max_bins
+    binned = (_bin_columns(X, params.n_histogram_bins)
+              if params.splitter == "histogram" else None)
 
     rng = np.random.Generator(np.random.PCG64(params.seed))
     n = len(X)
@@ -346,8 +415,7 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
             bag = np.sort(rng.permutation(n)[:bag_size])
         else:
             bag = np.arange(n, dtype=np.intp)
-        tree = _grow_tree(X, codes, uppers, offsets, max_bins, bins_per_f,
-                          res, bag, params)
+        tree = _grow_tree(X, binned, res, bag, params)
         trees.append(tree)
         F += _route(tree, X)
         metrics["train_loss"].append(float(np.mean((y - F) ** 2)))
@@ -429,16 +497,19 @@ def load_model(path) -> GbdtModel:
                                                                  False)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
+    if not math.isfinite(model.base_score):
+        raise ModelFormatError("non-finite base_score")
     for k, tree in enumerate(model.trees):
         _check_tree(tree, model.feature_count, k)
     return model
 
 
 def _check_tree(tree: Tree, feature_count: int, k: int) -> None:
-    """Reject a tree that routing could not walk to a leaf: arrays of
-    unequal length, a pointer or feature index out of range, or an internal
-    node not reached exactly once from the root (a cycle, a shared subtree
-    or an orphan)."""
+    """Reject a tree that routing could not walk to a leaf, or that would
+    route to a non-finite prediction: arrays of unequal length, a pointer or
+    feature index out of range, a NaN or infinite threshold or leaf value,
+    or an internal node not reached exactly once from the root (a cycle, a
+    shared subtree or an orphan)."""
     n = len(tree.feature)
     if tree.leaf_value.ndim != 1 or any(
             a.ndim != 1 or len(a) != n
@@ -446,6 +517,8 @@ def _check_tree(tree: Tree, feature_count: int, k: int) -> None:
         raise ModelFormatError(f"tree {k}: node arrays differ in length")
     if n and not (tree.feature.min() >= 0 and tree.feature.max() < feature_count):
         raise ModelFormatError(f"tree {k}: feature index outside [0, {feature_count})")
+    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.leaf_value).all()):
+        raise ModelFormatError(f"tree {k}: non-finite threshold or leaf value")
     reached = np.zeros(n, dtype=bool)
     stack = [tree.root]
     while stack:

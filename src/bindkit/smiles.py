@@ -52,13 +52,6 @@ BOND_ORDER_VALUE = {
     BOND_AROMATIC: 1.5,
 }
 
-ORDER_NAMES = {
-    BOND_SINGLE: "single",
-    BOND_DOUBLE: "double",
-    BOND_TRIPLE: "triple",
-    BOND_AROMATIC: "aromatic",
-}
-
 SYMBOL_TO_NUMBER = {
     "B": 5, "C": 6, "N": 7, "O": 8, "F": 9,
     "P": 15, "S": 16, "Cl": 17, "Br": 35, "I": 53,
@@ -156,10 +149,6 @@ class Bond:
     @property
     def key(self) -> tuple[int, int]:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
-
-    @property
-    def order_name(self) -> str:
-        return ORDER_NAMES[self.order]
 
 
 @dataclass(frozen=True)

@@ -150,6 +150,24 @@ def test_train_artifacts(pipeline):
     assert len(metrics["valid_mae"]) == 40
 
 
+def test_train_log_reports_tree_shape(pipeline, tmp_path, capsys):
+    model_path = str(tmp_path / "model.json")
+    for valid in ([], ["--valid", pipeline["feats"]["valid"]]):
+        assert main(["--config", pipeline["cfg"], "train", "--train",
+                     pipeline["feats"]["train"], *valid, "--out", model_path]) == 0
+        err = capsys.readouterr().err
+        model = load_model(model_path)
+        nodes = sum(len(t.feature) for t in model.trees)
+        leaves = sum(len(t.leaf_value) for t in model.trees)
+        assert f"trained 40 trees, {nodes} internal nodes, {leaves} leaves" in err
+        assert ("best iteration" in err) == bool(valid)
+    best = json.loads(pathlib.Path(model_path + ".metrics.json")
+                      .read_text())["best_iteration"]
+    assert f"best iteration {best} with 40 trees kept" in err
+    assert pathlib.Path(model_path).read_bytes() == \
+        pathlib.Path(pipeline["model"]).read_bytes()
+
+
 def test_predict_artifacts(pipeline):
     lines = pathlib.Path(pipeline["preds"]).read_text().splitlines()
     assert len(lines) == 3
@@ -344,13 +362,13 @@ def test_undecodable_config_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def small_model(tmp_path):
+def small_model(tmp_path, n_trees=3):
     """A 5-column model file, its JSON document and a features directory."""
     from bindkit.gbdt import TrainParams, save_model, train
     rng = np.random.default_rng(0)
     X = rng.random((40, 5))
     model, _ = train(X, X[:, 0] - X[:, 3],
-                     TrainParams(n_trees=3, max_depth=3, min_samples_leaf=2))
+                     TrainParams(n_trees=n_trees, max_depth=3, min_samples_leaf=2))
     path = tmp_path / "model.json"
     save_model(model, path)
     feats = tmp_path / "feats"
@@ -380,3 +398,14 @@ def test_model_with_out_of_range_feature_exits_2(tmp_path, capsys):
     assert main(["--quiet", "predict", "--model", str(path), "--features",
                  str(feats), "--out", str(tmp_path / "p")]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+def test_model_with_nan_leaf_exits_2(tmp_path, capsys):
+    path, doc, feats = small_model(tmp_path, n_trees=2)
+    doc["trees"][1]["leaf_value"][0] = float("nan")
+    path.write_text(json.dumps(doc))             # written as a bare NaN token
+    out = tmp_path / "p"
+    assert main(["--quiet", "predict", "--model", str(path), "--features",
+                 str(feats), "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()

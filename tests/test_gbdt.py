@@ -4,6 +4,8 @@ Training behavior is checked against closed-form expectations on tiny
 constructed problems (where leaf means are dyadic rationals and thus exact
 in binary floating point), plus structural contracts on realistic data.
 """
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from bindkit.gbdt import (
     ModelFormatError,
     ModelVersionError,
     TrainParams,
+    Tree,
     load_model,
     save_model,
     train,
@@ -151,6 +154,155 @@ def test_splitters_agree_when_bins_are_exact():
     exact, _ = train(X, y, TrainParams(n_trees=25, max_depth=4, learning_rate=0.2,
                                        min_samples_leaf=3, splitter="exact"))
     assert np.allclose(hist.predict(X), exact.predict(X), atol=1e-9)
+
+
+# --- reference: the dense (row, column) bincount split search ----------------
+
+
+def reference_bins(X, n_bins):
+    """Per-column ascending bin upper bounds and the full code matrix."""
+    uppers = []
+    codes = np.empty(X.shape, dtype=np.int32)
+    for f in range(X.shape[1]):
+        distinct = np.unique(X[:, f])
+        if len(distinct) > n_bins:
+            qs = np.linspace(0.0, 1.0, n_bins)
+            distinct = np.unique(np.quantile(X[:, f], qs, method="lower"))
+        uppers.append(distinct)
+        codes[:, f] = np.searchsorted(distinct, X[:, f], side="left")
+    return codes, uppers
+
+
+def reference_split(codes, bins_per_f, res, rows, min_leaf):
+    """(feature, code threshold) of the best split, or None: one flat
+    bincount over every (row, column) cell of the node."""
+    max_bins = int(bins_per_f.max())
+    offsets = np.arange(codes.shape[1]) * max_bins
+    size = codes.shape[1] * max_bins
+    m = rows.size
+    sub = codes[rows]
+    flat = (sub + offsets).ravel()
+    cnt = np.bincount(flat, minlength=size).reshape(-1, max_bins)
+    ssum = np.bincount(flat, weights=np.repeat(res[rows], sub.shape[1]),
+                       minlength=size).reshape(-1, max_bins)
+    n_left = np.cumsum(cnt, axis=1)
+    s_left = np.cumsum(ssum, axis=1)
+    total = float(res[rows].sum())
+    n_right = m - n_left
+    s_right = total - s_left
+    splittable = np.arange(max_bins)[None, :] < (bins_per_f - 1)[:, None]
+    valid = splittable & (n_left >= min_leaf) & (n_right >= min_leaf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = (s_left * s_left) / n_left + (s_right * s_right) / n_right \
+            - (total * total) / m
+    gain = np.where(valid, gain, -np.inf).ravel()
+    best = int(np.argmax(gain))
+    if not np.isfinite(gain[best]) or gain[best] <= 0.0:
+        return None
+    return divmod(best, max_bins)
+
+
+def reference_tree(codes, uppers, res, rows, params):
+    """Breadth-first growth that routes rows by bin code."""
+    bins_per_f = np.array([len(u) for u in uppers])
+    feature, threshold, left, right, leaf_value = [], [], [], [], []
+    root = 0
+    queue = deque([(rows, 0, -1, 0)])
+    while queue:
+        node_rows, depth, parent, side = queue.popleft()
+        split = None
+        if depth < params.max_depth and node_rows.size >= 2 * params.min_samples_leaf:
+            split = reference_split(codes, bins_per_f, res, node_rows,
+                                    params.min_samples_leaf)
+        if split is None:
+            pointer = ~len(leaf_value)
+            leaf_value.append(params.learning_rate * float(res[node_rows].mean()))
+        else:
+            f, code_t = split
+            pointer = len(feature)
+            feature.append(f)
+            threshold.append(float(uppers[f][code_t]))
+            left.append(0)
+            right.append(0)
+            go_left = codes[node_rows, f] <= code_t
+            queue.append((node_rows[go_left], depth + 1, pointer, 0))
+            queue.append((node_rows[~go_left], depth + 1, pointer, 1))
+        if parent < 0:
+            root = pointer
+        elif side == 0:
+            left[parent] = pointer
+        else:
+            right[parent] = pointer
+    return Tree(root=root, feature=np.asarray(feature, dtype=np.int32),
+                threshold=np.asarray(threshold, dtype=np.float64),
+                left=np.asarray(left, dtype=np.int32),
+                right=np.asarray(right, dtype=np.int32),
+                leaf_value=np.asarray(leaf_value, dtype=np.float64))
+
+
+def reference_trees(X, y, params):
+    """The boosting loop of train() around the reference tree grower."""
+    codes, uppers = reference_bins(X, params.n_histogram_bins)
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+    n = len(X)
+    bag_size = max(1, int(round(params.subsample * n)))
+    F = np.full(n, float(y.mean()))
+    trees = []
+    for _ in range(params.n_trees):
+        res = y - F
+        if params.subsample < 1.0:
+            bag = np.sort(rng.permutation(n)[:bag_size])
+        else:
+            bag = np.arange(n, dtype=np.intp)
+        tree = reference_tree(codes, uppers, res, bag, params)
+        trees.append(tree)
+        F += GbdtModel(base_score=0.0, trees=(tree,), feature_count=X.shape[1],
+                       params=params).predict(X)
+    return trees
+
+
+def mixed_matrix(seed, n=200):
+    """Columns of every binning class, shuffled together: constant, sparse
+    {0,1}, two-valued {-2.5, 7} (independent ones, 90% in the upper bin, and
+    complements of sparse columns), one {0,1} column with exactly n/2 ones,
+    small integers, and continuous columns with n distinct values, more
+    than a two-bin budget allows."""
+    rng = np.random.default_rng(seed)
+    sparse = (rng.random((n, 40)) < 0.06).astype(float)
+    blocks = [
+        np.full((n, 2), 1.5), np.zeros((n, 1)), sparse,
+        np.where(rng.random((n, 4)) < 0.9, 7.0, -2.5),
+        np.where(sparse[:, :6] == 1.0, -2.5, 7.0),
+        (rng.permutation(n) < n // 2).astype(float)[:, None],
+        rng.integers(0, 6, (n, 3)).astype(float),
+        rng.standard_normal((n, 5)),
+    ]
+    X = np.hstack(blocks)[:, rng.permutation(sum(b.shape[1] for b in blocks))]
+    y = (X @ rng.standard_normal(X.shape[1])) + 0.3 * rng.standard_normal(n)
+    return X, y
+
+
+EQUIVALENCE_PARAMS = {
+    "full sample": dict(min_samples_leaf=3),
+    "subsample": dict(min_samples_leaf=3, subsample=0.6),
+    "two bins": dict(min_samples_leaf=3, n_histogram_bins=2),
+    "leaf size at the edge": dict(min_samples_leaf=100),    # root of 200 rows
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_PARAMS))
+def test_histogram_trees_match_dense_reference(case, seed):
+    X, y = mixed_matrix(seed)
+    params = TrainParams(n_trees=8, max_depth=5, learning_rate=0.3, seed=seed,
+                         **EQUIVALENCE_PARAMS[case])
+    model, _ = train(X, y, params)
+    expected = reference_trees(X, y, params)
+    assert sum(len(t.feature) for t in model.trees) > 0
+    for got, want in zip(model.trees, expected, strict=True):
+        assert got.root == want.root
+        for name in ("feature", "threshold", "left", "right", "leaf_value"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_training_is_deterministic():
@@ -338,6 +490,10 @@ BROKEN_TREES = {
     "shared subtree": (lambda t: {"right": t["left"][:1] + t["right"][1:]},
                        "reached twice"),
     "orphan node": (lambda t: {"root": t["left"][0]}, "not reached"),
+    "NaN leaf value": (lambda t: {"leaf_value": [float("nan")] + t["leaf_value"][1:]},
+                       "non-finite"),
+    "infinite threshold": (lambda t: {"threshold": [float("inf")] + t["threshold"][1:]},
+                           "non-finite"),
 }
 
 
@@ -355,6 +511,20 @@ def test_load_rejects_broken_tree_topology(tmp_path, what):
     edit, complaint = BROKEN_TREES[what]
     path.write_text(json.dumps({**doc, "trees": [{**tree, **edit(tree)}]}))
     with pytest.raises(ModelFormatError, match=complaint):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+def test_load_rejects_non_finite_base_score(tmp_path, value):
+    import json
+    X, y = regression_problem(n=30)
+    model, _ = train(X, y, TrainParams(n_trees=1, max_depth=2,
+                                       min_samples_leaf=2))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()),
+                                "base_score": value}))
+    with pytest.raises(ModelFormatError, match="non-finite"):
         load_model(path)
 
 

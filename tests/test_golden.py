@@ -1,16 +1,23 @@
 """Pinned values of the pair key and the circular fingerprint.
 
-The values were recorded from the implementation before its refinement
-rounds were merged into one kernel; any change to hashing, refinement or
-key assembly shows up here as a changed hex digest or bit set.
+The key and fingerprint values were recorded from the implementation
+before its refinement rounds were merged into one kernel; any change to
+hashing, refinement or key assembly shows up here as a changed hex digest or
+bit set.  The model digests were recorded from the dense (row, column)
+bincount split search, before two-bin columns moved to a sparse layout; a
+changed split, tie-break or leaf value changes the saved bytes.
 """
 import csv
+import hashlib
 import pathlib
 
+import numpy as np
 import pytest
 
+from bindkit.cli import main
 from bindkit.dataset import pair_key
 from bindkit.fasta import ProteinSequence
+from bindkit.gbdt import TrainParams, save_model, train
 from bindkit.ligand_features import ecfp
 from bindkit.smiles import from_smiles
 
@@ -56,3 +63,48 @@ def test_pinned_pair_key_and_fingerprint(name):
     key, on_bits = GOLDEN[name]
     assert pair_key(RECEPTOR, mol) == key
     assert ecfp(mol, radius=2, nbits=2048).on_bits() == on_bits
+
+
+# --- saved model bytes ---------------------------------------------------------
+
+FIXTURES = CORPUS.parent
+MODEL_PARAMS = dict(n_trees=40, max_depth=3, learning_rate=0.2,
+                    min_samples_leaf=2, seed=11)
+
+# extra TrainParams -> sha256 of model.json trained on the fixture features
+GOLDEN_MODELS = {
+    "fixture config": (
+        {}, "fc4f1de514aeb75b551ae392b0deaa02c2878c5717589bb600d5510fb480ce8b"),
+    "subsampled, four bins": (
+        {"subsample": 0.8, "n_histogram_bins": 4},
+        "88cfa6251a9afc08b3c477c09d9a2e815064d5fa2e3829343b52697ea18c7aaf"),
+}
+
+
+@pytest.fixture(scope="module")
+def fixture_features(tmp_path_factory):
+    """Train and valid features of the CLI fixture table (256-bit ECFP)."""
+    root = tmp_path_factory.mktemp("golden")
+    cfg = root / "pipeline.toml"
+    cfg.write_text(f'seed = 11\n\n[fingerprint]\nnbits = 256\n\n[paths]\n'
+                   f'fasta = "{FIXTURES / "receptors.fasta"}"\n')
+    data = str(root / "dataset")
+    assert main(["--config", str(cfg), "--quiet", "ingest",
+                 "--in", str(FIXTURES / "raw_affinities.tsv"), "--out", data]) == 0
+    out = {}
+    for name in ("train", "valid"):
+        assert main(["--config", str(cfg), "--quiet", "featurize", "--dataset",
+                     data, "--subset", name, "--out", str(root / name)]) == 0
+        out[name] = (np.load(root / name / "X.npy"), np.load(root / name / "y.npy"))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+def test_pinned_model_bytes(name, fixture_features, tmp_path):
+    extra, digest = GOLDEN_MODELS[name]
+    model, _ = train(*fixture_features["train"],
+                     TrainParams(**MODEL_PARAMS, **extra),
+                     valid=fixture_features["valid"])
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
