@@ -434,8 +434,15 @@ def write_dataset(dataset: Dataset, outdir) -> None:
 
 
 def load_dataset(outdir) -> Dataset:
-    """Reload a curated dataset directory written by write_dataset."""
+    """Reload a curated dataset directory written by write_dataset.
+
+    Each distinct SMILES is parsed, and each distinct (receptor id, residues)
+    pair validated, once, at its first row; records that name the same
+    ligand or receptor share one frozen object.
+    """
     tsv = os.path.join(outdir, "dataset.tsv")
+    molecules: dict[str, Molecule] = {}
+    receptors: dict[tuple[str, str], ProteinSequence] = {}
     with open(tsv, "r", encoding="utf-8") as fh:
         header = tuple(fh.readline().rstrip("\n").split("\t"))
         if header != _TSV_COLUMNS:
@@ -451,10 +458,24 @@ def load_dataset(outdir) -> Dataset:
             key, split_name, rid, residues, smiles, _ki, log_ki = cells
             if split_name not in SPLIT_NAMES + ("unassigned",):
                 raise DatasetFormatError(f"bad split {split_name!r} at line {line_no}")
+            receptor = receptors.get((rid, residues))
+            if receptor is None:
+                receptor = receptors[(rid, residues)] = ProteinSequence(
+                    id=rid, residues=residues)
+            ligand = molecules.get(smiles)
+            if ligand is None:
+                ligand = molecules[smiles] = from_smiles(smiles)
+            try:
+                value = float(log_ki)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise DatasetFormatError(
+                    f"bad log_ki {log_ki!r} at line {line_no}")
             records.append(AffinityRecord(
-                receptor=ProteinSequence(id=rid, residues=residues),
-                ligand=from_smiles(smiles),
-                log_ki=float(log_ki),
+                receptor=receptor,
+                ligand=ligand,
+                log_ki=value,
                 pair_key=key,
                 split=split_name,
             ))

@@ -564,25 +564,53 @@ def perceive_rings(mol: Molecule) -> Molecule:
     """Return a copy with in_ring flags set.
 
     An edge is in a ring exactly when it is not a bridge (some cycle passes
-    through it); an atom is in a ring when one of its edges is.  Flags come
-    from a direct per-edge cycle test rather than the basis union, which can
-    miss non-bridge edges in exotic cage graphs.
+    through it); an atom is in a ring when one of its edges is.  Bridges come
+    from one iterative depth-first pass (Tarjan, Inf. Proc. Lett. 2(6),
+    1974): the tree edge into v is a bridge when no back edge from v's
+    subtree reaches v's parent or above.  The graph is simple, as the parser
+    rejects self-bonds and duplicate bonds.
     """
     n = len(mol.atoms)
     adj: list[list[int]] = [[] for _ in range(n)]
     for bond in mol.bonds:
         adj[bond.a].append(bond.b)
         adj[bond.b].append(bond.a)
+    order = [0] * n      # 1-based discovery number, 0 while unvisited
+    low = [0] * n        # lowest discovery number a back edge from the subtree reaches
+    bridges: set[tuple[int, int]] = set()
+    count = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            u, parent, rest = stack[-1]
+            for v in rest:
+                if v == parent:
+                    continue
+                if order[v]:
+                    low[u] = min(low[u], order[v])
+                else:
+                    count += 1
+                    order[v] = low[v] = count
+                    stack.append((v, u, iter(adj[v])))
+                    break
+            else:
+                stack.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[u])
+                    if low[u] > order[parent]:
+                        bridges.add((u, parent) if u < parent else (parent, u))
     ring_atoms: set[int] = set()
-    ring_edges: set[tuple[int, int]] = set()
     for bond in mol.bonds:
-        if _shortest_cycle_through(adj, bond.a, bond.b) is not None:
-            ring_edges.add(bond.key)
+        if bond.key not in bridges:
             ring_atoms.add(bond.a)
             ring_atoms.add(bond.b)
     atoms = tuple(replace(a, in_ring=(i in ring_atoms))
                   for i, a in enumerate(mol.atoms))
-    bonds = tuple(replace(b, in_ring=(b.key in ring_edges)) for b in mol.bonds)
+    bonds = tuple(replace(b, in_ring=(b.key not in bridges)) for b in mol.bonds)
     return replace(mol, atoms=atoms, bonds=bonds, rings_perceived=True)
 
 

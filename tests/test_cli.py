@@ -7,6 +7,7 @@ FASTA references cannot resolve).
 """
 import json
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -294,6 +295,22 @@ def test_data_errors_exit_2(tmp_path, capsys):
                  "--truth", str(truth), "--out", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert "data error" in err
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+def test_bad_log_ki_in_dataset_exits_2(pipeline, tmp_path, capsys, bad):
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / "dataset.tsv").read_text().splitlines()
+    cells = lines[4].split("\t")
+    cells[-1] = bad
+    lines[4] = "\t".join(cells)
+    (data / "dataset.tsv").write_text("\n".join(lines) + "\n")
+    assert main(["--quiet", "featurize", "--dataset", str(data),
+                 "--subset", "all", "--out", str(tmp_path / "f")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "line 5" in err
+    assert not (tmp_path / "f").exists()
 
 
 def test_wrong_width_prediction_exits_2(pipeline, tmp_path, capsys):

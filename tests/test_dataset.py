@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import bindkit.dataset as dataset_module
 from bindkit.dataset import (
     DEFAULT_BOUNDS,
     Dataset,
@@ -25,9 +26,10 @@ from bindkit.dataset import (
     split,
     write_dataset,
 )
+from bindkit.fasta import ProteinSequence
 from bindkit.protein_features import DESCRIPTOR_LAYOUT, receptor_descriptor
 from bindkit.ligand_features import ecfp
-from bindkit.smiles import from_smiles
+from bindkit.smiles import UnclosedRingError, from_smiles
 
 
 def rows_from(*triples):
@@ -375,9 +377,74 @@ def test_load_rejects_corruption(tmp_path):
     with pytest.raises(DatasetFormatError):
         load_dataset(outdir)
 
+    for bad in ("abc", "nan", "inf", "-inf", "1e999"):
+        cells = good[2].split("\t")
+        cells[-1] = bad
+        tsv.write_text("\n".join([good[0], good[1], "\t".join(cells)]) + "\n")
+        with pytest.raises(DatasetFormatError, match="log_ki .* at line 3"):
+            load_dataset(outdir)
+
     tsv.write_text(good[0] + "\n")
     with pytest.raises(EmptyAfterFilteringError):
         load_dataset(outdir)
+
+
+def count_parses(monkeypatch):
+    """Record every SMILES that load_dataset hands to the parser."""
+    seen = []
+
+    def counting(text):
+        seen.append(text)
+        return from_smiles(text)
+
+    monkeypatch.setattr(dataset_module, "from_smiles", counting)
+    return seen
+
+
+def test_load_parses_each_distinct_ligand_once(tmp_path, monkeypatch):
+    ligands = ("CCO", "c1ccccc1", "CCN", "CC(=O)O")
+    rows = [(unique_receptor(i), ligands[(i * 3) % 4], 10.0 + i) for i in range(14)]
+    outdir = tmp_path / "curated"
+    write_dataset(split(ingest(rows_from(*rows)), seed=3), outdir)
+    parsed = count_parses(monkeypatch)
+    loaded = load_dataset(outdir)
+    assert len(loaded.records) == 14
+    assert len(parsed) == 4
+    assert parsed == list(dict.fromkeys(r.ligand.source for r in loaded.records))
+
+
+def test_loaded_records_share_ligands_and_receptors(tmp_path):
+    index = {"P1": ProteinSequence(id="P1", residues="MKVLQW"),
+             "P2": ProteinSequence(id="P2", residues="MKVLQW")}
+    ds = ingest(rows_from(
+        ("@file:P1", "CCO", 10.0),
+        ("@file:P2", "CCN", 20.0),
+        ("@file:P1", "c1ccccc1", 30.0),
+        ("ACDEFG", "CCO", 40.0),
+        ("ACDEFG", "CCN", 50.0),
+    ), fasta_index=index)
+    write_dataset(ds, tmp_path / "curated")
+    recs = load_dataset(tmp_path / "curated").records
+    assert [r.receptor.id for r in recs[:3]] == ["P1", "P2", "P1"]
+    assert recs[0].receptor is recs[2].receptor
+    assert recs[3].receptor is recs[4].receptor
+    assert recs[1].receptor is not recs[0].receptor      # same residues, other id
+    assert recs[1].receptor.residues == recs[0].receptor.residues
+    assert recs[0].ligand is recs[3].ligand
+    assert recs[1].ligand is recs[4].ligand
+    assert recs[0].ligand is not recs[1].ligand
+
+
+def test_recurring_bad_smiles_raises_at_its_first_row(tmp_path, monkeypatch):
+    rows = [(unique_receptor(i), ("CCO", "CCN", "CCC")[i % 3], 10.0) for i in range(9)]
+    outdir = tmp_path / "curated"
+    write_dataset(ingest(rows_from(*rows)), outdir)
+    tsv = outdir / "dataset.tsv"
+    tsv.write_text(tsv.read_text().replace("\tCCN\t", "\tC1CN\t"))
+    parsed = count_parses(monkeypatch)
+    with pytest.raises(UnclosedRingError):
+        load_dataset(outdir)
+    assert parsed == ["CCO", "C1CN"]
 
 
 def test_provenance_is_json_serializable():

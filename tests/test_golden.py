@@ -5,11 +5,14 @@ before its refinement rounds were merged into one kernel; any change to
 hashing, refinement or key assembly shows up here as a changed hex digest or
 bit set.  The model digests were recorded from the dense (row, column)
 bincount split search, before two-bin columns moved to a sparse layout; a
-changed split, tie-break or leaf value changes the saved bytes.
+changed split, tie-break or leaf value changes the saved bytes.  The
+featurize and export-graphs digests were recorded before load_dataset
+shared one parsed molecule and receptor among the records that name them.
 """
 import csv
 import hashlib
 import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -81,22 +84,63 @@ GOLDEN_MODELS = {
 }
 
 
+# file of the fixture pipeline -> sha256; the config names the FASTA file by a
+# relative path, so config_digest in featurize.json is the same in any checkout
+GOLDEN_ARTIFACTS = {
+    "train/X.npy":
+        "ff9574e5f021e0a42b6c6d215bb70b6fb369d110d31271c8a03409f5182350aa",
+    "train/y.npy":
+        "5279694543c5357bf193cb40697dbb541aec0a73a89943e6d24adaa7c7c79096",
+    "train/ids.txt":
+        "adc6cdcdf6e6eed7b4ab91abe12b78574792b85a107aa787385b3d51bf938076",
+    "train/featurize.json":
+        "6543d6e660fa36328e01a133bfc2dbe1d296aa3aa43d7b58a45f259f9b9664af",
+    "valid/X.npy":
+        "9fc3f9cbeb6257954b1b383831c57049fcc3097b98d216c8ecc22207ccc948a7",
+    "valid/y.npy":
+        "32db329fd329d2723ec196d5fa2d0017a9d48362cda742a5162eb88a68250f6f",
+    "valid/ids.txt":
+        "040f4b83206c39c76aa2ce74d9598b5659c1eb19eb787038228fe162422b0370",
+    "valid/featurize.json":
+        "9fd49050ca275ce8ef5cb27667437da61b654b72d8579640e770dfdcb944140a",
+    "graphs.jsonl":
+        "563bec2e7a43ddcc29bc052dd74afd07780470bcc1aa936971e8c8cc156300a9",
+}
+
+
 @pytest.fixture(scope="module")
-def fixture_features(tmp_path_factory):
-    """Train and valid features of the CLI fixture table (256-bit ECFP)."""
+def fixture_pipeline(tmp_path_factory):
+    """Ingest the CLI fixture table, featurize train and valid (256-bit ECFP)
+    and export the graphs of every record; returns the output directory."""
     root = tmp_path_factory.mktemp("golden")
-    cfg = root / "pipeline.toml"
-    cfg.write_text(f'seed = 11\n\n[fingerprint]\nnbits = 256\n\n[paths]\n'
-                   f'fasta = "{FIXTURES / "receptors.fasta"}"\n')
-    data = str(root / "dataset")
-    assert main(["--config", str(cfg), "--quiet", "ingest",
-                 "--in", str(FIXTURES / "raw_affinities.tsv"), "--out", data]) == 0
-    out = {}
-    for name in ("train", "valid"):
-        assert main(["--config", str(cfg), "--quiet", "featurize", "--dataset",
-                     data, "--subset", name, "--out", str(root / name)]) == 0
-        out[name] = (np.load(root / name / "X.npy"), np.load(root / name / "y.npy"))
-    return out
+    shutil.copy(FIXTURES / "receptors.fasta", root / "receptors.fasta")
+    (root / "pipeline.toml").write_text(
+        'seed = 11\n\n[fingerprint]\nnbits = 256\n\n'
+        '[paths]\nfasta = "receptors.fasta"\n')
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        cfg = ["--config", "pipeline.toml", "--quiet"]
+        assert main(cfg + ["ingest", "--in", str(FIXTURES / "raw_affinities.tsv"),
+                           "--out", "dataset"]) == 0
+        for name in ("train", "valid"):
+            assert main(cfg + ["featurize", "--dataset", "dataset",
+                               "--subset", name, "--out", name]) == 0
+        assert main(cfg + ["export-graphs", "--dataset", "dataset",
+                           "--subset", "all", "--out", "graphs.jsonl"]) == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def fixture_features(fixture_pipeline):
+    return {name: (np.load(fixture_pipeline / name / "X.npy"),
+                   np.load(fixture_pipeline / name / "y.npy"))
+            for name in ("train", "valid")}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ARTIFACTS))
+def test_pinned_pipeline_artifacts(name, fixture_pipeline):
+    digest = hashlib.sha256((fixture_pipeline / name).read_bytes()).hexdigest()
+    assert digest == GOLDEN_ARTIFACTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))

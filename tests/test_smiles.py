@@ -3,14 +3,18 @@ import csv
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bindkit.smiles as sm
 from bindkit.smiles import (
     BOND_AROMATIC,
     BOND_DOUBLE,
     BOND_SINGLE,
+    Atom,
+    Bond,
     DuplicateBondError,
     EmptyInputError,
+    Molecule,
     UnbalancedParenError,
     UnclosedRingError,
     UnknownSymbolError,
@@ -219,6 +223,79 @@ def test_biphenyl_link_is_a_bridge():
     mol = perceive_rings(parse_smiles("c1ccc(cc1)-c1ccccc1"))
     assert sum(not b.in_ring for b in mol.bonds) == 1
     assert sum(a.in_ring for a in mol.atoms) == 12
+
+
+def bfs_ring_flags(mol):
+    """Reference ring flags: a bond is in a ring when a search from one end
+    reaches the other without crossing the bond (one BFS per bond); an atom
+    is in a ring when one of its bonds is."""
+    adj = [[] for _ in mol.atoms]
+    for bond in mol.bonds:
+        adj[bond.a].append(bond.b)
+        adj[bond.b].append(bond.a)
+
+    def joined_without(a, b):
+        seen = {a}
+        queue = [a]
+        for u in queue:                     # the queue grows while it is read
+            for v in adj[u]:
+                if (u, v) == (a, b) or v in seen:
+                    continue
+                if v == b:
+                    return True
+                seen.add(v)
+                queue.append(v)
+        return False
+
+    bond_flags = [joined_without(bond.a, bond.b) for bond in mol.bonds]
+    atom_flags = [False] * len(mol.atoms)
+    for bond, flag in zip(mol.bonds, bond_flags):
+        if flag:
+            atom_flags[bond.a] = atom_flags[bond.b] = True
+    return atom_flags, bond_flags
+
+
+def ring_flags(mol):
+    return [a.in_ring for a in mol.atoms], [b.in_ring for b in mol.bonds]
+
+
+@st.composite
+def simple_graphs(draw):
+    """Random simple graphs, often disconnected; perceive_rings reads only
+    atoms and bonds, so components are left empty."""
+    n = draw(st.integers(1, 24))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          max_size=2 * n)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    bonds = tuple(Bond(b, a, BOND_SINGLE) if flip else Bond(a, b, BOND_SINGLE)
+                  for (a, b), flip in zip(edges, flips))
+    return Molecule(atoms=tuple(Atom(element=6) for _ in range(n)), bonds=bonds,
+                    source="", components=())
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(simple_graphs())
+def test_ring_flags_match_per_bond_search_on_random_graphs(mol):
+    assert ring_flags(perceive_rings(mol)) == bfs_ring_flags(mol)
+
+
+@pytest.mark.parametrize("row", CORPUS, ids=[r["name"] for r in CORPUS])
+def test_ring_flags_match_per_bond_search_on_corpus(row):
+    mol = parse_smiles(row["smiles"])
+    assert ring_flags(perceive_rings(mol)) == bfs_ring_flags(mol)
+
+
+def test_ring_perception_has_no_depth_limit():
+    n = 5000                 # five times the default recursion limit
+    chain = [Bond(i, i + 1, BOND_SINGLE) for i in range(n - 1)]
+    atoms = tuple(Atom(element=6) for _ in range(n))
+    mol = perceive_rings(Molecule(atoms=atoms, bonds=tuple(chain), source="",
+                                  components=(tuple(range(n)),)))
+    assert not any(a.in_ring for a in mol.atoms)
+    closed = Molecule(atoms=atoms, bonds=tuple(chain) + (Bond(0, n - 1, BOND_SINGLE),),
+                      source="", components=(tuple(range(n)),))
+    assert all(b.in_ring for b in perceive_rings(closed).bonds)
 
 
 def test_acyclic_molecules_have_no_rings():
