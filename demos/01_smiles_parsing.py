@@ -16,7 +16,8 @@ from bindkit import (
 
 # --- stage by stage -------------------------------------------------------
 # parse_smiles builds the bare graph; from_smiles runs the full pipeline
-# (hydrogens + rings).  Molecules are immutable, each stage returns a copy.
+# (hydrogens + rings) in one pass.  Molecules are immutable: each stage
+# returns a new molecule.
 
 caffeine = "Cn1cnc2c1c(=O)n(C)c(=O)n2C"
 bare = parse_smiles(caffeine)

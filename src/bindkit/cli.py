@@ -232,20 +232,23 @@ def cmd_export_graphs(args, cfg: PipelineConfig) -> int:
     records = dataset.subset(args.subset)
     if not records:
         raise DatasetError(f"subset {args.subset!r} is empty")
-    lig_cache: dict[str, dict] = {}
-    rec_cache: dict[str, dict] = {}
+    # Each distinct block is serialized once; a line is then assembled from
+    # those strings exactly as json.dumps(line, sort_keys=True) writes it.
+    lig_json: dict[str, str] = {}
+    rec_json: dict[str, str] = {}
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
-            lig = lig_cache.get(rec.ligand.source)
+            lig = lig_json.get(rec.ligand.source)
             if lig is None:
-                lig = graph_block(ligand_graph_features(rec.ligand))
-                lig_cache[rec.ligand.source] = lig
-            rgraph = rec_cache.get(rec.receptor.residues)
+                lig = lig_json[rec.ligand.source] = json.dumps(
+                    graph_block(ligand_graph_features(rec.ligand)), sort_keys=True)
+            rgraph = rec_json.get(rec.receptor.residues)
             if rgraph is None:
-                rgraph = graph_block(receptor_graph_features(rec.receptor, table))
-                rec_cache[rec.receptor.residues] = rgraph
-            line = {"id": rec.pair_key, "ligand": lig, "receptor": rgraph}
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
+                rgraph = rec_json[rec.receptor.residues] = json.dumps(
+                    graph_block(receptor_graph_features(rec.receptor, table)),
+                    sort_keys=True)
+            fh.write(f'{{"id": {json.dumps(rec.pair_key)}, "ligand": {lig}, '
+                     f'"receptor": {rgraph}}}\n')
     log.info("exported %d pair graphs -> %s", len(records), args.out)
     return 0
 

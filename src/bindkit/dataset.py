@@ -438,7 +438,8 @@ def load_dataset(outdir) -> Dataset:
 
     Each distinct SMILES is parsed, and each distinct (receptor id, residues)
     pair validated, once, at its first row; records that name the same
-    ligand or receptor share one frozen object.
+    ligand or receptor share one frozen object.  A bad SMILES or residue
+    string raises its own ParseError or FastaError, with the line named.
     """
     tsv = os.path.join(outdir, "dataset.tsv")
     molecules: dict[str, Molecule] = {}
@@ -458,13 +459,18 @@ def load_dataset(outdir) -> Dataset:
             key, split_name, rid, residues, smiles, _ki, log_ki = cells
             if split_name not in SPLIT_NAMES + ("unassigned",):
                 raise DatasetFormatError(f"bad split {split_name!r} at line {line_no}")
-            receptor = receptors.get((rid, residues))
-            if receptor is None:
-                receptor = receptors[(rid, residues)] = ProteinSequence(
-                    id=rid, residues=residues)
-            ligand = molecules.get(smiles)
-            if ligand is None:
-                ligand = molecules[smiles] = from_smiles(smiles)
+            try:
+                receptor = receptors.get((rid, residues))
+                if receptor is None:
+                    receptor = receptors[(rid, residues)] = ProteinSequence(
+                        id=rid, residues=residues)
+                ligand = molecules.get(smiles)
+                if ligand is None:
+                    ligand = molecules[smiles] = from_smiles(smiles)
+            except (FastaError, ParseError) as exc:
+                # name the line, keeping the class and its offset fields
+                exc.args = (f"{exc} at line {line_no}",)
+                raise
             try:
                 value = float(log_ki)
             except ValueError:

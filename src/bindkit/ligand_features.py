@@ -80,8 +80,19 @@ def fnv1a32(data: bytes) -> int:
 
 
 def _hash_ints(values) -> int:
-    """FNV-1a over the little-endian uint32 encodings of the values."""
-    return fnv1a32(b"".join(struct.pack("<I", v & _MASK32) for v in values))
+    """FNV-1a over the little-endian uint32 encodings of the values.
+
+    Equal to fnv1a32 over the packed words, one word at a time: the low 32
+    bits of a product depend only on the low 32 bits of its operands, so the
+    mask is applied once per word instead of once per byte.
+    """
+    h = _FNV_OFFSET
+    for v in values:
+        h = (h ^ (v & 0xFF)) * _FNV_PRIME
+        h = (h ^ ((v >> 8) & 0xFF)) * _FNV_PRIME
+        h = (h ^ ((v >> 16) & 0xFF)) * _FNV_PRIME
+        h = ((h ^ ((v >> 24) & 0xFF)) * _FNV_PRIME) & _MASK32
+    return h
 
 
 def _require_annotated(mol: Molecule) -> None:

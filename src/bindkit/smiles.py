@@ -13,7 +13,7 @@ reaction SMILES (atom maps), explicit-hydrogen nodes such as ``[H]``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "Atom",
@@ -153,8 +153,10 @@ class Bond:
 
 @dataclass(frozen=True)
 class Molecule:
-    """Immutable molecular graph.  Stages return modified copies:
-    parse_smiles -> assign_implicit_hydrogens -> perceive_rings."""
+    """Immutable molecular graph.  parse_smiles gives the bare graph;
+    assign_implicit_hydrogens and perceive_rings each return a new molecule
+    with their annotation added, and from_smiles builds the fully annotated
+    molecule in one pass."""
 
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
@@ -456,23 +458,23 @@ def parse_smiles(text: str) -> Molecule:
     return _Parser(text).run()
 
 
-def assign_implicit_hydrogens(mol: Molecule) -> Molecule:
-    """Return a copy with implicit hydrogen counts filled in.
+def _implicit_hydrogens(mol: Molecule) -> list[int]:
+    """Implicit hydrogen count of each atom of mol, in atom order.
 
     The bond-order sum counts aromatic bonds as 1.5 and is floored.  Bracket
     atoms keep their explicit count (implicit 0).  Other atoms receive
     V - sum for the smallest allowed valence V >= sum; aromatic atoms use the
     fixed aromatic valence of the element, clamped at zero (so furan oxygen
     and thiophene sulfur get no hydrogen without kekulizing).  A sum beyond
-    every valence state raises ValenceError; aromatic atoms get +1 headroom
-    because of the floored half-integer sums.
+    every valence state raises ValenceError at the first such atom; aromatic
+    atoms get +1 headroom because of the floored half-integer sums.
     """
     order_sum = [0.0] * len(mol.atoms)
     for bond in mol.bonds:
         value = BOND_ORDER_VALUE[bond.order]
         order_sum[bond.a] += value
         order_sum[bond.b] += value
-    new_atoms = []
+    counts = []
     for idx, atom in enumerate(mol.atoms):
         total = int(order_sum[idx]) + atom.explicit_h
         allowed = VALENCES[atom.element]
@@ -482,13 +484,103 @@ def assign_implicit_hydrogens(mol: Molecule) -> Molecule:
                 f"bond-order sum {total} exceeds valence of {atom.symbol}",
                 atom.offset, idx)
         if atom.bracket:
-            implicit = 0
+            counts.append(0)
         elif atom.aromatic:
-            implicit = max(0, AROMATIC_VALENCE[atom.element] - total)
+            counts.append(max(0, AROMATIC_VALENCE[atom.element] - total))
         else:
-            implicit = min(v for v in allowed if v >= total) - total
-        new_atoms.append(replace(atom, implicit_h=implicit))
-    return replace(mol, atoms=tuple(new_atoms), h_assigned=True)
+            counts.append(min(v for v in allowed if v >= total) - total)
+    return counts
+
+
+def _bridges(mol: Molecule) -> set[tuple[int, int]]:
+    """Keys (Bond.key) of the bonds of mol that lie on no cycle.
+
+    One iterative depth-first pass (Tarjan, Inf. Proc. Lett. 2(6), 1974):
+    the tree edge into v is a bridge when no back edge from v's subtree
+    reaches v's parent or above.  The graph is simple, as the parser rejects
+    self-bonds and duplicate bonds.
+    """
+    n = len(mol.atoms)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for bond in mol.bonds:
+        adj[bond.a].append(bond.b)
+        adj[bond.b].append(bond.a)
+    order = [0] * n      # 1-based discovery number, 0 while unvisited
+    low = [0] * n        # lowest discovery number a back edge from the subtree reaches
+    bridges: set[tuple[int, int]] = set()
+    count = 0
+    for root in range(n):
+        if order[root]:
+            continue
+        count += 1
+        order[root] = low[root] = count
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            u, parent, rest = stack[-1]
+            for v in rest:
+                if v == parent:
+                    continue
+                if order[v]:
+                    low[u] = min(low[u], order[v])
+                else:
+                    count += 1
+                    order[v] = low[v] = count
+                    stack.append((v, u, iter(adj[v])))
+                    break
+            else:
+                stack.pop()
+                if parent >= 0:
+                    low[parent] = min(low[parent], low[u])
+                    if low[u] > order[parent]:
+                        bridges.add((u, parent) if u < parent else (parent, u))
+    return bridges
+
+
+def _annotated(mol: Molecule, implicit_h: list[int] | None,
+               bridges: set[tuple[int, int]] | None) -> Molecule:
+    """The annotated molecule that assign_implicit_hydrogens, perceive_rings
+    and from_smiles return.  ``implicit_h`` (from _implicit_hydrogens) or
+    ``bridges`` (from _bridges) left as None keeps that annotation, and its
+    flag, as they are on ``mol``.  An atom or bond whose annotation does not
+    change is shared, as all three are frozen; every other one is
+    constructed once."""
+    atoms = mol.atoms
+    bonds = mol.bonds
+    h_assigned = mol.h_assigned or implicit_h is not None
+    if implicit_h is None:
+        implicit_h = [atom.implicit_h for atom in atoms]
+    if bridges is None:
+        atom_ring = [atom.in_ring for atom in atoms]
+    else:
+        atom_ring = [False] * len(atoms)
+        ring_bonds = []
+        for bond in bonds:
+            a, b = bond.a, bond.b
+            ring = ((a, b) if a < b else (b, a)) not in bridges
+            if ring:
+                atom_ring[a] = atom_ring[b] = True
+            ring_bonds.append(bond if bond.in_ring == ring
+                              else Bond(a, b, bond.order, ring))
+        bonds = tuple(ring_bonds)
+    return Molecule(
+        atoms=tuple(atom if atom.implicit_h == h and atom.in_ring == in_ring
+                    else Atom(atom.element, atom.formal_charge, atom.isotope,
+                              atom.aromatic, atom.explicit_h, h, in_ring,
+                              atom.bracket, atom.offset)
+                    for atom, h, in_ring in zip(atoms, implicit_h, atom_ring)),
+        bonds=bonds,
+        source=mol.source,
+        components=mol.components,
+        stereo_warnings=mol.stereo_warnings,
+        h_assigned=h_assigned,
+        rings_perceived=mol.rings_perceived or bridges is not None,
+    )
+
+
+def assign_implicit_hydrogens(mol: Molecule) -> Molecule:
+    """Return a new molecule with implicit hydrogen counts filled in, by the
+    rule of _implicit_hydrogens (which raises ValenceError)."""
+    return _annotated(mol, _implicit_hydrogens(mol), None)
 
 
 def _shortest_cycle_through(adj: list[list[int]], a: int, b: int) -> list[int] | None:
@@ -561,59 +653,20 @@ def minimum_cycle_basis(mol: Molecule) -> tuple[tuple[int, ...], ...]:
 
 
 def perceive_rings(mol: Molecule) -> Molecule:
-    """Return a copy with in_ring flags set.
+    """Return a new molecule with in_ring flags set.
 
     An edge is in a ring exactly when it is not a bridge (some cycle passes
     through it); an atom is in a ring when one of its edges is.  Bridges come
-    from one iterative depth-first pass (Tarjan, Inf. Proc. Lett. 2(6),
-    1974): the tree edge into v is a bridge when no back edge from v's
-    subtree reaches v's parent or above.  The graph is simple, as the parser
-    rejects self-bonds and duplicate bonds.
+    from the linear-time pass in _bridges.
     """
-    n = len(mol.atoms)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for bond in mol.bonds:
-        adj[bond.a].append(bond.b)
-        adj[bond.b].append(bond.a)
-    order = [0] * n      # 1-based discovery number, 0 while unvisited
-    low = [0] * n        # lowest discovery number a back edge from the subtree reaches
-    bridges: set[tuple[int, int]] = set()
-    count = 0
-    for root in range(n):
-        if order[root]:
-            continue
-        count += 1
-        order[root] = low[root] = count
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            u, parent, rest = stack[-1]
-            for v in rest:
-                if v == parent:
-                    continue
-                if order[v]:
-                    low[u] = min(low[u], order[v])
-                else:
-                    count += 1
-                    order[v] = low[v] = count
-                    stack.append((v, u, iter(adj[v])))
-                    break
-            else:
-                stack.pop()
-                if parent >= 0:
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] > order[parent]:
-                        bridges.add((u, parent) if u < parent else (parent, u))
-    ring_atoms: set[int] = set()
-    for bond in mol.bonds:
-        if bond.key not in bridges:
-            ring_atoms.add(bond.a)
-            ring_atoms.add(bond.b)
-    atoms = tuple(replace(a, in_ring=(i in ring_atoms))
-                  for i, a in enumerate(mol.atoms))
-    bonds = tuple(replace(b, in_ring=(b.key not in bridges)) for b in mol.bonds)
-    return replace(mol, atoms=atoms, bonds=bonds, rings_perceived=True)
+    return _annotated(mol, None, _bridges(mol))
 
 
 def from_smiles(text: str) -> Molecule:
-    """parse_smiles + assign_implicit_hydrogens + perceive_rings in one call."""
-    return perceive_rings(assign_implicit_hydrogens(parse_smiles(text)))
+    """parse_smiles + assign_implicit_hydrogens + perceive_rings in one call.
+
+    Both annotations are computed on the parsed graph, and the annotated
+    atoms, bonds and molecule are built once, with no staged copies.
+    """
+    mol = parse_smiles(text)
+    return _annotated(mol, _implicit_hydrogens(mol), _bridges(mol))

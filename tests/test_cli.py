@@ -313,6 +313,26 @@ def test_bad_log_ki_in_dataset_exits_2(pipeline, tmp_path, capsys, bad):
     assert not (tmp_path / "f").exists()
 
 
+@pytest.mark.parametrize("column,bad,message", [
+    (4, "C1CC", "unclosed ring bond"),
+    (3, "MKV1", "illegal residue"),
+])
+def test_bad_structure_in_dataset_names_its_line(pipeline, tmp_path, capsys,
+                                                 column, bad, message):
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / "dataset.tsv").read_text().splitlines()
+    cells = lines[7].split("\t")            # line 8 of the file
+    cells[column] = bad
+    lines[7] = "\t".join(cells)
+    (data / "dataset.tsv").write_text("\n".join(lines) + "\n")
+    assert main(["--quiet", "featurize", "--dataset", str(data),
+                 "--subset", "all", "--out", str(tmp_path / "f")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and message in err and "line 8" in err
+    assert not (tmp_path / "f").exists()
+
+
 def test_wrong_width_prediction_exits_2(pipeline, tmp_path, capsys):
     feats = tmp_path / "narrow"
     feats.mkdir()

@@ -6,9 +6,11 @@ hand.
 """
 import json
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bindkit.ligand_features import (
     EDGE_FEATURE_NAMES,
@@ -43,6 +45,17 @@ def test_hash_ints_is_little_endian():
     assert _hash_ints([0x01020304]) == fnv1a32(b"\x04\x03\x02\x01")
     assert _hash_ints([-1]) == fnv1a32(b"\xff\xff\xff\xff")
     assert _hash_ints([1, 2]) == fnv1a32(b"\x01\x00\x00\x00\x02\x00\x00\x00")
+
+
+WORDS = st.one_of(st.integers(-2**40, -1), st.integers(0, 2**32 - 1),
+                  st.integers(2**32, 2**70))
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.lists(WORDS, max_size=12))
+def test_hash_ints_equals_byte_loop_over_packed_words(values):
+    packed = b"".join(struct.pack("<I", v & 0xFFFFFFFF) for v in values)
+    assert _hash_ints(values) == fnv1a32(packed)
 
 
 def test_atom_invariant_separates_contexts():

@@ -359,8 +359,84 @@ def test_pipeline_returns_new_objects():
     assert not with_h.atoms[0].in_ring
     assert ringed.atoms[0].in_ring
     assert raw is not with_h is not ringed
+    # each stage sets its own annotation and flag, and keeps the other's
+    assert with_h.h_assigned and not with_h.rings_perceived
+    ring_only = perceive_rings(raw)
+    assert ring_only.rings_perceived and not ring_only.h_assigned
+    assert ring_only.atoms[0].in_ring and ring_only.atoms[0].implicit_h == 0
+    assert ringed.h_assigned and ringed.atoms[0].implicit_h == 1
 
 
 def test_non_string_input_rejected():
     with pytest.raises(TypeError):
         parse_smiles(42)
+    with pytest.raises(TypeError):
+        from_smiles(42)
+
+
+# --- one-pass build against the staged functions ---------------------------
+
+def staged(text):
+    return perceive_rings(assign_implicit_hydrogens(parse_smiles(text)))
+
+
+def outcome(build, text):
+    """The molecule a build returns, or the class and positions of the
+    ParseError it raises."""
+    try:
+        mol = build(text)
+    except sm.ParseError as exc:
+        return type(exc), exc.offset, getattr(exc, "atom_index", None)
+    assert all(type(a) is Atom for a in mol.atoms)
+    assert all(type(b) is Bond for b in mol.bonds)
+    return mol
+
+
+def assert_one_pass_matches_stages(text):
+    expected = outcome(staged, text)
+    assert outcome(from_smiles, text) == expected
+    # the two annotations are independent, so their order does not matter
+    assert outcome(lambda t: assign_implicit_hydrogens(
+        perceive_rings(parse_smiles(t))), text) == expected
+
+
+VALENCE_FAILURES = ["C(C)(C)(C)(C)C", "[CH5]", "O(C)(C)C", "CC=C(=O)=O",
+                    "C#C=C", "N#N#N", "FCl(C)", "CC.c1cc(=O)(C)ccc1"]
+
+
+@pytest.mark.parametrize(
+    "text", [r["smiles"] for r in CORPUS + MALFORMED] + VALENCE_FAILURES)
+def test_from_smiles_equals_staged_build(text):
+    assert_one_pass_matches_stages(text)
+
+
+def test_valence_failures_keep_their_position_in_one_pass():
+    for text in VALENCE_FAILURES:
+        cls, offset, atom_index = outcome(from_smiles, text)
+        assert cls is ValenceError and atom_index is not None
+        assert parse_smiles(text).atoms[atom_index].offset == offset
+
+
+ATOM_TOKENS = ("C", "C", "c", "c", "N", "n", "O", "o", "S", "s", "P", "F",
+               "Cl", "Br", "I", "B", "[nH]", "[NH4+]", "[O-]", "[13CH3]",
+               "[C@@H]", "[S+2]")
+BOND_TOKENS = ("", "", "", "=", "#", ":", "/")
+TAIL_TOKENS = ("", "", "", "(C)", "(=O)", "(C3CC3)", "C4CCNC4", "c5ccccc5",
+               "c1ccc2ccccc2c1", ".")
+
+# Chains of bond-atom-tail units, often valid, ringed or over valence, next
+# to free token soup, mostly malformed.
+chain_smiles = st.tuples(
+    st.sampled_from(ATOM_TOKENS),
+    st.lists(st.tuples(st.sampled_from(BOND_TOKENS), st.sampled_from(ATOM_TOKENS),
+                       st.sampled_from(TAIL_TOKENS)).map("".join), max_size=15),
+).map(lambda t: t[0] + "".join(t[1]))
+token_soup = st.lists(st.sampled_from(ATOM_TOKENS + BOND_TOKENS + TAIL_TOKENS
+                                      + ("(", ")", "1", "2", "%10")),
+                      max_size=30).map("".join)
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(st.one_of(chain_smiles, token_soup))
+def test_from_smiles_equals_staged_build_on_random_text(text):
+    assert_one_pass_matches_stages(text)
