@@ -10,7 +10,6 @@ from bindkit import (
     ParseError,
     ValenceError,
     from_smiles,
-    minimum_cycle_basis,
     parse_smiles,
 )
 
@@ -36,13 +35,14 @@ for i, atom in enumerate(mol.atoms):
           f"{str(atom.in_ring)[0]}   {atom.total_h}    {atom.formal_charge:+d}")
 
 # --- rings ----------------------------------------------------------------
-# in_ring flags mark every non-bridge bond; the cycle basis reports the
-# smallest independent rings (for caffeine, the fused 5- and 6-membered).
+# in_ring flags mark every bond that lies on a cycle (every non-bridge bond)
+# and every atom of such a bond.  The cycle rank, bonds - atoms + components,
+# counts the independent rings: 2 for caffeine's fused 5- and 6-membered pair.
 
-cycles = minimum_cycle_basis(mol)
-print(f"\ncycle basis sizes: {sorted(len(c) for c in cycles)}")
-for cycle in sorted(cycles, key=len):
-    print(f"  ring atoms: {cycle}")
+ring_atoms = [i for i, atom in enumerate(mol.atoms) if atom.in_ring]
+rank = len(mol.bonds) - len(mol.atoms) + len(mol.components)
+print(f"\nring atoms {ring_atoms}")
+print(f"  ring bonds {sum(b.in_ring for b in mol.bonds)}, cycle rank {rank}")
 
 # --- hydrogen bookkeeping ---------------------------------------------------
 # Implicit hydrogens come from default valences; aromatic atoms use the

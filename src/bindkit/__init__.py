@@ -22,7 +22,6 @@ from .smiles import (
     parse_smiles,
     assign_implicit_hydrogens,
     perceive_rings,
-    minimum_cycle_basis,
     from_smiles,
 )
 from .fasta import (
@@ -42,9 +41,6 @@ from .ligand_features import (
     full_refinement_ids,
     infer_hybridization,
     ligand_graph_features,
-    write_fingerprints_csv,
-    write_fingerprints_afsf,
-    read_fingerprints_afsf,
 )
 from .protein_features import (
     ResiduePropertyTable,
@@ -74,8 +70,11 @@ from .dataset import (
     read_raw_tsv,
     write_dataset,
     load_dataset,
+    write_features,
+    load_features,
 )
 from .gbdt import (
+    FeatureStore,
     TrainParams,
     GbdtModel,
     GbdtError,

@@ -128,12 +128,6 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
     X, y, columns, ids = ds_mod.featurize_pairs(
         dataset, which=args.subset, radius=cfg.radius, nbits=cfg.nbits,
         table=table, workers=cfg.workers)
-    os.makedirs(args.out, exist_ok=True)
-    np.save(os.path.join(args.out, "X.npy"), X)
-    np.save(os.path.join(args.out, "y.npy"), y)
-    with open(os.path.join(args.out, "ids.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("".join(i + "\n" for i in ids))
     sidecar = {
         "columns": list(columns),
         "config_digest": cfg.digest(),
@@ -145,30 +139,18 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
         "subset": args.subset,
         "table_version": (table or default_table()).version,
     }
-    with open(os.path.join(args.out, "featurize.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    ds_mod.write_features(args.out, X, y, ids, sidecar)
     log.info("featurized %s: X %s -> %s", args.subset, X.shape, args.out)
     return 0
 
 
-def _load_matrix_dir(path) -> tuple[np.ndarray, np.ndarray | None]:
-    if os.path.isdir(path):
-        X = np.load(os.path.join(path, "X.npy"))
-        y_path = os.path.join(path, "y.npy")
-        y = np.load(y_path) if os.path.exists(y_path) else None
-        return X, y
-    return np.load(path), None
-
-
 def cmd_train(args, cfg: PipelineConfig) -> int:
-    X, y = _load_matrix_dir(args.train_dir)
+    X, y = ds_mod.load_features(args.train_dir)
     if y is None:
         raise DatasetError(f"no y.npy next to features in {args.train_dir}")
     valid = None
     if args.valid_dir is not None:
-        Xv, yv = _load_matrix_dir(args.valid_dir)
+        Xv, yv = ds_mod.load_features(args.valid_dir)
         if yv is None:
             raise DatasetError(f"no y.npy next to features in {args.valid_dir}")
         valid = (Xv, yv)
@@ -202,7 +184,7 @@ def _load_vector(path) -> np.ndarray:
 
 def cmd_predict(args, cfg: PipelineConfig) -> int:
     model = load_model(args.model)
-    X, _ = _load_matrix_dir(args.features)
+    X, _ = ds_mod.load_features(args.features)
     preds = model.predict(X)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(repr(float(p)) + "\n" for p in preds))

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fasta import FastaError, ProteinSequence, parse_fasta
-from .ligand_features import ecfp, full_refinement_ids
+from .gbdt import FeatureStore
+from .ligand_features import FingerprintFormatError, ecfp, full_refinement_ids
 from .protein_features import (
     DESCRIPTOR_LAYOUT,
     ResiduePropertyTable,
@@ -47,6 +48,8 @@ __all__ = [
     "build_fasta_index",
     "write_dataset",
     "load_dataset",
+    "write_features",
+    "load_features",
     "file_digest",
 ]
 
@@ -339,50 +342,46 @@ def featurize_pairs(
 ):
     """Assemble the model matrix for a subset.
 
-    Returns (X, y, columns, ids): X is float64 with the 78 receptor
-    descriptor columns followed by nbits fingerprint columns, y is log10 Ki,
-    ids are pair keys.  Featurization is cached per unique receptor and
-    ligand, and row order follows dataset record order.  workers > 1 farms
-    the unique-ligand fingerprints out to a process pool; results are
+    Returns (X, y, columns, ids): X is a FeatureStore with the 78 receptor
+    descriptor columns as its dense block and the nbits fingerprint bits
+    packed LSB-first, y is log10 Ki, ids are pair keys.  Each distinct
+    receptor is described and each distinct ligand fingerprinted and packed
+    once; row order follows dataset record order.  workers > 1 farms the
+    distinct-ligand fingerprints out to a process pool; results are
     identical to the serial path since assembly order never changes.
     """
     table = table or default_table()
     records = dataset.subset(which)
     if not records:
         raise EmptyAfterFilteringError(f"subset {which!r} is empty")
-    desc_cache: dict[str, np.ndarray] = {}
-    fp_cache: dict[str, np.ndarray] = {}
+    # distinct residue string / SMILES -> (first-seen index, object)
+    receptors: dict[str, tuple[int, ProteinSequence]] = {}
+    ligands: dict[str, tuple[int, Molecule]] = {}
+    rec_index = np.empty(len(records), dtype=np.intp)
+    lig_index = np.empty(len(records), dtype=np.intp)
+    for i, rec in enumerate(records):
+        rec_index[i] = receptors.setdefault(
+            rec.receptor.residues, (len(receptors), rec.receptor))[0]
+        lig_index[i] = ligands.setdefault(
+            rec.ligand.source, (len(ligands), rec.ligand))[0]
     if workers > 1:
-        unique: list[str] = []
-        seen = set()
-        for rec in records:
-            if rec.ligand.source not in seen:
-                seen.add(rec.ligand.source)
-                unique.append(rec.ligand.source)
         import multiprocessing
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            jobs = [(src, radius, nbits) for src in unique]
-            for src, bits in zip(unique, pool.map(_fingerprint_worker, jobs)):
-                fp_cache[src] = bits.astype(np.float64)
-    n_desc = len(DESCRIPTOR_LAYOUT)
-    X = np.empty((len(records), n_desc + nbits), dtype=np.float64)
-    y = np.empty(len(records), dtype=np.float64)
-    ids = []
-    for i, rec in enumerate(records):
-        d = desc_cache.get(rec.receptor.residues)
-        if d is None:
-            d = receptor_descriptor(rec.receptor, table).vector
-            desc_cache[rec.receptor.residues] = d
-        f = fp_cache.get(rec.ligand.source)
-        if f is None:
-            f = ecfp(rec.ligand, radius=radius, nbits=nbits).bits.astype(np.float64)
-            fp_cache[rec.ligand.source] = f
-        X[i, :n_desc] = d
-        X[i, n_desc:] = f
-        y[i] = rec.log_ki
-        ids.append(rec.pair_key)
+            fps = pool.map(_fingerprint_worker,
+                           [(src, radius, nbits) for src in ligands])
+    else:
+        fps = (ecfp(lig, radius=radius, nbits=nbits).bits
+               for _, lig in ligands.values())
+    packed = np.empty((len(ligands), (nbits + 7) // 8), dtype=np.uint8)
+    for k, bits in enumerate(fps):
+        packed[k] = np.packbits(bits, bitorder="little")
+    descriptors = np.array([receptor_descriptor(rec, table).vector
+                            for _, rec in receptors.values()], dtype=np.float64)
+    X = FeatureStore(dense=descriptors[rec_index], bits=packed[lig_index],
+                     nbits=nbits)
+    y = np.array([rec.log_ki for rec in records], dtype=np.float64)
     columns = tuple(DESCRIPTOR_LAYOUT) + tuple(f"fp_{j}" for j in range(nbits))
-    return X, y, columns, tuple(ids)
+    return X, y, columns, tuple(rec.pair_key for rec in records)
 
 
 def affinity_histogram(dataset: Dataset, bin_width: float = 0.5):
@@ -440,10 +439,14 @@ def load_dataset(outdir) -> Dataset:
     pair validated, once, at its first row; records that name the same
     ligand or receptor share one frozen object.  A bad SMILES or residue
     string raises its own ParseError or FastaError, with the line named.
+    A pair key seen on an earlier line, or a ki_nm cell other than the
+    repr(10.0 ** log_ki) that write_dataset writes, raises
+    DatasetFormatError naming the line.
     """
     tsv = os.path.join(outdir, "dataset.tsv")
     molecules: dict[str, Molecule] = {}
     receptors: dict[tuple[str, str], ProteinSequence] = {}
+    key_lines: dict[str, int] = {}
     with open(tsv, "r", encoding="utf-8") as fh:
         header = tuple(fh.readline().rstrip("\n").split("\t"))
         if header != _TSV_COLUMNS:
@@ -456,9 +459,14 @@ def load_dataset(outdir) -> Dataset:
             cells = line.split("\t")
             if len(cells) != len(_TSV_COLUMNS):
                 raise DatasetFormatError(f"bad row at line {line_no}")
-            key, split_name, rid, residues, smiles, _ki, log_ki = cells
+            key, split_name, rid, residues, smiles, ki_nm, log_ki = cells
             if split_name not in SPLIT_NAMES + ("unassigned",):
                 raise DatasetFormatError(f"bad split {split_name!r} at line {line_no}")
+            first = key_lines.setdefault(key, line_no)
+            if first != line_no:
+                raise DatasetFormatError(
+                    f"duplicate pair_key {key} at line {line_no} "
+                    f"(first at line {first})")
             try:
                 receptor = receptors.get((rid, residues))
                 if receptor is None:
@@ -478,6 +486,14 @@ def load_dataset(outdir) -> Dataset:
             if not math.isfinite(value):
                 raise DatasetFormatError(
                     f"bad log_ki {log_ki!r} at line {line_no}")
+            try:
+                expected = repr(10.0 ** value)
+            except OverflowError:
+                expected = None
+            if ki_nm != expected:
+                raise DatasetFormatError(
+                    f"ki_nm {ki_nm!r} does not match log_ki {log_ki!r} "
+                    f"at line {line_no}")
             records.append(AffinityRecord(
                 receptor=receptor,
                 ligand=ligand,
@@ -493,3 +509,123 @@ def load_dataset(outdir) -> Dataset:
     if not records:
         raise EmptyAfterFilteringError("dataset file holds no records")
     return Dataset(records=tuple(records), provenance=provenance)
+
+
+# --- on-disk feature directory -------------------------------------------------
+
+DENSE_FILE = "descriptors.npy"
+BITS_FILE = "fingerprints.npy"
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def write_features(outdir, X: FeatureStore, y, ids, sidecar: dict) -> None:
+    """Write a feature directory: the dense block of X as descriptors.npy,
+    its packed bit block as fingerprints.npy, y.npy, ids.txt (one pair key
+    per line) and the sidecar as featurize.json."""
+    os.makedirs(outdir, exist_ok=True)
+    np.save(os.path.join(outdir, DENSE_FILE), X.dense)
+    np.save(os.path.join(outdir, BITS_FILE), X.bits)
+    np.save(os.path.join(outdir, "y.npy"), y)
+    with open(os.path.join(outdir, "ids.txt"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write("".join(i + "\n" for i in ids))
+    with open(os.path.join(outdir, "featurize.json"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        json.dump(sidecar, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _read_npy(path, dtype, ndim: int, error=DatasetError) -> np.ndarray:
+    """The array of a .npy file, once its header shows a dtype array of rank
+    ndim followed by exactly the bytes that shape needs."""
+    with open(path, "rb") as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in _NPY_HEADERS:
+                raise ValueError(f"format version {version}")
+            shape, _, found = _NPY_HEADERS[version](fh)
+        except (ValueError, EOFError) as exc:
+            raise error(f"{path}: not a .npy array ({exc})") from exc
+        if found.hasobject:
+            raise error(f"{path}: holds an object (pickled) array")
+        if found != np.dtype(dtype) or len(shape) != ndim:
+            raise error(f"{path}: expected a {ndim}-D {np.dtype(dtype)} array, "
+                        f"got {found} of shape {shape}")
+        size = math.prod(shape) * found.itemsize
+        if os.fstat(fh.fileno()).st_size - fh.tell() != size:
+            raise error(f"{path}: data size does not match shape {shape}")
+        fh.seek(0)
+        return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def _read_sidecar(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or not all(
+            type(doc.get(k)) is int and doc[k] >= 0
+            for k in ("n_rows", "n_columns", "nbits")):
+        raise DatasetError(
+            f"{path}: n_rows, n_columns and nbits must be integers >= 0")
+    return doc
+
+
+def load_features(path) -> tuple[FeatureStore, np.ndarray | None]:
+    """Read a feature directory written by write_features, a directory with a
+    dense X.npy in place of the two blocks, or a dense .npy file.  Returns
+    (X, y), with y None when there is no y.npy.
+
+    Feature files are untrusted: an array of the wrong dtype, rank or byte
+    count (an object array included), row counts that differ among the
+    blocks, y.npy, ids.txt and featurize.json, a width that is not
+    featurize.json's n_columns, or a non-finite dense value raises
+    DatasetError, or FingerprintFormatError for the bit block, naming the
+    file."""
+    if not os.path.isdir(path):
+        dense = _read_npy(path, np.float64, 2)
+        if not np.isfinite(dense).all():
+            raise DatasetError(f"{path}: non-finite feature value")
+        return FeatureStore.of(dense), None
+
+    def at(name):
+        return os.path.join(path, name)
+
+    packed = os.path.exists(at(BITS_FILE)) or os.path.exists(at(DENSE_FILE))
+    meta = (_read_sidecar(at("featurize.json"))
+            if packed or os.path.exists(at("featurize.json")) else None)
+    dense_path = at(DENSE_FILE if packed else "X.npy")
+    dense = _read_npy(dense_path, np.float64, 2)
+    if packed:
+        nbits = meta["nbits"]
+        bits = _read_npy(at(BITS_FILE), np.uint8, 2, FingerprintFormatError)
+        if bits.shape[1] != (nbits + 7) // 8:
+            raise FingerprintFormatError(
+                f"{at(BITS_FILE)}: {bits.shape[1]} bytes per row, "
+                f"{nbits} bits need {(nbits + 7) // 8}")
+    else:
+        nbits, bits = 0, np.zeros((len(dense), 0), dtype=np.uint8)
+    if meta is not None and meta["n_columns"] != dense.shape[1] + nbits:
+        raise DatasetError(
+            f"{at('featurize.json')}: n_columns {meta['n_columns']} is not "
+            f"{dense.shape[1]} dense columns + {nbits} bits")
+    rows = {dense_path: len(dense)}
+    if packed:
+        rows[at(BITS_FILE)] = len(bits)
+    if meta is not None:
+        rows[at("featurize.json")] = meta["n_rows"]
+    y = None
+    if os.path.exists(at("y.npy")):
+        y = _read_npy(at("y.npy"), np.float64, 1)
+        rows[at("y.npy")] = len(y)
+    if os.path.exists(at("ids.txt")):
+        with open(at("ids.txt"), "rb") as fh:
+            rows[at("ids.txt")] = sum(1 for _ in fh)
+    if len(set(rows.values())) > 1:
+        raise DatasetError("feature row counts disagree: " + ", ".join(
+            f"{name} {n}" for name, n in rows.items()))
+    if not np.isfinite(dense).all():
+        raise DatasetError(f"{dense_path}: non-finite feature value")
+    return FeatureStore(dense=dense, bits=bits, nbits=nbits), y

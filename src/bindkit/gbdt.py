@@ -4,12 +4,23 @@ Stagewise boosting on the squared loss: each tree fits the current
 residuals, leaves store learning_rate * mean(residual), and the model
 prediction is base_score plus the sum of routed leaf values.
 
+Training and prediction read their matrix as a FeatureStore: a float64
+block of dense columns followed by binary columns packed eight to a byte,
+LSB first, as the featurize stage writes them; a plain 2-D array is a
+store with no bit columns.  Binning reads the two blocks once; after it,
+split search, routing and prediction read every column through
+FeatureStore.take, which decodes a bit as 0.0 or 1.0, so a bit column is
+routed by "x <= t" exactly as its dense float column would be.
+
 Split search is histogram-based: features are binned once on the training
 matrix into at most n_histogram_bins quantile bins whose upper bounds are
 actual data values (columns with few distinct values get exact bins).  A
-split is "x <= t goes left" with t the upper bound of the left bin, so
-routing by bin code and routing by raw value agree on every training row;
-training routes by raw value and keeps no full code matrix.
+bit column is binned from its popcount: 0 or n set bits make it constant,
+anything else gives the bins [0.0, 1.0], which is what the distinct values
+of the decoded column give.  A split is "x <= t goes left" with t the upper
+bound of the left bin, so routing by bin code and routing by raw value
+agree on every training row; training routes by raw value and keeps no
+full code matrix.
 
 The binned matrix holds three classes of column, told apart by bin count.
 Constant (one-bin) columns cannot split and are dropped.  Two-bin columns,
@@ -40,6 +51,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 __all__ = [
+    "FeatureStore",
     "TrainParams",
     "Tree",
     "GbdtModel",
@@ -70,6 +82,72 @@ class ModelFormatError(GbdtError):
 
 class ModelVersionError(ModelFormatError):
     pass
+
+
+@dataclass(frozen=True, eq=False)
+class FeatureStore:
+    """A feature matrix of d = dense.shape[1] float64 columns followed by
+    nbits binary columns; column d + j is bit j of a row.  Row i of bits
+    holds bit j in bit j % 8 of byte j // 8, as np.packbits(...,
+    bitorder="little") packs it and Fingerprint.packed() writes it."""
+    dense: np.ndarray          # float64 (n, d)
+    bits: np.ndarray           # uint8 (n, ceil(nbits / 8))
+    nbits: int
+
+    def __post_init__(self):
+        if self.dense.ndim != 2 or self.dense.dtype != np.float64:
+            raise DimensionMismatchError(
+                f"dense block must be 2-D float64, got {self.dense.dtype} "
+                f"{self.dense.shape}")
+        if (self.bits.dtype != np.uint8
+                or self.bits.shape != (len(self.dense), (self.nbits + 7) // 8)):
+            raise DimensionMismatchError(
+                f"{len(self.dense)} rows of {self.nbits} bits need a uint8 "
+                f"block of shape {(len(self.dense), (self.nbits + 7) // 8)}, "
+                f"got {self.bits.dtype} {self.bits.shape}")
+
+    @classmethod
+    def of(cls, X) -> "FeatureStore":
+        """X itself if it is a store, else a 2-D array as a store with no
+        bit columns."""
+        if isinstance(X, cls):
+            return X
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise DimensionMismatchError(
+                f"feature matrix must be 2-D, got shape {X.shape}")
+        return cls(dense=X, bits=np.zeros((len(X), 0), dtype=np.uint8), nbits=0)
+
+    def __len__(self) -> int:
+        return len(self.dense)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.dense), self.dense.shape[1] + self.nbits
+
+    @property
+    def nbytes(self) -> int:
+        return self.dense.nbytes + self.bits.nbytes
+
+    def take(self, rows, cols) -> np.ndarray:
+        """float64 values of columns cols at rows, shape (len(rows), len(cols))."""
+        rows = np.asarray(rows, dtype=np.intp)[:, None]
+        cols = np.asarray(cols, dtype=np.intp)
+        d = self.dense.shape[1]
+        is_bit = cols >= d
+        if not is_bit.any():
+            return self.dense[rows, cols]
+        if is_bit.all():
+            return self._bits(rows, cols - d).astype(np.float64)
+        return np.where(is_bit, self._bits(rows, np.where(is_bit, cols - d, 0)),
+                        self.dense[rows, np.where(is_bit, 0, cols)])
+
+    def _bits(self, rows, j) -> np.ndarray:
+        return (self.bits[rows, j >> 3] >> (j & 7).astype(np.uint8)) & 1
+
+    def toarray(self) -> np.ndarray:
+        """The decoded (n, d + nbits) float64 matrix."""
+        return self.take(np.arange(len(self)), np.arange(self.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -115,7 +193,7 @@ class Tree:
     leaf_value: np.ndarray     # float64, already learning-rate scaled
 
 
-def _route(tree: Tree, X: np.ndarray) -> np.ndarray:
+def _route(tree: Tree, X: FeatureStore) -> np.ndarray:
     out = np.empty(len(X), dtype=np.float64)
     stack = [(tree.root, np.arange(len(X), dtype=np.intp))]
     while stack:
@@ -125,7 +203,8 @@ def _route(tree: Tree, X: np.ndarray) -> np.ndarray:
         if node < 0:
             out[rows] = tree.leaf_value[~node]
         else:
-            go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+            go_left = X.take(rows, tree.feature[node:node + 1])[:, 0] \
+                <= tree.threshold[node]
             stack.append((int(tree.left[node]), rows[go_left]))
             stack.append((int(tree.right[node]), rows[~go_left]))
     return out
@@ -140,10 +219,12 @@ class GbdtModel:
     degenerate: bool = False
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        if X.ndim != 2 or X.shape[1] != self.feature_count:
+        """Predictions for the rows of a FeatureStore, a 2-D array, or one
+        row as a 1-D array."""
+        if not isinstance(X, FeatureStore):
+            X = np.asarray(X, dtype=np.float64)
+            X = FeatureStore.of(X.reshape(1, -1) if X.ndim == 1 else X)
+        if X.shape[1] != self.feature_count:
             raise DimensionMismatchError(
                 f"expected {self.feature_count} features, got shape {X.shape}")
         pred = np.full(len(X), self.base_score, dtype=np.float64)
@@ -171,28 +252,52 @@ class _Binned:
     wide_bins: np.ndarray      # bins per wider column
 
 
-def _bin_columns(X: np.ndarray, n_bins: int) -> _Binned:
-    """Columns with at most n_bins distinct values bin exactly; wider
-    columns keep quantile-ranked values."""
+_CHUNK_ROWS = 1024            # rows of bits unpacked at a time for the CSR
+
+
+def _bin_columns(X: FeatureStore, n_bins: int) -> _Binned:
+    """Dense columns with at most n_bins distinct values bin exactly; wider
+    ones keep quantile-ranked values.  A bit column set in some but not all
+    rows has the bins [0, 1], and is constant otherwise.  Binning reads the
+    two blocks of X directly; split search and routing read through take."""
+    n, d = X.dense.shape
     uppers: list[np.ndarray] = []
-    for f in range(X.shape[1]):
-        distinct = np.unique(X[:, f])
+    for f in range(d):
+        distinct = np.unique(X.dense[:, f])
         if len(distinct) > n_bins:
             qs = np.linspace(0.0, 1.0, n_bins)
-            distinct = np.unique(np.quantile(X[:, f], qs, method="lower"))
+            distinct = np.unique(np.quantile(X.dense[:, f], qs, method="lower"))
         uppers.append(distinct)
+    ones = np.empty(X.bits.shape[1] * 8, dtype=np.int64)
+    for k in range(8):
+        ones[k::8] = ((X.bits >> k) & 1).sum(axis=0)
+    levels = (np.array([0.0]), np.array([1.0]), np.array([0.0, 1.0]))
+    uppers += [levels[0 if c == 0 else 1 if c == n else 2]
+               for c in ones[:X.nbits]]
     bins = np.array([len(u) for u in uppers], dtype=np.int64)
     pair_cols = np.flatnonzero(bins == 2)
     wide_cols = np.flatnonzero(bins > 2)
-    lower = np.array([uppers[f][0] for f in pair_cols], dtype=np.float64)
-    on = X[:, pair_cols] > lower              # code-1 cells, row-major
-    indptr = np.zeros(len(X) + 1, dtype=np.int64)
-    np.cumsum(on.sum(axis=1), out=indptr[1:])
-    wide_codes = np.empty((len(X), len(wide_cols)), dtype=np.int32)
-    for j, f in enumerate(wide_cols):
-        wide_codes[:, j] = np.searchsorted(uppers[f], X[:, f], side="left")
+    dense_pairs = pair_cols[pair_cols < d]
+    bit_pairs = pair_cols[pair_cols >= d] - d
+    lower = np.array([uppers[f][0] for f in dense_pairs], dtype=np.float64)
+    counts = np.empty(n, dtype=np.int64)
+    indices = []
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        bits = np.unpackbits(X.bits[rows], axis=1, count=X.nbits,
+                             bitorder="little")
+        # code-1 cells, row-major: dense columns precede bit columns
+        on = np.hstack([X.dense[rows, dense_pairs] > lower,
+                        bits[:, bit_pairs].astype(bool)])
+        counts[rows] = on.sum(axis=1)
+        indices.append(np.nonzero(on)[1])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    wide_codes = np.empty((n, len(wide_cols)), dtype=np.int32)
+    for j, f in enumerate(wide_cols):           # bit columns are never wide
+        wide_codes[:, j] = np.searchsorted(uppers[f], X.dense[:, f], side="left")
     return _Binned(uppers=uppers, pair_cols=pair_cols, indptr=indptr,
-                   indices=np.nonzero(on)[1], wide_cols=wide_cols,
+                   indices=np.concatenate(indices), wide_cols=wide_cols,
                    wide_codes=wide_codes, wide_bins=bins[wide_cols])
 
 
@@ -208,7 +313,7 @@ def _gain(s_left, n_left, total, m):
             - (total * total) / m
 
 
-def _best_split_hist(X, bm: _Binned, res, rows, min_leaf):
+def _best_split_hist(X: FeatureStore, bm: _Binned, res, rows, min_leaf):
     """Best (feature, value threshold, gain) on a node, or None.
 
     Two-bin columns bincount the node's code-1 cells; their bin-0 side is the
@@ -265,7 +370,7 @@ def _best_split_hist(X, bm: _Binned, res, rows, min_leaf):
         near = np.flatnonzero(pair_gain >= gain[f] - tol)
         cols = bm.pair_cols[near]
         lows = np.array([bm.uppers[c][0] for c in cols], dtype=np.float64)
-        col, row = np.nonzero((X[np.ix_(rows, cols)] <= lows).T)
+        col, row = np.nonzero((X.take(rows, cols) <= lows).T)
         s0 = np.bincount(col, weights=r[row], minlength=cols.size)
         gain[cols] = _gain(s0, n0[near], total, m)
         f = int(np.argmax(gain))
@@ -274,7 +379,7 @@ def _best_split_hist(X, bm: _Binned, res, rows, min_leaf):
     return f, float(bm.uppers[f][code[f]]), float(gain[f])
 
 
-def _best_split_exact(X, res, rows, min_leaf):
+def _best_split_exact(X: FeatureStore, res, rows, min_leaf):
     """Scan every distinct-value boundary of every feature.  Candidate order
     (feature, ascending threshold) matches the histogram scan, thresholds are
     data values, and the gain formula is identical."""
@@ -282,7 +387,7 @@ def _best_split_exact(X, res, rows, min_leaf):
     total = float(res[rows].sum())
     best = None
     for f in range(X.shape[1]):
-        col = X[rows, f]
+        col = X.take(rows, [f])[:, 0]
         order = np.argsort(col, kind="stable")
         sc = col[order]
         sr = res[rows][order]
@@ -301,7 +406,7 @@ def _best_split_exact(X, res, rows, min_leaf):
     return best
 
 
-def _grow_tree(X, binned: _Binned | None, res, rows,
+def _grow_tree(X: FeatureStore, binned: _Binned | None, res, rows,
                params: TrainParams) -> Tree:
     """Grow one tree breadth-first; binned is None for the exact splitter.
     Rows route by raw value, which agrees with bin-code routing."""
@@ -334,7 +439,7 @@ def _grow_tree(X, binned: _Binned | None, res, rows,
             threshold.append(value_t)
             left.append(0)
             right.append(0)
-            go_left = X[node_rows, f] <= value_t
+            go_left = X.take(node_rows, [f])[:, 0] <= value_t
             queue.append((node_rows[go_left], depth + 1, pointer, 0))
             queue.append((node_rows[~go_left], depth + 1, pointer, 1))
         if parent < 0:
@@ -352,10 +457,10 @@ def _grow_tree(X, binned: _Binned | None, res, rows,
 
 
 def _check_matrix(X, y=None):
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
-        raise DimensionMismatchError(f"feature matrix must be 2-D, got {X.shape}")
-    if not np.isfinite(X).all():
+    X = FeatureStore.of(X)
+    if X.shape[0] == 0 or X.shape[1] == 0:
+        raise DimensionMismatchError(f"feature matrix is empty: {X.shape}")
+    if not np.isfinite(X.dense).all():
         raise GbdtError("feature matrix contains non-finite values")
     if y is None:
         return X
@@ -369,7 +474,8 @@ def _check_matrix(X, y=None):
 
 
 def train(X, y, params: TrainParams = TrainParams(), valid=None):
-    """Fit a boosted model.  Returns (model, metrics).
+    """Fit a boosted model on a FeatureStore or a 2-D array.  Returns
+    (model, metrics).
 
     metrics carries per-iteration train squared loss, and when a (X, y)
     validation pair is given, per-iteration validation MAE plus the best

@@ -9,7 +9,6 @@ components being combined.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +32,6 @@ __all__ = [
     "full_refinement_ids",
     "infer_hybridization",
     "ligand_graph_features",
-    "write_fingerprints_csv",
-    "write_fingerprints_afsf",
-    "read_fingerprints_afsf",
     "graph_block",
     "write_ligand_graphs",
     "NODE_FEATURE_NAMES",
@@ -67,7 +63,7 @@ EDGE_FEATURE_NAMES: tuple[str, ...] = (
 
 
 class FingerprintFormatError(ValueError):
-    pass
+    """A packed fingerprint block whose type or width does not fit its bits."""
 
 
 def fnv1a32(data: bytes) -> int:
@@ -292,57 +288,6 @@ def ligand_graph_features(mol: Molecule) -> LigandGraphFeatures:
 
 
 # --- persistence -----------------------------------------------------------
-
-_AFSF_MAGIC = b"AFSF"
-
-
-def write_fingerprints_csv(path, ids, fingerprints) -> None:
-    """CSV with an id column followed by one 0/1 column per bit."""
-    fps = list(fingerprints)
-    ids = list(ids)
-    if len(ids) != len(fps):
-        raise ValueError("ids and fingerprints must have equal length")
-    if fps and any(fp.nbits != fps[0].nbits for fp in fps):
-        raise ValueError("fingerprints must share nbits")
-    nbits = fps[0].nbits if fps else 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("id," + ",".join(f"bit_{i}" for i in range(nbits)) + "\n")
-        for rid, fp in zip(ids, fps):
-            fh.write(str(rid) + "," + ",".join(str(int(b)) for b in fp.bits) + "\n")
-
-
-def write_fingerprints_afsf(path, fingerprints) -> None:
-    """Binary container: magic 'AFSF', little-endian u32 nbits and row count,
-    then ceil(nbits/8) bytes per row with LSB-first bit packing."""
-    fps = list(fingerprints)
-    if fps and any(fp.nbits != fps[0].nbits for fp in fps):
-        raise ValueError("fingerprints must share nbits")
-    nbits = fps[0].nbits if fps else 0
-    with open(path, "wb") as fh:
-        fh.write(_AFSF_MAGIC)
-        fh.write(struct.pack("<II", nbits, len(fps)))
-        for fp in fps:
-            fh.write(fp.packed())
-
-
-def read_fingerprints_afsf(path) -> list[Fingerprint]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _AFSF_MAGIC:
-        raise FingerprintFormatError("bad magic, not an AFSF file")
-    if len(blob) < 12:
-        raise FingerprintFormatError("truncated AFSF header")
-    nbits, rows = struct.unpack("<II", blob[4:12])
-    stride = (nbits + 7) // 8
-    body = blob[12:]
-    if len(body) != stride * rows:
-        raise FingerprintFormatError("AFSF payload size mismatch")
-    out = []
-    for r in range(rows):
-        packed = np.frombuffer(body[r * stride:(r + 1) * stride], dtype=np.uint8)
-        bits = np.unpackbits(packed, bitorder="little")[:nbits]
-        out.append(Fingerprint(bits=bits.astype(np.uint8), nbits=nbits, radius=-1))
-    return out
 
 
 def graph_block(features) -> dict:

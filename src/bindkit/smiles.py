@@ -34,7 +34,6 @@ __all__ = [
     "parse_smiles",
     "assign_implicit_hydrogens",
     "perceive_rings",
-    "minimum_cycle_basis",
     "from_smiles",
 ]
 
@@ -581,75 +580,6 @@ def assign_implicit_hydrogens(mol: Molecule) -> Molecule:
     """Return a new molecule with implicit hydrogen counts filled in, by the
     rule of _implicit_hydrogens (which raises ValenceError)."""
     return _annotated(mol, _implicit_hydrogens(mol), None)
-
-
-def _shortest_cycle_through(adj: list[list[int]], a: int, b: int) -> list[int] | None:
-    """Shortest path a->b avoiding the direct edge, as a vertex list."""
-    parent = {a: -1}
-    queue = [a]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in adj[u]:
-                if u == a and v == b:
-                    continue
-                if v not in parent:
-                    parent[v] = u
-                    if v == b:
-                        path = [v]
-                        while path[-1] != a:
-                            path.append(parent[path[-1]])
-                        return path
-                    nxt.append(v)
-        queue = nxt
-    return None
-
-
-def minimum_cycle_basis(mol: Molecule) -> tuple[tuple[int, ...], ...]:
-    """Minimum cycle basis of the molecular graph, as atom-index cycles.
-
-    Horton-style construction: for every edge, the shortest cycle through it
-    is a candidate; candidates are taken shortest-first and kept when linearly
-    independent over GF(2) (edge-set bitmasks), until E - V + C cycles are
-    found.  For fused bicyclics this yields the two smallest rings rather
-    than their symmetric-difference envelope.
-    """
-    n = len(mol.atoms)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    edge_index: dict[tuple[int, int], int] = {}
-    for i, bond in enumerate(mol.bonds):
-        adj[bond.a].append(bond.b)
-        adj[bond.b].append(bond.a)
-        edge_index[bond.key] = i
-    dim = len(mol.bonds) - n + len(mol.components)
-    if dim <= 0:
-        return ()
-
-    candidates = []
-    for bond in mol.bonds:
-        path = _shortest_cycle_through(adj, bond.a, bond.b)
-        if path is None:
-            continue
-        mask = 1 << edge_index[bond.key]
-        for u, v in zip(path, path[1:]):
-            key = (u, v) if u < v else (v, u)
-            mask |= 1 << edge_index[key]
-        candidates.append((len(path), mask, tuple(path)))
-    candidates.sort(key=lambda c: (c[0], c[1]))
-
-    basis: list[tuple[int, ...]] = []
-    pivots: list[int] = []          # reduced masks, one pivot bit each
-    for _, mask, cycle in candidates:
-        reduced = mask
-        for p in pivots:
-            reduced = min(reduced, reduced ^ p)
-        if reduced:
-            pivots.append(reduced)
-            pivots.sort(reverse=True)
-            basis.append(cycle)
-            if len(basis) == dim:
-                break
-    return tuple(basis)
 
 
 def perceive_rings(mol: Molecule) -> Molecule:

@@ -10,12 +10,15 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bindkit.cli import main
 from bindkit.config import load_config
+from bindkit.dataset import load_features
 from bindkit.gbdt import load_model
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -125,10 +128,17 @@ def test_ingest_without_fasta_drops_references(tmp_path):
 
 def test_featurize_artifacts(pipeline):
     train_dir = pathlib.Path(pipeline["feats"]["train"])
-    X = np.load(train_dir / "X.npy")
-    y = np.load(train_dir / "y.npy")
+    assert sorted(p.name for p in train_dir.iterdir()) == [
+        "descriptors.npy", "featurize.json", "fingerprints.npy", "ids.txt",
+        "y.npy"]
+    dense = np.load(train_dir / "descriptors.npy")
+    bits = np.load(train_dir / "fingerprints.npy")
+    assert dense.shape == (22, 78) and dense.dtype == np.float64
+    assert bits.shape == (22, 256 // 8) and bits.dtype == np.uint8
+    X, y = load_features(train_dir)
     assert X.shape == (22, 78 + 256)
     assert y.shape == (22,)
+    assert np.array_equal(y, np.load(train_dir / "y.npy"))
     ids = (train_dir / "ids.txt").read_text().splitlines()
     assert len(ids) == 22 and all(len(i) == 64 for i in ids)
     sidecar = json.loads((train_dir / "featurize.json").read_text())
@@ -137,7 +147,7 @@ def test_featurize_artifacts(pipeline):
     assert sidecar["columns"][78] == "fp_0"
     assert sidecar["table_version"] == "bindkit-aa-v1"
     assert sidecar["config_digest"] == load_config(pipeline["cfg"]).digest()
-    assert np.load(pathlib.Path(pipeline["feats"]["test"]) / "X.npy").shape[0] == 3
+    assert load_features(pipeline["feats"]["test"])[0].shape[0] == 3
 
 
 def test_train_artifacts(pipeline):
@@ -173,8 +183,9 @@ def test_predict_artifacts(pipeline):
     lines = pathlib.Path(pipeline["preds"]).read_text().splitlines()
     assert len(lines) == 3
     model = load_model(pipeline["model"])
-    X = np.load(pathlib.Path(pipeline["feats"]["test"]) / "X.npy")
+    X, _ = load_features(pipeline["feats"]["test"])
     assert np.array_equal(np.array([float(v) for v in lines]), model.predict(X))
+    assert np.array_equal(model.predict(X.toarray()), model.predict(X))
 
 
 def test_evaluate_artifacts(pipeline):
@@ -217,8 +228,11 @@ def test_pipeline_is_deterministic(pipeline, tmp_path):
             (pathlib.Path(pipeline["data"]) / name).read_bytes()
     assert main(["--config", cfg, "--quiet", "featurize", "--dataset", data2,
                  "--subset", "train", "--out", feat2]) == 0
-    assert (pathlib.Path(feat2) / "X.npy").read_bytes() == \
-        (pathlib.Path(pipeline["feats"]["train"]) / "X.npy").read_bytes()
+    written = sorted(p.name for p in pathlib.Path(feat2).iterdir())
+    assert len(written) == 5
+    for name in written:
+        assert (pathlib.Path(feat2) / name).read_bytes() == \
+            (pathlib.Path(pipeline["feats"]["train"]) / name).read_bytes()
     assert main(["--config", cfg, "--quiet", "train", "--train", feat2,
                  "--valid", pipeline["feats"]["valid"], "--out", model2]) == 0
     assert pathlib.Path(model2).read_bytes() == \
@@ -331,6 +345,31 @@ def test_bad_structure_in_dataset_names_its_line(pipeline, tmp_path, capsys,
     err = capsys.readouterr().err
     assert "data error" in err and message in err and "line 8" in err
     assert not (tmp_path / "f").exists()
+
+
+def with_cell(lines, row, column, value):
+    cells = lines[row].split("\t")
+    cells[column] = value
+    return lines[:row] + ["\t".join(cells)] + lines[row + 1:]
+
+
+@pytest.mark.parametrize("damage,message,line", [
+    (lambda lines: lines + [lines[3]], "duplicate pair_key", 30),
+    (lambda lines: with_cell(lines, 3, 5, "123.0"), "does not match", 4),
+])
+def test_inconsistent_dataset_row_exits_2(pipeline, tmp_path, capsys, damage,
+                                          message, line):
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    lines = damage((data / "dataset.tsv").read_text().splitlines())
+    (data / "dataset.tsv").write_text("\n".join(lines) + "\n")
+    for command in ("featurize", "export-graphs"):
+        out = tmp_path / command
+        assert main(["--quiet", command, "--dataset", str(data), "--subset",
+                     "all", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and message in err and f"line {line}" in err
+        assert not out.exists()
 
 
 def test_wrong_width_prediction_exits_2(pipeline, tmp_path, capsys):
@@ -446,3 +485,123 @@ def test_model_with_nan_leaf_exits_2(tmp_path, capsys):
                  str(feats), "--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- feature directories are untrusted input -----------------------------------
+
+
+def damaged_features(pipeline, tmp_path, damage):
+    """A copy of the train feature directory after damage(directory)."""
+    feats = tmp_path / "feats"
+    shutil.copytree(pipeline["feats"]["train"], feats)
+    damage(feats)
+    return feats
+
+
+def assert_features_rejected(pipeline, tmp_path, capsys, feats, filename):
+    """predict and train both exit 2 with a data error naming filename."""
+    for argv in (["predict", "--model", pipeline["model"], "--features",
+                  str(feats), "--out", str(tmp_path / "p")],
+                 ["train", "--train", str(feats), "--out",
+                  str(tmp_path / "m.json")]):
+        assert main(["--quiet", "--config", pipeline["cfg"], *argv]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and filename in err, err
+    assert not (tmp_path / "p").exists()
+
+
+def edit_sidecar(feats, **fields):
+    path = feats / "featurize.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+
+
+@pytest.mark.parametrize("filename,damage", [
+    ("y.npy", lambda d: np.save(d / "y.npy", np.load(d / "y.npy")[:-1])),
+    ("ids.txt", lambda d: (d / "ids.txt").write_text(
+        "".join((d / "ids.txt").read_text().splitlines(True)[:-1]))),
+    ("featurize.json", lambda d: edit_sidecar(d, n_rows=23)),
+    ("fingerprints.npy", lambda d: np.save(d / "fingerprints.npy",
+                                           np.load(d / "fingerprints.npy")[1:])),
+    ("descriptors.npy", lambda d: np.save(d / "descriptors.npy",
+                                          np.load(d / "descriptors.npy")[:21])),
+])
+def test_feature_row_counts_must_agree(pipeline, tmp_path, capsys, filename,
+                                       damage):
+    feats = damaged_features(pipeline, tmp_path, damage)
+    assert_features_rejected(pipeline, tmp_path, capsys, feats, filename)
+
+
+def test_feature_width_must_match_sidecar(pipeline, tmp_path, capsys):
+    feats = damaged_features(pipeline, tmp_path,
+                             lambda d: edit_sidecar(d, n_columns=333))
+    assert_features_rejected(pipeline, tmp_path, capsys, feats,
+                             "featurize.json")
+
+
+@pytest.mark.parametrize("bits", [
+    lambda b: b.astype(np.int16),                # not uint8
+    lambda b: b.astype(np.float64),
+    lambda b: b[:, :-1],                         # one byte short of 256 bits
+    lambda b: np.hstack([b, b[:, :1]]),          # one byte too many
+])
+def test_fingerprint_block_layout_is_checked(pipeline, tmp_path, capsys, bits):
+    feats = damaged_features(pipeline, tmp_path, lambda d: np.save(
+        d / "fingerprints.npy", bits(np.load(d / "fingerprints.npy"))))
+    assert_features_rejected(pipeline, tmp_path, capsys, feats,
+                             "fingerprints.npy")
+
+
+@pytest.mark.parametrize("filename", ["descriptors.npy", "fingerprints.npy",
+                                      "y.npy"])
+def test_object_arrays_are_rejected(pipeline, tmp_path, capsys, filename):
+    def pickle_it(d):
+        values = np.load(d / filename)
+        np.save(d / filename, values.astype(object), allow_pickle=True)
+    feats = damaged_features(pipeline, tmp_path, pickle_it)
+    assert_features_rejected(pipeline, tmp_path, capsys, feats, filename)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_descriptor_is_rejected(pipeline, tmp_path, capsys, value):
+    def poison(d):
+        dense = np.load(d / "descriptors.npy")
+        dense[5, 17] = value
+        np.save(d / "descriptors.npy", dense)
+    feats = damaged_features(pipeline, tmp_path, poison)
+    assert_features_rejected(pipeline, tmp_path, capsys, feats,
+                             "descriptors.npy")
+
+
+FEATURE_ARRAYS = ("descriptors.npy", "fingerprints.npy", "y.npy")
+DTYPES = ("float64", "float32", "uint8", "int64", "bool", "<U2", ">f8")
+
+
+@st.composite
+def damaged_array(draw):
+    """(file name, damage): truncate the file to a byte count (the largest,
+    descriptors.npy, holds 13,856 bytes), or save an array of a small shape
+    and dtype in its place."""
+    name = draw(st.sampled_from(FEATURE_ARRAYS))
+    if draw(st.booleans()):
+        return name, ("truncate", draw(st.integers(0, 14000)))
+    shape = tuple(draw(st.lists(st.integers(0, 40), max_size=3)))
+    return name, ("replace", shape, draw(st.sampled_from(DTYPES)))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(damaged_array())
+def test_damaged_feature_arrays_never_exit_3(pipeline, damage):
+    name, how = damage
+    with tempfile.TemporaryDirectory() as tmp:
+        feats = pathlib.Path(tmp) / "feats"
+        shutil.copytree(pipeline["feats"]["train"], feats)
+        path = feats / name
+        if how[0] == "truncate":
+            path.write_bytes(path.read_bytes()[:how[1]])
+        else:
+            np.save(path, np.ones(how[1], dtype=how[2]))
+        for argv in (["predict", "--model", pipeline["model"], "--features",
+                      str(feats), "--out", str(pathlib.Path(tmp) / "p")],
+                     ["train", "--train", str(feats), "--out",
+                      str(pathlib.Path(tmp) / "m.json")]):
+            assert main(["--quiet", "--config", pipeline["cfg"], *argv]) in (0, 2)

@@ -235,9 +235,12 @@ def test_featurize_layout_and_values():
     assert columns[78] == "fp_0" and columns[-1] == "fp_127"
     assert np.array_equal(y, [1.0, 2.0, 3.0])
     assert ids == tuple(r.pair_key for r in ds.records)
-    assert np.array_equal(X[0, :78], receptor_descriptor("MKVLQW").vector)
+    assert X.bits.shape == (3, 128 // 8)
+    dense = X.toarray()
+    assert np.array_equal(dense[0, :78], receptor_descriptor("MKVLQW").vector)
     assert np.array_equal(
-        X[1, 78:], ecfp(from_smiles("c1ccccc1"), nbits=128).bits.astype(float))
+        dense[1, 78:], ecfp(from_smiles("c1ccccc1"), nbits=128).bits.astype(float))
+    assert X.bits[1].tobytes() == ecfp(from_smiles("c1ccccc1"), nbits=128).packed()
 
 
 def test_featurize_respects_subsets():
@@ -257,7 +260,8 @@ def test_featurize_worker_parity():
     ds = ingest(rows_from(*rows))
     serial = featurize_pairs(ds, nbits=256, workers=1)
     parallel = featurize_pairs(ds, nbits=256, workers=2)
-    assert np.array_equal(serial[0], parallel[0])
+    assert np.array_equal(serial[0].dense, parallel[0].dense)
+    assert np.array_equal(serial[0].bits, parallel[0].bits)
     assert np.array_equal(serial[1], parallel[1])
     assert serial[2] == parallel[2] and serial[3] == parallel[3]
 
@@ -382,6 +386,20 @@ def test_load_rejects_corruption(tmp_path):
         cells[-1] = bad
         tsv.write_text("\n".join([good[0], good[1], "\t".join(cells)]) + "\n")
         with pytest.raises(DatasetFormatError, match="log_ki .* at line 3"):
+            load_dataset(outdir)
+
+    tsv.write_text("\n".join([good[0], good[1], good[2], good[1]]) + "\n")
+    with pytest.raises(DatasetFormatError, match="duplicate pair_key .* at line 4"):
+        load_dataset(outdir)
+
+    # a ki_nm other than repr(10.0 ** log_ki), including a log_ki whose power
+    # overflows a float
+    for column, bad in ((5, "10.00001"), (5, "1e1"), (5, ""),
+                        (6, "400.0"), (6, "-400.0")):
+        cells = good[2].split("\t")
+        cells[column] = bad
+        tsv.write_text("\n".join([good[0], good[1], "\t".join(cells)]) + "\n")
+        with pytest.raises(DatasetFormatError, match="ki_nm .* at line 3"):
             load_dataset(outdir)
 
     tsv.write_text(good[0] + "\n")

@@ -16,7 +16,6 @@ from bindkit.ligand_features import (
     EDGE_FEATURE_NAMES,
     NODE_FEATURE_NAMES,
     Fingerprint,
-    FingerprintFormatError,
     atom_invariant,
     ecfp,
     fnv1a32,
@@ -24,9 +23,6 @@ from bindkit.ligand_features import (
     infer_hybridization,
     ligand_graph_features,
     morgan_environments,
-    read_fingerprints_afsf,
-    write_fingerprints_afsf,
-    write_fingerprints_csv,
     write_ligand_graphs,
 )
 from bindkit.ligand_features import _hash_ints
@@ -235,64 +231,11 @@ def test_node_features_charge_and_isotope():
     assert feats.node_features[1, NODE_FEATURE_NAMES.index("formal_charge")] == 1.0
 
 
-def test_fingerprint_csv_layout(tmp_path):
-    path = tmp_path / "fp.csv"
-    fps = [ecfp(from_smiles(s), nbits=16) for s in ("C", "CC")]
-    write_fingerprints_csv(path, ["m1", "m2"], fps)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "id," + ",".join(f"bit_{i}" for i in range(16))
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "m1"
-    assert [int(x) for x in first[1:]] == fps[0].bits.tolist()
-    with pytest.raises(ValueError):
-        write_fingerprints_csv(tmp_path / "bad.csv", ["only-one"], fps)
-
-
 def test_packed_bit_layout_is_lsb_first():
     bits = np.zeros(16, dtype=np.uint8)
     bits[[0, 1, 9]] = 1
     fp = Fingerprint(bits=bits, nbits=16, radius=0)
     assert fp.packed() == bytes([0b00000011, 0b00000010])
-
-
-def test_afsf_round_trip(tmp_path):
-    path = tmp_path / "fp.afsf"
-    mols = ["C", "CCO", "c1ccccc1", "CC(=O)Oc1ccccc1C(=O)O"]
-    fps = [ecfp(from_smiles(s)) for s in mols]
-    write_fingerprints_afsf(path, fps)
-    raw = path.read_bytes()
-    assert raw[:4] == b"AFSF"
-    assert len(raw) == 12 + len(fps) * (2048 // 8)
-    loaded = read_fingerprints_afsf(path)
-    assert len(loaded) == len(fps)
-    for a, b in zip(fps, loaded):
-        assert b.nbits == 2048
-        assert np.array_equal(a.bits, b.bits)
-
-
-def test_afsf_rejects_corruption(tmp_path):
-    path = tmp_path / "fp.afsf"
-    write_fingerprints_afsf(path, [ecfp(from_smiles("C"), nbits=64)])
-    blob = path.read_bytes()
-    bad_magic = tmp_path / "a.afsf"
-    bad_magic.write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(FingerprintFormatError):
-        read_fingerprints_afsf(bad_magic)
-    truncated = tmp_path / "b.afsf"
-    truncated.write_bytes(blob[:10])
-    with pytest.raises(FingerprintFormatError):
-        read_fingerprints_afsf(truncated)
-    short_payload = tmp_path / "c.afsf"
-    short_payload.write_bytes(blob[:-1])
-    with pytest.raises(FingerprintFormatError):
-        read_fingerprints_afsf(short_payload)
-
-
-def test_afsf_empty_collection(tmp_path):
-    path = tmp_path / "empty.afsf"
-    write_fingerprints_afsf(path, [])
-    assert read_fingerprints_afsf(path) == []
 
 
 def test_graph_jsonl_output(tmp_path):

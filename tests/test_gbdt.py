@@ -11,6 +11,7 @@ import pytest
 
 from bindkit.gbdt import (
     DimensionMismatchError,
+    FeatureStore,
     GbdtError,
     GbdtModel,
     ModelFormatError,
@@ -303,6 +304,65 @@ def test_histogram_trees_match_dense_reference(case, seed):
         assert got.root == want.root
         for name in ("feature", "threshold", "left", "right", "leaf_value"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def packed_matrix(seed, n=200, nbits=45):
+    """The mixed dense matrix beside a packed block of sparse bits with an
+    all-zero, an all-one, an exact-half and a complementary bit column; 45
+    bits leave three padding bits in the last byte.  The exact-half bit
+    carries the largest weight, so even a 100-row leaf minimum splits on a
+    bit."""
+    rng = np.random.default_rng(seed + 100)
+    dense, _ = mixed_matrix(seed, n)
+    bits = (rng.random((n, nbits)) < 0.08).astype(np.uint8)
+    bits[:, 3] = 0
+    bits[:, 17] = 1
+    bits[:, 30] = 1 - bits[:, 5]
+    bits[:, 44] = rng.permutation(n) < n // 2
+    store = FeatureStore(dense=dense, nbits=nbits,
+                         bits=np.packbits(bits, axis=1, bitorder="little"))
+    y = store.toarray() @ rng.standard_normal(store.shape[1]) \
+        + 5.0 * bits[:, 44] + 0.3 * rng.standard_normal(n)
+    return store, y
+
+
+def test_feature_store_layout():
+    store, _ = packed_matrix(0)
+    bits = np.unpackbits(store.bits, axis=1, bitorder="little", count=45)
+    d = store.dense.shape[1]
+    assert len(store) == 200 and store.shape == (200, d + 45)
+    assert store.nbytes == store.dense.nbytes + store.bits.nbytes
+    assert np.array_equal(store.toarray(), np.hstack([store.dense, bits]))
+    rows, cols = [7, 0, 7], [d + 44, 3, d, d + 17, d - 1]
+    assert np.array_equal(store.take(rows, cols),
+                          store.toarray()[np.ix_(rows, cols)])
+    assert FeatureStore.of(store) is store
+    for bad in (store.bits[:, :-1], store.bits.astype(np.int16), store.bits[1:]):
+        with pytest.raises(DimensionMismatchError):
+            FeatureStore(dense=store.dense, bits=bad, nbits=45)
+
+
+PACKED_PARAMS = {**EQUIVALENCE_PARAMS,
+                 "exact splitter": dict(min_samples_leaf=3, splitter="exact")}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(PACKED_PARAMS))
+def test_packed_trees_match_dense_trees(case, seed):
+    store, y = packed_matrix(seed)
+    dense = store.toarray()
+    params = TrainParams(n_trees=8, max_depth=5, learning_rate=0.3, seed=seed,
+                         **PACKED_PARAMS[case])
+    packed_model, packed_metrics = train(store, y, params, valid=(store, y))
+    dense_model, dense_metrics = train(dense, y, params, valid=(dense, y))
+    assert any((t.feature >= store.dense.shape[1]).any()
+               for t in packed_model.trees)
+    assert packed_metrics == dense_metrics
+    for got, want in zip(packed_model.trees, dense_model.trees, strict=True):
+        assert got.root == want.root
+        for name in ("feature", "threshold", "left", "right", "leaf_value"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(packed_model.predict(store), dense_model.predict(dense))
 
 
 def test_training_is_deterministic():

@@ -8,9 +8,12 @@ bincount split search, before two-bin columns moved to a sparse layout; a
 changed split, tie-break or leaf value changes the saved bytes.  The
 featurize and export-graphs digests were recorded before load_dataset
 shared one parsed molecule and receptor among the records that name them.
+featurize wrote a dense float64 X.npy then; its digest now pins np.save of
+the decoded feature store, and the models are trained on the packed store.
 """
 import csv
 import hashlib
+import io
 import pathlib
 import shutil
 
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 
 from bindkit.cli import main
-from bindkit.dataset import pair_key
+from bindkit.dataset import load_features, pair_key
 from bindkit.fasta import ProteinSequence
 from bindkit.gbdt import TrainParams, save_model, train
 from bindkit.ligand_features import ecfp
@@ -85,10 +88,17 @@ GOLDEN_MODELS = {
 
 
 # file of the fixture pipeline -> sha256; the config names the FASTA file by a
-# relative path, so config_digest in featurize.json is the same in any checkout
+# relative path, so config_digest in featurize.json is the same in any checkout.
+# X.npy stands for np.save of the decoded feature store of its directory.  The
+# block digests were derived from the dense X.npy of the parent implementation:
+# np.save of its 78 descriptor columns, and of its bit columns packed LSB-first.
 GOLDEN_ARTIFACTS = {
     "train/X.npy":
         "ff9574e5f021e0a42b6c6d215bb70b6fb369d110d31271c8a03409f5182350aa",
+    "train/descriptors.npy":
+        "f5e00d363f49a9e830e24aea9e0c51ba552044f2fe2d6090b27caa8206b2cf8e",
+    "train/fingerprints.npy":
+        "caca26ddcf17024a129523034989a404606351ec1aeef7e502e81de1a59bd4a3",
     "train/y.npy":
         "5279694543c5357bf193cb40697dbb541aec0a73a89943e6d24adaa7c7c79096",
     "train/ids.txt":
@@ -97,6 +107,10 @@ GOLDEN_ARTIFACTS = {
         "6543d6e660fa36328e01a133bfc2dbe1d296aa3aa43d7b58a45f259f9b9664af",
     "valid/X.npy":
         "9fc3f9cbeb6257954b1b383831c57049fcc3097b98d216c8ecc22207ccc948a7",
+    "valid/descriptors.npy":
+        "7e86b0d413bdd2d4cd48c5bab360044b3ad06d2276cbb6a18103066c70011b5c",
+    "valid/fingerprints.npy":
+        "cb6dc2b145d95108b923a02f81b423ac9a7e2b9274a87b4c4dfc9eac052556fe",
     "valid/y.npy":
         "32db329fd329d2723ec196d5fa2d0017a9d48362cda742a5162eb88a68250f6f",
     "valid/ids.txt":
@@ -132,14 +146,22 @@ def fixture_pipeline(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def fixture_features(fixture_pipeline):
-    return {name: (np.load(fixture_pipeline / name / "X.npy"),
-                   np.load(fixture_pipeline / name / "y.npy"))
+    """(packed feature store, y) of the train and valid directories."""
+    return {name: load_features(fixture_pipeline / name)
             for name in ("train", "valid")}
+
+
+def artifact_bytes(path):
+    if path.name != "X.npy":
+        return path.read_bytes()
+    buf = io.BytesIO()
+    np.save(buf, load_features(path.parent)[0].toarray())
+    return buf.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_ARTIFACTS))
 def test_pinned_pipeline_artifacts(name, fixture_pipeline):
-    digest = hashlib.sha256((fixture_pipeline / name).read_bytes()).hexdigest()
+    digest = hashlib.sha256(artifact_bytes(fixture_pipeline / name)).hexdigest()
     assert digest == GOLDEN_ARTIFACTS[name]
 
 

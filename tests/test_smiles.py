@@ -21,7 +21,6 @@ from bindkit.smiles import (
     ValenceError,
     assign_implicit_hydrogens,
     from_smiles,
-    minimum_cycle_basis,
     parse_smiles,
     perceive_rings,
 )
@@ -186,8 +185,6 @@ def test_ring_perception_simple():
     benzene = perceive_rings(parse_smiles("c1ccccc1"))
     assert all(a.in_ring for a in benzene.atoms)
     assert all(b.in_ring for b in benzene.bonds)
-    basis = minimum_cycle_basis(benzene)
-    assert len(basis) == 1 and len(basis[0]) == 6
 
 
 def test_ring_perception_substituents_stay_out():
@@ -201,10 +198,6 @@ def test_ring_perception_substituents_stay_out():
 
 def test_ring_perception_fused():
     naph = parse_smiles("c1ccc2ccccc2c1")
-    basis = minimum_cycle_basis(naph)
-    assert sorted(len(c) for c in basis) == [6, 6]
-    shared = set(basis[0]) & set(basis[1])
-    assert len(shared) == 2   # the fusion bond atoms
     flagged = perceive_rings(naph)
     assert all(a.in_ring for a in flagged.atoms)
     assert all(b.in_ring for b in flagged.bonds)
@@ -212,8 +205,6 @@ def test_ring_perception_fused():
 
 def test_ring_perception_bridged():
     nor = parse_smiles("C1CC2CCC1C2")
-    basis = minimum_cycle_basis(nor)
-    assert sorted(len(c) for c in basis) == [5, 5]
     flagged = perceive_rings(nor)
     assert all(a.in_ring for a in flagged.atoms)
     assert all(b.in_ring for b in flagged.bonds)
@@ -301,7 +292,7 @@ def test_ring_perception_has_no_depth_limit():
 def test_acyclic_molecules_have_no_rings():
     mol = perceive_rings(parse_smiles("CC(C)CC(=O)O"))
     assert not any(a.in_ring for a in mol.atoms)
-    assert minimum_cycle_basis(mol) == ()
+    assert not any(b.in_ring for b in mol.bonds)
 
 
 def test_components_and_dot():
