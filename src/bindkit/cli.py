@@ -13,8 +13,6 @@ import os
 import sys
 import traceback
 
-import numpy as np
-
 from . import dataset as ds_mod
 from .config import ConfigError, PipelineConfig, load_config
 from .dataset import DatasetError
@@ -171,17 +169,6 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _load_vector(path) -> np.ndarray:
-    if path.endswith(".npy"):
-        return np.asarray(np.load(path), dtype=np.float64).ravel()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            values = [float(line) for line in fh if line.strip()]
-        except ValueError as exc:
-            raise DatasetError(f"non-numeric line in {path}: {exc}") from exc
-    return np.array(values, dtype=np.float64)
-
-
 def cmd_predict(args, cfg: PipelineConfig) -> int:
     model = load_model(args.model)
     X, _ = ds_mod.load_features(args.features)
@@ -193,11 +180,11 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
-    preds = _load_vector(args.pred)
+    preds = ds_mod.load_vector(args.pred)
     truth = args.truth
     if os.path.isdir(truth):
         truth = os.path.join(truth, "y.npy")
-    y = _load_vector(truth)
+    y = ds_mod.load_vector(truth)
     report = build_report(y, preds, start=cfg.bin_start, stop=cfg.bin_stop,
                           width=cfg.bin_width, threshold=cfg.threshold)
     csv_path = (args.out[:-5] + ".csv" if args.out.endswith(".json")

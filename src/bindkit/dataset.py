@@ -20,7 +20,13 @@ import numpy as np
 
 from .fasta import FastaError, ProteinSequence, parse_fasta
 from .gbdt import FeatureStore
-from .ligand_features import FingerprintFormatError, ecfp, full_refinement_ids
+from .ligand_features import (
+    FingerprintFormatError,
+    ecfp,
+    ecfp_batch,
+    full_refinement_ids,
+    full_refinement_ids_batch,
+)
 from .protein_features import (
     DESCRIPTOR_LAYOUT,
     ResiduePropertyTable,
@@ -50,6 +56,7 @@ __all__ = [
     "load_dataset",
     "write_features",
     "load_features",
+    "load_vector",
     "file_digest",
 ]
 
@@ -122,11 +129,12 @@ def pair_key(receptor: ProteinSequence, ligand: Molecule) -> str:
     is invariant under atom reordering of the input SMILES; the receptor
     contributes its residue string.
     """
-    return _pair_key(receptor.residues, _ligand_identity(ligand))
+    return _pair_key(receptor.residues,
+                     _ligand_identity(full_refinement_ids(ligand)))
 
 
-def _ligand_identity(ligand: Molecule) -> str:
-    return ",".join(str(i) for i in full_refinement_ids(ligand))
+def _ligand_identity(refined_ids) -> str:
+    return ",".join(str(i) for i in refined_ids)
 
 
 def _pair_key(residues: str, ligand_identity: str) -> str:
@@ -190,10 +198,13 @@ def ingest(
 ) -> Dataset:
     """Validate, convert and deduplicate raw affinity rows into a Dataset.
 
-    Per-row failures are tallied by reason, never fatal.  Surviving rows are
-    converted to log10 Ki and duplicate pairs (same pair_key) are merged to
-    the median log value, keeping first-occurrence order.  An empty result
-    raises EmptyAfterFilteringError.
+    Rows are checked, and each distinct SMILES parsed, row by row; per-row
+    failures are tallied by reason, never fatal.  One
+    full_refinement_ids_batch call then refines every distinct valid
+    ligand, and the surviving rows are keyed in their input order: each is
+    converted to log10 Ki, and duplicate pairs (same pair_key) are merged
+    to the median log value, keeping first-occurrence order.  An empty
+    result raises EmptyAfterFilteringError.
     """
     drops = {
         "bad_row": 0, "bad_number": 0, "bad_receptor": 0,
@@ -205,13 +216,11 @@ def ingest(
             drops[k] = drops.get(k, 0) + v
 
     n_input = 0
-    stereo_total = 0
-    groups: dict[str, list[float]] = {}
-    heads: dict[str, tuple[ProteinSequence, Molecule]] = {}
     seq_cache: dict[str, ProteinSequence] = {}
-    # SMILES -> (molecule, ligand identity): the identity depends on the
-    # ligand alone, so it is refined once per distinct SMILES.
-    mol_cache: dict[str, tuple[Molecule, str]] = {}
+    # distinct valid SMILES -> molecule; a failing SMILES is re-parsed and
+    # tallied at each row that names it
+    molecules: dict[str, Molecule] = {}
+    kept: list[tuple[ProteinSequence, str, float]] = []
 
     for row in rows:
         n_input += 1
@@ -240,25 +249,34 @@ def ingest(
                     drops["bad_receptor"] += 1
                     continue
                 seq_cache[residues] = seq
-        cached = mol_cache.get(row.ligand)
-        if cached is None:
+        if row.ligand not in molecules:
             try:
-                mol = from_smiles(row.ligand)
+                molecules[row.ligand] = from_smiles(row.ligand)
             except (ParseError, ValenceError):
                 drops["bad_smiles"] += 1
                 continue
-            cached = mol_cache[row.ligand] = (mol, _ligand_identity(mol))
-        mol, identity = cached
+        kept.append((seq, row.ligand, math.log10(row.ki_nm)))
+
+    if not kept:
+        raise EmptyAfterFilteringError(
+            f"no records survived filtering (drops: {drops})")
+
+    # The identity depends on the ligand alone: one kernel call refines
+    # every distinct ligand.
+    refined = full_refinement_ids_batch(molecules.values())
+    identities = {smiles: _ligand_identity(ids)
+                  for smiles, ids in zip(molecules, refined)}
+    stereo_total = 0
+    groups: dict[str, list[float]] = {}
+    heads: dict[str, tuple[ProteinSequence, Molecule]] = {}
+    for seq, smiles, log_ki in kept:
+        mol = molecules[smiles]
         stereo_total += mol.stereo_warnings
-        key = _pair_key(seq.residues, identity)
+        key = _pair_key(seq.residues, identities[smiles])
         if key not in groups:
             groups[key] = []
             heads[key] = (seq, mol)
-        groups[key].append(math.log10(row.ki_nm))
-
-    if not groups:
-        raise EmptyAfterFilteringError(
-            f"no records survived filtering (drops: {drops})")
+        groups[key].append(log_ki)
 
     records = []
     merged = 0
@@ -345,10 +363,12 @@ def featurize_pairs(
     Returns (X, y, columns, ids): X is a FeatureStore with the 78 receptor
     descriptor columns as its dense block and the nbits fingerprint bits
     packed LSB-first, y is log10 Ki, ids are pair keys.  Each distinct
-    receptor is described and each distinct ligand fingerprinted and packed
-    once; row order follows dataset record order.  workers > 1 farms the
-    distinct-ligand fingerprints out to a process pool; results are
-    identical to the serial path since assembly order never changes.
+    receptor is described once, and the distinct ligands of the subset are
+    fingerprinted by one ecfp_batch call straight into packed rows; row
+    order follows dataset record order.  workers > 1 instead farms the
+    distinct-ligand fingerprints out to a process pool, one ecfp call per
+    ligand; results are identical to the serial path since assembly order
+    never changes.
     """
     table = table or default_table()
     records = dataset.subset(which)
@@ -369,12 +389,11 @@ def featurize_pairs(
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             fps = pool.map(_fingerprint_worker,
                            [(src, radius, nbits) for src in ligands])
+        packed = np.empty((len(ligands), (nbits + 7) // 8), dtype=np.uint8)
+        for k, bits in enumerate(fps):
+            packed[k] = np.packbits(bits, bitorder="little")
     else:
-        fps = (ecfp(lig, radius=radius, nbits=nbits).bits
-               for _, lig in ligands.values())
-    packed = np.empty((len(ligands), (nbits + 7) // 8), dtype=np.uint8)
-    for k, bits in enumerate(fps):
-        packed[k] = np.packbits(bits, bitorder="little")
+        packed = ecfp_batch([lig for _, lig in ligands.values()], radius, nbits)
     descriptors = np.array([receptor_descriptor(rec, table).vector
                             for _, rec in receptors.values()], dtype=np.float64)
     X = FeatureStore(dense=descriptors[rec_index], bits=packed[lig_index],
@@ -536,9 +555,10 @@ def write_features(outdir, X: FeatureStore, y, ids, sidecar: dict) -> None:
         fh.write("\n")
 
 
-def _read_npy(path, dtype, ndim: int, error=DatasetError) -> np.ndarray:
-    """The array of a .npy file, once its header shows a dtype array of rank
-    ndim followed by exactly the bytes that shape needs."""
+def _read_npy(path, dtype=None, ndim=None, error=DatasetError) -> np.ndarray:
+    """The array of a .npy file, once its header shows an array of the given
+    dtype (None: any boolean, integer or floating dtype) and rank (None: any)
+    followed by exactly the bytes that shape needs."""
     with open(path, "rb") as fh:
         try:
             version = np.lib.format.read_magic(fh)
@@ -549,7 +569,9 @@ def _read_npy(path, dtype, ndim: int, error=DatasetError) -> np.ndarray:
             raise error(f"{path}: not a .npy array ({exc})") from exc
         if found.hasobject:
             raise error(f"{path}: holds an object (pickled) array")
-        if found != np.dtype(dtype) or len(shape) != ndim:
+        if dtype is None and found.kind not in "biuf":
+            raise error(f"{path}: expected an array of numbers, got {found}")
+        if dtype is not None and (found != np.dtype(dtype) or len(shape) != ndim):
             raise error(f"{path}: expected a {ndim}-D {np.dtype(dtype)} array, "
                         f"got {found} of shape {shape}")
         size = math.prod(shape) * found.itemsize
@@ -557,6 +579,21 @@ def _read_npy(path, dtype, ndim: int, error=DatasetError) -> np.ndarray:
             raise error(f"{path}: data size does not match shape {shape}")
         fh.seek(0)
         return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def load_vector(path) -> np.ndarray:
+    """Read a vector of predictions or truths as float64: a .npy array of
+    numbers of any shape, flattened, or a text file of one number per line.
+    An unreadable, pickled or non-numeric file raises DatasetError naming
+    it."""
+    if path.endswith(".npy"):
+        return _read_npy(path).astype(np.float64).ravel()
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            values = [float(line) for line in fh if line.strip()]
+        except ValueError as exc:
+            raise DatasetError(f"non-numeric line in {path}: {exc}") from exc
+    return np.array(values, dtype=np.float64)
 
 
 def _read_sidecar(path) -> dict:

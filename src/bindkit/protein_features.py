@@ -150,6 +150,16 @@ def _composition_counts(residues: str) -> np.ndarray:
     return counts
 
 
+def _per_residue(residues: str, row) -> np.ndarray:
+    """The stacked rows row(code) of every residue, each distinct code's row
+    computed once and then gathered.  Codes are tried in order of first
+    appearance, so the first bad code in sequence order raises."""
+    rows = {code: row(code) for code in dict.fromkeys(residues)}
+    points = np.frombuffer(residues.encode("utf-32-le"), dtype="<u4")
+    codes, inverse = np.unique(points, return_inverse=True)
+    return np.stack([rows[chr(c)] for c in codes.tolist()])[inverse]
+
+
 DESCRIPTOR_LAYOUT: tuple[str, ...] = (
     tuple(f"{p}_{stat}" for p in PROPERTIES for stat in ("mean", "sum", "min", "max"))
     + tuple(f"frac_{aa}" for aa in STANDARD_ORDER)
@@ -183,7 +193,7 @@ def receptor_descriptor(
     """
     residues = _coerce(seq)
     table = table or default_table()
-    per_res = np.stack([_property_vector(ch, table) for ch in residues])
+    per_res = _per_residue(residues, lambda code: _property_vector(code, table))
     stats = np.empty((len(PROPERTIES), 4), dtype=np.float64)
     stats[:, 0] = per_res.mean(axis=0)
     stats[:, 1] = per_res.sum(axis=0)
@@ -227,11 +237,7 @@ def receptor_graph_features(
     residues = _coerce(seq)
     table = table or default_table()
     prop_idx = [PROPERTIES.index(p) for p in GRAPH_NODE_PROPERTIES]
-    n = len(residues)
-    nodes = np.zeros((n, 9 + 20), dtype=np.float64)
-    for i, ch in enumerate(residues):
-        vec = _property_vector(ch, table)
-        nodes[i, :9] = vec[prop_idx]
-        nodes[i, 9:] = _composition_counts(ch)
-    edge_list = tuple((i, i + 1) for i in range(n - 1))
+    nodes = _per_residue(residues, lambda code: np.concatenate(
+        [_property_vector(code, table)[prop_idx], _composition_counts(code)]))
+    edge_list = tuple((i, i + 1) for i in range(len(residues) - 1))
     return ReceptorGraphFeatures(node_features=nodes, edge_list=edge_list)

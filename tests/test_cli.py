@@ -394,6 +394,43 @@ def test_evaluate_hand_fixture(tmp_path):
     assert report["mae"] == pytest.approx(0.825)
 
 
+def _object_truth_dir(tmp_path):
+    truth = tmp_path / "truth"
+    truth.mkdir()
+    np.save(truth / "y.npy", np.arange(4.0).astype(object), allow_pickle=True)
+    return truth, truth / "y.npy"
+
+
+def _truncated_npy(tmp_path):
+    path = tmp_path / "pred.npy"
+    np.save(path, np.arange(4.0))
+    path.write_bytes(path.read_bytes()[:-5])
+    return path, path
+
+
+def _text_npy(tmp_path):
+    path = tmp_path / "pred.npy"
+    np.save(path, np.array(["3.0", "5.0", "3.0", "5.0"]))
+    return path, path
+
+
+@pytest.mark.parametrize("arg,make", [
+    ("--truth", _object_truth_dir),
+    ("--pred", _truncated_npy),
+    ("--pred", _text_npy),
+])
+def test_evaluate_rejects_unreadable_npy_vectors(tmp_path, capsys, arg, make):
+    vector, named = make(tmp_path)
+    text = tmp_path / "vector.txt"
+    text.write_text("3.5\n4.5\n4.5\n4.2\n")
+    paths = {"--pred": str(text), "--truth": str(text), arg: str(vector)}
+    assert main(["--quiet", "evaluate", "--pred", paths["--pred"], "--truth",
+                 paths["--truth"], "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(named) in err, err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_console_entry_point_smoke(tmp_path):
     pred = tmp_path / "pred.txt"
     truth = tmp_path / "truth.txt"

@@ -12,22 +12,99 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bindkit import ligand_features
 from bindkit.ligand_features import (
     EDGE_FEATURE_NAMES,
     NODE_FEATURE_NAMES,
     Fingerprint,
     atom_invariant,
     ecfp,
+    ecfp_batch,
     fnv1a32,
     full_refinement_ids,
+    full_refinement_ids_batch,
     infer_hybridization,
     ligand_graph_features,
     morgan_environments,
     write_ligand_graphs,
 )
-from bindkit.ligand_features import _hash_ints
-from bindkit.smiles import from_smiles, parse_smiles
+from bindkit.ligand_features import _BOND_CODE, _hash_ints
+from bindkit.smiles import ParseError, from_smiles, parse_smiles
 from testutil import reserialize
+
+
+# --- per-atom reference ------------------------------------------------------
+# The refinement as a loop over atoms, one _hash_ints call per atom per
+# round.  The batch kernel behind ecfp, morgan_environments and
+# full_refinement_ids must agree with it exactly.
+
+def _initial_ids(mol):
+    adjacency = mol.neighbors()
+    return adjacency, [atom_invariant(mol, i, len(nbrs))
+                       for i, nbrs in enumerate(adjacency)]
+
+
+def _refine(ids, adjacency):
+    """One round: each atom hashes its own identifier followed by its
+    neighbors' (bond code, identifier) pairs in ascending order."""
+    new_ids = []
+    for i, nbrs in enumerate(adjacency):
+        flat = [ids[i]]
+        for code, nbr_id in sorted((_BOND_CODE[order], ids[j]) for j, order in nbrs):
+            flat.append(code)
+            flat.append(nbr_id)
+        new_ids.append(_hash_ints(flat))
+    return new_ids
+
+
+def reference_environments(mol, radius=2):
+    adjacency, ids = _initial_ids(mol)
+    spans = [frozenset([i]) for i in range(len(ids))]
+    kept = []
+    seen_spans = set()
+    for r in range(radius + 1):
+        if r:
+            ids = _refine(ids, adjacency)
+            spans = [span.union(*(spans[j] for j, _ in nbrs))
+                     for span, nbrs in zip(spans, adjacency)]
+        for ident, span in sorted(zip(ids, spans), key=lambda t: (t[0], sorted(t[1]))):
+            if span not in seen_spans:
+                seen_spans.add(span)
+                kept.append((r, ident, span))
+    return kept
+
+
+def reference_ecfp_row(mol, radius=2, nbits=2048):
+    bits = np.zeros(nbits, dtype=np.uint8)
+    for _, ident, _ in reference_environments(mol, radius):
+        bits[ident % nbits] = 1
+    return np.packbits(bits, bitorder="little")
+
+
+def reference_refinement_ids(mol):
+    adjacency, ids = _initial_ids(mol)
+    distinct = len(set(ids))
+    for _ in range(len(ids)):
+        ids = _refine(ids, adjacency)
+        now = len(set(ids))
+        if now <= distinct:
+            break
+        distinct = now
+    return tuple(sorted(ids))
+
+
+def assert_kernel_matches_reference(mols):
+    assert full_refinement_ids_batch(mols) == [
+        reference_refinement_ids(m) for m in mols]
+    for radius, nbits in ((0, 2048), (1, 64), (2, 2048), (3, 256)):
+        rows = ecfp_batch(mols, radius=radius, nbits=nbits)
+        assert rows.dtype == np.uint8 and rows.shape == (len(mols), nbits // 8)
+        for row, mol in zip(rows, mols):
+            assert row.tobytes() == reference_ecfp_row(mol, radius, nbits).tobytes()
+    for mol in mols:
+        for radius in (0, 2, 3):
+            assert morgan_environments(mol, radius) == \
+                reference_environments(mol, radius)
 
 
 def test_fnv1a32_published_vectors():
@@ -188,6 +265,74 @@ def test_annotation_is_required():
         ligand_graph_features(bare)
     with pytest.raises(ValueError):
         morgan_environments(from_smiles("CCO"), radius=-1)
+
+
+# Fragments that join into valid SMILES: atoms of every charge sign, rings
+# (fused ones included), a degree-5 phosphorus and '.' component breaks.
+FRAGMENTS = ("C", "N", "O", "S", "Cl", "C(=O)", "C(C)(C)", "C=C", "C#N",
+             "[NH3+]", "[O-]", "c1ccccc1", "c1ccc2ccccc2c1", "C1CC1",
+             "C1CC2CCC1C2", "c1ccncc1", "P(F)(F)(F)F", "[13CH2]", ".")
+
+
+@st.composite
+def molecules(draw):
+    frags = draw(st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=8))
+    try:
+        return from_smiles("".join(frags))
+    except ParseError:
+        return from_smiles("CC")
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.lists(molecules(), max_size=6))
+def test_kernel_matches_per_atom_reference(mols):
+    assert_kernel_matches_reference(mols)
+
+
+EDGE_CASES = {
+    "single atom": ["C"],
+    "disconnected": ["CC.O.[Cl-]", "C.C"],
+    "charges": ["[O-]C(=O)C[NH3+]", "[NH4+].[O-2]"],
+    "degree 5 and 6": ["P(F)(F)(F)(F)F", "S(F)(F)(F)(F)(F)F"],
+    "wider than one word": ["C" * 70, "C" * 130 + "O"],
+    "fused rings": ["c1ccc2ccccc2c1", "C1C2CC3CC1CC(C2)C3", "C12C3C4C1C5C2C3C45"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_kernel_matches_reference_on_edge_cases(case):
+    mols = [from_smiles(s) for s in EDGE_CASES[case]]
+    assert_kernel_matches_reference(mols)
+
+
+def test_kernel_on_an_empty_list():
+    assert full_refinement_ids_batch([]) == []
+    assert ecfp_batch([], nbits=256).shape == (0, 32)
+
+
+def test_batch_across_chunks_equals_per_molecule_results():
+    # the long chain needs the most rounds; its chunk must not change the
+    # identifiers of the molecules that share it, nor the next chunk's
+    smiles = [s for case in sorted(EDGE_CASES) for s in EDGE_CASES[case]]
+    smiles += PERMUTATION_SMILES
+    count = 2 * ligand_features._CHUNK + 3
+    mols = [from_smiles(smiles[i % len(smiles)]) for i in range(count)]
+    ids = full_refinement_ids_batch(mols)
+    rows = ecfp_batch(mols)
+    for i in range(len(smiles)):
+        ref_ids = reference_refinement_ids(mols[i])
+        ref_row = reference_ecfp_row(mols[i]).tobytes()
+        for j in range(i, count, len(smiles)):
+            assert ids[j] == ref_ids
+            assert rows[j].tobytes() == ref_row
+
+
+def test_batch_kernel_requires_annotation():
+    bare = parse_smiles("CCO")
+    with pytest.raises(ValueError):
+        ecfp_batch([from_smiles("C"), bare])
+    with pytest.raises(ValueError):
+        full_refinement_ids_batch([bare])
 
 
 def test_hybridization_heuristic():

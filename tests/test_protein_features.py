@@ -1,6 +1,7 @@
 """Receptor descriptor and residue-graph tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bindkit.fasta import ProteinSequence
 from bindkit.protein_features import (
@@ -17,6 +18,7 @@ from bindkit.protein_features import (
     receptor_graph_features,
     residue_properties,
 )
+from bindkit.protein_features import _composition_counts, _property_vector
 
 
 def test_default_table_shape_and_version():
@@ -209,3 +211,63 @@ def test_graph_feature_determinism():
     a = receptor_graph_features("MKVLQWERTY").node_features
     b = receptor_graph_features("MKVLQWERTY").node_features
     assert np.array_equal(a, b)
+
+
+# --- per-residue reference ---------------------------------------------------
+# The descriptor and the node block as loops over residues.  The library
+# computes one row per distinct code and gathers; the bytes must agree.
+
+ALL_CODES = STANDARD_ORDER + "XBZU"
+
+
+def reference_descriptor(residues, table):
+    per_res = np.stack([_property_vector(ch, table) for ch in residues])
+    stats = np.empty((len(PROPERTIES), 4), dtype=np.float64)
+    stats[:, 0] = per_res.mean(axis=0)
+    stats[:, 1] = per_res.sum(axis=0)
+    stats[:, 2] = per_res.min(axis=0)
+    stats[:, 3] = per_res.max(axis=0)
+    fractions = _composition_counts(residues) / len(residues)
+    tail = np.array([float(len(residues)), float(residues.count("C") // 2)])
+    return np.concatenate([stats.ravel(), fractions, tail])
+
+
+def reference_nodes(residues, table):
+    prop_idx = [PROPERTIES.index(p) for p in GRAPH_NODE_PROPERTIES]
+    nodes = np.zeros((len(residues), 9 + 20), dtype=np.float64)
+    for i, ch in enumerate(residues):
+        nodes[i, :9] = _property_vector(ch, table)[prop_idx]
+        nodes[i, 9:] = _composition_counts(ch)
+    return nodes
+
+
+def assert_matches_reference(residues):
+    table = default_table()
+    got = receptor_descriptor(residues).vector
+    assert got.tobytes() == reference_descriptor(residues, table).tobytes()
+    nodes = receptor_graph_features(residues).node_features
+    want = reference_nodes(residues, table)
+    assert nodes.shape == want.shape and nodes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("residues", [ALL_CODES, ALL_CODES[::-1], "X", "U",
+                                      "BZBZ", "C" * 7])
+def test_gathered_rows_equal_per_residue_reference(residues):
+    assert_matches_reference(residues)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.text(alphabet=ALL_CODES, min_size=1, max_size=300))
+def test_drawn_sequences_equal_per_residue_reference(residues):
+    assert_matches_reference(residues)
+
+
+@pytest.mark.parametrize("residues,bad", [
+    ("AJO", "J"), ("JA*", "J"), ("MK*J", "*"), ("AÉJ", "É"), ("a", "a"),
+    ("AC\ud800", "\ud800"),
+])
+def test_first_bad_residue_in_sequence_order_is_named(residues, bad):
+    for featurize in (receptor_descriptor, receptor_graph_features):
+        with pytest.raises(UnknownResidueError) as info:
+            featurize(residues)
+        assert info.value.args == (bad,)
