@@ -37,10 +37,8 @@ from .ligand_features import (
     Fingerprint,
     LigandGraphFeatures,
     ecfp,
-    ecfp_batch,
     morgan_environments,
     full_refinement_ids,
-    full_refinement_ids_batch,
     infer_hybridization,
     ligand_graph_features,
 )
@@ -74,7 +72,6 @@ from .dataset import (
     load_dataset,
     write_features,
     load_features,
-    load_vector,
 )
 from .gbdt import (
     FeatureStore,

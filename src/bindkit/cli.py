@@ -180,11 +180,11 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
-    preds = ds_mod.load_vector(args.pred)
+    preds = ds_mod._load_vector(args.pred)
     truth = args.truth
     if os.path.isdir(truth):
         truth = os.path.join(truth, "y.npy")
-    y = ds_mod.load_vector(truth)
+    y = ds_mod._load_vector(truth)
     report = build_report(y, preds, start=cfg.bin_start, stop=cfg.bin_stop,
                           width=cfg.bin_width, threshold=cfg.threshold)
     csv_path = (args.out[:-5] + ".csv" if args.out.endswith(".json")

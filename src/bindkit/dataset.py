@@ -22,10 +22,10 @@ from .fasta import FastaError, ProteinSequence, parse_fasta
 from .gbdt import FeatureStore
 from .ligand_features import (
     FingerprintFormatError,
-    ecfp,
-    ecfp_batch,
+    _ecfp_batch,
+    _full_refinement_ids_batch,
+    ecfp,  # not called here; named so that tracers can wrap it
     full_refinement_ids,
-    full_refinement_ids_batch,
 )
 from .protein_features import (
     DESCRIPTOR_LAYOUT,
@@ -56,7 +56,6 @@ __all__ = [
     "load_dataset",
     "write_features",
     "load_features",
-    "load_vector",
     "file_digest",
 ]
 
@@ -199,12 +198,12 @@ def ingest(
     """Validate, convert and deduplicate raw affinity rows into a Dataset.
 
     Rows are checked, and each distinct SMILES parsed, row by row; per-row
-    failures are tallied by reason, never fatal.  One
-    full_refinement_ids_batch call then refines every distinct valid
-    ligand, and the surviving rows are keyed in their input order: each is
-    converted to log10 Ki, and duplicate pairs (same pair_key) are merged
-    to the median log value, keeping first-occurrence order.  An empty
-    result raises EmptyAfterFilteringError.
+    failures are tallied by reason, never fatal.  One batch-kernel call
+    then refines every distinct valid ligand, and the surviving rows are
+    keyed in their input order: each is converted to log10 Ki, and
+    duplicate pairs (same pair_key) are merged to the median log value,
+    keeping first-occurrence order.  An empty result raises
+    EmptyAfterFilteringError.
     """
     drops = {
         "bad_row": 0, "bad_number": 0, "bad_receptor": 0,
@@ -263,7 +262,7 @@ def ingest(
 
     # The identity depends on the ligand alone: one kernel call refines
     # every distinct ligand.
-    refined = full_refinement_ids_batch(molecules.values())
+    refined = _full_refinement_ids_batch(molecules.values())
     identities = {smiles: _ligand_identity(ids)
                   for smiles, ids in zip(molecules, refined)}
     stereo_total = 0
@@ -345,11 +344,6 @@ def split(dataset: Dataset, seed: int, ratios=(0.8, 0.1, 0.1)) -> Dataset:
     return Dataset(records=records, provenance=provenance)
 
 
-def _fingerprint_worker(job):
-    source, radius, nbits = job
-    return ecfp(from_smiles(source), radius=radius, nbits=nbits).bits
-
-
 def featurize_pairs(
     dataset: Dataset,
     which: str = "all",
@@ -364,11 +358,10 @@ def featurize_pairs(
     descriptor columns as its dense block and the nbits fingerprint bits
     packed LSB-first, y is log10 Ki, ids are pair keys.  Each distinct
     receptor is described once, and the distinct ligands of the subset are
-    fingerprinted by one ecfp_batch call straight into packed rows; row
-    order follows dataset record order.  workers > 1 instead farms the
-    distinct-ligand fingerprints out to a process pool, one ecfp call per
-    ligand; results are identical to the serial path since assembly order
-    never changes.
+    fingerprinted by one batch-kernel call straight into packed rows; row
+    order follows dataset record order.  workers is accepted so that
+    configs setting [featurize] workers keep loading, and has no effect:
+    the one kernel call is faster than a process pool of per-ligand calls.
     """
     table = table or default_table()
     records = dataset.subset(which)
@@ -384,16 +377,7 @@ def featurize_pairs(
             rec.receptor.residues, (len(receptors), rec.receptor))[0]
         lig_index[i] = ligands.setdefault(
             rec.ligand.source, (len(ligands), rec.ligand))[0]
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            fps = pool.map(_fingerprint_worker,
-                           [(src, radius, nbits) for src in ligands])
-        packed = np.empty((len(ligands), (nbits + 7) // 8), dtype=np.uint8)
-        for k, bits in enumerate(fps):
-            packed[k] = np.packbits(bits, bitorder="little")
-    else:
-        packed = ecfp_batch([lig for _, lig in ligands.values()], radius, nbits)
+    packed = _ecfp_batch([lig for _, lig in ligands.values()], radius, nbits)
     descriptors = np.array([receptor_descriptor(rec, table).vector
                             for _, rec in receptors.values()], dtype=np.float64)
     X = FeatureStore(dense=descriptors[rec_index], bits=packed[lig_index],
@@ -581,7 +565,7 @@ def _read_npy(path, dtype=None, ndim=None, error=DatasetError) -> np.ndarray:
         return np.lib.format.read_array(fh, allow_pickle=False)
 
 
-def load_vector(path) -> np.ndarray:
+def _load_vector(path) -> np.ndarray:
     """Read a vector of predictions or truths as float64: a .npy array of
     numbers of any shape, flattened, or a text file of one number per line.
     An unreadable, pickled or non-numeric file raises DatasetError naming

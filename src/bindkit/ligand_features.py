@@ -29,9 +29,7 @@ __all__ = [
     "atom_invariant",
     "morgan_environments",
     "ecfp",
-    "ecfp_batch",
     "full_refinement_ids",
-    "full_refinement_ids_batch",
     "infer_hybridization",
     "ligand_graph_features",
     "graph_block",
@@ -291,7 +289,7 @@ def _chunks(mols):
     return [mols[i:i + _CHUNK] for i in range(0, len(mols), _CHUNK)]
 
 
-def ecfp_batch(mols, radius: int = 2, nbits: int = 2048) -> np.ndarray:
+def _ecfp_batch(mols, radius: int = 2, nbits: int = 2048) -> np.ndarray:
     """ecfp of each molecule, packed LSB-first: a uint8 array of one row of
     ceil(nbits/8) bytes per molecule, each row Fingerprint.packed()."""
     if nbits <= 0 or (nbits & (nbits - 1)) != 0:
@@ -307,7 +305,7 @@ def ecfp_batch(mols, radius: int = 2, nbits: int = 2048) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def full_refinement_ids_batch(mols) -> list[tuple[int, ...]]:
+def _full_refinement_ids_batch(mols) -> list[tuple[int, ...]]:
     """full_refinement_ids of each molecule."""
     return [ids for chunk in _chunks(mols) for ids in _stable_ids(_union(chunk))]
 
@@ -353,7 +351,7 @@ def ecfp(mol: Molecule, radius: int = 2, nbits: int = 2048) -> Fingerprint:
     """Hashed circular fingerprint (radius 2 is the standard diameter-4 set):
     bit (identifier mod nbits) is set for each environment morgan_environments
     keeps."""
-    row = ecfp_batch([mol], radius, nbits)[0]
+    row = _ecfp_batch([mol], radius, nbits)[0]
     return Fingerprint(bits=np.unpackbits(row, count=nbits, bitorder="little"),
                        nbits=nbits, radius=radius)
 
@@ -366,7 +364,7 @@ def full_refinement_ids(mol: Molecule) -> tuple[int, ...]:
     stabilization, capped at n_atoms rounds).  The sorted result is invariant
     under atom reordering and suits whole-molecule hashing.
     """
-    return full_refinement_ids_batch([mol])[0]
+    return _full_refinement_ids_batch([mol])[0]
 
 
 def infer_hybridization(mol: Molecule) -> tuple[str, ...]:

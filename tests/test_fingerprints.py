@@ -19,16 +19,19 @@ from bindkit.ligand_features import (
     Fingerprint,
     atom_invariant,
     ecfp,
-    ecfp_batch,
     fnv1a32,
     full_refinement_ids,
-    full_refinement_ids_batch,
     infer_hybridization,
     ligand_graph_features,
     morgan_environments,
     write_ligand_graphs,
 )
-from bindkit.ligand_features import _BOND_CODE, _hash_ints
+from bindkit.ligand_features import (
+    _BOND_CODE,
+    _ecfp_batch,
+    _full_refinement_ids_batch,
+    _hash_ints,
+)
 from bindkit.smiles import ParseError, from_smiles, parse_smiles
 from testutil import reserialize
 
@@ -94,10 +97,10 @@ def reference_refinement_ids(mol):
 
 
 def assert_kernel_matches_reference(mols):
-    assert full_refinement_ids_batch(mols) == [
+    assert _full_refinement_ids_batch(mols) == [
         reference_refinement_ids(m) for m in mols]
     for radius, nbits in ((0, 2048), (1, 64), (2, 2048), (3, 256)):
-        rows = ecfp_batch(mols, radius=radius, nbits=nbits)
+        rows = _ecfp_batch(mols, radius=radius, nbits=nbits)
         assert rows.dtype == np.uint8 and rows.shape == (len(mols), nbits // 8)
         for row, mol in zip(rows, mols):
             assert row.tobytes() == reference_ecfp_row(mol, radius, nbits).tobytes()
@@ -306,8 +309,8 @@ def test_kernel_matches_reference_on_edge_cases(case):
 
 
 def test_kernel_on_an_empty_list():
-    assert full_refinement_ids_batch([]) == []
-    assert ecfp_batch([], nbits=256).shape == (0, 32)
+    assert _full_refinement_ids_batch([]) == []
+    assert _ecfp_batch([], nbits=256).shape == (0, 32)
 
 
 def test_batch_across_chunks_equals_per_molecule_results():
@@ -317,8 +320,8 @@ def test_batch_across_chunks_equals_per_molecule_results():
     smiles += PERMUTATION_SMILES
     count = 2 * ligand_features._CHUNK + 3
     mols = [from_smiles(smiles[i % len(smiles)]) for i in range(count)]
-    ids = full_refinement_ids_batch(mols)
-    rows = ecfp_batch(mols)
+    ids = _full_refinement_ids_batch(mols)
+    rows = _ecfp_batch(mols)
     for i in range(len(smiles)):
         ref_ids = reference_refinement_ids(mols[i])
         ref_row = reference_ecfp_row(mols[i]).tobytes()
@@ -330,9 +333,9 @@ def test_batch_across_chunks_equals_per_molecule_results():
 def test_batch_kernel_requires_annotation():
     bare = parse_smiles("CCO")
     with pytest.raises(ValueError):
-        ecfp_batch([from_smiles("C"), bare])
+        _ecfp_batch([from_smiles("C"), bare])
     with pytest.raises(ValueError):
-        full_refinement_ids_batch([bare])
+        _full_refinement_ids_batch([bare])
 
 
 def test_hybridization_heuristic():
