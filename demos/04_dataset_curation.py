@@ -11,7 +11,6 @@ import pathlib
 import tempfile
 
 from bindkit import (
-    affinity_histogram,
     ingest,
     load_dataset,
     read_raw_tsv,
@@ -85,13 +84,6 @@ print(f"\nsplit sizes: {assigned.provenance['split_sizes']}")
 for rec in assigned.records:
     print(f"  {rec.split:5s} {rec.receptor.id[:12]:12s} "
           f"{rec.ligand.source:24s} log Ki {rec.log_ki:7.3f}")
-
-# --- affinity histogram -------------------------------------------------------------
-
-lefts, counts = affinity_histogram(assigned, bin_width=1.0)
-print("\nlog Ki histogram:")
-for left, count in zip(lefts, counts):
-    print(f"  [{left:+.1f}, {left + 1.0:+.1f})  {'#' * int(count)}")
 
 # --- byte-stable on disk --------------------------------------------------------------
 

@@ -66,7 +66,6 @@ from .dataset import (
     ingest,
     split,
     featurize_pairs,
-    affinity_histogram,
     read_raw_tsv,
     write_dataset,
     load_dataset,

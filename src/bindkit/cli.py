@@ -125,7 +125,7 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
     table = _table_for(cfg)
     X, y, columns, ids = ds_mod.featurize_pairs(
         dataset, which=args.subset, radius=cfg.radius, nbits=cfg.nbits,
-        table=table, workers=cfg.workers)
+        table=table)
     sidecar = {
         "columns": list(columns),
         "config_digest": cfg.digest(),

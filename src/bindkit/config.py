@@ -133,7 +133,7 @@ class PipelineConfig:
     threshold: float = DEFAULT_THRESHOLD
     property_table: str | None = None
     fasta: str | None = None
-    workers: int = 1
+    workers: int = 1            # [featurize] workers: digested, no effect
 
     def canonical_json(self) -> str:
         doc = {
@@ -152,7 +152,6 @@ class PipelineConfig:
                 "subsample": self.gbdt.subsample,
                 "early_stopping_rounds": self.gbdt.early_stopping_rounds,
                 "seed": self.gbdt.seed,
-                "splitter": self.gbdt.splitter,
             },
             "bin_start": self.bin_start,
             "bin_stop": self.bin_stop,
@@ -177,8 +176,7 @@ _SCHEMA = {
     "curation": {"ki_min_nm", "ki_max_nm"},
     "fingerprint": {"radius", "nbits"},
     "gbdt": {"n_trees", "max_depth", "learning_rate", "min_samples_leaf",
-             "n_histogram_bins", "subsample", "early_stopping_rounds",
-             "splitter"},
+             "n_histogram_bins", "subsample", "early_stopping_rounds"},
     "evaluation": {"bin_start", "bin_stop", "bin_width", "threshold"},
     "paths": {"property_table", "fasta"},
     "featurize": {"workers"},
@@ -240,9 +238,7 @@ def config_from_mapping(doc: dict) -> PipelineConfig:
             if key not in gb:
                 continue
             value = gb[key]
-            if key == "splitter":
-                value = _expect(value, [str], "gbdt.splitter")
-            elif key in ("learning_rate", "subsample"):
+            if key in ("learning_rate", "subsample"):
                 value = float(_expect(value, [int, float], f"gbdt.{key}"))
             else:
                 value = _expect(value, [int], f"gbdt.{key}")

@@ -49,7 +49,6 @@ __all__ = [
     "ingest",
     "split",
     "featurize_pairs",
-    "affinity_histogram",
     "read_raw_tsv",
     "build_fasta_index",
     "write_dataset",
@@ -350,7 +349,6 @@ def featurize_pairs(
     radius: int = 2,
     nbits: int = 2048,
     table: ResiduePropertyTable | None = None,
-    workers: int = 1,
 ):
     """Assemble the model matrix for a subset.
 
@@ -359,9 +357,7 @@ def featurize_pairs(
     packed LSB-first, y is log10 Ki, ids are pair keys.  Each distinct
     receptor is described once, and the distinct ligands of the subset are
     fingerprinted by one batch-kernel call straight into packed rows; row
-    order follows dataset record order.  workers is accepted so that
-    configs setting [featurize] workers keep loading, and has no effect:
-    the one kernel call is faster than a process pool of per-ligand calls.
+    order follows dataset record order.
     """
     table = table or default_table()
     records = dataset.subset(which)
@@ -385,22 +381,6 @@ def featurize_pairs(
     y = np.array([rec.log_ki for rec in records], dtype=np.float64)
     columns = tuple(DESCRIPTOR_LAYOUT) + tuple(f"fp_{j}" for j in range(nbits))
     return X, y, columns, tuple(rec.pair_key for rec in records)
-
-
-def affinity_histogram(dataset: Dataset, bin_width: float = 0.5):
-    """Counts of records per log-affinity bin.
-
-    Bins are [k*w, (k+1)*w) by floor division; returns (bin_lefts, counts)
-    covering the occupied range, counts summing to the record count.
-    """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
-    logs = np.array([r.log_ki for r in dataset.records])
-    idx = np.floor(logs / bin_width).astype(int)
-    lo, hi = idx.min(), idx.max()
-    counts = np.bincount(idx - lo, minlength=hi - lo + 1)
-    lefts = (np.arange(lo, hi + 1)) * bin_width
-    return lefts, counts
 
 
 # --- on-disk curated dataset -------------------------------------------------

@@ -12,9 +12,11 @@ split search, routing and prediction read every column through
 FeatureStore.take, which decodes a bit as 0.0 or 1.0, so a bit column is
 routed by "x <= t" exactly as its dense float column would be.
 
-Split search is histogram-based: features are binned once on the training
-matrix into at most n_histogram_bins quantile bins whose upper bounds are
-actual data values (columns with few distinct values get exact bins).  A
+Split search is histogram-based, as in CatBoost and LightGBM, which also
+quantize every feature before growing a tree: features are binned once on
+the training matrix into at most n_histogram_bins quantile bins whose upper
+bounds are actual data values (columns with few distinct values get exact
+bins, so on them the search sees every distinct-value boundary).  A
 bit column is binned from its popcount: 0 or n set bits make it constant,
 anything else gives the bins [0.0, 1.0], which is what the distinct values
 of the decoded column give.  A split is "x <= t goes left" with t the upper
@@ -30,10 +32,6 @@ and the code-0 side is the node's row count and total minus them.  Columns
 with three or more bins keep their codes in one contiguous int32 block that
 one flat bincount histograms per node.  The best gain of each column is
 merged back in original column order.
-
-An exact splitter that scans every distinct value boundary is available as
-params.splitter="exact"; on columns with at most n_histogram_bins distinct
-values both splitters see the same candidate set.
 
 The variance gain of a split is sum_L^2/n_L + sum_R^2/n_R - sum^2/n over
 residuals, maximized; ties resolve to the first candidate in (feature,
@@ -65,7 +63,7 @@ __all__ = [
 ]
 
 MODEL_FORMAT = "bindkit-gbdt"
-MODEL_VERSION = "1"
+MODEL_VERSION = "2"
 
 
 class GbdtError(ValueError):
@@ -160,7 +158,6 @@ class TrainParams:
     subsample: float = 1.0
     early_stopping_rounds: int | None = None
     seed: int = 0
-    splitter: str = "histogram"
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -177,8 +174,6 @@ class TrainParams:
             raise ValueError("subsample must be in (0, 1]")
         if self.early_stopping_rounds is not None and self.early_stopping_rounds < 1:
             raise ValueError("early_stopping_rounds must be >= 1 or None")
-        if self.splitter not in ("histogram", "exact"):
-            raise ValueError("splitter must be 'histogram' or 'exact'")
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +300,7 @@ def _bin_columns(X: FeatureStore, n_bins: int) -> _Binned:
 
 
 def _gain(s_left, n_left, total, m):
-    """sum_L^2/n_L + sum_R^2/n_R - sum^2/m, elementwise; every splitter uses
+    """sum_L^2/n_L + sum_R^2/n_R - sum^2/m, elementwise; every candidate uses
     this one operation order, so equal sums give bit-equal gains."""
     s_right = total - s_left
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -379,37 +374,11 @@ def _best_split_hist(X: FeatureStore, bm: _Binned, res, rows, min_leaf):
     return f, float(bm.uppers[f][code[f]]), float(gain[f])
 
 
-def _best_split_exact(X: FeatureStore, res, rows, min_leaf):
-    """Scan every distinct-value boundary of every feature.  Candidate order
-    (feature, ascending threshold) matches the histogram scan, thresholds are
-    data values, and the gain formula is identical."""
-    m = rows.size
-    total = float(res[rows].sum())
-    best = None
-    for f in range(X.shape[1]):
-        col = X.take(rows, [f])[:, 0]
-        order = np.argsort(col, kind="stable")
-        sc = col[order]
-        sr = res[rows][order]
-        boundary = np.flatnonzero(sc[:-1] != sc[1:])
-        if boundary.size == 0:
-            continue
-        n_left = boundary + 1
-        s_left = np.cumsum(sr)[boundary]
-        ok = (n_left >= min_leaf) & (m - n_left >= min_leaf)
-        if not ok.any():
-            continue
-        gain = np.where(ok, _gain(s_left, n_left, total, m), -np.inf)
-        k = int(np.argmax(gain))
-        if gain[k] > 0.0 and (best is None or gain[k] > best[2]):
-            best = (f, float(sc[boundary[k]]), float(gain[k]))
-    return best
-
-
-def _grow_tree(X: FeatureStore, binned: _Binned | None, res, rows,
+def _grow_tree(X: FeatureStore, binned: _Binned, res, rows,
                params: TrainParams) -> Tree:
-    """Grow one tree breadth-first; binned is None for the exact splitter.
-    Rows route by raw value, which agrees with bin-code routing."""
+    """Grow one tree breadth-first, splitting each node by the histogram
+    search over binned.  Rows route by raw value, which agrees with
+    bin-code routing."""
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -423,12 +392,8 @@ def _grow_tree(X: FeatureStore, binned: _Binned | None, res, rows,
         node_rows, depth, parent, side = queue.popleft()
         split = None
         if depth < params.max_depth and node_rows.size >= 2 * params.min_samples_leaf:
-            if binned is not None:
-                split = _best_split_hist(X, binned, res, node_rows,
-                                         params.min_samples_leaf)
-            else:
-                split = _best_split_exact(X, res, node_rows,
-                                          params.min_samples_leaf)
+            split = _best_split_hist(X, binned, res, node_rows,
+                                     params.min_samples_leaf)
         if split is None:
             pointer = ~len(leaf_value)
             leaf_value.append(params.learning_rate * float(res[node_rows].mean()))
@@ -503,8 +468,7 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
             metrics["best_iteration"] = 0
         return model, metrics
 
-    binned = (_bin_columns(X, params.n_histogram_bins)
-              if params.splitter == "histogram" else None)
+    binned = _bin_columns(X, params.n_histogram_bins)
 
     rng = np.random.Generator(np.random.PCG64(params.seed))
     n = len(X)
@@ -586,19 +550,23 @@ def load_model(path) -> GbdtModel:
     if doc.get("version") != MODEL_VERSION:
         raise ModelVersionError(
             f"unsupported model version {doc.get('version')!r}")
+    if not isinstance(doc.get("params"), dict):
+        raise ModelFormatError("params must be a JSON object")
+    if not isinstance(doc.get("trees"), list):
+        raise ModelFormatError("trees must be a JSON list")
     try:
-        params = TrainParams(**{k: (tuple(v) if isinstance(v, list) else v)
-                                for k, v in doc["params"].items()})
+        params = TrainParams(**doc["params"])
         trees = tuple(
-            Tree(root=int(t["root"]),
-                 feature=np.asarray(t["feature"], dtype=np.int32),
+            Tree(root=_integer(t["root"], "root"),
+                 feature=_integers(t["feature"], "feature"),
                  threshold=np.asarray(t["threshold"], dtype=np.float64),
-                 left=np.asarray(t["left"], dtype=np.int32),
-                 right=np.asarray(t["right"], dtype=np.int32),
+                 left=_integers(t["left"], "left"),
+                 right=_integers(t["right"], "right"),
                  leaf_value=np.asarray(t["leaf_value"], dtype=np.float64))
             for t in doc["trees"])
         model = GbdtModel(base_score=float(doc["base_score"]), trees=trees,
-                          feature_count=int(doc["feature_count"]),
+                          feature_count=_integer(doc["feature_count"],
+                                                 "feature_count"),
                           params=params, degenerate=bool(doc.get("degenerate",
                                                                  False)))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -608,6 +576,25 @@ def load_model(path) -> GbdtModel:
     for k, tree in enumerate(model.trees):
         _check_tree(tree, model.feature_count, k)
     return model
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; int() would truncate a float and read a boolean as
+    0 or 1, which turns a damaged pointer into another valid one."""
+    if type(value) is not int:
+        raise ModelFormatError(f"{what} must be a JSON integer")
+    return value
+
+
+def _integers(value, what: str) -> np.ndarray:
+    """A list of JSON integers as int32.  A nested list passes here and
+    fails the length check of _check_tree."""
+    if not isinstance(value, list):
+        raise ModelFormatError(f"{what} must be a JSON list")
+    for v in value:
+        if not isinstance(v, list):
+            _integer(v, what)
+    return np.asarray(value, dtype=np.int32)
 
 
 def _check_tree(tree: Tree, feature_count: int, k: int) -> None:

@@ -8,7 +8,6 @@ components being combined.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "infer_hybridization",
     "ligand_graph_features",
     "graph_block",
-    "write_ligand_graphs",
     "NODE_FEATURE_NAMES",
     "EDGE_FEATURE_NAMES",
 ]
@@ -447,7 +445,7 @@ def ligand_graph_features(mol: Molecule) -> LigandGraphFeatures:
                                edge_features=edges)
 
 
-# --- persistence -----------------------------------------------------------
+# --- serialization ---------------------------------------------------------
 
 
 def graph_block(features) -> dict:
@@ -459,14 +457,3 @@ def graph_block(features) -> dict:
         "edge_features": features.edge_features.tolist(),
         "feature_names": {"node": list(names["node"]), "edge": list(names["edge"])},
     }
-
-
-def graph_record(record_id, features: LigandGraphFeatures) -> dict:
-    return {"id": record_id, **graph_block(features)}
-
-
-def write_ligand_graphs(path, ids, features_seq) -> None:
-    """One JSON object per line; keys are sorted so output is byte-stable."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rid, feats in zip(ids, features_seq):
-            fh.write(json.dumps(graph_record(rid, feats), sort_keys=True) + "\n")

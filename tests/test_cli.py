@@ -274,6 +274,12 @@ def test_config_errors_exit_1(tmp_path, capsys):
                  "--out", str(tmp_path / "d")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err
+    removed = tmp_path / "splitter.toml"        # the exact splitter is gone
+    removed.write_text('[gbdt]\nsplitter = "histogram"\n')
+    assert main(["--config", str(removed), "ingest", "--in", RAW,
+                 "--out", str(tmp_path / "d")]) == 1
+    assert "unknown key 'splitter'" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -521,6 +527,29 @@ def test_model_with_nan_leaf_exits_2(tmp_path, capsys):
     assert main(["--quiet", "predict", "--model", str(path), "--features",
                  str(feats), "--out", str(out)]) == 2
     assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Edits of a saved model document that loaded, or crashed, before the model
+# reader checked JSON types; each must now exit 2.
+MODEL_EDITS = {
+    "null params": lambda doc: {**doc, "params": None},
+    "list params": lambda doc: {**doc, "params": []},
+    "trees as an object": lambda doc: {**doc, "trees": {}},
+    "fractional pointer": lambda doc: {**doc, "trees": [
+        {**t, "right": [v + 0.5 for v in t["right"]]} for t in doc["trees"]]},
+    "version 1": lambda doc: {**doc, "version": "1"},
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MODEL_EDITS))
+def test_untrusted_model_json_exits_2(tmp_path, capsys, edit):
+    path, doc, feats = small_model(tmp_path)
+    path.write_text(json.dumps(MODEL_EDITS[edit](doc)))
+    out = tmp_path / "p"
+    assert main(["--quiet", "predict", "--model", str(path), "--features",
+                 str(feats), "--out", str(out)]) == 2
+    assert "data error" in capsys.readouterr().err
     assert not out.exists()
 
 

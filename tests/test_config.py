@@ -35,7 +35,6 @@ min_samples_leaf = 5
 n_histogram_bins = 64
 subsample = 0.8
 early_stopping_rounds = 10
-splitter = "exact"
 
 [evaluation]
 bin_start = 0.0
@@ -125,7 +124,6 @@ def test_full_config_round_trip(tmp_path):
     assert cfg.bounds.min_nm == 0.01 and cfg.bounds.max_nm == 1e9
     assert cfg.radius == 3 and cfg.nbits == 1024
     assert cfg.gbdt.n_trees == 50
-    assert cfg.gbdt.splitter == "exact"
     assert cfg.gbdt.early_stopping_rounds == 10
     assert cfg.gbdt.subsample == 0.8
     assert cfg.gbdt.seed == 7
@@ -140,6 +138,8 @@ def test_unknown_names_fail_loudly():
         config_from_mapping({"fancy": {"x": 1}})
     with pytest.raises(ConfigError, match="unknown key"):
         config_from_mapping({"fingerprint": {"radois": 2}})
+    with pytest.raises(ConfigError, match="unknown key 'splitter'"):
+        config_from_mapping({"gbdt": {"splitter": "histogram"}})
     with pytest.raises(ConfigError, match="unknown top-level"):
         config_from_mapping({"sede": 3})
 
@@ -150,7 +150,7 @@ def test_type_checking():
     with pytest.raises(ConfigError, match="boolean"):
         config_from_mapping({"seed": True})
     with pytest.raises(ConfigError, match="expected str"):
-        config_from_mapping({"gbdt": {"splitter": 3}})
+        config_from_mapping({"paths": {"fasta": 3}})
     with pytest.raises(ConfigError, match="expected list"):
         config_from_mapping({"split": {"ratios": 0.8}})
 

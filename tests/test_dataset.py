@@ -15,7 +15,6 @@ from bindkit.dataset import (
     KiBounds,
     RawRecord,
     TooFewRecordsError,
-    affinity_histogram,
     build_fasta_index,
     featurize_pairs,
     file_digest,
@@ -251,39 +250,6 @@ def test_featurize_respects_subsets():
     assert ids == tuple(r.pair_key for r in expected)
     with pytest.raises(EmptyAfterFilteringError):
         featurize_pairs(Dataset(records=(), provenance={}), which="all")
-
-
-def test_featurize_worker_parity():
-    rows = [(unique_receptor(i), smi, 10.0 ** (1 + i % 3))
-            for i, smi in enumerate(["CCO", "c1ccccc1", "CC(C)C", "CCN", "CCCC",
-                                     "CC(=O)O", "c1ccncc1", "CCS"] * 3)]
-    ds = ingest(rows_from(*rows))
-    serial = featurize_pairs(ds, nbits=256, workers=1)
-    parallel = featurize_pairs(ds, nbits=256, workers=2)
-    assert np.array_equal(serial[0].dense, parallel[0].dense)
-    assert np.array_equal(serial[0].bits, parallel[0].bits)
-    assert np.array_equal(serial[1], parallel[1])
-    assert serial[2] == parallel[2] and serial[3] == parallel[3]
-
-
-def test_affinity_histogram():
-    ds = ingest(rows_from(
-        ("AAA", "C", 10.0 ** 0.1), ("CCC", "C", 10.0 ** 0.4),
-        ("DDD", "C", 10.0 ** 0.6), ("EEE", "C", 100.0),
-    ))
-    lefts, counts = affinity_histogram(ds, bin_width=0.5)
-    assert np.allclose(lefts, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert counts.tolist() == [2, 1, 0, 0, 1]
-    assert counts.sum() == len(ds.records)
-    with pytest.raises(ValueError):
-        affinity_histogram(ds, bin_width=0.0)
-
-
-def test_histogram_handles_negative_logs():
-    ds = ingest(rows_from(("AAA", "C", 0.01), ("CCC", "C", 0.5)))
-    lefts, counts = affinity_histogram(ds, bin_width=0.5)
-    assert lefts[0] == -2.0
-    assert counts.sum() == 2
 
 
 def test_read_raw_tsv(tmp_path):

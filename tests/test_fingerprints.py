@@ -21,10 +21,10 @@ from bindkit.ligand_features import (
     ecfp,
     fnv1a32,
     full_refinement_ids,
+    graph_block,
     infer_hybridization,
     ligand_graph_features,
     morgan_environments,
-    write_ligand_graphs,
 )
 from bindkit.ligand_features import (
     _BOND_CODE,
@@ -386,20 +386,18 @@ def test_packed_bit_layout_is_lsb_first():
     assert fp.packed() == bytes([0b00000011, 0b00000010])
 
 
-def test_graph_jsonl_output(tmp_path):
-    path = tmp_path / "graphs.jsonl"
-    mols = {name: from_smiles(s) for name, s in (("eth", "CCO"), ("ben", "c1ccccc1"))}
-    feats = {name: ligand_graph_features(m) for name, m in mols.items()}
-    write_ligand_graphs(path, list(feats), list(feats.values()))
-    lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    rec = json.loads(lines[0])
-    assert rec["id"] == "eth"
-    assert len(rec["node_features"]) == 3
-    assert len(rec["node_features"][0]) == 30
-    assert rec["edge_list"] == [[0, 1], [1, 2]]
-    assert rec["feature_names"]["edge"] == list(EDGE_FEATURE_NAMES)
-    # byte stability
-    again = tmp_path / "graphs2.jsonl"
-    write_ligand_graphs(again, list(feats), list(feats.values()))
-    assert again.read_bytes() == path.read_bytes()
+def test_graph_jsonl_output():
+    # the block export-graphs writes per ligand; the byte stability of the
+    # JSONL file is pinned by the graphs.jsonl digest in test_golden.py
+    eth = graph_block(ligand_graph_features(from_smiles("CCO")))
+    assert sorted(eth) == ["edge_features", "edge_list", "feature_names",
+                           "node_features"]
+    assert len(eth["node_features"]) == 3
+    assert all(len(row) == 30 for row in eth["node_features"])
+    assert eth["edge_list"] == [[0, 1], [1, 2]]
+    assert eth["edge_features"] == [[1.0, 0.0, 0.0, 0.0, 0.0]] * 2
+    assert eth["feature_names"] == {"node": list(NODE_FEATURE_NAMES),
+                                    "edge": list(EDGE_FEATURE_NAMES)}
+    ben = graph_block(ligand_graph_features(from_smiles("c1ccccc1")))
+    assert ben["edge_list"][-1] == [5, 0]
+    assert json.loads(json.dumps(ben, sort_keys=True)) == ben

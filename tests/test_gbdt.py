@@ -41,15 +41,14 @@ def leaf_of(tree, x):
     return ~node
 
 
-@pytest.mark.parametrize("splitter", ["histogram", "exact"])
-def test_step_function_is_fit_exactly(splitter):
+def test_step_function_is_fit_exactly():
     # 50/50 binary feature, y = x: base 0.5, one split, leaves -0.5/+0.5.
     # every quantity is dyadic so the fit is bit-exact
     X = np.zeros((100, 1))
     X[50:, 0] = 1.0
     y = X[:, 0].copy()
     params = TrainParams(n_trees=1, max_depth=1, learning_rate=1.0,
-                         min_samples_leaf=1, splitter=splitter)
+                         min_samples_leaf=1)
     model, metrics = train(X, y, params)
     assert model.base_score == 0.5
     assert len(model.trees) == 1
@@ -99,11 +98,10 @@ def test_train_loss_never_increases():
     assert losses[-1] < losses[0]
 
 
-@pytest.mark.parametrize("splitter", ["histogram", "exact"])
-def test_min_samples_leaf_is_respected(splitter):
+def test_min_samples_leaf_is_respected():
     X, y = regression_problem(n=200)
     params = TrainParams(n_trees=3, max_depth=6, learning_rate=0.3,
-                         min_samples_leaf=7, splitter=splitter)
+                         min_samples_leaf=7)
     model, _ = train(X, y, params)
     for tree in model.trees:
         counts = np.zeros(len(tree.leaf_value), dtype=int)
@@ -134,27 +132,11 @@ def test_max_depth_bounds_tree_shape():
 
 def test_thresholds_are_training_values():
     X, y = regression_problem(n=150)
-    for splitter in ("histogram", "exact"):
-        model, _ = train(X, y, TrainParams(n_trees=4, max_depth=4,
-                                           learning_rate=0.2,
-                                           min_samples_leaf=4,
-                                           splitter=splitter))
-        for tree in model.trees:
-            for i, f in enumerate(tree.feature):
-                assert tree.threshold[i] in X[:, f]
-
-
-def test_splitters_agree_when_bins_are_exact():
-    # at most ~100 distinct values per column, far below the bin budget,
-    # so the histogram candidate set equals the exact candidate set
-    rng = np.random.default_rng(42)
-    X = np.round(rng.random((300, 5)), 2)
-    y = 3.0 * X[:, 0] - 2.0 * X[:, 1] + 0.25 * rng.standard_normal(300)
-    hist, _ = train(X, y, TrainParams(n_trees=25, max_depth=4, learning_rate=0.2,
-                                      min_samples_leaf=3, splitter="histogram"))
-    exact, _ = train(X, y, TrainParams(n_trees=25, max_depth=4, learning_rate=0.2,
-                                       min_samples_leaf=3, splitter="exact"))
-    assert np.allclose(hist.predict(X), exact.predict(X), atol=1e-9)
+    model, _ = train(X, y, TrainParams(n_trees=4, max_depth=4,
+                                       learning_rate=0.2, min_samples_leaf=4))
+    for tree in model.trees:
+        for i, f in enumerate(tree.feature):
+            assert tree.threshold[i] in X[:, f]
 
 
 # --- reference: the dense (row, column) bincount split search ----------------
@@ -342,17 +324,13 @@ def test_feature_store_layout():
             FeatureStore(dense=store.dense, bits=bad, nbits=45)
 
 
-PACKED_PARAMS = {**EQUIVALENCE_PARAMS,
-                 "exact splitter": dict(min_samples_leaf=3, splitter="exact")}
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("case", sorted(PACKED_PARAMS))
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_PARAMS))
 def test_packed_trees_match_dense_trees(case, seed):
     store, y = packed_matrix(seed)
     dense = store.toarray()
     params = TrainParams(n_trees=8, max_depth=5, learning_rate=0.3, seed=seed,
-                         **PACKED_PARAMS[case])
+                         **EQUIVALENCE_PARAMS[case])
     packed_model, packed_metrics = train(store, y, params, valid=(store, y))
     dense_model, dense_metrics = train(dense, y, params, valid=(dense, y))
     assert any((t.feature >= store.dense.shape[1]).any()
@@ -462,8 +440,7 @@ def test_params_validation():
     for kwargs in (dict(n_trees=0), dict(max_depth=0), dict(learning_rate=0.0),
                    dict(learning_rate=1.5), dict(min_samples_leaf=0),
                    dict(n_histogram_bins=1), dict(subsample=0.0),
-                   dict(subsample=1.2), dict(early_stopping_rounds=0),
-                   dict(splitter="greedy")):
+                   dict(subsample=1.2), dict(early_stopping_rounds=0)):
         with pytest.raises(ValueError):
             TrainParams(**kwargs)
 
@@ -503,10 +480,15 @@ def test_load_rejects_bad_files(tmp_path):
     import json
     doc = json.loads(path.read_text())
 
-    wrong_version = tmp_path / "v.json"
-    wrong_version.write_text(json.dumps({**doc, "version": "99"}))
-    with pytest.raises(ModelVersionError):
-        load_model(wrong_version)
+    # version 1 documents also carried params.splitter, which no longer exists
+    assert doc["version"] == "2" and "splitter" not in doc["params"]
+    for old, params in (("99", doc["params"]),
+                        ("1", {**doc["params"], "splitter": "histogram"})):
+        wrong_version = tmp_path / "v.json"
+        wrong_version.write_text(json.dumps({**doc, "version": old,
+                                             "params": params}))
+        with pytest.raises(ModelVersionError, match=repr(old)):
+            load_model(wrong_version)
 
     wrong_format = tmp_path / "f.json"
     wrong_format.write_text(json.dumps({**doc, "format": "other-model"}))
@@ -529,6 +511,14 @@ def test_load_rejects_bad_files(tmp_path):
         {**doc, "params": {**doc["params"], "splitter": "greedy"}}))
     with pytest.raises(ModelFormatError):
         load_model(bad_params)
+
+    for field, value, complaint in (("params", None, "params"),
+                                    ("params", [], "params"),
+                                    ("trees", {}, "trees")):
+        wrong_type = tmp_path / "t.json"
+        wrong_type.write_text(json.dumps({**doc, field: value}))
+        with pytest.raises(ModelFormatError, match=complaint):
+            load_model(wrong_type)
 
 
 # Edits of a saved tree (root 0, internal nodes numbered breadth-first) that
@@ -554,6 +544,10 @@ BROKEN_TREES = {
                        "non-finite"),
     "infinite threshold": (lambda t: {"threshold": [float("inf")] + t["threshold"][1:]},
                            "non-finite"),
+    "fractional pointer": (lambda t: {"right": [v + 0.5 for v in t["right"]]},
+                           "JSON integer"),
+    "boolean root": (lambda t: {"root": False}, "JSON integer"),
+    "feature list as an object": (lambda t: {"feature": {"0": 1}}, "JSON list"),
 }
 
 

@@ -10,6 +10,10 @@ featurize and export-graphs digests were recorded before load_dataset
 shared one parsed molecule and receptor among the records that name them.
 featurize wrote a dense float64 X.npy then; its digest now pins np.save of
 the decoded feature store, and the models are trained on the packed store.
+The two featurize.json and the two model digests were re-recorded when the
+exact splitter was removed: the config digest no longer covers a splitter
+key, and model.json lost its "splitter" parameter and moved to version 2.
+Every other byte of both files, the trees included, was unchanged.
 """
 import csv
 import hashlib
@@ -80,10 +84,10 @@ MODEL_PARAMS = dict(n_trees=40, max_depth=3, learning_rate=0.2,
 # extra TrainParams -> sha256 of model.json trained on the fixture features
 GOLDEN_MODELS = {
     "fixture config": (
-        {}, "fc4f1de514aeb75b551ae392b0deaa02c2878c5717589bb600d5510fb480ce8b"),
+        {}, "6969b22937827d9fbbbc317d083fd27317c7ecfdf4f1400c62f3e94a2934a76b"),
     "subsampled, four bins": (
         {"subsample": 0.8, "n_histogram_bins": 4},
-        "88cfa6251a9afc08b3c477c09d9a2e815064d5fa2e3829343b52697ea18c7aaf"),
+        "f2e7f6aee837c11481df4185db04fc0508daacf066030dd42d5a9cda9cb53e35"),
 }
 
 
@@ -104,7 +108,7 @@ GOLDEN_ARTIFACTS = {
     "train/ids.txt":
         "adc6cdcdf6e6eed7b4ab91abe12b78574792b85a107aa787385b3d51bf938076",
     "train/featurize.json":
-        "6543d6e660fa36328e01a133bfc2dbe1d296aa3aa43d7b58a45f259f9b9664af",
+        "278163fcf04cc3ee7082e60ab445e29514ddf6d3e36a632c161c34af975cc893",
     "valid/X.npy":
         "9fc3f9cbeb6257954b1b383831c57049fcc3097b98d216c8ecc22207ccc948a7",
     "valid/descriptors.npy":
@@ -116,7 +120,7 @@ GOLDEN_ARTIFACTS = {
     "valid/ids.txt":
         "040f4b83206c39c76aa2ce74d9598b5659c1eb19eb787038228fe162422b0370",
     "valid/featurize.json":
-        "9fd49050ca275ce8ef5cb27667437da61b654b72d8579640e770dfdcb944140a",
+        "def26d35919c61c841b15ad9cb7da1940ecfe6f4c5ee7bc78580a13542818794",
     "graphs.jsonl":
         "563bec2e7a43ddcc29bc052dd74afd07780470bcc1aa936971e8c8cc156300a9",
 }
