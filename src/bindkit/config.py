@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .dataset import KiBounds
 from .gbdt import TrainParams
@@ -143,16 +143,7 @@ class PipelineConfig:
             "ki_max_nm": self.bounds.max_nm,
             "radius": self.radius,
             "nbits": self.nbits,
-            "gbdt": {
-                "n_trees": self.gbdt.n_trees,
-                "max_depth": self.gbdt.max_depth,
-                "learning_rate": self.gbdt.learning_rate,
-                "min_samples_leaf": self.gbdt.min_samples_leaf,
-                "n_histogram_bins": self.gbdt.n_histogram_bins,
-                "subsample": self.gbdt.subsample,
-                "early_stopping_rounds": self.gbdt.early_stopping_rounds,
-                "seed": self.gbdt.seed,
-            },
+            "gbdt": asdict(self.gbdt),
             "bin_start": self.bin_start,
             "bin_stop": self.bin_stop,
             "bin_width": self.bin_width,
@@ -175,8 +166,7 @@ _SCHEMA = {
     "split": {"ratios"},
     "curation": {"ki_min_nm", "ki_max_nm"},
     "fingerprint": {"radius", "nbits"},
-    "gbdt": {"n_trees", "max_depth", "learning_rate", "min_samples_leaf",
-             "n_histogram_bins", "subsample", "early_stopping_rounds"},
+    "gbdt": tuple(f.name for f in fields(TrainParams) if f.name != "seed"),
     "evaluation": {"bin_start", "bin_stop", "bin_width", "threshold"},
     "paths": {"property_table", "fasta"},
     "featurize": {"workers"},

@@ -559,16 +559,19 @@ def load_model(path) -> GbdtModel:
         trees = tuple(
             Tree(root=_integer(t["root"], "root"),
                  feature=_integers(t["feature"], "feature"),
-                 threshold=np.asarray(t["threshold"], dtype=np.float64),
+                 threshold=_numbers(t["threshold"], "threshold"),
                  left=_integers(t["left"], "left"),
                  right=_integers(t["right"], "right"),
-                 leaf_value=np.asarray(t["leaf_value"], dtype=np.float64))
+                 leaf_value=_numbers(t["leaf_value"], "leaf_value"))
             for t in doc["trees"])
-        model = GbdtModel(base_score=float(doc["base_score"]), trees=trees,
+        degenerate = doc.get("degenerate", False)
+        if type(degenerate) is not bool:
+            raise ModelFormatError("degenerate must be a JSON boolean")
+        model = GbdtModel(base_score=_number(doc["base_score"], "base_score"),
+                          trees=trees,
                           feature_count=_integer(doc["feature_count"],
                                                  "feature_count"),
-                          params=params, degenerate=bool(doc.get("degenerate",
-                                                                 False)))
+                          params=params, degenerate=degenerate)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
     if not math.isfinite(model.base_score):
@@ -595,6 +598,25 @@ def _integers(value, what: str) -> np.ndarray:
         if not isinstance(v, list):
             _integer(v, what)
     return np.asarray(value, dtype=np.int32)
+
+
+def _number(value, what: str) -> float:
+    """A JSON number; float() would also read a boolean as 0 or 1 and a
+    numeric string as its value."""
+    if type(value) not in (int, float):
+        raise ModelFormatError(f"{what} must be a JSON number")
+    return float(value)
+
+
+def _numbers(value, what: str) -> np.ndarray:
+    """A list of JSON numbers as float64.  A nested list passes here and
+    fails the length check of _check_tree."""
+    if not isinstance(value, list):
+        raise ModelFormatError(f"{what} must be a JSON list")
+    for v in value:
+        if not isinstance(v, list):
+            _number(v, what)
+    return np.asarray(value, dtype=np.float64)
 
 
 def _check_tree(tree: Tree, feature_count: int, k: int) -> None:

@@ -199,7 +199,7 @@ def receptor_descriptor(
     stats[:, 1] = per_res.sum(axis=0)
     stats[:, 2] = per_res.min(axis=0)
     stats[:, 3] = per_res.max(axis=0)
-    counts = _composition_counts(residues)
+    counts = _per_residue(residues, _composition_counts).sum(axis=0)
     fractions = counts / len(residues)
     tail = np.array([float(len(residues)), float(residues.count("C") // 2)])
     vector = np.concatenate([stats.ravel(), fractions, tail])

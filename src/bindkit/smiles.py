@@ -13,6 +13,7 @@ reaction SMILES (atom maps), explicit-hydrogen nodes such as ``[H]``.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -76,9 +77,6 @@ VALENCES = {
 # implicit-H rule on aromatic atoms (the lowest standard valence).
 AROMATIC_SYMBOLS = {"b": 5, "c": 6, "n": 7, "o": 8, "p": 15, "s": 16}
 AROMATIC_VALENCE = {5: 3, 6: 4, 7: 3, 8: 2, 15: 3, 16: 2}
-
-_TWO_LETTER = ("Cl", "Br")
-
 
 class ParseError(ValueError):
     """Positioned SMILES error.  ``offset`` is the character offset into the
@@ -174,275 +172,68 @@ class Molecule:
         return adj
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.atoms: list[Atom] = []
-        self.bonds: list[Bond] = []
-        self.bond_keys: set[tuple[int, int]] = set()
-        # ring number -> (atom index, explicit order or None, digit offset)
-        self.open_rings: dict[int, tuple[int, int | None, int]] = {}
-        self.branch_stack: list[tuple[int, int]] = []   # (prev atom, '(' offset)
-        self.prev: int | None = None
-        self.pending_order: int | None = None
-        self.pending_offset = 0
-        self.stereo_warnings = 0
-        self.component_start = 0     # index of first atom of current component
-        self.components: list[tuple[int, ...]] = []
-        self.last_dot_offset: int | None = None
+# One alternative per token kind; parse_smiles dispatches on the name of the
+# group that matched.  Two-letter symbols come first, so Cl is never C + l.
+# Digits are ASCII only.
+_ORGANIC = "|".join(sorted(SYMBOL_TO_NUMBER, key=len, reverse=True))
+_AROMATIC = "".join(AROMATIC_SYMBOLS)
+_TOKEN = re.compile(
+    rf"(?P<organic>{_ORGANIC})|(?P<aromatic>[{_AROMATIC}])|(?P<bracket>\[)"
+    r"|(?P<ring>[0-9]|%[0-9]{2})|(?P<bond>[-=#:/\\])"
+    r"|(?P<open>\()|(?P<close>\))|(?P<dot>\.)")
+_BOND_ORDER = {"-": BOND_SINGLE, "=": BOND_DOUBLE, "#": BOND_TRIPLE,
+               ":": BOND_AROMATIC, "/": BOND_SINGLE, "\\": BOND_SINGLE}
 
-    def error(self, cls, message: str, offset: int | None = None):
-        raise cls(message, self.pos if offset is None else offset)
+# A bracket atom: '[', isotope and element, then any run of @-marks, H-counts
+# and charges up to ']'.  An upper-case letter takes a lower-case one with it,
+# so [Cs] names caesium (unsupported) rather than C followed by s.
+_BRACKET_HEAD = re.compile(rf"\[([0-9]*)(?:([A-Z][a-z]?)|([{_AROMATIC}]))?")
+_BRACKET_PART = re.compile(r"(@+)|H([0-9]*)|(\++|-+)([0-9]*)|\]")
 
-    # --- token helpers -------------------------------------------------
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        return ch
-
-    def take_digits(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    # --- graph construction --------------------------------------------
-
-    def add_atom(self, atom: Atom) -> None:
-        idx = len(self.atoms)
-        self.atoms.append(atom)
-        if self.prev is not None:
-            self.link(self.prev, idx, self.pending_order)
-        elif self.pending_order is not None:
-            self.error(UnknownSymbolError, "bond symbol with no preceding atom",
-                       self.pending_offset)
-        self.pending_order = None
-        self.prev = idx
-
-    def link(self, a: int, b: int, order: int | None, offset: int | None = None) -> None:
-        at = self.pos if offset is None else offset
-        if a == b:
-            self.error(DuplicateBondError, "bond joins an atom to itself", at)
-        if order is None:
-            both_aromatic = self.atoms[a].aromatic and self.atoms[b].aromatic
-            order = BOND_AROMATIC if both_aromatic else BOND_SINGLE
-        key = (a, b) if a < b else (b, a)
-        if key in self.bond_keys:
-            self.error(DuplicateBondError,
-                       f"duplicate bond between atoms {key[0]} and {key[1]}", at)
-        self.bond_keys.add(key)
-        self.bonds.append(Bond(a, b, order))
-
-    def close_component(self, offset: int) -> None:
-        if self.component_start == len(self.atoms):
-            self.error(UnknownSymbolError, "empty component", offset)
-        self.components.append(tuple(range(self.component_start, len(self.atoms))))
-        self.component_start = len(self.atoms)
-
-    # --- token parsing ---------------------------------------------------
-
-    def parse_bracket_atom(self) -> None:
-        start = self.pos
-        self.take()                                    # consume '['
-        isotope: int | None = None
-        digits = self.take_digits()
-        if digits:
-            isotope = int(digits)
-        sym_off = self.pos
-        ch = self.peek()
-        element = None
-        aromatic = False
-        if ch.isupper():
-            two = self.text[self.pos:self.pos + 2]
-            if two in _TWO_LETTER:
-                element = SYMBOL_TO_NUMBER[two]
-                self.pos += 2
-            elif len(two) == 2 and two[1].islower():
-                # a two-letter element outside the supported set (Na, Fe, ...)
-                self.error(UnknownSymbolError, f"unsupported element {two!r}",
-                           sym_off)
-            elif ch in SYMBOL_TO_NUMBER:
-                element = SYMBOL_TO_NUMBER[ch]
-                self.pos += 1
-            else:
-                self.error(UnknownSymbolError, f"unsupported element {ch!r}", sym_off)
-        elif ch in AROMATIC_SYMBOLS:
-            element = AROMATIC_SYMBOLS[ch]
-            aromatic = True
-            self.pos += 1
+def _bracket_atom(text: str, start: int) -> tuple[Atom, int, int]:
+    """The bracket atom that opens at text[start], the offset just past its
+    ']', and the number of @-runs (discarded stereo marks) inside it."""
+    head = _BRACKET_HEAD.match(text, start)
+    isotope, symbol, aromatic = head.groups()
+    pos = head.end()
+    if aromatic:
+        element = AROMATIC_SYMBOLS[aromatic]
+    elif symbol in SYMBOL_TO_NUMBER:
+        element = SYMBOL_TO_NUMBER[symbol]
+    elif symbol:
+        raise UnknownSymbolError(f"unsupported element {symbol!r}", head.start(2))
+    elif pos < len(text):
+        raise UnknownSymbolError(f"expected element symbol, got {text[pos]!r}", pos)
+    else:
+        raise UnknownSymbolError("unterminated bracket atom", pos)
+    explicit_h = charge = stereo = 0
+    while True:
+        part = _BRACKET_PART.match(text, pos)
+        if part is None:
+            if pos < len(text):
+                raise UnknownSymbolError(
+                    f"unexpected {text[pos]!r} in bracket atom", pos)
+            raise UnknownSymbolError("unterminated bracket atom", pos)
+        pos = part.end()
+        marks, hydrogens, sign, digits = part.groups()
+        if marks:
+            stereo += 1
+        elif hydrogens is not None:
+            explicit_h = int(hydrogens) if hydrogens else 1
+        elif sign:
+            if digits and len(sign) > 1:
+                raise UnknownSymbolError("malformed charge", pos - 1)
+            charge = int(digits) if digits else len(sign)
+            if sign[0] == "-":
+                charge = -charge
         else:
-            self.error(UnknownSymbolError,
-                       f"expected element symbol, got {ch!r}" if ch else
-                       "unterminated bracket atom", sym_off if ch else self.pos)
-        explicit_h = 0
-        charge = 0
-        while True:
-            ch = self.peek()
-            if ch == "":
-                self.error(UnknownSymbolError, "unterminated bracket atom")
-            if ch == "]":
-                self.take()
-                break
-            if ch == "@":
-                while self.peek() == "@":
-                    self.take()
-                self.stereo_warnings += 1
-            elif ch == "H":
-                self.take()
-                digits = self.take_digits()
-                explicit_h = int(digits) if digits else 1
-            elif ch in "+-":
-                sign = 1 if ch == "+" else -1
-                self.take()
-                run = 1
-                while self.peek() == ch:
-                    self.take()
-                    run += 1
-                digits = self.take_digits()
-                if digits:
-                    if run > 1:
-                        self.error(UnknownSymbolError, "malformed charge", self.pos - 1)
-                    charge = sign * int(digits)
-                else:
-                    charge = sign * run
-            else:
-                self.error(UnknownSymbolError, f"unexpected {ch!r} in bracket atom")
-        self.add_atom(Atom(element=element, formal_charge=charge, isotope=isotope,
-                           aromatic=aromatic, explicit_h=explicit_h,
-                           bracket=True, offset=start))
-
-    def parse_ring_closure(self) -> None:
-        offset = self.pos
-        ch = self.take()
-        if ch == "%":
-            d1 = self.peek()
-            if not d1.isdigit():
-                self.error(UnknownSymbolError, "%% must be followed by two digits", offset)
-            self.take()
-            d2 = self.peek()
-            if not d2.isdigit():
-                self.error(UnknownSymbolError, "%% must be followed by two digits", offset)
-            self.take()
-            number = int(d1 + d2)
-        else:
-            number = int(ch)
-        if self.prev is None:
-            self.error(UnknownSymbolError, "ring closure with no preceding atom", offset)
-        if number in self.open_rings:
-            other, stored_order, _ = self.open_rings.pop(number)
-            order = self.pending_order
-            if order is not None and stored_order is not None and order != stored_order:
-                self.error(DuplicateBondError,
-                           "conflicting bond orders on ring closure", offset)
-            self.link(self.prev, other, order if order is not None else stored_order,
-                      offset)
-        else:
-            self.open_rings[number] = (self.prev, self.pending_order, offset)
-        self.pending_order = None
-
-    def set_pending(self, order: int, offset: int) -> None:
-        if self.pending_order is not None:
-            self.error(UnknownSymbolError, "consecutive bond symbols", offset)
-        if self.prev is None:
-            self.error(UnknownSymbolError, "bond symbol with no preceding atom", offset)
-        self.pending_order = order
-        self.pending_offset = offset
-
-    def run(self) -> Molecule:
-        text = self.text
-        # surrounding whitespace is insignificant; embedded whitespace is not
-        begin = 0
-        end = len(text)
-        while begin < end and text[begin].isspace():
-            begin += 1
-        while end > begin and text[end - 1].isspace():
-            end -= 1
-        if begin == end:
-            raise EmptyInputError("empty SMILES input", 0)
-        self.pos = begin
-        while self.pos < end:
-            ch = self.peek()
-            if ch.isspace():
-                self.error(UnknownSymbolError, "embedded whitespace")
-            elif ch == "[":
-                self.parse_bracket_atom()
-            elif ch.isupper():
-                offset = self.pos
-                two = text[self.pos:self.pos + 2]
-                if two in _TWO_LETTER:
-                    self.pos += 2
-                    self.add_atom(Atom(element=SYMBOL_TO_NUMBER[two], offset=offset))
-                elif ch in SYMBOL_TO_NUMBER:
-                    self.pos += 1
-                    self.add_atom(Atom(element=SYMBOL_TO_NUMBER[ch], offset=offset))
-                else:
-                    self.error(UnknownSymbolError, f"unknown symbol {ch!r}")
-            elif ch in AROMATIC_SYMBOLS:
-                offset = self.pos
-                self.pos += 1
-                self.add_atom(Atom(element=AROMATIC_SYMBOLS[ch], aromatic=True,
-                                   offset=offset))
-            elif ch.isdigit() or ch == "%":
-                self.parse_ring_closure()
-            elif ch == "-":
-                self.set_pending(BOND_SINGLE, self.pos)
-                self.take()
-            elif ch == "=":
-                self.set_pending(BOND_DOUBLE, self.pos)
-                self.take()
-            elif ch == "#":
-                self.set_pending(BOND_TRIPLE, self.pos)
-                self.take()
-            elif ch == ":":
-                self.set_pending(BOND_AROMATIC, self.pos)
-                self.take()
-            elif ch in "/\\":
-                # cis/trans marker: keep the single bond, drop the geometry
-                self.set_pending(BOND_SINGLE, self.pos)
-                self.stereo_warnings += 1
-                self.take()
-            elif ch == "(":
-                if self.prev is None:
-                    self.error(UnbalancedParenError, "branch opened before any atom")
-                self.branch_stack.append((self.prev, self.pos))
-                self.take()
-            elif ch == ")":
-                if not self.branch_stack:
-                    self.error(UnbalancedParenError, "unmatched ')'")
-                if self.pending_order is not None:
-                    self.error(UnknownSymbolError, "dangling bond", self.pending_offset)
-                self.prev = self.branch_stack.pop()[0]
-                self.take()
-            elif ch == ".":
-                if self.pending_order is not None:
-                    self.error(UnknownSymbolError, "bond symbol before dot")
-                self.close_component(self.pos)
-                self.prev = None
-                self.last_dot_offset = self.pos
-                self.take()
-            else:
-                self.error(UnknownSymbolError, f"unknown symbol {ch!r}")
-
-        if self.pending_order is not None:
-            raise UnknownSymbolError("dangling bond", self.pending_offset)
-        if self.branch_stack:
-            raise UnbalancedParenError("unclosed '('", self.branch_stack[0][1])
-        if self.open_rings:
-            first = min(off for (_, _, off) in self.open_rings.values())
-            raise UnclosedRingError("unclosed ring bond", first)
-        if self.component_start == len(self.atoms):
-            raise UnknownSymbolError(
-                "empty component",
-                end if self.last_dot_offset is None else self.last_dot_offset)
-        self.components.append(tuple(range(self.component_start, len(self.atoms))))
-        return Molecule(atoms=tuple(self.atoms), bonds=tuple(self.bonds),
-                        source=text, components=tuple(self.components),
-                        stereo_warnings=self.stereo_warnings)
+            break
+    atom = Atom(element=element, formal_charge=charge,
+                isotope=int(isotope) if isotope else None,
+                aromatic=bool(aromatic), explicit_h=explicit_h,
+                bracket=True, offset=start)
+    return atom, pos, stereo
 
 
 def parse_smiles(text: str) -> Molecule:
@@ -454,7 +245,126 @@ def parse_smiles(text: str) -> Molecule:
     """
     if not isinstance(text, str):
         raise TypeError("SMILES input must be a string")
-    return _Parser(text).run()
+    # surrounding whitespace is insignificant; embedded whitespace is not
+    pos = len(text) - len(text.lstrip())
+    end = len(text.rstrip())
+    if pos >= end:
+        raise EmptyInputError("empty SMILES input", 0)
+    atoms: list[Atom] = []
+    bonds: list[Bond] = []
+    bond_keys: set[tuple[int, int]] = set()
+    rings: dict[int, tuple[int, int | None, int]] = {}  # label -> (atom, order, offset)
+    branches: list[tuple[int, int]] = []               # (atom before '(', offset)
+    components: list[tuple[int, ...]] = []
+    prev: int | None = None       # the atom the next atom or ring label bonds to
+    order: int | None = None      # explicit order of the next bond
+    order_at = 0
+    stereo = 0
+    first = 0                     # first atom of the current component
+    dot = end                     # offset of the last '.'
+    while pos < end:
+        match = _TOKEN.match(text, pos)
+        at = pos
+        if match is None:
+            ch = text[at]
+            if ch.isspace():
+                raise UnknownSymbolError("embedded whitespace", at)
+            if ch == "%":
+                raise UnknownSymbolError("%% must be followed by two digits", at)
+            raise UnknownSymbolError(f"unknown symbol {ch!r}", at)
+        pos = match.end()
+        kind = match.lastgroup
+        token = match.group()
+        if kind == "organic":
+            atom = Atom(element=SYMBOL_TO_NUMBER[token], offset=at)
+        elif kind == "aromatic":
+            atom = Atom(element=AROMATIC_SYMBOLS[token], aromatic=True, offset=at)
+        elif kind == "bracket":
+            atom, pos, marks = _bracket_atom(text, at)
+            stereo += marks
+        elif kind == "ring":
+            if prev is None:
+                raise UnknownSymbolError("ring closure with no preceding atom", at)
+            label = int(token.lstrip("%"))
+            if label not in rings:
+                rings[label] = (prev, order, at)
+                order = None
+                continue
+            other, opened, _ = rings.pop(label)
+            if order is not None and opened is not None and order != opened:
+                raise DuplicateBondError(
+                    "conflicting bond orders on ring closure", at)
+            if other == prev:
+                raise DuplicateBondError("bond joins an atom to itself", at)
+            key = (other, prev) if other < prev else (prev, other)
+            if key in bond_keys:
+                raise DuplicateBondError(
+                    f"duplicate bond between atoms {key[0]} and {key[1]}", at)
+            if order is None:
+                order = opened
+            if order is None:
+                both = atoms[prev].aromatic and atoms[other].aromatic
+                order = BOND_AROMATIC if both else BOND_SINGLE
+            bond_keys.add(key)
+            bonds.append(Bond(prev, other, order))
+            order = None
+            continue
+        elif kind == "bond":
+            if order is not None:
+                raise UnknownSymbolError("consecutive bond symbols", at)
+            if prev is None:
+                raise UnknownSymbolError("bond symbol with no preceding atom", at)
+            order = _BOND_ORDER[token]
+            order_at = at
+            if token in "/\\":
+                stereo += 1       # cis/trans mark: keep the single bond only
+            continue
+        elif kind == "open":
+            if prev is None:
+                raise UnbalancedParenError("branch opened before any atom", at)
+            branches.append((prev, at))
+            continue
+        elif kind == "close":
+            if not branches:
+                raise UnbalancedParenError("unmatched ')'", at)
+            if order is not None:
+                raise UnknownSymbolError("dangling bond", order_at)
+            prev = branches.pop()[0]
+            continue
+        else:
+            if order is not None:
+                raise UnknownSymbolError("bond symbol before dot", at)
+            if first == len(atoms):
+                raise UnknownSymbolError("empty component", at)
+            components.append(tuple(range(first, len(atoms))))
+            first = len(atoms)
+            prev = None
+            dot = at
+            continue
+        # an atom: bond it to the previous one
+        idx = len(atoms)
+        if prev is not None:
+            if order is None:
+                both = atoms[prev].aromatic and atom.aromatic
+                order = BOND_AROMATIC if both else BOND_SINGLE
+            bond_keys.add((prev, idx))
+            bonds.append(Bond(prev, idx, order))
+            order = None
+        atoms.append(atom)
+        prev = idx
+
+    if order is not None:
+        raise UnknownSymbolError("dangling bond", order_at)
+    if branches:
+        raise UnbalancedParenError("unclosed '('", branches[0][1])
+    if rings:
+        raise UnclosedRingError("unclosed ring bond",
+                                min(offset for _, _, offset in rings.values()))
+    if first == len(atoms):
+        raise UnknownSymbolError("empty component", dot)
+    components.append(tuple(range(first, len(atoms))))
+    return Molecule(atoms=tuple(atoms), bonds=tuple(bonds), source=text,
+                    components=tuple(components), stereo_warnings=stereo)
 
 
 def _implicit_hydrogens(mol: Molecule) -> list[int]:

@@ -126,6 +126,17 @@ def test_ingest_without_fasta_drops_references(tmp_path):
     assert prov["n_records"] == 25
 
 
+def test_non_ascii_digit_in_smiles_is_a_bad_smiles_drop(tmp_path):
+    # str.isdigit accepts the superscript two, which int() then rejects
+    raw = tmp_path / "raw.tsv"
+    raw.write_text(pathlib.Path(RAW).read_text(encoding="utf-8")
+                   + "ACDEFGHIKLMNPQRSTVWY\tC\u00b2\t10.0\n", encoding="utf-8")
+    out = tmp_path / "dataset"
+    assert main(["--quiet", "ingest", "--in", str(raw), "--out", str(out)]) == 0
+    prov = json.loads((out / "provenance.json").read_text())
+    assert prov["drops"]["bad_smiles"] == EXPECTED_DROPS["bad_smiles"] + 1
+
+
 def test_featurize_artifacts(pipeline):
     train_dir = pathlib.Path(pipeline["feats"]["train"])
     assert sorted(p.name for p in train_dir.iterdir()) == [
@@ -335,6 +346,7 @@ def test_bad_log_ki_in_dataset_exits_2(pipeline, tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("column,bad,message", [
     (4, "C1CC", "unclosed ring bond"),
+    (4, "C\u00b2", "unknown symbol"),
     (3, "MKV1", "illegal residue"),
 ])
 def test_bad_structure_in_dataset_names_its_line(pipeline, tmp_path, capsys,
@@ -539,6 +551,10 @@ MODEL_EDITS = {
     "fractional pointer": lambda doc: {**doc, "trees": [
         {**t, "right": [v + 0.5 for v in t["right"]]} for t in doc["trees"]]},
     "version 1": lambda doc: {**doc, "version": "1"},
+    "boolean leaf value": lambda doc: {**doc, "trees": [
+        {**t, "leaf_value": [True] + t["leaf_value"][1:]} for t in doc["trees"]]},
+    "string base score": lambda doc: {**doc, "base_score": "1.5"},
+    "string degenerate flag": lambda doc: {**doc, "degenerate": "no"},
 }
 
 

@@ -514,7 +514,11 @@ def test_load_rejects_bad_files(tmp_path):
 
     for field, value, complaint in (("params", None, "params"),
                                     ("params", [], "params"),
-                                    ("trees", {}, "trees")):
+                                    ("trees", {}, "trees"),
+                                    ("base_score", "1.5", "JSON number"),
+                                    ("base_score", True, "JSON number"),
+                                    ("degenerate", "no", "JSON boolean"),
+                                    ("degenerate", 0, "JSON boolean")):
         wrong_type = tmp_path / "t.json"
         wrong_type.write_text(json.dumps({**doc, field: value}))
         with pytest.raises(ModelFormatError, match=complaint):
@@ -548,6 +552,11 @@ BROKEN_TREES = {
                            "JSON integer"),
     "boolean root": (lambda t: {"root": False}, "JSON integer"),
     "feature list as an object": (lambda t: {"feature": {"0": 1}}, "JSON list"),
+    "boolean leaf value": (lambda t: {"leaf_value": [True] + t["leaf_value"][1:]},
+                           "JSON number"),
+    "string threshold": (lambda t: {"threshold": ["0.5"] + t["threshold"][1:]},
+                         "JSON number"),
+    "threshold list as a number": (lambda t: {"threshold": 0.5}, "JSON list"),
 }
 
 

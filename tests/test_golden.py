@@ -14,11 +14,14 @@ The two featurize.json and the two model digests were re-recorded when the
 exact splitter was removed: the config digest no longer covers a splitter
 key, and model.json lost its "splitter" parameter and moved to version 2.
 Every other byte of both files, the trees included, was unchanged.
+The parse-outcome digests were recorded from the character-at-a-time
+parser, before SMILES were cut into tokens by one regular expression.
 """
 import csv
 import hashlib
 import io
 import pathlib
+import random
 import shutil
 
 import numpy as np
@@ -29,7 +32,7 @@ from bindkit.dataset import load_features, pair_key
 from bindkit.fasta import ProteinSequence
 from bindkit.gbdt import TrainParams, save_model, train
 from bindkit.ligand_features import ecfp
-from bindkit.smiles import from_smiles
+from bindkit.smiles import ParseError, from_smiles, parse_smiles
 
 CORPUS = pathlib.Path(__file__).parent / "fixtures" / "corpus.tsv"
 RECEPTOR = ProteinSequence(id="recA", residues="MKTWQENLGSHMAAALDEFKR")
@@ -178,3 +181,68 @@ def test_pinned_model_bytes(name, fixture_features, tmp_path):
     path = tmp_path / "model.json"
     save_model(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# --- parse outcomes --------------------------------------------------------------
+
+# Pieces of ASCII SMILES.  Strings drawn from the first set often parse;
+# strings drawn from both are mostly malformed: near-atoms, bracket parts,
+# bad ring labels, whitespace and stray symbols.
+VALID_PIECES = (
+    "C", "C", "c", "c", "N", "n", "O", "o", "S", "s", "P", "B", "F", "I",
+    "Cl", "Br", "[nH]", "[NH4+]", "[O-]", "[13CH3]", "[C@@H]", "[S+2]",
+    "=", "#", ":", "/", "\\", "1", "2", "%12", "(", ")", "(C)", "(=O)", ".",
+)
+SOUP_PIECES = VALID_PIECES + (
+    "p", "b", "Cs", "Bra", "H", "X", "a", "l", "*", "[", "]", "[C", "[13",
+    "[Na", "[Xe]", "@", "H2", "+", "++", "-", "--", "+2", "-3", "0", "9",
+    "%", "%1", "%01", " ", "\t", ",", "$",
+)
+
+
+def token_soup(n=2000, seed=20191018):
+    """n strings of 1 to 14 pieces, the same on every run."""
+    rng = random.Random(seed)
+    return ["".join(rng.choice(pieces) for _ in range(rng.randrange(1, 15)))
+            for pieces in (rng.choice((VALID_PIECES, SOUP_PIECES))
+                           for _ in range(n))]
+
+
+def parse_outcome(text):
+    """The repr of the parsed molecule, or the error's class, offset and
+    message."""
+    try:
+        return repr(parse_smiles(text))
+    except ParseError as exc:
+        return f"{type(exc).__name__} {exc.offset} {exc}"
+
+
+def fixture_column(name, column):
+    with open(FIXTURES / name, encoding="utf-8", newline="") as fh:
+        return [row[column] for row in csv.DictReader(fh, delimiter="\t")]
+
+
+# input set -> (number of inputs, sha256 of their outcomes, one line each)
+GOLDEN_PARSES = {
+    "corpus": (
+        54, "bb1570af89efe5eef4d1c5f40252bf34d17e3f2e74146ebbe49ffe32cdc58fdb"),
+    "malformed": (
+        15, "47671a23b52395060b5dd35eef8b055fabd4ce6595773351befd3231a23e827b"),
+    "token soup": (
+        2000, "077dfbb9b2a31d7776e7f5b4853b0b70f025cb569c9de1d452d44f100a0f02b9"),
+}
+
+PARSE_INPUTS = {
+    "corpus": lambda: fixture_column("corpus.tsv", "smiles"),
+    "malformed": lambda: fixture_column("malformed.tsv", "smiles"),
+    "token soup": token_soup,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PARSES))
+def test_pinned_parse_outcomes(name):
+    texts = [t for t in PARSE_INPUTS[name]() if t.isascii()]
+    lines = "".join(f"{text!r}\t{parse_outcome(text)}\n" for text in texts)
+    count, digest = GOLDEN_PARSES[name]
+    assert len(texts) == count
+    assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == digest

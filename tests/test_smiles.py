@@ -431,3 +431,18 @@ token_soup = st.lists(st.sampled_from(ATOM_TOKENS + BOND_TOKENS + TAIL_TOKENS
 @given(st.one_of(chain_smiles, token_soup))
 def test_from_smiles_equals_staged_build_on_random_text(text):
     assert_one_pass_matches_stages(text)
+
+
+# The SMILES alphabet plus non-ASCII digits (superscript two, Arabic-Indic
+# three, Devanagari five), letters and a no-break space.  str.isdigit takes
+# all three digits; the parser must treat them as unknown symbols.
+ALPHABET = "CcNnOoSsPpBbFIlrHX[]()=#:/\\@+-%.0123456789 ²٣५Éé\u00a0"
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(st.text(alphabet=ALPHABET, max_size=20))
+def test_any_text_fails_only_with_a_parse_error(text):
+    try:
+        from_smiles(text)
+    except sm.ParseError:
+        pass
