@@ -195,27 +195,49 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     return 0
 
 
+def _block_json(features, rows: dict[bytes, str]) -> str:
+    """json.dumps(graph_block(features), sort_keys=True), assembled with the
+    JSON of each node row looked up in ``rows`` by the row's float64 bytes
+    and serialized only when it is new.  Bytes, not values, are the key:
+    -0.0 == 0.0, but json.dumps writes them differently."""
+    block = graph_block(features)
+    parts = []
+    for values, row in zip(features.node_features, block["node_features"]):
+        key = values.tobytes()
+        text = rows.get(key)
+        if text is None:
+            text = rows[key] = json.dumps(row)
+        parts.append(text)
+    nodes = "[" + ", ".join(parts) + "]"
+    # json.dumps joins items with ", " and keys with ": ", in key order
+    return "{" + ", ".join(
+        f"{json.dumps(name)}: " + (nodes if name == "node_features" else
+                                   json.dumps(value, sort_keys=True))
+        for name, value in sorted(block.items())) + "}"
+
+
 def cmd_export_graphs(args, cfg: PipelineConfig) -> int:
     dataset = ds_mod.load_dataset(args.dataset)
     table = _table_for(cfg)
     records = dataset.subset(args.subset)
     if not records:
         raise DatasetError(f"subset {args.subset!r} is empty")
-    # Each distinct block is serialized once; a line is then assembled from
-    # those strings exactly as json.dumps(line, sort_keys=True) writes it.
+    # Each distinct block and node row is serialized once; a line is then
+    # assembled from those strings exactly as json.dumps(line,
+    # sort_keys=True) writes it.
+    rows: dict[bytes, str] = {}
     lig_json: dict[str, str] = {}
     rec_json: dict[str, str] = {}
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for rec in records:
             lig = lig_json.get(rec.ligand.source)
             if lig is None:
-                lig = lig_json[rec.ligand.source] = json.dumps(
-                    graph_block(ligand_graph_features(rec.ligand)), sort_keys=True)
+                lig = lig_json[rec.ligand.source] = _block_json(
+                    ligand_graph_features(rec.ligand), rows)
             rgraph = rec_json.get(rec.receptor.residues)
             if rgraph is None:
-                rgraph = rec_json[rec.receptor.residues] = json.dumps(
-                    graph_block(receptor_graph_features(rec.receptor, table)),
-                    sort_keys=True)
+                rgraph = rec_json[rec.receptor.residues] = _block_json(
+                    receptor_graph_features(rec.receptor, table), rows)
             fh.write(f'{{"id": {json.dumps(rec.pair_key)}, "ligand": {lig}, '
                      f'"receptor": {rgraph}}}\n')
     log.info("exported %d pair graphs -> %s", len(records), args.out)

@@ -8,6 +8,9 @@ discarded; each discarded marker bumps ``Molecule.stereo_warnings``.
 Aromaticity is trusted from the input: lowercase atoms are aromatic, no
 perception or kekulization is performed, and kekulized inputs are left alone.
 
+Atoms and bonds are named tuples, built once each from a positional field
+tuple; an annotation pass shares every atom and bond it leaves unchanged.
+
 Out of scope by design: canonical SMILES output, tautomers, 3D geometry,
 reaction SMILES (atom maps), explicit-hydrogen nodes such as ``[H]``.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Atom",
@@ -115,8 +119,11 @@ class ValenceError(ParseError):
         self.atom_index = atom_index
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
+    """One heavy atom.  A named tuple: immutable, compared and hashed as
+    the tuple of its fields (so it equals a plain tuple of them); copy one
+    with ``_replace``."""
+
     element: int                 # atomic number
     formal_charge: int = 0
     isotope: int | None = None
@@ -136,8 +143,9 @@ class Atom:
         return self.explicit_h + self.implicit_h
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(NamedTuple):
+    """One undirected bond between atoms ``a`` and ``b``, in source order."""
+
     a: int
     b: int
     order: int                   # BOND_SINGLE/DOUBLE/TRIPLE/AROMATIC
@@ -148,12 +156,20 @@ class Bond:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
 
+# The parser and _annotated build atoms and bonds as _new(Atom, fields) with
+# every field given in order: a plain tuple allocation, without the keyword
+# handling of the generated Atom.__new__.
+_new = tuple.__new__
+
+
 @dataclass(frozen=True)
 class Molecule:
-    """Immutable molecular graph.  parse_smiles gives the bare graph;
-    assign_implicit_hydrogens and perceive_rings each return a new molecule
-    with their annotation added, and from_smiles builds the fully annotated
-    molecule in one pass."""
+    """Immutable molecular graph over Atom and Bond tuples.  parse_smiles
+    gives the bare graph; assign_implicit_hydrogens and perceive_rings each
+    return a new molecule with their annotation added, and from_smiles
+    builds the fully annotated molecule in one pass.  The molecule is a
+    frozen dataclass (one per ligand); its atoms and bonds, built by the
+    thousand, are named tuples."""
 
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
@@ -191,11 +207,25 @@ _BRACKET_HEAD = re.compile(rf"\[([0-9]*)(?:([A-Z][a-z]?)|([{_AROMATIC}]))?")
 _BRACKET_PART = re.compile(r"(@+)|H([0-9]*)|(\++|-+)([0-9]*)|\]")
 
 
+# An isotope, H count or charge has at most this many digits, so every
+# value fits in 32 bits; a longer run is an UnknownSymbolError at its start.
+_MAX_DIGITS = 9
+
+
+def _number(digits: str, offset: int, what: str) -> int:
+    """int(digits), or UnknownSymbolError at offset for a run too long."""
+    if len(digits) > _MAX_DIGITS:
+        raise UnknownSymbolError(
+            f"{what} longer than {_MAX_DIGITS} digits", offset)
+    return int(digits)
+
+
 def _bracket_atom(text: str, start: int) -> tuple[Atom, int, int]:
     """The bracket atom that opens at text[start], the offset just past its
     ']', and the number of @-runs (discarded stereo marks) inside it."""
     head = _BRACKET_HEAD.match(text, start)
     isotope, symbol, aromatic = head.groups()
+    isotope = _number(isotope, start + 1, "isotope") if isotope else None
     pos = head.end()
     if aromatic:
         element = AROMATIC_SYMBOLS[aromatic]
@@ -220,19 +250,19 @@ def _bracket_atom(text: str, start: int) -> tuple[Atom, int, int]:
         if marks:
             stereo += 1
         elif hydrogens is not None:
-            explicit_h = int(hydrogens) if hydrogens else 1
+            explicit_h = (_number(hydrogens, part.start(2), "hydrogen count")
+                          if hydrogens else 1)
         elif sign:
             if digits and len(sign) > 1:
                 raise UnknownSymbolError("malformed charge", pos - 1)
-            charge = int(digits) if digits else len(sign)
+            charge = (_number(digits, part.start(4), "charge") if digits
+                      else len(sign))
             if sign[0] == "-":
                 charge = -charge
         else:
             break
-    atom = Atom(element=element, formal_charge=charge,
-                isotope=int(isotope) if isotope else None,
-                aromatic=bool(aromatic), explicit_h=explicit_h,
-                bracket=True, offset=start)
+    atom = _new(Atom, (element, charge, isotope, bool(aromatic), explicit_h,
+                       0, False, True, start))
     return atom, pos, stereo
 
 
@@ -276,9 +306,11 @@ def parse_smiles(text: str) -> Molecule:
         kind = match.lastgroup
         token = match.group()
         if kind == "organic":
-            atom = Atom(element=SYMBOL_TO_NUMBER[token], offset=at)
+            atom = _new(Atom, (SYMBOL_TO_NUMBER[token], 0, None, False, 0, 0,
+                               False, False, at))
         elif kind == "aromatic":
-            atom = Atom(element=AROMATIC_SYMBOLS[token], aromatic=True, offset=at)
+            atom = _new(Atom, (AROMATIC_SYMBOLS[token], 0, None, True, 0, 0,
+                               False, False, at))
         elif kind == "bracket":
             atom, pos, marks = _bracket_atom(text, at)
             stereo += marks
@@ -306,7 +338,7 @@ def parse_smiles(text: str) -> Molecule:
                 both = atoms[prev].aromatic and atoms[other].aromatic
                 order = BOND_AROMATIC if both else BOND_SINGLE
             bond_keys.add(key)
-            bonds.append(Bond(prev, other, order))
+            bonds.append(_new(Bond, (prev, other, order, False)))
             order = None
             continue
         elif kind == "bond":
@@ -348,7 +380,7 @@ def parse_smiles(text: str) -> Molecule:
                 both = atoms[prev].aromatic and atom.aromatic
                 order = BOND_AROMATIC if both else BOND_SINGLE
             bond_keys.add((prev, idx))
-            bonds.append(Bond(prev, idx, order))
+            bonds.append(_new(Bond, (prev, idx, order, False)))
             order = None
         atoms.append(atom)
         prev = idx
@@ -451,8 +483,8 @@ def _annotated(mol: Molecule, implicit_h: list[int] | None,
     and from_smiles return.  ``implicit_h`` (from _implicit_hydrogens) or
     ``bridges`` (from _bridges) left as None keeps that annotation, and its
     flag, as they are on ``mol``.  An atom or bond whose annotation does not
-    change is shared, as all three are frozen; every other one is
-    constructed once."""
+    change is shared, as all three are immutable; every other one is
+    constructed once, from its fields with the annotation swapped in."""
     atoms = mol.atoms
     bonds = mol.bonds
     h_assigned = mol.h_assigned or implicit_h is not None
@@ -469,13 +501,12 @@ def _annotated(mol: Molecule, implicit_h: list[int] | None,
             if ring:
                 atom_ring[a] = atom_ring[b] = True
             ring_bonds.append(bond if bond.in_ring == ring
-                              else Bond(a, b, bond.order, ring))
+                              else _new(Bond, (a, b, bond.order, ring)))
         bonds = tuple(ring_bonds)
+    # fields 5 and 6 of an Atom are implicit_h and in_ring
     return Molecule(
         atoms=tuple(atom if atom.implicit_h == h and atom.in_ring == in_ring
-                    else Atom(atom.element, atom.formal_charge, atom.isotope,
-                              atom.aromatic, atom.explicit_h, h, in_ring,
-                              atom.bracket, atom.offset)
+                    else _new(Atom, atom[:5] + (h, in_ring) + atom[7:])
                     for atom, h, in_ring in zip(atoms, implicit_h, atom_ring)),
         bonds=bonds,
         source=mol.source,

@@ -5,6 +5,7 @@ drops 3 (2 structural, 1 unparseable number) and curation drops 11 more,
 leaving 31 surviving rows that merge into 28 unique pairs (25 when the
 FASTA references cannot resolve).
 """
+import collections
 import json
 import pathlib
 import shutil
@@ -16,10 +17,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bindkit.cli import main
+import bindkit.cli
+import bindkit.smiles
+from bindkit.cli import _block_json, main
 from bindkit.config import load_config
-from bindkit.dataset import load_features
+from bindkit.dataset import load_dataset, load_features
 from bindkit.gbdt import load_model
+from bindkit.ligand_features import graph_block
+from bindkit.protein_features import (
+    PROPERTIES,
+    STANDARD_ORDER,
+    ReceptorGraphFeatures,
+    default_table,
+    load_property_table,
+    receptor_graph_features,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 RAW = str(FIXTURES / "raw_affinities.tsv")
@@ -226,6 +238,76 @@ def test_export_graph_artifacts(pipeline):
     assert len(rec["receptor"]["edge_list"]) == n_res - 1
 
 
+def test_block_json_keys_rows_by_their_bytes():
+    nodes = np.zeros((3, 29))
+    nodes[:, 1] = 1.0
+    nodes[0, 0] = -0.0
+    features = ReceptorGraphFeatures(node_features=nodes,
+                                     edge_list=((0, 1), (1, 2)))
+    rows = {}
+    text = _block_json(features, rows)
+    # -0.0 == 0.0, so a cache keyed by value would write row 0 twice
+    assert text == json.dumps(graph_block(features), sort_keys=True)
+    assert text.count("[-0.0, 1.0, ") == 1 and text.count("[0.0, 1.0, ") == 2
+    assert len(rows) == 2
+
+
+def test_export_graphs_keeps_the_sign_of_zero(pipeline, tmp_path):
+    # A and G share every property but the sign of a zero charge.
+    rows = dict(default_table().rows)
+    rows["A"] = (-0.0,) + tuple(rows["A"][1:])
+    rows["G"] = (0.0,) + tuple(rows["A"][1:])
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(
+        ["code," + ",".join(PROPERTIES)]
+        + [aa + "," + ",".join(map(repr, rows[aa])) for aa in STANDARD_ORDER])
+        + "\n")
+    cfg = tmp_path / "table.toml"
+    cfg.write_text(f'[paths]\nproperty_table = "{table}"\n')
+    out = tmp_path / "graphs.jsonl"
+    assert main(["--config", str(cfg), "--quiet", "export-graphs", "--dataset",
+                 pipeline["data"], "--subset", "all", "--out", str(out)]) == 0
+    text = out.read_text()
+    records = load_dataset(pipeline["data"]).records
+    assert len(text.splitlines()) == len(records)
+    loaded = load_property_table(table)
+    for line, rec in zip(text.splitlines(), records):
+        receptor = json.dumps(graph_block(receptor_graph_features(
+            rec.receptor, loaded)), sort_keys=True)
+        assert line.endswith(f'"receptor": {receptor}}}')
+    assert "[-0.0, " in text
+
+
+def counted(monkeypatch, module, name, calls):
+    """Wrap module.name, where its callers look it up, in a call counter,
+    as the perfbench tracer does."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_traced_names_are_called_once_per_distinct_object(pipeline, tmp_path,
+                                                          monkeypatch):
+    calls = collections.Counter()
+    counted(monkeypatch, bindkit.smiles, "parse_smiles", calls)
+    records = load_dataset(pipeline["data"]).records
+    ligands = {rec.ligand.source for rec in records}
+    receptors = {rec.receptor.residues for rec in records}
+    assert calls["parse_smiles"] == len(ligands) < len(records)
+    for name in ("ligand_graph_features", "receptor_graph_features"):
+        counted(monkeypatch, bindkit.cli, name, calls)
+    calls.clear()
+    assert main(["--config", pipeline["cfg"], "--quiet", "export-graphs",
+                 "--dataset", pipeline["data"], "--subset", "all",
+                 "--out", str(tmp_path / "g.jsonl")]) == 0
+    assert calls == {"parse_smiles": len(ligands),
+                     "ligand_graph_features": len(ligands),
+                     "receptor_graph_features": len(receptors)}
+
+
 def test_pipeline_is_deterministic(pipeline, tmp_path):
     cfg = pipeline["cfg"]
     data2 = str(tmp_path / "dataset2")
@@ -347,6 +429,7 @@ def test_bad_log_ki_in_dataset_exits_2(pipeline, tmp_path, capsys, bad):
 @pytest.mark.parametrize("column,bad,message", [
     (4, "C1CC", "unclosed ring bond"),
     (4, "C\u00b2", "unknown symbol"),
+    (4, "[C+99999999999999999999]", "charge longer than 9 digits"),
     (3, "MKV1", "illegal residue"),
 ])
 def test_bad_structure_in_dataset_names_its_line(pipeline, tmp_path, capsys,
@@ -687,3 +770,60 @@ def test_damaged_feature_arrays_never_exit_3(pipeline, damage):
                      ["train", "--train", str(feats), "--out",
                       str(pathlib.Path(tmp) / "m.json")]):
             assert main(["--quiet", "--config", pipeline["cfg"], *argv]) in (0, 2)
+
+
+# --- raw TSV: long digit runs and fuzzing ----------------------------------
+
+LONG_DIGIT_LIGANDS = ("[" + "1" * 5000 + "C]", "[CH" + "1" * 5000 + "]",
+                      "[C+" + "1" * 5000 + "]", "[C+99999999999999999999]")
+
+
+def test_long_bracket_digit_runs_are_bad_smiles(pipeline, tmp_path):
+    raw = tmp_path / "raw.tsv"
+    raw.write_text(pathlib.Path(RAW).read_text() + "".join(
+        f"ACDEFGHIKL\t{smiles}\t10\n" for smiles in LONG_DIGIT_LIGANDS))
+    out = tmp_path / "dataset"
+    assert main(["--config", pipeline["cfg"], "--quiet", "ingest",
+                 "--in", str(raw), "--out", str(out)]) == 0
+    prov = json.loads((out / "provenance.json").read_text())
+    assert prov["drops"] == dict(EXPECTED_DROPS, bad_smiles=3 + 4)
+    assert (out / "dataset.tsv").read_text() == \
+        (pathlib.Path(pipeline["data"]) / "dataset.tsv").read_text()
+
+
+# SMILES pieces: valid atoms and bonds, broken brackets, long digit runs,
+# huge and nine-digit charges, and non-ASCII digits, letters and spaces.
+SMILES_PIECES = (
+    "C", "c1ccccc1", "N", "O", "Cl", "(", ")", "(=O)", "=", "#", "1", "%12",
+    ".", "[NH4+]", "[O-]", "[13CH3]", "[C@@H]", "[", "]", "[C+999999999]",
+    "[C-99999999999]", "[C+99999999999999999999]", "[CH1234567890]",
+    "[" + "1" * 5000 + "C]", "[123456789C]", "*", " ", "²", "٣",
+    "é", "\u00a0",
+)
+RECEPTOR_CELLS = ("ACDEFGHIKL", "mktwqenlgs", "@file:recA", "@file:recB",
+                  "@file:nope", "@file:", "MKV1", "ACDÉ", "")
+KI_CELLS = ("10", "3.5e4", "0.002", "0", "-5", "abc", "", "nan", "inf",
+            "1e999", "1e-9", "1e12", "٣")
+raw_row = st.tuples(
+    st.sampled_from(RECEPTOR_CELLS),
+    st.lists(st.sampled_from(SMILES_PIECES), max_size=8).map("".join),
+    st.sampled_from(KI_CELLS),
+    st.sampled_from(((), (), (), ("1",))),             # a fourth cell
+).map(lambda r: "\t".join(r[:3] + r[3]))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.lists(raw_row, max_size=12))
+def test_fuzzed_raw_tsv_never_exits_3_and_accounts_every_row(pipeline, rows):
+    # three distinct pairs survive, so the split always succeeds
+    rows = [f"ACDEFGHIKL\t{smiles}\t10" for smiles in ("CCO", "CCN", "CCC")] + rows
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = pathlib.Path(tmp) / "raw.tsv"
+        raw.write_text("receptor_fasta\tligand_smiles\tki_nm\n"
+                       + "".join(row + "\n" for row in rows), encoding="utf-8")
+        out = pathlib.Path(tmp) / "dataset"
+        assert main(["--config", pipeline["cfg"], "--quiet", "ingest",
+                     "--in", str(raw), "--out", str(out)]) == 0
+        prov = json.loads((out / "provenance.json").read_text())
+        assert (sum(prov["drops"].values()) + prov["n_records"]
+                + prov["duplicates_merged"]) == len(rows)

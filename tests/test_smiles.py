@@ -128,6 +128,31 @@ def test_charge_runs_and_digits():
     assert parse_smiles("[13CH3]").atoms[0].isotope == 13
 
 
+# Long runs: `int` refuses more than 4,300 digits, and a huge charge
+# overflows the int64 atom table of the fingerprint kernel.
+LONG_DIGITS = [
+    ("[" + "1" * 5000 + "C]", 1, "isotope"),
+    ("[1234567890C]", 1, "isotope"),
+    ("CC[CH" + "1" * 5000 + "]", 5, "hydrogen count"),
+    ("[C+" + "1" * 5000 + "]", 3, "charge"),
+    ("[C+99999999999999999999]", 3, "charge"),
+    ("[13C@H-0123456789]", 7, "charge"),
+]
+
+
+@pytest.mark.parametrize("text,offset,what", LONG_DIGITS)
+def test_digit_runs_over_nine_digits_are_unknown_symbols(text, offset, what):
+    with pytest.raises(UnknownSymbolError, match=what) as err:
+        parse_smiles(text)
+    assert err.value.offset == offset
+
+
+def test_nine_digit_runs_parse():
+    atom = parse_smiles("[123456789CH000000003-999999999]").atoms[0]
+    assert (atom.isotope, atom.explicit_h, atom.formal_charge) == \
+        (123456789, 3, -999999999)
+
+
 def test_nitrogen_valence_states():
     # trivalent unless the bond sum forces the pentavalent state
     mol = assign_implicit_hydrogens(parse_smiles("NC"))
@@ -341,6 +366,32 @@ def test_molecules_are_immutable():
         mol.atoms[0].element = 7
 
 
+def test_atoms_and_bonds_are_named_tuples():
+    atom = Atom(element=7, formal_charge=1)
+    assert atom == Atom(7, 1, None, False, 0, 0, False, False, 0)
+    assert atom == (7, 1, None, False, 0, 0, False, False, 0)
+    assert hash(atom) == hash(Atom(element=7, formal_charge=1))
+    assert (atom.symbol, atom.total_h) == ("N", 0)
+    assert Atom(6, explicit_h=1, implicit_h=2).total_h == 3
+    assert repr(Atom(element=6)) == (
+        "Atom(element=6, formal_charge=0, isotope=None, aromatic=False, "
+        "explicit_h=0, implicit_h=0, in_ring=False, bracket=False, offset=0)")
+    assert atom._replace(implicit_h=2).implicit_h == 2
+    bond = Bond(3, 1, BOND_DOUBLE)
+    assert bond == Bond(a=3, b=1, order=BOND_DOUBLE, in_ring=False)
+    assert bond.key == (1, 3) and hash(bond) == hash((3, 1, BOND_DOUBLE, False))
+    with pytest.raises(AttributeError):
+        atom.element = 6
+    with pytest.raises(AttributeError):
+        bond.order = BOND_SINGLE
+    # the parser's positional build equals the keyword one
+    assert parse_smiles("C[13CH3+]").atoms == (
+        Atom(element=6),
+        Atom(element=6, formal_charge=1, isotope=13, explicit_h=3,
+             bracket=True, offset=1))
+    assert parse_smiles("c1ccccc1").bonds[-1] == Bond(5, 0, BOND_AROMATIC)
+
+
 def test_pipeline_returns_new_objects():
     raw = parse_smiles("c1ccccc1")
     with_h = assign_implicit_hydrogens(raw)
@@ -399,6 +450,18 @@ VALENCE_FAILURES = ["C(C)(C)(C)(C)C", "[CH5]", "O(C)(C)C", "CC=C(=O)=O",
     "text", [r["smiles"] for r in CORPUS + MALFORMED] + VALENCE_FAILURES)
 def test_from_smiles_equals_staged_build(text):
     assert_one_pass_matches_stages(text)
+
+
+@pytest.mark.parametrize("row", CORPUS, ids=[r["name"] for r in CORPUS])
+def test_from_smiles_equals_staged_build_field_for_field(row):
+    built, expected = from_smiles(row["smiles"]), staged(row["smiles"])
+    for name in ("source", "components", "stereo_warnings", "h_assigned",
+                 "rings_perceived"):
+        assert getattr(built, name) == getattr(expected, name)
+    for got, want in ((built.atoms, expected.atoms), (built.bonds, expected.bonds)):
+        assert [x._asdict() for x in got] == [x._asdict() for x in want]
+        # repr also tells True from 1 and an Atom from a plain tuple
+        assert list(map(repr, got)) == list(map(repr, want))
 
 
 def test_valence_failures_keep_their_position_in_one_pass():
