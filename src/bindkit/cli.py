@@ -7,40 +7,60 @@ Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import logging
 import os
 import sys
 import traceback
 
-from . import dataset as ds_mod
 from .config import ConfigError, PipelineConfig, load_config
-from .dataset import DatasetError
-from .fasta import FastaError
-from .gbdt import GbdtError, load_model, save_model, train
-from .ligand_features import (
-    FingerprintFormatError,
-    graph_block,
-    ligand_graph_features,
-)
-from .metrics import MetricsError, build_report, write_report
-from .protein_features import (
-    EmptySequenceError,
-    UnknownResidueError,
-    default_table,
-    load_property_table,
-    receptor_graph_features,
-)
-from .smiles import ParseError
+from .errors import DatasetError, GbdtError
+from .metrics import MetricsError, _load_vector, build_report, write_report
 
 log = logging.getLogger("bindkit")
 
+# A command imports the numpy-backed modules it runs when it runs, so
+# `evaluate` starts without numpy.  The names below resolve on first use
+# (PEP 562), and the commands call them through this module's namespace, so
+# that a tracer patching bindkit.cli.<name> sees every call.
+_LAZY = {
+    "train": "gbdt", "save_model": "gbdt", "load_model": "gbdt",
+    "graph_block": "ligand_features", "ligand_graph_features": "ligand_features",
+    "default_table": "protein_features",
+    "load_property_table": "protein_features",
+    "receptor_graph_features": "protein_features",
+}
+_cli = sys.modules[__name__]   # this module, also when run as __main__
+
 _DATA_ERRORS = (
-    DatasetError, FastaError, ParseError, GbdtError, MetricsError,
-    FingerprintFormatError, UnknownResidueError, EmptySequenceError,
+    DatasetError, GbdtError, MetricsError,
     FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError,
     json.JSONDecodeError, UnicodeDecodeError,
 )
+# Data errors of modules a command may load; a class can only be raised
+# once its module is loaded, so main looks only these up.
+_MODULE_DATA_ERRORS = {
+    "fasta": ("FastaError",),
+    "smiles": ("ParseError",),
+    "ligand_features": ("FingerprintFormatError",),
+    "protein_features": ("UnknownResidueError", "EmptySequenceError"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"bindkit.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def _data_errors() -> tuple:
+    return _DATA_ERRORS + tuple(
+        getattr(sys.modules[f"bindkit.{module}"], name)
+        for module, names in _MODULE_DATA_ERRORS.items()
+        if f"bindkit.{module}" in sys.modules for name in names)
 
 
 class _UsageError(Exception):
@@ -100,10 +120,11 @@ def build_parser() -> _Parser:
 def _table_for(cfg: PipelineConfig):
     if cfg.property_table is None:
         return None
-    return load_property_table(cfg.property_table)
+    return _cli.load_property_table(cfg.property_table)
 
 
 def cmd_ingest(args, cfg: PipelineConfig) -> int:
+    from . import dataset as ds_mod
     rows, reader_drops, digest = ds_mod.read_raw_tsv(args.input)
     fasta_index = None
     if cfg.fasta is not None:
@@ -121,6 +142,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_featurize(args, cfg: PipelineConfig) -> int:
+    from . import dataset as ds_mod
     dataset = ds_mod.load_dataset(args.dataset)
     table = _table_for(cfg)
     X, y, columns, ids = ds_mod.featurize_pairs(
@@ -135,7 +157,7 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
         "radius": cfg.radius,
         "nbits": cfg.nbits,
         "subset": args.subset,
-        "table_version": (table or default_table()).version,
+        "table_version": (table or _cli.default_table()).version,
     }
     ds_mod.write_features(args.out, X, y, ids, sidecar)
     log.info("featurized %s: X %s -> %s", args.subset, X.shape, args.out)
@@ -143,6 +165,7 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
+    from . import dataset as ds_mod
     X, y = ds_mod.load_features(args.train_dir)
     if y is None:
         raise DatasetError(f"no y.npy next to features in {args.train_dir}")
@@ -152,8 +175,8 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
         if yv is None:
             raise DatasetError(f"no y.npy next to features in {args.valid_dir}")
         valid = (Xv, yv)
-    model, metrics = train(X, y, params=cfg.gbdt, valid=valid)
-    save_model(model, args.out)
+    model, metrics = _cli.train(X, y, params=cfg.gbdt, valid=valid)
+    _cli.save_model(model, args.out)
     with open(args.out + ".metrics.json", "w", encoding="utf-8",
               newline="\n") as fh:
         json.dump(metrics, fh, sort_keys=True, indent=2)
@@ -170,7 +193,8 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_predict(args, cfg: PipelineConfig) -> int:
-    model = load_model(args.model)
+    from . import dataset as ds_mod
+    model = _cli.load_model(args.model)
     X, _ = ds_mod.load_features(args.features)
     preds = model.predict(X)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -180,11 +204,11 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
-    preds = ds_mod._load_vector(args.pred)
+    preds = _load_vector(args.pred)
     truth = args.truth
     if os.path.isdir(truth):
         truth = os.path.join(truth, "y.npy")
-    y = ds_mod._load_vector(truth)
+    y = _load_vector(truth)
     report = build_report(y, preds, start=cfg.bin_start, stop=cfg.bin_stop,
                           width=cfg.bin_width, threshold=cfg.threshold)
     csv_path = (args.out[:-5] + ".csv" if args.out.endswith(".json")
@@ -200,7 +224,7 @@ def _block_json(features, rows: dict[bytes, str]) -> str:
     JSON of each node row looked up in ``rows`` by the row's float64 bytes
     and serialized only when it is new.  Bytes, not values, are the key:
     -0.0 == 0.0, but json.dumps writes them differently."""
-    block = graph_block(features)
+    block = _cli.graph_block(features)
     parts = []
     for values, row in zip(features.node_features, block["node_features"]):
         key = values.tobytes()
@@ -217,6 +241,7 @@ def _block_json(features, rows: dict[bytes, str]) -> str:
 
 
 def cmd_export_graphs(args, cfg: PipelineConfig) -> int:
+    from . import dataset as ds_mod
     dataset = ds_mod.load_dataset(args.dataset)
     table = _table_for(cfg)
     records = dataset.subset(args.subset)
@@ -233,11 +258,11 @@ def cmd_export_graphs(args, cfg: PipelineConfig) -> int:
             lig = lig_json.get(rec.ligand.source)
             if lig is None:
                 lig = lig_json[rec.ligand.source] = _block_json(
-                    ligand_graph_features(rec.ligand), rows)
+                    _cli.ligand_graph_features(rec.ligand), rows)
             rgraph = rec_json.get(rec.receptor.residues)
             if rgraph is None:
                 rgraph = rec_json[rec.receptor.residues] = _block_json(
-                    receptor_graph_features(rec.receptor, table), rows)
+                    _cli.receptor_graph_features(rec.receptor, table), rows)
             fh.write(f'{{"id": {json.dumps(rec.pair_key)}, "ligand": {lig}, '
                      f'"receptor": {rgraph}}}\n')
     log.info("exported %d pair graphs -> %s", len(records), args.out)
@@ -279,10 +304,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"bindkit: config error: {exc}", file=sys.stderr)
         return 1
-    except _DATA_ERRORS as exc:
-        print(f"bindkit: data error: {exc}", file=sys.stderr)
-        return 2
-    except Exception:
+    except Exception as exc:
+        if isinstance(exc, _data_errors()):
+            print(f"bindkit: data error: {exc}", file=sys.stderr)
+            return 2
         traceback.print_exc()
         return 3
 

@@ -5,37 +5,90 @@ interpreter generation has no stdlib TOML reader and the sandbox index
 carries none): ``[section]`` headers, ``key = value`` pairs, comments with
 ``#``, and scalar values (quoted strings, integers, floats, booleans) plus
 single-line arrays.  Unknown sections or keys are rejected rather than
-ignored, so typos fail loudly.  The resolved configuration has a canonical
-JSON form whose SHA-256 digest stamps every derived artifact.
+ignored, so typos fail loudly.  Numbers must be finite, the fingerprint
+radius and width have maxima (MAX_RADIUS, MAX_NBITS) and the evaluation
+bins must tile their range, so a value no command can run is an error here.
+The resolved configuration has a canonical JSON form whose SHA-256 digest
+stamps every derived artifact.
+
+The module imports without numpy: the value classes of other modules that
+a config holds (KiBounds, TrainParams) are defined here.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .dataset import KiBounds
-from .gbdt import TrainParams
 from .metrics import (
     DEFAULT_BIN_START,
     DEFAULT_BIN_STOP,
     DEFAULT_BIN_WIDTH,
     DEFAULT_THRESHOLD,
+    MetricsError,
+    _bin_count,
 )
 
-__all__ = ["ConfigError", "PipelineConfig", "config_from_mapping",
-           "load_config", "parse_toml"]
+__all__ = ["ConfigError", "KiBounds", "TrainParams", "PipelineConfig",
+           "config_from_mapping", "load_config", "parse_toml",
+           "MAX_RADIUS", "MAX_NBITS"]
+
+MAX_RADIUS = 8              # ECFP radius; 2 and 3 are the usual choices
+MAX_NBITS = 1 << 16         # fingerprint width
+_MAX_NESTING = 16           # arrays in arrays, far below the recursion limit
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _parse_value(text: str, line_no: int):
+@dataclass(frozen=True)
+class KiBounds:
+    """Plausibility window for inhibition constants, in nM."""
+    min_nm: float = 1e-3
+    max_nm: float = 1e10
+
+    def __post_init__(self):
+        if not (self.min_nm > 0 and self.max_nm > self.min_nm):
+            raise ValueError("need 0 < min_nm < max_nm")
+
+
+@dataclass(frozen=True)
+class TrainParams:
+    n_trees: int = 500
+    max_depth: int = 6
+    learning_rate: float = 0.05
+    min_samples_leaf: int = 20
+    n_histogram_bins: int = 256
+    subsample: float = 1.0
+    early_stopping_rounds: int | None = None
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError("n_trees must be >= 1")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        if not (0.0 < self.learning_rate <= 1.0):
+            raise ValueError("learning_rate must be in (0, 1]")
+        if self.min_samples_leaf < 1:
+            raise ValueError("min_samples_leaf must be >= 1")
+        if not (2 <= self.n_histogram_bins <= 65536):
+            raise ValueError("n_histogram_bins must be in [2, 65536]")
+        if not (0.0 < self.subsample <= 1.0):
+            raise ValueError("subsample must be in (0, 1]")
+        if self.early_stopping_rounds is not None and self.early_stopping_rounds < 1:
+            raise ValueError("early_stopping_rounds must be >= 1 or None")
+
+
+def _parse_value(text: str, line_no: int, nesting: int = 0):
     text = text.strip()
     if not text:
         raise ConfigError(f"line {line_no}: missing value")
     if text.startswith("["):
+        if nesting == _MAX_NESTING:
+            raise ConfigError(f"line {line_no}: arrays nested too deeply")
         if not text.endswith("]"):
             raise ConfigError(f"line {line_no}: unterminated array")
         body = text[1:-1].strip()
@@ -53,7 +106,7 @@ def _parse_value(text: str, line_no: int):
                     depth -= 1
                 current += ch
         parts.append(current)
-        return [_parse_value(p, line_no) for p in parts]
+        return [_parse_value(p, line_no, nesting + 1) for p in parts]
     if text.startswith('"'):
         if len(text) < 2 or not text.endswith('"'):
             raise ConfigError(f"line {line_no}: unterminated string")
@@ -158,6 +211,8 @@ class PipelineConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def with_seed(self, seed: int) -> "PipelineConfig":
+        if seed < 0:                    # numpy's generators refuse it
+            raise ConfigError("seed must be >= 0")
         return replace(self, seed=seed, gbdt=replace(self.gbdt, seed=seed))
 
 
@@ -182,6 +237,17 @@ def _expect(value, types, where: str):
     return value
 
 
+def _number(value, where: str) -> float:
+    """A TOML integer or float as a finite float."""
+    try:
+        number = float(_expect(value, [int, float], where))
+    except OverflowError:               # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: must be finite, got {number}")
+    return number
+
+
 def config_from_mapping(doc: dict) -> PipelineConfig:
     for section, body in doc.items():
         if isinstance(body, dict):
@@ -202,17 +268,16 @@ def config_from_mapping(doc: dict) -> PipelineConfig:
         ratios = _expect(sp["ratios"], [list], "split.ratios")
         if len(ratios) != 3:
             raise ConfigError("split.ratios needs exactly three entries")
-        cfg = replace(cfg, ratios=tuple(float(_expect(r, [int, float],
-                                                      "split.ratios[]"))
+        cfg = replace(cfg, ratios=tuple(_number(r, "split.ratios[]")
                                         for r in ratios))
     cu = doc.get("curation", {})
     if cu:
         try:
             bounds = KiBounds(
-                min_nm=float(_expect(cu.get("ki_min_nm", cfg.bounds.min_nm),
-                                     [int, float], "curation.ki_min_nm")),
-                max_nm=float(_expect(cu.get("ki_max_nm", cfg.bounds.max_nm),
-                                     [int, float], "curation.ki_max_nm")))
+                min_nm=_number(cu.get("ki_min_nm", cfg.bounds.min_nm),
+                               "curation.ki_min_nm"),
+                max_nm=_number(cu.get("ki_max_nm", cfg.bounds.max_nm),
+                               "curation.ki_max_nm"))
         except ValueError as exc:
             raise ConfigError(f"curation bounds: {exc}") from exc
         cfg = replace(cfg, bounds=bounds)
@@ -229,7 +294,7 @@ def config_from_mapping(doc: dict) -> PipelineConfig:
                 continue
             value = gb[key]
             if key in ("learning_rate", "subsample"):
-                value = float(_expect(value, [int, float], f"gbdt.{key}"))
+                value = _number(value, f"gbdt.{key}")
             else:
                 value = _expect(value, [int], f"gbdt.{key}")
             kwargs[key] = value
@@ -242,10 +307,13 @@ def config_from_mapping(doc: dict) -> PipelineConfig:
     for toml_key, attr in (("bin_start", "bin_start"), ("bin_stop", "bin_stop"),
                            ("bin_width", "bin_width"), ("threshold", "threshold")):
         if toml_key in ev:
-            updates[attr] = float(_expect(ev[toml_key], [int, float],
-                                          f"evaluation.{toml_key}"))
+            updates[attr] = _number(ev[toml_key], f"evaluation.{toml_key}")
     if updates:
         cfg = replace(cfg, **updates)
+        try:
+            _bin_count(cfg.bin_start, cfg.bin_stop, cfg.bin_width)
+        except MetricsError as exc:
+            raise ConfigError(f"evaluation: {exc}") from exc
     pa = doc.get("paths", {})
     if "property_table" in pa:
         cfg = replace(cfg, property_table=_expect(pa["property_table"], [str],
@@ -259,15 +327,15 @@ def config_from_mapping(doc: dict) -> PipelineConfig:
             raise ConfigError("featurize.workers must be >= 1")
         cfg = replace(cfg, workers=workers)
 
-    if cfg.radius < 0:
-        raise ConfigError("fingerprint.radius must be >= 0")
-    if cfg.nbits <= 0 or (cfg.nbits & (cfg.nbits - 1)) != 0:
-        raise ConfigError("fingerprint.nbits must be a power of two")
+    if not 0 <= cfg.radius <= MAX_RADIUS:
+        raise ConfigError(f"fingerprint.radius must be in [0, {MAX_RADIUS}]")
+    if not (0 < cfg.nbits <= MAX_NBITS and cfg.nbits & (cfg.nbits - 1) == 0):
+        raise ConfigError(
+            f"fingerprint.nbits must be a power of two <= {MAX_NBITS}")
     if any(r <= 0 for r in cfg.ratios) or abs(sum(cfg.ratios) - 1.0) > 1e-9:
         raise ConfigError("split.ratios must be positive and sum to 1")
     # gbdt seed follows the pipeline seed unless training is re-seeded later
-    cfg = replace(cfg, gbdt=replace(cfg.gbdt, seed=cfg.seed))
-    return cfg
+    return cfg.with_seed(cfg.seed)
 
 
 def load_config(path=None) -> PipelineConfig:

@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import KiBounds
+from .errors import DatasetError
 from .fasta import FastaError, ProteinSequence, parse_fasta
 from .gbdt import FeatureStore
 from .ligand_features import (
@@ -59,10 +61,6 @@ __all__ = [
 ]
 
 
-class DatasetError(ValueError):
-    pass
-
-
 class DatasetFormatError(DatasetError):
     pass
 
@@ -73,17 +71,6 @@ class EmptyAfterFilteringError(DatasetError):
 
 class TooFewRecordsError(DatasetError):
     pass
-
-
-@dataclass(frozen=True)
-class KiBounds:
-    """Plausibility window for inhibition constants, in nM."""
-    min_nm: float = 1e-3
-    max_nm: float = 1e10
-
-    def __post_init__(self):
-        if not (self.min_nm > 0 and self.max_nm > self.min_nm):
-            raise ValueError("need 0 < min_nm < max_nm")
 
 
 DEFAULT_BOUNDS = KiBounds()
@@ -543,21 +530,6 @@ def _read_npy(path, dtype=None, ndim=None, error=DatasetError) -> np.ndarray:
             raise error(f"{path}: data size does not match shape {shape}")
         fh.seek(0)
         return np.lib.format.read_array(fh, allow_pickle=False)
-
-
-def _load_vector(path) -> np.ndarray:
-    """Read a vector of predictions or truths as float64: a .npy array of
-    numbers of any shape, flattened, or a text file of one number per line.
-    An unreadable, pickled or non-numeric file raises DatasetError naming
-    it."""
-    if path.endswith(".npy"):
-        return _read_npy(path).astype(np.float64).ravel()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            values = [float(line) for line in fh if line.strip()]
-        except ValueError as exc:
-            raise DatasetError(f"non-numeric line in {path}: {exc}") from exc
-    return np.array(values, dtype=np.float64)
 
 
 def _read_sidecar(path) -> dict:

@@ -48,6 +48,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .config import TrainParams
+from .errors import DimensionMismatchError, GbdtError
+
 __all__ = [
     "FeatureStore",
     "TrainParams",
@@ -64,14 +67,6 @@ __all__ = [
 
 MODEL_FORMAT = "bindkit-gbdt"
 MODEL_VERSION = "2"
-
-
-class GbdtError(ValueError):
-    pass
-
-
-class DimensionMismatchError(GbdtError):
-    pass
 
 
 class ModelFormatError(GbdtError):
@@ -146,34 +141,6 @@ class FeatureStore:
     def toarray(self) -> np.ndarray:
         """The decoded (n, d + nbits) float64 matrix."""
         return self.take(np.arange(len(self)), np.arange(self.shape[1]))
-
-
-@dataclass(frozen=True)
-class TrainParams:
-    n_trees: int = 500
-    max_depth: int = 6
-    learning_rate: float = 0.05
-    min_samples_leaf: int = 20
-    n_histogram_bins: int = 256
-    subsample: float = 1.0
-    early_stopping_rounds: int | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if not (0.0 < self.learning_rate <= 1.0):
-            raise ValueError("learning_rate must be in (0, 1]")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if not (2 <= self.n_histogram_bins <= 65536):
-            raise ValueError("n_histogram_bins must be in [2, 65536]")
-        if not (0.0 < self.subsample <= 1.0):
-            raise ValueError("subsample must be in (0, 1]")
-        if self.early_stopping_rounds is not None and self.early_stopping_rounds < 1:
-            raise ValueError("early_stopping_rounds must be >= 1 or None")
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,15 +4,28 @@ The binned report partitions samples by their TRUE log-affinity into
 half-open bins [lo, lo+width); anything outside [start, stop) is pooled into
 an out-of-range cell.  Since the cells partition the samples, the weighted
 recombination of cell MAEs reproduces the overall MAE.
+
+The module imports without numpy, so the evaluate command starts without
+it.  Every sum is taken in the order numpy takes it, so the scores are the
+bits numpy computes: a mean over a float64 array is numpy's pairwise sum
+(_sum), a per-bin sum is a running sum in sample order, as
+np.bincount(..., weights=) adds, and an accuracy is an exact count over n.
+numpy is imported only to flatten input that is not already a flat list of
+floats, such as an array, and to read a .npy file that is not a 1-D
+little-endian float64 vector.
 """
 from __future__ import annotations
 
 import json
+import math
+import re
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
-import numpy as np
-
-from .gbdt import DimensionMismatchError
+from .errors import DatasetError, DimensionMismatchError
 
 __all__ = [
     "MetricsError",
@@ -26,34 +39,67 @@ __all__ = [
     "DEFAULT_BIN_STOP",
     "DEFAULT_BIN_WIDTH",
     "DEFAULT_THRESHOLD",
+    "MAX_BINS",
 ]
 
 DEFAULT_BIN_START = -2.0
 DEFAULT_BIN_STOP = 12.0
 DEFAULT_BIN_WIDTH = 0.5
 DEFAULT_THRESHOLD = 4.0
+MAX_BINS = 10_000
 
 
 class MetricsError(ValueError):
     pass
 
 
+def _floats(values) -> list[float]:
+    """values as np.asarray(values, dtype=np.float64).ravel() holds them, as
+    a list of Python floats."""
+    if type(values) is list and set(map(type, values)) <= {float}:
+        return values
+    import numpy as np
+    return np.asarray(values, dtype=np.float64).ravel().tolist()
+
+
+def _pairwise(values: list[float], lo: int, hi: int) -> float:
+    """numpy's pairwise_sum of values[lo:hi] (Higham, SIAM J. Sci. Comput.
+    14, 1993): a plain loop below 8 values, eight strided accumulators up to
+    128, else the halves split at a multiple of 8."""
+    n = hi - lo
+    if n < 8:
+        return reduce(add, values[lo:hi], -0.0)
+    if n <= 128:
+        tail = hi - n % 8
+        r = [reduce(add, values[lo + j:tail:8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[tail:hi], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, lo, lo + half) + _pairwise(values, lo + half, hi)
+
+
+def _sum(values: list[float]) -> float:
+    """np.add.reduce of a float64 vector, bit for bit: the reduction adds
+    the pairwise sum to its identity +0.0."""
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
 def _pair(y_true, y_pred):
-    t = np.asarray(y_true, dtype=np.float64).ravel()
-    p = np.asarray(y_pred, dtype=np.float64).ravel()
+    t, p = _floats(y_true), _floats(y_pred)
     if len(t) != len(p):
         raise DimensionMismatchError(
             f"length mismatch: {len(t)} true vs {len(p)} predicted")
     if len(t) == 0:
         raise MetricsError("cannot score an empty sample")
-    if not (np.isfinite(t).all() and np.isfinite(p).all()):
+    if not (all(map(math.isfinite, t)) and all(map(math.isfinite, p))):
         raise MetricsError("scores require finite values")
     return t, p
 
 
 def mae(y_true, y_pred) -> float:
     t, p = _pair(y_true, y_pred)
-    return float(np.abs(t - p).mean())
+    return _sum([abs(a - b) for a, b in zip(t, p)]) / len(t)
 
 
 @dataclass(frozen=True)
@@ -78,28 +124,43 @@ def binned_mae(
     the bin axis is stable across datasets.
     """
     t, p = _pair(y_true, y_pred)
+    n_bins = _bin_count(start, stop, width)
+    counts = [0] * n_bins
+    sums = [0.0] * n_bins
+    outside = []
+    for a, b in zip(t, p):
+        err = abs(a - b)
+        if start <= a < stop:
+            # guard the float edge case where a just below stop floors onto n_bins
+            i = min(math.floor((a - start) / width), n_bins - 1)
+            counts[i] += 1
+            sums[i] += err
+        else:
+            outside.append(err)
+    maes = tuple(s / c if c else None for s, c in zip(sums, counts))
+    oor_mae = _sum(outside) / len(outside) if outside else None
+    edges = tuple(start + i * width for i in range(n_bins + 1))
+    return BinnedMae(edges=edges, counts=tuple(counts), maes=maes,
+                     out_of_range_count=len(outside), out_of_range_mae=oor_mae)
+
+
+def _bin_count(start: float, stop: float, width: float) -> int:
+    """Number of bins of the given width that tile [start, stop).
+
+    MetricsError unless all three are finite, stop > start, width > 0, the
+    bins tile the range within float tolerance and there are at most
+    MAX_BINS of them."""
+    if not all(map(math.isfinite, (start, stop, width))):
+        raise MetricsError("bin start, stop and width must be finite")
     if width <= 0 or stop <= start:
         raise MetricsError("need stop > start and width > 0")
-    n_bins = (stop - start) / width
-    if abs(n_bins - round(n_bins)) > 1e-9:
+    n_bins = (stop - start) / width        # inf when stop - start overflows
+    if not n_bins <= MAX_BINS:
+        raise MetricsError(f"{n_bins:.6g} bins; at most {MAX_BINS} allowed")
+    count = round(n_bins)
+    if count < 1 or abs(n_bins - count) > 1e-9:
         raise MetricsError("width must tile the [start, stop) range")
-    n_bins = int(round(n_bins))
-    err = np.abs(t - p)
-    idx = np.floor((t - start) / width).astype(int)
-    in_range = (t >= start) & (t < stop)
-    idx_in = idx[in_range]
-    # guard the float edge case where t just below stop floors onto n_bins
-    idx_in = np.clip(idx_in, 0, n_bins - 1)
-    counts = np.bincount(idx_in, minlength=n_bins)
-    sums = np.bincount(idx_in, weights=err[in_range], minlength=n_bins)
-    maes = tuple(float(s / c) if c else None for s, c in zip(sums, counts))
-    oor = ~in_range
-    oor_count = int(oor.sum())
-    oor_mae = float(err[oor].mean()) if oor_count else None
-    edges = tuple(start + i * width for i in range(n_bins + 1))
-    return BinnedMae(edges=edges, counts=tuple(int(c) for c in counts),
-                     maes=maes, out_of_range_count=oor_count,
-                     out_of_range_mae=oor_mae)
+    return count
 
 
 def classify_accuracy(y_true, y_pred, threshold: float = DEFAULT_THRESHOLD) -> float:
@@ -109,7 +170,7 @@ def classify_accuracy(y_true, y_pred, threshold: float = DEFAULT_THRESHOLD) -> f
     prediction equal to the threshold agrees with a truth equal to it.
     """
     t, p = _pair(y_true, y_pred)
-    return float(((t < threshold) == (p < threshold)).mean())
+    return sum((a < threshold) == (b < threshold) for a, b in zip(t, p)) / len(t)
 
 
 def build_report(
@@ -130,7 +191,7 @@ def build_report(
             "mae": bmae,
         })
     return {
-        "n": int(len(t)),
+        "n": len(t),
         "mae": mae(t, p),
         "threshold": threshold,
         "accuracy_at_threshold": classify_accuracy(t, p, threshold),
@@ -154,3 +215,50 @@ def write_report(report: dict, json_path, csv_path=None) -> None:
             for cell in report["bins"]:
                 mae_cell = "" if cell["mae"] is None else repr(cell["mae"])
                 fh.write(f"{cell['lo']!r},{cell['hi']!r},{cell['count']},{mae_cell}\n")
+
+
+# The header np.save writes for a 1-D little-endian float64 array.
+_F8_VECTOR_HEADER = re.compile(
+    rb"\{'descr': '<f8', 'fortran_order': False, 'shape': \((\d{1,18}),\), \} *\n")
+
+
+def _load_vector(path) -> list[float]:
+    """Read a vector of predictions or truths as floats: a .npy array of
+    numbers of any shape, flattened, or a text file of one number per line.
+    An unreadable, pickled or non-numeric file raises DatasetError naming
+    it.  A 1-D little-endian float64 .npy, as featurize writes y.npy, is
+    read without numpy; any other .npy goes through the checked reader of
+    the dataset module."""
+    if not path.endswith(".npy"):
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                return [float(line) for line in fh if line.strip()]
+            except ValueError as exc:
+                raise DatasetError(f"non-numeric line in {path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    values = _f8_vector(data)
+    if values is None:
+        from .dataset import _read_npy
+        return _read_npy(path).astype("float64").ravel().tolist()
+    return values
+
+
+def _f8_vector(data: bytes) -> list[float] | None:
+    """The values of .npy file bytes (format 1.0 or 2.0) that hold a 1-D
+    little-endian float64 array under the header np.save writes, else
+    None."""
+    if data[:8] == b"\x93NUMPY\x01\x00":
+        begin = 10
+    elif data[:8] == b"\x93NUMPY\x02\x00":
+        begin = 12
+    else:
+        return None
+    end = begin + int.from_bytes(data[8:begin], "little")
+    header = _F8_VECTOR_HEADER.fullmatch(data, begin, end)
+    if header is None or len(data) - end != 8 * int(header[1]):
+        return None
+    values = array("d", data[end:])
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values.tolist()

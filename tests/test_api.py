@@ -2,10 +2,13 @@
 
 A star import reads a module's __all__ and fails on a name the module no
 longer defines, so an entry left behind when a function is deleted shows up
-here; the package import checks the re-exports of bindkit/__init__.py.
+here; the package import checks the re-exports of bindkit/__init__.py,
+which resolve on first use.
 """
 import importlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -33,3 +36,67 @@ def test_removed_names_are_not_exported(name):
     for sub in SUBMODULES:
         assert name not in getattr(importlib.import_module(f"bindkit.{sub}"),
                                    "__all__", ())
+
+
+# Every name bindkit exported when its __init__ imported each module eagerly,
+# by the module it was imported from.
+FORMER_EXPORTS = {
+    "smiles": """Atom Bond Molecule ParseError EmptyInputError UnknownSymbolError
+        UnbalancedParenError UnclosedRingError DuplicateBondError ValenceError
+        parse_smiles assign_implicit_hydrogens perceive_rings from_smiles""",
+    "fasta": """ProteinSequence FastaError NoHeaderError EmptyRecordError
+        IllegalResidueError parse_fasta format_fasta""",
+    "ligand_features": """Fingerprint LigandGraphFeatures ecfp morgan_environments
+        full_refinement_ids infer_hybridization ligand_graph_features""",
+    "protein_features": """ResiduePropertyTable ReceptorDescriptor
+        ReceptorGraphFeatures UnknownResidueError EmptySequenceError
+        load_property_table default_table residue_properties
+        receptor_descriptor receptor_graph_features""",
+    "dataset": """KiBounds RawRecord AffinityRecord Dataset DatasetError
+        EmptyAfterFilteringError TooFewRecordsError pair_key ingest split
+        featurize_pairs read_raw_tsv write_dataset load_dataset write_features
+        load_features""",
+    "gbdt": """FeatureStore TrainParams GbdtModel GbdtError
+        DimensionMismatchError ModelFormatError ModelVersionError train
+        save_model load_model""",
+    "metrics": "mae binned_mae classify_accuracy build_report write_report",
+    "config": "ConfigError PipelineConfig load_config",
+}
+FORMER = [(module, name) for module, names in FORMER_EXPORTS.items()
+          for name in names.split()]
+
+
+@pytest.mark.parametrize("module, name", FORMER)
+def test_former_export_is_the_module_object(module, name):
+    assert getattr(bindkit, name) is getattr(
+        importlib.import_module(f"bindkit.{module}"), name)
+
+
+def test_exports_are_listed():
+    names = {name for _, name in FORMER}
+    assert set(bindkit.__all__) == names
+    assert names | set(SUBMODULES) <= set(dir(bindkit))
+    namespace = {}
+    exec("from bindkit import *", namespace)
+    assert names <= namespace.keys()
+
+
+def test_moved_classes_keep_their_identity():
+    from bindkit import config, dataset, errors, gbdt, metrics
+    assert dataset.KiBounds is config.KiBounds
+    assert gbdt.TrainParams is config.TrainParams
+    assert dataset.DatasetError is errors.DatasetError
+    assert gbdt.DimensionMismatchError is errors.DimensionMismatchError
+    assert issubclass(gbdt.ModelFormatError, gbdt.GbdtError)
+    with pytest.raises(gbdt.DimensionMismatchError):
+        metrics.mae([1.0, 2.0], [1.0])
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    code = ("import sys, bindkit\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'numpy' or m.startswith('bindkit.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -546,6 +546,75 @@ def test_console_entry_point_smoke(tmp_path):
     assert json.loads(out.read_text())["mae"] == pytest.approx(0.5)
 
 
+def test_evaluate_loads_neither_numpy_nor_the_pipeline_modules(pipeline, tmp_path):
+    argv = ["--quiet", "--config", pipeline["cfg"], "evaluate",
+            "--pred", pipeline["preds"], "--truth", pipeline["feats"]["test"],
+            "--out", str(tmp_path / "report.json")]
+    code = ("import sys\n"
+            "from bindkit.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(name for name in ('numpy', 'bindkit.gbdt', "
+            "'bindkit.dataset', 'bindkit.smiles') if name in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert (tmp_path / "report.json").read_bytes() == \
+        pathlib.Path(pipeline["report"]).read_bytes()
+
+
+@pytest.mark.parametrize("shape, dtype", [
+    ((-1, 1), np.float64), ((1, -1), np.float64), ((-1,), np.int64),
+    ((-1, 1), np.int32), ((-1,), np.float32)])
+def test_evaluate_reads_any_numeric_npy_truth_as_its_flat_values(
+        tmp_path, shape, dtype):
+    truth = np.array([3.0, 5.0, -2.0, 5.0, 13.0, 7.0]).astype(dtype).reshape(shape)
+    np.save(tmp_path / "truth.npy", truth)
+    (tmp_path / "truth.txt").write_text(
+        "".join(f"{v!r}\n" for v in truth.astype(np.float64).ravel().tolist()))
+    (tmp_path / "pred.txt").write_text("3.5\n4.5\n4.5\n4.2\n12.0\n7.25\n")
+    for name in ("truth.npy", "truth.txt"):
+        assert main(["--quiet", "evaluate", "--pred", str(tmp_path / "pred.txt"),
+                     "--truth", str(tmp_path / name),
+                     "--out", str(tmp_path / f"{name}.json")]) == 0
+    for ext in ("json", "csv"):
+        assert (tmp_path / f"truth.npy.{ext}").read_bytes() == \
+            (tmp_path / f"truth.txt.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("text, command", [
+    ("[evaluation]\nbin_start = nan", "evaluate"),
+    ("[evaluation]\nbin_stop = inf", "evaluate"),
+    ("[evaluation]\nbin_width = 1e-9", "evaluate"),
+    ("[evaluation]\nthreshold = nan", "evaluate"),
+    ("[split]\nratios = [0.8, 0.1, nan]", "ingest"),
+    ("[fingerprint]\nnbits = 4611686018427387904", "featurize"),
+    ("[fingerprint]\nradius = 100000", "featurize"),
+    ("seed = -1", "ingest"),
+])
+def test_config_values_that_crashed_a_command_exit_1(pipeline, tmp_path, capsys,
+                                                     text, command):
+    cfg = tmp_path / "bad.toml"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "out"
+    args = {"evaluate": ["--pred", pipeline["preds"],
+                         "--truth", pipeline["feats"]["test"]],
+            "ingest": ["--in", RAW],
+            "featurize": ["--dataset", pipeline["data"]]}[command]
+    assert main(["--quiet", "--config", str(cfg), command, *args,
+                 "--out", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_exits_1(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["--quiet", "--seed", "-1", "ingest", "--in", RAW,
+                 "--out", str(out)]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Latin-1 bytes that are not valid UTF-8.
 UNDECODABLE = "Kié µM\n".encode("latin-1")
 

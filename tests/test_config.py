@@ -2,9 +2,15 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bindkit.cli import main
 from bindkit.config import (
+    _SCHEMA,
+    MAX_NBITS,
+    MAX_RADIUS,
     ConfigError,
     PipelineConfig,
     config_from_mapping,
@@ -172,6 +178,39 @@ def test_value_constraints():
         config_from_mapping({"curation": {"ki_min_nm": -1.0}})
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[evaluation]\nbin_start = nan\n", "finite"),
+    ("[evaluation]\nbin_stop = inf\n", "finite"),
+    ("[evaluation]\nbin_width = 1e-9\n", "at most 10000"),
+    ("[evaluation]\nthreshold = nan\n", "finite"),
+    ("[evaluation]\nbin_width = 0.3\n", "tile"),
+    ("[evaluation]\nbin_start = 12.0\n", "stop > start"),
+    ("[split]\nratios = [0.8, 0.1, nan]\n", "finite"),
+    ("[curation]\nki_max_nm = inf\n", "finite"),
+    ("[gbdt]\nlearning_rate = " + "1" + "0" * 400 + "\n", "finite"),
+    ("[fingerprint]\nnbits = 4611686018427387904\n", "power of two <= 65536"),
+    ("[fingerprint]\nnbits = 131072\n", "power of two <= 65536"),
+    ("[fingerprint]\nradius = 100000\n", r"radius must be in \[0, 8\]"),
+    ("seed = " + "[" * 3000 + "]" * 3000 + "\n", "nested too deeply"),
+    ("seed = -1\n", "seed must be >= 0"),
+], ids=["bin_start-nan", "bin_stop-inf", "bin_width-tiny", "threshold-nan",
+        "bin_width-no-tiling", "bin_start-at-stop", "ratios-nan",
+        "ki_max_nm-inf", "learning_rate-huge-int", "nbits-huge",
+        "nbits-above-max", "radius-huge", "deep-array", "seed-negative"])
+def test_values_that_crashed_a_command_are_config_errors(tmp_path, text, message):
+    path = tmp_path / "bad.toml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
+def test_maxima_admit_their_own_values():
+    cfg = config_from_mapping({"fingerprint": {"radius": MAX_RADIUS,
+                                               "nbits": MAX_NBITS}})
+    assert (cfg.radius, cfg.nbits) == (MAX_RADIUS, MAX_NBITS)
+    assert load_config(None).digest() == config_from_mapping({}).digest()
+
+
 def test_canonical_json_and_digest():
     cfg = load_config(None)
     text = cfg.canonical_json()
@@ -196,8 +235,77 @@ def test_with_seed_rewrites_both_seeds():
     cfg = load_config(None).with_seed(99)
     assert cfg.seed == 99 and cfg.gbdt.seed == 99
     assert cfg.digest() != load_config(None).digest()
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        load_config(None).with_seed(-1)
 
 
 def test_missing_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.toml")
+
+
+# Value tokens that have crashed, or could crash, a loader that trusts them;
+# half the values drawn are plain ones, so that many configs load and reach
+# evaluate.
+HOSTILE_VALUES = [
+    "nan", "-nan", "inf", "-inf", "+inf", "-0.0", "1e-9", "1e308", "-1e308",
+    "1e400", str(2**62), str(10**30), "9" * 5000, "true", "false", '"x"',
+    '"unterminated', '"', "[]", "[0.8, 0.1, nan]", "[1, [2]]",
+    "[" * 3000 + "]" * 3000, "[1, 2", "what", "",
+]
+PLAIN_VALUES = ["0", "1", "2", "3", "0.5", "0.25", "-2.0", "12.0", "4.0",
+                "256", "2048", "[0.6, 0.2, 0.2]"]
+values = st.one_of(st.sampled_from(HOSTILE_VALUES), st.sampled_from(PLAIN_VALUES))
+JUNK_LINES = ["# comment", "[", "[]", "= 1", "key", "[bogus]", "stray = 1"]
+
+
+@st.composite
+def toml_texts(draw):
+    """Sections of the schema in any order, each with some of its own keys
+    set to drawn value tokens, and now and then a malformed line."""
+    lines = []
+    sections = draw(st.lists(st.sampled_from(list(_SCHEMA)), max_size=4,
+                             unique=True))
+    for section in sorted(sections, key=lambda name: name is not None):
+        if section is not None:
+            lines.append(f"[{section}]")
+        for key in draw(st.lists(st.sampled_from(sorted(_SCHEMA[section])),
+                                 max_size=3, unique=True)):
+            lines.append(f"{key} = {draw(values)}")
+    if lines and draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(JUNK_LINES)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def scored(tmp_path_factory):
+    root = tmp_path_factory.mktemp("scored")
+    truth = np.array([-3.0, 0.0, 2.5, 4.0, 4.5, 9.75, 13.0])
+    np.save(root / "y.npy", truth)
+    (root / "pred.txt").write_text("".join(f"{v + 0.25!r}\n"
+                                           for v in truth.tolist()))
+    return root
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(toml_texts())
+def test_fuzzed_config_is_a_config_error_or_a_valid_evaluate(scored, text):
+    path = scored / "fuzz.toml"
+    path.write_text(text)
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        cfg = None
+    if cfg is not None:
+        text = cfg.canonical_json()
+        assert "NaN" not in text and "Infinity" not in text
+    out = scored / "report.json"
+    code = main(["--quiet", "--config", str(path), "evaluate",
+                 "--pred", str(scored / "pred.txt"),
+                 "--truth", str(scored / "y.npy"), "--out", str(out)])
+    assert code == (1 if cfg is None else 0)
+    if cfg is not None:
+        def reject(constant):
+            raise AssertionError(f"report.json holds {constant}")
+        json.loads(out.read_text(), parse_constant=reject)

@@ -4,17 +4,23 @@ The central oracle: binned cells partition the samples, so recombining cell
 MAEs weighted by counts must reproduce the overall MAE to float precision.
 """
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from bindkit.dataset import DatasetError, _read_npy
 from bindkit.gbdt import DimensionMismatchError
 from bindkit.metrics import (
     DEFAULT_BIN_START,
     DEFAULT_BIN_STOP,
     DEFAULT_BIN_WIDTH,
     DEFAULT_THRESHOLD,
+    MAX_BINS,
     MetricsError,
+    _load_vector,
+    _sum,
     binned_mae,
     build_report,
     classify_accuracy,
@@ -90,6 +96,100 @@ def test_binning_validation():
         binned_mae([1.0], [1.0], start=0.0, stop=1.0, width=0.0)
     # a width that tiles only within float tolerance is accepted
     binned_mae([1.0], [1.0], start=0.0, stop=0.3, width=0.1)
+
+
+@pytest.mark.parametrize("start, stop, width, message", [
+    (float("nan"), 12.0, 0.5, "finite"),
+    (-2.0, float("inf"), 0.5, "finite"),
+    (-2.0, 12.0, float("nan"), "finite"),
+    (-2.0, 12.0, 1e-9, "at most"),
+    (-1e308, 1e308, 1.0, "at most"),          # stop - start overflows
+    (0.0, 1.0, 1e30, "tile"),                 # no whole bin fits
+])
+def test_binning_rejects_non_finite_and_too_many_bins(start, stop, width, message):
+    with pytest.raises(MetricsError, match=message):
+        binned_mae([1.0], [1.0], start=start, stop=stop, width=width)
+    assert len(binned_mae([1.0], [1.0], start=0.0, stop=MAX_BINS,
+                          width=1.0).counts) == MAX_BINS
+
+
+# Lengths on each side of numpy's pairwise-summation thresholds (8 and 128
+# values per block) and of its 8,192-element reduction buffer.
+EDGE_LENGTHS = [1, 7, 8, 9, 127, 128, 129, 8193]
+summands = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, -1.0]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def float_vectors(draw):
+    n = draw(st.one_of(st.sampled_from(EDGE_LENGTHS), st.integers(1, 600)))
+    head = draw(st.lists(summands, min_size=min(n, 64), max_size=min(n, 64)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    # beyond 64 values, a seeded mix of the same kinds of summand
+    rng = np.random.default_rng(seed)
+    tail = rng.choice([0.0, -0.0, 1e16, -1e16, 1.0], size=n - len(head))
+    tail = np.where(rng.random(len(tail)) < 0.5, rng.normal(0, 1e3, len(tail)), tail)
+    return head + tail.tolist()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(float_vectors())
+def test_sum_is_numpy_add_reduce_bit_for_bit(values):
+    pack = struct.Struct("<d").pack
+    assert pack(_sum(values)) == pack(np.add.reduce(np.array(values)))
+    assert pack(mae(values, [0.0] * len(values))) == \
+        pack(np.abs(np.array(values)).mean())
+
+
+@pytest.mark.parametrize("n", EDGE_LENGTHS + [16385])
+def test_sum_of_negative_zeros_is_positive_zero_as_in_numpy(n):
+    assert struct.pack("<d", _sum([-0.0] * n)) == \
+        struct.pack("<d", np.add.reduce(np.full(n, -0.0)))
+
+
+@pytest.mark.parametrize("array", [
+    np.array([0.5, -1.25, 3.0]),                  # read without numpy
+    np.array([], dtype=np.float64),
+    np.arange(6.0).reshape(2, 3),                 # the numpy reader's cases
+    np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+    np.array([3, -1, 7], dtype=np.int64),
+    np.array([True, False]),
+    np.array([0.5, -1.25], dtype=">f8"),
+    np.array([0.5, 2.0], dtype=np.float32),
+], ids=["f8", "empty", "2d", "fortran", "int64", "bool", "big-endian", "f4"])
+def test_load_vector_reads_npy_as_the_numpy_reader_does(tmp_path, array):
+    path = str(tmp_path / "v.npy")
+    np.save(path, array)
+    expected = _read_npy(path).astype(np.float64).ravel().tolist()
+    assert _load_vector(path) == expected
+    assert all(type(v) is float for v in _load_vector(path))
+
+
+def test_load_vector_errors_are_the_numpy_readers(tmp_path):
+    good = tmp_path / "good.npy"
+    np.save(good, np.arange(4.0))
+    cases = {
+        "truncated": good.read_bytes()[:-3],
+        "padded": good.read_bytes() + b"\0" * 8,
+        "garbage": b"not an array",
+        "bad-header": good.read_bytes().replace(b"'shape': (4,)", b"'shape': (4.)"),
+    }
+    for name, blob in cases.items():
+        path = tmp_path / f"{name}.npy"
+        path.write_bytes(blob)
+        with pytest.raises(DatasetError) as expected:
+            _read_npy(str(path))
+        with pytest.raises(DatasetError) as got:
+            _load_vector(str(path))
+        assert str(got.value) == str(expected.value), name
+    np.save(tmp_path / "obj.npy", np.array([1.0, "x"], dtype=object))
+    with pytest.raises(DatasetError, match="pickled"):
+        _load_vector(str(tmp_path / "obj.npy"))
+    text = tmp_path / "v.txt"
+    text.write_text("1.5\n\n-2\nx\n")
+    with pytest.raises(DatasetError, match="non-numeric line"):
+        _load_vector(str(text))
 
 
 def test_classification_accuracy_hand_fixture():
