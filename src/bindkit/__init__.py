@@ -31,9 +31,9 @@ _EXPORTS = {
         receptor_descriptor receptor_graph_features""",
     "dataset": """RawRecord AffinityRecord Dataset EmptyAfterFilteringError
         TooFewRecordsError pair_key ingest split featurize_pairs read_raw_tsv
-        write_dataset load_dataset write_features load_features""",
+        write_dataset load_dataset""",
     "gbdt": """FeatureStore GbdtModel ModelFormatError ModelVersionError train
-        save_model load_model""",
+        save_model load_model write_features load_features""",
     "errors": "DatasetError GbdtError DimensionMismatchError",
     "metrics": "mae binned_mae classify_accuracy build_report write_report",
     "config": "KiBounds TrainParams ConfigError PipelineConfig load_config",

@@ -15,7 +15,7 @@ import sys
 import traceback
 
 from .config import ConfigError, PipelineConfig, load_config
-from .errors import DatasetError, GbdtError
+from .errors import DatasetError, FingerprintFormatError, GbdtError
 from .metrics import MetricsError, _load_vector, build_report, write_report
 
 log = logging.getLogger("bindkit")
@@ -26,6 +26,7 @@ log = logging.getLogger("bindkit")
 # that a tracer patching bindkit.cli.<name> sees every call.
 _LAZY = {
     "train": "gbdt", "save_model": "gbdt", "load_model": "gbdt",
+    "load_features": "gbdt",
     "graph_block": "ligand_features", "ligand_graph_features": "ligand_features",
     "default_table": "protein_features",
     "load_property_table": "protein_features",
@@ -34,16 +35,15 @@ _LAZY = {
 _cli = sys.modules[__name__]   # this module, also when run as __main__
 
 _DATA_ERRORS = (
-    DatasetError, GbdtError, MetricsError,
+    DatasetError, GbdtError, MetricsError, FingerprintFormatError,
     FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError,
-    json.JSONDecodeError, UnicodeDecodeError,
+    UnicodeDecodeError,
 )
 # Data errors of modules a command may load; a class can only be raised
 # once its module is loaded, so main looks only these up.
 _MODULE_DATA_ERRORS = {
     "fasta": ("FastaError",),
     "smiles": ("ParseError",),
-    "ligand_features": ("FingerprintFormatError",),
     "protein_features": ("UnknownResidueError", "EmptySequenceError"),
 }
 
@@ -100,7 +100,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("predict", help="apply a saved model to features")
     p.add_argument("--model", required=True, metavar="MODEL_JSON")
-    p.add_argument("--features", required=True, metavar="DIR_OR_NPY")
+    p.add_argument("--features", required=True, metavar="DIR")
     p.add_argument("--out", required=True, metavar="FILE")
 
     p = sub.add_parser("evaluate", help="score predictions against truth")
@@ -165,13 +165,12 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
-    from . import dataset as ds_mod
-    X, y = ds_mod.load_features(args.train_dir)
+    X, y = _cli.load_features(args.train_dir)
     if y is None:
         raise DatasetError(f"no y.npy next to features in {args.train_dir}")
     valid = None
     if args.valid_dir is not None:
-        Xv, yv = ds_mod.load_features(args.valid_dir)
+        Xv, yv = _cli.load_features(args.valid_dir)
         if yv is None:
             raise DatasetError(f"no y.npy next to features in {args.valid_dir}")
         valid = (Xv, yv)
@@ -193,9 +192,8 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_predict(args, cfg: PipelineConfig) -> int:
-    from . import dataset as ds_mod
     model = _cli.load_model(args.model)
-    X, _ = ds_mod.load_features(args.features)
+    X, _ = _cli.load_features(args.features)
     preds = model.predict(X)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(repr(float(p)) + "\n" for p in preds))

@@ -21,9 +21,8 @@ import numpy as np
 from .config import KiBounds
 from .errors import DatasetError
 from .fasta import FastaError, ProteinSequence, parse_fasta
-from .gbdt import FeatureStore
+from .gbdt import FeatureStore, _read_json, load_features, write_features
 from .ligand_features import (
-    FingerprintFormatError,
     _ecfp_batch,
     _full_refinement_ids_batch,
     ecfp,  # not called here; named so that tracers can wrap it
@@ -411,7 +410,9 @@ def load_dataset(outdir) -> Dataset:
     string raises its own ParseError or FastaError, with the line named.
     A pair key seen on an earlier line, or a ki_nm cell other than the
     repr(10.0 ** log_ki) that write_dataset writes, raises
-    DatasetFormatError naming the line.
+    DatasetFormatError naming the line.  A provenance.json that is not
+    JSON, is not a JSON object, or holds a source_digest that is not a
+    string raises DatasetFormatError naming the file.
     """
     tsv = os.path.join(outdir, "dataset.tsv")
     molecules: dict[str, Molecule] = {}
@@ -474,131 +475,11 @@ def load_dataset(outdir) -> Dataset:
     prov_path = os.path.join(outdir, "provenance.json")
     provenance = {}
     if os.path.exists(prov_path):
-        with open(prov_path, "r", encoding="utf-8") as fh:
-            provenance = json.load(fh)
+        provenance = _read_json(prov_path, DatasetFormatError)
+        if not isinstance(provenance, dict) or not isinstance(
+                provenance.get("source_digest", ""), str):
+            raise DatasetFormatError(f"{prov_path}: expected a JSON object "
+                                     "whose source_digest is a string")
     if not records:
         raise EmptyAfterFilteringError("dataset file holds no records")
     return Dataset(records=tuple(records), provenance=provenance)
-
-
-# --- on-disk feature directory -------------------------------------------------
-
-DENSE_FILE = "descriptors.npy"
-BITS_FILE = "fingerprints.npy"
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                (2, 0): np.lib.format.read_array_header_2_0}
-
-
-def write_features(outdir, X: FeatureStore, y, ids, sidecar: dict) -> None:
-    """Write a feature directory: the dense block of X as descriptors.npy,
-    its packed bit block as fingerprints.npy, y.npy, ids.txt (one pair key
-    per line) and the sidecar as featurize.json."""
-    os.makedirs(outdir, exist_ok=True)
-    np.save(os.path.join(outdir, DENSE_FILE), X.dense)
-    np.save(os.path.join(outdir, BITS_FILE), X.bits)
-    np.save(os.path.join(outdir, "y.npy"), y)
-    with open(os.path.join(outdir, "ids.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("".join(i + "\n" for i in ids))
-    with open(os.path.join(outdir, "featurize.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _read_npy(path, dtype=None, ndim=None, error=DatasetError) -> np.ndarray:
-    """The array of a .npy file, once its header shows an array of the given
-    dtype (None: any boolean, integer or floating dtype) and rank (None: any)
-    followed by exactly the bytes that shape needs."""
-    with open(path, "rb") as fh:
-        try:
-            version = np.lib.format.read_magic(fh)
-            if version not in _NPY_HEADERS:
-                raise ValueError(f"format version {version}")
-            shape, _, found = _NPY_HEADERS[version](fh)
-        except (ValueError, EOFError) as exc:
-            raise error(f"{path}: not a .npy array ({exc})") from exc
-        if found.hasobject:
-            raise error(f"{path}: holds an object (pickled) array")
-        if dtype is None and found.kind not in "biuf":
-            raise error(f"{path}: expected an array of numbers, got {found}")
-        if dtype is not None and (found != np.dtype(dtype) or len(shape) != ndim):
-            raise error(f"{path}: expected a {ndim}-D {np.dtype(dtype)} array, "
-                        f"got {found} of shape {shape}")
-        size = math.prod(shape) * found.itemsize
-        if os.fstat(fh.fileno()).st_size - fh.tell() != size:
-            raise error(f"{path}: data size does not match shape {shape}")
-        fh.seek(0)
-        return np.lib.format.read_array(fh, allow_pickle=False)
-
-
-def _read_sidecar(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or not all(
-            type(doc.get(k)) is int and doc[k] >= 0
-            for k in ("n_rows", "n_columns", "nbits")):
-        raise DatasetError(
-            f"{path}: n_rows, n_columns and nbits must be integers >= 0")
-    return doc
-
-
-def load_features(path) -> tuple[FeatureStore, np.ndarray | None]:
-    """Read a feature directory written by write_features, a directory with a
-    dense X.npy in place of the two blocks, or a dense .npy file.  Returns
-    (X, y), with y None when there is no y.npy.
-
-    Feature files are untrusted: an array of the wrong dtype, rank or byte
-    count (an object array included), row counts that differ among the
-    blocks, y.npy, ids.txt and featurize.json, a width that is not
-    featurize.json's n_columns, or a non-finite dense value raises
-    DatasetError, or FingerprintFormatError for the bit block, naming the
-    file."""
-    if not os.path.isdir(path):
-        dense = _read_npy(path, np.float64, 2)
-        if not np.isfinite(dense).all():
-            raise DatasetError(f"{path}: non-finite feature value")
-        return FeatureStore.of(dense), None
-
-    def at(name):
-        return os.path.join(path, name)
-
-    packed = os.path.exists(at(BITS_FILE)) or os.path.exists(at(DENSE_FILE))
-    meta = (_read_sidecar(at("featurize.json"))
-            if packed or os.path.exists(at("featurize.json")) else None)
-    dense_path = at(DENSE_FILE if packed else "X.npy")
-    dense = _read_npy(dense_path, np.float64, 2)
-    if packed:
-        nbits = meta["nbits"]
-        bits = _read_npy(at(BITS_FILE), np.uint8, 2, FingerprintFormatError)
-        if bits.shape[1] != (nbits + 7) // 8:
-            raise FingerprintFormatError(
-                f"{at(BITS_FILE)}: {bits.shape[1]} bytes per row, "
-                f"{nbits} bits need {(nbits + 7) // 8}")
-    else:
-        nbits, bits = 0, np.zeros((len(dense), 0), dtype=np.uint8)
-    if meta is not None and meta["n_columns"] != dense.shape[1] + nbits:
-        raise DatasetError(
-            f"{at('featurize.json')}: n_columns {meta['n_columns']} is not "
-            f"{dense.shape[1]} dense columns + {nbits} bits")
-    rows = {dense_path: len(dense)}
-    if packed:
-        rows[at(BITS_FILE)] = len(bits)
-    if meta is not None:
-        rows[at("featurize.json")] = meta["n_rows"]
-    y = None
-    if os.path.exists(at("y.npy")):
-        y = _read_npy(at("y.npy"), np.float64, 1)
-        rows[at("y.npy")] = len(y)
-    if os.path.exists(at("ids.txt")):
-        with open(at("ids.txt"), "rb") as fh:
-            rows[at("ids.txt")] = sum(1 for _ in fh)
-    if len(set(rows.values())) > 1:
-        raise DatasetError("feature row counts disagree: " + ", ".join(
-            f"{name} {n}" for name, n in rows.items()))
-    if not np.isfinite(dense).all():
-        raise DatasetError(f"{dense_path}: non-finite feature value")
-    return FeatureStore(dense=dense, bits=bits, nbits=nbits), y

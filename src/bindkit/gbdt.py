@@ -38,18 +38,27 @@ residuals, maximized; ties resolve to the first candidate in (feature,
 threshold) scan order.  Gains <= 0 make the node a leaf.  Two-bin gains
 near the best are recomputed from the code-0 sum before the tie-break, so
 the trees are those a histogram of every (row, column) cell would grow.
+
+The feature directory format (write_features, load_features) lives beside
+the store it holds, so train and predict load no featurization module.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 from collections import deque
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import TrainParams
-from .errors import DimensionMismatchError, GbdtError
+from .errors import (
+    DatasetError,
+    DimensionMismatchError,
+    FingerprintFormatError,
+    GbdtError,
+)
 
 __all__ = [
     "FeatureStore",
@@ -63,6 +72,8 @@ __all__ = [
     "train",
     "save_model",
     "load_model",
+    "write_features",
+    "load_features",
 ]
 
 MODEL_FORMAT = "bindkit-gbdt"
@@ -507,11 +518,7 @@ def save_model(model: GbdtModel, path) -> None:
 
 
 def load_model(path) -> GbdtModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"not valid JSON: {exc}") from exc
+    doc = _read_json(path, ModelFormatError)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ModelFormatError("not a bindkit-gbdt model file")
     if doc.get("version") != MODEL_VERSION:
@@ -541,10 +548,15 @@ def load_model(path) -> GbdtModel:
                           params=params, degenerate=degenerate)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
-    if not math.isfinite(model.base_score):
-        raise ModelFormatError("non-finite base_score")
+    # predict adds these terms in this order, and rounding is monotone, so
+    # no prediction is larger in magnitude than bound
+    bound = abs(model.base_score)
     for k, tree in enumerate(model.trees):
         _check_tree(tree, model.feature_count, k)
+        bound += float(np.abs(tree.leaf_value).max(initial=0.0))
+    if not math.isfinite(bound):
+        raise ModelFormatError("non-finite base_score, or leaf values whose "
+                               "sum can overflow")
     return model
 
 
@@ -615,3 +627,112 @@ def _check_tree(tree: Tree, feature_count: int, k: int) -> None:
     if not reached.all():
         raise ModelFormatError(f"tree {k}: node {int(np.argmin(reached))} "
                                "is not reached from the root")
+
+
+def _read_json(path, error):
+    """The document of a JSON file.  Text that is not JSON, too long an
+    integer or too deep a nesting raises error naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: not valid JSON ({exc})") from exc
+
+
+# --- on-disk feature directory -------------------------------------------------
+
+DENSE_FILE = "descriptors.npy"
+BITS_FILE = "fingerprints.npy"
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def write_features(outdir, X: FeatureStore, y, ids, sidecar: dict) -> None:
+    """Write a feature directory: the dense block of X as descriptors.npy,
+    its packed bit block as fingerprints.npy, y.npy, ids.txt (one pair key
+    per line) and the sidecar as featurize.json."""
+    os.makedirs(outdir, exist_ok=True)
+    np.save(os.path.join(outdir, DENSE_FILE), X.dense)
+    np.save(os.path.join(outdir, BITS_FILE), X.bits)
+    np.save(os.path.join(outdir, "y.npy"), y)
+    with open(os.path.join(outdir, "ids.txt"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write("".join(i + "\n" for i in ids))
+    with open(os.path.join(outdir, "featurize.json"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        json.dump(sidecar, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _read_npy(path, dtype=None, ndim=None, error=DatasetError) -> np.ndarray:
+    """The array of a .npy file, once its header shows an array of the given
+    dtype (None: any boolean, integer or floating dtype) and rank (None: any)
+    followed by exactly the bytes that shape needs."""
+    with open(path, "rb") as fh:
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version not in _NPY_HEADERS:
+                raise ValueError(f"format version {version}")
+            shape, _, found = _NPY_HEADERS[version](fh)
+        except (ValueError, EOFError) as exc:
+            raise error(f"{path}: not a .npy array ({exc})") from exc
+        if found.hasobject:
+            raise error(f"{path}: holds an object (pickled) array")
+        if dtype is None and found.kind not in "biuf":
+            raise error(f"{path}: expected an array of numbers, got {found}")
+        if dtype is not None and (found != np.dtype(dtype) or len(shape) != ndim):
+            raise error(f"{path}: expected a {ndim}-D {np.dtype(dtype)} array, "
+                        f"got {found} of shape {shape}")
+        size = math.prod(shape) * found.itemsize
+        if os.fstat(fh.fileno()).st_size - fh.tell() != size:
+            raise error(f"{path}: data size does not match shape {shape}")
+        fh.seek(0)
+        return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+def load_features(path) -> tuple[FeatureStore, np.ndarray | None]:
+    """Read a feature directory written by write_features.  Returns (X, y),
+    with y None when there is no y.npy.
+
+    Feature files are untrusted.  A missing featurize.json, descriptors.npy
+    or fingerprints.npy raises the OSError of its open.  An array of the
+    wrong dtype, rank or byte count (an object array included), row counts
+    that differ among the blocks, y.npy, ids.txt and featurize.json, a width
+    that is not featurize.json's n_columns, or a non-finite dense value
+    raises DatasetError, or FingerprintFormatError for the bit block, naming
+    the file."""
+    def at(name):
+        return os.path.join(path, name)
+
+    meta = _read_json(at("featurize.json"), DatasetError)
+    if not isinstance(meta, dict) or not all(
+            type(meta.get(k)) is int and meta[k] >= 0
+            for k in ("n_rows", "n_columns", "nbits")):
+        raise DatasetError(f"{at('featurize.json')}: n_rows, n_columns and "
+                           "nbits must be integers >= 0")
+    nbits = meta["nbits"]
+    dense = _read_npy(at(DENSE_FILE), np.float64, 2)
+    bits = _read_npy(at(BITS_FILE), np.uint8, 2, FingerprintFormatError)
+    if bits.shape[1] != (nbits + 7) // 8:
+        raise FingerprintFormatError(
+            f"{at(BITS_FILE)}: {bits.shape[1]} bytes per row, "
+            f"{nbits} bits need {(nbits + 7) // 8}")
+    if meta["n_columns"] != dense.shape[1] + nbits:
+        raise DatasetError(
+            f"{at('featurize.json')}: n_columns {meta['n_columns']} is not "
+            f"{dense.shape[1]} dense columns + {nbits} bits")
+    rows = {at(DENSE_FILE): len(dense), at(BITS_FILE): len(bits),
+            at("featurize.json"): meta["n_rows"]}
+    y = None
+    if os.path.exists(at("y.npy")):
+        y = _read_npy(at("y.npy"), np.float64, 1)
+        rows[at("y.npy")] = len(y)
+    if os.path.exists(at("ids.txt")):
+        with open(at("ids.txt"), "rb") as fh:
+            rows[at("ids.txt")] = sum(1 for _ in fh)
+    if len(set(rows.values())) > 1:
+        raise DatasetError("feature row counts disagree: " + ", ".join(
+            f"{name} {n}" for name, n in rows.items()))
+    if not np.isfinite(dense).all():
+        raise DatasetError(f"{at(DENSE_FILE)}: non-finite feature value")
+    return FeatureStore(dense=dense, bits=bits, nbits=nbits), y

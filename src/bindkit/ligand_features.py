@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FingerprintFormatError
 from .smiles import (
     BOND_AROMATIC,
     BOND_DOUBLE,
@@ -58,10 +59,6 @@ NODE_FEATURE_NAMES: tuple[str, ...] = (
 EDGE_FEATURE_NAMES: tuple[str, ...] = (
     "bond_single", "bond_double", "bond_triple", "bond_aromatic", "bond_in_ring",
 )
-
-
-class FingerprintFormatError(ValueError):
-    """A packed fingerprint block whose type or width does not fit its bits."""
 
 
 def fnv1a32(data: bytes) -> int:

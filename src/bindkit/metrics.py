@@ -228,7 +228,7 @@ def _load_vector(path) -> list[float]:
     An unreadable, pickled or non-numeric file raises DatasetError naming
     it.  A 1-D little-endian float64 .npy, as featurize writes y.npy, is
     read without numpy; any other .npy goes through the checked reader of
-    the dataset module."""
+    the gbdt module."""
     if not path.endswith(".npy"):
         with open(path, "r", encoding="utf-8") as fh:
             try:
@@ -239,7 +239,7 @@ def _load_vector(path) -> list[float]:
         data = fh.read()
     values = _f8_vector(data)
     if values is None:
-        from .dataset import _read_npy
+        from .gbdt import _read_npy
         return _read_npy(path).astype("float64").ravel().tolist()
     return values
 

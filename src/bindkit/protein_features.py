@@ -60,9 +60,6 @@ class ResiduePropertyTable:
     properties: tuple[str, ...]
     rows: dict[str, tuple[float, ...]]
 
-    def row(self, code: str) -> tuple[float, ...]:
-        return self.rows[code]
-
 
 def load_property_table(path) -> ResiduePropertyTable:
     """Load a property table CSV.  '#' lines are comments; a comment of the

@@ -92,6 +92,18 @@ def test_moved_classes_keep_their_identity():
         metrics.mae([1.0, 2.0], [1.0])
 
 
+def test_feature_directory_format_lives_in_gbdt():
+    from bindkit import dataset, errors, gbdt, ligand_features
+    assert dataset.load_features is gbdt.load_features
+    assert dataset.write_features is gbdt.write_features
+    assert ligand_features.FingerprintFormatError is errors.FingerprintFormatError
+
+
+def test_removed_methods_are_gone():
+    from bindkit.protein_features import ResiduePropertyTable
+    assert not hasattr(ResiduePropertyTable, "row")
+
+
 def test_import_loads_no_submodule_and_no_numpy():
     code = ("import sys, bindkit\n"
             "print(sorted(m for m in sys.modules\n"

@@ -7,6 +7,7 @@ FASTA references cannot resolve).
 """
 import collections
 import json
+import math
 import pathlib
 import shutil
 import subprocess
@@ -22,7 +23,7 @@ import bindkit.smiles
 from bindkit.cli import _block_json, main
 from bindkit.config import load_config
 from bindkit.dataset import load_dataset, load_features
-from bindkit.gbdt import load_model
+from bindkit.gbdt import FeatureStore, load_model, write_features
 from bindkit.ligand_features import graph_block
 from bindkit.protein_features import (
     PROPERTIES,
@@ -45,6 +46,15 @@ EXPECTED_DROPS = {
     "nonpositive_ki": 2,
     "ki_out_of_bounds": 2,
 }
+
+
+def packed_features(outdir, X):
+    """A feature directory of the dense matrix X, with no bit columns, as
+    write_features writes it."""
+    X = FeatureStore.of(X)
+    write_features(outdir, X, np.zeros(len(X)), [f"p{i}" for i in range(len(X))],
+                   {"n_rows": X.shape[0], "n_columns": X.shape[1], "nbits": 0})
+    return outdir
 
 
 def write_config(tmp_path, seed=11):
@@ -391,14 +401,16 @@ def test_data_errors_exit_2(tmp_path, capsys):
 
     not_model = tmp_path / "nm.json"
     not_model.write_text("{}")
-    feats = tmp_path / "feats"
-    feats.mkdir()
-    np.save(feats / "X.npy", np.zeros((2, 3)))
+    feats = packed_features(tmp_path / "feats", np.zeros((2, 3)))
+    (feats / "y.npy").unlink()
+    capsys.readouterr()
     assert main(["--quiet", "predict", "--model", str(not_model),
                  "--features", str(feats), "--out", str(tmp_path / "p")]) == 2
+    assert "not a bindkit-gbdt model file" in capsys.readouterr().err
 
     assert main(["--quiet", "train", "--train", str(feats),
-                 "--out", str(tmp_path / "m.json")]) == 2   # no y.npy
+                 "--out", str(tmp_path / "m.json")]) == 2
+    assert "no y.npy" in capsys.readouterr().err
 
     bad_pred = tmp_path / "preds.txt"
     bad_pred.write_text("1.0\ntwo\n")
@@ -474,12 +486,31 @@ def test_inconsistent_dataset_row_exits_2(pipeline, tmp_path, capsys, damage,
 
 
 def test_wrong_width_prediction_exits_2(pipeline, tmp_path, capsys):
-    feats = tmp_path / "narrow"
-    feats.mkdir()
-    np.save(feats / "X.npy", np.zeros((2, 10)))
+    feats = packed_features(tmp_path / "narrow", np.zeros((2, 10)))
     assert main(["--quiet", "predict", "--model", pipeline["model"],
                  "--features", str(feats), "--out", str(tmp_path / "p")]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    assert "expected 334 features, got shape (2, 10)" in err, err
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("feats", ["legacy", "legacy/X.npy"])
+def test_dense_x_inputs_are_not_feature_directories(pipeline, tmp_path, capsys,
+                                                    feats):
+    # a directory holding only a dense X.npy and y.npy, the form featurize
+    # wrote before the packed store, and a bare dense .npy file
+    (tmp_path / "legacy").mkdir()
+    np.save(tmp_path / "legacy" / "X.npy", np.zeros((4, 334)))
+    np.save(tmp_path / "legacy" / "y.npy", np.arange(4.0))
+    for argv in (["predict", "--model", pipeline["model"], "--features",
+                  str(tmp_path / feats), "--out", str(tmp_path / "p")],
+                 ["train", "--train", str(tmp_path / feats), "--out",
+                  str(tmp_path / "m.json")]):
+        assert main(["--quiet", "--config", pipeline["cfg"], *argv]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "featurize.json" in err, err
+    assert not (tmp_path / "p").exists()
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_evaluate_hand_fixture(tmp_path):
@@ -561,6 +592,29 @@ def test_evaluate_loads_neither_numpy_nor_the_pipeline_modules(pipeline, tmp_pat
     assert proc.stdout == "[]\n"
     assert (tmp_path / "report.json").read_bytes() == \
         pathlib.Path(pipeline["report"]).read_bytes()
+
+
+def test_train_and_predict_load_no_featurization_module(pipeline, tmp_path):
+    model, preds = tmp_path / "model.json", tmp_path / "pred.txt"
+    train = ["--quiet", "--config", pipeline["cfg"], "train", "--train",
+             pipeline["feats"]["train"], "--valid", pipeline["feats"]["valid"],
+             "--out", str(model)]
+    predict = ["--quiet", "--config", pipeline["cfg"], "predict", "--model",
+               str(model), "--features", pipeline["feats"]["test"],
+               "--out", str(preds)]
+    code = ("import sys\n"
+            "from bindkit.cli import main\n"
+            f"assert main({train!r}) == 0\n"
+            f"assert main({predict!r}) == 0\n"
+            "print(sorted(name for name in sys.modules\n"
+            "             if name.startswith('bindkit.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == repr(["bindkit.cli", "bindkit.config", "bindkit.errors",
+                                "bindkit.gbdt", "bindkit.metrics"]) + "\n"
+    assert model.read_bytes() == pathlib.Path(pipeline["model"]).read_bytes()
+    assert preds.read_bytes() == pathlib.Path(pipeline["preds"]).read_bytes()
 
 
 @pytest.mark.parametrize("shape, dtype", [
@@ -646,7 +700,8 @@ def test_undecodable_config_exits_1(tmp_path, capsys):
 
 
 def small_model(tmp_path, n_trees=3):
-    """A 5-column model file, its JSON document and a features directory."""
+    """A 5-column model file, its JSON document and a feature directory that
+    the unedited model predicts from with exit code 0."""
     from bindkit.gbdt import TrainParams, save_model, train
     rng = np.random.default_rng(0)
     X = rng.random((40, 5))
@@ -654,9 +709,12 @@ def small_model(tmp_path, n_trees=3):
                      TrainParams(n_trees=n_trees, max_depth=3, min_samples_leaf=2))
     path = tmp_path / "model.json"
     save_model(model, path)
-    feats = tmp_path / "feats"
-    feats.mkdir()
-    np.save(feats / "X.npy", X)
+    feats = packed_features(tmp_path / "feats", X)
+    out = tmp_path / "control.txt"
+    assert main(["--quiet", "predict", "--model", str(path), "--features",
+                 str(feats), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 40
+    out.unlink()
     return path, json.loads(path.read_text()), feats
 
 
@@ -671,7 +729,8 @@ def test_model_with_cyclic_pointer_exits_2(tmp_path, capsys):
         load_model(path)
     assert main(["--quiet", "predict", "--model", str(path), "--features",
                  str(feats), "--out", str(tmp_path / "p")]) == 2
-    assert "data error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error" in err and "reached twice" in err, err
 
 
 def test_model_with_out_of_range_feature_exits_2(tmp_path, capsys):
@@ -680,7 +739,8 @@ def test_model_with_out_of_range_feature_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["--quiet", "predict", "--model", str(path), "--features",
                  str(feats), "--out", str(tmp_path / "p")]) == 2
-    assert "data error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error" in err and "feature index outside [0, 5)" in err, err
 
 
 def test_model_with_nan_leaf_exits_2(tmp_path, capsys):
@@ -695,30 +755,150 @@ def test_model_with_nan_leaf_exits_2(tmp_path, capsys):
 
 
 # Edits of a saved model document that loaded, or crashed, before the model
-# reader checked JSON types; each must now exit 2.
+# reader checked JSON types, and the message each must now exit 2 with.
 MODEL_EDITS = {
-    "null params": lambda doc: {**doc, "params": None},
-    "list params": lambda doc: {**doc, "params": []},
-    "trees as an object": lambda doc: {**doc, "trees": {}},
-    "fractional pointer": lambda doc: {**doc, "trees": [
+    "null params": (lambda doc: {**doc, "params": None},
+                    "params must be a JSON object"),
+    "list params": (lambda doc: {**doc, "params": []},
+                    "params must be a JSON object"),
+    "trees as an object": (lambda doc: {**doc, "trees": {}},
+                           "trees must be a JSON list"),
+    "fractional pointer": (lambda doc: {**doc, "trees": [
         {**t, "right": [v + 0.5 for v in t["right"]]} for t in doc["trees"]]},
-    "version 1": lambda doc: {**doc, "version": "1"},
-    "boolean leaf value": lambda doc: {**doc, "trees": [
+        "right must be a JSON integer"),
+    "version 1": (lambda doc: {**doc, "version": "1"},
+                  "unsupported model version '1'"),
+    "boolean leaf value": (lambda doc: {**doc, "trees": [
         {**t, "leaf_value": [True] + t["leaf_value"][1:]} for t in doc["trees"]]},
-    "string base score": lambda doc: {**doc, "base_score": "1.5"},
-    "string degenerate flag": lambda doc: {**doc, "degenerate": "no"},
+        "leaf_value must be a JSON number"),
+    "string base score": (lambda doc: {**doc, "base_score": "1.5"},
+                          "base_score must be a JSON number"),
+    "string degenerate flag": (lambda doc: {**doc, "degenerate": "no"},
+                               "degenerate must be a JSON boolean"),
 }
 
 
 @pytest.mark.parametrize("edit", sorted(MODEL_EDITS))
 def test_untrusted_model_json_exits_2(tmp_path, capsys, edit):
     path, doc, feats = small_model(tmp_path)
-    path.write_text(json.dumps(MODEL_EDITS[edit](doc)))
+    damage, message = MODEL_EDITS[edit]
+    path.write_text(json.dumps(damage(doc)))
     out = tmp_path / "p"
     assert main(["--quiet", "predict", "--model", str(path), "--features",
                  str(feats), "--out", str(out)]) == 2
-    assert "data error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error" in err and message in err, err
     assert not out.exists()
+
+
+# Values a damaged model document may hold in place of any of its values.
+# A "<deep N>" string stands for an array nested N deep, written as text: the
+# JSON encoder itself would overflow the recursion limit on the deep ones.
+HOSTILE_MODEL_VALUES = (
+    None, True, False, "", "0.5", "bindkit-gbdt", "2", 1.5, float("nan"),
+    float("inf"), float("-inf"), 1e308, -1, -2, -10**9, 2**31, 2**63, 10**30,
+    -10**30, 10**400, [], [[]], [[0]], [[1, 2], [3]], [[[0.5]]], {},
+    "<deep 40>", "<deep 100>", "<deep 100000>",
+)
+
+
+def _value_paths(value, path=()):
+    """Paths to value and to every value nested in it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _value_paths(child, path + (key,))
+
+
+def _replaced(value, path, new):
+    """value with the value at path replaced by new; value itself when an
+    earlier replacement removed path."""
+    if not path:
+        return new
+    key, rest = path[0], path[1:]
+    if isinstance(value, dict) and key in value:
+        return {**value, key: _replaced(value[key], rest, new)}
+    if isinstance(value, list) and isinstance(key, int) and key < len(value):
+        return value[:key] + [_replaced(value[key], rest, new)] + value[key + 1:]
+    return value
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(tmp_path_factory):
+    return small_model(tmp_path_factory.mktemp("fuzz-model"))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_fuzzed_model_json_never_exits_3(fuzz_model, data):
+    path, doc, feats = fuzz_model
+    paths = list(_value_paths(doc))
+    edits = data.draw(st.lists(st.tuples(st.sampled_from(paths),
+                                         st.sampled_from(HOSTILE_MODEL_VALUES)),
+                               min_size=1, max_size=3))
+    for where, value in edits:
+        doc = _replaced(doc, where, value)
+    text = json.dumps(doc)
+    for depth in (40, 100, 100000):
+        text = text.replace(f'"<deep {depth}>"', "[" * depth + "]" * depth)
+    with tempfile.TemporaryDirectory() as tmp:
+        model, out = pathlib.Path(tmp) / "model.json", pathlib.Path(tmp) / "p"
+        model.write_text(text)
+        code = main(["--quiet", "predict", "--model", str(model),
+                     "--features", str(feats), "--out", str(out)])
+        assert code in (0, 2)
+        assert out.exists() == (code == 0)
+        if code == 0:
+            predictions = [float(v) for v in out.read_text().split()]
+            assert len(predictions) == 40
+            assert all(math.isfinite(v) for v in predictions)
+
+
+# Documents the JSON decoder cannot read: arrays nested past its recursion
+# limit, and an integer literal longer than int() converts.
+UNREADABLE_JSON = {"deep": "[" * 200_000 + "]" * 200_000, "long integer": "1" * 5000}
+
+
+@pytest.mark.parametrize("text", sorted(UNREADABLE_JSON))
+@pytest.mark.parametrize("filename", ["model.json", "featurize.json",
+                                      "provenance.json"])
+def test_unreadable_json_exits_2_naming_the_file(pipeline, tmp_path, capsys,
+                                                 filename, text):
+    model, feats, data = (tmp_path / "model.json", tmp_path / "feats",
+                          tmp_path / "dataset")
+    shutil.copy(pipeline["model"], model)
+    shutil.copytree(pipeline["feats"]["train"], feats)
+    shutil.copytree(pipeline["data"], data)
+    target = {"model.json": model, "featurize.json": feats / "featurize.json",
+              "provenance.json": data / "provenance.json"}[filename]
+    target.write_text(UNREADABLE_JSON[text])
+    out = tmp_path / "out"
+    argv = {"model.json": ["predict", "--model", str(model),
+                           "--features", str(feats)],
+            "featurize.json": ["train", "--train", str(feats)],
+            "provenance.json": ["featurize", "--dataset", str(data)]}[filename]
+    assert main(["--quiet", "--config", pipeline["cfg"], *argv,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and f"{target}: not valid JSON" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[]", '"provenance"', '{"source_digest": 5}',
+                                  '{"source_digest": null}'])
+def test_provenance_must_be_an_object_with_a_string_digest(pipeline, tmp_path,
+                                                           capsys, text):
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    (data / "provenance.json").write_text(text)
+    for command in ("featurize", "export-graphs"):
+        out = tmp_path / command
+        assert main(["--quiet", command, "--dataset", str(data), "--subset",
+                     "test", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "provenance.json" in err, err
+        assert not out.exists()
 
 
 # --- feature directories are untrusted input -----------------------------------

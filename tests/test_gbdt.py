@@ -591,6 +591,23 @@ def test_load_rejects_non_finite_base_score(tmp_path, value):
         load_model(path)
 
 
+def test_load_rejects_leaf_values_whose_sum_overflows(tmp_path):
+    import json
+    X, y = regression_problem(n=30)
+    model, _ = train(X, y, TrainParams(n_trees=2, max_depth=2,
+                                       min_samples_leaf=2))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    big = [{**t, "leaf_value": [1e308] * len(t["leaf_value"])}
+           for t in doc["trees"]]
+    path.write_text(json.dumps({**doc, "trees": big[:1] + doc["trees"][1:]}))
+    assert np.isfinite(load_model(path).predict(X)).all()    # 1e308 + small
+    path.write_text(json.dumps({**doc, "trees": big}))        # 2e308 is inf
+    with pytest.raises(ModelFormatError, match="sum can overflow"):
+        load_model(path)
+
+
 def test_learnable_signal_is_learned():
     X, y = regression_problem(n=500, noise=0.05)
     Xv, yv = regression_problem(n=200, seed=2, noise=0.05)

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bindkit.dataset import DatasetError, _read_npy
-from bindkit.gbdt import DimensionMismatchError
+from bindkit.dataset import DatasetError
+from bindkit.gbdt import DimensionMismatchError, _read_npy
 from bindkit.metrics import (
     DEFAULT_BIN_START,
     DEFAULT_BIN_STOP,
