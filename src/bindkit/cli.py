@@ -15,8 +15,8 @@ import sys
 import traceback
 
 from .config import ConfigError, PipelineConfig, load_config
-from .errors import DatasetError, FingerprintFormatError, GbdtError
-from .metrics import MetricsError, _load_vector, build_report, write_report
+from .errors import DataError, DatasetError
+from .metrics import _load_vector, build_report, write_report
 
 log = logging.getLogger("bindkit")
 
@@ -35,17 +35,9 @@ _LAZY = {
 _cli = sys.modules[__name__]   # this module, also when run as __main__
 
 _DATA_ERRORS = (
-    DatasetError, GbdtError, MetricsError, FingerprintFormatError,
-    FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError,
-    UnicodeDecodeError,
+    DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+    PermissionError, UnicodeDecodeError,
 )
-# Data errors of modules a command may load; a class can only be raised
-# once its module is loaded, so main looks only these up.
-_MODULE_DATA_ERRORS = {
-    "fasta": ("FastaError",),
-    "smiles": ("ParseError",),
-    "protein_features": ("UnknownResidueError", "EmptySequenceError"),
-}
 
 
 def __getattr__(name: str):
@@ -54,13 +46,6 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f"bindkit.{_LAZY[name]}"), name)
     globals()[name] = value
     return value
-
-
-def _data_errors() -> tuple:
-    return _DATA_ERRORS + tuple(
-        getattr(sys.modules[f"bindkit.{module}"], name)
-        for module, names in _MODULE_DATA_ERRORS.items()
-        if f"bindkit.{module}" in sys.modules for name in names)
 
 
 class _UsageError(Exception):
@@ -302,10 +287,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"bindkit: config error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:
-        if isinstance(exc, _data_errors()):
-            print(f"bindkit: data error: {exc}", file=sys.stderr)
-            return 2
+    except _DATA_ERRORS as exc:
+        print(f"bindkit: data error: {exc}", file=sys.stderr)
+        return 2
+    except Exception:
         traceback.print_exc()
         return 3
 

@@ -1,13 +1,12 @@
 """Pipeline configuration.
 
-Config files use a TOML subset read by a small built-in parser (this
-interpreter generation has no stdlib TOML reader and the sandbox index
-carries none): ``[section]`` headers, ``key = value`` pairs, comments with
-``#``, and scalar values (quoted strings, integers, floats, booleans) plus
-single-line arrays.  Unknown sections or keys are rejected rather than
-ignored, so typos fail loudly.  Numbers must be finite, the fingerprint
-radius and width have maxima (MAX_RADIUS, MAX_NBITS) and the evaluation
-bins must tile their range, so a value no command can run is an error here.
+Config files are TOML 1.0, read by the standard library's ``tomllib``;
+text it cannot read is a ConfigError naming the file.  Every value is then
+type-checked against the schema below, and unknown sections or keys are
+rejected rather than ignored, so typos fail loudly.  Numbers must be
+finite, the fingerprint radius and width have maxima (MAX_RADIUS,
+MAX_NBITS) and the evaluation bins must tile their range, so a value no
+command can run is an error here.
 The resolved configuration has a canonical JSON form whose SHA-256 digest
 stamps every derived artifact.
 
@@ -19,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tomllib
 from dataclasses import asdict, dataclass, field, fields, replace
 
 from .metrics import (
@@ -31,12 +31,10 @@ from .metrics import (
 )
 
 __all__ = ["ConfigError", "KiBounds", "TrainParams", "PipelineConfig",
-           "config_from_mapping", "load_config", "parse_toml",
-           "MAX_RADIUS", "MAX_NBITS"]
+           "config_from_mapping", "load_config", "MAX_RADIUS", "MAX_NBITS"]
 
 MAX_RADIUS = 8              # ECFP radius; 2 and 3 are the usual choices
 MAX_NBITS = 1 << 16         # fingerprint width
-_MAX_NESTING = 16           # arrays in arrays, far below the recursion limit
 
 
 class ConfigError(ValueError):
@@ -80,96 +78,6 @@ class TrainParams:
             raise ValueError("subsample must be in (0, 1]")
         if self.early_stopping_rounds is not None and self.early_stopping_rounds < 1:
             raise ValueError("early_stopping_rounds must be >= 1 or None")
-
-
-def _parse_value(text: str, line_no: int, nesting: int = 0):
-    text = text.strip()
-    if not text:
-        raise ConfigError(f"line {line_no}: missing value")
-    if text.startswith("["):
-        if nesting == _MAX_NESTING:
-            raise ConfigError(f"line {line_no}: arrays nested too deeply")
-        if not text.endswith("]"):
-            raise ConfigError(f"line {line_no}: unterminated array")
-        body = text[1:-1].strip()
-        if not body:
-            return []
-        parts, depth, current = [], 0, ""
-        for ch in body:
-            if ch == "," and depth == 0:
-                parts.append(current)
-                current = ""
-            else:
-                if ch == "[":
-                    depth += 1
-                elif ch == "]":
-                    depth -= 1
-                current += ch
-        parts.append(current)
-        return [_parse_value(p, line_no, nesting + 1) for p in parts]
-    if text.startswith('"'):
-        if len(text) < 2 or not text.endswith('"'):
-            raise ConfigError(f"line {line_no}: unterminated string")
-        return text[1:-1]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: cannot parse value {text!r}") from None
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def parse_toml(text: str) -> dict:
-    """Parse the supported TOML subset into nested dicts."""
-    root: dict = {}
-    table = root
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"line {line_no}: malformed table header")
-            name = line[1:-1].strip()
-            if not name:
-                raise ConfigError(f"line {line_no}: empty table name")
-            table = root
-            for part in name.split("."):
-                part = part.strip()
-                if not part:
-                    raise ConfigError(f"line {line_no}: malformed table name")
-                table = table.setdefault(part, {})
-                if not isinstance(table, dict):
-                    raise ConfigError(f"line {line_no}: {name!r} clashes with a key")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip().strip('"')
-        if not key:
-            raise ConfigError(f"line {line_no}: empty key")
-        if key in table:
-            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        table[key] = _parse_value(value, line_no)
-    return root
 
 
 @dataclass(frozen=True)
@@ -347,4 +255,10 @@ def load_config(path=None) -> PipelineConfig:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return config_from_mapping(parse_toml(text))
+    try:
+        doc = tomllib.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # TOMLDecodeError is a ValueError, as is an integer literal of more
+        # than 4,300 digits; deeply nested arrays overflow the recursion limit
+        raise ConfigError(f"{path}: not valid TOML ({exc})") from exc
+    return config_from_mapping(doc)

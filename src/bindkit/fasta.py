@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import DataError
+
 __all__ = [
     "ProteinSequence",
     "FastaError",
@@ -19,7 +21,7 @@ STANDARD_RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
 RESIDUE_ALPHABET = frozenset(STANDARD_RESIDUES + "XBZU")
 
 
-class FastaError(ValueError):
+class FastaError(DataError):
     pass
 
 

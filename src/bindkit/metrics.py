@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
-from .errors import DatasetError, DimensionMismatchError
+from .errors import DataError, DatasetError, DimensionMismatchError
 
 __all__ = [
     "MetricsError",
@@ -49,7 +49,7 @@ DEFAULT_THRESHOLD = 4.0
 MAX_BINS = 10_000
 
 
-class MetricsError(ValueError):
+class MetricsError(DataError):
     pass
 
 

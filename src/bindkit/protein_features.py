@@ -7,12 +7,14 @@ residues, B averages D and N, Z averages E and Q, U borrows the C row.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
+from .errors import DataError
 from .fasta import ProteinSequence
 
 __all__ = [
@@ -23,6 +25,7 @@ __all__ = [
     "ReceptorGraphFeatures",
     "UnknownResidueError",
     "EmptySequenceError",
+    "PropertyTableError",
     "load_property_table",
     "default_table",
     "residue_properties",
@@ -46,11 +49,15 @@ GRAPH_NODE_PROPERTIES = (
 STANDARD_ORDER = "ARNDCQEGHILKMFPSTWYV"
 
 
-class UnknownResidueError(KeyError):
+class UnknownResidueError(DataError, KeyError):
     pass
 
 
-class EmptySequenceError(ValueError):
+class EmptySequenceError(DataError):
+    pass
+
+
+class PropertyTableError(DataError):
     pass
 
 
@@ -64,12 +71,14 @@ class ResiduePropertyTable:
 def load_property_table(path) -> ResiduePropertyTable:
     """Load a property table CSV.  '#' lines are comments; a comment of the
     form '# version: NAME' sets the table version.  The table must provide
-    exactly the twenty standard residues and the fourteen property columns."""
+    exactly the twenty standard residues, once each, and the fourteen
+    property columns, with a finite number in every cell; anything else
+    raises PropertyTableError naming the file and line."""
     version = "unversioned"
     header: list[str] | None = None
     rows: dict[str, tuple[float, ...]] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -78,22 +87,38 @@ def load_property_table(path) -> ResiduePropertyTable:
                 if body.lower().startswith("version:"):
                     version = body.split(":", 1)[1].strip()
                 continue
+            where = f"{path}: line {line_no}"
             cells = [c.strip() for c in line.split(",")]
             if header is None:
                 header = cells
+                if header != ["code", *PROPERTIES]:
+                    raise PropertyTableError(
+                        f"{where}: the header row must be 'code' and the "
+                        f"property columns {PROPERTIES}, got {tuple(header)}")
                 continue
-            rows[cells[0]] = tuple(float(c) for c in cells[1:])
-    if header is None or header[0] != "code":
-        raise ValueError("property table needs a 'code,...' header row")
-    props = tuple(header[1:])
-    if props != PROPERTIES:
-        raise ValueError(f"property columns must be {PROPERTIES}, got {props}")
+            if len(cells) != len(header):
+                raise PropertyTableError(
+                    f"{where}: {len(cells)} cells, the header has {len(header)}")
+            if cells[0] in rows:
+                raise PropertyTableError(f"{where}: duplicate code {cells[0]!r}")
+            try:
+                values = tuple(float(c) for c in cells[1:])
+            except ValueError as exc:
+                raise PropertyTableError(f"{where}: {exc}") from exc
+            if not all(map(math.isfinite, values)):
+                raise PropertyTableError(f"{where}: values must be finite")
+            rows[cells[0]] = values
+    if header is None:
+        raise PropertyTableError(
+            f"{path}: property table needs a 'code,...' header row")
     missing = set(STANDARD_ORDER) - set(rows)
     extra = set(rows) - set(STANDARD_ORDER)
     if missing or extra:
-        raise ValueError(f"table must cover exactly the 20 standard residues "
-                         f"(missing {sorted(missing)}, extra {sorted(extra)})")
-    return ResiduePropertyTable(version=version, properties=props, rows=rows)
+        raise PropertyTableError(
+            f"{path}: table must cover exactly the 20 standard residues "
+            f"(missing {sorted(missing)}, extra {sorted(extra)})")
+    return ResiduePropertyTable(version=version, properties=PROPERTIES,
+                                rows=rows)
 
 
 @lru_cache(maxsize=1)

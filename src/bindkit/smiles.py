@@ -20,6 +20,8 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .errors import DataError
+
 __all__ = [
     "Atom",
     "Bond",
@@ -82,7 +84,7 @@ VALENCES = {
 AROMATIC_SYMBOLS = {"b": 5, "c": 6, "n": 7, "o": 8, "p": 15, "s": 16}
 AROMATIC_VALENCE = {5: 3, 6: 4, 7: 3, 8: 2, 15: 3, 16: 2}
 
-class ParseError(ValueError):
+class ParseError(DataError):
     """Positioned SMILES error.  ``offset`` is the character offset into the
     input where the problem was detected."""
 

@@ -6,9 +6,11 @@ here; the package import checks the re-exports of bindkit/__init__.py,
 which resolve on first use.
 """
 import importlib
+import pathlib
 import pkgutil
 import subprocess
 import sys
+import tomllib
 
 import pytest
 
@@ -97,6 +99,31 @@ def test_feature_directory_format_lives_in_gbdt():
     assert dataset.load_features is gbdt.load_features
     assert dataset.write_features is gbdt.write_features
     assert ligand_features.FingerprintFormatError is errors.FingerprintFormatError
+
+
+def test_data_errors_share_one_base_and_config_errors_do_not():
+    from bindkit.config import ConfigError
+    from bindkit.errors import DataError
+    from bindkit.metrics import MetricsError
+    from bindkit.protein_features import PropertyTableError
+    values = [getattr(bindkit, name) for name in bindkit.__all__]
+    classes = [value for value in values
+               if isinstance(value, type) and issubclass(value, Exception)]
+    assert len(classes) == 21
+    for cls in classes + [MetricsError, PropertyTableError]:
+        assert issubclass(cls, DataError) is (cls is not ConfigError), cls
+    assert not issubclass(ConfigError, DataError)
+    assert issubclass(bindkit.UnknownResidueError, KeyError)
+    assert str(bindkit.UnknownResidueError("J")) == "'J'"
+
+
+def test_pyproject_requires_python_311_and_ships_the_table():
+    path = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    with open(path, "rb") as fh:
+        doc = tomllib.load(fh)
+    assert doc["project"]["requires-python"] == ">=3.11"
+    assert doc["project"]["scripts"] == {"bindkit": "bindkit.cli:entry"}
+    assert "data/*.csv" in doc["tool"]["setuptools"]["package-data"]["bindkit"]
 
 
 def test_removed_methods_are_gone():

@@ -288,6 +288,37 @@ def test_export_graphs_keeps_the_sign_of_zero(pipeline, tmp_path):
     assert "[-0.0, " in text
 
 
+def table_lines():
+    """The built-in property table as CSV lines, header first."""
+    rows = default_table().rows
+    return (["code," + ",".join(PROPERTIES)]
+            + [aa + "," + ",".join(map(repr, rows[aa])) for aa in STANDARD_ORDER])
+
+
+@pytest.mark.parametrize("command", ["featurize", "export-graphs"])
+@pytest.mark.parametrize("line, text", [
+    (1, "code,charge"),
+    (4, ",".join(["N", "abc"] + table_lines()[3].split(",")[2:])),
+    (6, table_lines()[5] + ",1.0"),
+    (3, table_lines()[2].rsplit(",", 1)[0] + ",nan"),
+    (22, table_lines()[1]),
+], ids=["header", "non-numeric", "extra-cell", "nan", "duplicate-code"])
+def test_malformed_property_table_exits_2(pipeline, tmp_path, capsys, command,
+                                          line, text):
+    lines = table_lines() + [""]
+    lines[line - 1] = text
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "table.toml"
+    cfg.write_text(f"[paths]\nproperty_table = '{table}'\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "--quiet", command, "--dataset",
+                 pipeline["data"], "--subset", "all", "--out", str(out)]) == 2
+    assert f"{table}: line {line}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def counted(monkeypatch, module, name, calls):
     """Wrap module.name, where its callers look it up, in a call counter,
     as the perfbench tracer does."""

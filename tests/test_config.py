@@ -15,7 +15,6 @@ from bindkit.config import (
     PipelineConfig,
     config_from_mapping,
     load_config,
-    parse_toml,
 )
 
 FULL_TOML = """
@@ -57,54 +56,72 @@ workers = 2
 """
 
 
-def test_parse_toml_value_types():
-    doc = parse_toml(
-        'name = "abc"\n'
-        "count = 3\n"
-        "rate = 0.25\n"
-        "big = 1e6\n"
-        "on = true\n"
-        "off = false\n"
-        "items = [1, 2, 3]\n"
-        "mixed = [0.5, 2]\n"
-        "empty = []\n")
-    assert doc == {"name": "abc", "count": 3, "rate": 0.25, "big": 1e6,
-                   "on": True, "off": False, "items": [1, 2, 3],
-                   "mixed": [0.5, 2], "empty": []}
-    assert isinstance(doc["count"], int) and isinstance(doc["rate"], float)
+def loaded(tmp_path, text):
+    path = tmp_path / "pipeline.toml"
+    path.write_text(text)
+    return load_config(path)
 
 
-def test_parse_toml_sections_and_comments():
-    doc = parse_toml(
-        "# leading comment\n"
-        "top = 1   # trailing comment\n"
-        "\n"
-        "[alpha]\n"
-        'label = "a # not a comment"\n'
-        "[beta.gamma]\n"
-        "x = 2\n")
-    assert doc["top"] == 1
-    assert doc["alpha"]["label"] == "a # not a comment"
-    assert doc["beta"]["gamma"]["x"] == 2
+def test_parse_toml_value_types(tmp_path):
+    # each value reaches the schema with its TOML type
+    cfg = loaded(tmp_path,
+                 "seed = 3\n"
+                 "[split]\nratios = [0.5, 0.25, 0.25]\n"
+                 "[curation]\nki_min_nm = 1\nki_max_nm = 1e6\n"
+                 "[gbdt]\nlearning_rate = 0.25\nsubsample = 1\n"
+                 "[paths]\nfasta = 'receptors.fasta'\n")
+    assert cfg.seed == 3 and cfg.ratios == (0.5, 0.25, 0.25)
+    assert cfg.bounds.min_nm == 1.0 and cfg.bounds.max_nm == 1e6
+    assert cfg.gbdt.learning_rate == 0.25 and cfg.gbdt.subsample == 1.0
+    assert cfg.fasta == "receptors.fasta"
+    for text, message in (('seed = "3"\n', "expected int, got str"),
+                          ("seed = 3.0\n", "expected int, got float"),
+                          ("seed = true\n", "unexpected boolean"),
+                          ("seed = 1979-05-27\n", "expected int, got date"),
+                          ("seed = [3]\n", "expected int, got list"),
+                          ("[split]\nratios = []\n", "three entries"),
+                          ("[paths]\nfasta = 3\n", "expected str, got int")):
+        with pytest.raises(ConfigError, match=message):
+            loaded(tmp_path, text)
 
 
-def test_parse_toml_rejects_malformed_lines():
+def test_parse_toml_sections_and_comments(tmp_path):
+    cfg = loaded(tmp_path,
+                 "# leading comment\n"
+                 "seed = 1   # trailing comment\n"
+                 "\n"
+                 "[paths]\n"
+                 'fasta = "a # not a comment"\n'
+                 "[gbdt]\n"
+                 "n_trees = 2\n")
+    assert cfg.seed == 1
+    assert cfg.fasta == "a # not a comment"
+    assert cfg.gbdt.n_trees == 2
+    # an inline table is a section, as in TOML 1.0
+    assert loaded(tmp_path, "gbdt = {n_trees = 5}\n").gbdt.n_trees == 5
+
+
+def test_parse_toml_rejects_malformed_lines(tmp_path):
     for text in ("just words\n",
                  "[unclosed\n",
                  "[]\n",
                  "key =\n",
                  'key = "unterminated\n',
                  "key = [1, 2\n",
-                 "key = what\n"):
-        with pytest.raises(ConfigError):
-            parse_toml(text)
+                 "key = what\n",
+                 "seed = .5\n",
+                 'seed = "C:\\data"\n',
+                 "seed = 1\fn_trees = 2\n"):
+        with pytest.raises(ConfigError, match="pipeline.toml: not valid TOML"):
+            loaded(tmp_path, text)
 
 
-def test_parse_toml_rejects_duplicates():
-    with pytest.raises(ConfigError, match="duplicate"):
-        parse_toml("a = 1\na = 2\n")
-    with pytest.raises(ConfigError, match="duplicate"):
-        parse_toml("[s]\nx = 1\nx = 2\n")
+def test_parse_toml_rejects_duplicates(tmp_path):
+    for text in ("seed = 1\nseed = 2\n",
+                 "[gbdt]\nn_trees = 1\nn_trees = 2\n",
+                 "[gbdt]\n[gbdt]\n"):
+        with pytest.raises(ConfigError, match="pipeline.toml: not valid TOML"):
+            loaded(tmp_path, text)
 
 
 def test_defaults():
@@ -191,12 +208,14 @@ def test_value_constraints():
     ("[fingerprint]\nnbits = 4611686018427387904\n", "power of two <= 65536"),
     ("[fingerprint]\nnbits = 131072\n", "power of two <= 65536"),
     ("[fingerprint]\nradius = 100000\n", r"radius must be in \[0, 8\]"),
-    ("seed = " + "[" * 3000 + "]" * 3000 + "\n", "nested too deeply"),
+    ("seed = " + "[" * 3000 + "]" * 3000 + "\n", "bad.toml: not valid TOML"),
     ("seed = -1\n", "seed must be >= 0"),
+    ("seed = " + "9" * 5000 + "\n", "bad.toml: not valid TOML"),
 ], ids=["bin_start-nan", "bin_stop-inf", "bin_width-tiny", "threshold-nan",
         "bin_width-no-tiling", "bin_start-at-stop", "ratios-nan",
         "ki_max_nm-inf", "learning_rate-huge-int", "nbits-huge",
-        "nbits-above-max", "radius-huge", "deep-array", "seed-negative"])
+        "nbits-above-max", "radius-huge", "deep-array", "seed-negative",
+        "seed-5000-digits"])
 def test_values_that_crashed_a_command_are_config_errors(tmp_path, text, message):
     path = tmp_path / "bad.toml"
     path.write_text(text)
@@ -252,6 +271,10 @@ HOSTILE_VALUES = [
     "1e400", str(2**62), str(10**30), "9" * 5000, "true", "false", '"x"',
     '"unterminated', '"', "[]", "[0.8, 0.1, nan]", "[1, [2]]",
     "[" * 3000 + "]" * 3000, "[1, 2", "what", "",
+    # TOML 1.0 tokens: a date, an inline table, literal and multi-line
+    # strings, hex and underscored integers, a string with an escape TOML
+    # does not define, and a float without a leading digit
+    "1979-05-27", "{}", "'lit'", '"""x"""', "0x10", "1_000", '"C:\\x"', ".5",
 ]
 PLAIN_VALUES = ["0", "1", "2", "3", "0.5", "0.25", "-2.0", "12.0", "4.0",
                 "256", "2048", "[0.6, 0.2, 0.2]"]
