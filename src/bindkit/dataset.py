@@ -126,11 +126,8 @@ def _pair_key(residues: str, ligand_identity: str) -> str:
 
 
 def file_digest(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def build_fasta_index(text: str) -> dict[str, ProteinSequence]:

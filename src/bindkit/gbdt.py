@@ -59,6 +59,7 @@ from .errors import (
     FingerprintFormatError,
     GbdtError,
 )
+from .metrics import _npy_payload
 
 __all__ = [
     "FeatureStore",
@@ -643,8 +644,6 @@ def _read_json(path, error):
 
 DENSE_FILE = "descriptors.npy"
 BITS_FILE = "fingerprints.npy"
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                (2, 0): np.lib.format.read_array_header_2_0}
 
 
 def write_features(outdir, X: FeatureStore, y, ids, sidecar: dict) -> None:
@@ -664,30 +663,13 @@ def write_features(outdir, X: FeatureStore, y, ids, sidecar: dict) -> None:
         fh.write("\n")
 
 
-def _read_npy(path, dtype=None, ndim=None, error=DatasetError) -> np.ndarray:
-    """The array of a .npy file, once its header shows an array of the given
-    dtype (None: any boolean, integer or floating dtype) and rank (None: any)
-    followed by exactly the bytes that shape needs."""
-    with open(path, "rb") as fh:
-        try:
-            version = np.lib.format.read_magic(fh)
-            if version not in _NPY_HEADERS:
-                raise ValueError(f"format version {version}")
-            shape, _, found = _NPY_HEADERS[version](fh)
-        except (ValueError, EOFError) as exc:
-            raise error(f"{path}: not a .npy array ({exc})") from exc
-        if found.hasobject:
-            raise error(f"{path}: holds an object (pickled) array")
-        if dtype is None and found.kind not in "biuf":
-            raise error(f"{path}: expected an array of numbers, got {found}")
-        if dtype is not None and (found != np.dtype(dtype) or len(shape) != ndim):
-            raise error(f"{path}: expected a {ndim}-D {np.dtype(dtype)} array, "
-                        f"got {found} of shape {shape}")
-        size = math.prod(shape) * found.itemsize
-        if os.fstat(fh.fileno()).st_size - fh.tell() != size:
-            raise error(f"{path}: data size does not match shape {shape}")
-        fh.seek(0)
-        return np.lib.format.read_array(fh, allow_pickle=False)
+def _read_npy(path, dtype, ndim, error=DatasetError) -> np.ndarray:
+    """The read-only array of a .npy file that np.save wrote from a C-order
+    array of the given dtype, stored little-endian, and rank; any other file
+    raises error naming it."""
+    descr = np.dtype(dtype).newbyteorder("<").str
+    shape, data = _npy_payload(path, descr, ndim, error)
+    return np.frombuffer(data, dtype=descr).reshape(shape)
 
 
 def load_features(path) -> tuple[FeatureStore, np.ndarray | None]:
@@ -696,7 +678,8 @@ def load_features(path) -> tuple[FeatureStore, np.ndarray | None]:
 
     Feature files are untrusted.  A missing featurize.json, descriptors.npy
     or fingerprints.npy raises the OSError of its open.  An array of the
-    wrong dtype, rank or byte count (an object array included), row counts
+    wrong dtype, rank, order or byte count, or under a header np.save would
+    not write (an object array included; see metrics._npy_payload), row counts
     that differ among the blocks, y.npy, ids.txt and featurize.json, a width
     that is not featurize.json's n_columns, or a non-finite dense value
     raises DatasetError, or FingerprintFormatError for the bit block, naming

@@ -11,8 +11,8 @@ bits numpy computes: a mean over a float64 array is numpy's pairwise sum
 (_sum), a per-bin sum is a running sum in sample order, as
 np.bincount(..., weights=) adds, and an accuracy is an exact count over n.
 numpy is imported only to flatten input that is not already a flat list of
-floats, such as an array, and to read a .npy file that is not a 1-D
-little-endian float64 vector.
+floats, such as an array.  The checked .npy reader shared with the gbdt
+module lives here, so evaluate reads y.npy without numpy.
 """
 from __future__ import annotations
 
@@ -217,48 +217,56 @@ def write_report(report: dict, json_path, csv_path=None) -> None:
                 fh.write(f"{cell['lo']!r},{cell['hi']!r},{cell['count']},{mae_cell}\n")
 
 
-# The header np.save writes for a 1-D little-endian float64 array.
-_F8_VECTOR_HEADER = re.compile(
-    rb"\{'descr': '<f8', 'fortran_order': False, 'shape': \((\d{1,18}),\), \} *\n")
+# The header np.save writes: the array's dict with its keys in sorted
+# order, padded with spaces and ended by a newline.
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '([^']*)', 'fortran_order': (False|True), "
+    rb"'shape': \(((?:\d{1,18}, )*(?:\d{1,18},?)?)\), \} *\n")
+_NPY_MAGIC = {b"\x93NUMPY\x01\x00": 2, b"\x93NUMPY\x02\x00": 4}
+
+
+def _npy_payload(path, descr: str, ndim: int, error) -> tuple[tuple, bytes]:
+    """(shape, data bytes) of a .npy file that np.save wrote (format 1.0 or
+    2.0) from a C-order array of dtype descr, such as '<f8', and rank ndim.
+    A file of another form, dtype, order or rank, or whose data is not
+    exactly the bytes its shape needs, raises error naming the file."""
+    with open(path, "rb", buffering=0) as fh:     # read() copies no buffer
+        width = _NPY_MAGIC.get(fh.read(8))
+        if width is None:
+            raise error(f"{path}: not a .npy array (no format 1.0 or 2.0 magic)")
+        # np.save writes a header of a few hundred bytes at most; a read of a
+        # claimed length of up to 4 GiB would allocate that much first
+        length = int.from_bytes(fh.read(width), "little")
+        header = length < 1 << 16 and _NPY_HEADER.fullmatch(fh.read(length))
+        shape = header and tuple(map(int, re.findall(rb"\d+", header[3])))
+        if not header or repr(shape).encode() != b"(" + header[3] + b")":
+            raise error(f"{path}: not a .npy array (no header np.save writes)")
+        found, fortran = header[1].decode("latin-1"), header[2] == b"True"
+        if found == "|O":
+            raise error(f"{path}: holds an object (pickled) array")
+        if found != descr or fortran or len(shape) != ndim:
+            raise error(f"{path}: expected a {ndim}-D {descr} array in C order, "
+                        f"got {found} of shape {shape}"
+                        + " in Fortran order" * fortran)
+        data = fh.read()
+    if len(data) != math.prod(shape) * int(descr[2:]):
+        raise error(f"{path}: data size does not match shape {shape}")
+    return shape, data
 
 
 def _load_vector(path) -> list[float]:
-    """Read a vector of predictions or truths as floats: a .npy array of
-    numbers of any shape, flattened, or a text file of one number per line.
-    An unreadable, pickled or non-numeric file raises DatasetError naming
-    it.  A 1-D little-endian float64 .npy, as featurize writes y.npy, is
-    read without numpy; any other .npy goes through the checked reader of
-    the gbdt module."""
+    """Read a vector of predictions or truths as floats: a .npy file of a
+    1-D little-endian float64 array, as featurize writes y.npy, or a text
+    file of one number per line.  An unreadable file, a .npy file of any
+    other array, or a non-numeric line raises DatasetError naming the
+    file."""
     if not path.endswith(".npy"):
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 return [float(line) for line in fh if line.strip()]
             except ValueError as exc:
                 raise DatasetError(f"non-numeric line in {path}: {exc}") from exc
-    with open(path, "rb") as fh:
-        data = fh.read()
-    values = _f8_vector(data)
-    if values is None:
-        from .gbdt import _read_npy
-        return _read_npy(path).astype("float64").ravel().tolist()
-    return values
-
-
-def _f8_vector(data: bytes) -> list[float] | None:
-    """The values of .npy file bytes (format 1.0 or 2.0) that hold a 1-D
-    little-endian float64 array under the header np.save writes, else
-    None."""
-    if data[:8] == b"\x93NUMPY\x01\x00":
-        begin = 10
-    elif data[:8] == b"\x93NUMPY\x02\x00":
-        begin = 12
-    else:
-        return None
-    end = begin + int.from_bytes(data[8:begin], "little")
-    header = _F8_VECTOR_HEADER.fullmatch(data, begin, end)
-    if header is None or len(data) - end != 8 * int(header[1]):
-        return None
-    values = array("d", data[end:])
+    values = array("d", _npy_payload(path, "<f8", 1, DatasetError)[1])
     if sys.byteorder == "big":
         values.byteswap()
     return values.tolist()

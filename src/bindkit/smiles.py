@@ -26,6 +26,7 @@ __all__ = [
     "Atom",
     "Bond",
     "Molecule",
+    "MAX_ATOMS",
     "ParseError",
     "EmptyInputError",
     "UnknownSymbolError",
@@ -209,6 +210,12 @@ _BRACKET_HEAD = re.compile(rf"\[([0-9]*)(?:([A-Z][a-z]?)|([{_AROMATIC}]))?")
 _BRACKET_PART = re.compile(r"(@+)|H([0-9]*)|(\++|-+)([0-9]*)|\]")
 
 
+# A molecule has at most this many atoms; parsing stops with a ParseError at
+# the first atom past it.  A featurization batch gives every atom an
+# atom-set bitset as wide as the batch's largest molecule, so one huge
+# ligand would cost memory that grows with the square of its size.
+MAX_ATOMS = 500
+
 # An isotope, H count or charge has at most this many digits, so every
 # value fits in 32 bits; a longer run is an UnknownSymbolError at its start.
 _MAX_DIGITS = 9
@@ -273,7 +280,8 @@ def parse_smiles(text: str) -> Molecule:
 
     Implicit hydrogens are NOT assigned and rings are NOT perceived yet; see
     assign_implicit_hydrogens and perceive_rings, or the from_smiles shortcut.
-    Every failure raises a ParseError subclass carrying a character offset.
+    Every failure raises a ParseError subclass carrying a character offset;
+    the atom past MAX_ATOMS raises a plain ParseError.
     """
     if not isinstance(text, str):
         raise TypeError("SMILES input must be a string")
@@ -377,6 +385,8 @@ def parse_smiles(text: str) -> Molecule:
             continue
         # an atom: bond it to the previous one
         idx = len(atoms)
+        if idx == MAX_ATOMS:
+            raise ParseError(f"more than {MAX_ATOMS} atoms", at)
         if prev is not None:
             if order is None:
                 both = atoms[prev].aromatic and atom.aromatic

@@ -609,18 +609,27 @@ def test_console_entry_point_smoke(tmp_path):
 
 
 def test_evaluate_loads_neither_numpy_nor_the_pipeline_modules(pipeline, tmp_path):
+    # a feature directory whose y.npy is 2-D is rejected without them too
+    rejected = tmp_path / "rejected"
+    rejected.mkdir()
+    np.save(rejected / "y.npy", np.load(
+        pathlib.Path(pipeline["feats"]["test"]) / "y.npy").reshape(-1, 1))
     argv = ["--quiet", "--config", pipeline["cfg"], "evaluate",
             "--pred", pipeline["preds"], "--truth", pipeline["feats"]["test"],
             "--out", str(tmp_path / "report.json")]
+    bad = argv[:7] + [str(rejected), "--out", str(tmp_path / "bad.json")]
     code = ("import sys\n"
             "from bindkit.cli import main\n"
             f"assert main({argv!r}) == 0\n"
+            f"assert main({bad!r}) == 2\n"
             "print(sorted(name for name in ('numpy', 'bindkit.gbdt', "
             "'bindkit.dataset', 'bindkit.smiles') if name in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+    assert str(rejected / "y.npy") in proc.stderr
+    assert not (tmp_path / "bad.json").exists()
     assert (tmp_path / "report.json").read_bytes() == \
         pathlib.Path(pipeline["report"]).read_bytes()
 
@@ -652,19 +661,67 @@ def test_train_and_predict_load_no_featurization_module(pipeline, tmp_path):
     ((-1, 1), np.float64), ((1, -1), np.float64), ((-1,), np.int64),
     ((-1, 1), np.int32), ((-1,), np.float32)])
 def test_evaluate_reads_any_numeric_npy_truth_as_its_flat_values(
-        tmp_path, shape, dtype):
+        tmp_path, capsys, shape, dtype):
+    """Only a 1-D little-endian float64 .npy is read as a vector: each of
+    these truths exits 2 naming the file and writes no report, while its
+    flat values as a text file of one number per line are read."""
     truth = np.array([3.0, 5.0, -2.0, 5.0, 13.0, 7.0]).astype(dtype).reshape(shape)
     np.save(tmp_path / "truth.npy", truth)
     (tmp_path / "truth.txt").write_text(
         "".join(f"{v!r}\n" for v in truth.astype(np.float64).ravel().tolist()))
     (tmp_path / "pred.txt").write_text("3.5\n4.5\n4.5\n4.2\n12.0\n7.25\n")
-    for name in ("truth.npy", "truth.txt"):
+    for name, code in (("truth.npy", 2), ("truth.txt", 0)):
         assert main(["--quiet", "evaluate", "--pred", str(tmp_path / "pred.txt"),
                      "--truth", str(tmp_path / name),
-                     "--out", str(tmp_path / f"{name}.json")]) == 0
-    for ext in ("json", "csv"):
-        assert (tmp_path / f"truth.npy.{ext}").read_bytes() == \
-            (tmp_path / f"truth.txt.{ext}").read_bytes()
+                     "--out", str(tmp_path / f"{name}.json")]) == code
+    err = capsys.readouterr().err
+    assert "data error" in err and str(tmp_path / "truth.npy") in err, err
+    assert not (tmp_path / "truth.npy.json").exists()
+    assert not (tmp_path / "truth.npy.csv").exists()
+    assert (tmp_path / "truth.txt.json").exists()
+
+
+def _saved(array, **kwargs):
+    def save(path):
+        np.save(path, array(np.load(path)), **kwargs)
+    return save
+
+
+def _cut(edit):
+    def save(path):
+        path.write_bytes(edit(path.read_bytes()))
+    return save
+
+
+Y_VARIANTS = {
+    "f8": _saved(lambda y: y),
+    "column": _saved(lambda y: y.reshape(-1, 1)),
+    "f4": _saved(lambda y: y.astype(np.float32)),
+    "int64": _saved(lambda y: y.astype(np.int64)),
+    "big-endian": _saved(lambda y: y.astype(">f8")),
+    "fortran-2d": _saved(lambda y: np.asfortranarray(np.stack([y, y], axis=1))),
+    "object": _saved(lambda y: y.astype(object), allow_pickle=True),
+    "truncated": _cut(lambda blob: blob[:-3]),
+    "padded": _cut(lambda blob: blob + b"\0" * 8),
+}
+
+
+@pytest.mark.parametrize("variant", list(Y_VARIANTS))
+def test_evaluate_and_train_give_one_y_npy_one_verdict(pipeline, tmp_path,
+                                                       capsys, variant):
+    feats = tmp_path / "feats"
+    shutil.copytree(pipeline["feats"]["train"], feats)
+    Y_VARIANTS[variant](feats / "y.npy")
+    pred = tmp_path / "pred.txt"
+    pred.write_text("5.0\n" * len((feats / "ids.txt").read_text().splitlines()))
+    codes = [main(["--quiet", "--config", pipeline["cfg"], *argv]) for argv in (
+        ["evaluate", "--pred", str(pred), "--truth", str(feats),
+         "--out", str(tmp_path / "r.json")],
+        ["train", "--train", str(feats), "--out", str(tmp_path / "m.json")])]
+    assert codes == ([0, 0] if variant == "f8" else [2, 2])
+    if variant != "f8":
+        err = capsys.readouterr().err
+        assert err.count(str(feats / "y.npy")) == 2, err
 
 
 @pytest.mark.parametrize("text, command", [
@@ -1006,6 +1063,43 @@ def test_object_arrays_are_rejected(pipeline, tmp_path, capsys, filename):
     assert_features_rejected(pipeline, tmp_path, capsys, feats, filename)
 
 
+def _rewrite_header(name, old, new):
+    def damage(d):
+        blob = (d / name).read_bytes()
+        assert old in blob
+        (d / name).write_bytes(blob.replace(old, new, 1))
+    return damage
+
+
+def _save_as_version_3(d):
+    y = np.load(d / "y.npy")
+    with open(d / "y.npy", "wb") as fh:
+        np.lib.format.write_array(fh, y, version=(3, 0))
+
+
+@pytest.mark.parametrize("filename,damage", [
+    ("descriptors.npy", lambda d: np.save(d / "descriptors.npy", np.asfortranarray(
+        np.load(d / "descriptors.npy")))),
+    ("fingerprints.npy", lambda d: np.save(d / "fingerprints.npy", np.asfortranarray(
+        np.load(d / "fingerprints.npy")))),
+    # headers np.save would not write, over the same data bytes
+    ("descriptors.npy", _rewrite_header(
+        "descriptors.npy", b"{'descr': '<f8', 'fortran_order': False, ",
+        b"{'fortran_order': False, 'descr': '<f8', ")),
+    ("descriptors.npy", _rewrite_header("descriptors.npy", b"'shape': (22, 78)",
+                                        b"'shape': (22,78) ")),
+    ("y.npy", _rewrite_header("y.npy", b"'descr': '<f8'", b"'descr': 'f8' ")),
+    ("y.npy", _rewrite_header("y.npy", b"'descr': '<f8'", b'"descr": "<f8"')),
+    ("y.npy", _save_as_version_3),
+], ids=["fortran-dense", "fortran-bits", "key-order", "shape-spacing",
+        "native-descr", "quotes", "version-3"])
+def test_feature_arrays_must_be_as_np_save_writes_them(pipeline, tmp_path, capsys,
+                                                     filename, damage):
+    feats = damaged_features(pipeline, tmp_path, damage)
+    np.load(feats / filename)                      # numpy itself reads them
+    assert_features_rejected(pipeline, tmp_path, capsys, feats, filename)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_descriptor_is_rejected(pipeline, tmp_path, capsys, value):
     def poison(d):
@@ -1071,6 +1165,29 @@ def test_long_bracket_digit_runs_are_bad_smiles(pipeline, tmp_path):
         (pathlib.Path(pipeline["data"]) / "dataset.tsv").read_text()
 
 
+def test_ligand_past_max_atoms_is_a_bad_smiles_drop_and_a_bad_dataset_line(
+        pipeline, tmp_path, capsys):
+    huge = "C" * 24000
+    raw = tmp_path / "raw.tsv"
+    raw.write_text(pathlib.Path(RAW).read_text() + f"ACDEFGHIKL\t{huge}\t10\n")
+    out = tmp_path / "dataset"
+    assert main(["--config", pipeline["cfg"], "--quiet", "ingest",
+                 "--in", str(raw), "--out", str(out)]) == 0
+    prov = json.loads((out / "provenance.json").read_text())
+    assert prov["drops"] == dict(EXPECTED_DROPS, bad_smiles=3 + 1)
+    assert (out / "dataset.tsv").read_text() == \
+        (pathlib.Path(pipeline["data"]) / "dataset.tsv").read_text()
+    lines = (out / "dataset.tsv").read_text().splitlines()
+    (out / "dataset.tsv").write_text("\n".join(with_cell(lines, 7, 4, huge)) + "\n")
+    for command in ("featurize", "export-graphs"):
+        target = tmp_path / command
+        assert main(["--quiet", command, "--dataset", str(out), "--subset",
+                     "all", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert f"more than {bindkit.smiles.MAX_ATOMS} atoms" in err, err
+        assert "line 8" in err and not target.exists()
+
+
 # SMILES pieces: valid atoms and bonds, broken brackets, long digit runs,
 # huge and nine-digit charges, and non-ASCII digits, letters and spaces.
 SMILES_PIECES = (
@@ -1107,3 +1224,107 @@ def test_fuzzed_raw_tsv_never_exits_3_and_accounts_every_row(pipeline, rows):
         prov = json.loads((out / "provenance.json").read_text())
         assert (sum(prov["drops"].values()) + prov["n_records"]
                 + prov["duplicates_merged"]) == len(rows)
+
+
+# --- dataset.tsv fuzzing --------------------------------------------------------
+
+# Bytes added to a cell: non-ASCII letters and space, and bytes that are not
+# UTF-8 (a lone continuation byte, a Latin-1 e-acute, an invalid lead byte).
+ODD_BYTES = ("é".encode(), " ".encode(), "٣".encode(), b"\x80", b"\xe9",
+             b"\xff")
+row_no = st.integers(0, 28)                 # 0 is the header
+col_no = st.integers(0, 6)
+dataset_edit = st.one_of(
+    st.tuples(st.sampled_from(("swap-cells", "copy-cell")), row_no, col_no,
+              row_no, col_no),
+    st.tuples(st.just("empty-cell"), row_no, col_no),
+    st.tuples(st.sampled_from(("swap-lines", "copy-line")), row_no, row_no),
+    st.tuples(st.sampled_from(("empty-line", "crlf", "huge-ligand")), row_no),
+    st.tuples(st.just("odd-bytes"), row_no, col_no, st.sampled_from(ODD_BYTES)),
+    st.tuples(st.just("log-ki"), row_no, st.sampled_from((b"1e308", b"-400")),
+              st.booleans()),
+)
+
+
+def edit_dataset_lines(lines: list[bytes], edit) -> None:
+    """Apply one edit, in place, to the lines of a dataset.tsv (no line
+    ends).  A cell index wraps round the cells its line has."""
+    def cells(row):
+        return lines[row].split(b"\t")
+
+    def put(row, col, value):
+        parts = cells(row)
+        parts[col % len(parts)] = value
+        lines[row] = b"\t".join(parts)
+
+    def get(row, col):
+        parts = cells(row)
+        return parts[col % len(parts)]
+
+    kind, *args = edit
+    if kind == "swap-cells":
+        r1, c1, r2, c2 = args
+        a, b = get(r1, c1), get(r2, c2)
+        put(r1, c1, b)
+        put(r2, c2, a)
+    elif kind == "copy-cell":
+        r1, c1, r2, c2 = args
+        put(r2, c2, get(r1, c1))
+    elif kind == "empty-cell":
+        put(*args, b"")
+    elif kind == "swap-lines":
+        r1, r2 = args
+        lines[r1], lines[r2] = lines[r2], lines[r1]
+    elif kind == "copy-line":
+        r1, r2 = args
+        lines.insert(r2 + 1, lines[r1])
+    elif kind == "empty-line":
+        lines[args[0]] = b""
+    elif kind == "crlf":
+        lines[args[0]] += b"\r"
+    elif kind == "huge-ligand":
+        put(args[0], 4, b"C" * (bindkit.smiles.MAX_ATOMS + 1))
+    elif kind == "odd-bytes":
+        row, col, extra = args
+        put(row, col, get(row, col) + extra)
+    else:                                   # a log_ki, with a matching ki_nm
+        row, value, matching = args
+        put(row, 6, value)
+        if matching:
+            try:
+                put(row, 5, repr(10.0 ** float(value)).encode())
+            except OverflowError:
+                put(row, 5, b"inf")
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(st.lists(dataset_edit, min_size=1, max_size=3))
+def test_fuzzed_dataset_tsv_never_exits_3_and_keeps_every_row(pipeline, edits):
+    lines = (pathlib.Path(pipeline["data"]) / "dataset.tsv").read_bytes() \
+        .split(b"\n")[:-1]
+    for edit in edits:
+        edit_dataset_lines(lines, edit)
+    blob = b"".join(line + b"\n" for line in lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        data = tmp / "dataset"
+        shutil.copytree(pipeline["data"], data)
+        (data / "dataset.tsv").write_bytes(blob)
+        feats, graphs = tmp / "feats", tmp / "graphs.jsonl"
+        codes = [main(["--quiet", "--config", pipeline["cfg"], command,
+                       "--dataset", str(data), "--subset", "all",
+                       "--out", str(out)])
+                 for command, out in (("featurize", feats),
+                                      ("export-graphs", graphs))]
+        assert codes in ([0, 0], [2, 2]), codes
+        if codes[0] == 2:
+            return
+        # the rows load_dataset reads: universal newlines, blank lines skipped
+        text = blob.decode("utf-8").replace("\r\n", "\n")
+        keys = [row.split("\t")[0] for row in text.split("\n")[1:] if row]
+        assert (feats / "ids.txt").read_text(encoding="utf-8").split("\n") == \
+            keys + [""]
+        X, y = load_features(str(feats))
+        assert X.shape[0] == len(y) == len(keys)
+        with open(graphs, encoding="utf-8") as fh:
+            assert [json.loads(line)["id"] for line in fh] == keys

@@ -149,9 +149,9 @@ def test_sum_of_negative_zeros_is_positive_zero_as_in_numpy(n):
 
 
 @pytest.mark.parametrize("array", [
-    np.array([0.5, -1.25, 3.0]),                  # read without numpy
+    np.array([0.5, -1.25, 3.0]),                  # the form featurize writes
     np.array([], dtype=np.float64),
-    np.arange(6.0).reshape(2, 3),                 # the numpy reader's cases
+    np.arange(6.0).reshape(2, 3),                 # rejected by both readers
     np.asfortranarray(np.arange(6.0).reshape(2, 3)),
     np.array([3, -1, 7], dtype=np.int64),
     np.array([True, False]),
@@ -161,31 +161,41 @@ def test_sum_of_negative_zeros_is_positive_zero_as_in_numpy(n):
 def test_load_vector_reads_npy_as_the_numpy_reader_does(tmp_path, array):
     path = str(tmp_path / "v.npy")
     np.save(path, array)
-    expected = _read_npy(path).astype(np.float64).ravel().tolist()
-    assert _load_vector(path) == expected
-    assert all(type(v) is float for v in _load_vector(path))
+    if array.ndim == 1 and array.dtype.str == "<f8":
+        assert _load_vector(path) == _read_npy(path, np.float64, 1).tolist()
+        assert _load_vector(path) == array.tolist()
+        assert all(type(v) is float for v in _load_vector(path))
+        return
+    with pytest.raises(DatasetError) as expected:
+        _read_npy(path, np.float64, 1)
+    with pytest.raises(DatasetError) as got:
+        _load_vector(path)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(f"{path}: expected a 1-D <f8 array")
 
 
 def test_load_vector_errors_are_the_numpy_readers(tmp_path):
     good = tmp_path / "good.npy"
     np.save(good, np.arange(4.0))
+    np.save(tmp_path / "obj.npy", np.array([1.0, "x"], dtype=object))
     cases = {
         "truncated": good.read_bytes()[:-3],
         "padded": good.read_bytes() + b"\0" * 8,
         "garbage": b"not an array",
         "bad-header": good.read_bytes().replace(b"'shape': (4,)", b"'shape': (4.)"),
+        "object": (tmp_path / "obj.npy").read_bytes(),
     }
     for name, blob in cases.items():
         path = tmp_path / f"{name}.npy"
         path.write_bytes(blob)
         with pytest.raises(DatasetError) as expected:
-            _read_npy(str(path))
+            _read_npy(str(path), np.float64, 1)
         with pytest.raises(DatasetError) as got:
             _load_vector(str(path))
         assert str(got.value) == str(expected.value), name
-    np.save(tmp_path / "obj.npy", np.array([1.0, "x"], dtype=object))
+        assert str(path) in str(got.value), name
     with pytest.raises(DatasetError, match="pickled"):
-        _load_vector(str(tmp_path / "obj.npy"))
+        _load_vector(str(tmp_path / "object.npy"))
     text = tmp_path / "v.txt"
     text.write_text("1.5\n\n-2\nx\n")
     with pytest.raises(DatasetError, match="non-numeric line"):

@@ -14,7 +14,9 @@ from bindkit.smiles import (
     Bond,
     DuplicateBondError,
     EmptyInputError,
+    MAX_ATOMS,
     Molecule,
+    ParseError,
     UnbalancedParenError,
     UnclosedRingError,
     UnknownSymbolError,
@@ -151,6 +153,18 @@ def test_nine_digit_runs_parse():
     atom = parse_smiles("[123456789CH000000003-999999999]").atoms[0]
     assert (atom.isotope, atom.explicit_h, atom.formal_charge) == \
         (123456789, 3, -999999999)
+
+
+@pytest.mark.parametrize("unit", ["C", "[13CH4]."])
+def test_atoms_past_max_atoms_are_a_parse_error(unit):
+    # one atom per unit: MAX_ATOMS of them parse, the next one raises at
+    # its own offset, however long the input goes on
+    assert len(from_smiles((unit * MAX_ATOMS).rstrip(".")).atoms) == MAX_ATOMS
+    for extra in (1, 24000):
+        with pytest.raises(ParseError, match=f"more than {MAX_ATOMS} atoms") as err:
+            parse_smiles((unit * (MAX_ATOMS + extra)).rstrip("."))
+        assert type(err.value) is ParseError
+        assert err.value.offset == len(unit) * MAX_ATOMS
 
 
 def test_nitrogen_valence_states():
