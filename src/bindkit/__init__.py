@@ -32,8 +32,8 @@ _EXPORTS = {
     "dataset": """RawRecord AffinityRecord Dataset EmptyAfterFilteringError
         TooFewRecordsError pair_key ingest split featurize_pairs read_raw_tsv
         write_dataset load_dataset""",
-    "gbdt": """FeatureStore GbdtModel ModelFormatError ModelVersionError train
-        save_model load_model write_features load_features""",
+    "gbdt": "FeatureStore train write_features load_features",
+    "model": "GbdtModel ModelFormatError ModelVersionError save_model load_model",
     "errors": "DatasetError GbdtError DimensionMismatchError",
     "metrics": "mae binned_mae classify_accuracy build_report write_report",
     "config": "KiBounds TrainParams ConfigError PipelineConfig load_config",
@@ -41,7 +41,8 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}
 _SUBMODULES = ("cli", "config", "dataset", "errors", "fasta", "gbdt",
-               "ligand_features", "metrics", "protein_features", "smiles")
+               "ligand_features", "metrics", "model", "protein_features",
+               "smiles")
 
 __all__ = sorted(_HOME)
 

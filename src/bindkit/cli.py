@@ -20,13 +20,13 @@ from .metrics import _load_vector, build_report, write_report
 
 log = logging.getLogger("bindkit")
 
-# A command imports the numpy-backed modules it runs when it runs, so
-# `evaluate` starts without numpy.  The names below resolve on first use
+# A command imports the modules it runs when it runs, so `evaluate` and
+# `predict` start without numpy.  The names below resolve on first use
 # (PEP 562), and the commands call them through this module's namespace, so
 # that a tracer patching bindkit.cli.<name> sees every call.
 _LAZY = {
-    "train": "gbdt", "save_model": "gbdt", "load_model": "gbdt",
-    "load_features": "gbdt",
+    "train": "gbdt", "load_features": "gbdt",
+    "save_model": "model", "load_model": "model", "read_features": "model",
     "graph_block": "ligand_features", "ligand_graph_features": "ligand_features",
     "default_table": "protein_features",
     "load_property_table": "protein_features",
@@ -128,7 +128,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
 
 def cmd_featurize(args, cfg: PipelineConfig) -> int:
     from . import dataset as ds_mod
-    dataset = ds_mod.load_dataset(args.dataset)
+    dataset = ds_mod.load_dataset(args.dataset, cfg.bounds)
     table = _table_for(cfg)
     X, y, columns, ids = ds_mod.featurize_pairs(
         dataset, which=args.subset, radius=cfg.radius, nbits=cfg.nbits,
@@ -178,7 +178,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 
 def cmd_predict(args, cfg: PipelineConfig) -> int:
     model = _cli.load_model(args.model)
-    X, _ = _cli.load_features(args.features)
+    X, _ = _cli.read_features(args.features)
     preds = model.predict(X)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(repr(float(p)) + "\n" for p in preds))
@@ -225,7 +225,7 @@ def _block_json(features, rows: dict[bytes, str]) -> str:
 
 def cmd_export_graphs(args, cfg: PipelineConfig) -> int:
     from . import dataset as ds_mod
-    dataset = ds_mod.load_dataset(args.dataset)
+    dataset = ds_mod.load_dataset(args.dataset, cfg.bounds)
     table = _table_for(cfg)
     records = dataset.subset(args.subset)
     if not records:

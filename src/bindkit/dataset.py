@@ -21,13 +21,14 @@ import numpy as np
 from .config import KiBounds
 from .errors import DatasetError
 from .fasta import FastaError, ProteinSequence, parse_fasta
-from .gbdt import FeatureStore, _read_json, load_features, write_features
+from .gbdt import FeatureStore, load_features, write_features
 from .ligand_features import (
     _ecfp_batch,
     _full_refinement_ids_batch,
     ecfp,  # not called here; named so that tracers can wrap it
     full_refinement_ids,
 )
+from .model import _read_json
 from .protein_features import (
     DESCRIPTOR_LAYOUT,
     ResiduePropertyTable,
@@ -398,23 +399,26 @@ def write_dataset(dataset: Dataset, outdir) -> None:
         fh.write("\n")
 
 
-def load_dataset(outdir) -> Dataset:
+def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS) -> Dataset:
     """Reload a curated dataset directory written by write_dataset.
 
     Each distinct SMILES is parsed, and each distinct (receptor id, residues)
     pair validated, once, at its first row; records that name the same
     ligand or receptor share one frozen object.  A bad SMILES or residue
     string raises its own ParseError or FastaError, with the line named.
-    A pair key seen on an earlier line, or a ki_nm cell other than the
-    repr(10.0 ** log_ki) that write_dataset writes, raises
-    DatasetFormatError naming the line.  A provenance.json that is not
-    JSON, is not a JSON object, or holds a source_digest that is not a
-    string raises DatasetFormatError naming the file.
+    A pair key seen on an earlier line, a ki_nm cell other than the
+    repr(10.0 ** log_ki) that write_dataset writes, or a log_ki outside the
+    log10 of bounds (ingest keeps a Ki within bounds as log10(Ki), and 10.0
+    ** that can round just outside them) raises DatasetFormatError naming
+    the line.  A provenance.json that is not JSON, is not a JSON object, or
+    holds a source_digest that is not a string raises DatasetFormatError
+    naming the file.
     """
     tsv = os.path.join(outdir, "dataset.tsv")
     molecules: dict[str, Molecule] = {}
     receptors: dict[tuple[str, str], ProteinSequence] = {}
     key_lines: dict[str, int] = {}
+    log_window = math.log10(bounds.min_nm), math.log10(bounds.max_nm)
     with open(tsv, "r", encoding="utf-8") as fh:
         header = tuple(fh.readline().rstrip("\n").split("\t"))
         if header != _TSV_COLUMNS:
@@ -462,6 +466,10 @@ def load_dataset(outdir) -> Dataset:
                 raise DatasetFormatError(
                     f"ki_nm {ki_nm!r} does not match log_ki {log_ki!r} "
                     f"at line {line_no}")
+            if not log_window[0] <= value <= log_window[1]:
+                raise DatasetFormatError(
+                    f"ki_nm {ki_nm!r} outside the curation window "
+                    f"[{bounds.min_nm!r}, {bounds.max_nm!r}] at line {line_no}")
             records.append(AffinityRecord(
                 receptor=receptor,
                 ligand=ligand,

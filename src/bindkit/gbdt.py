@@ -4,13 +4,15 @@ Stagewise boosting on the squared loss: each tree fits the current
 residuals, leaves store learning_rate * mean(residual), and the model
 prediction is base_score plus the sum of routed leaf values.
 
-Training and prediction read their matrix as a FeatureStore: a float64
-block of dense columns followed by binary columns packed eight to a byte,
-LSB first, as the featurize stage writes them; a plain 2-D array is a
-store with no bit columns.  Binning reads the two blocks once; after it,
-split search, routing and prediction read every column through
-FeatureStore.take, which decodes a bit as 0.0 or 1.0, so a bit column is
-routed by "x <= t" exactly as its dense float column would be.
+Training reads its matrix as a FeatureStore: a float64 block of dense
+columns followed by binary columns packed eight to a byte, LSB first, as
+the featurize stage writes them; a plain 2-D array is a store with no bit
+columns.  Binning reads the two blocks once; after it, split search and
+tree growth read every column through FeatureStore.take, which decodes a
+bit as 0.0 or 1.0, so a bit column is split by "x <= t" exactly as its
+dense float column would be.  The model, its file and its router live in
+the numpy-free model module; training takes each in-bag row's leaf from the
+partition that grew the tree and routes only out-of-bag and validation rows.
 
 Split search is histogram-based, as in CatBoost and LightGBM, which also
 quantize every feature before growing a tree: features are binned once on
@@ -40,7 +42,7 @@ near the best are recomputed from the code-0 sum before the tie-break, so
 the trees are those a histogram of every (row, column) cell would grow.
 
 The feature directory format (write_features, load_features) lives beside
-the store it holds, so train and predict load no featurization module.
+the store it holds, so train loads no featurization module.
 """
 from __future__ import annotations
 
@@ -48,45 +50,21 @@ import json
 import math
 import os
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import TrainParams
-from .errors import (
-    DatasetError,
-    DimensionMismatchError,
-    FingerprintFormatError,
-    GbdtError,
-)
-from .metrics import _npy_payload
+from .errors import DimensionMismatchError, GbdtError
+from .model import (BITS_FILE, DENSE_FILE, Features, GbdtModel,  # re-exported
+                    ModelFormatError, ModelVersionError, Tree, _leaves,
+                    load_model, read_features, save_model)
 
 __all__ = [
-    "FeatureStore",
-    "TrainParams",
-    "Tree",
-    "GbdtModel",
-    "GbdtError",
-    "DimensionMismatchError",
-    "ModelFormatError",
-    "ModelVersionError",
-    "train",
-    "save_model",
-    "load_model",
-    "write_features",
-    "load_features",
+    "FeatureStore", "TrainParams", "Tree", "GbdtModel", "GbdtError",
+    "DimensionMismatchError", "ModelFormatError", "ModelVersionError", "train",
+    "save_model", "load_model", "write_features", "load_features",
 ]
-
-MODEL_FORMAT = "bindkit-gbdt"
-MODEL_VERSION = "2"
-
-
-class ModelFormatError(GbdtError):
-    pass
-
-
-class ModelVersionError(ModelFormatError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,57 +132,12 @@ class FeatureStore:
         """The decoded (n, d + nbits) float64 matrix."""
         return self.take(np.arange(len(self)), np.arange(self.shape[1]))
 
-
-@dataclass(frozen=True, eq=False)
-class Tree:
-    """Flat-array tree.  Child pointers >= 0 index internal nodes; negative
-    pointers encode leaves as the bitwise complement of the leaf index."""
-    root: int
-    feature: np.ndarray        # int32, per internal node
-    threshold: np.ndarray      # float64
-    left: np.ndarray           # int32 child pointers
-    right: np.ndarray
-    leaf_value: np.ndarray     # float64, already learning-rate scaled
-
-
-def _route(tree: Tree, X: FeatureStore) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.float64)
-    stack = [(tree.root, np.arange(len(X), dtype=np.intp))]
-    while stack:
-        node, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        if node < 0:
-            out[rows] = tree.leaf_value[~node]
-        else:
-            go_left = X.take(rows, tree.feature[node:node + 1])[:, 0] \
-                <= tree.threshold[node]
-            stack.append((int(tree.left[node]), rows[go_left]))
-            stack.append((int(tree.right[node]), rows[~go_left]))
-    return out
-
-
-@dataclass(frozen=True, eq=False)
-class GbdtModel:
-    base_score: float
-    trees: tuple[Tree, ...]
-    feature_count: int
-    params: TrainParams
-    degenerate: bool = False
-
-    def predict(self, X) -> np.ndarray:
-        """Predictions for the rows of a FeatureStore, a 2-D array, or one
-        row as a 1-D array."""
-        if not isinstance(X, FeatureStore):
-            X = np.asarray(X, dtype=np.float64)
-            X = FeatureStore.of(X.reshape(1, -1) if X.ndim == 1 else X)
-        if X.shape[1] != self.feature_count:
-            raise DimensionMismatchError(
-                f"expected {self.feature_count} features, got shape {X.shape}")
-        pred = np.full(len(X), self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            pred += _route(tree, X)
-        return pred
+    def features(self) -> Features:
+        """The store as the flat buffers the router reads (ravel copies a
+        block only when it is not C-contiguous)."""
+        return Features(len(self), memoryview(self.dense.ravel()),
+                        self.dense.shape[1], memoryview(self.bits.ravel()),
+                        self.nbits)
 
 
 # --- binning -----------------------------------------------------------------
@@ -354,15 +287,16 @@ def _best_split_hist(X: FeatureStore, bm: _Binned, res, rows, min_leaf):
 
 
 def _grow_tree(X: FeatureStore, binned: _Binned, res, rows,
-               params: TrainParams) -> Tree:
+               params: TrainParams) -> tuple[Tree, list]:
     """Grow one tree breadth-first, splitting each node by the histogram
     search over binned.  Rows route by raw value, which agrees with
-    bin-code routing."""
+    bin-code routing.  Returns the tree and the rows of each leaf."""
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     leaf_value: list[float] = []
+    leaf_rows: list[np.ndarray] = []
     root = 0
 
     queue = deque()
@@ -376,6 +310,7 @@ def _grow_tree(X: FeatureStore, binned: _Binned, res, rows,
         if split is None:
             pointer = ~len(leaf_value)
             leaf_value.append(params.learning_rate * float(res[node_rows].mean()))
+            leaf_rows.append(node_rows)
         else:
             f, value_t, _ = split
             pointer = len(feature)
@@ -392,12 +327,9 @@ def _grow_tree(X: FeatureStore, binned: _Binned, res, rows,
             left[parent] = pointer
         else:
             right[parent] = pointer
-    return Tree(root=root,
-                feature=np.asarray(feature, dtype=np.int32),
-                threshold=np.asarray(threshold, dtype=np.float64),
-                left=np.asarray(left, dtype=np.int32),
-                right=np.asarray(right, dtype=np.int32),
-                leaf_value=np.asarray(leaf_value, dtype=np.float64))
+    return Tree(root=root, feature=tuple(feature), threshold=tuple(threshold),
+                left=tuple(left), right=tuple(right),
+                leaf_value=tuple(leaf_value)), leaf_rows
 
 
 def _check_matrix(X, y=None):
@@ -415,6 +347,12 @@ def _check_matrix(X, y=None):
     if not np.isfinite(y).all():
         raise GbdtError("target contains non-finite values")
     return X, y
+
+
+def _add_leaves(F, tree: Tree, X: FeatureStore, rows: list[int]) -> None:
+    """F[i] += the value of the leaf that row i of X routes to, i in rows."""
+    for value, part in _leaves(tree, X.features(), rows):
+        F[part] += value
 
 
 def train(X, y, params: TrainParams = TrainParams(), valid=None):
@@ -464,12 +402,15 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
             bag = np.sort(rng.permutation(n)[:bag_size])
         else:
             bag = np.arange(n, dtype=np.intp)
-        tree = _grow_tree(X, binned, res, bag, params)
+        tree, leaf_rows = _grow_tree(X, binned, res, bag, params)
         trees.append(tree)
-        F += _route(tree, X)
+        for value, rows in zip(tree.leaf_value, leaf_rows):
+            F[rows] += value
+        if len(bag) < n:
+            _add_leaves(F, tree, X, np.setdiff1d(np.arange(n), bag).tolist())
         metrics["train_loss"].append(float(np.mean((y - F) ** 2)))
         if Fv is not None:
-            Fv += _route(tree, Xv)
+            _add_leaves(Fv, tree, Xv, list(range(len(Xv))))
             mae = float(np.abs(yv - Fv).mean())
             metrics["valid_mae"].append(mae)
             if mae < best_mae:
@@ -489,161 +430,7 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
     return model, metrics
 
 
-# --- persistence ---------------------------------------------------------------
-
-
-def save_model(model: GbdtModel, path) -> None:
-    """Versioned JSON; floats survive bit-exactly (shortest-repr round trip)."""
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "feature_count": model.feature_count,
-        "base_score": model.base_score,
-        "degenerate": model.degenerate,
-        "params": asdict(model.params),
-        "trees": [
-            {
-                "root": t.root,
-                "feature": t.feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "leaf_value": t.leaf_value.tolist(),
-            }
-            for t in model.trees
-        ],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
-def load_model(path) -> GbdtModel:
-    doc = _read_json(path, ModelFormatError)
-    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
-        raise ModelFormatError("not a bindkit-gbdt model file")
-    if doc.get("version") != MODEL_VERSION:
-        raise ModelVersionError(
-            f"unsupported model version {doc.get('version')!r}")
-    if not isinstance(doc.get("params"), dict):
-        raise ModelFormatError("params must be a JSON object")
-    if not isinstance(doc.get("trees"), list):
-        raise ModelFormatError("trees must be a JSON list")
-    try:
-        params = TrainParams(**doc["params"])
-        trees = tuple(
-            Tree(root=_integer(t["root"], "root"),
-                 feature=_integers(t["feature"], "feature"),
-                 threshold=_numbers(t["threshold"], "threshold"),
-                 left=_integers(t["left"], "left"),
-                 right=_integers(t["right"], "right"),
-                 leaf_value=_numbers(t["leaf_value"], "leaf_value"))
-            for t in doc["trees"])
-        degenerate = doc.get("degenerate", False)
-        if type(degenerate) is not bool:
-            raise ModelFormatError("degenerate must be a JSON boolean")
-        model = GbdtModel(base_score=_number(doc["base_score"], "base_score"),
-                          trees=trees,
-                          feature_count=_integer(doc["feature_count"],
-                                                 "feature_count"),
-                          params=params, degenerate=degenerate)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"malformed model file: {exc}") from exc
-    # predict adds these terms in this order, and rounding is monotone, so
-    # no prediction is larger in magnitude than bound
-    bound = abs(model.base_score)
-    for k, tree in enumerate(model.trees):
-        _check_tree(tree, model.feature_count, k)
-        bound += float(np.abs(tree.leaf_value).max(initial=0.0))
-    if not math.isfinite(bound):
-        raise ModelFormatError("non-finite base_score, or leaf values whose "
-                               "sum can overflow")
-    return model
-
-
-def _integer(value, what: str) -> int:
-    """A JSON integer; int() would truncate a float and read a boolean as
-    0 or 1, which turns a damaged pointer into another valid one."""
-    if type(value) is not int:
-        raise ModelFormatError(f"{what} must be a JSON integer")
-    return value
-
-
-def _integers(value, what: str) -> np.ndarray:
-    """A list of JSON integers as int32.  A nested list passes here and
-    fails the length check of _check_tree."""
-    if not isinstance(value, list):
-        raise ModelFormatError(f"{what} must be a JSON list")
-    for v in value:
-        if not isinstance(v, list):
-            _integer(v, what)
-    return np.asarray(value, dtype=np.int32)
-
-
-def _number(value, what: str) -> float:
-    """A JSON number; float() would also read a boolean as 0 or 1 and a
-    numeric string as its value."""
-    if type(value) not in (int, float):
-        raise ModelFormatError(f"{what} must be a JSON number")
-    return float(value)
-
-
-def _numbers(value, what: str) -> np.ndarray:
-    """A list of JSON numbers as float64.  A nested list passes here and
-    fails the length check of _check_tree."""
-    if not isinstance(value, list):
-        raise ModelFormatError(f"{what} must be a JSON list")
-    for v in value:
-        if not isinstance(v, list):
-            _number(v, what)
-    return np.asarray(value, dtype=np.float64)
-
-
-def _check_tree(tree: Tree, feature_count: int, k: int) -> None:
-    """Reject a tree that routing could not walk to a leaf, or that would
-    route to a non-finite prediction: arrays of unequal length, a pointer or
-    feature index out of range, a NaN or infinite threshold or leaf value,
-    or an internal node not reached exactly once from the root (a cycle, a
-    shared subtree or an orphan)."""
-    n = len(tree.feature)
-    if tree.leaf_value.ndim != 1 or any(
-            a.ndim != 1 or len(a) != n
-            for a in (tree.feature, tree.threshold, tree.left, tree.right)):
-        raise ModelFormatError(f"tree {k}: node arrays differ in length")
-    if n and not (tree.feature.min() >= 0 and tree.feature.max() < feature_count):
-        raise ModelFormatError(f"tree {k}: feature index outside [0, {feature_count})")
-    if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.leaf_value).all()):
-        raise ModelFormatError(f"tree {k}: non-finite threshold or leaf value")
-    reached = np.zeros(n, dtype=bool)
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if not -len(tree.leaf_value) <= node < n:    # leaf i is stored as ~i
-            raise ModelFormatError(f"tree {k}: pointer {node} out of range")
-        if node >= 0:
-            if reached[node]:
-                raise ModelFormatError(f"tree {k}: node {node} is reached twice")
-            reached[node] = True
-            stack += (int(tree.left[node]), int(tree.right[node]))
-    if not reached.all():
-        raise ModelFormatError(f"tree {k}: node {int(np.argmin(reached))} "
-                               "is not reached from the root")
-
-
-def _read_json(path, error):
-    """The document of a JSON file.  Text that is not JSON, too long an
-    integer or too deep a nesting raises error naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise error(f"{path}: not valid JSON ({exc})") from exc
-
-
 # --- on-disk feature directory -------------------------------------------------
-
-DENSE_FILE = "descriptors.npy"
-BITS_FILE = "fingerprints.npy"
 
 
 def write_features(outdir, X: FeatureStore, y, ids, sidecar: dict) -> None:
@@ -663,59 +450,13 @@ def write_features(outdir, X: FeatureStore, y, ids, sidecar: dict) -> None:
         fh.write("\n")
 
 
-def _read_npy(path, dtype, ndim, error=DatasetError) -> np.ndarray:
-    """The read-only array of a .npy file that np.save wrote from a C-order
-    array of the given dtype, stored little-endian, and rank; any other file
-    raises error naming it."""
-    descr = np.dtype(dtype).newbyteorder("<").str
-    shape, data = _npy_payload(path, descr, ndim, error)
-    return np.frombuffer(data, dtype=descr).reshape(shape)
-
-
 def load_features(path) -> tuple[FeatureStore, np.ndarray | None]:
-    """Read a feature directory written by write_features.  Returns (X, y),
-    with y None when there is no y.npy.
-
-    Feature files are untrusted.  A missing featurize.json, descriptors.npy
-    or fingerprints.npy raises the OSError of its open.  An array of the
-    wrong dtype, rank, order or byte count, or under a header np.save would
-    not write (an object array included; see metrics._npy_payload), row counts
-    that differ among the blocks, y.npy, ids.txt and featurize.json, a width
-    that is not featurize.json's n_columns, or a non-finite dense value
-    raises DatasetError, or FingerprintFormatError for the bit block, naming
-    the file."""
-    def at(name):
-        return os.path.join(path, name)
-
-    meta = _read_json(at("featurize.json"), DatasetError)
-    if not isinstance(meta, dict) or not all(
-            type(meta.get(k)) is int and meta[k] >= 0
-            for k in ("n_rows", "n_columns", "nbits")):
-        raise DatasetError(f"{at('featurize.json')}: n_rows, n_columns and "
-                           "nbits must be integers >= 0")
-    nbits = meta["nbits"]
-    dense = _read_npy(at(DENSE_FILE), np.float64, 2)
-    bits = _read_npy(at(BITS_FILE), np.uint8, 2, FingerprintFormatError)
-    if bits.shape[1] != (nbits + 7) // 8:
-        raise FingerprintFormatError(
-            f"{at(BITS_FILE)}: {bits.shape[1]} bytes per row, "
-            f"{nbits} bits need {(nbits + 7) // 8}")
-    if meta["n_columns"] != dense.shape[1] + nbits:
-        raise DatasetError(
-            f"{at('featurize.json')}: n_columns {meta['n_columns']} is not "
-            f"{dense.shape[1]} dense columns + {nbits} bits")
-    rows = {at(DENSE_FILE): len(dense), at(BITS_FILE): len(bits),
-            at("featurize.json"): meta["n_rows"]}
-    y = None
-    if os.path.exists(at("y.npy")):
-        y = _read_npy(at("y.npy"), np.float64, 1)
-        rows[at("y.npy")] = len(y)
-    if os.path.exists(at("ids.txt")):
-        with open(at("ids.txt"), "rb") as fh:
-            rows[at("ids.txt")] = sum(1 for _ in fh)
-    if len(set(rows.values())) > 1:
-        raise DatasetError("feature row counts disagree: " + ", ".join(
-            f"{name} {n}" for name, n in rows.items()))
-    if not np.isfinite(dense).all():
-        raise DatasetError(f"{at(DENSE_FILE)}: non-finite feature value")
-    return FeatureStore(dense=dense, bits=bits, nbits=nbits), y
+    """Read a feature directory written by write_features, with every check
+    of model.read_features.  Returns (X, y), with y None when there is no
+    y.npy; both are read-only arrays over the bytes of the files."""
+    X, y = read_features(path)
+    dense = np.frombuffer(X.dense, dtype=np.float64).reshape(len(X), X.n_dense)
+    bits = np.frombuffer(X.bits, dtype=np.uint8).reshape(len(X),
+                                                         (X.nbits + 7) // 8)
+    return (FeatureStore(dense=dense, bits=bits, nbits=X.nbits),
+            None if y is None else np.frombuffer(y, dtype="<f8"))

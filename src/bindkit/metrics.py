@@ -11,7 +11,7 @@ bits numpy computes: a mean over a float64 array is numpy's pairwise sum
 (_sum), a per-bin sum is a running sum in sample order, as
 np.bincount(..., weights=) adds, and an accuracy is an exact count over n.
 numpy is imported only to flatten input that is not already a flat list of
-floats, such as an array.  The checked .npy reader shared with the gbdt
+floats, such as an array.  The checked .npy reader shared with the model
 module lives here, so evaluate reads y.npy without numpy.
 """
 from __future__ import annotations
@@ -266,7 +266,14 @@ def _load_vector(path) -> list[float]:
                 return [float(line) for line in fh if line.strip()]
             except ValueError as exc:
                 raise DatasetError(f"non-numeric line in {path}: {exc}") from exc
-    values = array("d", _npy_payload(path, "<f8", 1, DatasetError)[1])
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values.tolist()
+    return _doubles(_npy_payload(path, "<f8", 1, DatasetError)[1]).tolist()
+
+
+def _doubles(data: bytes):
+    """The little-endian float64 values in data as a sequence of floats,
+    with no copy on a little-endian machine."""
+    if sys.byteorder == "little":
+        return memoryview(data).cast("d")
+    values = array("d", data)
+    values.byteswap()
+    return values

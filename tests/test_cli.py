@@ -516,6 +516,66 @@ def test_inconsistent_dataset_row_exits_2(pipeline, tmp_path, capsys, damage,
         assert not out.exists()
 
 
+def _above(ki_max):
+    """The first log_ki above log10(ki_max) whose 10.0 ** log_ki, the ki_nm
+    the row then holds, is above ki_max."""
+    log_ki = math.nextafter(math.log10(ki_max), math.inf)
+    while 10.0 ** log_ki <= ki_max:
+        log_ki = math.nextafter(log_ki, math.inf)
+    return log_ki
+
+
+@pytest.mark.parametrize("case", ["ki_nm 0.0", "just above ki_max_nm"])
+def test_dataset_row_outside_the_curation_window_exits_2(pipeline, tmp_path,
+                                                         capsys, case):
+    """The configured window is the largest ki_nm in the dataset: the
+    unedited dataset passes, and one row moved outside the window fails on
+    both commands that read it."""
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / "dataset.tsv").read_text().splitlines()
+    ki_max = max(float(line.split("\t")[5]) for line in lines[1:])
+    cfg = tmp_path / "window.toml"
+    cfg.write_text(pathlib.Path(pipeline["cfg"]).read_text()
+                   + f"\n[curation]\nki_max_nm = {ki_max!r}\n")
+    argv = ["--quiet", "--config", str(cfg)]
+    assert main([*argv, "featurize", "--dataset", str(data), "--subset", "all",
+                 "--out", str(tmp_path / "control")]) == 0
+    log_ki = -400.0 if case == "ki_nm 0.0" else _above(ki_max)
+    lines = with_cell(lines, 4, 5, repr(10.0 ** log_ki))
+    (data / "dataset.tsv").write_text(
+        "\n".join(with_cell(lines, 4, 6, repr(log_ki))) + "\n")
+    for command in ("featurize", "export-graphs"):
+        out = tmp_path / command
+        assert main([*argv, command, "--dataset", str(data), "--subset", "all",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "outside the curation window" in err and "line 5" in err, err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", ["ki_min_nm = 0.05", "ki_max_nm = 20000.0"])
+def test_ki_at_a_window_bound_loads_although_its_ki_nm_rounds_outside(
+        tmp_path, bound):
+    """log10 and back takes 0.05 to 0.049999999999999996 and 20000.0 to
+    20000.000000000004; ingest keeps a Ki equal to a bound, so featurize and
+    export-graphs load the row it writes."""
+    ki = bound.split(" = ")[1]
+    raw = tmp_path / "raw.tsv"
+    raw.write_text(pathlib.Path(RAW).read_text() + f"ACDEFGHIKL\tCCCO\t{ki}\n")
+    cfg = tmp_path / "window.toml"
+    cfg.write_text(f"[curation]\n{bound}\n")
+    argv = ["--quiet", "--config", str(cfg)]
+    data = tmp_path / "dataset"
+    assert main([*argv, "ingest", "--in", str(raw), "--out", str(data)]) == 0
+    stored = repr(10.0 ** math.log10(float(ki)))
+    assert stored != ki
+    assert f"\t{stored}\t" in (data / "dataset.tsv").read_text()
+    for command in ("featurize", "export-graphs"):
+        assert main([*argv, command, "--dataset", str(data), "--subset", "all",
+                     "--out", str(tmp_path / command)]) == 0
+
+
 def test_wrong_width_prediction_exits_2(pipeline, tmp_path, capsys):
     feats = packed_features(tmp_path / "narrow", np.zeros((2, 10)))
     assert main(["--quiet", "predict", "--model", pipeline["model"],
@@ -635,6 +695,9 @@ def test_evaluate_loads_neither_numpy_nor_the_pipeline_modules(pipeline, tmp_pat
 
 
 def test_train_and_predict_load_no_featurization_module(pipeline, tmp_path):
+    """train then predict in one process load no featurization module and
+    write the chain's bytes; test_command_loads_only_its_modules pins the
+    full module list of each command."""
     model, preds = tmp_path / "model.json", tmp_path / "pred.txt"
     train = ["--quiet", "--config", pipeline["cfg"], "train", "--train",
              pipeline["feats"]["train"], "--valid", pipeline["feats"]["valid"],
@@ -646,15 +709,53 @@ def test_train_and_predict_load_no_featurization_module(pipeline, tmp_path):
             "from bindkit.cli import main\n"
             f"assert main({train!r}) == 0\n"
             f"assert main({predict!r}) == 0\n"
-            "print(sorted(name for name in sys.modules\n"
-            "             if name.startswith('bindkit.')))\n")
+            "print([name for name in ('dataset', 'fasta', 'ligand_features',\n"
+            "                         'protein_features', 'smiles')\n"
+            "       if 'bindkit.' + name in sys.modules])\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == repr(["bindkit.cli", "bindkit.config", "bindkit.errors",
-                                "bindkit.gbdt", "bindkit.metrics"]) + "\n"
+    assert proc.stdout == "[]\n"
     assert model.read_bytes() == pathlib.Path(pipeline["model"]).read_bytes()
     assert preds.read_bytes() == pathlib.Path(pipeline["preds"]).read_bytes()
+
+
+_PIPELINE_MODULES = """cli config dataset errors fasta gbdt ligand_features
+    metrics model protein_features smiles"""
+
+# For each command: whether it loads numpy, and the bindkit modules it loads.
+COMMAND_MODULES = {
+    "ingest": (True, _PIPELINE_MODULES),
+    "featurize": (True, _PIPELINE_MODULES),
+    "export-graphs": (True, _PIPELINE_MODULES),
+    "train": (True, "cli config errors gbdt metrics model"),
+    "predict": (False, "cli config errors metrics model"),
+    "evaluate": (False, "cli config errors metrics"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_command_loads_only_its_modules(pipeline, tmp_path, command):
+    feats, out = pipeline["feats"], str(tmp_path / "out")
+    args = {
+        "ingest": ["--in", RAW],
+        "featurize": ["--dataset", pipeline["data"], "--subset", "test"],
+        "export-graphs": ["--dataset", pipeline["data"], "--subset", "test"],
+        "train": ["--train", feats["train"]],
+        "predict": ["--model", pipeline["model"], "--features", feats["test"]],
+        "evaluate": ["--pred", pipeline["preds"], "--truth", feats["test"]],
+    }[command]
+    argv = ["--quiet", "--config", pipeline["cfg"], command, *args, "--out", out]
+    code = ("import sys\n"
+            "from bindkit.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('numpy' in sys.modules, sorted(name[8:] for name in sys.modules\n"
+            "                                     if name.startswith('bindkit.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    numpy, modules = COMMAND_MODULES[command]
+    assert proc.stdout == f"{numpy} {sorted(modules.split())}\n"
 
 
 @pytest.mark.parametrize("shape, dtype", [
@@ -864,6 +965,32 @@ MODEL_EDITS = {
     "string degenerate flag": (lambda doc: {**doc, "degenerate": "no"},
                                "degenerate must be a JSON boolean"),
 }
+
+
+def _first_tree(doc, field, edit):
+    """doc with the node list field of its first tree replaced by edit of
+    it."""
+    tree = doc["trees"][0]
+    return {**doc, "trees": [{**tree, field: edit(tree[field])}] + doc["trees"][1:]}
+
+
+# Node lists that numpy's int32 and float64 conversion rejected when the
+# model reader built arrays; the reader that keeps them as tuples of Python
+# numbers rejects each with the message given.
+for _field in ("feature", "left", "right"):
+    for _power in (31, 63):
+        MODEL_EDITS[f"{_field} 2**{_power}"] = (
+            lambda doc, f=_field, v=2**_power: _first_tree(
+                doc, f, lambda nodes: [v] + nodes[1:]),
+            "feature index outside [0, 5)" if _field == "feature"
+            else f"pointer {2**_power} out of range")
+MODEL_EDITS["equal-length nested list"] = (
+    lambda doc: _first_tree(doc, "feature", lambda nodes: [[f] for f in nodes]),
+    "feature must be a JSON integer")
+MODEL_EDITS["ragged nested list"] = (
+    lambda doc: _first_tree(doc, "threshold",
+                            lambda nodes: [nodes[:2]] + [[t] for t in nodes[1:]]),
+    "threshold must be a JSON number")
 
 
 @pytest.mark.parametrize("edit", sorted(MODEL_EDITS))

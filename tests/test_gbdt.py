@@ -4,6 +4,7 @@ Training behavior is checked against closed-form expectations on tiny
 constructed problems (where leaf means are dyadic rationals and thus exact
 in binary floating point), plus structural contracts on realistic data.
 """
+from array import array
 from collections import deque
 
 import numpy as np
@@ -54,7 +55,7 @@ def test_step_function_is_fit_exactly():
     assert len(model.trees) == 1
     tree = model.trees[0]
     assert len(tree.feature) == 1 and tree.threshold[0] == 0.0
-    assert sorted(tree.leaf_value.tolist()) == [-0.5, 0.5]
+    assert sorted(tree.leaf_value) == [-0.5, 0.5]
     assert np.array_equal(model.predict(X), y)
     assert metrics["train_loss"][-1] == 0.0
 
@@ -67,7 +68,7 @@ def test_zero_gain_nodes_become_leaves():
     model, _ = train(X, y, TrainParams(n_trees=1, max_depth=4,
                                        learning_rate=1.0, min_samples_leaf=1))
     assert len(model.trees[0].feature) == 0
-    assert np.all(model.predict(X) == 0.5)
+    assert list(model.predict(X)) == [0.5] * len(X)
 
 
 def test_unbalanced_checkerboard_fits_at_depth_two():
@@ -216,11 +217,36 @@ def reference_tree(codes, uppers, res, rows, params):
             left[parent] = pointer
         else:
             right[parent] = pointer
-    return Tree(root=root, feature=np.asarray(feature, dtype=np.int32),
-                threshold=np.asarray(threshold, dtype=np.float64),
-                left=np.asarray(left, dtype=np.int32),
-                right=np.asarray(right, dtype=np.int32),
-                leaf_value=np.asarray(leaf_value, dtype=np.float64))
+    return Tree(root=root, feature=tuple(feature), threshold=tuple(threshold),
+                left=tuple(left), right=tuple(right),
+                leaf_value=tuple(leaf_value))
+
+
+def reference_route(tree, X):
+    """The numpy router the pure-Python one in bindkit.model replaced: the
+    leaf value each row of a FeatureStore routes to."""
+    out = np.empty(len(X), dtype=np.float64)
+    stack = [(tree.root, np.arange(len(X), dtype=np.intp))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        if node < 0:
+            out[rows] = tree.leaf_value[~node]
+        else:
+            go_left = X.take(rows, [tree.feature[node]])[:, 0] \
+                <= tree.threshold[node]
+            stack.append((int(tree.left[node]), rows[go_left]))
+            stack.append((int(tree.right[node]), rows[~go_left]))
+    return out
+
+
+def reference_predict(model, X):
+    """GbdtModel.predict as it summed the numpy router's leaf values."""
+    pred = np.full(len(X), model.base_score, dtype=np.float64)
+    for tree in model.trees:
+        pred += reference_route(tree, X)
+    return pred
 
 
 def reference_trees(X, y, params):
@@ -239,8 +265,7 @@ def reference_trees(X, y, params):
             bag = np.arange(n, dtype=np.intp)
         tree = reference_tree(codes, uppers, res, bag, params)
         trees.append(tree)
-        F += GbdtModel(base_score=0.0, trees=(tree,), feature_count=X.shape[1],
-                       params=params).predict(X)
+        F += reference_route(tree, FeatureStore.of(X))
     return trees
 
 
@@ -333,8 +358,8 @@ def test_packed_trees_match_dense_trees(case, seed):
                          **EQUIVALENCE_PARAMS[case])
     packed_model, packed_metrics = train(store, y, params, valid=(store, y))
     dense_model, dense_metrics = train(dense, y, params, valid=(dense, y))
-    assert any((t.feature >= store.dense.shape[1]).any()
-               for t in packed_model.trees)
+    assert any(f >= store.dense.shape[1]
+               for t in packed_model.trees for f in t.feature)
     assert packed_metrics == dense_metrics
     for got, want in zip(packed_model.trees, dense_model.trees, strict=True):
         assert got.root == want.root
@@ -410,12 +435,109 @@ def test_predict_input_handling():
     model, _ = train(X, y, TrainParams(n_trees=3, max_depth=2,
                                        learning_rate=0.5, min_samples_leaf=2))
     single = model.predict(X[0])
-    assert single.shape == (1,)
+    assert len(single) == 1
     assert single[0] == model.predict(X[:1])[0]
     as_list = model.predict(X[:4].tolist())
     assert np.array_equal(as_list, model.predict(X[:4]))
     with pytest.raises(DimensionMismatchError):
         model.predict(X[:, :3])
+
+
+# --- the router against the numpy reference ----------------------------------
+
+
+def routing_store(rng, n=120, nbits=13):
+    """A store whose dense columns repeat a few values, -0.0 and 0.0 among
+    them, beside continuous columns; 13 bit columns leave three padding
+    bits in each row's last byte, 16 fill two bytes."""
+    few = rng.choice([-0.0, 0.0, 1.0, -1.5, 2.25], size=(n, 4))
+    dense = np.hstack([few, rng.standard_normal((n, 3))])
+    bits = np.packbits(rng.random((n, nbits)) < 0.4, axis=1, bitorder="little")
+    return FeatureStore(dense=dense, bits=bits, nbits=nbits)
+
+
+def random_tree(rng, X, n_internal):
+    """A tree of n_internal internal nodes on random columns of X.  Dense
+    thresholds are values of their column, +-0.0 or random; bit thresholds
+    lie below, at, between and above 0 and 1."""
+    d = X.dense.shape[1]
+    feature, threshold, left, right, leaf_value = [], [], [], [], []
+
+    def grow(budget):
+        if budget == 0:
+            leaf_value.append(float(rng.standard_normal()))
+            return ~(len(leaf_value) - 1)
+        node = len(feature)
+        f = int(rng.integers(X.shape[1]))
+        if f < d:
+            t = rng.choice([X.dense[rng.integers(len(X)), f], 0.0, -0.0,
+                            rng.standard_normal()])
+        else:
+            t = rng.choice([-0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
+        feature.append(f)
+        threshold.append(float(t))
+        left.append(0)
+        right.append(0)
+        k = int(rng.integers(budget))
+        left[node] = grow(k)
+        right[node] = grow(budget - 1 - k)
+        return node
+
+    root = grow(n_internal)
+    return Tree(root=root, feature=tuple(feature), threshold=tuple(threshold),
+                left=tuple(left), right=tuple(right), leaf_value=tuple(leaf_value))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_router_matches_numpy_reference(seed):
+    rng = np.random.default_rng(seed)
+    X = routing_store(rng, nbits=(13, 16)[seed % 2])
+    trees = tuple(random_tree(rng, X, int(rng.integers(0, 12)))
+                  for _ in range(8))
+    model = GbdtModel(base_score=float(rng.standard_normal()), trees=trees,
+                      feature_count=X.shape[1], params=TrainParams())
+    want = reference_predict(model, X).tobytes()
+    for given in (X, X.features(), X.toarray()):
+        got = model.predict(given)
+        assert isinstance(got, array) and got.typecode == "d"
+        assert got.tobytes() == want
+    dense = FeatureStore.of(X.dense)
+    dense_model = GbdtModel(base_score=0.25, params=TrainParams(),
+                            feature_count=dense.shape[1],
+                            trees=tuple(random_tree(rng, dense, 7)
+                                        for _ in range(4)))
+    for i in (0, len(X) - 1):
+        assert dense_model.predict(X.dense[i]).tobytes() == \
+            reference_predict(dense_model, FeatureStore.of(X.dense[i:i + 1])).tobytes()
+
+
+@pytest.mark.parametrize("base", [-0.0, 0.0, 4.25])
+def test_degenerate_model_predicts_its_base_bits(base):
+    X = routing_store(np.random.default_rng(0))
+    model = GbdtModel(base_score=base, trees=(), feature_count=X.shape[1],
+                      params=TrainParams(), degenerate=True)
+    assert model.predict(X).tobytes() == reference_predict(model, X).tobytes()
+    assert model.predict(X.features()).tobytes() == \
+        np.full(len(X), base).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_PARAMS))
+def test_training_sums_match_numpy_routing(case):
+    """train adds each in-bag row's leaf from the partition that grew the
+    tree and routes out-of-bag and validation rows; the losses it reports
+    are those of routing every row through the numpy reference."""
+    store, y = packed_matrix(3)
+    Xv, yv = packed_matrix(4, n=90)
+    params = TrainParams(n_trees=6, max_depth=5, learning_rate=0.3, seed=3,
+                         **EQUIVALENCE_PARAMS[case])
+    model, metrics = train(store, y, params, valid=(Xv, yv))
+    F = np.full(len(store), model.base_score)
+    Fv = np.full(len(Xv), model.base_score)
+    for k, tree in enumerate(model.trees):
+        F += reference_route(tree, store)
+        Fv += reference_route(tree, Xv)
+        assert metrics["train_loss"][k] == float(np.mean((y - F) ** 2))
+        assert metrics["valid_mae"][k] == float(np.abs(yv - Fv).mean())
 
 
 def test_input_validation():
@@ -531,11 +653,11 @@ BROKEN_TREES = {
     "short threshold array": (lambda t: {"threshold": t["threshold"][:-1]},
                               "differ in length"),
     "nested arrays": (lambda t: {"feature": [[f] for f in t["feature"]]},
-                      "differ in length"),
+                      "feature must be a JSON integer"),
     "negative feature": (lambda t: {"feature": [-1] + t["feature"][1:]},
                          "feature index"),
     "feature beyond int32": (lambda t: {"feature": [2**40] + t["feature"][1:]},
-                             "malformed"),
+                             "feature index outside"),
     "root out of range": (lambda t: {"root": len(t["feature"])}, "out of range"),
     "leaf pointer out of range": (
         lambda t: {"right": t["right"][:-1] + [~len(t["leaf_value"])]},

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bindkit.dataset import DatasetError
-from bindkit.gbdt import DimensionMismatchError, _read_npy
+from bindkit.gbdt import DimensionMismatchError
 from bindkit.metrics import (
     DEFAULT_BIN_START,
     DEFAULT_BIN_STOP,
@@ -20,6 +20,7 @@ from bindkit.metrics import (
     MAX_BINS,
     MetricsError,
     _load_vector,
+    _npy_payload,
     _sum,
     binned_mae,
     build_report,
@@ -27,6 +28,14 @@ from bindkit.metrics import (
     mae,
     write_report,
 )
+
+
+def _read_npy(path, dtype, ndim):
+    """The numpy reader: the array np.frombuffer makes of the checked
+    payload of a .npy file, as gbdt.load_features reads y.npy."""
+    descr = np.dtype(dtype).newbyteorder("<").str
+    shape, data = _npy_payload(path, descr, ndim, DatasetError)
+    return np.frombuffer(data, dtype=descr).reshape(shape)
 
 
 def test_mae_hand_values():
