@@ -7,18 +7,15 @@ Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import json
-import logging
 import os
 import sys
-import traceback
 
 from .config import ConfigError, PipelineConfig, load_config
 from .errors import DataError, DatasetError
 from .metrics import _load_vector, build_report, write_report
-
-log = logging.getLogger("bindkit")
 
 # A command imports the modules it runs when it runs, so `evaluate` and
 # `predict` start without numpy.  The names below resolve on first use
@@ -27,6 +24,7 @@ log = logging.getLogger("bindkit")
 _LAZY = {
     "train": "gbdt", "load_features": "gbdt",
     "save_model": "model", "load_model": "model", "read_features": "model",
+    "feature_schema": "model",
     "graph_block": "ligand_features", "ligand_graph_features": "ligand_features",
     "default_table": "protein_features",
     "load_property_table": "protein_features",
@@ -48,6 +46,12 @@ def __getattr__(name: str):
     return value
 
 
+def _info(args, message: str) -> None:
+    """A progress line on stderr, unless --quiet."""
+    if not args.quiet:
+        print(message, file=sys.stderr)
+
+
 class _UsageError(Exception):
     pass
 
@@ -65,7 +69,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the configured seed")
     parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress logging")
+                        help="suppress progress lines on stderr")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     p = sub.add_parser("ingest", help="curate a raw affinity TSV into a dataset")
@@ -121,8 +125,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
     dataset.provenance["config_digest"] = cfg.digest()
     ds_mod.write_dataset(dataset, args.out)
     sizes = dataset.provenance["split_sizes"]
-    log.info("ingested %d records (%s) -> %s",
-             len(dataset.records), sizes, args.out)
+    _info(args, f"ingested {len(dataset.records)} records ({sizes}) -> {args.out}")
     return 0
 
 
@@ -145,7 +148,7 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
         "table_version": (table or _cli.default_table()).version,
     }
     ds_mod.write_features(args.out, X, y, ids, sidecar)
-    log.info("featurized %s: X %s -> %s", args.subset, X.shape, args.out)
+    _info(args, f"featurized {args.subset}: X {X.shape} -> {args.out}")
     return 0
 
 
@@ -160,6 +163,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
             raise DatasetError(f"no y.npy next to features in {args.valid_dir}")
         valid = (Xv, yv)
     model, metrics = _cli.train(X, y, params=cfg.gbdt, valid=valid)
+    model = dataclasses.replace(model, schema=_cli.feature_schema(args.train_dir))
     _cli.save_model(model, args.out)
     with open(args.out + ".metrics.json", "w", encoding="utf-8",
               newline="\n") as fh:
@@ -168,21 +172,27 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     last_loss = metrics["train_loss"][-1] if metrics["train_loss"] else None
     kept = (f", best iteration {metrics['best_iteration']} with "
             f"{len(model.trees)} trees kept" if valid is not None else "")
-    log.info("trained %d trees, %d internal nodes, %d leaves (final train "
-             "loss %s%s) -> %s", len(model.trees),
-             sum(len(t.feature) for t in model.trees),
-             sum(len(t.leaf_value) for t in model.trees), last_loss, kept,
-             args.out)
+    _info(args, f"trained {len(model.trees)} trees, "
+                f"{sum(len(t.feature) for t in model.trees)} levels, "
+                f"{sum(len(t.leaf_value) for t in model.trees)} leaves (final "
+                f"train loss {last_loss}{kept}) -> {args.out}")
     return 0
 
 
 def cmd_predict(args, cfg: PipelineConfig) -> int:
     model = _cli.load_model(args.model)
     X, _ = _cli.read_features(args.features)
-    preds = model.predict(X)
+    preds = model.predict(X)            # a width mismatch raises here
+    # a model trained through the Python API has no schema to compare
+    if model.schema is not None and model.schema != _cli.feature_schema(args.features):
+        raise DatasetError(
+            f"{args.model} was trained on features of another schema than "
+            f"{os.path.join(args.features, 'featurize.json')} (radius, nbits, "
+            "table_version or columns differ); featurize with the training "
+            "config")
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(repr(float(p)) + "\n" for p in preds))
-    log.info("wrote %d predictions -> %s", len(preds), args.out)
+    _info(args, f"wrote {len(preds)} predictions -> {args.out}")
     return 0
 
 
@@ -197,8 +207,8 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     csv_path = (args.out[:-5] + ".csv" if args.out.endswith(".json")
                 else args.out + ".csv")
     write_report(report, args.out, csv_path=csv_path)
-    log.info("MAE %.4f, accuracy@%.3g %.4f -> %s", report["mae"],
-             report["threshold"], report["accuracy_at_threshold"], args.out)
+    _info(args, f"MAE {report['mae']:.4f}, accuracy@{report['threshold']:.3g} "
+                f"{report['accuracy_at_threshold']:.4f} -> {args.out}")
     return 0
 
 
@@ -248,7 +258,7 @@ def cmd_export_graphs(args, cfg: PipelineConfig) -> int:
                     _cli.receptor_graph_features(rec.receptor, table), rows)
             fh.write(f'{{"id": {json.dumps(rec.pair_key)}, "ligand": {lig}, '
                      f'"receptor": {rgraph}}}\n')
-    log.info("exported %d pair graphs -> %s", len(records), args.out)
+    _info(args, f"exported {len(records)} pair graphs -> {args.out}")
     return 0
 
 
@@ -269,9 +279,6 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"bindkit: {exc}", file=sys.stderr)
         return 1
-    logging.basicConfig(stream=sys.stderr, format="%(message)s",
-                        level=logging.WARNING if args.quiet else logging.INFO,
-                        force=True)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
@@ -291,6 +298,7 @@ def main(argv=None) -> int:
         print(f"bindkit: data error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback                # only this path prints one
         traceback.print_exc()
         return 3
 

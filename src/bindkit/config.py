@@ -4,9 +4,9 @@ Config files are TOML 1.0, read by the standard library's ``tomllib``;
 text it cannot read is a ConfigError naming the file.  Every value is then
 type-checked against the schema below, and unknown sections or keys are
 rejected rather than ignored, so typos fail loudly.  Numbers must be
-finite, the fingerprint radius and width have maxima (MAX_RADIUS,
-MAX_NBITS) and the evaluation bins must tile their range, so a value no
-command can run is an error here.
+finite, the fingerprint radius and width and the tree depth have maxima
+(MAX_RADIUS, MAX_NBITS, MAX_DEPTH) and the evaluation bins must tile their
+range, so a value no command can run is an error here.
 The resolved configuration has a canonical JSON form whose SHA-256 digest
 stamps every derived artifact.
 
@@ -15,7 +15,6 @@ a config holds (KiBounds, TrainParams) are defined here.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import tomllib
@@ -31,10 +30,12 @@ from .metrics import (
 )
 
 __all__ = ["ConfigError", "KiBounds", "TrainParams", "PipelineConfig",
-           "config_from_mapping", "load_config", "MAX_RADIUS", "MAX_NBITS"]
+           "config_from_mapping", "load_config", "MAX_RADIUS", "MAX_NBITS",
+           "MAX_DEPTH"]
 
 MAX_RADIUS = 8              # ECFP radius; 2 and 3 are the usual choices
 MAX_NBITS = 1 << 16         # fingerprint width
+MAX_DEPTH = 10              # an oblivious tree stores 2**depth leaves
 
 
 class ConfigError(ValueError):
@@ -66,8 +67,8 @@ class TrainParams:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        if not 1 <= self.max_depth <= MAX_DEPTH:
+            raise ValueError(f"max_depth must be in [1, {MAX_DEPTH}]")
         if not (0.0 < self.learning_rate <= 1.0):
             raise ValueError("learning_rate must be in (0, 1]")
         if self.min_samples_leaf < 1:
@@ -116,6 +117,7 @@ class PipelineConfig:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
+        import hashlib                  # only ingest and featurize stamp it
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def with_seed(self, seed: int) -> "PipelineConfig":

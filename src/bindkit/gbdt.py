@@ -1,45 +1,23 @@
-"""Least-squares gradient boosting over regression trees.
+"""Least-squares gradient boosting over oblivious regression trees.
 
 Stagewise boosting on the squared loss: each tree fits the current
-residuals, leaves store learning_rate * mean(residual), and the model
-prediction is base_score plus the sum of routed leaf values.
+residuals, and a prediction is base_score plus the routed leaf values.  The
+model, its file and its router live in the numpy-free model module.
+Training reads a FeatureStore (a plain 2-D array is a store with no bit
+columns); every column read after binning goes through FeatureStore.take,
+so a bit column splits as its dense float column would.
 
-Training reads its matrix as a FeatureStore: a float64 block of dense
-columns followed by binary columns packed eight to a byte, LSB first, as
-the featurize stage writes them; a plain 2-D array is a store with no bit
-columns.  Binning reads the two blocks once; after it, split search and
-tree growth read every column through FeatureStore.take, which decodes a
-bit as 0.0 or 1.0, so a bit column is split by "x <= t" exactly as its
-dense float column would be.  The model, its file and its router live in
-the numpy-free model module; training takes each in-bag row's leaf from the
-partition that grew the tree and routes only out-of-bag and validation rows.
-
-Split search is histogram-based, as in CatBoost and LightGBM, which also
-quantize every feature before growing a tree: features are binned once on
-the training matrix into at most n_histogram_bins quantile bins whose upper
-bounds are actual data values (columns with few distinct values get exact
-bins, so on them the search sees every distinct-value boundary).  A
-bit column is binned from its popcount: 0 or n set bits make it constant,
-anything else gives the bins [0.0, 1.0], which is what the distinct values
-of the decoded column give.  A split is "x <= t goes left" with t the upper
-bound of the left bin, so routing by bin code and routing by raw value
-agree on every training row; training routes by raw value and keeps no
-full code matrix.
-
-The binned matrix holds three classes of column, told apart by bin count.
-Constant (one-bin) columns cannot split and are dropped.  Two-bin columns,
-such as fingerprint bits, keep only their code-1 cells in a row-major CSR:
-a node's code-1 counts and residual sums are one bincount over its cells,
-and the code-0 side is the node's row count and total minus them.  Columns
-with three or more bins keep their codes in one contiguous int32 block that
-one flat bincount histograms per node.  The best gain of each column is
-merged back in original column order.
-
-The variance gain of a split is sum_L^2/n_L + sum_R^2/n_R - sum^2/n over
-residuals, maximized; ties resolve to the first candidate in (feature,
-threshold) scan order.  Gains <= 0 make the node a leaf.  Two-bin gains
-near the best are recomputed from the code-0 sum before the tie-break, so
-the trees are those a histogram of every (row, column) cell would grow.
+Split search is histogram-based, as in CatBoost and LightGBM: features are
+binned once into at most n_histogram_bins quantile bins whose upper bounds
+are data values (a column with few distinct values gets one bin per value;
+a bit column set in some but not all rows gets [0.0, 1.0]).  A split sends
+x > t to the 1 side, t the upper bound of a bin, so routing by raw value
+agrees with routing by bin code.  Constant columns are dropped.  Two-bin
+columns, such as fingerprint bits, keep only their code-1 cells in a
+row-major CSR, and their code-0 side is the node's row count and total
+minus the code-1 side; wider columns keep their codes in one int32 block.
+Each level of a tree takes the first (feature, bin) with the largest
+variance gain summed over its nodes; the tree stops when that is <= 0.
 
 The feature directory format (write_features, load_features) lives beside
 the store it holds, so train loads no featurization module.
@@ -49,12 +27,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TrainParams
+from .config import MAX_DEPTH, TrainParams
 from .errors import DimensionMismatchError, GbdtError
 from .model import (BITS_FILE, DENSE_FILE, Features, GbdtModel,  # re-exported
                     ModelFormatError, ModelVersionError, Tree, _leaves,
@@ -220,116 +197,147 @@ def _gain(s_left, n_left, total, m):
             - (total * total) / m
 
 
-def _best_split_hist(X: FeatureStore, bm: _Binned, res, rows, min_leaf):
-    """Best (feature, value threshold, gain) on a node, or None.
+def _histograms(bm: _Binned, rows, r, slot, k):
+    """Counts and residual sums of k nodes over training rows (r their
+    residuals, slot their node): (n1, s1) of the code-1 cells of every
+    two-bin column, shape (k, pairs), and (cnt, ssum) of every (column, bin)
+    cell of the wider columns, shape (k, wide, width).  Each cell adds its
+    rows in row order."""
+    p, w = bm.pair_cols.size, bm.wide_cols.size
+    width = int(bm.wide_bins.max(initial=0))
+    starts = bm.indptr[rows]
+    lens = bm.indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    cells = bm.indices[np.arange(lens.sum()) + np.repeat(starts - (ends - lens), lens)]
+    key = np.repeat(slot * p, lens) + cells
+    n1 = np.bincount(key, minlength=k * p).reshape(k, p)
+    s1 = np.bincount(key, weights=np.repeat(r, lens), minlength=k * p).reshape(k, p)
+    key = (((slot * w)[:, None] + np.arange(w)) * width + bm.wide_codes[rows]).ravel()
+    cnt = np.bincount(key, minlength=k * w * width).reshape(k, w, width)
+    ssum = np.bincount(key, weights=np.repeat(r, w),
+                       minlength=k * w * width).reshape(k, w, width)
+    return n1, s1, cnt, ssum
 
-    Two-bin columns bincount the node's code-1 cells; their bin-0 side is the
-    node total minus the code-1 side.  Wider columns accumulate counts and
-    residual sums for every (column, bin) cell in one flat bincount.  The
-    best gain of each column is merged back in original column order, so the
-    first best candidate in (feature, bin) order wins."""
-    m = rows.size
-    r = res[rows]
-    total = float(r.sum())
-    gain = np.full(len(bm.uppers), -np.inf)
-    code = np.zeros(len(bm.uppers), dtype=np.intp)
-    if bm.pair_cols.size:
-        k = bm.pair_cols.size
-        starts = bm.indptr[rows]
-        lens = bm.indptr[rows + 1] - starts
-        ends = np.cumsum(lens)
-        cells = bm.indices[np.arange(ends[-1])
-                           + np.repeat(starts - (ends - lens), lens)]
-        n0 = m - np.bincount(cells, minlength=k)
-        s0 = total - np.bincount(cells, weights=np.repeat(r, lens), minlength=k)
-        valid = (n0 >= min_leaf) & (m - n0 >= min_leaf)
-        pair_gain = np.where(valid, _gain(s0, n0, total, m), -np.inf)
-        gain[bm.pair_cols] = pair_gain
-    if bm.wide_cols.size:
-        sub = bm.wide_codes[rows]
-        width = int(bm.wide_bins.max())
-        flat = (sub + np.arange(sub.shape[1]) * width).ravel()
-        size = sub.shape[1] * width
-        cnt = np.bincount(flat, minlength=size).reshape(-1, width)
-        ssum = np.bincount(flat, weights=np.repeat(r, sub.shape[1]),
-                           minlength=size).reshape(-1, width)
-        n_left = np.cumsum(cnt, axis=1)
-        splittable = np.arange(width)[None, :] < (bm.wide_bins - 1)[:, None]
-        valid = splittable & (n_left >= min_leaf) & (m - n_left >= min_leaf)
-        g = np.where(valid, _gain(np.cumsum(ssum, axis=1), n_left, total, m),
-                     -np.inf)
-        best_bin = np.argmax(g, axis=1)
-        gain[bm.wide_cols] = g[np.arange(len(g)), best_bin]
-        code[bm.wide_cols] = best_bin
-    f = int(np.argmax(gain))
-    if not np.isfinite(gain[f]):
+
+def _summed_gain(s_left, n_left, count, total, min_leaf):
+    """The gain of each candidate (column of the (k, c) arrays) summed over
+    the nodes whose two sides both keep min_leaf rows, added in node order;
+    -inf where no node does.  s_left is a function of (node, candidate)
+    index arrays, so gains are computed on those cells only."""
+    node, cand = np.nonzero((n_left >= min_leaf)
+                            & (count[:, None] - n_left >= min_leaf))
+    size = n_left.shape[1]
+    gain = np.bincount(cand, weights=_gain(s_left(node, cand), n_left[node, cand],
+                                           total[node], count[node]),
+                       minlength=size)
+    return np.where(np.bincount(cand, minlength=size) > 0, gain, -np.inf)
+
+
+def _best_split(X: FeatureStore, bm: _Binned, hist, count, total, rows, r, slot,
+                min_leaf, tol):
+    """The first best (feature, bin code) of a level by the gain summed over
+    the nodes of hist, or None when that gain is <= 0; rows, r and slot are
+    the nodes' rows, residuals and node.  A code-0 sum taken as a total
+    minus a code-1 sum, or a sum derived as parent - child, can differ from
+    the row-order sum in the last bits and flip an exact tie (a column
+    against its complement), so every gain within tol of the best is
+    recomputed from row-order sums, as a histogram of every (row, column)
+    cell adds them, before the best is taken."""
+    n1, s1, cnt, ssum = hist
+    k, width = len(count), cnt.shape[2]
+    n_wide = np.cumsum(cnt, axis=2).reshape(k, -1)
+    s_wide = np.cumsum(ssum, axis=2).reshape(k, -1)
+    # the candidates: each two-bin column at code 0, then each (wider column, bin)
+    col = np.concatenate([bm.pair_cols, np.repeat(bm.wide_cols, width)])
+    code = np.concatenate([np.zeros(bm.pair_cols.size, dtype=np.intp),
+                           np.tile(np.arange(width), bm.wide_cols.size)])
+    gain = np.concatenate([
+        _summed_gain(lambda i, c: total[i] - s1[i, c], count[:, None] - n1,
+                     count, total, min_leaf),
+        _summed_gain(lambda i, c: s_wide[i, c], n_wide, count, total, min_leaf)])
+    best = gain.max(initial=-np.inf)
+    if best + tol <= 0.0:
         return None
-    if bm.pair_cols.size:
-        # total - s1 can differ from the code-0 sum in the last bits, which
-        # would flip exact ties such as a column against its complement on
-        # this node.  The difference in a gain is below 20 m^2 eps max(r^2),
-        # so every two-bin gain within twice that of the best is recomputed
-        # from its code-0 sum, accumulated in row order as a full
-        # (row, column) bincount does, before the best is taken again.
-        tol = 40.0 * m * m * np.finfo(np.float64).eps * float(np.max(r * r))
-        if gain[f] + tol <= 0.0:
-            return None
-        near = np.flatnonzero(pair_gain >= gain[f] - tol)
-        cols = bm.pair_cols[near]
-        lows = np.array([bm.uppers[c][0] for c in cols], dtype=np.float64)
-        col, row = np.nonzero((X.take(rows, cols) <= lows).T)
-        s0 = np.bincount(col, weights=r[row], minlength=cols.size)
-        gain[cols] = _gain(s0, n0[near], total, m)
-        f = int(np.argmax(gain))
-    if gain[f] <= 0.0:
-        return None
-    return f, float(bm.uppers[f][code[f]]), float(gain[f])
+    near = np.flatnonzero(gain >= best - tol)
+    cols, at = np.unique(col[near], return_inverse=True)
+    values = X.take(rows, cols)
+    codes = np.stack([np.searchsorted(bm.uppers[f], values[:, j], side="left")
+                      for j, f in enumerate(cols)], axis=1)
+    w = int(codes.max()) + 1
+    key = (((slot * cols.size)[:, None] + np.arange(cols.size)) * w + codes).ravel()
+
+    def left(weights):                  # (k, near) sums up to each near bin
+        return np.cumsum(np.bincount(key, weights, k * cols.size * w)
+                         .reshape(k, -1, w), axis=2)[:, at, code[near]]
+    s_left = left(np.repeat(r, cols.size))
+    gain[near] = _summed_gain(lambda i, c: s_left[i, c], left(None), count, total,
+                              min_leaf)
+    top = np.flatnonzero(gain == gain.max())
+    best = top[np.lexsort((code[top], col[top]))[0]]
+    return None if gain[best] <= 0.0 else (int(col[best]), int(code[best]))
 
 
 def _grow_tree(X: FeatureStore, binned: _Binned, res, rows,
-               params: TrainParams) -> tuple[Tree, list]:
-    """Grow one tree breadth-first, splitting each node by the histogram
-    search over binned.  Rows route by raw value, which agrees with
-    bin-code routing.  Returns the tree and the rows of each leaf."""
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    leaf_value: list[float] = []
-    leaf_rows: list[np.ndarray] = []
-    root = 0
-
-    queue = deque()
-    queue.append((rows, 0, -1, 0))
-    while queue:
-        node_rows, depth, parent, side = queue.popleft()
-        split = None
-        if depth < params.max_depth and node_rows.size >= 2 * params.min_samples_leaf:
-            split = _best_split_hist(X, binned, res, node_rows,
-                                     params.min_samples_leaf)
+               params: TrainParams) -> tuple[Tree, np.ndarray]:
+    """Grow one oblivious tree level by level, each level split as
+    _best_split finds over the nodes of at least 2 * min_samples_leaf rows.
+    A node's children take learning_rate * their mean residual, or, where
+    the split leaves a side of fewer than min_samples_leaf rows, the node's
+    own value.  Of two children that can split, the smaller is histogrammed
+    and the other is the parent minus it.  Returns the tree and the leaf of
+    each of rows."""
+    min_leaf, rate = params.min_samples_leaf, params.learning_rate
+    r = res[rows]
+    m = rows.size
+    # A sum taken as a difference, or derived through up to MAX_DEPTH levels
+    # of parent - child, is within 5 m (m + MAX_DEPTH) eps max|r| of its
+    # row-order sum; a node's gain moves by 4 max|r| times that, and tol * k
+    # is at least twice the bound for a gain summed over k nodes, rounding
+    # of the gain arithmetic included.
+    tol = 64.0 * m * (m + MAX_DEPTH) * np.finfo(np.float64).eps * float(np.max(r * r))
+    leaf = np.zeros(m, dtype=np.intp)          # each row's node on this level
+    live = np.arange(m)                         # rows of the nodes that can split
+    slot = np.zeros(m, dtype=np.intp)           # their node among those
+    count = np.array([m])                       # rows per node that can split
+    total = np.bincount(slot, weights=r)
+    value = rate * (total / count)              # per node of the level
+    hist = _histograms(binned, rows, r, slot, 1)
+    feature, threshold = [], []
+    while count.size and len(feature) < params.max_depth:
+        k = count.size
+        split = _best_split(X, binned, hist, count, total, rows[live], r[live],
+                            slot, min_leaf, tol * k)
         if split is None:
-            pointer = ~len(leaf_value)
-            leaf_value.append(params.learning_rate * float(res[node_rows].mean()))
-            leaf_rows.append(node_rows)
-        else:
-            f, value_t, _ = split
-            pointer = len(feature)
-            feature.append(f)
-            threshold.append(value_t)
-            left.append(0)
-            right.append(0)
-            go_left = X.take(node_rows, [f])[:, 0] <= value_t
-            queue.append((node_rows[go_left], depth + 1, pointer, 0))
-            queue.append((node_rows[~go_left], depth + 1, pointer, 1))
-        if parent < 0:
-            root = pointer
-        elif side == 0:
-            left[parent] = pointer
-        else:
-            right[parent] = pointer
-    return Tree(root=root, feature=tuple(feature), threshold=tuple(threshold),
-                left=tuple(left), right=tuple(right),
-                leaf_value=tuple(leaf_value)), leaf_rows
+            break
+        f, code = split
+        feature.append(f)
+        threshold.append(float(binned.uppers[f][code]))
+        bit = X.take(rows, [f])[:, 0] > threshold[-1]
+        leaf = 2 * leaf + bit
+        value = np.repeat(value, 2)
+        child = 2 * slot + bit[live]            # each live row's child, of 2k
+        count = np.bincount(child, minlength=2 * k)
+        total = np.bincount(child, weights=r[live], minlength=2 * k)
+        grown = (np.minimum(count[0::2], count[1::2]) >= min_leaf).repeat(2)
+        node = np.zeros(2 * k, dtype=np.intp)   # each child's node index
+        node[child] = leaf[live]
+        value[node[grown]] = rate * (total[grown] / count[grown])
+        keep = count >= 2 * min_leaf
+        parents = np.flatnonzero(keep[0::2] | keep[1::2])
+        if parents.size and len(feature) < params.max_depth:
+            small = 2 * parents + (count[2 * parents] > count[2 * parents + 1])
+            place = np.full(2 * k, 2 * parents.size)    # in [small children, siblings]
+            place[small], place[small ^ 1] = np.arange(2 * parents.size).reshape(2, -1)
+            on = place[child] < parents.size
+            part = _histograms(binned, rows[live[on]], r[live[on]],
+                               place[child[on]], parents.size)
+            hist = [np.concatenate([h, whole[parents] - h])[place[keep]]
+                    for whole, h in zip(hist, part)]
+        on = keep[child]
+        live, slot = live[on], (np.cumsum(keep) - 1)[child[on]]
+        count, total = count[keep], total[keep]
+    return Tree(feature=tuple(feature), threshold=tuple(threshold),
+                leaf_value=tuple(value.tolist())), leaf
 
 
 def _check_matrix(X, y=None):
@@ -347,12 +355,6 @@ def _check_matrix(X, y=None):
     if not np.isfinite(y).all():
         raise GbdtError("target contains non-finite values")
     return X, y
-
-
-def _add_leaves(F, tree: Tree, X: FeatureStore, rows: list[int]) -> None:
-    """F[i] += the value of the leaf that row i of X routes to, i in rows."""
-    for value, part in _leaves(tree, X.features(), rows):
-        F[part] += value
 
 
 def train(X, y, params: TrainParams = TrainParams(), valid=None):
@@ -402,15 +404,16 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
             bag = np.sort(rng.permutation(n)[:bag_size])
         else:
             bag = np.arange(n, dtype=np.intp)
-        tree, leaf_rows = _grow_tree(X, binned, res, bag, params)
+        tree, leaf = _grow_tree(X, binned, res, bag, params)
         trees.append(tree)
-        for value, rows in zip(tree.leaf_value, leaf_rows):
-            F[rows] += value
+        value = np.asarray(tree.leaf_value)
+        F[bag] += value[leaf]
         if len(bag) < n:
-            _add_leaves(F, tree, X, np.setdiff1d(np.arange(n), bag).tolist())
+            oob = np.setdiff1d(np.arange(n), bag)
+            F[oob] += value[_leaves(tree, X.features())][oob]
         metrics["train_loss"].append(float(np.mean((y - F) ** 2)))
         if Fv is not None:
-            _add_leaves(Fv, tree, Xv, list(range(len(Xv))))
+            Fv += value[_leaves(tree, Xv.features())]
             mae = float(np.abs(yv - Fv).mean())
             metrics["valid_mae"].append(mae)
             if mae < best_mae:

@@ -1,34 +1,33 @@
-"""The boosted-tree model (grown by gbdt): its trees, its JSON file and its
-predictions, which are base_score plus, tree by tree, the value of the leaf
-each row routes to; a row goes left where its value is <= the threshold.
+"""The boosted-tree model (grown by gbdt): its oblivious trees, its JSON
+file and its predictions, base_score plus, tree by tree, the value of the
+leaf each row routes to, added in the order numpy's pred += would add them.
 
 The module imports without numpy, so predict starts without it.  It routes
 the checked buffers of a feature directory (read_features): dense columns
 through a float64 memoryview, bit columns from the packed bytes as 0 or 1,
-so a bit column routes as its dense float column would.  The float64 sums
-take numpy's terms in numpy's order, so predictions are the same bits.
+so a bit column routes as its dense float column would.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import zlib
 from array import array
 from dataclasses import asdict, dataclass
 from functools import cache
-from itertools import compress
-from operator import itemgetter, not_
 
-from .config import TrainParams
+from .config import MAX_DEPTH, TrainParams
 from .errors import (DatasetError, DimensionMismatchError,
                      FingerprintFormatError, GbdtError)
 from .metrics import _doubles, _npy_payload
 
 __all__ = ["Features", "Tree", "GbdtModel", "ModelFormatError",
-           "ModelVersionError", "save_model", "load_model", "read_features"]
+           "ModelVersionError", "save_model", "load_model", "read_features",
+           "feature_schema"]
 
 MODEL_FORMAT = "bindkit-gbdt"
-MODEL_VERSION = "2"
+MODEL_VERSION = "3"
 DENSE_FILE = "descriptors.npy"
 BITS_FILE = "fingerprints.npy"
 
@@ -62,45 +61,34 @@ class Features:
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """Flat tree.  Child pointers >= 0 index internal nodes; negative
-    pointers encode leaves as the bitwise complement of the leaf index."""
-    root: int
-    feature: tuple[int, ...]           # per internal node
+    """Oblivious tree, as CatBoost grows them: every node of level i splits
+    on feature[i] and threshold[i].  A row's leaf index takes one bit per
+    level, level 0 the high bit, 1 where the row's value is > threshold."""
+    feature: tuple[int, ...]           # per level
     threshold: tuple[float, ...]
-    left: tuple[int, ...]              # child pointers
-    right: tuple[int, ...]
-    leaf_value: tuple[float, ...]      # already learning-rate scaled
+    leaf_value: tuple[float, ...]      # 2**depth, already learning-rate scaled
 
 
 @cache
-def _goes_left(k: int, zero: bool, one: bool) -> bytes:
+def _above(k: int, zero: bool, one: bool) -> bytes:
     """The translate table that maps a byte to whether its bit k, compared
-    as 0 or 1 with a threshold, goes left: zero when it is 0, one when 1."""
+    as 0 or 1 with a threshold, is above it: zero when it is 0, one when 1."""
     return bytes(one if b >> k & 1 else zero for b in range(256))
 
 
-def _leaves(tree: Tree, X: Features, rows: list[int]) -> list:
-    """(leaf value, the rows routed to it) for each leaf rows reach."""
-    out = []
-    stack = [(tree.root, rows)]
-    while stack:
-        node, rows = stack.pop()
-        if not rows:
-            continue
-        if node < 0:
-            out.append((tree.leaf_value[~node], rows))
-            continue
-        f, t = tree.feature[node], tree.threshold[node]
-        get = itemgetter(*rows, 0)      # 0 keeps one row a tuple; compress drops it
+def _leaves(tree: Tree, X: Features) -> list[int]:
+    """The leaf index of each row of X."""
+    index = [0] * len(X)
+    for f, t in zip(tree.feature, tree.threshold):
         if f < X.n_dense:
-            go_left = [v <= t for v in get(X.dense[f::X.n_dense])]
+            values = X.dense[f::X.n_dense].tolist()
+            index = [i + i + (v > t) for i, v in zip(index, values)]
         else:
             f -= X.n_dense
-            table = _goes_left(f & 7, 0 <= t, 1 <= t)
-            go_left = bytes(get(X.bits[f >> 3::(X.nbits + 7) >> 3])).translate(table)
-        stack.append((tree.left[node], list(compress(rows, go_left))))
-        stack.append((tree.right[node], list(compress(rows, map(not_, go_left)))))
-    return out
+            bits = bytes(X.bits[f >> 3::(X.nbits + 7) >> 3]).translate(
+                _above(f & 7, 0 > t, 1 > t))
+            index = [i + i + b for i, b in zip(index, bits)]
+    return index
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,6 +98,7 @@ class GbdtModel:
     feature_count: int
     params: TrainParams
     degenerate: bool = False
+    schema: str | None = None          # feature_schema of the training features
 
     def predict(self, X) -> array:
         """Predictions for the rows of Features, a FeatureStore, a 2-D array,
@@ -126,9 +115,8 @@ class GbdtModel:
                 f"expected {self.feature_count} features, got shape {X.shape}")
         pred = [self.base_score] * len(X)
         for tree in self.trees:
-            for value, rows in _leaves(tree, X, list(range(len(X)))):
-                for i in rows:
-                    pred[i] += value
+            value = tree.leaf_value
+            pred = [p + value[i] for p, i in zip(pred, _leaves(tree, X))]
         return array("d", pred)
 
 
@@ -144,11 +132,8 @@ def save_model(model: GbdtModel, path) -> None:
         "base_score": model.base_score,
         "degenerate": model.degenerate,
         "params": asdict(model.params),
-        "trees": [
-            {"root": t.root, "feature": t.feature, "threshold": t.threshold,
-             "left": t.left, "right": t.right, "leaf_value": t.leaf_value}
-            for t in model.trees
-        ],
+        "schema": model.schema,
+        "trees": [asdict(t) for t in model.trees],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
@@ -169,21 +154,21 @@ def load_model(path) -> GbdtModel:
     try:
         params = TrainParams(**doc["params"])
         trees = tuple(
-            Tree(root=_integer(t["root"], "root"),
-                 feature=_integers(t["feature"], "feature"),
+            Tree(feature=_integers(t["feature"], "feature"),
                  threshold=_numbers(t["threshold"], "threshold"),
-                 left=_integers(t["left"], "left"),
-                 right=_integers(t["right"], "right"),
                  leaf_value=_numbers(t["leaf_value"], "leaf_value"))
             for t in doc["trees"])
         degenerate = doc.get("degenerate", False)
         if type(degenerate) is not bool:
             raise ModelFormatError("degenerate must be a JSON boolean")
+        schema = doc["schema"]
+        if schema is not None and type(schema) is not str:
+            raise ModelFormatError("schema must be a JSON string or null")
         model = GbdtModel(base_score=_number(doc["base_score"], "base_score"),
                           trees=trees,
                           feature_count=_integer(doc["feature_count"],
                                                  "feature_count"),
-                          params=params, degenerate=degenerate)
+                          params=params, degenerate=degenerate, schema=schema)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
     # predict adds these terms in this order, and rounding is monotone, so
@@ -200,7 +185,7 @@ def load_model(path) -> GbdtModel:
 
 def _integer(value, what: str) -> int:
     """A JSON integer; int() would truncate a float and read a boolean as
-    0 or 1, which turns a damaged pointer into another valid one."""
+    0 or 1, which turns a damaged feature index into another valid one."""
     if type(value) is not int:
         raise ModelFormatError(f"{what} must be a JSON integer")
     return value
@@ -229,32 +214,20 @@ def _numbers(value, what: str) -> tuple[float, ...]:
 
 
 def _check_tree(tree: Tree, feature_count: int, k: int) -> None:
-    """Reject a tree that routing could not walk to a leaf, or that would
-    route to a non-finite prediction: node lists of unequal length, a
-    pointer or feature index out of range, a NaN or infinite threshold or
-    leaf value, or an internal node not reached exactly once from the root
-    (a cycle, a shared subtree or an orphan)."""
-    n = len(tree.feature)
-    if any(len(a) != n for a in (tree.threshold, tree.left, tree.right)):
-        raise ModelFormatError(f"tree {k}: node arrays differ in length")
-    if n and not (min(tree.feature) >= 0 and max(tree.feature) < feature_count):
+    """Reject a tree that routing could not index, or that would route to a
+    non-finite prediction: more levels than MAX_DEPTH, level lists of
+    unequal length, a leaf count other than 2**depth, a feature index out
+    of range, or a NaN or infinite threshold or leaf value."""
+    depth = len(tree.feature)
+    if depth > MAX_DEPTH:        # checked before 2**depth is computed
+        raise ModelFormatError(f"tree {k}: depth {depth} is above {MAX_DEPTH}")
+    if len(tree.threshold) != depth or len(tree.leaf_value) != 1 << depth:
+        raise ModelFormatError(f"tree {k}: {depth} levels need {depth} "
+                               f"thresholds and {1 << depth} leaf values")
+    if depth and not (min(tree.feature) >= 0 and max(tree.feature) < feature_count):
         raise ModelFormatError(f"tree {k}: feature index outside [0, {feature_count})")
     if not all(map(math.isfinite, tree.threshold + tree.leaf_value)):
         raise ModelFormatError(f"tree {k}: non-finite threshold or leaf value")
-    reached = [False] * n
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if not -len(tree.leaf_value) <= node < n:    # leaf i is stored as ~i
-            raise ModelFormatError(f"tree {k}: pointer {node} out of range")
-        if node >= 0:
-            if reached[node]:
-                raise ModelFormatError(f"tree {k}: node {node} is reached twice")
-            reached[node] = True
-            stack += (tree.left[node], tree.right[node])
-    if not all(reached):
-        raise ModelFormatError(f"tree {k}: node {reached.index(False)} "
-                               "is not reached from the root")
 
 
 def _read_json(path, error):
@@ -320,3 +293,20 @@ def read_features(path) -> tuple[Features, bytes | None]:
     if not (math.isfinite(sum(dense)) or all(map(math.isfinite, dense))):
         raise DatasetError(f"{at(DENSE_FILE)}: non-finite feature value")
     return Features(n, dense, d, memoryview(bits), nbits), y
+
+
+SCHEMA_FIELDS = ("radius", "nbits", "table_version", "columns")
+
+
+def feature_schema(path) -> str:
+    """The CRC-32, as 8 hex digits, of the canonical JSON of the fields of a
+    feature directory's featurize.json that fix what its columns mean
+    (SCHEMA_FIELDS, a missing one as null).  A CRC catches a changed
+    featurization without loading hashlib into predict."""
+    meta = _read_json(os.path.join(path, "featurize.json"), DatasetError)
+    if not isinstance(meta, dict):
+        raise DatasetError(f"{os.path.join(path, 'featurize.json')}: "
+                           "not a JSON object")
+    text = json.dumps({k: meta.get(k) for k in SCHEMA_FIELDS}, sort_keys=True,
+                      separators=(",", ":"))
+    return format(zlib.crc32(text.encode("utf-8")), "08x")

@@ -201,9 +201,9 @@ def test_train_log_reports_tree_shape(pipeline, tmp_path, capsys):
                      pipeline["feats"]["train"], *valid, "--out", model_path]) == 0
         err = capsys.readouterr().err
         model = load_model(model_path)
-        nodes = sum(len(t.feature) for t in model.trees)
-        leaves = sum(len(t.leaf_value) for t in model.trees)
-        assert f"trained 40 trees, {nodes} internal nodes, {leaves} leaves" in err
+        levels = sum(len(t.feature) for t in model.trees)
+        leaves = sum(2 ** len(t.feature) for t in model.trees)
+        assert f"trained 40 trees, {levels} levels, {leaves} leaves" in err
         assert ("best iteration" in err) == bool(valid)
     best = json.loads(pathlib.Path(model_path + ".metrics.json")
                       .read_text())["best_iteration"]
@@ -724,6 +724,8 @@ _PIPELINE_MODULES = """cli config dataset errors fasta gbdt ligand_features
     metrics model protein_features smiles"""
 
 # For each command: whether it loads numpy, and the bindkit modules it loads.
+# The numpy-free commands also load neither hashlib nor traceback (nor
+# logging, which imports traceback).
 COMMAND_MODULES = {
     "ingest": (True, _PIPELINE_MODULES),
     "featurize": (True, _PIPELINE_MODULES),
@@ -750,12 +752,17 @@ def test_command_loads_only_its_modules(pipeline, tmp_path, command):
             "from bindkit.cli import main\n"
             f"assert main({argv!r}) == 0\n"
             "print('numpy' in sys.modules, sorted(name[8:] for name in sys.modules\n"
-            "                                     if name.startswith('bindkit.')))\n")
+            "                                     if name.startswith('bindkit.')))\n"
+            "print(sorted(name for name in ('hashlib', 'logging', 'traceback')\n"
+            "             if name in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
     numpy, modules = COMMAND_MODULES[command]
-    assert proc.stdout == f"{numpy} {sorted(modules.split())}\n"
+    loaded, stdlib = proc.stdout.splitlines()
+    assert loaded == f"{numpy} {sorted(modules.split())}"
+    if not numpy:
+        assert stdlib == "[]"
 
 
 @pytest.mark.parametrize("shape, dtype", [
@@ -907,19 +914,19 @@ def small_model(tmp_path, n_trees=3):
     return path, json.loads(path.read_text()), feats
 
 
-def test_model_with_cyclic_pointer_exits_2(tmp_path, capsys):
+def test_model_with_too_few_leaves_exits_2(tmp_path, capsys):
     from bindkit.gbdt import ModelFormatError
     path, doc, feats = small_model(tmp_path)
     tree = doc["trees"][0]
-    assert len(tree["feature"]) > 1
-    tree["left"][-1] = tree["root"]          # the last internal node loops back
+    assert len(tree["feature"]) == 3 and len(tree["leaf_value"]) == 8
+    tree["leaf_value"].pop()                 # the last leaf's index is unbacked
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError):    # rejected before routing can hang
+    with pytest.raises(ModelFormatError):    # rejected before routing indexes it
         load_model(path)
     assert main(["--quiet", "predict", "--model", str(path), "--features",
                  str(feats), "--out", str(tmp_path / "p")]) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and "reached twice" in err, err
+    assert "data error" in err and "3 levels need 3 thresholds and 8 leaf values" in err, err
 
 
 def test_model_with_out_of_range_feature_exits_2(tmp_path, capsys):
@@ -943,6 +950,50 @@ def test_model_with_nan_leaf_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_predict_checks_the_feature_schema(pipeline, tmp_path, capsys):
+    """train stamps the schema of its features into the model.  Features of
+    another radius have the same width, yet predict exits 2 naming both
+    files; features of the training config predict with exit 0.  A model
+    with no schema, as the Python API trains it, predicts from both."""
+    from bindkit.model import feature_schema
+    feats = pipeline["feats"]
+    doc = json.loads(pathlib.Path(pipeline["model"]).read_text())
+    assert doc["schema"] == feature_schema(feats["train"]) == \
+        feature_schema(feats["test"])
+    cfg = tmp_path / "radius3.toml"
+    cfg.write_text(pathlib.Path(pipeline["cfg"]).read_text()
+                   .replace("[fingerprint]\n", "[fingerprint]\nradius = 3\n"))
+    radius3 = tmp_path / "radius3"
+    assert main(["--quiet", "--config", str(cfg), "featurize", "--dataset",
+                 pipeline["data"], "--subset", "test", "--out", str(radius3)]) == 0
+    assert load_features(radius3)[0].shape == load_features(feats["test"])[0].shape
+    out = tmp_path / "pred.txt"
+    assert main(["--quiet", "predict", "--model", pipeline["model"],
+                 "--features", str(radius3), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and pipeline["model"] in err, err
+    assert str(radius3 / "featurize.json") in err, err
+    assert not out.exists()
+    assert main(["--quiet", "predict", "--model", pipeline["model"],
+                 "--features", feats["test"], "--out", str(out)]) == 0
+    assert out.read_bytes() == pathlib.Path(pipeline["preds"]).read_bytes()
+    unstamped = tmp_path / "unstamped.json"
+    unstamped.write_text(json.dumps({**doc, "schema": None}))
+    for features in (radius3, feats["test"]):
+        assert main(["--quiet", "predict", "--model", str(unstamped),
+                     "--features", str(features), "--out", str(out)]) == 0
+
+
+def test_max_depth_above_the_cap_exits_1(pipeline, tmp_path, capsys):
+    cfg = tmp_path / "deep.toml"
+    cfg.write_text("[gbdt]\nmax_depth = 11\n")
+    out = tmp_path / "model.json"
+    assert main(["--quiet", "--config", str(cfg), "train", "--train",
+                 pipeline["feats"]["train"], "--out", str(out)]) == 1
+    assert "max_depth must be in [1, 10]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Edits of a saved model document that loaded, or crashed, before the model
 # reader checked JSON types, and the message each must now exit 2 with.
 MODEL_EDITS = {
@@ -952,11 +1003,24 @@ MODEL_EDITS = {
                     "params must be a JSON object"),
     "trees as an object": (lambda doc: {**doc, "trees": {}},
                            "trees must be a JSON list"),
-    "fractional pointer": (lambda doc: {**doc, "trees": [
-        {**t, "right": [v + 0.5 for v in t["right"]]} for t in doc["trees"]]},
-        "right must be a JSON integer"),
+    "fractional feature index": (lambda doc: {**doc, "trees": [
+        {**t, "feature": [v + 0.5 for v in t["feature"]]} for t in doc["trees"]]},
+        "feature must be a JSON integer"),
     "version 1": (lambda doc: {**doc, "version": "1"},
                   "unsupported model version '1'"),
+    "version 2": (lambda doc: {**doc, "version": "2"},
+                  "unsupported model version '2'"),
+    "leaf count other than 2**depth": (lambda doc: _first_tree(
+        doc, "leaf_value", lambda leaves: leaves + leaves),
+        "tree 0: 3 levels need 3 thresholds and 8 leaf values"),
+    "depth above the cap": (lambda doc: {**doc, "trees": [
+        {"feature": [0] * 11, "threshold": [0.5] * 11, "leaf_value": [0.0] * 2**11}]},
+        "tree 0: depth 11 is above 10"),
+    "feature index out of range": (lambda doc: _first_tree(
+        doc, "feature", lambda levels: levels[:-1] + [5]),
+        "tree 0: feature index outside [0, 5)"),
+    "schema of another type": (lambda doc: {**doc, "schema": 7},
+                               "schema must be a JSON string or null"),
     "boolean leaf value": (lambda doc: {**doc, "trees": [
         {**t, "leaf_value": [True] + t["leaf_value"][1:]} for t in doc["trees"]]},
         "leaf_value must be a JSON number"),
@@ -968,22 +1032,20 @@ MODEL_EDITS = {
 
 
 def _first_tree(doc, field, edit):
-    """doc with the node list field of its first tree replaced by edit of
-    it."""
+    """doc with the level or leaf list field of its first tree replaced by
+    edit of it."""
     tree = doc["trees"][0]
     return {**doc, "trees": [{**tree, field: edit(tree[field])}] + doc["trees"][1:]}
 
 
-# Node lists that numpy's int32 and float64 conversion rejected when the
+# Tree lists that numpy's int32 and float64 conversion rejected when the
 # model reader built arrays; the reader that keeps them as tuples of Python
 # numbers rejects each with the message given.
-for _field in ("feature", "left", "right"):
-    for _power in (31, 63):
-        MODEL_EDITS[f"{_field} 2**{_power}"] = (
-            lambda doc, f=_field, v=2**_power: _first_tree(
-                doc, f, lambda nodes: [v] + nodes[1:]),
-            "feature index outside [0, 5)" if _field == "feature"
-            else f"pointer {2**_power} out of range")
+for _power in (31, 63):
+    MODEL_EDITS[f"feature 2**{_power}"] = (
+        lambda doc, v=2**_power: _first_tree(doc, "feature",
+                                             lambda nodes: [v] + nodes[1:]),
+        "feature index outside [0, 5)")
 MODEL_EDITS["equal-length nested list"] = (
     lambda doc: _first_tree(doc, "feature", lambda nodes: [[f] for f in nodes]),
     "feature must be a JSON integer")

@@ -5,7 +5,6 @@ constructed problems (where leaf means are dyadic rationals and thus exact
 in binary floating point), plus structural contracts on realistic data.
 """
 from array import array
-from collections import deque
 
 import numpy as np
 import pytest
@@ -33,13 +32,11 @@ def regression_problem(n=300, d=6, seed=0, noise=0.1):
 
 
 def leaf_of(tree, x):
-    node = tree.root
-    while node >= 0:
-        if x[tree.feature[node]] <= tree.threshold[node]:
-            node = int(tree.left[node])
-        else:
-            node = int(tree.right[node])
-    return ~node
+    """The leaf index of row x: one bit per level, level 0 the high bit."""
+    leaf = 0
+    for f, t in zip(tree.feature, tree.threshold):
+        leaf = 2 * leaf + int(x[f] > t)
+    return leaf
 
 
 def test_step_function_is_fit_exactly():
@@ -84,7 +81,7 @@ def test_unbalanced_checkerboard_fits_at_depth_two():
     assert not np.array_equal(shallow.predict(X), y)
     deep, _ = train(X, y, TrainParams(n_trees=1, max_depth=2,
                                       learning_rate=1.0, min_samples_leaf=1))
-    assert deep.trees[0].feature[deep.trees[0].root] == 1
+    assert deep.trees[0].feature == (1, 0)
     assert np.array_equal(deep.predict(X), y)
 
 
@@ -100,15 +97,31 @@ def test_train_loss_never_increases():
 
 
 def test_min_samples_leaf_is_respected():
+    # Where a level's split leaves a node a side of fewer than 7 rows, both
+    # children take the node's value, so each leaf value is the scaled mean
+    # residual of a node of at least 7 rows, although some leaves hold fewer.
     X, y = regression_problem(n=200)
     params = TrainParams(n_trees=3, max_depth=6, learning_rate=0.3,
                          min_samples_leaf=7)
     model, _ = train(X, y, params)
+    F = np.full(len(X), model.base_score)
     for tree in model.trees:
-        counts = np.zeros(len(tree.leaf_value), dtype=int)
-        for row in X:
-            counts[leaf_of(tree, row)] += 1
-        assert counts.min() >= 7
+        depth = len(tree.feature)
+        assert depth == 6
+        leaves = np.array([leaf_of(tree, row) for row in X])
+        res = y - F
+        for j, value in enumerate(tree.leaf_value):
+            def rows_of(level, side=0):         # j's node on level, or its sibling
+                shift = depth - level
+                return leaves >> shift == (j >> shift) ^ side
+            source = 0                          # the level of the node that gives the value
+            for level in range(1, depth + 1):
+                if min(rows_of(level, side).sum() for side in (0, 1)) >= 7:
+                    source = level
+            assert rows_of(source).sum() >= 7
+            assert value == pytest.approx(0.3 * res[rows_of(source)].mean(), rel=1e-12)
+        assert np.bincount(leaves, minlength=2 ** depth).min() < 7
+        F += np.asarray(tree.leaf_value)[leaves]
 
 
 def test_max_depth_bounds_tree_shape():
@@ -116,19 +129,11 @@ def test_max_depth_bounds_tree_shape():
     model, _ = train(X, y, TrainParams(n_trees=2, max_depth=3,
                                        learning_rate=0.5, min_samples_leaf=1))
     for tree in model.trees:
-        assert len(tree.leaf_value) <= 2 ** 3
-        depths = {tree.root: 1}
-        deepest = 0
-        stack = [tree.root]
-        while stack:
-            node = stack.pop()
-            if node < 0:
-                continue
-            deepest = max(deepest, depths[node])
-            for child in (int(tree.left[node]), int(tree.right[node])):
-                depths[child] = depths[node] + 1
-                stack.append(child)
-        assert deepest <= 3
+        assert len(tree.feature) == len(tree.threshold) == 3
+        assert len(tree.leaf_value) == 2 ** 3
+    shallow, _ = train(X, y, TrainParams(n_trees=2, max_depth=1,
+                                         learning_rate=0.5, min_samples_leaf=1))
+    assert [len(t.leaf_value) for t in shallow.trees] == [2, 2]
 
 
 def test_thresholds_are_training_values():
@@ -157,29 +162,41 @@ def reference_bins(X, n_bins):
     return codes, uppers
 
 
-def reference_split(codes, bins_per_f, res, rows, min_leaf):
-    """(feature, code threshold) of the best split, or None: one flat
-    bincount over every (row, column) cell of the node."""
+def row_order_sum(values):
+    """values added one by one from 0.0, as a bincount accumulates a cell."""
+    return float(np.bincount(np.zeros(len(values), dtype=np.intp),
+                             weights=values, minlength=1)[0])
+
+
+def reference_level(codes, bins_per_f, res, nodes, min_leaf):
+    """(feature, code threshold) of the best split of a level, or None: one
+    flat bincount over every (row, column) cell of each node, and each
+    candidate's gain summed, in node order, over the nodes where both sides
+    keep min_leaf rows."""
     max_bins = int(bins_per_f.max())
     offsets = np.arange(codes.shape[1]) * max_bins
     size = codes.shape[1] * max_bins
-    m = rows.size
-    sub = codes[rows]
-    flat = (sub + offsets).ravel()
-    cnt = np.bincount(flat, minlength=size).reshape(-1, max_bins)
-    ssum = np.bincount(flat, weights=np.repeat(res[rows], sub.shape[1]),
-                       minlength=size).reshape(-1, max_bins)
-    n_left = np.cumsum(cnt, axis=1)
-    s_left = np.cumsum(ssum, axis=1)
-    total = float(res[rows].sum())
-    n_right = m - n_left
-    s_right = total - s_left
-    splittable = np.arange(max_bins)[None, :] < (bins_per_f - 1)[:, None]
-    valid = splittable & (n_left >= min_leaf) & (n_right >= min_leaf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = (s_left * s_left) / n_left + (s_right * s_right) / n_right \
-            - (total * total) / m
-    gain = np.where(valid, gain, -np.inf).ravel()
+    gain = np.zeros((codes.shape[1], max_bins))
+    counted = np.zeros(gain.shape, dtype=bool)
+    for rows in nodes:
+        m = rows.size
+        sub = codes[rows]
+        flat = (sub + offsets).ravel()
+        cnt = np.bincount(flat, minlength=size).reshape(-1, max_bins)
+        ssum = np.bincount(flat, weights=np.repeat(res[rows], sub.shape[1]),
+                           minlength=size).reshape(-1, max_bins)
+        n_left = np.cumsum(cnt, axis=1)
+        s_left = np.cumsum(ssum, axis=1)
+        total = row_order_sum(res[rows])
+        n_right = m - n_left
+        s_right = total - s_left
+        valid = (n_left >= min_leaf) & (n_right >= min_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = (s_left * s_left) / n_left + (s_right * s_right) / n_right \
+                - (total * total) / m
+        gain[valid] += g[valid]
+        counted |= valid
+    gain = np.where(counted, gain, -np.inf).ravel()
     best = int(np.argmax(gain))
     if not np.isfinite(gain[best]) or gain[best] <= 0.0:
         return None
@@ -187,62 +204,48 @@ def reference_split(codes, bins_per_f, res, rows, min_leaf):
 
 
 def reference_tree(codes, uppers, res, rows, params):
-    """Breadth-first growth that routes rows by bin code."""
+    """Level-wise oblivious growth over every occupied node, routing rows by
+    bin code.  Where a split leaves a node a side of fewer than
+    min_samples_leaf rows, both children take the node's value; elsewhere
+    each child takes its own."""
     bins_per_f = np.array([len(u) for u in uppers])
-    feature, threshold, left, right, leaf_value = [], [], [], [], []
-    root = 0
-    queue = deque([(rows, 0, -1, 0)])
-    while queue:
-        node_rows, depth, parent, side = queue.popleft()
-        split = None
-        if depth < params.max_depth and node_rows.size >= 2 * params.min_samples_leaf:
-            split = reference_split(codes, bins_per_f, res, node_rows,
-                                    params.min_samples_leaf)
+    rate, min_leaf = params.learning_rate, params.min_samples_leaf
+    feature, threshold = [], []
+    value = [rate * (row_order_sum(res[rows]) / rows.size)]
+    nodes = {0: rows}                   # node index -> rows, of occupied nodes
+    while len(feature) < params.max_depth:
+        split = reference_level(codes, bins_per_f, res, list(nodes.values()),
+                                min_leaf)
         if split is None:
-            pointer = ~len(leaf_value)
-            leaf_value.append(params.learning_rate * float(res[node_rows].mean()))
-        else:
-            f, code_t = split
-            pointer = len(feature)
-            feature.append(f)
-            threshold.append(float(uppers[f][code_t]))
-            left.append(0)
-            right.append(0)
-            go_left = codes[node_rows, f] <= code_t
-            queue.append((node_rows[go_left], depth + 1, pointer, 0))
-            queue.append((node_rows[~go_left], depth + 1, pointer, 1))
-        if parent < 0:
-            root = pointer
-        elif side == 0:
-            left[parent] = pointer
-        else:
-            right[parent] = pointer
-    return Tree(root=root, feature=tuple(feature), threshold=tuple(threshold),
-                left=tuple(left), right=tuple(right),
-                leaf_value=tuple(leaf_value))
+            break
+        f, code_t = split
+        feature.append(f)
+        threshold.append(float(uppers[f][code_t]))
+        value = [v for v in value for _ in (0, 1)]
+        children = {}
+        for node, node_rows in nodes.items():
+            above = codes[node_rows, f] > code_t
+            sides = (node_rows[~above], node_rows[above])
+            for bit, side in enumerate(sides):
+                if min(s.size for s in sides) >= min_leaf:
+                    value[2 * node + bit] = rate * (row_order_sum(res[side]) / side.size)
+                if side.size:
+                    children[2 * node + bit] = side
+        nodes = children
+    return Tree(feature=tuple(feature), threshold=tuple(threshold),
+                leaf_value=tuple(value))
 
 
 def reference_route(tree, X):
-    """The numpy router the pure-Python one in bindkit.model replaced: the
-    leaf value each row of a FeatureStore routes to."""
-    out = np.empty(len(X), dtype=np.float64)
-    stack = [(tree.root, np.arange(len(X), dtype=np.intp))]
-    while stack:
-        node, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        if node < 0:
-            out[rows] = tree.leaf_value[~node]
-        else:
-            go_left = X.take(rows, [tree.feature[node]])[:, 0] \
-                <= tree.threshold[node]
-            stack.append((int(tree.left[node]), rows[go_left]))
-            stack.append((int(tree.right[node]), rows[~go_left]))
-    return out
+    """A numpy router: the leaf value each row of a FeatureStore routes to."""
+    leaf = np.zeros(len(X), dtype=np.intp)
+    for f, t in zip(tree.feature, tree.threshold):
+        leaf = 2 * leaf + (X.take(np.arange(len(X)), [f])[:, 0] > t)
+    return np.asarray(tree.leaf_value, dtype=np.float64)[leaf]
 
 
 def reference_predict(model, X):
-    """GbdtModel.predict as it summed the numpy router's leaf values."""
+    """GbdtModel.predict as numpy sums it: pred += the routed leaf values."""
     pred = np.full(len(X), model.base_score, dtype=np.float64)
     for tree in model.trees:
         pred += reference_route(tree, X)
@@ -274,16 +277,19 @@ def mixed_matrix(seed, n=200):
     {0,1}, two-valued {-2.5, 7} (independent ones, 90% in the upper bin, and
     complements of sparse columns), one {0,1} column with exactly n/2 ones,
     small integers, and continuous columns with n distinct values, more
-    than a two-bin budget allows."""
+    than a two-bin budget allows; one integer and two continuous columns
+    also come mirrored, so a split of either copy has the gain of one of
+    the other in exact arithmetic."""
     rng = np.random.default_rng(seed)
     sparse = (rng.random((n, 40)) < 0.06).astype(float)
+    ints = rng.integers(0, 6, (n, 3)).astype(float)
+    normal = rng.standard_normal((n, 5))
     blocks = [
         np.full((n, 2), 1.5), np.zeros((n, 1)), sparse,
         np.where(rng.random((n, 4)) < 0.9, 7.0, -2.5),
         np.where(sparse[:, :6] == 1.0, -2.5, 7.0),
         (rng.permutation(n) < n // 2).astype(float)[:, None],
-        rng.integers(0, 6, (n, 3)).astype(float),
-        rng.standard_normal((n, 5)),
+        ints, 5.0 - ints[:, :1], normal, -normal[:, :2],
     ]
     X = np.hstack(blocks)[:, rng.permutation(sum(b.shape[1] for b in blocks))]
     y = (X @ rng.standard_normal(X.shape[1])) + 0.3 * rng.standard_normal(n)
@@ -308,8 +314,7 @@ def test_histogram_trees_match_dense_reference(case, seed):
     expected = reference_trees(X, y, params)
     assert sum(len(t.feature) for t in model.trees) > 0
     for got, want in zip(model.trees, expected, strict=True):
-        assert got.root == want.root
-        for name in ("feature", "threshold", "left", "right", "leaf_value"):
+        for name in ("feature", "threshold", "leaf_value"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
@@ -329,7 +334,7 @@ def packed_matrix(seed, n=200, nbits=45):
     store = FeatureStore(dense=dense, nbits=nbits,
                          bits=np.packbits(bits, axis=1, bitorder="little"))
     y = store.toarray() @ rng.standard_normal(store.shape[1]) \
-        + 5.0 * bits[:, 44] + 0.3 * rng.standard_normal(n)
+        + 8.0 * bits[:, 44] + 0.3 * rng.standard_normal(n)
     return store, y
 
 
@@ -362,8 +367,7 @@ def test_packed_trees_match_dense_trees(case, seed):
                for t in packed_model.trees for f in t.feature)
     assert packed_metrics == dense_metrics
     for got, want in zip(packed_model.trees, dense_model.trees, strict=True):
-        assert got.root == want.root
-        for name in ("feature", "threshold", "left", "right", "leaf_value"):
+        for name in ("feature", "threshold", "leaf_value"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert np.array_equal(packed_model.predict(store), dense_model.predict(dense))
 
@@ -456,18 +460,13 @@ def routing_store(rng, n=120, nbits=13):
     return FeatureStore(dense=dense, bits=bits, nbits=nbits)
 
 
-def random_tree(rng, X, n_internal):
-    """A tree of n_internal internal nodes on random columns of X.  Dense
-    thresholds are values of their column, +-0.0 or random; bit thresholds
-    lie below, at, between and above 0 and 1."""
+def random_tree(rng, X, depth):
+    """A tree of depth levels on random columns of X.  Dense thresholds are
+    values of their column, +-0.0 or random; bit thresholds lie below, at,
+    between and above 0 and 1."""
     d = X.dense.shape[1]
-    feature, threshold, left, right, leaf_value = [], [], [], [], []
-
-    def grow(budget):
-        if budget == 0:
-            leaf_value.append(float(rng.standard_normal()))
-            return ~(len(leaf_value) - 1)
-        node = len(feature)
+    feature, threshold = [], []
+    for _ in range(depth):
         f = int(rng.integers(X.shape[1]))
         if f < d:
             t = rng.choice([X.dense[rng.integers(len(X)), f], 0.0, -0.0,
@@ -476,23 +475,15 @@ def random_tree(rng, X, n_internal):
             t = rng.choice([-0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
         feature.append(f)
         threshold.append(float(t))
-        left.append(0)
-        right.append(0)
-        k = int(rng.integers(budget))
-        left[node] = grow(k)
-        right[node] = grow(budget - 1 - k)
-        return node
-
-    root = grow(n_internal)
-    return Tree(root=root, feature=tuple(feature), threshold=tuple(threshold),
-                left=tuple(left), right=tuple(right), leaf_value=tuple(leaf_value))
+    return Tree(feature=tuple(feature), threshold=tuple(threshold),
+                leaf_value=tuple(rng.standard_normal(2 ** depth).tolist()))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_router_matches_numpy_reference(seed):
     rng = np.random.default_rng(seed)
     X = routing_store(rng, nbits=(13, 16)[seed % 2])
-    trees = tuple(random_tree(rng, X, int(rng.integers(0, 12)))
+    trees = tuple(random_tree(rng, X, int(rng.integers(0, 7)))
                   for _ in range(8))
     model = GbdtModel(base_score=float(rng.standard_normal()), trees=trees,
                       feature_count=X.shape[1], params=TrainParams())
@@ -504,7 +495,7 @@ def test_router_matches_numpy_reference(seed):
     dense = FeatureStore.of(X.dense)
     dense_model = GbdtModel(base_score=0.25, params=TrainParams(),
                             feature_count=dense.shape[1],
-                            trees=tuple(random_tree(rng, dense, 7)
+                            trees=tuple(random_tree(rng, dense, 3)
                                         for _ in range(4)))
     for i in (0, len(X) - 1):
         assert dense_model.predict(X.dense[i]).tobytes() == \
@@ -559,7 +550,8 @@ def test_input_validation():
 
 
 def test_params_validation():
-    for kwargs in (dict(n_trees=0), dict(max_depth=0), dict(learning_rate=0.0),
+    for kwargs in (dict(n_trees=0), dict(max_depth=0), dict(max_depth=11),
+                   dict(learning_rate=0.0),
                    dict(learning_rate=1.5), dict(min_samples_leaf=0),
                    dict(n_histogram_bins=1), dict(subsample=0.0),
                    dict(subsample=1.2), dict(early_stopping_rounds=0)):
@@ -602,9 +594,10 @@ def test_load_rejects_bad_files(tmp_path):
     import json
     doc = json.loads(path.read_text())
 
-    # version 1 documents also carried params.splitter, which no longer exists
-    assert doc["version"] == "2" and "splitter" not in doc["params"]
-    for old, params in (("99", doc["params"]),
+    # version 1 documents also carried params.splitter, which no longer
+    # exists; version 2 documents held pointer trees
+    assert doc["version"] == "3" and "splitter" not in doc["params"]
+    for old, params in (("99", doc["params"]), ("2", doc["params"]),
                         ("1", {**doc["params"], "splitter": "histogram"})):
         wrong_version = tmp_path / "v.json"
         wrong_version.write_text(json.dumps({**doc, "version": old,
@@ -640,39 +633,41 @@ def test_load_rejects_bad_files(tmp_path):
                                     ("base_score", "1.5", "JSON number"),
                                     ("base_score", True, "JSON number"),
                                     ("degenerate", "no", "JSON boolean"),
-                                    ("degenerate", 0, "JSON boolean")):
+                                    ("degenerate", 0, "JSON boolean"),
+                                    ("schema", 5, "JSON string or null")):
         wrong_type = tmp_path / "t.json"
         wrong_type.write_text(json.dumps({**doc, field: value}))
         with pytest.raises(ModelFormatError, match=complaint):
             load_model(wrong_type)
 
 
-# Edits of a saved tree (root 0, internal nodes numbered breadth-first) that
-# routing could not walk safely, with the complaint each must raise.
+# Edits of a saved tree of depth 3 that routing could not index safely, or
+# that would route to a non-finite value, with the complaint each must raise.
 BROKEN_TREES = {
     "short threshold array": (lambda t: {"threshold": t["threshold"][:-1]},
-                              "differ in length"),
+                              "3 levels need 3 thresholds and 8 leaf values"),
+    "leaf count other than 2**depth": (
+        lambda t: {"leaf_value": t["leaf_value"][:-1]},
+        "3 levels need 3 thresholds and 8 leaf values"),
+    "extra level": (lambda t: {"feature": t["feature"] + [0]},
+                    "4 levels need 4 thresholds and 16 leaf values"),
+    "depth above the cap": (lambda t: {"feature": [0] * 11, "threshold": [0.5] * 11,
+                                       "leaf_value": [0.0] * 2**11},
+                            "depth 11 is above 10"),
     "nested arrays": (lambda t: {"feature": [[f] for f in t["feature"]]},
                       "feature must be a JSON integer"),
     "negative feature": (lambda t: {"feature": [-1] + t["feature"][1:]},
                          "feature index"),
     "feature beyond int32": (lambda t: {"feature": [2**40] + t["feature"][1:]},
                              "feature index outside"),
-    "root out of range": (lambda t: {"root": len(t["feature"])}, "out of range"),
-    "leaf pointer out of range": (
-        lambda t: {"right": t["right"][:-1] + [~len(t["leaf_value"])]},
-        "out of range"),
-    "self loop": (lambda t: {"left": [0] + t["left"][1:]}, "reached twice"),
-    "shared subtree": (lambda t: {"right": t["left"][:1] + t["right"][1:]},
-                       "reached twice"),
-    "orphan node": (lambda t: {"root": t["left"][0]}, "not reached"),
     "NaN leaf value": (lambda t: {"leaf_value": [float("nan")] + t["leaf_value"][1:]},
                        "non-finite"),
     "infinite threshold": (lambda t: {"threshold": [float("inf")] + t["threshold"][1:]},
                            "non-finite"),
-    "fractional pointer": (lambda t: {"right": [v + 0.5 for v in t["right"]]},
-                           "JSON integer"),
-    "boolean root": (lambda t: {"root": False}, "JSON integer"),
+    "fractional feature index": (lambda t: {"feature": [v + 0.5 for v in t["feature"]]},
+                                 "JSON integer"),
+    "boolean feature index": (lambda t: {"feature": [False] + t["feature"][1:]},
+                              "JSON integer"),
     "feature list as an object": (lambda t: {"feature": {"0": 1}}, "JSON list"),
     "boolean leaf value": (lambda t: {"leaf_value": [True] + t["leaf_value"][1:]},
                            "JSON number"),
@@ -692,7 +687,8 @@ def test_load_rejects_broken_tree_topology(tmp_path, what):
     save_model(model, path)
     doc = json.loads(path.read_text())
     tree = doc["trees"][0]
-    assert tree["root"] == 0 and tree["left"][0] == 1 and len(tree["feature"]) >= 3
+    assert sorted(tree) == ["feature", "leaf_value", "threshold"]
+    assert len(tree["feature"]) == 3 and len(tree["leaf_value"]) == 8
     edit, complaint = BROKEN_TREES[what]
     path.write_text(json.dumps({**doc, "trees": [{**tree, **edit(tree)}]}))
     with pytest.raises(ModelFormatError, match=complaint):

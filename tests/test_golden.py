@@ -13,7 +13,10 @@ the decoded feature store, and the models are trained on the packed store.
 The two featurize.json and the two model digests were re-recorded when the
 exact splitter was removed: the config digest no longer covers a splitter
 key, and model.json lost its "splitter" parameter and moved to version 2.
-Every other byte of both files, the trees included, was unchanged.
+Every other byte of both files, the trees included, was unchanged.  The
+model digests were re-recorded again when trees became oblivious (version
+3, with a "schema" field); they are the bytes of the trees that the
+level-wise dense reference of tests/test_gbdt.py grows on these features.
 The parse-outcome digests were recorded from the character-at-a-time
 parser, before SMILES were cut into tokens by one regular expression.
 """
@@ -87,10 +90,10 @@ MODEL_PARAMS = dict(n_trees=40, max_depth=3, learning_rate=0.2,
 # extra TrainParams -> sha256 of model.json trained on the fixture features
 GOLDEN_MODELS = {
     "fixture config": (
-        {}, "6969b22937827d9fbbbc317d083fd27317c7ecfdf4f1400c62f3e94a2934a76b"),
+        {}, "a528ca05ea0baad0a3657dbf55fff3ec80136f3a26b37fd6eef40b6b44635573"),
     "subsampled, four bins": (
         {"subsample": 0.8, "n_histogram_bins": 4},
-        "f2e7f6aee837c11481df4185db04fc0508daacf066030dd42d5a9cda9cb53e35"),
+        "8c9e50de95e88b71117a43a36c14a5d3474b516cf2f61efcb8fee25b38a764c0"),
 }
 
 
