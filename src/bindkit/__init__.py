@@ -32,7 +32,7 @@ _EXPORTS = {
     "dataset": """RawRecord AffinityRecord Dataset EmptyAfterFilteringError
         TooFewRecordsError pair_key ingest split featurize_pairs read_raw_tsv
         write_dataset load_dataset""",
-    "gbdt": "FeatureStore train write_features load_features",
+    "gbdt": "train write_features",
     "model": "GbdtModel ModelFormatError ModelVersionError save_model load_model",
     "errors": "DatasetError GbdtError DimensionMismatchError",
     "metrics": "mae binned_mae classify_accuracy build_report write_report",

@@ -22,7 +22,7 @@ from .metrics import _load_vector, build_report, write_report
 # (PEP 562), and the commands call them through this module's namespace, so
 # that a tracer patching bindkit.cli.<name> sees every call.
 _LAZY = {
-    "train": "gbdt", "load_features": "gbdt",
+    "train": "gbdt",
     "save_model": "model", "load_model": "model", "read_features": "model",
     "feature_schema": "model",
     "graph_block": "ligand_features", "ligand_graph_features": "ligand_features",
@@ -153,17 +153,25 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
-    X, y = _cli.load_features(args.train_dir)
+    X, y = _cli.read_features(args.train_dir)
     if y is None:
         raise DatasetError(f"no y.npy next to features in {args.train_dir}")
+    schema = _cli.feature_schema(args.train_dir)
     valid = None
     if args.valid_dir is not None:
-        Xv, yv = _cli.load_features(args.valid_dir)
+        Xv, yv = _cli.read_features(args.valid_dir)
         if yv is None:
             raise DatasetError(f"no y.npy next to features in {args.valid_dir}")
+        if _cli.feature_schema(args.valid_dir) != schema:
+            raise DatasetError(
+                f"{os.path.join(args.valid_dir, 'featurize.json')} describes "
+                "features of another schema than "
+                f"{os.path.join(args.train_dir, 'featurize.json')} (radius, "
+                "nbits, table_version or columns differ); featurize both "
+                "with one config")
         valid = (Xv, yv)
     model, metrics = _cli.train(X, y, params=cfg.gbdt, valid=valid)
-    model = dataclasses.replace(model, schema=_cli.feature_schema(args.train_dir))
+    model = dataclasses.replace(model, schema=schema)
     _cli.save_model(model, args.out)
     with open(args.out + ".metrics.json", "w", encoding="utf-8",
               newline="\n") as fh:

@@ -21,14 +21,14 @@ import numpy as np
 from .config import KiBounds
 from .errors import DatasetError
 from .fasta import FastaError, ProteinSequence, parse_fasta
-from .gbdt import FeatureStore, load_features, write_features
+from .gbdt import write_features
 from .ligand_features import (
     _ecfp_batch,
     _full_refinement_ids_batch,
     ecfp,  # not called here; named so that tracers can wrap it
     full_refinement_ids,
 )
-from .model import _read_json
+from .model import Features, _read_json
 from .protein_features import (
     DESCRIPTOR_LAYOUT,
     ResiduePropertyTable,
@@ -56,7 +56,6 @@ __all__ = [
     "write_dataset",
     "load_dataset",
     "write_features",
-    "load_features",
     "file_digest",
 ]
 
@@ -336,12 +335,12 @@ def featurize_pairs(
 ):
     """Assemble the model matrix for a subset.
 
-    Returns (X, y, columns, ids): X is a FeatureStore with the 78 receptor
-    descriptor columns as its dense block and the nbits fingerprint bits
-    packed LSB-first, y is log10 Ki, ids are pair keys.  Each distinct
-    receptor is described once, and the distinct ligands of the subset are
-    fingerprinted by one batch-kernel call straight into packed rows; row
-    order follows dataset record order.
+    Returns (X, y, columns, ids): X is model.Features over the arrays built
+    here, with the 78 receptor descriptor columns as its dense columns and
+    the nbits fingerprint bits packed LSB-first, y is log10 Ki, ids are pair
+    keys.  Each distinct receptor is described once, and the distinct
+    ligands of the subset are fingerprinted by one batch-kernel call
+    straight into packed rows; row order follows dataset record order.
     """
     table = table or default_table()
     records = dataset.subset(which)
@@ -360,8 +359,9 @@ def featurize_pairs(
     packed = _ecfp_batch([lig for _, lig in ligands.values()], radius, nbits)
     descriptors = np.array([receptor_descriptor(rec, table).vector
                             for _, rec in receptors.values()], dtype=np.float64)
-    X = FeatureStore(dense=descriptors[rec_index], bits=packed[lig_index],
-                     nbits=nbits)
+    X = Features(len(records), memoryview(descriptors[rec_index].ravel()),
+                 descriptors.shape[1], memoryview(packed[lig_index].ravel()),
+                 nbits)
     y = np.array([rec.log_ki for rec in records], dtype=np.float64)
     columns = tuple(DESCRIPTOR_LAYOUT) + tuple(f"fp_{j}" for j in range(nbits))
     return X, y, columns, tuple(rec.pair_key for rec in records)

@@ -2,10 +2,11 @@
 
 Stagewise boosting on the squared loss: each tree fits the current
 residuals, and a prediction is base_score plus the routed leaf values.  The
-model, its file and its router live in the numpy-free model module.
-Training reads a FeatureStore (a plain 2-D array is a store with no bit
-columns); every column read after binning goes through FeatureStore.take,
-so a bit column splits as its dense float column would.
+model, its file, its router and its input, model.Features, live in the
+numpy-free model module.  Training reads a Features (a plain 2-D array is
+one with no bit columns) through read-only numpy views of its buffers;
+every column read after binning goes through _take, so a bit column
+splits as its dense float column would.
 
 Split search is histogram-based, as in CatBoost and LightGBM: features are
 binned once into at most n_histogram_bins quantile bins whose upper bounds
@@ -19,8 +20,8 @@ minus the code-1 side; wider columns keep their codes in one int32 block.
 Each level of a tree takes the first (feature, bin) with the largest
 variance gain summed over its nodes; the tree stops when that is <= 0.
 
-The feature directory format (write_features, load_features) lives beside
-the store it holds, so train loads no featurization module.
+write_features, which needs np.save, writes the feature directory that
+model.read_features reads, so train loads no featurization module.
 """
 from __future__ import annotations
 
@@ -35,86 +36,22 @@ from .config import MAX_DEPTH, TrainParams
 from .errors import DimensionMismatchError, GbdtError
 from .model import (BITS_FILE, DENSE_FILE, Features, GbdtModel,  # re-exported
                     ModelFormatError, ModelVersionError, Tree, _leaves,
-                    load_model, read_features, save_model)
+                    load_model, save_model)
 
 __all__ = [
-    "FeatureStore", "TrainParams", "Tree", "GbdtModel", "GbdtError",
-    "DimensionMismatchError", "ModelFormatError", "ModelVersionError", "train",
-    "save_model", "load_model", "write_features", "load_features",
+    "TrainParams", "Tree", "GbdtModel", "GbdtError", "DimensionMismatchError",
+    "ModelFormatError", "ModelVersionError", "train", "save_model",
+    "load_model", "write_features",
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureStore:
-    """A feature matrix of d = dense.shape[1] float64 columns followed by
-    nbits binary columns; column d + j is bit j of a row.  Row i of bits
-    holds bit j in bit j % 8 of byte j // 8, as np.packbits(...,
-    bitorder="little") packs it and Fingerprint.packed() writes it."""
-    dense: np.ndarray          # float64 (n, d)
-    bits: np.ndarray           # uint8 (n, ceil(nbits / 8))
-    nbits: int
-
-    def __post_init__(self):
-        if self.dense.ndim != 2 or self.dense.dtype != np.float64:
-            raise DimensionMismatchError(
-                f"dense block must be 2-D float64, got {self.dense.dtype} "
-                f"{self.dense.shape}")
-        if (self.bits.dtype != np.uint8
-                or self.bits.shape != (len(self.dense), (self.nbits + 7) // 8)):
-            raise DimensionMismatchError(
-                f"{len(self.dense)} rows of {self.nbits} bits need a uint8 "
-                f"block of shape {(len(self.dense), (self.nbits + 7) // 8)}, "
-                f"got {self.bits.dtype} {self.bits.shape}")
-
-    @classmethod
-    def of(cls, X) -> "FeatureStore":
-        """X itself if it is a store, else a 2-D array as a store with no
-        bit columns."""
-        if isinstance(X, cls):
-            return X
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2:
-            raise DimensionMismatchError(
-                f"feature matrix must be 2-D, got shape {X.shape}")
-        return cls(dense=X, bits=np.zeros((len(X), 0), dtype=np.uint8), nbits=0)
-
-    def __len__(self) -> int:
-        return len(self.dense)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.dense), self.dense.shape[1] + self.nbits
-
-    @property
-    def nbytes(self) -> int:
-        return self.dense.nbytes + self.bits.nbytes
-
-    def take(self, rows, cols) -> np.ndarray:
-        """float64 values of columns cols at rows, shape (len(rows), len(cols))."""
-        rows = np.asarray(rows, dtype=np.intp)[:, None]
-        cols = np.asarray(cols, dtype=np.intp)
-        d = self.dense.shape[1]
-        is_bit = cols >= d
-        if not is_bit.any():
-            return self.dense[rows, cols]
-        if is_bit.all():
-            return self._bits(rows, cols - d).astype(np.float64)
-        return np.where(is_bit, self._bits(rows, np.where(is_bit, cols - d, 0)),
-                        self.dense[rows, np.where(is_bit, 0, cols)])
-
-    def _bits(self, rows, j) -> np.ndarray:
-        return (self.bits[rows, j >> 3] >> (j & 7).astype(np.uint8)) & 1
-
-    def toarray(self) -> np.ndarray:
-        """The decoded (n, d + nbits) float64 matrix."""
-        return self.take(np.arange(len(self)), np.arange(self.shape[1]))
-
-    def features(self) -> Features:
-        """The store as the flat buffers the router reads (ravel copies a
-        block only when it is not C-contiguous)."""
-        return Features(len(self), memoryview(self.dense.ravel()),
-                        self.dense.shape[1], memoryview(self.bits.ravel()),
-                        self.nbits)
+def _blocks(X: Features) -> tuple[np.ndarray, np.ndarray]:
+    """The dense block and the packed bit block of X, as read-only arrays
+    over its buffers of shapes (n, n_dense) and (n, ceil(nbits / 8))."""
+    return (np.frombuffer(X.dense.toreadonly(), dtype=np.float64)
+            .reshape(len(X), X.n_dense),
+            np.frombuffer(X.bits.toreadonly(), dtype=np.uint8)
+            .reshape(len(X), (X.nbits + 7) >> 3))
 
 
 # --- binning -----------------------------------------------------------------
@@ -126,7 +63,10 @@ class _Binned:
     into ascending upper bounds (actual data values) and then stored by its
     bin count: one-bin columns cannot split and are dropped, two-bin columns
     keep only their code-1 cells in a row-major CSR, and wider columns keep
-    their codes in one contiguous block."""
+    their codes in one contiguous block.  dense and bits are the blocks of
+    the matrix (_blocks), which _take decodes."""
+    dense: np.ndarray          # float64 (n, d)
+    bits: np.ndarray           # uint8 (n, ceil(nbits / 8))
     uppers: list               # per original column, ascending bin uppers
     pair_cols: np.ndarray      # original index of each two-bin column
     indptr: np.ndarray         # CSR row offsets, length n + 1
@@ -139,22 +79,23 @@ class _Binned:
 _CHUNK_ROWS = 1024            # rows of bits unpacked at a time for the CSR
 
 
-def _bin_columns(X: FeatureStore, n_bins: int) -> _Binned:
+def _bin_columns(X: Features, n_bins: int) -> _Binned:
     """Dense columns with at most n_bins distinct values bin exactly; wider
     ones keep quantile-ranked values.  A bit column set in some but not all
     rows has the bins [0, 1], and is constant otherwise.  Binning reads the
-    two blocks of X directly; split search and routing read through take."""
-    n, d = X.dense.shape
+    two blocks of X directly; split search reads through _take."""
+    dense, packed = _blocks(X)
+    n, d = dense.shape
     uppers: list[np.ndarray] = []
     for f in range(d):
-        distinct = np.unique(X.dense[:, f])
+        distinct = np.unique(dense[:, f])
         if len(distinct) > n_bins:
             qs = np.linspace(0.0, 1.0, n_bins)
-            distinct = np.unique(np.quantile(X.dense[:, f], qs, method="lower"))
+            distinct = np.unique(np.quantile(dense[:, f], qs, method="lower"))
         uppers.append(distinct)
-    ones = np.empty(X.bits.shape[1] * 8, dtype=np.int64)
+    ones = np.empty(packed.shape[1] * 8, dtype=np.int64)
     for k in range(8):
-        ones[k::8] = ((X.bits >> k) & 1).sum(axis=0)
+        ones[k::8] = ((packed >> k) & 1).sum(axis=0)
     levels = (np.array([0.0]), np.array([1.0]), np.array([0.0, 1.0]))
     uppers += [levels[0 if c == 0 else 1 if c == n else 2]
                for c in ones[:X.nbits]]
@@ -168,10 +109,10 @@ def _bin_columns(X: FeatureStore, n_bins: int) -> _Binned:
     indices = []
     for start in range(0, n, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        bits = np.unpackbits(X.bits[rows], axis=1, count=X.nbits,
+        bits = np.unpackbits(packed[rows], axis=1, count=X.nbits,
                              bitorder="little")
         # code-1 cells, row-major: dense columns precede bit columns
-        on = np.hstack([X.dense[rows, dense_pairs] > lower,
+        on = np.hstack([dense[rows, dense_pairs] > lower,
                         bits[:, bit_pairs].astype(bool)])
         counts[rows] = on.sum(axis=1)
         indices.append(np.nonzero(on)[1])
@@ -179,10 +120,27 @@ def _bin_columns(X: FeatureStore, n_bins: int) -> _Binned:
     np.cumsum(counts, out=indptr[1:])
     wide_codes = np.empty((n, len(wide_cols)), dtype=np.int32)
     for j, f in enumerate(wide_cols):           # bit columns are never wide
-        wide_codes[:, j] = np.searchsorted(uppers[f], X.dense[:, f], side="left")
-    return _Binned(uppers=uppers, pair_cols=pair_cols, indptr=indptr,
-                   indices=np.concatenate(indices), wide_cols=wide_cols,
-                   wide_codes=wide_codes, wide_bins=bins[wide_cols])
+        wide_codes[:, j] = np.searchsorted(uppers[f], dense[:, f], side="left")
+    return _Binned(dense=dense, bits=packed, uppers=uppers, pair_cols=pair_cols,
+                   indptr=indptr, indices=np.concatenate(indices),
+                   wide_cols=wide_cols, wide_codes=wide_codes,
+                   wide_bins=bins[wide_cols])
+
+
+def _take(bm: _Binned, rows, cols) -> np.ndarray:
+    """float64 values of columns cols at rows, shape (len(rows), len(cols));
+    a bit column decodes to 0.0 or 1.0."""
+    rows = np.asarray(rows, dtype=np.intp)[:, None]
+    cols = np.asarray(cols, dtype=np.intp)
+    d = bm.dense.shape[1]
+    is_bit = cols >= d
+    if not is_bit.any():
+        return bm.dense[rows, cols]
+    j = np.where(is_bit, cols - d, 0)
+    bit = (bm.bits[rows, j >> 3] >> (j & 7).astype(np.uint8)) & 1
+    if is_bit.all():
+        return bit.astype(np.float64)
+    return np.where(is_bit, bit, bm.dense[rows, np.where(is_bit, 0, cols)])
 
 
 # --- split search ------------------------------------------------------------
@@ -233,7 +191,7 @@ def _summed_gain(s_left, n_left, count, total, min_leaf):
     return np.where(np.bincount(cand, minlength=size) > 0, gain, -np.inf)
 
 
-def _best_split(X: FeatureStore, bm: _Binned, hist, count, total, rows, r, slot,
+def _best_split(bm: _Binned, hist, count, total, rows, r, slot,
                 min_leaf, tol):
     """The first best (feature, bin code) of a level by the gain summed over
     the nodes of hist, or None when that gain is <= 0; rows, r and slot are
@@ -260,7 +218,7 @@ def _best_split(X: FeatureStore, bm: _Binned, hist, count, total, rows, r, slot,
         return None
     near = np.flatnonzero(gain >= best - tol)
     cols, at = np.unique(col[near], return_inverse=True)
-    values = X.take(rows, cols)
+    values = _take(bm, rows, cols)
     codes = np.stack([np.searchsorted(bm.uppers[f], values[:, j], side="left")
                       for j, f in enumerate(cols)], axis=1)
     w = int(codes.max()) + 1
@@ -277,7 +235,7 @@ def _best_split(X: FeatureStore, bm: _Binned, hist, count, total, rows, r, slot,
     return None if gain[best] <= 0.0 else (int(col[best]), int(code[best]))
 
 
-def _grow_tree(X: FeatureStore, binned: _Binned, res, rows,
+def _grow_tree(binned: _Binned, res, rows,
                params: TrainParams) -> tuple[Tree, np.ndarray]:
     """Grow one oblivious tree level by level, each level split as
     _best_split finds over the nodes of at least 2 * min_samples_leaf rows.
@@ -305,14 +263,14 @@ def _grow_tree(X: FeatureStore, binned: _Binned, res, rows,
     feature, threshold = [], []
     while count.size and len(feature) < params.max_depth:
         k = count.size
-        split = _best_split(X, binned, hist, count, total, rows[live], r[live],
+        split = _best_split(binned, hist, count, total, rows[live], r[live],
                             slot, min_leaf, tol * k)
         if split is None:
             break
         f, code = split
         feature.append(f)
         threshold.append(float(binned.uppers[f][code]))
-        bit = X.take(rows, [f])[:, 0] > threshold[-1]
+        bit = _take(binned, rows, [f])[:, 0] > threshold[-1]
         leaf = 2 * leaf + bit
         value = np.repeat(value, 2)
         child = 2 * slot + bit[live]            # each live row's child, of 2k
@@ -341,10 +299,11 @@ def _grow_tree(X: FeatureStore, binned: _Binned, res, rows,
 
 
 def _check_matrix(X, y=None):
-    X = FeatureStore.of(X)
+    if not isinstance(X, Features):
+        X = Features.from_array(X)
     if X.shape[0] == 0 or X.shape[1] == 0:
         raise DimensionMismatchError(f"feature matrix is empty: {X.shape}")
-    if not np.isfinite(X.dense).all():
+    if not np.isfinite(_blocks(X)[0]).all():
         raise GbdtError("feature matrix contains non-finite values")
     if y is None:
         return X
@@ -358,7 +317,7 @@ def _check_matrix(X, y=None):
 
 
 def train(X, y, params: TrainParams = TrainParams(), valid=None):
-    """Fit a boosted model on a FeatureStore or a 2-D array.  Returns
+    """Fit a boosted model on model.Features or a 2-D array.  Returns
     (model, metrics).
 
     metrics carries per-iteration train squared loss, and when a (X, y)
@@ -404,16 +363,16 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
             bag = np.sort(rng.permutation(n)[:bag_size])
         else:
             bag = np.arange(n, dtype=np.intp)
-        tree, leaf = _grow_tree(X, binned, res, bag, params)
+        tree, leaf = _grow_tree(binned, res, bag, params)
         trees.append(tree)
         value = np.asarray(tree.leaf_value)
         F[bag] += value[leaf]
         if len(bag) < n:
             oob = np.setdiff1d(np.arange(n), bag)
-            F[oob] += value[_leaves(tree, X.features())][oob]
+            F[oob] += value[_leaves(tree, X)][oob]
         metrics["train_loss"].append(float(np.mean((y - F) ** 2)))
         if Fv is not None:
-            Fv += value[_leaves(tree, Xv.features())]
+            Fv += value[_leaves(tree, Xv)]
             mae = float(np.abs(yv - Fv).mean())
             metrics["valid_mae"].append(mae)
             if mae < best_mae:
@@ -436,13 +395,14 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
 # --- on-disk feature directory -------------------------------------------------
 
 
-def write_features(outdir, X: FeatureStore, y, ids, sidecar: dict) -> None:
+def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
     """Write a feature directory: the dense block of X as descriptors.npy,
     its packed bit block as fingerprints.npy, y.npy, ids.txt (one pair key
     per line) and the sidecar as featurize.json."""
     os.makedirs(outdir, exist_ok=True)
-    np.save(os.path.join(outdir, DENSE_FILE), X.dense)
-    np.save(os.path.join(outdir, BITS_FILE), X.bits)
+    dense, bits = _blocks(X)
+    np.save(os.path.join(outdir, DENSE_FILE), dense)
+    np.save(os.path.join(outdir, BITS_FILE), bits)
     np.save(os.path.join(outdir, "y.npy"), y)
     with open(os.path.join(outdir, "ids.txt"), "w", encoding="utf-8",
               newline="\n") as fh:
@@ -451,15 +411,3 @@ def write_features(outdir, X: FeatureStore, y, ids, sidecar: dict) -> None:
               newline="\n") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def load_features(path) -> tuple[FeatureStore, np.ndarray | None]:
-    """Read a feature directory written by write_features, with every check
-    of model.read_features.  Returns (X, y), with y None when there is no
-    y.npy; both are read-only arrays over the bytes of the files."""
-    X, y = read_features(path)
-    dense = np.frombuffer(X.dense, dtype=np.float64).reshape(len(X), X.n_dense)
-    bits = np.frombuffer(X.bits, dtype=np.uint8).reshape(len(X),
-                                                         (X.nbits + 7) // 8)
-    return (FeatureStore(dense=dense, bits=bits, nbits=X.nbits),
-            None if y is None else np.frombuffer(y, dtype="<f8"))

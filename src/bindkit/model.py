@@ -44,12 +44,39 @@ class ModelVersionError(ModelFormatError):
 class Features:
     """A feature matrix as flat row-major buffers: n_dense float64 columns,
     then nbits bit columns; column n_dense + j of row i is bit j % 8 of byte
-    i * ceil(nbits / 8) + j // 8 of bits."""
+    i * ceil(nbits / 8) + j // 8 of bits, as np.packbits(...,
+    bitorder="little") packs a row and Fingerprint.packed() writes it.
+    featurize_pairs builds it, read_features reads it, train and predict
+    take it.  Buffers of another length than the sizes need raise
+    DimensionMismatchError."""
     n_rows: int
     dense: memoryview          # float64 values, n_rows * n_dense
     n_dense: int
     bits: memoryview           # bytes, n_rows * ceil(nbits / 8)
     nbits: int
+
+    def __post_init__(self):
+        if (len(self.dense) != self.n_rows * self.n_dense
+                or len(self.bits) != self.n_rows * ((self.nbits + 7) >> 3)):
+            raise DimensionMismatchError(
+                f"{self.n_rows} rows of {self.n_dense} dense columns and "
+                f"{self.nbits} bits need {self.n_rows * self.n_dense} values "
+                f"and {self.n_rows * ((self.nbits + 7) >> 3)} bytes, got "
+                f"{len(self.dense)} and {len(self.bits)}")
+
+    @classmethod
+    def from_array(cls, X) -> Features:
+        """A 2-D array, or one row as a 1-D array, as float64 dense columns
+        and no bit columns (ravel copies only an array that is not a
+        C-contiguous float64 one)."""
+        import numpy as np
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim == 1:
+            X = X.reshape(1, -1)
+        if X.ndim != 2:
+            raise DimensionMismatchError(
+                f"feature matrix must be 2-D, got shape {X.shape}")
+        return cls(len(X), memoryview(X.ravel()), X.shape[1], memoryview(b""), 0)
 
     def __len__(self) -> int:
         return self.n_rows
@@ -57,6 +84,10 @@ class Features:
     @property
     def shape(self) -> tuple[int, int]:
         return self.n_rows, self.n_dense + self.nbits
+
+    @property
+    def nbytes(self) -> int:
+        return self.dense.nbytes + self.bits.nbytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,15 +132,10 @@ class GbdtModel:
     schema: str | None = None          # feature_schema of the training features
 
     def predict(self, X) -> array:
-        """Predictions for the rows of Features, a FeatureStore, a 2-D array,
-        or one row as a 1-D array."""
+        """Predictions for the rows of Features, a 2-D array, or one row as a
+        1-D array."""
         if not isinstance(X, Features):
-            import numpy as np
-            from .gbdt import FeatureStore
-            if not isinstance(X, FeatureStore):
-                X = np.asarray(X, dtype=np.float64)
-                X = FeatureStore.of(X.reshape(1, -1) if X.ndim == 1 else X)
-            X = X.features()
+            X = Features.from_array(X)
         if X.shape[1] != self.feature_count:
             raise DimensionMismatchError(
                 f"expected {self.feature_count} features, got shape {X.shape}")
@@ -243,10 +269,10 @@ def _read_json(path, error):
 # --- on-disk feature directory -------------------------------------------------
 
 
-def read_features(path) -> tuple[Features, bytes | None]:
+def read_features(path) -> tuple[Features, memoryview | array | None]:
     """Read a feature directory written by gbdt.write_features.  Returns its
-    matrix and the little-endian float64 data of its y.npy, None when there
-    is no y.npy.
+    matrix and the float64 values of its y.npy (metrics._doubles), None
+    when there is no y.npy.
 
     Feature files are untrusted.  A missing featurize.json, descriptors.npy
     or fingerprints.npy raises the OSError of its open.  An array of the
@@ -292,7 +318,8 @@ def read_features(path) -> tuple[Features, bytes | None]:
     # a finite sum has finite terms; an overflowed one is checked termwise
     if not (math.isfinite(sum(dense)) or all(map(math.isfinite, dense))):
         raise DatasetError(f"{at(DENSE_FILE)}: non-finite feature value")
-    return Features(n, dense, d, memoryview(bits), nbits), y
+    return (Features(n, dense, d, memoryview(bits), nbits),
+            None if y is None else _doubles(y))
 
 
 SCHEMA_FIELDS = ("radius", "nbits", "table_version", "columns")

@@ -32,7 +32,8 @@ def test_star_import_resolves_all(name):
 
 
 @pytest.mark.parametrize("name", ["affinity_histogram", "graph_record",
-                                  "write_ligand_graphs"])
+                                  "write_ligand_graphs", "FeatureStore",
+                                  "load_features"])
 def test_removed_names_are_not_exported(name):
     assert not hasattr(bindkit, name)
     for sub in SUBMODULES:
@@ -56,9 +57,8 @@ FORMER_EXPORTS = {
         receptor_descriptor receptor_graph_features""",
     "dataset": """KiBounds RawRecord AffinityRecord Dataset DatasetError
         EmptyAfterFilteringError TooFewRecordsError pair_key ingest split
-        featurize_pairs read_raw_tsv write_dataset load_dataset write_features
-        load_features""",
-    "gbdt": """FeatureStore TrainParams GbdtModel GbdtError
+        featurize_pairs read_raw_tsv write_dataset load_dataset write_features""",
+    "gbdt": """TrainParams GbdtModel GbdtError
         DimensionMismatchError ModelFormatError ModelVersionError train
         save_model load_model""",
     "metrics": "mae binned_mae classify_accuracy build_report write_report",
@@ -94,11 +94,19 @@ def test_moved_classes_keep_their_identity():
         metrics.mae([1.0, 2.0], [1.0])
 
 
-def test_feature_directory_format_lives_in_gbdt():
+def test_feature_directory_writer_lives_in_gbdt():
     from bindkit import dataset, errors, gbdt, ligand_features
-    assert dataset.load_features is gbdt.load_features
     assert dataset.write_features is gbdt.write_features
     assert ligand_features.FingerprintFormatError is errors.FingerprintFormatError
+
+
+@pytest.mark.parametrize("name", sorted(bindkit.cli._LAZY))
+def test_cli_lazy_names_resolve(name):
+    """Each name the command line imports on first use is an attribute of
+    the module it names, so a name deleted there fails here, not only when
+    its command runs."""
+    module = importlib.import_module(f"bindkit.{bindkit.cli._LAZY[name]}")
+    assert getattr(bindkit.cli, name) is getattr(module, name)
 
 
 def test_data_errors_share_one_base_and_config_errors_do_not():

@@ -22,9 +22,10 @@ import bindkit.cli
 import bindkit.smiles
 from bindkit.cli import _block_json, main
 from bindkit.config import load_config
-from bindkit.dataset import load_dataset, load_features
-from bindkit.gbdt import FeatureStore, load_model, write_features
+from bindkit.dataset import load_dataset
+from bindkit.gbdt import load_model, write_features
 from bindkit.ligand_features import graph_block
+from bindkit.model import Features, read_features
 from bindkit.protein_features import (
     PROPERTIES,
     STANDARD_ORDER,
@@ -33,6 +34,7 @@ from bindkit.protein_features import (
     load_property_table,
     receptor_graph_features,
 )
+from testutil import dense_matrix
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 RAW = str(FIXTURES / "raw_affinities.tsv")
@@ -51,7 +53,7 @@ EXPECTED_DROPS = {
 def packed_features(outdir, X):
     """A feature directory of the dense matrix X, with no bit columns, as
     write_features writes it."""
-    X = FeatureStore.of(X)
+    X = Features.from_array(X)
     write_features(outdir, X, np.zeros(len(X)), [f"p{i}" for i in range(len(X))],
                    {"n_rows": X.shape[0], "n_columns": X.shape[1], "nbits": 0})
     return outdir
@@ -168,9 +170,9 @@ def test_featurize_artifacts(pipeline):
     bits = np.load(train_dir / "fingerprints.npy")
     assert dense.shape == (22, 78) and dense.dtype == np.float64
     assert bits.shape == (22, 256 // 8) and bits.dtype == np.uint8
-    X, y = load_features(train_dir)
+    X, y = read_features(train_dir)
     assert X.shape == (22, 78 + 256)
-    assert y.shape == (22,)
+    assert len(y) == 22
     assert np.array_equal(y, np.load(train_dir / "y.npy"))
     ids = (train_dir / "ids.txt").read_text().splitlines()
     assert len(ids) == 22 and all(len(i) == 64 for i in ids)
@@ -180,7 +182,7 @@ def test_featurize_artifacts(pipeline):
     assert sidecar["columns"][78] == "fp_0"
     assert sidecar["table_version"] == "bindkit-aa-v1"
     assert sidecar["config_digest"] == load_config(pipeline["cfg"]).digest()
-    assert load_features(pipeline["feats"]["test"])[0].shape[0] == 3
+    assert read_features(pipeline["feats"]["test"])[0].shape[0] == 3
 
 
 def test_train_artifacts(pipeline):
@@ -216,9 +218,9 @@ def test_predict_artifacts(pipeline):
     lines = pathlib.Path(pipeline["preds"]).read_text().splitlines()
     assert len(lines) == 3
     model = load_model(pipeline["model"])
-    X, _ = load_features(pipeline["feats"]["test"])
+    X, _ = read_features(pipeline["feats"]["test"])
     assert np.array_equal(np.array([float(v) for v in lines]), model.predict(X))
-    assert np.array_equal(model.predict(X.toarray()), model.predict(X))
+    assert np.array_equal(model.predict(dense_matrix(X)), model.predict(X))
 
 
 def test_evaluate_artifacts(pipeline):
@@ -966,7 +968,7 @@ def test_predict_checks_the_feature_schema(pipeline, tmp_path, capsys):
     radius3 = tmp_path / "radius3"
     assert main(["--quiet", "--config", str(cfg), "featurize", "--dataset",
                  pipeline["data"], "--subset", "test", "--out", str(radius3)]) == 0
-    assert load_features(radius3)[0].shape == load_features(feats["test"])[0].shape
+    assert read_features(radius3)[0].shape == read_features(feats["test"])[0].shape
     out = tmp_path / "pred.txt"
     assert main(["--quiet", "predict", "--model", pipeline["model"],
                  "--features", str(radius3), "--out", str(out)]) == 2
@@ -982,6 +984,30 @@ def test_predict_checks_the_feature_schema(pipeline, tmp_path, capsys):
     for features in (radius3, feats["test"]):
         assert main(["--quiet", "predict", "--model", str(unstamped),
                      "--features", str(features), "--out", str(out)]) == 0
+
+
+def test_train_checks_the_validation_schema(pipeline, tmp_path, capsys):
+    """Validation features of another radius have the training width, yet
+    train --valid exits 2 naming both featurize.json files and writes no
+    model; early stopping would score columns that mean something else."""
+    cfg = tmp_path / "radius3.toml"
+    cfg.write_text(pathlib.Path(pipeline["cfg"]).read_text()
+                   .replace("[fingerprint]\n", "[fingerprint]\nradius = 3\n"))
+    radius3 = tmp_path / "radius3"
+    assert main(["--quiet", "--config", str(cfg), "featurize", "--dataset",
+                 pipeline["data"], "--subset", "valid", "--out", str(radius3)]) == 0
+    out = tmp_path / "model.json"
+    assert main(["--quiet", "--config", pipeline["cfg"], "train", "--train",
+                 pipeline["feats"]["train"], "--valid", str(radius3),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(radius3 / "featurize.json") in err, err
+    assert str(pathlib.Path(pipeline["feats"]["train"]) / "featurize.json") in err, err
+    assert not out.exists()
+    assert main(["--quiet", "--config", pipeline["cfg"], "train", "--train",
+                 pipeline["feats"]["train"], "--valid", pipeline["feats"]["valid"],
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == pathlib.Path(pipeline["model"]).read_bytes()
 
 
 def test_max_depth_above_the_cap_exits_1(pipeline, tmp_path, capsys):
@@ -1513,7 +1539,7 @@ def test_fuzzed_dataset_tsv_never_exits_3_and_keeps_every_row(pipeline, edits):
         keys = [row.split("\t")[0] for row in text.split("\n")[1:] if row]
         assert (feats / "ids.txt").read_text(encoding="utf-8").split("\n") == \
             keys + [""]
-        X, y = load_features(str(feats))
+        X, y = read_features(str(feats))
         assert X.shape[0] == len(y) == len(keys)
         with open(graphs, encoding="utf-8") as fh:
             assert [json.loads(line)["id"] for line in fh] == keys

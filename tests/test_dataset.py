@@ -29,6 +29,7 @@ from bindkit.fasta import ProteinSequence
 from bindkit.protein_features import DESCRIPTOR_LAYOUT, receptor_descriptor
 from bindkit.ligand_features import ecfp
 from bindkit.smiles import UnclosedRingError, from_smiles
+from testutil import dense_matrix
 
 
 def rows_from(*triples):
@@ -234,12 +235,12 @@ def test_featurize_layout_and_values():
     assert columns[78] == "fp_0" and columns[-1] == "fp_127"
     assert np.array_equal(y, [1.0, 2.0, 3.0])
     assert ids == tuple(r.pair_key for r in ds.records)
-    assert X.bits.shape == (3, 128 // 8)
-    dense = X.toarray()
+    assert len(X.bits) == 3 * 128 // 8
+    dense = dense_matrix(X)
     assert np.array_equal(dense[0, :78], receptor_descriptor("MKVLQW").vector)
     assert np.array_equal(
         dense[1, 78:], ecfp(from_smiles("c1ccccc1"), nbits=128).bits.astype(float))
-    assert X.bits[1].tobytes() == ecfp(from_smiles("c1ccccc1"), nbits=128).packed()
+    assert X.bits[16:32].tobytes() == ecfp(from_smiles("c1ccccc1"), nbits=128).packed()
 
 
 def test_featurize_respects_subsets():

@@ -11,7 +11,6 @@ import pytest
 
 from bindkit.gbdt import (
     DimensionMismatchError,
-    FeatureStore,
     GbdtError,
     GbdtModel,
     ModelFormatError,
@@ -21,7 +20,11 @@ from bindkit.gbdt import (
     load_model,
     save_model,
     train,
+    _bin_columns,
+    _take,
 )
+from bindkit.model import Features
+from testutil import dense_matrix
 
 
 def regression_problem(n=300, d=6, seed=0, noise=0.1):
@@ -236,19 +239,20 @@ def reference_tree(codes, uppers, res, rows, params):
                 leaf_value=tuple(value))
 
 
-def reference_route(tree, X):
-    """A numpy router: the leaf value each row of a FeatureStore routes to."""
-    leaf = np.zeros(len(X), dtype=np.intp)
+def reference_route(tree, M):
+    """A numpy router: the leaf value each row of the float64 matrix M
+    (dense_matrix of Features) routes to."""
+    leaf = np.zeros(len(M), dtype=np.intp)
     for f, t in zip(tree.feature, tree.threshold):
-        leaf = 2 * leaf + (X.take(np.arange(len(X)), [f])[:, 0] > t)
+        leaf = 2 * leaf + (M[:, f] > t)
     return np.asarray(tree.leaf_value, dtype=np.float64)[leaf]
 
 
-def reference_predict(model, X):
+def reference_predict(model, M):
     """GbdtModel.predict as numpy sums it: pred += the routed leaf values."""
-    pred = np.full(len(X), model.base_score, dtype=np.float64)
+    pred = np.full(len(M), model.base_score, dtype=np.float64)
     for tree in model.trees:
-        pred += reference_route(tree, X)
+        pred += reference_route(tree, M)
     return pred
 
 
@@ -268,7 +272,7 @@ def reference_trees(X, y, params):
             bag = np.arange(n, dtype=np.intp)
         tree = reference_tree(codes, uppers, res, bag, params)
         trees.append(tree)
-        F += reference_route(tree, FeatureStore.of(X))
+        F += reference_route(tree, X)
     return trees
 
 
@@ -331,39 +335,71 @@ def packed_matrix(seed, n=200, nbits=45):
     bits[:, 17] = 1
     bits[:, 30] = 1 - bits[:, 5]
     bits[:, 44] = rng.permutation(n) < n // 2
-    store = FeatureStore(dense=dense, nbits=nbits,
-                         bits=np.packbits(bits, axis=1, bitorder="little"))
-    y = store.toarray() @ rng.standard_normal(store.shape[1]) \
+    store = features_of(dense, bits)
+    y = dense_matrix(store) @ rng.standard_normal(store.shape[1]) \
         + 8.0 * bits[:, 44] + 0.3 * rng.standard_normal(n)
     return store, y
 
 
+def features_of(dense, bits):
+    """Features of the float64 block dense beside the 0/1 columns of bits,
+    packed eight to a byte, LSB-first."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return Features(len(dense), memoryview(dense.ravel()), dense.shape[1],
+                    memoryview(packed.ravel()), bits.shape[1])
+
+
 def test_feature_store_layout():
     store, _ = packed_matrix(0)
-    bits = np.unpackbits(store.bits, axis=1, bitorder="little", count=45)
-    d = store.dense.shape[1]
-    assert len(store) == 200 and store.shape == (200, d + 45)
-    assert store.nbytes == store.dense.nbytes + store.bits.nbytes
-    assert np.array_equal(store.toarray(), np.hstack([store.dense, bits]))
+    dense, _ = mixed_matrix(0)
+    d = dense.shape[1]
+    matrix = dense_matrix(store)
+    assert len(store) == 200 and store.shape == matrix.shape == (200, d + 45)
+    assert store.nbytes == dense.nbytes + 200 * 6
+    assert np.array_equal(matrix[:, :d], dense)
+    assert matrix[:, d + 3].max() == 0.0 and matrix[:, d + 17].min() == 1.0
+    assert np.array_equal(matrix[:, d + 30], 1.0 - matrix[:, d + 5])
     rows, cols = [7, 0, 7], [d + 44, 3, d, d + 17, d - 1]
-    assert np.array_equal(store.take(rows, cols),
-                          store.toarray()[np.ix_(rows, cols)])
-    assert FeatureStore.of(store) is store
-    for bad in (store.bits[:, :-1], store.bits.astype(np.int16), store.bits[1:]):
-        with pytest.raises(DimensionMismatchError):
-            FeatureStore(dense=store.dense, bits=bad, nbits=45)
+    binned = _bin_columns(store, 256)
+    for take in (cols, cols[:2], cols[1:2]):
+        assert np.array_equal(_take(binned, rows, take),
+                              matrix[np.ix_(rows, take)])
+    assert not binned.dense.flags.writeable and not binned.bits.flags.writeable
+    one = Features.from_array(dense[0])
+    assert one.shape == (1, d) and np.array_equal(dense_matrix(one), dense[:1])
+    with pytest.raises(DimensionMismatchError):
+        Features.from_array(np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("dense, nbits, bits", [
+    ([0.0, 2.0], 0, b""),
+    ([0.0, 2.0, 1.0, 4.0], 0, b""),
+    ([0.0, 2.0, 1.0], 9, bytes(5)),
+], ids=["short dense", "long dense", "short bits"])
+def test_features_check_their_buffer_lengths(dense, nbits, bits):
+    """Three rows of one dense column and nbits bits need 3 values and
+    3 * ceil(nbits / 8) bytes; routing a row count the buffers do not hold
+    gave as many predictions as the shorter buffer has rows."""
+    with pytest.raises(DimensionMismatchError):
+        Features(3, memoryview(array("d", dense)), 1, memoryview(bits), nbits)
+    fits = Features(3, memoryview(array("d", [0.0, 2.0, 1.0])), 1,
+                    memoryview(bytes(3 * ((nbits + 7) // 8))), nbits)
+    model = GbdtModel(base_score=0.5, params=TrainParams(), feature_count=1 + nbits,
+                      trees=(Tree(feature=(0,), threshold=(1.0,),
+                                  leaf_value=(0.0, 1.0)),))
+    assert len(model.predict(fits)) == 3
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_PARAMS))
 def test_packed_trees_match_dense_trees(case, seed):
     store, y = packed_matrix(seed)
-    dense = store.toarray()
+    dense = dense_matrix(store)
     params = TrainParams(n_trees=8, max_depth=5, learning_rate=0.3, seed=seed,
                          **EQUIVALENCE_PARAMS[case])
     packed_model, packed_metrics = train(store, y, params, valid=(store, y))
     dense_model, dense_metrics = train(dense, y, params, valid=(dense, y))
-    assert any(f >= store.dense.shape[1]
+    assert any(f >= store.n_dense
                for t in packed_model.trees for f in t.feature)
     assert packed_metrics == dense_metrics
     for got, want in zip(packed_model.trees, dense_model.trees, strict=True):
@@ -456,20 +492,19 @@ def routing_store(rng, n=120, nbits=13):
     bits in each row's last byte, 16 fill two bytes."""
     few = rng.choice([-0.0, 0.0, 1.0, -1.5, 2.25], size=(n, 4))
     dense = np.hstack([few, rng.standard_normal((n, 3))])
-    bits = np.packbits(rng.random((n, nbits)) < 0.4, axis=1, bitorder="little")
-    return FeatureStore(dense=dense, bits=bits, nbits=nbits)
+    return features_of(dense, rng.random((n, nbits)) < 0.4)
 
 
-def random_tree(rng, X, depth):
-    """A tree of depth levels on random columns of X.  Dense thresholds are
-    values of their column, +-0.0 or random; bit thresholds lie below, at,
-    between and above 0 and 1."""
-    d = X.dense.shape[1]
+def random_tree(rng, M, d, depth):
+    """A tree of depth levels on random columns of the matrix M, whose first
+    d columns are dense and the rest bits.  Dense thresholds are values of
+    their column, +-0.0 or random; bit thresholds lie below, at, between
+    and above 0 and 1."""
     feature, threshold = [], []
     for _ in range(depth):
-        f = int(rng.integers(X.shape[1]))
+        f = int(rng.integers(M.shape[1]))
         if f < d:
-            t = rng.choice([X.dense[rng.integers(len(X)), f], 0.0, -0.0,
+            t = rng.choice([M[rng.integers(len(M)), f], 0.0, -0.0,
                             rng.standard_normal()])
         else:
             t = rng.choice([-0.5, -0.0, 0.0, 0.5, 1.0, 1.5])
@@ -483,23 +518,24 @@ def random_tree(rng, X, depth):
 def test_router_matches_numpy_reference(seed):
     rng = np.random.default_rng(seed)
     X = routing_store(rng, nbits=(13, 16)[seed % 2])
-    trees = tuple(random_tree(rng, X, int(rng.integers(0, 7)))
+    M, d = dense_matrix(X), X.n_dense
+    trees = tuple(random_tree(rng, M, d, int(rng.integers(0, 7)))
                   for _ in range(8))
     model = GbdtModel(base_score=float(rng.standard_normal()), trees=trees,
                       feature_count=X.shape[1], params=TrainParams())
-    want = reference_predict(model, X).tobytes()
-    for given in (X, X.features(), X.toarray()):
+    want = reference_predict(model, M).tobytes()
+    for given in (X, M):
         got = model.predict(given)
         assert isinstance(got, array) and got.typecode == "d"
         assert got.tobytes() == want
-    dense = FeatureStore.of(X.dense)
+    dense = M[:, :d]
     dense_model = GbdtModel(base_score=0.25, params=TrainParams(),
-                            feature_count=dense.shape[1],
-                            trees=tuple(random_tree(rng, dense, 3)
+                            feature_count=d,
+                            trees=tuple(random_tree(rng, dense, d, 3)
                                         for _ in range(4)))
     for i in (0, len(X) - 1):
-        assert dense_model.predict(X.dense[i]).tobytes() == \
-            reference_predict(dense_model, FeatureStore.of(X.dense[i:i + 1])).tobytes()
+        assert dense_model.predict(dense[i]).tobytes() == \
+            reference_predict(dense_model, dense[i:i + 1]).tobytes()
 
 
 @pytest.mark.parametrize("base", [-0.0, 0.0, 4.25])
@@ -507,8 +543,8 @@ def test_degenerate_model_predicts_its_base_bits(base):
     X = routing_store(np.random.default_rng(0))
     model = GbdtModel(base_score=base, trees=(), feature_count=X.shape[1],
                       params=TrainParams(), degenerate=True)
-    assert model.predict(X).tobytes() == reference_predict(model, X).tobytes()
-    assert model.predict(X.features()).tobytes() == \
+    assert model.predict(X).tobytes() == \
+        reference_predict(model, dense_matrix(X)).tobytes() == \
         np.full(len(X), base).tobytes()
 
 
@@ -525,8 +561,8 @@ def test_training_sums_match_numpy_routing(case):
     F = np.full(len(store), model.base_score)
     Fv = np.full(len(Xv), model.base_score)
     for k, tree in enumerate(model.trees):
-        F += reference_route(tree, store)
-        Fv += reference_route(tree, Xv)
+        F += reference_route(tree, dense_matrix(store))
+        Fv += reference_route(tree, dense_matrix(Xv))
         assert metrics["train_loss"][k] == float(np.mean((y - F) ** 2))
         assert metrics["valid_mae"][k] == float(np.abs(yv - Fv).mean())
 

@@ -31,11 +31,13 @@ import numpy as np
 import pytest
 
 from bindkit.cli import main
-from bindkit.dataset import load_features, pair_key
+from bindkit.dataset import pair_key
 from bindkit.fasta import ProteinSequence
 from bindkit.gbdt import TrainParams, save_model, train
 from bindkit.ligand_features import ecfp
+from bindkit.model import read_features
 from bindkit.smiles import ParseError, from_smiles, parse_smiles
+from testutil import dense_matrix
 
 CORPUS = pathlib.Path(__file__).parent / "fixtures" / "corpus.tsv"
 RECEPTOR = ProteinSequence(id="recA", residues="MKTWQENLGSHMAAALDEFKR")
@@ -156,8 +158,8 @@ def fixture_pipeline(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def fixture_features(fixture_pipeline):
-    """(packed feature store, y) of the train and valid directories."""
-    return {name: load_features(fixture_pipeline / name)
+    """(Features, y) of the train and valid directories."""
+    return {name: read_features(fixture_pipeline / name)
             for name in ("train", "valid")}
 
 
@@ -165,7 +167,7 @@ def artifact_bytes(path):
     if path.name != "X.npy":
         return path.read_bytes()
     buf = io.BytesIO()
-    np.save(buf, load_features(path.parent)[0].toarray())
+    np.save(buf, dense_matrix(read_features(path.parent)[0]))
     return buf.getvalue()
 
 

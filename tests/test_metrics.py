@@ -32,7 +32,7 @@ from bindkit.metrics import (
 
 def _read_npy(path, dtype, ndim):
     """The numpy reader: the array np.frombuffer makes of the checked
-    payload of a .npy file, as gbdt.load_features reads y.npy."""
+    payload of a .npy file."""
     descr = np.dtype(dtype).newbyteorder("<").str
     shape, data = _npy_payload(path, descr, ndim, DatasetError)
     return np.frombuffer(data, dtype=descr).reshape(shape)

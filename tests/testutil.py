@@ -1,5 +1,8 @@
 """Test-only helpers.
 
+dense_matrix decodes a feature matrix to the plain float64 matrix that the
+numpy references in the tests read.
+
 Two independent oracles against the parser:
 
 * count_tokens scans raw SMILES with a regex (no graph construction) and
@@ -15,6 +18,9 @@ from __future__ import annotations
 import re
 import sys
 
+import numpy as np
+
+from bindkit.model import Features
 from bindkit.smiles import (
     BOND_AROMATIC,
     BOND_DOUBLE,
@@ -23,6 +29,15 @@ from bindkit.smiles import (
     Molecule,
     NUMBER_TO_SYMBOL,
 )
+
+def dense_matrix(X: Features) -> np.ndarray:
+    """The (n, n_dense + nbits) float64 matrix of X: its dense columns, then
+    each bit column as 0.0 or 1.0."""
+    dense = np.frombuffer(X.dense, dtype=np.float64).reshape(len(X), X.n_dense)
+    bits = np.frombuffer(X.bits, dtype=np.uint8).reshape(len(X), (X.nbits + 7) // 8)
+    return np.hstack([dense, np.unpackbits(bits, axis=1, count=X.nbits,
+                                           bitorder="little")])
+
 
 _TOKEN = re.compile(
     r"(?P<bracket>\[[^\]]*\])"
