@@ -32,8 +32,9 @@ _EXPORTS = {
     "dataset": """RawRecord AffinityRecord Dataset EmptyAfterFilteringError
         TooFewRecordsError pair_key ingest split featurize_pairs read_raw_tsv
         write_dataset load_dataset""",
-    "gbdt": "train write_features",
-    "model": "GbdtModel ModelFormatError ModelVersionError save_model load_model",
+    "gbdt": "train",
+    "model": """GbdtModel ModelFormatError ModelVersionError save_model load_model
+        write_features""",
     "errors": "DatasetError GbdtError DimensionMismatchError",
     "metrics": "mae binned_mae classify_accuracy build_report write_report",
     "config": "KiBounds TrainParams ConfigError PipelineConfig load_config",

@@ -24,7 +24,6 @@ from .metrics import _load_vector, build_report, write_report
 _LAZY = {
     "train": "gbdt",
     "save_model": "model", "load_model": "model", "read_features": "model",
-    "feature_schema": "model",
     "graph_block": "ligand_features", "ligand_graph_features": "ligand_features",
     "default_table": "protein_features",
     "load_property_table": "protein_features",
@@ -140,10 +139,7 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
         "columns": list(columns),
         "config_digest": cfg.digest(),
         "dataset_digest": dataset.provenance.get("source_digest", ""),
-        "n_rows": int(X.shape[0]),
-        "n_columns": int(X.shape[1]),
         "radius": cfg.radius,
-        "nbits": cfg.nbits,
         "subset": args.subset,
         "table_version": (table or _cli.default_table()).version,
     }
@@ -156,13 +152,12 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     X, y = _cli.read_features(args.train_dir)
     if y is None:
         raise DatasetError(f"no y.npy next to features in {args.train_dir}")
-    schema = _cli.feature_schema(args.train_dir)
     valid = None
     if args.valid_dir is not None:
         Xv, yv = _cli.read_features(args.valid_dir)
         if yv is None:
             raise DatasetError(f"no y.npy next to features in {args.valid_dir}")
-        if _cli.feature_schema(args.valid_dir) != schema:
+        if Xv.schema != X.schema:
             raise DatasetError(
                 f"{os.path.join(args.valid_dir, 'featurize.json')} describes "
                 "features of another schema than "
@@ -171,7 +166,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
                 "with one config")
         valid = (Xv, yv)
     model, metrics = _cli.train(X, y, params=cfg.gbdt, valid=valid)
-    model = dataclasses.replace(model, schema=schema)
+    model = dataclasses.replace(model, schema=X.schema)
     _cli.save_model(model, args.out)
     with open(args.out + ".metrics.json", "w", encoding="utf-8",
               newline="\n") as fh:
@@ -192,7 +187,7 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
     X, _ = _cli.read_features(args.features)
     preds = model.predict(X)            # a width mismatch raises here
     # a model trained through the Python API has no schema to compare
-    if model.schema is not None and model.schema != _cli.feature_schema(args.features):
+    if model.schema is not None and model.schema != X.schema:
         raise DatasetError(
             f"{args.model} was trained on features of another schema than "
             f"{os.path.join(args.features, 'featurize.json')} (radius, nbits, "

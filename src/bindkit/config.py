@@ -1,14 +1,14 @@
 """Pipeline configuration.
 
 Config files are TOML 1.0, read by the standard library's ``tomllib``;
-text it cannot read is a ConfigError naming the file.  Every value is then
-type-checked against the schema below, and unknown sections or keys are
-rejected rather than ignored, so typos fail loudly.  Numbers must be
-finite, the fingerprint radius and width and the tree depth have maxima
-(MAX_RADIUS, MAX_NBITS, MAX_DEPTH) and the evaluation bins must tile their
-range, so a value no command can run is an error here.
-The resolved configuration has a canonical JSON form whose SHA-256 digest
-stamps every derived artifact.
+text it cannot read is a ConfigError naming the file.  One key table,
+_SCHEMA, names every section and key and the reader that type-checks its
+value; unknown sections or keys are rejected rather than ignored, so typos
+fail loudly.  Numbers must be finite, the fingerprint radius and width and
+the tree depth have maxima (MAX_RADIUS, MAX_NBITS, MAX_DEPTH) and the
+evaluation bins must tile their range, so a value no command can run is an
+error here.  The resolved configuration has a canonical JSON form whose
+SHA-256 digest stamps every derived artifact.
 
 The module imports without numpy: the value classes of other modules that
 a config holds (KiBounds, TrainParams) are defined here.
@@ -25,7 +25,6 @@ from .metrics import (
     DEFAULT_BIN_STOP,
     DEFAULT_BIN_WIDTH,
     DEFAULT_THRESHOLD,
-    MetricsError,
     _bin_count,
 )
 
@@ -85,7 +84,8 @@ class TrainParams:
 class PipelineConfig:
     seed: int = 2024
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    bounds: KiBounds = field(default_factory=KiBounds)
+    ki_min_nm: float = KiBounds.min_nm
+    ki_max_nm: float = KiBounds.max_nm
     radius: int = 2
     nbits: int = 2048
     gbdt: TrainParams = field(default_factory=TrainParams)
@@ -97,24 +97,12 @@ class PipelineConfig:
     fasta: str | None = None
     workers: int = 1            # [featurize] workers: digested, no effect
 
+    @property
+    def bounds(self) -> KiBounds:
+        return KiBounds(self.ki_min_nm, self.ki_max_nm)
+
     def canonical_json(self) -> str:
-        doc = {
-            "seed": self.seed,
-            "ratios": list(self.ratios),
-            "ki_min_nm": self.bounds.min_nm,
-            "ki_max_nm": self.bounds.max_nm,
-            "radius": self.radius,
-            "nbits": self.nbits,
-            "gbdt": asdict(self.gbdt),
-            "bin_start": self.bin_start,
-            "bin_stop": self.bin_stop,
-            "bin_width": self.bin_width,
-            "threshold": self.threshold,
-            "property_table": self.property_table,
-            "fasta": self.fasta,
-            "workers": self.workers,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
         import hashlib                  # only ingest and featurize stamp it
@@ -126,31 +114,22 @@ class PipelineConfig:
         return replace(self, seed=seed, gbdt=replace(self.gbdt, seed=seed))
 
 
-_SCHEMA = {
-    None: {"seed"},
-    "split": {"ratios"},
-    "curation": {"ki_min_nm", "ki_max_nm"},
-    "fingerprint": {"radius", "nbits"},
-    "gbdt": tuple(f.name for f in fields(TrainParams) if f.name != "seed"),
-    "evaluation": {"bin_start", "bin_stop", "bin_width", "threshold"},
-    "paths": {"property_table", "fasta"},
-    "featurize": {"workers"},
-}
-
-
-def _expect(value, types, where: str):
-    if isinstance(value, bool) and bool not in types:
-        raise ConfigError(f"{where}: unexpected boolean")
-    if not isinstance(value, tuple(types)):
-        names = "/".join(t.__name__ for t in types)
-        raise ConfigError(f"{where}: expected {names}, got {type(value).__name__}")
-    return value
+def _of_type(*types):
+    """The reader of a TOML value of one of these types."""
+    def read(value, where: str):
+        if isinstance(value, bool) and bool not in types:
+            raise ConfigError(f"{where}: unexpected boolean")
+        if not isinstance(value, types):
+            names = "/".join(t.__name__ for t in types)
+            raise ConfigError(f"{where}: expected {names}, got {type(value).__name__}")
+        return value
+    return read
 
 
 def _number(value, where: str) -> float:
     """A TOML integer or float as a finite float."""
     try:
-        number = float(_expect(value, [int, float], where))
+        number = float(_of_type(int, float)(value, where))
     except OverflowError:               # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
@@ -158,7 +137,45 @@ def _number(value, where: str) -> float:
     return number
 
 
+def _ratios(value, where: str) -> tuple[float, float, float]:
+    ratios = _of_type(list)(value, where)
+    if len(ratios) != 3:
+        raise ConfigError(f"{where} needs exactly three entries")
+    return tuple(_number(r, f"{where}[]") for r in ratios)
+
+
+def _bound(value, where: str) -> float:
+    """A Ki bound, a number; its faults read as the window check's do."""
+    return _number(value, f"curation bounds: {where}")
+
+
+# The key table: each section (None for the top level), its keys in the
+# order they are read, and the reader of each key's TOML value.  A key sets
+# the PipelineConfig field of its name, or under [gbdt] the TrainParams one.
+_SCHEMA = {
+    None: {"seed": _of_type(int)},
+    "split": {"ratios": _ratios},
+    "curation": {"ki_min_nm": _bound, "ki_max_nm": _bound},
+    "fingerprint": {"radius": _of_type(int), "nbits": _of_type(int)},
+    "gbdt": {f.name: _number if f.type == "float" else _of_type(int)
+             for f in fields(TrainParams) if f.name != "seed"},
+    "evaluation": {"bin_start": _number, "bin_stop": _number,
+                   "bin_width": _number, "threshold": _number},
+    "paths": {"property_table": _of_type(str), "fasta": _of_type(str)},
+    "featurize": {"workers": _of_type(int)},
+}
+
+# The check across the keys of a section, run as soon as it is read, and the
+# prefix of its message; TrainParams checks the [gbdt] keys itself.
+_SECTION_CHECKS = {
+    "curation": ("curation bounds: ", lambda c: c.bounds),
+    "evaluation": ("evaluation: ", lambda c: _bin_count(c.bin_start, c.bin_stop, c.bin_width)),
+}
+
+
 def config_from_mapping(doc: dict) -> PipelineConfig:
+    """The config of a TOML document.  Unknown names fail before any value is
+    read, then each section in table order, then the checks across sections."""
     for section, body in doc.items():
         if isinstance(body, dict):
             if section not in _SCHEMA or section is None:
@@ -166,82 +183,29 @@ def config_from_mapping(doc: dict) -> PipelineConfig:
             for key in body:
                 if key not in _SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
-        else:
-            if section not in _SCHEMA[None]:
-                raise ConfigError(f"unknown top-level key {section!r}")
+        elif section not in _SCHEMA[None]:
+            raise ConfigError(f"unknown top-level key {section!r}")
 
     cfg = PipelineConfig()
-    if "seed" in doc:
-        cfg = replace(cfg, seed=_expect(doc["seed"], [int], "seed"))
-    sp = doc.get("split", {})
-    if "ratios" in sp:
-        ratios = _expect(sp["ratios"], [list], "split.ratios")
-        if len(ratios) != 3:
-            raise ConfigError("split.ratios needs exactly three entries")
-        cfg = replace(cfg, ratios=tuple(_number(r, "split.ratios[]")
-                                        for r in ratios))
-    cu = doc.get("curation", {})
-    if cu:
+    for section, readers in _SCHEMA.items():
+        body = doc if section is None else doc.get(section, {})
+        values = {key: read(body[key], f"{section}.{key}" if section else key)
+                  for key, read in readers.items() if key in body}
+        prefix, check = _SECTION_CHECKS.get(section, ("", lambda cfg: None))
         try:
-            bounds = KiBounds(
-                min_nm=_number(cu.get("ki_min_nm", cfg.bounds.min_nm),
-                               "curation.ki_min_nm"),
-                max_nm=_number(cu.get("ki_max_nm", cfg.bounds.max_nm),
-                               "curation.ki_max_nm"))
+            if section == "gbdt":
+                values = {"gbdt": replace(cfg.gbdt, **values)}
+            cfg = replace(cfg, **values)
+            check(cfg)
         except ValueError as exc:
-            raise ConfigError(f"curation bounds: {exc}") from exc
-        cfg = replace(cfg, bounds=bounds)
-    fp = doc.get("fingerprint", {})
-    if "radius" in fp:
-        cfg = replace(cfg, radius=_expect(fp["radius"], [int], "fingerprint.radius"))
-    if "nbits" in fp:
-        cfg = replace(cfg, nbits=_expect(fp["nbits"], [int], "fingerprint.nbits"))
-    gb = doc.get("gbdt", {})
-    if gb:
-        kwargs = {}
-        for key in _SCHEMA["gbdt"]:
-            if key not in gb:
-                continue
-            value = gb[key]
-            if key in ("learning_rate", "subsample"):
-                value = _number(value, f"gbdt.{key}")
-            else:
-                value = _expect(value, [int], f"gbdt.{key}")
-            kwargs[key] = value
-        try:
-            cfg = replace(cfg, gbdt=replace(cfg.gbdt, **kwargs))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    ev = doc.get("evaluation", {})
-    updates = {}
-    for toml_key, attr in (("bin_start", "bin_start"), ("bin_stop", "bin_stop"),
-                           ("bin_width", "bin_width"), ("threshold", "threshold")):
-        if toml_key in ev:
-            updates[attr] = _number(ev[toml_key], f"evaluation.{toml_key}")
-    if updates:
-        cfg = replace(cfg, **updates)
-        try:
-            _bin_count(cfg.bin_start, cfg.bin_stop, cfg.bin_width)
-        except MetricsError as exc:
-            raise ConfigError(f"evaluation: {exc}") from exc
-    pa = doc.get("paths", {})
-    if "property_table" in pa:
-        cfg = replace(cfg, property_table=_expect(pa["property_table"], [str],
-                                                  "paths.property_table"))
-    if "fasta" in pa:
-        cfg = replace(cfg, fasta=_expect(pa["fasta"], [str], "paths.fasta"))
-    fe = doc.get("featurize", {})
-    if "workers" in fe:
-        workers = _expect(fe["workers"], [int], "featurize.workers")
-        if workers < 1:
-            raise ConfigError("featurize.workers must be >= 1")
-        cfg = replace(cfg, workers=workers)
+            raise ConfigError(prefix + str(exc)) from exc
 
+    if cfg.workers < 1:
+        raise ConfigError("featurize.workers must be >= 1")
     if not 0 <= cfg.radius <= MAX_RADIUS:
         raise ConfigError(f"fingerprint.radius must be in [0, {MAX_RADIUS}]")
     if not (0 < cfg.nbits <= MAX_NBITS and cfg.nbits & (cfg.nbits - 1) == 0):
-        raise ConfigError(
-            f"fingerprint.nbits must be a power of two <= {MAX_NBITS}")
+        raise ConfigError(f"fingerprint.nbits must be a power of two <= {MAX_NBITS}")
     if any(r <= 0 for r in cfg.ratios) or abs(sum(cfg.ratios) - 1.0) > 1e-9:
         raise ConfigError("split.ratios must be positive and sum to 1")
     # gbdt seed follows the pipeline seed unless training is re-seeded later

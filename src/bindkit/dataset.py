@@ -21,14 +21,13 @@ import numpy as np
 from .config import KiBounds
 from .errors import DatasetError
 from .fasta import FastaError, ProteinSequence, parse_fasta
-from .gbdt import write_features
 from .ligand_features import (
     _ecfp_batch,
     _full_refinement_ids_batch,
     ecfp,  # not called here; named so that tracers can wrap it
     full_refinement_ids,
 )
-from .model import Features, _read_json
+from .model import Features, _read_json, write_features
 from .protein_features import (
     DESCRIPTOR_LAYOUT,
     ResiduePropertyTable,

@@ -19,39 +19,25 @@ row-major CSR, and their code-0 side is the node's row count and total
 minus the code-1 side; wider columns keep their codes in one int32 block.
 Each level of a tree takes the first (feature, bin) with the largest
 variance gain summed over its nodes; the tree stops when that is <= 0.
-
-write_features, which needs np.save, writes the feature directory that
-model.read_features reads, so train loads no featurization module.
 """
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import MAX_DEPTH, TrainParams
 from .errors import DimensionMismatchError, GbdtError
-from .model import (BITS_FILE, DENSE_FILE, Features, GbdtModel,  # re-exported
-                    ModelFormatError, ModelVersionError, Tree, _leaves,
-                    load_model, save_model)
+from .model import (Features, GbdtModel, ModelFormatError,  # re-exported
+                    ModelVersionError, Tree, _blocks, _leaves, load_model,
+                    save_model)
 
 __all__ = [
     "TrainParams", "Tree", "GbdtModel", "GbdtError", "DimensionMismatchError",
     "ModelFormatError", "ModelVersionError", "train", "save_model",
-    "load_model", "write_features",
+    "load_model",
 ]
-
-
-def _blocks(X: Features) -> tuple[np.ndarray, np.ndarray]:
-    """The dense block and the packed bit block of X, as read-only arrays
-    over its buffers of shapes (n, n_dense) and (n, ceil(nbits / 8))."""
-    return (np.frombuffer(X.dense.toreadonly(), dtype=np.float64)
-            .reshape(len(X), X.n_dense),
-            np.frombuffer(X.bits.toreadonly(), dtype=np.uint8)
-            .reshape(len(X), (X.nbits + 7) >> 3))
 
 
 # --- binning -----------------------------------------------------------------
@@ -391,23 +377,3 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
                       feature_count=X.shape[1], params=params)
     return model, metrics
 
-
-# --- on-disk feature directory -------------------------------------------------
-
-
-def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
-    """Write a feature directory: the dense block of X as descriptors.npy,
-    its packed bit block as fingerprints.npy, y.npy, ids.txt (one pair key
-    per line) and the sidecar as featurize.json."""
-    os.makedirs(outdir, exist_ok=True)
-    dense, bits = _blocks(X)
-    np.save(os.path.join(outdir, DENSE_FILE), dense)
-    np.save(os.path.join(outdir, BITS_FILE), bits)
-    np.save(os.path.join(outdir, "y.npy"), y)
-    with open(os.path.join(outdir, "ids.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        fh.write("".join(i + "\n" for i in ids))
-    with open(os.path.join(outdir, "featurize.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")

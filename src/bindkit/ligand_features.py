@@ -26,7 +26,6 @@ __all__ = [
     "LigandGraphFeatures",
     "FingerprintFormatError",
     "fnv1a32",
-    "atom_invariant",
     "morgan_environments",
     "ecfp",
     "full_refinement_ids",
@@ -70,39 +69,10 @@ def fnv1a32(data: bytes) -> int:
     return h
 
 
-def _hash_ints(values) -> int:
-    """FNV-1a over the little-endian uint32 encodings of the values.
-
-    Equal to fnv1a32 over the packed words, one word at a time: the low 32
-    bits of a product depend only on the low 32 bits of its operands, so the
-    mask is applied once per word instead of once per byte.
-    """
-    h = _FNV_OFFSET
-    for v in values:
-        h = (h ^ (v & 0xFF)) * _FNV_PRIME
-        h = (h ^ ((v >> 8) & 0xFF)) * _FNV_PRIME
-        h = (h ^ ((v >> 16) & 0xFF)) * _FNV_PRIME
-        h = ((h ^ ((v >> 24) & 0xFF)) * _FNV_PRIME) & _MASK32
-    return h
-
-
 def _require_annotated(mol: Molecule) -> None:
     if not (mol.h_assigned and mol.rings_perceived):
         raise ValueError(
             "molecule must have implicit hydrogens assigned and rings perceived")
-
-
-def atom_invariant(mol: Molecule, index: int, degree: int) -> int:
-    """Initial per-atom identifier from six integer invariants."""
-    atom = mol.atoms[index]
-    return _hash_ints((
-        atom.element,
-        degree,
-        atom.total_h,
-        atom.formal_charge,
-        1 if atom.in_ring else 0,
-        1 if atom.aromatic else 0,
-    ))
 
 
 # --- the batch refinement kernel ---------------------------------------------
@@ -123,7 +93,7 @@ _PAD_CODE = np.uint64(_MASK32 << 32)     # sorts after every real (code, id)
 
 def _fnv_word(h: np.ndarray, words: np.ndarray) -> np.ndarray:
     """FNV-1a step of each uint32 hash over the four little-endian bytes of
-    its word, in place.  uint32 products wrap mod 2**32, as _hash_ints's
+    its word, in place.  uint32 products wrap mod 2**32, as fnv1a32's
     mask does."""
     for byte in words.astype("<u4").view(np.uint8).reshape(-1, 4).T:
         h ^= byte

@@ -5,7 +5,8 @@ leaf each row routes to, added in the order numpy's pred += would add them.
 The module imports without numpy, so predict starts without it.  It routes
 the checked buffers of a feature directory (read_features): dense columns
 through a float64 memoryview, bit columns from the packed bytes as 0 or 1,
-so a bit column routes as its dense float column would.
+so a bit column routes as its dense float column would.  It also writes
+that directory (write_features), importing numpy for np.save when it does.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .metrics import _doubles, _npy_payload
 
 __all__ = ["Features", "Tree", "GbdtModel", "ModelFormatError",
            "ModelVersionError", "save_model", "load_model", "read_features",
-           "feature_schema"]
+           "write_features"]
 
 MODEL_FORMAT = "bindkit-gbdt"
 MODEL_VERSION = "3"
@@ -46,14 +47,15 @@ class Features:
     then nbits bit columns; column n_dense + j of row i is bit j % 8 of byte
     i * ceil(nbits / 8) + j // 8 of bits, as np.packbits(...,
     bitorder="little") packs a row and Fingerprint.packed() writes it.
-    featurize_pairs builds it, read_features reads it, train and predict
-    take it.  Buffers of another length than the sizes need raise
-    DimensionMismatchError."""
+    featurize_pairs builds it, write_features writes it, read_features reads
+    it, train and predict take it.  Buffers of another length than the sizes
+    need raise DimensionMismatchError."""
     n_rows: int
     dense: memoryview          # float64 values, n_rows * n_dense
     n_dense: int
     bits: memoryview           # bytes, n_rows * ceil(nbits / 8)
     nbits: int
+    schema: str | None = None  # of the featurize.json it was read with
 
     def __post_init__(self):
         if (len(self.dense) != self.n_rows * self.n_dense
@@ -129,7 +131,7 @@ class GbdtModel:
     feature_count: int
     params: TrainParams
     degenerate: bool = False
-    schema: str | None = None          # feature_schema of the training features
+    schema: str | None = None          # Features.schema of the training features
 
     def predict(self, X) -> array:
         """Predictions for the rows of Features, a 2-D array, or one row as a
@@ -269,10 +271,49 @@ def _read_json(path, error):
 # --- on-disk feature directory -------------------------------------------------
 
 
+def _blocks(X: Features):
+    """The dense block and the packed bit block of X, as read-only numpy
+    arrays over its buffers of shapes (n, n_dense) and (n, ceil(nbits / 8))."""
+    import numpy as np
+    return (np.frombuffer(X.dense.toreadonly(), dtype=np.float64)
+            .reshape(len(X), X.n_dense),
+            np.frombuffer(X.bits.toreadonly(), dtype=np.uint8)
+            .reshape(len(X), (X.nbits + 7) >> 3))
+
+
+def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
+    """Write a feature directory: the dense block of X as descriptors.npy,
+    its packed bit block as fingerprints.npy, y.npy, ids.txt (one pair key
+    per line) and featurize.json, the sidecar with the n_rows, n_columns and
+    nbits of X."""
+    import numpy as np
+    os.makedirs(outdir, exist_ok=True)
+    dense, bits = _blocks(X)
+    np.save(os.path.join(outdir, DENSE_FILE), dense)
+    np.save(os.path.join(outdir, BITS_FILE), bits)
+    np.save(os.path.join(outdir, "y.npy"), y)
+    with open(os.path.join(outdir, "ids.txt"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write("".join(i + "\n" for i in ids))
+    meta = {**sidecar, "n_rows": X.shape[0], "n_columns": X.shape[1],
+            "nbits": X.nbits}
+    with open(os.path.join(outdir, "featurize.json"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        json.dump(meta, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+# The fields of featurize.json that fix what the columns mean
+SCHEMA_FIELDS = ("radius", "nbits", "table_version", "columns")
+
+
 def read_features(path) -> tuple[Features, memoryview | array | None]:
-    """Read a feature directory written by gbdt.write_features.  Returns its
+    """Read a feature directory written by write_features.  Returns its
     matrix and the float64 values of its y.npy (metrics._doubles), None
-    when there is no y.npy.
+    when there is no y.npy.  The matrix's schema is the CRC-32, as 8 hex
+    digits, of the canonical JSON of the SCHEMA_FIELDS of featurize.json (a
+    missing one as null): a CRC catches a changed featurization without
+    loading hashlib into predict.
 
     Feature files are untrusted.  A missing featurize.json, descriptors.npy
     or fingerprints.npy raises the OSError of its open.  An array of the
@@ -318,22 +359,9 @@ def read_features(path) -> tuple[Features, memoryview | array | None]:
     # a finite sum has finite terms; an overflowed one is checked termwise
     if not (math.isfinite(sum(dense)) or all(map(math.isfinite, dense))):
         raise DatasetError(f"{at(DENSE_FILE)}: non-finite feature value")
-    return (Features(n, dense, d, memoryview(bits), nbits),
-            None if y is None else _doubles(y))
-
-
-SCHEMA_FIELDS = ("radius", "nbits", "table_version", "columns")
-
-
-def feature_schema(path) -> str:
-    """The CRC-32, as 8 hex digits, of the canonical JSON of the fields of a
-    feature directory's featurize.json that fix what its columns mean
-    (SCHEMA_FIELDS, a missing one as null).  A CRC catches a changed
-    featurization without loading hashlib into predict."""
-    meta = _read_json(os.path.join(path, "featurize.json"), DatasetError)
-    if not isinstance(meta, dict):
-        raise DatasetError(f"{os.path.join(path, 'featurize.json')}: "
-                           "not a JSON object")
     text = json.dumps({k: meta.get(k) for k in SCHEMA_FIELDS}, sort_keys=True,
                       separators=(",", ":"))
-    return format(zlib.crc32(text.encode("utf-8")), "08x")
+    schema = format(zlib.crc32(text.encode("utf-8")), "08x")
+    return (Features(n, dense, d, memoryview(bits), nbits, schema),
+            None if y is None else _doubles(y))
+

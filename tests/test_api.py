@@ -33,7 +33,8 @@ def test_star_import_resolves_all(name):
 
 @pytest.mark.parametrize("name", ["affinity_histogram", "graph_record",
                                   "write_ligand_graphs", "FeatureStore",
-                                  "load_features"])
+                                  "load_features", "atom_invariant",
+                                  "feature_schema"])
 def test_removed_names_are_not_exported(name):
     assert not hasattr(bindkit, name)
     for sub in SUBMODULES:
@@ -94,9 +95,13 @@ def test_moved_classes_keep_their_identity():
         metrics.mae([1.0, 2.0], [1.0])
 
 
-def test_feature_directory_writer_lives_in_gbdt():
-    from bindkit import dataset, errors, gbdt, ligand_features
-    assert dataset.write_features is gbdt.write_features
+def test_feature_directory_writer_lives_in_model():
+    """model writes the feature directory it reads, so the commands that
+    write one (featurize) do not load gbdt."""
+    from bindkit import dataset, errors, gbdt, ligand_features, model
+    assert dataset.write_features is model.write_features
+    assert bindkit.write_features is model.write_features
+    assert not hasattr(gbdt, "write_features")
     assert ligand_features.FingerprintFormatError is errors.FingerprintFormatError
 
 

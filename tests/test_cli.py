@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -23,9 +24,9 @@ import bindkit.smiles
 from bindkit.cli import _block_json, main
 from bindkit.config import load_config
 from bindkit.dataset import load_dataset
-from bindkit.gbdt import load_model, write_features
+from bindkit.gbdt import load_model
 from bindkit.ligand_features import graph_block
-from bindkit.model import Features, read_features
+from bindkit.model import Features, read_features, write_features
 from bindkit.protein_features import (
     PROPERTIES,
     STANDARD_ORDER,
@@ -54,8 +55,7 @@ def packed_features(outdir, X):
     """A feature directory of the dense matrix X, with no bit columns, as
     write_features writes it."""
     X = Features.from_array(X)
-    write_features(outdir, X, np.zeros(len(X)), [f"p{i}" for i in range(len(X))],
-                   {"n_rows": X.shape[0], "n_columns": X.shape[1], "nbits": 0})
+    write_features(outdir, X, np.zeros(len(X)), [f"p{i}" for i in range(len(X))], {})
     return outdir
 
 
@@ -722,7 +722,7 @@ def test_train_and_predict_load_no_featurization_module(pipeline, tmp_path):
     assert preds.read_bytes() == pathlib.Path(pipeline["preds"]).read_bytes()
 
 
-_PIPELINE_MODULES = """cli config dataset errors fasta gbdt ligand_features
+_PIPELINE_MODULES = """cli config dataset errors fasta ligand_features
     metrics model protein_features smiles"""
 
 # For each command: whether it loads numpy, and the bindkit modules it loads.
@@ -956,12 +956,18 @@ def test_predict_checks_the_feature_schema(pipeline, tmp_path, capsys):
     """train stamps the schema of its features into the model.  Features of
     another radius have the same width, yet predict exits 2 naming both
     files; features of the training config predict with exit 0.  A model
-    with no schema, as the Python API trains it, predicts from both."""
-    from bindkit.model import feature_schema
+    with no schema, as the Python API trains it, predicts from both.  The
+    schema is the CRC-32 of the canonical JSON of the featurize.json fields
+    that fix what the columns mean."""
     feats = pipeline["feats"]
     doc = json.loads(pathlib.Path(pipeline["model"]).read_text())
-    assert doc["schema"] == feature_schema(feats["train"]) == \
-        feature_schema(feats["test"])
+    meta = json.loads((pathlib.Path(feats["train"]) / "featurize.json").read_text())
+    text = json.dumps({k: meta[k] for k in ("radius", "nbits", "table_version",
+                                            "columns")},
+                      sort_keys=True, separators=(",", ":"))
+    assert doc["schema"] == format(zlib.crc32(text.encode()), "08x") == \
+        read_features(feats["train"])[0].schema == \
+        read_features(feats["test"])[0].schema
     cfg = tmp_path / "radius3.toml"
     cfg.write_text(pathlib.Path(pipeline["cfg"]).read_text()
                    .replace("[fingerprint]\n", "[fingerprint]\nradius = 3\n"))
@@ -969,6 +975,7 @@ def test_predict_checks_the_feature_schema(pipeline, tmp_path, capsys):
     assert main(["--quiet", "--config", str(cfg), "featurize", "--dataset",
                  pipeline["data"], "--subset", "test", "--out", str(radius3)]) == 0
     assert read_features(radius3)[0].shape == read_features(feats["test"])[0].shape
+    assert read_features(radius3)[0].schema != doc["schema"]
     out = tmp_path / "pred.txt"
     assert main(["--quiet", "predict", "--model", pipeline["model"],
                  "--features", str(radius3), "--out", str(out)]) == 2

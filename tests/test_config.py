@@ -1,6 +1,8 @@
 """Config parsing and digest tests."""
 import hashlib
 import json
+import tomllib
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -13,47 +15,11 @@ from bindkit.config import (
     MAX_RADIUS,
     ConfigError,
     PipelineConfig,
+    TrainParams,
     config_from_mapping,
     load_config,
 )
-
-FULL_TOML = """
-# screening pipeline settings
-seed = 7
-
-[split]
-ratios = [0.7, 0.2, 0.1]
-
-[curation]
-ki_min_nm = 0.01
-ki_max_nm = 1e9
-
-[fingerprint]
-radius = 3
-nbits = 1024
-
-[gbdt]
-n_trees = 50
-max_depth = 4
-learning_rate = 0.1
-min_samples_leaf = 5
-n_histogram_bins = 64
-subsample = 0.8
-early_stopping_rounds = 10
-
-[evaluation]
-bin_start = 0.0
-bin_stop = 10.0
-bin_width = 1.0
-threshold = 5.0
-
-[paths]
-property_table = "custom.csv"
-fasta = "receptors.fasta"
-
-[featurize]
-workers = 2
-"""
+from testutil import FULL_TOML
 
 
 def loaded(tmp_path, text):
@@ -238,6 +204,39 @@ def test_canonical_json_and_digest():
     assert cfg.digest() == hashlib.sha256(text.encode()).hexdigest()
     assert cfg.digest() == load_config(None).digest()
     assert config_from_mapping({"seed": 9}).digest() != cfg.digest()
+
+
+def _flat(cfg):
+    """The fields of cfg, the TrainParams ones as gbdt.<name>."""
+    doc = asdict(cfg)
+    gbdt = doc.pop("gbdt")
+    return {**doc, **{f"gbdt.{k}": v for k, v in gbdt.items()}}
+
+
+def test_key_table_names_every_field_once():
+    """Each PipelineConfig field but gbdt is a key of exactly one section,
+    each TrainParams field but seed (which follows the pipeline seed) is a
+    [gbdt] key, and setting any one key to a non-default valid value
+    changes that field and the digest, and nothing else."""
+    keys = [key for section, table in _SCHEMA.items() if section != "gbdt"
+            for key in table]
+    assert sorted(keys) == sorted(f.name for f in fields(PipelineConfig)
+                                  if f.name != "gbdt")
+    assert set(_SCHEMA["gbdt"]) == {f.name for f in fields(TrainParams)} - {"seed"}
+    assert not set(keys) & set(_SCHEMA["gbdt"])
+    full = tomllib.loads(FULL_TOML)
+    default = load_config(None)
+    before = _flat(default)
+    for section, table in _SCHEMA.items():
+        body = full if section is None else full[section]
+        for key in table:
+            cfg = config_from_mapping({key: body[key]} if section is None
+                                      else {section: {key: body[key]}})
+            changed = {name for name, value in _flat(cfg).items()
+                       if value != before[name]}
+            field = key if section != "gbdt" else f"gbdt.{key}"
+            assert changed == ({field, "gbdt.seed"} if key == "seed" else {field})
+            assert cfg.digest() != default.digest()
 
 
 def test_digest_ignores_formatting(tmp_path):

@@ -17,7 +17,6 @@ from bindkit.ligand_features import (
     EDGE_FEATURE_NAMES,
     NODE_FEATURE_NAMES,
     Fingerprint,
-    atom_invariant,
     ecfp,
     fnv1a32,
     full_refinement_ids,
@@ -28,9 +27,11 @@ from bindkit.ligand_features import (
 )
 from bindkit.ligand_features import (
     _BOND_CODE,
+    _FNV_OFFSET,
+    _FNV_PRIME,
+    _MASK32,
     _ecfp_batch,
     _full_refinement_ids_batch,
-    _hash_ints,
 )
 from bindkit.smiles import ParseError, from_smiles, parse_smiles
 from testutil import reserialize
@@ -40,6 +41,29 @@ from testutil import reserialize
 # The refinement as a loop over atoms, one _hash_ints call per atom per
 # round.  The batch kernel behind ecfp, morgan_environments and
 # full_refinement_ids must agree with it exactly.
+
+def _hash_ints(values):
+    """FNV-1a over the little-endian uint32 encodings of the values.
+
+    Equal to fnv1a32 over the packed words, one word at a time: the low 32
+    bits of a product depend only on the low 32 bits of its operands, so the
+    mask is applied once per word instead of once per byte.
+    """
+    h = _FNV_OFFSET
+    for v in values:
+        h = (h ^ (v & 0xFF)) * _FNV_PRIME
+        h = (h ^ ((v >> 8) & 0xFF)) * _FNV_PRIME
+        h = (h ^ ((v >> 16) & 0xFF)) * _FNV_PRIME
+        h = ((h ^ ((v >> 24) & 0xFF)) * _FNV_PRIME) & _MASK32
+    return h
+
+
+def atom_invariant(mol, index, degree):
+    """Initial per-atom identifier from six integer invariants."""
+    atom = mol.atoms[index]
+    return _hash_ints((atom.element, degree, atom.total_h, atom.formal_charge,
+                       1 if atom.in_ring else 0, 1 if atom.aromatic else 0))
+
 
 def _initial_ids(mol):
     adjacency = mol.neighbors()

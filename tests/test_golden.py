@@ -19,6 +19,8 @@ model digests were re-recorded again when trees became oblivious (version
 level-wise dense reference of tests/test_gbdt.py grows on these features.
 The parse-outcome digests were recorded from the character-at-a-time
 parser, before SMILES were cut into tokens by one regular expression.
+The canonical config JSON digests were recorded when the canonical form
+was built key by key, before the config fields were named after their keys.
 """
 import csv
 import hashlib
@@ -26,18 +28,20 @@ import io
 import pathlib
 import random
 import shutil
+import tomllib
 
 import numpy as np
 import pytest
 
 from bindkit.cli import main
+from bindkit.config import config_from_mapping
 from bindkit.dataset import pair_key
 from bindkit.fasta import ProteinSequence
 from bindkit.gbdt import TrainParams, save_model, train
 from bindkit.ligand_features import ecfp
 from bindkit.model import read_features
 from bindkit.smiles import ParseError, from_smiles, parse_smiles
-from testutil import dense_matrix
+from testutil import FULL_TOML, dense_matrix
 
 CORPUS = pathlib.Path(__file__).parent / "fixtures" / "corpus.tsv"
 RECEPTOR = ProteinSequence(id="recA", residues="MKTWQENLGSHMAAALDEFKR")
@@ -81,6 +85,26 @@ def test_pinned_pair_key_and_fingerprint(name):
     key, on_bits = GOLDEN[name]
     assert pair_key(RECEPTOR, mol) == key
     assert ecfp(mol, radius=2, nbits=2048).on_bits() == on_bits
+
+
+# --- canonical config JSON -------------------------------------------------------
+
+# config -> sha256 of its canonical JSON, the config_digest that ingest and
+# featurize stamp into every artifact
+GOLDEN_CONFIGS = {
+    "defaults": (
+        "", "90c4599589f0d9bc230dd7fd67ce5f89da7b69b264934482796bc1148752378d"),
+    "every key set": (
+        FULL_TOML, "6f64e542da1aa1a892b476f415d079981df24071c1cf2f131fa26e4ab1b842c1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_pinned_canonical_config_json(name):
+    text, digest = GOLDEN_CONFIGS[name]
+    cfg = config_from_mapping(tomllib.loads(text))
+    assert hashlib.sha256(cfg.canonical_json().encode("utf-8")).hexdigest() == digest
+    assert cfg.digest() == digest
 
 
 # --- saved model bytes ---------------------------------------------------------

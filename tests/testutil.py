@@ -1,5 +1,8 @@
 """Test-only helpers.
 
+FULL_TOML is a config that sets every key to a value other than its
+default; each value is also valid on its own.
+
 dense_matrix decodes a feature matrix to the plain float64 matrix that the
 numpy references in the tests read.
 
@@ -29,6 +32,44 @@ from bindkit.smiles import (
     Molecule,
     NUMBER_TO_SYMBOL,
 )
+
+FULL_TOML = """
+# screening pipeline settings
+seed = 7
+
+[split]
+ratios = [0.7, 0.2, 0.1]
+
+[curation]
+ki_min_nm = 0.01
+ki_max_nm = 1e9
+
+[fingerprint]
+radius = 3
+nbits = 1024
+
+[gbdt]
+n_trees = 50
+max_depth = 4
+learning_rate = 0.1
+min_samples_leaf = 5
+n_histogram_bins = 64
+subsample = 0.8
+early_stopping_rounds = 10
+
+[evaluation]
+bin_start = 0.0
+bin_stop = 10.0
+bin_width = 1.0
+threshold = 5.0
+
+[paths]
+property_table = "custom.csv"
+fasta = "receptors.fasta"
+
+[featurize]
+workers = 2
+"""
 
 def dense_matrix(X: Features) -> np.ndarray:
     """The (n, n_dense + nbits) float64 matrix of X: its dense columns, then
