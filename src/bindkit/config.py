@@ -144,18 +144,13 @@ def _ratios(value, where: str) -> tuple[float, float, float]:
     return tuple(_number(r, f"{where}[]") for r in ratios)
 
 
-def _bound(value, where: str) -> float:
-    """A Ki bound, a number; its faults read as the window check's do."""
-    return _number(value, f"curation bounds: {where}")
-
-
 # The key table: each section (None for the top level), its keys in the
 # order they are read, and the reader of each key's TOML value.  A key sets
 # the PipelineConfig field of its name, or under [gbdt] the TrainParams one.
 _SCHEMA = {
     None: {"seed": _of_type(int)},
     "split": {"ratios": _ratios},
-    "curation": {"ki_min_nm": _bound, "ki_max_nm": _bound},
+    "curation": {"ki_min_nm": _number, "ki_max_nm": _number},
     "fingerprint": {"radius": _of_type(int), "nbits": _of_type(int)},
     "gbdt": {f.name: _number if f.type == "float" else _of_type(int)
              for f in fields(TrainParams) if f.name != "seed"},

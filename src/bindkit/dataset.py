@@ -130,7 +130,13 @@ def file_digest(path) -> str:
 
 
 def build_fasta_index(text: str) -> dict[str, ProteinSequence]:
-    return {rec.id: rec for rec in parse_fasta(text)}
+    """The records of a FASTA document by id; an id given twice raises
+    FastaError, since an `@file:ID` reference would be ambiguous."""
+    index: dict[str, ProteinSequence] = {}
+    for rec in parse_fasta(text):
+        if index.setdefault(rec.id, rec) is not rec:
+            raise FastaError(f"duplicate FASTA record id {rec.id!r}")
+    return index
 
 
 def read_raw_tsv(path):

@@ -11,14 +11,16 @@ __all__ = [
     "NoHeaderError",
     "EmptyRecordError",
     "IllegalResidueError",
+    "RESIDUE_CODES",
     "RESIDUE_ALPHABET",
     "parse_fasta",
     "format_fasta",
 ]
 
-# 20 standard residues plus ambiguity codes X, B, Z and selenocysteine U.
-STANDARD_RESIDUES = "ACDEFGHIKLMNPQRSTVWY"
-RESIDUE_ALPHABET = frozenset(STANDARD_RESIDUES + "XBZU")
+# The residue codes in property-table order: the 20 standard residues, then
+# the ambiguity codes X, B, Z and selenocysteine U.
+RESIDUE_CODES = "ARNDCQEGHILKMFPSTWYVXBZU"
+RESIDUE_ALPHABET = frozenset(RESIDUE_CODES)
 
 
 class FastaError(DataError):

@@ -1,21 +1,21 @@
 """Receptor featurization from primary sequence.
 
 Everything is driven by a versioned 20x14 residue property table shipped as
-CSV (see data/residue_properties.csv for the scale choices).  Ambiguity
-codes map onto table rows: X is the column mean over the twenty standard
-residues, B averages D and N, Z averages E and Q, U borrows the C row.
+CSV (see data/residue_properties.csv for the scale choices).  Each table
+holds one row per residue code (see _code_rows), and every feature gathers
+those rows.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
 from .errors import DataError
-from .fasta import ProteinSequence
+from .fasta import RESIDUE_CODES, ProteinSequence
 
 __all__ = [
     "PROPERTIES",
@@ -46,7 +46,8 @@ GRAPH_NODE_PROPERTIES = (
     "hydrophobicity", "sasa", "mol_weight", "polarity", "vdw_volume",
 )
 
-STANDARD_ORDER = "ARNDCQEGHILKMFPSTWYV"
+STANDARD_ORDER = RESIDUE_CODES[:20]
+_CODE_INDEX = {code: i for i, code in enumerate(RESIDUE_CODES)}
 
 
 class UnknownResidueError(DataError, KeyError):
@@ -61,11 +62,30 @@ class PropertyTableError(DataError):
     pass
 
 
+def _code_rows(rows: dict[str, tuple[float, ...]]) -> np.ndarray:
+    """The 24 x 34 code table: one row per code of RESIDUE_CODES, its 14
+    properties then its composition over the 20 standard residues.  The
+    ambiguity rule, the same for both blocks: X is the mean of the twenty
+    standard rows, B averages D and N, Z averages E and Q, U is C."""
+    std = np.hstack([np.array([rows[aa] for aa in STANDARD_ORDER], dtype=np.float64),
+                     np.eye(20)])
+    row = dict(zip(STANDARD_ORDER, std))
+    codes = np.vstack([std, np.mean(std, axis=0), (row["D"] + row["N"]) / 2.0,
+                       (row["E"] + row["Q"]) / 2.0, row["C"]])
+    codes.flags.writeable = False
+    return codes
+
+
 @dataclass(frozen=True)
 class ResiduePropertyTable:
     version: str
     properties: tuple[str, ...]
     rows: dict[str, tuple[float, ...]]
+    # Derived from rows when the table is built, so it is not compared.
+    code_rows: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "code_rows", _code_rows(self.rows))
 
 
 def load_property_table(path) -> ResiduePropertyTable:
@@ -128,58 +148,22 @@ def default_table() -> ResiduePropertyTable:
         return load_property_table(path)
 
 
-def _property_vector(code: str, table: ResiduePropertyTable) -> np.ndarray:
-    if code in table.rows:
-        return np.array(table.rows[code], dtype=np.float64)
-    if code == "X":
-        return np.mean([table.rows[a] for a in STANDARD_ORDER], axis=0)
-    if code == "B":
-        return (np.array(table.rows["D"]) + np.array(table.rows["N"])) / 2.0
-    if code == "Z":
-        return (np.array(table.rows["E"]) + np.array(table.rows["Q"])) / 2.0
-    if code == "U":
-        return np.array(table.rows["C"], dtype=np.float64)
-    raise UnknownResidueError(code)
+def _gather(residues: str, table: ResiduePropertyTable) -> np.ndarray:
+    """The code-table row of every residue, in sequence order; the first
+    code outside the table raises."""
+    try:
+        return table.code_rows[[_CODE_INDEX[code] for code in residues]]
+    except KeyError as exc:
+        raise UnknownResidueError(exc.args[0]) from None
 
 
 def residue_properties(code: str, table: ResiduePropertyTable | None = None) -> dict[str, float]:
     """Property mapping for a residue code, ambiguity codes included."""
     table = table or default_table()
-    vec = _property_vector(code, table)
-    return {name: float(v) for name, v in zip(table.properties, vec)}
-
-
-def _composition_counts(residues: str) -> np.ndarray:
-    """Counts over the 20 standard residues; X spreads 1/20 over all, B
-    splits over D/N, Z over E/Q, U counts as C."""
-    idx = {aa: i for i, aa in enumerate(STANDARD_ORDER)}
-    counts = np.zeros(20, dtype=np.float64)
-    for ch in residues:
-        if ch in idx:
-            counts[idx[ch]] += 1.0
-        elif ch == "X":
-            counts += 1.0 / 20.0
-        elif ch == "B":
-            counts[idx["D"]] += 0.5
-            counts[idx["N"]] += 0.5
-        elif ch == "Z":
-            counts[idx["E"]] += 0.5
-            counts[idx["Q"]] += 0.5
-        elif ch == "U":
-            counts[idx["C"]] += 1.0
-        else:
-            raise UnknownResidueError(ch)
-    return counts
-
-
-def _per_residue(residues: str, row) -> np.ndarray:
-    """The stacked rows row(code) of every residue, each distinct code's row
-    computed once and then gathered.  Codes are tried in order of first
-    appearance, so the first bad code in sequence order raises."""
-    rows = {code: row(code) for code in dict.fromkeys(residues)}
-    points = np.frombuffer(residues.encode("utf-32-le"), dtype="<u4")
-    codes, inverse = np.unique(points, return_inverse=True)
-    return np.stack([rows[chr(c)] for c in codes.tolist()])[inverse]
+    if code not in _CODE_INDEX:
+        raise UnknownResidueError(code)
+    row = table.code_rows[_CODE_INDEX[code]]
+    return {name: float(v) for name, v in zip(table.properties, row)}
 
 
 DESCRIPTOR_LAYOUT: tuple[str, ...] = (
@@ -214,15 +198,11 @@ def receptor_descriptor(
     of the per-sequence stats.
     """
     residues = _coerce(seq)
-    table = table or default_table()
-    per_res = _per_residue(residues, lambda code: _property_vector(code, table))
-    stats = np.empty((len(PROPERTIES), 4), dtype=np.float64)
-    stats[:, 0] = per_res.mean(axis=0)
-    stats[:, 1] = per_res.sum(axis=0)
-    stats[:, 2] = per_res.min(axis=0)
-    stats[:, 3] = per_res.max(axis=0)
-    counts = _per_residue(residues, _composition_counts).sum(axis=0)
-    fractions = counts / len(residues)
+    rows = _gather(residues, table or default_table())
+    props, counts = np.split(rows, [len(PROPERTIES)], axis=1)
+    stats = np.stack([props.mean(axis=0), props.sum(axis=0),
+                      props.min(axis=0), props.max(axis=0)], axis=1)
+    fractions = counts.sum(axis=0) / len(residues)
     tail = np.array([float(len(residues)), float(residues.count("C") // 2)])
     vector = np.concatenate([stats.ravel(), fractions, tail])
     return ReceptorDescriptor(vector=vector)
@@ -231,6 +211,9 @@ def receptor_descriptor(
 RECEPTOR_NODE_FEATURE_NAMES: tuple[str, ...] = (
     GRAPH_NODE_PROPERTIES + tuple(f"res_{aa}" for aa in STANDARD_ORDER)
 )
+# The code-table columns of the node block.
+_NODE_COLUMNS = ([PROPERTIES.index(p) for p in GRAPH_NODE_PROPERTIES]
+                 + list(range(len(PROPERTIES), len(PROPERTIES) + 20)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,12 +237,9 @@ def receptor_graph_features(
 ) -> ReceptorGraphFeatures:
     """Residue-chain graph: one node per residue, edges between sequence
     neighbors (the backbone), no edge features since every edge is the same
-    peptide bond.  Node rows are 9 physical properties + 20-way one-hot
-    (ambiguity codes use the same fractional conventions as composition)."""
+    peptide bond.  Node rows are 9 physical properties + 20-way one-hot, 29
+    columns of each residue's code-table row."""
     residues = _coerce(seq)
-    table = table or default_table()
-    prop_idx = [PROPERTIES.index(p) for p in GRAPH_NODE_PROPERTIES]
-    nodes = _per_residue(residues, lambda code: np.concatenate(
-        [_property_vector(code, table)[prop_idx], _composition_counts(code)]))
+    nodes = _gather(residues, table or default_table())[:, _NODE_COLUMNS]
     edge_list = tuple((i, i + 1) for i in range(len(residues) - 1))
     return ReceptorGraphFeatures(node_features=nodes, edge_list=edge_list)

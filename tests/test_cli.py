@@ -889,6 +889,23 @@ def test_undecodable_fasta_exits_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_duplicate_fasta_id_exits_2(tmp_path, capsys):
+    """Two records with one id would resolve `@file:ID` to the last one."""
+    fasta = tmp_path / "receptors.fasta"
+    fasta.write_text(">P1 first\nMKV\n>P1 second\nAAAA\n")
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("receptor_fasta\tligand_smiles\tki_nm\n"
+                   + "".join(f"@file:P1\t{smiles}\t10.0\n"
+                             for smiles in ("CCO", "c1ccccc1", "CC(=O)O")))
+    cfg = tmp_path / "pipeline.toml"
+    cfg.write_text(f'[paths]\nfasta = "{fasta}"\n')
+    out = tmp_path / "d"
+    assert main(["--quiet", "--config", str(cfg), "ingest", "--in", str(raw),
+                 "--out", str(out)]) == 2
+    assert "duplicate FASTA record id 'P1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_undecodable_config_exits_1(tmp_path, capsys):
     cfg = tmp_path / "pipeline.toml"
     cfg.write_bytes(b"# " + UNDECODABLE + b"seed = 3\n")

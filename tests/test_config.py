@@ -169,7 +169,8 @@ def test_value_constraints():
     ("[evaluation]\nbin_width = 0.3\n", "tile"),
     ("[evaluation]\nbin_start = 12.0\n", "stop > start"),
     ("[split]\nratios = [0.8, 0.1, nan]\n", "finite"),
-    ("[curation]\nki_max_nm = inf\n", "finite"),
+    ("[curation]\nki_max_nm = inf\n",
+     r"^curation\.ki_max_nm: must be finite, got inf$"),
     ("[gbdt]\nlearning_rate = " + "1" + "0" * 400 + "\n", "finite"),
     ("[fingerprint]\nnbits = 4611686018427387904\n", "power of two <= 65536"),
     ("[fingerprint]\nnbits = 131072\n", "power of two <= 65536"),

@@ -11,6 +11,7 @@ from bindkit.protein_features import (
     RECEPTOR_NODE_FEATURE_NAMES,
     STANDARD_ORDER,
     EmptySequenceError,
+    ResiduePropertyTable,
     UnknownResidueError,
     default_table,
     load_property_table,
@@ -18,7 +19,6 @@ from bindkit.protein_features import (
     receptor_graph_features,
     residue_properties,
 )
-from bindkit.protein_features import _composition_counts, _property_vector
 
 
 def test_default_table_shape_and_version():
@@ -214,10 +214,48 @@ def test_graph_feature_determinism():
 
 
 # --- per-residue reference ---------------------------------------------------
-# The descriptor and the node block as loops over residues.  The library
-# computes one row per distinct code and gathers; the bytes must agree.
+# The descriptor and the node block as loops over residues, with the property
+# row and the composition counts of each code worked out case by case.  The
+# library gathers rows of one code table; the bytes must agree.
 
 ALL_CODES = STANDARD_ORDER + "XBZU"
+
+
+def _property_vector(code: str, table) -> np.ndarray:
+    if code in table.rows:
+        return np.array(table.rows[code], dtype=np.float64)
+    if code == "X":
+        return np.mean([table.rows[a] for a in STANDARD_ORDER], axis=0)
+    if code == "B":
+        return (np.array(table.rows["D"]) + np.array(table.rows["N"])) / 2.0
+    if code == "Z":
+        return (np.array(table.rows["E"]) + np.array(table.rows["Q"])) / 2.0
+    if code == "U":
+        return np.array(table.rows["C"], dtype=np.float64)
+    raise UnknownResidueError(code)
+
+
+def _composition_counts(residues: str) -> np.ndarray:
+    """Counts over the 20 standard residues; X spreads 1/20 over all, B
+    splits over D/N, Z over E/Q, U counts as C."""
+    idx = {aa: i for i, aa in enumerate(STANDARD_ORDER)}
+    counts = np.zeros(20, dtype=np.float64)
+    for ch in residues:
+        if ch in idx:
+            counts[idx[ch]] += 1.0
+        elif ch == "X":
+            counts += 1.0 / 20.0
+        elif ch == "B":
+            counts[idx["D"]] += 0.5
+            counts[idx["N"]] += 0.5
+        elif ch == "Z":
+            counts[idx["E"]] += 0.5
+            counts[idx["Q"]] += 0.5
+        elif ch == "U":
+            counts[idx["C"]] += 1.0
+        else:
+            raise UnknownResidueError(ch)
+    return counts
 
 
 def reference_descriptor(residues, table):
@@ -241,6 +279,18 @@ def reference_nodes(residues, table):
     return nodes
 
 
+def test_code_rows_are_the_reference_rows_and_not_compared():
+    table = default_table()
+    assert table.code_rows.shape == (24, 34)
+    assert not table.code_rows.flags.writeable
+    for code, row in zip(ALL_CODES, table.code_rows):
+        want = np.concatenate([_property_vector(code, table),
+                               _composition_counts(code)])
+        assert row.tobytes() == want.tobytes(), code
+    twin = ResiduePropertyTable(table.version, table.properties, dict(table.rows))
+    assert twin == table and twin.code_rows is not table.code_rows
+
+
 def assert_matches_reference(residues):
     table = default_table()
     got = receptor_descriptor(residues).vector
@@ -260,6 +310,28 @@ def test_gathered_rows_equal_per_residue_reference(residues):
 @given(st.text(alphabet=ALL_CODES, min_size=1, max_size=300))
 def test_drawn_sequences_equal_per_residue_reference(residues):
     assert_matches_reference(residues)
+
+
+def test_ambiguity_codes_keep_the_sign_of_zero(tmp_path):
+    """B, Z and U rows of a table whose D, N, E, Q and C charges are -0.0
+    keep -0.0, in the descriptor and in the node block, as the reference."""
+    src = default_table()
+    charge = PROPERTIES.index("charge")
+    lines = ["code," + ",".join(PROPERTIES)]
+    for aa in STANDARD_ORDER:
+        values = list(src.rows[aa])
+        if aa in "DNEQC":
+            values[charge] = -0.0
+        lines.append(aa + "," + ",".join(map(repr, values)))
+    path = tmp_path / "signed.csv"
+    path.write_text("\n".join(lines) + "\n")
+    table = load_property_table(path)
+    got = receptor_descriptor("BZUX", table).vector
+    assert got.tobytes() == reference_descriptor("BZUX", table).tobytes()
+    assert np.signbit(got[DESCRIPTOR_LAYOUT.index("charge_min")])
+    nodes = receptor_graph_features("BZUX", table).node_features
+    assert nodes.tobytes() == reference_nodes("BZUX", table).tobytes()
+    assert np.signbit(nodes[:3, GRAPH_NODE_PROPERTIES.index("charge")]).all()
 
 
 @pytest.mark.parametrize("residues,bad", [
