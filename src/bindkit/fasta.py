@@ -11,6 +11,8 @@ __all__ = [
     "NoHeaderError",
     "EmptyRecordError",
     "IllegalResidueError",
+    "SequenceTooLongError",
+    "MAX_RESIDUES",
     "RESIDUE_CODES",
     "RESIDUE_ALPHABET",
     "parse_fasta",
@@ -22,6 +24,11 @@ __all__ = [
 RESIDUE_CODES = "ARNDCQEGHILKMFPSTWYVXBZU"
 RESIDUE_ALPHABET = frozenset(RESIDUE_CODES)
 
+# The longest known protein, titin, has about 35,000 residues; featurizing
+# and exporting a receptor costs memory in proportion to its length, so a
+# longer sequence is refused before any residue is read.
+MAX_RESIDUES = 40_000
+
 
 class FastaError(DataError):
     pass
@@ -32,6 +39,10 @@ class NoHeaderError(FastaError):
 
 
 class EmptyRecordError(FastaError):
+    pass
+
+
+class SequenceTooLongError(FastaError):
     pass
 
 
@@ -56,6 +67,10 @@ class ProteinSequence:
             raise EmptyRecordError("sequence id must be non-empty")
         if not self.residues:
             raise EmptyRecordError(f"record {self.id!r} has no residues")
+        if len(self.residues) > MAX_RESIDUES:
+            raise SequenceTooLongError(
+                f"record {self.id!r} has {len(self.residues)} residues, "
+                f"more than {MAX_RESIDUES}")
         for pos, ch in enumerate(self.residues, start=1):
             if ch not in RESIDUE_ALPHABET:
                 raise IllegalResidueError(self.id, pos, ch)
@@ -82,7 +97,8 @@ def parse_fasta(text: str, warnings: list[str] | None = None) -> list[ProteinSeq
     Sequence lines are concatenated and upper-cased.  A single terminal '*'
     is stripped with a warning (collected into the optional warnings list).
     Residues outside the 24-letter alphabet raise IllegalResidueError with a
-    1-based position; a record with no residues raises EmptyRecordError; data
+    1-based position; a record with no residues raises EmptyRecordError, and
+    one of more than MAX_RESIDUES raises SequenceTooLongError; data
     before the first header raises NoHeaderError.  A blank document yields
     an empty list.
     """

@@ -5,8 +5,8 @@ residuals, and a prediction is base_score plus the routed leaf values.  The
 model, its file, its router and its input, model.Features, live in the
 numpy-free model module.  Training reads a Features (a plain 2-D array is
 one with no bit columns) through read-only numpy views of its buffers;
-every column read after binning goes through _take, so a bit column
-splits as its dense float column would.
+rows are routed by the column that _column decodes, so a bit column splits
+as its dense float column would.
 
 Split search is histogram-based, as in CatBoost and LightGBM: features are
 binned once into at most n_histogram_bins quantile bins whose upper bounds
@@ -17,6 +17,8 @@ agrees with routing by bin code.  Constant columns are dropped.  Two-bin
 columns, such as fingerprint bits, keep only their code-1 cells in a
 row-major CSR, and their code-0 side is the node's row count and total
 minus the code-1 side; wider columns keep their codes in one int32 block.
+Split search reads each tree's residuals rounded to integers in [-Q, Q], so
+every histogram sum is exact; leaf values take the mean float residual.
 Each level of a tree takes the first (feature, bin) with the largest
 variance gain summed over its nodes; the tree stops when that is <= 0.
 """
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_DEPTH, TrainParams
+from .config import TrainParams
 from .errors import DimensionMismatchError, GbdtError
 from .model import (Features, GbdtModel, ModelFormatError,  # re-exported
                     ModelVersionError, Tree, _blocks, _leaves, load_model,
@@ -50,7 +52,7 @@ class _Binned:
     bin count: one-bin columns cannot split and are dropped, two-bin columns
     keep only their code-1 cells in a row-major CSR, and wider columns keep
     their codes in one contiguous block.  dense and bits are the blocks of
-    the matrix (_blocks), which _take decodes."""
+    the matrix (_blocks), which _column decodes."""
     dense: np.ndarray          # float64 (n, d)
     bits: np.ndarray           # uint8 (n, ceil(nbits / 8))
     uppers: list               # per original column, ascending bin uppers
@@ -113,23 +115,25 @@ def _bin_columns(X: Features, n_bins: int) -> _Binned:
                    wide_bins=bins[wide_cols])
 
 
-def _take(bm: _Binned, rows, cols) -> np.ndarray:
-    """float64 values of columns cols at rows, shape (len(rows), len(cols));
-    a bit column decodes to 0.0 or 1.0."""
-    rows = np.asarray(rows, dtype=np.intp)[:, None]
-    cols = np.asarray(cols, dtype=np.intp)
+def _column(bm: _Binned, f: int, rows) -> np.ndarray:
+    """Column f at rows as float64; a bit column decodes to 0.0 or 1.0."""
     d = bm.dense.shape[1]
-    is_bit = cols >= d
-    if not is_bit.any():
-        return bm.dense[rows, cols]
-    j = np.where(is_bit, cols - d, 0)
-    bit = (bm.bits[rows, j >> 3] >> (j & 7).astype(np.uint8)) & 1
-    if is_bit.all():
-        return bit.astype(np.float64)
-    return np.where(is_bit, bit, bm.dense[rows, np.where(is_bit, 0, cols)])
+    if f < d:
+        return bm.dense[rows, f]
+    f -= d
+    return ((bm.bits[rows, f >> 3] >> (f & 7)) & 1).astype(np.float64)
 
 
 # --- split search ------------------------------------------------------------
+
+
+# Split search reads each tree's residuals r as integers q = rint(r * Q /
+# max|r|) in [-Q, Q] (quantized gradients: Shi et al., NeurIPS 2022).  A sum
+# of m of them is an exact integer in float64 while m * Q < 2**53, that is
+# below 2**41 rows, more than memory holds, so no check guards it.  Every
+# histogram cell, node total and parent - child difference is then exact in
+# any order of addition, and equal sums give bit-equal gains.
+Q = 4096
 
 
 def _gain(s_left, n_left, total, m):
@@ -141,12 +145,12 @@ def _gain(s_left, n_left, total, m):
             - (total * total) / m
 
 
-def _histograms(bm: _Binned, rows, r, slot, k):
-    """Counts and residual sums of k nodes over training rows (r their
-    residuals, slot their node): (n1, s1) of the code-1 cells of every
-    two-bin column, shape (k, pairs), and (cnt, ssum) of every (column, bin)
-    cell of the wider columns, shape (k, wide, width).  Each cell adds its
-    rows in row order."""
+def _histograms(bm: _Binned, rows, q, slot, k):
+    """Counts and quantized residual sums of k nodes over training rows (q
+    their integer residuals, slot their node): (n1, s1) of the code-1 cells
+    of every two-bin column, shape (k, pairs), and (cnt, ssum) of every
+    (column, bin) cell of the wider columns, shape (k, wide, width).  Every
+    sum is an exact integer."""
     p, w = bm.pair_cols.size, bm.wide_cols.size
     width = int(bm.wide_bins.max(initial=0))
     starts = bm.indptr[rows]
@@ -155,10 +159,10 @@ def _histograms(bm: _Binned, rows, r, slot, k):
     cells = bm.indices[np.arange(lens.sum()) + np.repeat(starts - (ends - lens), lens)]
     key = np.repeat(slot * p, lens) + cells
     n1 = np.bincount(key, minlength=k * p).reshape(k, p)
-    s1 = np.bincount(key, weights=np.repeat(r, lens), minlength=k * p).reshape(k, p)
+    s1 = np.bincount(key, weights=np.repeat(q, lens), minlength=k * p).reshape(k, p)
     key = (((slot * w)[:, None] + np.arange(w)) * width + bm.wide_codes[rows]).ravel()
     cnt = np.bincount(key, minlength=k * w * width).reshape(k, w, width)
-    ssum = np.bincount(key, weights=np.repeat(r, w),
+    ssum = np.bincount(key, weights=np.repeat(q, w),
                        minlength=k * w * width).reshape(k, w, width)
     return n1, s1, cnt, ssum
 
@@ -177,16 +181,10 @@ def _summed_gain(s_left, n_left, count, total, min_leaf):
     return np.where(np.bincount(cand, minlength=size) > 0, gain, -np.inf)
 
 
-def _best_split(bm: _Binned, hist, count, total, rows, r, slot,
-                min_leaf, tol):
+def _best_split(bm: _Binned, hist, count, total, min_leaf):
     """The first best (feature, bin code) of a level by the gain summed over
-    the nodes of hist, or None when that gain is <= 0; rows, r and slot are
-    the nodes' rows, residuals and node.  A code-0 sum taken as a total
-    minus a code-1 sum, or a sum derived as parent - child, can differ from
-    the row-order sum in the last bits and flip an exact tie (a column
-    against its complement), so every gain within tol of the best is
-    recomputed from row-order sums, as a histogram of every (row, column)
-    cell adds them, before the best is taken."""
+    the nodes of hist, or None when that gain is <= 0.  The sums are exact,
+    so a column and its complement, or two mirrored columns, tie exactly."""
     n1, s1, cnt, ssum = hist
     k, width = len(count), cnt.shape[2]
     n_wide = np.cumsum(cnt, axis=2).reshape(k, -1)
@@ -199,73 +197,54 @@ def _best_split(bm: _Binned, hist, count, total, rows, r, slot,
         _summed_gain(lambda i, c: total[i] - s1[i, c], count[:, None] - n1,
                      count, total, min_leaf),
         _summed_gain(lambda i, c: s_wide[i, c], n_wide, count, total, min_leaf)])
-    best = gain.max(initial=-np.inf)
-    if best + tol <= 0.0:
+    best = gain.max(initial=0.0)
+    if best <= 0.0:
         return None
-    near = np.flatnonzero(gain >= best - tol)
-    cols, at = np.unique(col[near], return_inverse=True)
-    values = _take(bm, rows, cols)
-    codes = np.stack([np.searchsorted(bm.uppers[f], values[:, j], side="left")
-                      for j, f in enumerate(cols)], axis=1)
-    w = int(codes.max()) + 1
-    key = (((slot * cols.size)[:, None] + np.arange(cols.size)) * w + codes).ravel()
-
-    def left(weights):                  # (k, near) sums up to each near bin
-        return np.cumsum(np.bincount(key, weights, k * cols.size * w)
-                         .reshape(k, -1, w), axis=2)[:, at, code[near]]
-    s_left = left(np.repeat(r, cols.size))
-    gain[near] = _summed_gain(lambda i, c: s_left[i, c], left(None), count, total,
-                              min_leaf)
-    top = np.flatnonzero(gain == gain.max())
-    best = top[np.lexsort((code[top], col[top]))[0]]
-    return None if gain[best] <= 0.0 else (int(col[best]), int(code[best]))
+    top = np.flatnonzero(gain == best)
+    first = top[np.lexsort((code[top], col[top]))[0]]
+    return int(col[first]), int(code[first])
 
 
 def _grow_tree(binned: _Binned, res, rows,
                params: TrainParams) -> tuple[Tree, np.ndarray]:
     """Grow one oblivious tree level by level, each level split as
-    _best_split finds over the nodes of at least 2 * min_samples_leaf rows.
-    A node's children take learning_rate * their mean residual, or, where
-    the split leaves a side of fewer than min_samples_leaf rows, the node's
-    own value.  Of two children that can split, the smaller is histogrammed
-    and the other is the parent minus it.  Returns the tree and the leaf of
-    each of rows."""
+    _best_split finds, from the residuals quantized by Q, over the nodes of
+    at least 2 * min_samples_leaf rows.  A node's children take
+    learning_rate * their mean float residual, or, where the split leaves a
+    side of fewer than min_samples_leaf rows, the node's own value.  Of two
+    children that can split, the smaller is histogrammed and the other is
+    the parent minus it.  Returns the tree and the leaf of each of rows."""
     min_leaf, rate = params.min_samples_leaf, params.learning_rate
     r = res[rows]
     m = rows.size
-    # A sum taken as a difference, or derived through up to MAX_DEPTH levels
-    # of parent - child, is within 5 m (m + MAX_DEPTH) eps max|r| of its
-    # row-order sum; a node's gain moves by 4 max|r| times that, and tol * k
-    # is at least twice the bound for a gain summed over k nodes, rounding
-    # of the gain arithmetic included.
-    tol = 64.0 * m * (m + MAX_DEPTH) * np.finfo(np.float64).eps * float(np.max(r * r))
+    q = np.rint(r / (np.abs(r).max() or 1.0) * Q)   # all 0 if every r is 0
     leaf = np.zeros(m, dtype=np.intp)          # each row's node on this level
     live = np.arange(m)                         # rows of the nodes that can split
     slot = np.zeros(m, dtype=np.intp)           # their node among those
     count = np.array([m])                       # rows per node that can split
-    total = np.bincount(slot, weights=r)
-    value = rate * (total / count)              # per node of the level
-    hist = _histograms(binned, rows, r, slot, 1)
+    total = np.bincount(slot, weights=q)
+    value = rate * (np.bincount(slot, weights=r) / count)   # per node of the level
+    hist = _histograms(binned, rows, q, slot, 1)
     feature, threshold = [], []
     while count.size and len(feature) < params.max_depth:
         k = count.size
-        split = _best_split(binned, hist, count, total, rows[live], r[live],
-                            slot, min_leaf, tol * k)
+        split = _best_split(binned, hist, count, total, min_leaf)
         if split is None:
             break
         f, code = split
         feature.append(f)
         threshold.append(float(binned.uppers[f][code]))
-        bit = _take(binned, rows, [f])[:, 0] > threshold[-1]
+        bit = _column(binned, f, rows) > threshold[-1]
         leaf = 2 * leaf + bit
         value = np.repeat(value, 2)
         child = 2 * slot + bit[live]            # each live row's child, of 2k
         count = np.bincount(child, minlength=2 * k)
-        total = np.bincount(child, weights=r[live], minlength=2 * k)
+        total = np.bincount(child, weights=q[live], minlength=2 * k)
+        sums = np.bincount(child, weights=r[live], minlength=2 * k)
         grown = (np.minimum(count[0::2], count[1::2]) >= min_leaf).repeat(2)
         node = np.zeros(2 * k, dtype=np.intp)   # each child's node index
         node[child] = leaf[live]
-        value[node[grown]] = rate * (total[grown] / count[grown])
+        value[node[grown]] = rate * (sums[grown] / count[grown])
         keep = count >= 2 * min_leaf
         parents = np.flatnonzero(keep[0::2] | keep[1::2])
         if parents.size and len(feature) < params.max_depth:
@@ -273,7 +252,7 @@ def _grow_tree(binned: _Binned, res, rows,
             place = np.full(2 * k, 2 * parents.size)    # in [small children, siblings]
             place[small], place[small ^ 1] = np.arange(2 * parents.size).reshape(2, -1)
             on = place[child] < parents.size
-            part = _histograms(binned, rows[live[on]], r[live[on]],
+            part = _histograms(binned, rows[live[on]], q[live[on]],
                                place[child[on]], parents.size)
             hist = [np.concatenate([h, whole[parents] - h])[place[keep]]
                     for whole, h in zip(hist, part)]

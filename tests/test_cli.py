@@ -1427,6 +1427,48 @@ def test_ligand_past_max_atoms_is_a_bad_smiles_drop_and_a_bad_dataset_line(
         assert "line 8" in err and not target.exists()
 
 
+def test_receptor_past_max_residues_is_a_bad_receptor_drop_and_a_bad_dataset_line(
+        pipeline, tmp_path, capsys):
+    huge = "A" * (bindkit.fasta.MAX_RESIDUES + 1)
+    raw = tmp_path / "raw.tsv"
+    raw.write_text(pathlib.Path(RAW).read_text() + f"{huge}\tCCO\t10\n")
+    out = tmp_path / "dataset"
+    assert main(["--config", pipeline["cfg"], "--quiet", "ingest",
+                 "--in", str(raw), "--out", str(out)]) == 0
+    prov = json.loads((out / "provenance.json").read_text())
+    assert prov["drops"] == dict(EXPECTED_DROPS, bad_receptor=1 + 1)
+    assert (out / "dataset.tsv").read_text() == \
+        (pathlib.Path(pipeline["data"]) / "dataset.tsv").read_text()
+    lines = (out / "dataset.tsv").read_text().splitlines()
+    (out / "dataset.tsv").write_text("\n".join(with_cell(lines, 7, 3, huge)) + "\n")
+    for command in ("featurize", "export-graphs"):
+        target = tmp_path / command
+        assert main(["--quiet", command, "--dataset", str(out), "--subset",
+                     "all", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert f"more than {bindkit.fasta.MAX_RESIDUES}" in err, err
+        assert "line 8" in err and not target.exists()
+
+
+def test_fasta_record_past_max_residues_exits_2(tmp_path, capsys):
+    fasta = tmp_path / "receptors.fasta"
+    fasta.write_text(">P1\nMKV\n>P2 long\n"
+                     + "A" * (bindkit.fasta.MAX_RESIDUES + 1) + "\n")
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("receptor_fasta\tligand_smiles\tki_nm\n"
+                   + "".join(f"@file:P1\t{smiles}\t10.0\n"
+                             for smiles in ("CCO", "c1ccccc1", "CC(=O)O")))
+    cfg = tmp_path / "pipeline.toml"
+    cfg.write_text(f'[paths]\nfasta = "{fasta}"\n')
+    out = tmp_path / "d"
+    assert main(["--quiet", "--config", str(cfg), "ingest", "--in", str(raw),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "'P2'" in err, err
+    assert f"more than {bindkit.fasta.MAX_RESIDUES}" in err
+    assert not out.exists()
+
+
 # SMILES pieces: valid atoms and bonds, broken brackets, long digit runs,
 # huge and nine-digit charges, and non-ASCII digits, letters and spaces.
 SMILES_PIECES = (

@@ -2,12 +2,14 @@
 import pytest
 
 from bindkit.fasta import (
+    MAX_RESIDUES,
     RESIDUE_ALPHABET,
     EmptyRecordError,
     FastaError,
     IllegalResidueError,
     NoHeaderError,
     ProteinSequence,
+    SequenceTooLongError,
     format_fasta,
     parse_fasta,
 )
@@ -93,6 +95,17 @@ def test_extended_codes_accepted():
     recs = parse_fasta(">x\nAXBZU\n")
     assert recs[0].residues == "AXBZU"
     assert set(recs[0].residues) <= set(RESIDUE_ALPHABET)
+
+
+def test_sequence_past_max_residues_is_refused_before_its_residues():
+    assert MAX_RESIDUES >= 35_000                   # titin must fit
+    assert ProteinSequence("titin", "M" * MAX_RESIDUES).length == MAX_RESIDUES
+    for residues in ("M" * (MAX_RESIDUES + 1), "J" * (MAX_RESIDUES + 1)):
+        with pytest.raises(SequenceTooLongError,
+                           match=f"'long' has {MAX_RESIDUES + 1} residues"):
+            ProteinSequence("long", residues)
+    with pytest.raises(FastaError, match="'p2'"):
+        parse_fasta(">p1\nMK\n>p2\n" + "A" * (MAX_RESIDUES + 1) + "\n")
 
 
 def test_sequence_object_validation():

@@ -4,6 +4,7 @@ Training behavior is checked against closed-form expectations on tiny
 constructed problems (where leaf means are dyadic rationals and thus exact
 in binary floating point), plus structural contracts on realistic data.
 """
+import warnings
 from array import array
 
 import numpy as np
@@ -20,8 +21,9 @@ from bindkit.gbdt import (
     load_model,
     save_model,
     train,
+    Q,
     _bin_columns,
-    _take,
+    _column,
 )
 from bindkit.model import Features
 from testutil import dense_matrix
@@ -44,20 +46,25 @@ def leaf_of(tree, x):
 
 def test_step_function_is_fit_exactly():
     # 50/50 binary feature, y = x: base 0.5, one split, leaves -0.5/+0.5.
-    # every quantity is dyadic so the fit is bit-exact
+    # every quantity is dyadic so the fit is bit-exact; the second tree then
+    # sees all-zero residuals, whose quantization must not divide by zero
     X = np.zeros((100, 1))
     X[50:, 0] = 1.0
     y = X[:, 0].copy()
-    params = TrainParams(n_trees=1, max_depth=1, learning_rate=1.0,
+    params = TrainParams(n_trees=2, max_depth=1, learning_rate=1.0,
                          min_samples_leaf=1)
-    model, metrics = train(X, y, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model, metrics = train(X, y, params)
     assert model.base_score == 0.5
-    assert len(model.trees) == 1
+    assert len(model.trees) == 2
     tree = model.trees[0]
     assert len(tree.feature) == 1 and tree.threshold[0] == 0.0
     assert sorted(tree.leaf_value) == [-0.5, 0.5]
+    still = model.trees[1]
+    assert still.feature == still.threshold == () and still.leaf_value == (0.0,)
     assert np.array_equal(model.predict(X), y)
-    assert metrics["train_loss"][-1] == 0.0
+    assert metrics["train_loss"] == [0.0, 0.0]
 
 
 def test_zero_gain_nodes_become_leaves():
@@ -173,9 +180,9 @@ def row_order_sum(values):
 
 def reference_level(codes, bins_per_f, res, nodes, min_leaf):
     """(feature, code threshold) of the best split of a level, or None: one
-    flat bincount over every (row, column) cell of each node, and each
-    candidate's gain summed, in node order, over the nodes where both sides
-    keep min_leaf rows."""
+    flat bincount of the (integer) residuals res over every (row, column)
+    cell of each node, and each candidate's gain summed, in node order, over
+    the nodes where both sides keep min_leaf rows."""
     max_bins = int(bins_per_f.max())
     offsets = np.arange(codes.shape[1]) * max_bins
     size = codes.shape[1] * max_bins
@@ -208,17 +215,23 @@ def reference_level(codes, bins_per_f, res, nodes, min_leaf):
 
 def reference_tree(codes, uppers, res, rows, params):
     """Level-wise oblivious growth over every occupied node, routing rows by
-    bin code.  Where a split leaves a node a side of fewer than
-    min_samples_leaf rows, both children take the node's value; elsewhere
-    each child takes its own."""
+    bin code.  Splits are searched on the in-bag residuals rounded to
+    integers in [-Q, Q] (train's quantized residuals), and leaf values are
+    means of the float residuals.  Where a split leaves a node a side of
+    fewer than min_samples_leaf rows, both children take the node's value;
+    elsewhere each child takes its own."""
     bins_per_f = np.array([len(u) for u in uppers])
     rate, min_leaf = params.learning_rate, params.min_samples_leaf
+    scale = np.abs(res[rows]).max()
+    quantized = np.zeros(len(res))
+    if scale > 0:
+        quantized[rows] = np.rint(res[rows] * Q / scale)
     feature, threshold = [], []
     value = [rate * (row_order_sum(res[rows]) / rows.size)]
     nodes = {0: rows}                   # node index -> rows, of occupied nodes
     while len(feature) < params.max_depth:
-        split = reference_level(codes, bins_per_f, res, list(nodes.values()),
-                                min_leaf)
+        split = reference_level(codes, bins_per_f, quantized,
+                                list(nodes.values()), min_leaf)
         if split is None:
             break
         f, code_t = split
@@ -322,6 +335,24 @@ def test_histogram_trees_match_dense_reference(case, seed):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tree_does_not_depend_on_row_order(seed):
+    """Quantized sums are exact in any order of addition, so a tree grown on
+    permuted rows takes the same splits; y on a 1/64 grid keeps its mean,
+    and so every residual, independent of row order.  Leaf values are means
+    of float residuals, which may differ in the last bits."""
+    X, y = mixed_matrix(seed)
+    y = np.round(y * 64.0) / 64.0
+    perm = np.random.default_rng(seed + 50).permutation(len(y))
+    params = TrainParams(n_trees=1, max_depth=6, learning_rate=0.3,
+                         min_samples_leaf=3, seed=seed)
+    (a,), (b,) = (train(X_, y_, params)[0].trees
+                  for X_, y_ in ((X, y), (X[perm], y[perm])))
+    assert len(a.feature) > 1
+    assert a.feature == b.feature and a.threshold == b.threshold
+    assert np.allclose(a.leaf_value, b.leaf_value, rtol=0.0, atol=1e-12)
+
+
 def packed_matrix(seed, n=200, nbits=45):
     """The mixed dense matrix beside a packed block of sparse bits with an
     all-zero, an all-one, an exact-half and a complementary bit column; 45
@@ -361,9 +392,8 @@ def test_feature_store_layout():
     assert np.array_equal(matrix[:, d + 30], 1.0 - matrix[:, d + 5])
     rows, cols = [7, 0, 7], [d + 44, 3, d, d + 17, d - 1]
     binned = _bin_columns(store, 256)
-    for take in (cols, cols[:2], cols[1:2]):
-        assert np.array_equal(_take(binned, rows, take),
-                              matrix[np.ix_(rows, take)])
+    for f in cols:
+        assert np.array_equal(_column(binned, f, rows), matrix[rows, f])
     assert not binned.dense.flags.writeable and not binned.bits.flags.writeable
     one = Features.from_array(dense[0])
     assert one.shape == (1, d) and np.array_equal(dense_matrix(one), dense[:1])
