@@ -415,7 +415,10 @@ def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS) -> Dataset:
     repr(10.0 ** log_ki) that write_dataset writes, or a log_ki outside the
     log10 of bounds (ingest keeps a Ki within bounds as log10(Ki), and 10.0
     ** that can round just outside them) raises DatasetFormatError naming
-    the line.  A provenance.json that is not JSON, is not a JSON object, or
+    the line.  After those checks, one batch refinement of the distinct
+    ligands recomputes every pair key, and the first row whose key is not
+    that of its residues and ligand raises DatasetFormatError naming the
+    line.  A provenance.json that is not JSON, is not a JSON object, or
     holds a source_digest that is not a string raises DatasetFormatError
     naming the file.
     """
@@ -492,4 +495,12 @@ def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS) -> Dataset:
                                      "whose source_digest is a string")
     if not records:
         raise EmptyAfterFilteringError("dataset file holds no records")
+    identities = dict(zip(molecules, map(
+        _ligand_identity, _full_refinement_ids_batch(molecules.values()))))
+    for rec, line_no in zip(records, key_lines.values()):   # one line each
+        if rec.pair_key != _pair_key(rec.receptor.residues,
+                                     identities[rec.ligand.source]):
+            raise DatasetFormatError(
+                f"pair_key {rec.pair_key} is not the key of its receptor "
+                f"and ligand at line {line_no}")
     return Dataset(records=tuple(records), provenance=provenance)

@@ -71,7 +71,8 @@ def _bin_columns(X: Features, n_bins: int) -> _Binned:
     """Dense columns with at most n_bins distinct values bin exactly; wider
     ones keep quantile-ranked values.  A bit column set in some but not all
     rows has the bins [0, 1], and is constant otherwise.  Binning reads the
-    two blocks of X directly; split search reads through _take."""
+    two blocks of X directly; after binning, _column reads one column at a
+    time, only to route rows."""
     dense, packed = _blocks(X)
     n, d = dense.shape
     uppers: list[np.ndarray] = []
@@ -213,12 +214,13 @@ def _grow_tree(binned: _Binned, res, rows,
     learning_rate * their mean float residual, or, where the split leaves a
     side of fewer than min_samples_leaf rows, the node's own value.  Of two
     children that can split, the smaller is histogrammed and the other is
-    the parent minus it.  Returns the tree and the leaf of each of rows."""
+    the parent minus it.  Every training row, in rows or not, is routed
+    level by level.  Returns the tree and the leaf of each training row."""
     min_leaf, rate = params.min_samples_leaf, params.learning_rate
     r = res[rows]
     m = rows.size
     q = np.rint(r / (np.abs(r).max() or 1.0) * Q)   # all 0 if every r is 0
-    leaf = np.zeros(m, dtype=np.intp)          # each row's node on this level
+    leaf = np.zeros(len(res), dtype=np.intp)   # each training row's node
     live = np.arange(m)                         # rows of the nodes that can split
     slot = np.zeros(m, dtype=np.intp)           # their node among those
     count = np.array([m])                       # rows per node that can split
@@ -234,16 +236,17 @@ def _grow_tree(binned: _Binned, res, rows,
         f, code = split
         feature.append(f)
         threshold.append(float(binned.uppers[f][code]))
-        bit = _column(binned, f, rows) > threshold[-1]
+        bit = _column(binned, f, slice(None)) > threshold[-1]
         leaf = 2 * leaf + bit
         value = np.repeat(value, 2)
-        child = 2 * slot + bit[live]            # each live row's child, of 2k
+        at = rows[live]
+        child = 2 * slot + bit[at]              # each live row's child, of 2k
         count = np.bincount(child, minlength=2 * k)
         total = np.bincount(child, weights=q[live], minlength=2 * k)
         sums = np.bincount(child, weights=r[live], minlength=2 * k)
         grown = (np.minimum(count[0::2], count[1::2]) >= min_leaf).repeat(2)
         node = np.zeros(2 * k, dtype=np.intp)   # each child's node index
-        node[child] = leaf[live]
+        node[child] = leaf[at]
         value[node[grown]] = rate * (sums[grown] / count[grown])
         keep = count >= 2 * min_leaf
         parents = np.flatnonzero(keep[0::2] | keep[1::2])
@@ -331,10 +334,7 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
         tree, leaf = _grow_tree(binned, res, bag, params)
         trees.append(tree)
         value = np.asarray(tree.leaf_value)
-        F[bag] += value[leaf]
-        if len(bag) < n:
-            oob = np.setdiff1d(np.arange(n), bag)
-            F[oob] += value[_leaves(tree, X)][oob]
+        F += value[leaf]
         metrics["train_loss"].append(float(np.mean((y - F) ** 2)))
         if Fv is not None:
             Fv += value[_leaves(tree, Xv)]

@@ -5,14 +5,11 @@ half-open bins [lo, lo+width); anything outside [start, stop) is pooled into
 an out-of-range cell.  Since the cells partition the samples, the weighted
 recombination of cell MAEs reproduces the overall MAE.
 
-The module imports without numpy, so the evaluate command starts without
-it.  Every sum is taken in the order numpy takes it, so the scores are the
-bits numpy computes: a mean over a float64 array is numpy's pairwise sum
-(_sum), a per-bin sum is a running sum in sample order, as
-np.bincount(..., weights=) adds, and an accuracy is an exact count over n.
-numpy is imported only to flatten input that is not already a flat list of
-floats, such as an array.  The checked .npy reader shared with the model
-module lives here, so evaluate reads y.npy without numpy.
+The module imports no numpy, so the evaluate command starts without it.
+Every mean is math.fsum of its errors, the correctly rounded sum (Shewchuk,
+Discrete Comput. Geom. 18, 1997), divided by the count; an accuracy is an
+exact count over n.  The checked .npy reader shared with the model module
+lives here, so evaluate reads y.npy without numpy.
 """
 from __future__ import annotations
 
@@ -22,8 +19,6 @@ import re
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 from .errors import DataError, DatasetError, DimensionMismatchError
 
@@ -53,40 +48,18 @@ class MetricsError(DataError):
     pass
 
 
-def _floats(values) -> list[float]:
-    """values as np.asarray(values, dtype=np.float64).ravel() holds them, as
-    a list of Python floats."""
-    if type(values) is list and set(map(type, values)) <= {float}:
-        return values
-    import numpy as np
-    return np.asarray(values, dtype=np.float64).ravel().tolist()
-
-
-def _pairwise(values: list[float], lo: int, hi: int) -> float:
-    """numpy's pairwise_sum of values[lo:hi] (Higham, SIAM J. Sci. Comput.
-    14, 1993): a plain loop below 8 values, eight strided accumulators up to
-    128, else the halves split at a multiple of 8."""
-    n = hi - lo
-    if n < 8:
-        return reduce(add, values[lo:hi], -0.0)
-    if n <= 128:
-        tail = hi - n % 8
-        r = [reduce(add, values[lo + j:tail:8]) for j in range(8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        return reduce(add, values[tail:hi], total)
-    half = n // 2
-    half -= half % 8
-    return _pairwise(values, lo, lo + half) + _pairwise(values, lo + half, hi)
-
-
-def _sum(values: list[float]) -> float:
-    """np.add.reduce of a float64 vector, bit for bit: the reduction adds
-    the pairwise sum to its identity +0.0."""
-    return 0.0 + _pairwise(values, 0, len(values))
+def _mean(errors: list[float]) -> float:
+    """The mean of a non-empty list of non-negative errors: their correctly
+    rounded sum over their count, or inf where that sum passes the float
+    range (math.fsum raises OverflowError there)."""
+    try:
+        return math.fsum(errors) / len(errors)
+    except OverflowError:
+        return math.inf
 
 
 def _pair(y_true, y_pred):
-    t, p = _floats(y_true), _floats(y_pred)
+    t, p = [float(v) for v in y_true], [float(v) for v in y_pred]
     if len(t) != len(p):
         raise DimensionMismatchError(
             f"length mismatch: {len(t)} true vs {len(p)} predicted")
@@ -99,7 +72,7 @@ def _pair(y_true, y_pred):
 
 def mae(y_true, y_pred) -> float:
     t, p = _pair(y_true, y_pred)
-    return _sum([abs(a - b) for a, b in zip(t, p)]) / len(t)
+    return _mean([abs(a - b) for a, b in zip(t, p)])
 
 
 @dataclass(frozen=True)
@@ -125,22 +98,18 @@ def binned_mae(
     """
     t, p = _pair(y_true, y_pred)
     n_bins = _bin_count(start, stop, width)
-    counts = [0] * n_bins
-    sums = [0.0] * n_bins
+    cells = [[] for _ in range(n_bins)]
     outside = []
     for a, b in zip(t, p):
-        err = abs(a - b)
         if start <= a < stop:
             # guard the float edge case where a just below stop floors onto n_bins
-            i = min(math.floor((a - start) / width), n_bins - 1)
-            counts[i] += 1
-            sums[i] += err
+            cells[min(math.floor((a - start) / width), n_bins - 1)].append(abs(a - b))
         else:
-            outside.append(err)
-    maes = tuple(s / c if c else None for s, c in zip(sums, counts))
-    oor_mae = _sum(outside) / len(outside) if outside else None
+            outside.append(abs(a - b))
+    maes = tuple(_mean(c) if c else None for c in cells)
+    oor_mae = _mean(outside) if outside else None
     edges = tuple(start + i * width for i in range(n_bins + 1))
-    return BinnedMae(edges=edges, counts=tuple(counts), maes=maes,
+    return BinnedMae(edges=edges, counts=tuple(map(len, cells)), maes=maes,
                      out_of_range_count=len(outside), out_of_range_mae=oor_mae)
 
 

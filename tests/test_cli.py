@@ -499,9 +499,20 @@ def with_cell(lines, row, column, value):
     return lines[:row] + ["\t".join(cells)] + lines[row + 1:]
 
 
+def swap_smiles(lines, a, b):
+    """lines with the SMILES cells of rows a and b exchanged."""
+    smiles_a, smiles_b = lines[a].split("\t")[4], lines[b].split("\t")[4]
+    assert smiles_a != smiles_b
+    return with_cell(with_cell(lines, a, 4, smiles_b), b, 4, smiles_a)
+
+
 @pytest.mark.parametrize("damage,message,line", [
     (lambda lines: lines + [lines[3]], "duplicate pair_key", 30),
     (lambda lines: with_cell(lines, 3, 5, "123.0"), "does not match", 4),
+    (lambda lines: with_cell(lines, 5, 0, "0" * 64),
+     "is not the key of its receptor and ligand", 6),
+    (lambda lines: swap_smiles(lines, 6, 9),
+     "is not the key of its receptor and ligand", 7),
 ])
 def test_inconsistent_dataset_row_exits_2(pipeline, tmp_path, capsys, damage,
                                           message, line):
@@ -617,6 +628,22 @@ def test_evaluate_hand_fixture(tmp_path):
     report = json.loads(out.read_text())
     assert report["accuracy_at_threshold"] == 0.75
     assert report["mae"] == pytest.approx(0.825)
+
+
+def test_evaluate_of_errors_summing_past_the_float_range_reports_inf(tmp_path):
+    """Two finite errors of 1e308 sum past the float range: the MAE and
+    the bin MAE are inf, and evaluate exits 0."""
+    pred = tmp_path / "pred.txt"
+    truth = tmp_path / "truth.txt"
+    pred.write_text("1e308\n1e308\n")
+    truth.write_text("0\n0\n")
+    out = tmp_path / "report.json"
+    assert main(["--quiet", "evaluate", "--pred", str(pred),
+                 "--truth", str(truth), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["mae"] == math.inf
+    assert [cell["mae"] for cell in report["bins"] if cell["count"]] == [math.inf]
+    assert "0.0,0.5,2,inf" in (tmp_path / "report.csv").read_text().splitlines()
 
 
 def _object_truth_dir(tmp_path):

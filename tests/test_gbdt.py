@@ -580,9 +580,10 @@ def test_degenerate_model_predicts_its_base_bits(base):
 
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_PARAMS))
 def test_training_sums_match_numpy_routing(case):
-    """train adds each in-bag row's leaf from the partition that grew the
-    tree and routes out-of-bag and validation rows; the losses it reports
-    are those of routing every row through the numpy reference."""
+    """train adds each training row's leaf, in-bag or out-of-bag, from the
+    grower, which routes every training row, and routes validation rows
+    through the model's router; the losses it reports are those of routing
+    every row through the numpy reference."""
     store, y = packed_matrix(3)
     Xv, yv = packed_matrix(4, n=90)
     params = TrainParams(n_trees=6, max_depth=5, learning_rate=0.3, seed=3,

@@ -4,7 +4,10 @@ The central oracle: binned cells partition the samples, so recombining cell
 MAEs weighted by counts must reproduce the overall MAE to float precision.
 """
 import json
+import math
 import struct
+from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from bindkit.metrics import (
     MetricsError,
     _load_vector,
     _npy_payload,
-    _sum,
     binned_mae,
     build_report,
     classify_accuracy,
@@ -122,8 +124,9 @@ def test_binning_rejects_non_finite_and_too_many_bins(start, stop, width, messag
                           width=1.0).counts) == MAX_BINS
 
 
-# Lengths on each side of numpy's pairwise-summation thresholds (8 and 128
-# values per block) and of its 8,192-element reduction buffer.
+# Lengths on each side of the block sizes of numpy's pairwise summation (8
+# and 128 values) and of its 8,192-element reduction buffer, where a sum
+# whose rounding depends on the order of addition changes that order.
 EDGE_LENGTHS = [1, 7, 8, 9, 127, 128, 129, 8193]
 summands = st.one_of(
     st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, -1.0]),
@@ -142,19 +145,77 @@ def float_vectors(draw):
     return head + tail.tolist()
 
 
+def exact_mean(errors):
+    """The exact rational sum of errors, rounded once, over their count."""
+    return float(sum(map(Fraction, errors))) / len(errors)
+
+
+pack = struct.Struct("<d").pack
+
+
+def bits(value):
+    """A float's bytes, so that 0.0 and -0.0 differ; None stays None."""
+    return None if value is None else pack(value)
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(float_vectors())
-def test_sum_is_numpy_add_reduce_bit_for_bit(values):
-    pack = struct.Struct("<d").pack
-    assert pack(_sum(values)) == pack(np.add.reduce(np.array(values)))
-    assert pack(mae(values, [0.0] * len(values))) == \
-        pack(np.abs(np.array(values)).mean())
+def test_report_means_are_the_exact_mean_rounded_once(values):
+    """Scored against the reversed vector, every mean of the report is the
+    exactly rounded sum of its errors over their count, bit for bit; the
+    report bins each truth as floor((truth - start) / width)."""
+    t, p = values, values[::-1]
+    report = build_report(t, p)
+    start, width = DEFAULT_BIN_START, DEFAULT_BIN_WIDTH
+    cells = [[] for _ in report["bins"]]
+    outside = []
+    for a, b in zip(t, p):
+        if start <= a < DEFAULT_BIN_STOP:
+            cells[min(math.floor((a - start) / width), len(cells) - 1)].append(abs(a - b))
+        else:
+            outside.append(abs(a - b))
+    assert [cell["count"] for cell in report["bins"]] == list(map(len, cells))
+    assert report["out_of_range"]["count"] == len(outside)
+    got = [report["mae"], *(cell["mae"] for cell in report["bins"]),
+           report["out_of_range"]["mae"]]
+    want = [exact_mean([abs(a - b) for a, b in zip(t, p)]),
+            *(exact_mean(errors) if errors else None for errors in cells),
+            exact_mean(outside) if outside else None]
+    assert list(map(bits, got)) == list(map(bits, want))
+    assert pack(mae(values, values)) == pack(0.0)
 
 
 @pytest.mark.parametrize("n", EDGE_LENGTHS + [16385])
 def test_sum_of_negative_zeros_is_positive_zero_as_in_numpy(n):
-    assert struct.pack("<d", _sum([-0.0] * n)) == \
-        struct.pack("<d", np.add.reduce(np.full(n, -0.0)))
+    """Negative-zero truths scored against zero predictions: the MAE, the
+    bin MAE and the out-of-range MAE are +0.0, as numpy's mean is."""
+    t, p = [-0.0] * n, [0.0] * n
+    zero = pack(np.abs(np.array(t) - np.array(p)).mean())
+    assert zero == pack(0.0)
+    assert pack(mae(t, p)) == zero
+    assert pack(binned_mae(t, p).maes[4]) == zero            # bin [0.0, 0.5)
+    assert pack(binned_mae(t, p, start=1.0, stop=2.0, width=1.0)
+                .out_of_range_mae) == zero
+
+
+def test_errors_summing_past_the_float_range_give_inf():
+    """math.fsum raises OverflowError where finite errors sum past the float
+    range; the report's means are inf there, as a running sum gives."""
+    report = build_report([0.0, 0.0], [1e308, 1e308])
+    assert report["mae"] == math.inf
+    assert [cell["mae"] for cell in report["bins"] if cell["count"]] == [math.inf]
+    report = build_report([0.0, 0.0], [1e308, 1e308], start=1.0, stop=2.0, width=1.0)
+    assert report["out_of_range"]["mae"] == math.inf
+
+
+def test_input_is_read_as_a_flat_sequence_of_floats():
+    """Lists, tuples, array('d') and 1-D arrays score alike; nested input
+    is not flattened."""
+    t, p = [1.0, 2.0, 4.0], [1.5, 2.0, 3.0]
+    for kind in (list, tuple, lambda v: array("d", v), np.array):
+        assert mae(kind(t), kind(p)) == 0.5
+    with pytest.raises(TypeError):
+        mae([[1.0, 2.0]], [[1.0, 2.0]])
 
 
 @pytest.mark.parametrize("array", [
