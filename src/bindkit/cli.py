@@ -130,7 +130,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
 
 def cmd_featurize(args, cfg: PipelineConfig) -> int:
     from . import dataset as ds_mod
-    dataset = ds_mod.load_dataset(args.dataset, cfg.bounds)
+    dataset = ds_mod.load_dataset(args.dataset, cfg.bounds, args.subset)
     table = _table_for(cfg)
     X, y, columns, ids = ds_mod.featurize_pairs(
         dataset, which=args.subset, radius=cfg.radius, nbits=cfg.nbits,
@@ -238,9 +238,9 @@ def _block_json(features, rows: dict[bytes, str]) -> str:
 
 def cmd_export_graphs(args, cfg: PipelineConfig) -> int:
     from . import dataset as ds_mod
-    dataset = ds_mod.load_dataset(args.dataset, cfg.bounds)
+    dataset = ds_mod.load_dataset(args.dataset, cfg.bounds, args.subset)
     table = _table_for(cfg)
-    records = dataset.subset(args.subset)
+    records = dataset.records
     if not records:
         raise DatasetError(f"subset {args.subset!r} is empty")
     # Each distinct block and node row is serialized once; a line is then

@@ -376,6 +376,7 @@ def featurize_pairs(
 
 _TSV_COLUMNS = ("pair_key", "split", "receptor_id", "receptor_fasta",
                 "ligand_smiles", "ki_nm", "log_ki")
+_TSV_DIGEST = "dataset_tsv_sha256"      # the provenance.json key
 
 
 def write_dataset(dataset: Dataset, outdir) -> None:
@@ -383,7 +384,9 @@ def write_dataset(dataset: Dataset, outdir) -> None:
 
     Floats are serialized with repr (shortest round-trip), keys are sorted,
     nothing time-dependent is recorded: identical datasets produce
-    byte-identical files.
+    byte-identical files.  provenance.json holds dataset.provenance plus
+    the sha256 of the dataset.tsv written (dataset_tsv_sha256), by which
+    load_dataset knows a file this function wrote.
     """
     os.makedirs(outdir, exist_ok=True)
     rows = [_TSV_COLUMNS]
@@ -394,39 +397,90 @@ def write_dataset(dataset: Dataset, outdir) -> None:
             if "\t" in cell or "\n" in cell:
                 raise DatasetFormatError(f"field contains separator: {cell!r}")
         rows.append(cells)
+    digest = hashlib.sha256()
     with open(os.path.join(outdir, "dataset.tsv"), "w", encoding="utf-8",
               newline="\n") as fh:
         for cells in rows:
-            fh.write("\t".join(cells) + "\n")
+            line = "\t".join(cells) + "\n"
+            fh.write(line)
+            digest.update(line.encode("utf-8"))
     with open(os.path.join(outdir, "provenance.json"), "w", encoding="utf-8",
               newline="\n") as fh:
-        json.dump(dataset.provenance, fh, sort_keys=True, indent=2)
+        json.dump({**dataset.provenance, _TSV_DIGEST: digest.hexdigest()}, fh,
+                  sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS) -> Dataset:
-    """Reload a curated dataset directory written by write_dataset.
-
-    Each distinct SMILES is parsed, and each distinct (receptor id, residues)
-    pair validated, once, at its first row; records that name the same
-    ligand or receptor share one frozen object.  A bad SMILES or residue
-    string raises its own ParseError or FastaError, with the line named.
-    A pair key seen on an earlier line, a ki_nm cell other than the
-    repr(10.0 ** log_ki) that write_dataset writes, or a log_ki outside the
+def _checked_log_ki(ki_nm: str, log_ki: str, line_no: int,
+                    bounds: KiBounds) -> float:
+    """The log_ki cell of a dataset.tsv row as a float; DatasetFormatError
+    naming the line unless it is finite, the ki_nm cell is the
+    repr(10.0 ** log_ki) that write_dataset writes, and it lies within the
     log10 of bounds (ingest keeps a Ki within bounds as log10(Ki), and 10.0
-    ** that can round just outside them) raises DatasetFormatError naming
-    the line.  After those checks, one batch refinement of the distinct
-    ligands recomputes every pair key, and the first row whose key is not
-    that of its residues and ligand raises DatasetFormatError naming the
-    line.  A provenance.json that is not JSON, is not a JSON object, or
-    holds a source_digest that is not a string raises DatasetFormatError
-    naming the file.
+    ** that can round just outside them)."""
+    try:
+        value = float(log_ki)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DatasetFormatError(f"bad log_ki {log_ki!r} at line {line_no}")
+    try:
+        expected = repr(10.0 ** value)
+    except OverflowError:
+        expected = None
+    if ki_nm != expected:
+        raise DatasetFormatError(
+            f"ki_nm {ki_nm!r} does not match log_ki {log_ki!r} "
+            f"at line {line_no}")
+    if not math.log10(bounds.min_nm) <= value <= math.log10(bounds.max_nm):
+        raise DatasetFormatError(
+            f"ki_nm {ki_nm!r} outside the curation window "
+            f"[{bounds.min_nm!r}, {bounds.max_nm!r}] at line {line_no}")
+    return value
+
+
+def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS,
+                 subset: str = "all") -> Dataset:
+    """Reload a curated dataset directory written by write_dataset; the
+    returned dataset holds the records of subset ("all", or one split
+    name), in file order.
+
+    Every row gets the per-line checks: a wrong column count, an unknown
+    split, a pair key seen on an earlier line, or a log_ki that
+    _checked_log_ki rejects raises DatasetFormatError naming the line.  A
+    provenance.json that is not JSON, is not a JSON object, or holds a
+    source_digest that is not a string raises DatasetFormatError naming
+    the file.
+
+    When provenance.json records the sha256 of this very dataset.tsv, the
+    file is write_dataset's own output and already validated: only the
+    rows of subset build a receptor and parse a ligand, and no pair key is
+    recomputed.  Any other file is validated in full: every row's receptor
+    and ligand are built (a bad SMILES or residue string raises its own
+    ParseError or FastaError, with the line named), and one batch
+    refinement of the distinct ligands then recomputes every pair key; the
+    first row whose key is not that of its residues and ligand raises
+    DatasetFormatError naming the line.  Either way each distinct SMILES
+    is parsed, and each distinct (receptor id, residues) pair validated,
+    once, at its first row; records that name the same ligand or receptor
+    share one frozen object.
     """
+    if subset != "all" and subset not in SPLIT_NAMES:
+        raise ValueError(f"unknown subset {subset!r}")
     tsv = os.path.join(outdir, "dataset.tsv")
+    prov_path = os.path.join(outdir, "provenance.json")
+    provenance = {}
+    if os.path.exists(prov_path):
+        provenance = _read_json(prov_path, DatasetFormatError)
+        if not isinstance(provenance, dict) or not isinstance(
+                provenance.get("source_digest", ""), str):
+            raise DatasetFormatError(f"{prov_path}: expected a JSON object "
+                                     "whose source_digest is a string")
+    recorded = provenance.pop(_TSV_DIGEST, None)
+    trusted = isinstance(recorded, str) and recorded == file_digest(tsv)
     molecules: dict[str, Molecule] = {}
     receptors: dict[tuple[str, str], ProteinSequence] = {}
     key_lines: dict[str, int] = {}
-    log_window = math.log10(bounds.min_nm), math.log10(bounds.max_nm)
     with open(tsv, "r", encoding="utf-8") as fh:
         header = tuple(fh.readline().rstrip("\n").split("\t"))
         if header != _TSV_COLUMNS:
@@ -447,6 +501,9 @@ def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS) -> Dataset:
                 raise DatasetFormatError(
                     f"duplicate pair_key {key} at line {line_no} "
                     f"(first at line {first})")
+            if trusted and subset not in ("all", split_name):
+                _checked_log_ki(ki_nm, log_ki, line_no, bounds)
+                continue            # ingest validated the rest of this row
             try:
                 receptor = receptors.get((rid, residues))
                 if receptor is None:
@@ -459,48 +516,23 @@ def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS) -> Dataset:
                 # name the line, keeping the class and its offset fields
                 exc.args = (f"{exc} at line {line_no}",)
                 raise
-            try:
-                value = float(log_ki)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise DatasetFormatError(
-                    f"bad log_ki {log_ki!r} at line {line_no}")
-            try:
-                expected = repr(10.0 ** value)
-            except OverflowError:
-                expected = None
-            if ki_nm != expected:
-                raise DatasetFormatError(
-                    f"ki_nm {ki_nm!r} does not match log_ki {log_ki!r} "
-                    f"at line {line_no}")
-            if not log_window[0] <= value <= log_window[1]:
-                raise DatasetFormatError(
-                    f"ki_nm {ki_nm!r} outside the curation window "
-                    f"[{bounds.min_nm!r}, {bounds.max_nm!r}] at line {line_no}")
             records.append(AffinityRecord(
                 receptor=receptor,
                 ligand=ligand,
-                log_ki=value,
+                log_ki=_checked_log_ki(ki_nm, log_ki, line_no, bounds),
                 pair_key=key,
                 split=split_name,
             ))
-    prov_path = os.path.join(outdir, "provenance.json")
-    provenance = {}
-    if os.path.exists(prov_path):
-        provenance = _read_json(prov_path, DatasetFormatError)
-        if not isinstance(provenance, dict) or not isinstance(
-                provenance.get("source_digest", ""), str):
-            raise DatasetFormatError(f"{prov_path}: expected a JSON object "
-                                     "whose source_digest is a string")
-    if not records:
+    if not key_lines:
         raise EmptyAfterFilteringError("dataset file holds no records")
-    identities = dict(zip(molecules, map(
-        _ligand_identity, _full_refinement_ids_batch(molecules.values()))))
-    for rec, line_no in zip(records, key_lines.values()):   # one line each
-        if rec.pair_key != _pair_key(rec.receptor.residues,
-                                     identities[rec.ligand.source]):
-            raise DatasetFormatError(
-                f"pair_key {rec.pair_key} is not the key of its receptor "
-                f"and ligand at line {line_no}")
+    if not trusted:
+        identities = dict(zip(molecules, map(
+            _ligand_identity, _full_refinement_ids_batch(molecules.values()))))
+        for rec, line_no in zip(records, key_lines.values()):   # one line each
+            if rec.pair_key != _pair_key(rec.receptor.residues,
+                                         identities[rec.ligand.source]):
+                raise DatasetFormatError(
+                    f"pair_key {rec.pair_key} is not the key of its receptor "
+                    f"and ligand at line {line_no}")
+        records = [rec for rec in records if subset in ("all", rec.split)]
     return Dataset(records=tuple(records), provenance=provenance)

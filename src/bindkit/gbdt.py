@@ -67,6 +67,13 @@ class _Binned:
 _CHUNK_ROWS = 1024            # rows of bits unpacked at a time for the CSR
 
 
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array, each taken at its first
+    position: np.unique without its numpy.ma import.  After a stable sort,
+    the first of -0.0 and 0.0 is the one seen first."""
+    return ascending[np.concatenate(([True], ascending[1:] != ascending[:-1]))]
+
+
 def _bin_columns(X: Features, n_bins: int) -> _Binned:
     """Dense columns with at most n_bins distinct values bin exactly; wider
     ones keep quantile-ranked values.  A bit column set in some but not all
@@ -75,12 +82,13 @@ def _bin_columns(X: Features, n_bins: int) -> _Binned:
     time, only to route rows."""
     dense, packed = _blocks(X)
     n, d = dense.shape
+    # numpy's "lower" quantile method: the sorted value at floor((n - 1) q)
+    lower = np.floor((n - 1) * np.linspace(0.0, 1.0, n_bins)).astype(np.intp)
     uppers: list[np.ndarray] = []
-    for f in range(d):
-        distinct = np.unique(dense[:, f])
+    for column in np.sort(dense, axis=0, kind="stable").T:
+        distinct = _distinct(column)
         if len(distinct) > n_bins:
-            qs = np.linspace(0.0, 1.0, n_bins)
-            distinct = np.unique(np.quantile(dense[:, f], qs, method="lower"))
+            distinct = _distinct(column[lower])
         uppers.append(distinct)
     ones = np.empty(packed.shape[1] * 8, dtype=np.int64)
     for k in range(8):
@@ -316,7 +324,9 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
 
     binned = _bin_columns(X, params.n_histogram_bins)
 
-    rng = np.random.Generator(np.random.PCG64(params.seed))
+    # numpy.random is imported only when rows are subsampled
+    rng = (np.random.Generator(np.random.PCG64(params.seed))
+           if params.subsample < 1.0 else None)
     n = len(X)
     bag_size = max(1, int(round(params.subsample * n)))
     F = np.full(n, base, dtype=np.float64)

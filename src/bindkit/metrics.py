@@ -174,10 +174,17 @@ def build_report(
 
 def write_report(report: dict, json_path, csv_path=None) -> None:
     """JSON report plus an optional per-bin CSV for plotting.  Empty-bin MAEs
-    are null in JSON and empty cells in CSV."""
+    are null in JSON and empty cells in CSV.  JSON (RFC 8259) has no inf or
+    nan, so a report holding one, such as the inf MAE of errors summing
+    past the float range, raises MetricsError and no file is written."""
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise MetricsError(
+            f"cannot write {json_path}: the report holds a non-finite mean "
+            f"(MAE {report.get('mae')!r}); JSON has no inf or nan") from exc
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
     if csv_path is not None:
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("bin_lo,bin_hi,count,mae\n")

@@ -529,6 +529,79 @@ def test_inconsistent_dataset_row_exits_2(pipeline, tmp_path, capsys, damage,
         assert not out.exists()
 
 
+def set_tsv_digest(data, value):
+    """Replace, or with value None delete, the dataset.tsv digest that
+    provenance.json records."""
+    path = data / "provenance.json"
+    prov = json.loads(path.read_text())
+    if value is None:
+        del prov["dataset_tsv_sha256"]
+    else:
+        prov["dataset_tsv_sha256"] = value
+    path.write_text(json.dumps(prov))
+
+
+@pytest.mark.parametrize("digest", ["as ingest wrote it", "edited"])
+@pytest.mark.parametrize("damage,line", [
+    (lambda lines: with_cell(lines, 5, 0, "0" * 64), 6),
+    (lambda lines: swap_smiles(lines, 6, 9), 7),
+])
+def test_damaged_train_rows_fail_a_test_subset_load(pipeline, tmp_path, capsys,
+                                                   damage, line, digest):
+    """An edit of dataset.tsv breaks its digest, so the load validates every
+    row, also those outside the requested subset."""
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / "dataset.tsv").read_text().splitlines()
+    damaged = damage(lines)
+    assert {lines[i].split("\t")[1] for i in range(len(lines))
+            if damaged[i] != lines[i]} == {"train"}
+    (data / "dataset.tsv").write_text("\n".join(damaged) + "\n")
+    if digest == "edited":
+        set_tsv_digest(data, "0" * 64)
+    for command in ("featurize", "export-graphs"):
+        out = tmp_path / command
+        assert main(["--quiet", command, "--dataset", str(data), "--subset",
+                     "test", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "is not the key of its receptor and ligand" in err, err
+        assert f"line {line}" in err
+        assert not out.exists()
+
+
+def distinct_ligands(data, split_name):
+    rows = [line.split("\t") for line in
+            (pathlib.Path(data) / "dataset.tsv").read_text().splitlines()[1:]]
+    return {cells[4] for cells in rows if split_name in ("all", cells[1])}
+
+
+@pytest.mark.parametrize("digest", ["as ingest wrote it", "edited", "deleted"])
+def test_only_a_trusted_load_skips_the_other_subsets(pipeline, tmp_path,
+                                                     monkeypatch, digest):
+    """featurize --subset test of the dataset ingest wrote parses each
+    distinct test ligand once and no other; with the digest edited or
+    deleted it parses every distinct ligand of the file.  The features are
+    the same bytes either way."""
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    if digest != "as ingest wrote it":
+        set_tsv_digest(data, "0" * 64 if digest == "edited" else None)
+    calls = collections.Counter()
+    counted(monkeypatch, bindkit.smiles, "parse_smiles", calls)
+    out = tmp_path / "feats"
+    assert main(["--quiet", "--config", pipeline["cfg"], "featurize",
+                 "--dataset", str(data), "--subset", "test",
+                 "--out", str(out)]) == 0
+    parsed = distinct_ligands(data, "test" if digest == "as ingest wrote it"
+                              else "all")
+    assert calls["parse_smiles"] == len(parsed)
+    assert len(distinct_ligands(data, "test")) < len(distinct_ligands(data, "all"))
+    for name in ("descriptors.npy", "fingerprints.npy", "y.npy", "ids.txt",
+                 "featurize.json"):
+        assert (out / name).read_bytes() == \
+            (pathlib.Path(pipeline["feats"]["test"]) / name).read_bytes()
+
+
 def _above(ki_max):
     """The first log_ki above log10(ki_max) whose 10.0 ** log_ki, the ki_nm
     the row then holds, is above ki_max."""
@@ -630,20 +703,21 @@ def test_evaluate_hand_fixture(tmp_path):
     assert report["mae"] == pytest.approx(0.825)
 
 
-def test_evaluate_of_errors_summing_past_the_float_range_reports_inf(tmp_path):
-    """Two finite errors of 1e308 sum past the float range: the MAE and
-    the bin MAE are inf, and evaluate exits 0."""
+def test_evaluate_of_errors_summing_past_the_float_range_exits_2(tmp_path,
+                                                                 capsys):
+    """Two finite errors of 1e308 sum past the float range, so the MAE is
+    inf, which JSON cannot hold: evaluate exits 2 and writes no report."""
     pred = tmp_path / "pred.txt"
     truth = tmp_path / "truth.txt"
     pred.write_text("1e308\n1e308\n")
     truth.write_text("0\n0\n")
     out = tmp_path / "report.json"
     assert main(["--quiet", "evaluate", "--pred", str(pred),
-                 "--truth", str(truth), "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert report["mae"] == math.inf
-    assert [cell["mae"] for cell in report["bins"] if cell["count"]] == [math.inf]
-    assert "0.0,0.5,2,inf" in (tmp_path / "report.csv").read_text().splitlines()
+                 "--truth", str(truth), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "MAE inf" in err, err
+    assert not out.exists()
+    assert not (tmp_path / "report.csv").exists()
 
 
 def _object_truth_dir(tmp_path):
@@ -747,6 +821,25 @@ def test_train_and_predict_load_no_featurization_module(pipeline, tmp_path):
     assert proc.stdout == "[]\n"
     assert model.read_bytes() == pathlib.Path(pipeline["model"]).read_bytes()
     assert preds.read_bytes() == pathlib.Path(pipeline["preds"]).read_bytes()
+
+
+def test_train_loads_neither_numpy_ma_nor_numpy_random(pipeline, tmp_path):
+    """Without subsampling, training draws no random numbers, and binning
+    takes distinct values without np.unique, which imports numpy.ma."""
+    wanted = "print([m for m in ('numpy.ma', 'numpy.random') if m in sys.modules])\n"
+    bare = subprocess.run([sys.executable, "-c", "import sys, numpy\n" + wanted],
+                          capture_output=True, text=True)
+    if bare.stdout != "[]\n":
+        pytest.skip(f"import numpy alone loads {bare.stdout.strip()}")
+    argv = ["--quiet", "--config", pipeline["cfg"], "train", "--train",
+            pipeline["feats"]["train"], "--out", str(tmp_path / "model.json")]
+    code = ("import sys\n"
+            "from bindkit.cli import main\n"
+            f"assert main({argv!r}) == 0\n" + wanted)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 _PIPELINE_MODULES = """cli config dataset errors fasta ligand_features

@@ -2,6 +2,8 @@
 import hashlib
 import json
 import math
+import pathlib
+import shutil
 
 import numpy as np
 import pytest
@@ -30,6 +32,9 @@ from bindkit.protein_features import DESCRIPTOR_LAYOUT, receptor_descriptor
 from bindkit.ligand_features import ecfp
 from bindkit.smiles import UnclosedRingError, from_smiles
 from testutil import dense_matrix
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def rows_from(*triples):
@@ -430,6 +435,59 @@ def test_recurring_bad_smiles_raises_at_its_first_row(tmp_path, monkeypatch):
     with pytest.raises(UnclosedRingError):
         load_dataset(outdir)
     assert parsed == ["CCO", "C1CN"]
+
+
+def test_provenance_records_the_digest_of_the_written_tsv(tmp_path):
+    ds = split(bulk_dataset(12), seed=7)
+    before = dict(ds.provenance)
+    write_dataset(ds, tmp_path)
+    prov = json.loads((tmp_path / "provenance.json").read_text())
+    assert prov.pop("dataset_tsv_sha256") == file_digest(tmp_path / "dataset.tsv")
+    assert prov == ds.provenance == before
+
+
+def write_fixture_dataset(outdir):
+    """The fixture raw TSV curated and written as `bindkit ingest` does."""
+    rows, drops, digest = read_raw_tsv(FIXTURES / "raw_affinities.tsv")
+    index = build_fasta_index((FIXTURES / "receptors.fasta").read_text())
+    write_dataset(split(ingest(rows, fasta_index=index, source_digest=digest,
+                               initial_drops=drops), seed=11), outdir)
+
+
+def record_fields(dataset):
+    return [(r.pair_key, r.split, r.receptor.id, r.receptor.residues,
+             r.ligand.source, r.log_ki) for r in dataset.records]
+
+
+@pytest.mark.parametrize("subset", ["train", "valid", "test", "all"])
+def test_trusted_and_full_loads_give_equal_records(tmp_path, monkeypatch,
+                                                   subset):
+    """The trusted load parses only the subset's ligands; the full load, of
+    the same file without its digest, parses every ligand.  Both return the
+    subset's records in file order, and the same provenance."""
+    trusted_dir, full_dir = tmp_path / "trusted", tmp_path / "full"
+    write_fixture_dataset(trusted_dir)
+    shutil.copytree(trusted_dir, full_dir)
+    prov = json.loads((full_dir / "provenance.json").read_text())
+    del prov["dataset_tsv_sha256"]
+    (full_dir / "provenance.json").write_text(json.dumps(prov))
+    everything = record_fields(load_dataset(full_dir))
+    expected = [f for f in everything if subset in ("all", f[1])]
+    assert expected
+    parsed = count_parses(monkeypatch)
+    trusted = load_dataset(trusted_dir, subset=subset)
+    assert parsed == list(dict.fromkeys(f[4] for f in expected))
+    parsed.clear()
+    full = load_dataset(full_dir, subset=subset)
+    assert parsed == list(dict.fromkeys(f[4] for f in everything))
+    assert record_fields(trusted) == record_fields(full) == expected
+    assert trusted.provenance == full.provenance == prov
+
+
+def test_load_rejects_an_unknown_subset(tmp_path):
+    write_dataset(bulk_dataset(3), tmp_path)
+    with pytest.raises(ValueError, match="unknown subset 'holdout'"):
+        load_dataset(tmp_path, subset="holdout")
 
 
 def test_provenance_is_json_serializable():

@@ -9,6 +9,7 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bindkit.gbdt import (
     DimensionMismatchError,
@@ -399,6 +400,26 @@ def test_feature_store_layout():
     assert one.shape == (1, d) and np.array_equal(dense_matrix(one), dense[:1])
     with pytest.raises(DimensionMismatchError):
         Features.from_array(np.zeros((2, 2, 2)))
+
+
+# repeats, both signed zeros and extremes, among arbitrary finite floats
+bin_values = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -1e308, 1e308)),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(1, 40).flatmap(lambda n: st.lists(
+           st.lists(bin_values, min_size=n, max_size=n), min_size=1, max_size=4)),
+       st.integers(2, 12))
+def test_bin_uppers_are_numpys_unique_values_and_lower_quantiles(columns, n_bins):
+    binned = _bin_columns(Features.from_array(np.array(columns).T.copy()), n_bins)
+    for column, uppers in zip(map(np.array, columns), binned.uppers):
+        expected = np.unique(column)
+        if len(expected) > n_bins:
+            expected = np.unique(np.quantile(
+                column, np.linspace(0.0, 1.0, n_bins), method="lower"))
+        assert len(uppers) == len(expected) and (uppers == expected).all()
 
 
 @pytest.mark.parametrize("dense, nbits, bits", [
