@@ -307,6 +307,12 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:                    # console-script hook
+    # No bindkit code calls BLAS, yet OpenBLAS starts a thread per core when
+    # numpy loads.  One thread makes each numpy stage start faster.  This
+    # module loads no numpy at import, so the variable is set before it
+    # loads.  Only the process boundary sets it: a value the user exported
+    # wins, and main() called in-process leaves the environment alone.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import os
-import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -175,6 +174,18 @@ def _inline_receptor(residues: str) -> ProteinSequence:
     return ProteinSequence(id=rid, residues=residues)
 
 
+def _median(values: list[float]) -> float:
+    """statistics.median, written as CPython 3.11 writes it, so that the
+    pipeline need not import statistics (and with it decimal and
+    fractions) for one call."""
+    data = sorted(values)
+    n = len(data)
+    if n % 2 == 1:
+        return data[n // 2]
+    i = n // 2
+    return (data[i - 1] + data[i]) / 2
+
+
 def ingest(
     rows,
     bounds: KiBounds = DEFAULT_BOUNDS,
@@ -271,7 +282,7 @@ def ingest(
         merged += len(logs) - 1
         records.append(AffinityRecord(
             receptor=seq, ligand=mol,
-            log_ki=logs[0] if len(logs) == 1 else float(statistics.median(logs)),
+            log_ki=logs[0] if len(logs) == 1 else _median(logs),
             pair_key=key))
     provenance = {
         "source_digest": source_digest,

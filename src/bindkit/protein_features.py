@@ -8,9 +8,9 @@ those rows.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
-from importlib import resources
 
 import numpy as np
 
@@ -94,40 +94,44 @@ def load_property_table(path) -> ResiduePropertyTable:
     exactly the twenty standard residues, once each, and the fourteen
     property columns, with a finite number in every cell; anything else
     raises PropertyTableError naming the file and line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _parse_property_table(fh, path)
+
+
+def _parse_property_table(lines, path) -> ResiduePropertyTable:
     version = "unversioned"
     header: list[str] | None = None
     rows: dict[str, tuple[float, ...]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.lower().startswith("version:"):
-                    version = body.split(":", 1)[1].strip()
-                continue
-            where = f"{path}: line {line_no}"
-            cells = [c.strip() for c in line.split(",")]
-            if header is None:
-                header = cells
-                if header != ["code", *PROPERTIES]:
-                    raise PropertyTableError(
-                        f"{where}: the header row must be 'code' and the "
-                        f"property columns {PROPERTIES}, got {tuple(header)}")
-                continue
-            if len(cells) != len(header):
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line.lstrip("#").strip()
+            if body.lower().startswith("version:"):
+                version = body.split(":", 1)[1].strip()
+            continue
+        where = f"{path}: line {line_no}"
+        cells = [c.strip() for c in line.split(",")]
+        if header is None:
+            header = cells
+            if header != ["code", *PROPERTIES]:
                 raise PropertyTableError(
-                    f"{where}: {len(cells)} cells, the header has {len(header)}")
-            if cells[0] in rows:
-                raise PropertyTableError(f"{where}: duplicate code {cells[0]!r}")
-            try:
-                values = tuple(float(c) for c in cells[1:])
-            except ValueError as exc:
-                raise PropertyTableError(f"{where}: {exc}") from exc
-            if not all(map(math.isfinite, values)):
-                raise PropertyTableError(f"{where}: values must be finite")
-            rows[cells[0]] = values
+                    f"{where}: the header row must be 'code' and the "
+                    f"property columns {PROPERTIES}, got {tuple(header)}")
+            continue
+        if len(cells) != len(header):
+            raise PropertyTableError(
+                f"{where}: {len(cells)} cells, the header has {len(header)}")
+        if cells[0] in rows:
+            raise PropertyTableError(f"{where}: duplicate code {cells[0]!r}")
+        try:
+            values = tuple(float(c) for c in cells[1:])
+        except ValueError as exc:
+            raise PropertyTableError(f"{where}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise PropertyTableError(f"{where}: values must be finite")
+        rows[cells[0]] = values
     if header is None:
         raise PropertyTableError(
             f"{path}: property table needs a 'code,...' header row")
@@ -143,9 +147,12 @@ def load_property_table(path) -> ResiduePropertyTable:
 
 @lru_cache(maxsize=1)
 def default_table() -> ResiduePropertyTable:
-    ref = resources.files("bindkit").joinpath("data/residue_properties.csv")
-    with resources.as_file(ref) as path:
-        return load_property_table(path)
+    """The shipped table, read through this package's loader (a file on
+    disk or a zip member alike) without importing importlib.resources,
+    which pulls in pathlib, tempfile, shutil and zipfile."""
+    path = os.path.join(os.path.dirname(__file__), "data", "residue_properties.csv")
+    text = __spec__.loader.get_data(path).decode("utf-8")
+    return _parse_property_table(text.splitlines(), path)
 
 
 def _gather(residues: str, table: ResiduePropertyTable) -> np.ndarray:

@@ -5,9 +5,11 @@ drops 3 (2 structural, 1 unparseable number) and curation drops 11 more,
 leaving 31 surviving rows that merge into 28 unique pairs (25 when the
 FASTA references cannot resolve).
 """
+import ast
 import collections
 import json
 import math
+import os
 import pathlib
 import shutil
 import subprocess
@@ -76,6 +78,58 @@ def write_config(tmp_path, seed=11):
         "[paths]\n"
         f'fasta = "{FIXTURES / "receptors.fasta"}"\n')
     return str(path)
+
+
+def test_entry_runs_openblas_on_one_thread_unless_the_user_chose(monkeypatch):
+    """entry(), the process boundary, sets OPENBLAS_NUM_THREADS=1 and nothing
+    else before main() runs, and keeps a value the user set."""
+    seen = []
+
+    def record_environment():
+        seen.append(dict(os.environ))
+        return 0
+
+    monkeypatch.setattr(bindkit.cli, "main", record_environment)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    user = dict(os.environ)
+    with pytest.raises(SystemExit) as kept:
+        bindkit.cli.entry()
+    # delenv after setenv is undone in turn, so the test leaves the
+    # variable as it found it
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    unset = dict(os.environ)
+    with pytest.raises(SystemExit) as chosen:
+        bindkit.cli.entry()
+    assert kept.value.code == chosen.value.code == 0
+    assert seen == [user, dict(unset, OPENBLAS_NUM_THREADS="1")]
+
+
+# Operations that numpy hands to BLAS.  cli.entry() runs OpenBLAS on one
+# thread because bindkit calls none of them.
+_BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg",
+               "cov", "corrcoef", "polyfit", "lstsq"}
+
+
+def test_no_bindkit_code_calls_blas():
+    found = []
+    for path in sorted(pathlib.Path(bindkit.cli.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                names = ["@"]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [*(node.module or "").split("."), *(a.name for a in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [part for a in node.names for part in a.name.split(".")]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name == "@" or name in _BLAS_NAMES]
+    assert not found, (
+        f"BLAS-backed operations in bindkit: {found}.  cli.entry() runs "
+        "OpenBLAS on one thread (OPENBLAS_NUM_THREADS=1) because no bindkit "
+        "code called BLAS; re-measure these with single-threaded BLAS first.")
 
 
 @pytest.fixture(scope="module")
@@ -847,7 +901,9 @@ _PIPELINE_MODULES = """cli config dataset errors fasta ligand_features
 
 # For each command: whether it loads numpy, and the bindkit modules it loads.
 # The numpy-free commands also load neither hashlib nor traceback (nor
-# logging, which imports traceback).
+# logging, which imports traceback).  No command loads statistics (with
+# decimal and fractions) or importlib.resources (with pathlib, tempfile and
+# zipfile).
 COMMAND_MODULES = {
     "ingest": (True, _PIPELINE_MODULES),
     "featurize": (True, _PIPELINE_MODULES),
@@ -870,21 +926,92 @@ def test_command_loads_only_its_modules(pipeline, tmp_path, command):
         "evaluate": ["--pred", pipeline["preds"], "--truth", feats["test"]],
     }[command]
     argv = ["--quiet", "--config", pipeline["cfg"], command, *args, "--out", out]
+    # The child runs without site (python -S), whose .pth files may import
+    # modules themselves, with bindkit's and numpy's directories on its path.
+    paths = [str(pathlib.Path(module.__file__).parent.parent) for module in (bindkit.cli, np)]
     code = ("import sys\n"
+            f"sys.path[:0] = {paths!r}\n"
             "from bindkit.cli import main\n"
             f"assert main({argv!r}) == 0\n"
             "print('numpy' in sys.modules, sorted(name[8:] for name in sys.modules\n"
             "                                     if name.startswith('bindkit.')))\n"
             "print(sorted(name for name in ('hashlib', 'logging', 'traceback')\n"
-            "             if name in sys.modules))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+            "             if name in sys.modules))\n"
+            "print(sorted(name for name in ('statistics', 'decimal', 'fractions',\n"
+            "                               'importlib.resources') if name in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
     numpy, modules = COMMAND_MODULES[command]
-    loaded, stdlib = proc.stdout.splitlines()
+    loaded, stdlib, unwanted = proc.stdout.splitlines()
     assert loaded == f"{numpy} {sorted(modules.split())}"
     if not numpy:
         assert stdlib == "[]"
+    assert unwanted == "[]"
+
+
+# Imported first by the child, through PYTHONPATH: at exit, after main(),
+# it reports the process's thread count on stderr.
+_THREADS_AT_EXIT = """import atexit, sys
+
+def _threads():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        print([line for line in fh if line.startswith("Threads:")][0].split()[1],
+              file=sys.stderr)
+
+atexit.register(_threads)
+"""
+
+
+def _featurize_threads(pipeline, tmp_path, blas_threads):
+    """The threads at exit of `python -m bindkit.cli featurize` of the test
+    split, with OPENBLAS_NUM_THREADS unset or as given; its features must
+    have the bytes of the in-process run."""
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status")
+    hook = tmp_path / "hook"
+    hook.mkdir()
+    (hook / "sitecustomize.py").write_text(_THREADS_AT_EXIT)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(hook), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    out = tmp_path / "feat"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bindkit.cli", "--quiet", "--config", pipeline["cfg"],
+         "featurize", "--dataset", pipeline["data"], "--subset", "test",
+         "--out", str(out)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    expected = pathlib.Path(pipeline["feats"]["test"])
+    assert sorted(os.listdir(out)) == sorted(os.listdir(expected))
+    for name in os.listdir(out):
+        assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+    return int(proc.stderr.splitlines()[-1])
+
+
+def test_featurize_process_runs_one_thread(pipeline, tmp_path):
+    assert _featurize_threads(pipeline, tmp_path, None) == 1
+
+
+def test_featurize_process_keeps_the_users_blas_threads(pipeline, tmp_path):
+    """OPENBLAS_NUM_THREADS=2 starts a second thread where OpenBLAS has two
+    cores to use."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        blas = "unknown"
+    if "openblas" not in blas or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip(f"numpy's BLAS is {blas} on {len(os.sched_getaffinity(0))} cores")
+    assert _featurize_threads(pipeline, tmp_path, "2") == 2
+
+
+def test_main_in_process_leaves_the_environment_alone(pipeline, tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert main(["--quiet", "--config", pipeline["cfg"], "featurize", "--dataset",
+                 pipeline["data"], "--subset", "test", "--out", str(tmp_path / "f")]) == 0
+    assert dict(os.environ) == before
 
 
 @pytest.mark.parametrize("shape, dtype", [

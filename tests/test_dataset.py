@@ -4,9 +4,12 @@ import json
 import math
 import pathlib
 import shutil
+import statistics
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import bindkit.dataset as dataset_module
 from bindkit.dataset import (
@@ -126,6 +129,24 @@ def test_duplicate_pairs_merge_to_median():
         ("MKV", "CCO", 1000.0), ("MKV", "CCO", 1e10),
     ))
     assert even.records[0].log_ki == 2.5
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False),
+                          st.sampled_from([0.0, -0.0, 1.0, -1.0])),
+                min_size=1, max_size=9))
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([0.0, -0.0])
+@example([-0.0, 0.0])
+@example([-0.0, 0.0, -0.0])
+@example([1.5, 1.5, -1.5, -1.5])
+def test_merge_median_is_statistics_median_bit_for_bit(logs):
+    """Duplicate merging computes its median without importing statistics;
+    it must give the same float, signed zero included."""
+    got = dataset_module._median(list(logs))
+    want = statistics.median(logs)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_pair_key_ignores_atom_order():
