@@ -14,8 +14,8 @@ import os
 import sys
 
 from .config import ConfigError, PipelineConfig, load_config
-from .errors import DataError, DatasetError
-from .metrics import _load_vector, build_report, write_report
+from .errors import DataError, DatasetError, GbdtError
+from .metrics import _load_vector, _write_json, build_report, write_report
 
 # A command imports the modules it runs when it runs, so `evaluate` and
 # `predict` start without numpy.  The names below resolve on first use
@@ -58,6 +58,11 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):           # argparse would exit(2); we want 1
         raise _UsageError(message)
+
+    def _get_formatter(self):
+        # argparse's default width, the terminal's less 2, imports shutil into
+        # every command; 78 is that width where no terminal reports one
+        return self.formatter_class(prog=self.prog, width=78)
 
 
 def build_parser() -> _Parser:
@@ -168,10 +173,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     model, metrics = _cli.train(X, y, params=cfg.gbdt, valid=valid)
     model = dataclasses.replace(model, schema=X.schema)
     _cli.save_model(model, args.out)
-    with open(args.out + ".metrics.json", "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(metrics, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(args.out + ".metrics.json", metrics, GbdtError)
     last_loss = metrics["train_loss"][-1] if metrics["train_loss"] else None
     kept = (f", best iteration {metrics['best_iteration']} with "
             f"{len(model.trees)} trees kept" if valid is not None else "")

@@ -10,7 +10,6 @@ largest-remainder rounding.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -26,7 +25,8 @@ from .ligand_features import (
     ecfp,  # not called here; named so that tracers can wrap it
     full_refinement_ids,
 )
-from .model import Features, _read_json, write_features
+from .metrics import _read_json, _write_json
+from .model import Features, write_features
 from .protein_features import (
     DESCRIPTOR_LAYOUT,
     ResiduePropertyTable,
@@ -415,11 +415,8 @@ def write_dataset(dataset: Dataset, outdir) -> None:
             line = "\t".join(cells) + "\n"
             fh.write(line)
             digest.update(line.encode("utf-8"))
-    with open(os.path.join(outdir, "provenance.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump({**dataset.provenance, _TSV_DIGEST: digest.hexdigest()}, fh,
-                  sort_keys=True, indent=2)
-        fh.write("\n")
+    doc = {**dataset.provenance, _TSV_DIGEST: digest.hexdigest()}
+    _write_json(os.path.join(outdir, "provenance.json"), doc, DatasetFormatError)
 
 
 def _checked_log_ki(ki_nm: str, log_ki: str, line_no: int,

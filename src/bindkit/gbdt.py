@@ -292,6 +292,15 @@ def _check_matrix(X, y=None):
     return X, y
 
 
+def _finite(values, what: str):
+    """values, a float or an array, unless one is NaN or infinite, which
+    neither JSON nor load_model takes: then GbdtError."""
+    if not np.isfinite(values).all():
+        raise GbdtError(f"training left the float range: {what} is not finite")
+    return values
+
+
+@np.errstate(over="ignore", invalid="ignore")   # _finite checks what overflows
 def train(X, y, params: TrainParams = TrainParams(), valid=None):
     """Fit a boosted model on model.Features or a 2-D array.  Returns
     (model, metrics).
@@ -301,7 +310,8 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
     iteration.  With early_stopping_rounds set, boosting stops after that
     many rounds without improvement and the model is truncated to the best
     iteration.  A constant target short-circuits to a flagged base-only
-    model.
+    model.  GbdtError where the mean target, a residual, a leaf value,
+    the train loss or a validation MAE is not finite.
     """
     X, y = _check_matrix(X, y)
     Xv = yv = None
@@ -310,7 +320,7 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
         if Xv.shape[1] != X.shape[1]:
             raise DimensionMismatchError("validation width differs from train")
 
-    base = float(y.mean())
+    base = _finite(float(y.mean()), "the mean target")
     metrics: dict = {"train_loss": [], "valid_mae": [], "best_iteration": None,
                      "stopped_early": False, "degenerate": False}
     if float(y.min()) == float(y.max()):
@@ -318,7 +328,8 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
         model = GbdtModel(base_score=base, trees=(), feature_count=X.shape[1],
                           params=params, degenerate=True)
         if yv is not None:
-            metrics["valid_mae"].append(float(np.abs(yv - base).mean()))
+            metrics["valid_mae"].append(_finite(
+                float(np.abs(yv - base).mean()), "the validation MAE"))
             metrics["best_iteration"] = 0
         return model, metrics
 
@@ -336,19 +347,20 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
     best_mae = math.inf
     best_iter = None
     for it in range(params.n_trees):
-        res = y - F
+        res = _finite(y - F, "a residual")
         if params.subsample < 1.0:
             bag = np.sort(rng.permutation(n)[:bag_size])
         else:
             bag = np.arange(n, dtype=np.intp)
         tree, leaf = _grow_tree(binned, res, bag, params)
         trees.append(tree)
-        value = np.asarray(tree.leaf_value)
+        value = _finite(np.asarray(tree.leaf_value), "a leaf value")
         F += value[leaf]
-        metrics["train_loss"].append(float(np.mean((y - F) ** 2)))
+        metrics["train_loss"].append(
+            _finite(float(np.mean((y - F) ** 2)), "the train loss"))
         if Fv is not None:
             Fv += value[_leaves(tree, Xv)]
-            mae = float(np.abs(yv - Fv).mean())
+            mae = _finite(float(np.abs(yv - Fv).mean()), "the validation MAE")
             metrics["valid_mae"].append(mae)
             if mae < best_mae:
                 best_mae = mae

@@ -8,8 +8,8 @@ recombination of cell MAEs reproduces the overall MAE.
 The module imports no numpy, so the evaluate command starts without it.
 Every mean is math.fsum of its errors, the correctly rounded sum (Shewchuk,
 Discrete Comput. Geom. 18, 1997), divided by the count; an accuracy is an
-exact count over n.  The checked .npy reader shared with the model module
-lives here, so evaluate reads y.npy without numpy.
+exact count over n.  The JSON reader and writer of every bindkit module
+and the checked .npy reader live here, so evaluate reads without numpy.
 """
 from __future__ import annotations
 
@@ -177,20 +177,38 @@ def write_report(report: dict, json_path, csv_path=None) -> None:
     are null in JSON and empty cells in CSV.  JSON (RFC 8259) has no inf or
     nan, so a report holding one, such as the inf MAE of errors summing
     past the float range, raises MetricsError and no file is written."""
-    try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise MetricsError(
-            f"cannot write {json_path}: the report holds a non-finite mean "
-            f"(MAE {report.get('mae')!r}); JSON has no inf or nan") from exc
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    # errors are non-negative: a bin whose sum overflows overflows the MAE
+    if not math.isfinite(report["mae"]):
+        raise MetricsError(f"cannot write {json_path}: MAE {report['mae']!r} is not JSON")
+    _write_json(json_path, report, MetricsError)
     if csv_path is not None:
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("bin_lo,bin_hi,count,mae\n")
             for cell in report["bins"]:
                 mae_cell = "" if cell["mae"] is None else repr(cell["mae"])
                 fh.write(f"{cell['lo']!r},{cell['hi']!r},{cell['count']},{mae_cell}\n")
+
+
+def _write_json(path, doc, error, indent: int = 2) -> None:
+    """Write doc to path as strict JSON (RFC 8259): keys sorted, indented by
+    indent, floats in shortest repr, a final newline.  JSON has no inf or
+    nan: a doc holding one raises error naming the file, writing no file."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        raise error(f"cannot write {path}: {exc} (JSON has no inf or nan)") from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text + "\n")
+
+
+def _read_json(path, error):
+    """The document of a JSON file.  Text that is not JSON, too long an
+    integer or too deep a nesting raises error naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path}: not valid JSON ({exc})") from exc
 
 
 # The header np.save writes: the array's dict with its keys in sorted

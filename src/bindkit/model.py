@@ -21,7 +21,7 @@ from functools import cache
 from .config import MAX_DEPTH, TrainParams
 from .errors import (DatasetError, DimensionMismatchError,
                      FingerprintFormatError, GbdtError)
-from .metrics import _doubles, _npy_payload
+from .metrics import _doubles, _npy_payload, _read_json, _write_json
 
 __all__ = ["Features", "Tree", "GbdtModel", "ModelFormatError",
            "ModelVersionError", "save_model", "load_model", "read_features",
@@ -152,20 +152,9 @@ class GbdtModel:
 
 
 def save_model(model: GbdtModel, path) -> None:
-    """Versioned JSON; floats survive bit-exactly (shortest-repr round trip)."""
-    doc = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "feature_count": model.feature_count,
-        "base_score": model.base_score,
-        "degenerate": model.degenerate,
-        "params": asdict(model.params),
-        "schema": model.schema,
-        "trees": [asdict(t) for t in model.trees],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    """Versioned JSON of the model's fields; a NaN or inf is a ModelFormatError."""
+    doc = {"format": MODEL_FORMAT, "version": MODEL_VERSION, **asdict(model)}
+    _write_json(path, doc, ModelFormatError, indent=1)
 
 
 def load_model(path) -> GbdtModel:
@@ -182,9 +171,9 @@ def load_model(path) -> GbdtModel:
     try:
         params = TrainParams(**doc["params"])
         trees = tuple(
-            Tree(feature=_integers(t["feature"], "feature"),
-                 threshold=_numbers(t["threshold"], "threshold"),
-                 leaf_value=_numbers(t["leaf_value"], "leaf_value"))
+            Tree(feature=_list(t["feature"], "feature", _integer),
+                 threshold=_list(t["threshold"], "threshold", _number),
+                 leaf_value=_list(t["leaf_value"], "leaf_value", _number))
             for t in doc["trees"])
         degenerate = doc.get("degenerate", False)
         if type(degenerate) is not bool:
@@ -219,13 +208,6 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _integers(value, what: str) -> tuple[int, ...]:
-    """A list of JSON integers; _check_tree checks their range."""
-    if not isinstance(value, list):
-        raise ModelFormatError(f"{what} must be a JSON list")
-    return tuple(_integer(v, what) for v in value)
-
-
 def _number(value, what: str) -> float:
     """A JSON number; float() would also read a boolean as 0 or 1 and a
     numeric string as its value."""
@@ -234,11 +216,12 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _numbers(value, what: str) -> tuple[float, ...]:
-    """A list of JSON numbers as floats."""
+def _list(value, what: str, item) -> tuple:
+    """A JSON list, each element read by item (_integer or _number);
+    _check_tree checks the range of feature indices."""
     if not isinstance(value, list):
         raise ModelFormatError(f"{what} must be a JSON list")
-    return tuple(_number(v, what) for v in value)
+    return tuple(item(v, what) for v in value)
 
 
 def _check_tree(tree: Tree, feature_count: int, k: int) -> None:
@@ -256,16 +239,6 @@ def _check_tree(tree: Tree, feature_count: int, k: int) -> None:
         raise ModelFormatError(f"tree {k}: feature index outside [0, {feature_count})")
     if not all(map(math.isfinite, tree.threshold + tree.leaf_value)):
         raise ModelFormatError(f"tree {k}: non-finite threshold or leaf value")
-
-
-def _read_json(path, error):
-    """The document of a JSON file.  Text that is not JSON, too long an
-    integer or too deep a nesting raises error naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise error(f"{path}: not valid JSON ({exc})") from exc
 
 
 # --- on-disk feature directory -------------------------------------------------
@@ -297,10 +270,7 @@ def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
         fh.write("".join(i + "\n" for i in ids))
     meta = {**sidecar, "n_rows": X.shape[0], "n_columns": X.shape[1],
             "nbits": X.nbits}
-    with open(os.path.join(outdir, "featurize.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "featurize.json"), meta, DatasetError)
 
 
 # The fields of featurize.json that fix what the columns mean

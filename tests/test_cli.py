@@ -26,6 +26,7 @@ import bindkit.smiles
 from bindkit.cli import _block_json, main
 from bindkit.config import load_config
 from bindkit.dataset import load_dataset
+from bindkit.errors import DataError
 from bindkit.gbdt import load_model
 from bindkit.ligand_features import graph_block
 from bindkit.model import Features, read_features, write_features
@@ -774,6 +775,87 @@ def test_evaluate_of_errors_summing_past_the_float_range_exits_2(tmp_path,
     assert not (tmp_path / "report.csv").exists()
 
 
+def test_train_on_overflowing_targets_exits_2(pipeline, tmp_path, capsys):
+    """Finite targets of +-1e308 have no finite mean: train exits 2 and
+    writes neither the model nor its metrics, where it wrote a model of 501
+    NaN tokens that predict then rejected."""
+    feats = tmp_path / "feats"
+    shutil.copytree(pipeline["feats"]["train"], feats)
+    y = np.load(feats / "y.npy")
+    np.save(feats / "y.npy", np.where(np.arange(len(y)) % 2, -1e308, 1e308))
+    model = tmp_path / "model.json"
+    assert main(["--quiet", "train", "--train", str(feats), "--out", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert "data error: training left the float range" in err, err
+    assert not model.exists()
+    assert not (tmp_path / "model.json.metrics.json").exists()
+
+
+def test_every_json_artifact_is_strict_json(pipeline):
+    """RFC 8259 has no NaN or Infinity: every JSON file the pipeline writes
+    parses without them."""
+    def reject(constant):
+        raise AssertionError(f"non-finite token {constant}")
+
+    paths = sorted(pipeline["root"].rglob("*.json"))
+    assert sorted(path.name for path in paths) == [
+        "featurize.json", "featurize.json", "featurize.json", "model.json",
+        "model.json.metrics.json", "provenance.json", "report.json"]
+    for path in paths:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def _nan_model(tmp_path, monkeypatch):
+    from bindkit.gbdt import GbdtModel, TrainParams, save_model
+    save_model(GbdtModel(base_score=math.nan, trees=(), feature_count=1,
+                         params=TrainParams()), tmp_path / "model.json")
+
+
+def _nan_sidecar(tmp_path, monkeypatch):
+    write_features(tmp_path, Features.from_array(np.zeros((2, 1))), np.zeros(2),
+                   ["a", "b"], {"radius": math.inf})
+
+
+def _nan_provenance(tmp_path, monkeypatch):
+    from bindkit.dataset import Dataset, write_dataset
+    write_dataset(Dataset(records=(), provenance={"seed": math.nan}), tmp_path)
+
+
+def _nan_train_metrics(tmp_path, monkeypatch):
+    from bindkit.gbdt import GbdtModel, TrainParams
+    model = GbdtModel(base_score=0.0, trees=(), feature_count=2, params=TrainParams())
+    monkeypatch.setattr(bindkit.cli, "train", lambda *args, **kwargs: (
+        model, {"train_loss": [math.nan], "best_iteration": None}))
+    feats = packed_features(tmp_path / "feats", np.arange(8.0).reshape(4, 2))
+    args = bindkit.cli.build_parser().parse_args(
+        ["train", "--train", str(feats), "--out", str(tmp_path / "model")])
+    bindkit.cli.cmd_train(args, load_config(None))
+
+
+def _nan_report(tmp_path, monkeypatch):
+    from bindkit.metrics import build_report, write_report
+    report = dict(build_report([1.0, 2.0], [1.5, 2.0]), threshold=math.nan)
+    write_report(report, tmp_path / "report.json", tmp_path / "report.csv")
+
+
+@pytest.mark.parametrize("write, name, error", [
+    (_nan_model, "model.json", "ModelFormatError"),
+    (_nan_sidecar, "featurize.json", "DatasetError"),
+    (_nan_provenance, "provenance.json", "DatasetFormatError"),
+    (_nan_train_metrics, "model.metrics.json", "GbdtError"),
+    (_nan_report, "report.json", "MetricsError"),
+], ids=["model", "features", "dataset", "train-metrics", "report"])
+def test_json_writers_refuse_non_finite_values(tmp_path, monkeypatch, write,
+                                               name, error):
+    """Each JSON artifact is written by metrics._write_json: a NaN or inf
+    raises the writer's DataError, naming the file, and leaves no file."""
+    with pytest.raises(DataError) as raised:
+        write(tmp_path, monkeypatch)
+    assert type(raised.value).__name__ == error
+    assert f"cannot write {tmp_path / name}:" in str(raised.value)
+    assert not (tmp_path / name).exists()
+
+
 def _object_truth_dir(tmp_path):
     truth = tmp_path / "truth"
     truth.mkdir()
@@ -938,7 +1020,8 @@ def test_command_loads_only_its_modules(pipeline, tmp_path, command):
             "print(sorted(name for name in ('hashlib', 'logging', 'traceback')\n"
             "             if name in sys.modules))\n"
             "print(sorted(name for name in ('statistics', 'decimal', 'fractions',\n"
-            "                               'importlib.resources') if name in sys.modules))\n")
+            "                               'importlib.resources', 'shutil')\n"
+            "             if name in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr

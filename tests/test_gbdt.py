@@ -637,6 +637,29 @@ def test_input_validation():
         train(X, y, valid=(X[:, :2], y))
 
 
+_STEP = np.array([[0.0], [1.0], [0.0], [1.0]])
+
+
+@pytest.mark.parametrize("y, valid, what", [
+    ([1e308] * 4, None, "the mean target"),          # a constant target too
+    (([1e308] * 4 + [-1e308] * 4) * 2, None, "the mean target"),    # NaN
+    ([1.7e308, -1.7e308, 1.7e308, 0.0], None, "a residual"),
+    ([1e308, -1e308, 1e308, -1e308], None, "a leaf value"),   # the sum overflows
+    ([1e200, -1e200, 1e200, -1e200], None, "the train loss"),
+    ([1.0, 2.0, 1.0, 2.0], [1.7e308] * 4, "the validation MAE"),
+    ([1.0] * 4, [1.7e308, -1.7e308, 1.7e308, 1.7e308], "the validation MAE"),
+], ids=["inf-base", "nan-base", "residual", "leaf", "loss", "valid", "valid-constant"])
+def test_fit_leaving_the_float_range_raises(y, valid, what):
+    """Finite targets can overflow a fit; train raises GbdtError rather than
+    return a model that JSON cannot hold and load_model rejects, and no
+    numpy overflow warning escapes (pyproject turns them into errors)."""
+    X = np.vstack([_STEP] * (len(y) // 4))
+    valid = None if valid is None else (_STEP, np.array(valid))
+    with pytest.raises(GbdtError, match=f"float range: {what} is not finite"):
+        train(X, np.array(y), TrainParams(n_trees=3, max_depth=2, min_samples_leaf=1),
+              valid=valid)
+
+
 def test_params_validation():
     for kwargs in (dict(n_trees=0), dict(max_depth=0), dict(max_depth=11),
                    dict(learning_rate=0.0),
