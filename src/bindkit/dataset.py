@@ -352,11 +352,13 @@ def featurize_pairs(
     """Assemble the model matrix for a subset.
 
     Returns (X, y, columns, ids): X is model.Features over the arrays built
-    here, with the 78 receptor descriptor columns as its dense columns and
-    the nbits fingerprint bits packed LSB-first, y is log10 Ki, ids are pair
-    keys.  Each distinct receptor is described once, and the distinct
-    ligands of the subset are fingerprinted by one batch-kernel call
-    straight into packed rows; row order follows dataset record order.
+    here, factored: its dense block holds the 78 receptor descriptor
+    columns of each distinct receptor once, its bit block the nbits
+    fingerprint bits, packed LSB-first, of each distinct ligand of the
+    subset once, and its index gives each pair's receptor row and ligand
+    row, in dataset record order.  Rows are numbered in order of first
+    appearance.  The ligands are fingerprinted by one batch-kernel call
+    straight into packed rows.  y is log10 Ki, ids are pair keys.
     """
     table = table or default_table()
     records = dataset.subset(which)
@@ -365,19 +367,17 @@ def featurize_pairs(
     # distinct residue string / SMILES -> (first-seen index, object)
     receptors: dict[str, tuple[int, ProteinSequence]] = {}
     ligands: dict[str, tuple[int, Molecule]] = {}
-    rec_index = np.empty(len(records), dtype=np.intp)
-    lig_index = np.empty(len(records), dtype=np.intp)
-    for i, rec in enumerate(records):
-        rec_index[i] = receptors.setdefault(
-            rec.receptor.residues, (len(receptors), rec.receptor))[0]
-        lig_index[i] = ligands.setdefault(
-            rec.ligand.source, (len(ligands), rec.ligand))[0]
+    index = np.array([
+        (receptors.setdefault(rec.receptor.residues,
+                              (len(receptors), rec.receptor))[0],
+         ligands.setdefault(rec.ligand.source, (len(ligands), rec.ligand))[0])
+        for rec in records], dtype=np.int32)
     packed = _ecfp_batch([lig for _, lig in ligands.values()], radius, nbits)
     descriptors = np.array([receptor_descriptor(rec, table).vector
                             for _, rec in receptors.values()], dtype=np.float64)
-    X = Features(len(records), memoryview(descriptors[rec_index].ravel()),
-                 descriptors.shape[1], memoryview(packed[lig_index].ravel()),
-                 nbits)
+    X = Features(memoryview(descriptors.ravel()), len(descriptors),
+                 descriptors.shape[1], memoryview(packed.ravel()), len(packed),
+                 nbits, memoryview(index.ravel()))
     y = np.array([rec.log_ki for rec in records], dtype=np.float64)
     columns = tuple(DESCRIPTOR_LAYOUT) + tuple(f"fp_{j}" for j in range(nbits))
     return X, y, columns, tuple(rec.pair_key for rec in records)

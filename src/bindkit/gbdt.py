@@ -4,8 +4,9 @@ Stagewise boosting on the squared loss: each tree fits the current
 residuals, and a prediction is base_score plus the routed leaf values.  The
 model, its file, its router and its input, model.Features, live in the
 numpy-free model module.  Training reads a Features (a plain 2-D array is
-one with no bit columns) through read-only numpy views of its buffers;
-rows are routed by the column that _column decodes, so a bit column splits
+one with no bit columns and an identity index) with its distinct rows
+expanded through its index (_blocks), so it sees one row per pair; rows
+are routed by the column that _column decodes, so a bit column splits
 as its dense float column would.
 
 Split search is histogram-based, as in CatBoost and LightGBM: features are
@@ -32,7 +33,7 @@ import numpy as np
 from .config import TrainParams
 from .errors import DimensionMismatchError, GbdtError
 from .model import (Features, GbdtModel, ModelFormatError,  # re-exported
-                    ModelVersionError, Tree, _blocks, _leaves, load_model,
+                    ModelVersionError, Tree, _arrays, _leaves, load_model,
                     save_model)
 
 __all__ = [
@@ -52,7 +53,7 @@ class _Binned:
     bin count: one-bin columns cannot split and are dropped, two-bin columns
     keep only their code-1 cells in a row-major CSR, and wider columns keep
     their codes in one contiguous block.  dense and bits are the blocks of
-    the matrix (_blocks), which _column decodes."""
+    the matrix, one row per matrix row (_blocks), which _column decodes."""
     dense: np.ndarray          # float64 (n, d)
     bits: np.ndarray           # uint8 (n, ceil(nbits / 8))
     uppers: list               # per original column, ascending bin uppers
@@ -65,6 +66,15 @@ class _Binned:
 
 
 _CHUNK_ROWS = 1024            # rows of bits unpacked at a time for the CSR
+
+
+def _blocks(X: Features):
+    """The dense block and the packed bit block of X with one row per row
+    of X: its distinct rows expanded through its index, read-only."""
+    dense, bits, index = _arrays(X)
+    dense, bits = dense[index[:, 0]], bits[index[:, 1]]
+    dense.flags.writeable = bits.flags.writeable = False
+    return dense, bits
 
 
 def _distinct(ascending: np.ndarray) -> np.ndarray:
@@ -279,7 +289,7 @@ def _check_matrix(X, y=None):
         X = Features.from_array(X)
     if X.shape[0] == 0 or X.shape[1] == 0:
         raise DimensionMismatchError(f"feature matrix is empty: {X.shape}")
-    if not np.isfinite(_blocks(X)[0]).all():
+    if not np.isfinite(_arrays(X)[0]).all():      # the distinct dense rows
         raise GbdtError("feature matrix contains non-finite values")
     if y is None:
         return X

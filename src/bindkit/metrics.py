@@ -260,14 +260,15 @@ def _load_vector(path) -> list[float]:
                 return [float(line) for line in fh if line.strip()]
             except ValueError as exc:
                 raise DatasetError(f"non-numeric line in {path}: {exc}") from exc
-    return _doubles(_npy_payload(path, "<f8", 1, DatasetError)[1]).tolist()
+    return _native(_npy_payload(path, "<f8", 1, DatasetError)[1], "d").tolist()
 
 
-def _doubles(data: bytes):
-    """The little-endian float64 values in data as a sequence of floats,
-    with no copy on a little-endian machine."""
+def _native(data: bytes, typecode: str) -> memoryview:
+    """The little-endian values in data, float64 for typecode 'd' or int32
+    for 'i', as a memoryview of native values, with no copy on a
+    little-endian machine."""
     if sys.byteorder == "little":
-        return memoryview(data).cast("d")
-    values = array("d", data)
+        return memoryview(data).cast(typecode)
+    values = array(typecode, data)
     values.byteswap()
-    return values
+    return memoryview(values)

@@ -3,10 +3,12 @@ file and its predictions, base_score plus, tree by tree, the value of the
 leaf each row routes to, added in the order numpy's pred += would add them.
 
 The module imports without numpy, so predict starts without it.  It routes
-the checked buffers of a feature directory (read_features): dense columns
-through a float64 memoryview, bit columns from the packed bytes as 0 or 1,
-so a bit column routes as its dense float column would.  It also writes
-that directory (write_features), importing numpy for np.save when it does.
+the checked buffers of a feature directory (read_features), a block of
+distinct dense rows, a block of distinct packed bit rows and a per-row
+index into both: dense columns through a float64 memoryview, bit columns
+from the packed bytes as 0 or 1, so a bit column routes as its dense float
+column would.  It also writes that directory (write_features), importing
+numpy for np.save when it does.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from functools import cache
 from .config import MAX_DEPTH, TrainParams
 from .errors import (DatasetError, DimensionMismatchError,
                      FingerprintFormatError, GbdtError)
-from .metrics import _doubles, _npy_payload, _read_json, _write_json
+from .metrics import _native, _npy_payload, _read_json, _write_json
 
 __all__ = ["Features", "Tree", "GbdtModel", "ModelFormatError",
            "ModelVersionError", "save_model", "load_model", "read_features",
@@ -31,6 +33,7 @@ MODEL_FORMAT = "bindkit-gbdt"
 MODEL_VERSION = "3"
 DENSE_FILE = "descriptors.npy"
 BITS_FILE = "fingerprints.npy"
+INDEX_FILE = "pairs.npy"
 
 
 class ModelFormatError(GbdtError):
@@ -43,34 +46,52 @@ class ModelVersionError(ModelFormatError):
 
 @dataclass(frozen=True, eq=False)
 class Features:
-    """A feature matrix as flat row-major buffers: n_dense float64 columns,
-    then nbits bit columns; column n_dense + j of row i is bit j % 8 of byte
-    i * ceil(nbits / 8) + j // 8 of bits, as np.packbits(...,
+    """A feature matrix of n_dense float64 columns, then nbits bit columns,
+    stored factored: two blocks of distinct rows and one index.  Row i of
+    the matrix is dense row index[2 * i] followed by bit row index[2 * i +
+    1].  The dense block holds dense_rows rows of n_dense values, row-major;
+    the bit block holds bit_rows rows of ceil(nbits / 8) bytes, column
+    n_dense + j being bit j % 8 of byte j // 8 of a row, as np.packbits(...,
     bitorder="little") packs a row and Fingerprint.packed() writes it.
-    featurize_pairs builds it, write_features writes it, read_features reads
-    it, train and predict take it.  Buffers of another length than the sizes
-    need raise DimensionMismatchError."""
-    n_rows: int
-    dense: memoryview          # float64 values, n_rows * n_dense
+    featurize_pairs builds one with a dense row per distinct receptor and a
+    bit row per distinct ligand, from_array one with an identity index,
+    write_features writes it, read_features reads it, train and predict
+    take it.  Buffers of another length than the sizes need, or an index
+    entry outside its block, raise DimensionMismatchError."""
+    dense: memoryview          # float64 values, dense_rows * n_dense
+    dense_rows: int
     n_dense: int
-    bits: memoryview           # bytes, n_rows * ceil(nbits / 8)
+    bits: memoryview           # bytes, bit_rows * ceil(nbits / 8)
+    bit_rows: int
     nbits: int
+    index: memoryview          # integers, per row its dense row, its bit row
     schema: str | None = None  # of the featurize.json it was read with
 
     def __post_init__(self):
-        if (len(self.dense) != self.n_rows * self.n_dense
-                or len(self.bits) != self.n_rows * ((self.nbits + 7) >> 3)):
+        width = (self.nbits + 7) >> 3
+        if (len(self.dense) != self.dense_rows * self.n_dense
+                or len(self.bits) != self.bit_rows * width
+                or len(self.index) % 2):
             raise DimensionMismatchError(
-                f"{self.n_rows} rows of {self.n_dense} dense columns and "
-                f"{self.nbits} bits need {self.n_rows * self.n_dense} values "
-                f"and {self.n_rows * ((self.nbits + 7) >> 3)} bytes, got "
-                f"{len(self.dense)} and {len(self.bits)}")
+                f"{self.dense_rows} rows of {self.n_dense} dense columns and "
+                f"{self.bit_rows} rows of {self.nbits} bits need "
+                f"{self.dense_rows * self.n_dense} values and "
+                f"{self.bit_rows * width} bytes, and the index two entries "
+                f"per row; got {len(self.dense)}, {len(self.bits)} and "
+                f"{len(self.index)}")
+        for block, rows, column in (("dense", self.dense_rows, self.index[0::2]),
+                                    ("bit", self.bit_rows, self.index[1::2])):
+            low, high = min(column, default=0), max(column, default=-1)
+            if low < 0 or high >= rows:
+                raise DimensionMismatchError(
+                    f"index: {block} row {low if low < 0 else high} is outside "
+                    f"the {rows} rows of the {block} block")
 
     @classmethod
     def from_array(cls, X) -> Features:
-        """A 2-D array, or one row as a 1-D array, as float64 dense columns
-        and no bit columns (ravel copies only an array that is not a
-        C-contiguous float64 one)."""
+        """A 2-D array, or one row as a 1-D array, as float64 dense columns,
+        no bit columns and an identity index (ravel copies only an array
+        that is not a C-contiguous float64 one)."""
         import numpy as np
         X = np.asarray(X, dtype=np.float64)
         if X.ndim == 1:
@@ -78,7 +99,13 @@ class Features:
         if X.ndim != 2:
             raise DimensionMismatchError(
                 f"feature matrix must be 2-D, got shape {X.shape}")
-        return cls(len(X), memoryview(X.ravel()), X.shape[1], memoryview(b""), 0)
+        n = len(X)
+        return cls(memoryview(X.ravel()), n, X.shape[1], memoryview(b""), n, 0,
+                   memoryview(np.arange(n, dtype=np.int32).repeat(2)))
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.index) >> 1
 
     def __len__(self) -> int:
         return self.n_rows
@@ -89,7 +116,7 @@ class Features:
 
     @property
     def nbytes(self) -> int:
-        return self.dense.nbytes + self.bits.nbytes
+        return self.dense.nbytes + self.bits.nbytes + self.index.nbytes
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,18 +137,25 @@ def _above(k: int, zero: bool, one: bool) -> bytes:
 
 
 def _leaves(tree: Tree, X: Features) -> list[int]:
-    """The leaf index of each row of X."""
-    index = [0] * len(X)
+    """The leaf index of each row of X.  Each level's bit is worked out once
+    per distinct row of the block its column lies in, at the level's place
+    value, so a row's leaf index is the partial index of its dense row plus
+    that of its bit row."""
+    dense, bits = [0] * X.dense_rows, [0] * X.bit_rows
+    width = (X.nbits + 7) >> 3
+    place = 1 << len(tree.feature)
     for f, t in zip(tree.feature, tree.threshold):
+        place >>= 1
         if f < X.n_dense:
             values = X.dense[f::X.n_dense].tolist()
-            index = [i + i + (v > t) for i, v in zip(index, values)]
+            dense = [i + place if v > t else i for i, v in zip(dense, values)]
         else:
             f -= X.n_dense
-            bits = bytes(X.bits[f >> 3::(X.nbits + 7) >> 3]).translate(
+            above = bytes(X.bits[f >> 3::width]).translate(
                 _above(f & 7, 0 > t, 1 > t))
-            index = [i + i + b for i, b in zip(index, bits)]
-    return index
+            bits = [i + place if b else i for i, b in zip(bits, above)]
+    return [dense[r] + bits[b]
+            for r, b in zip(X.index[0::2].tolist(), X.index[1::2].tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,26 +278,40 @@ def _check_tree(tree: Tree, feature_count: int, k: int) -> None:
 # --- on-disk feature directory -------------------------------------------------
 
 
-def _blocks(X: Features):
-    """The dense block and the packed bit block of X, as read-only numpy
-    arrays over its buffers of shapes (n, n_dense) and (n, ceil(nbits / 8))."""
+def _arrays(X: Features):
+    """The distinct dense rows, the distinct packed bit rows and the index of
+    X, as read-only numpy arrays over its buffers of shapes (dense_rows,
+    n_dense), (bit_rows, ceil(nbits / 8)) and (n, 2)."""
     import numpy as np
     return (np.frombuffer(X.dense.toreadonly(), dtype=np.float64)
-            .reshape(len(X), X.n_dense),
+            .reshape(X.dense_rows, X.n_dense),
             np.frombuffer(X.bits.toreadonly(), dtype=np.uint8)
-            .reshape(len(X), (X.nbits + 7) >> 3))
+            .reshape(X.bit_rows, (X.nbits + 7) >> 3),
+            np.asarray(X.index.toreadonly()).reshape(len(X), 2))
 
 
 def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
-    """Write a feature directory: the dense block of X as descriptors.npy,
-    its packed bit block as fingerprints.npy, y.npy, ids.txt (one pair key
-    per line) and featurize.json, the sidecar with the n_rows, n_columns and
-    nbits of X."""
+    """Write a feature directory: the distinct dense rows of X as
+    descriptors.npy, its distinct packed bit rows as fingerprints.npy, its
+    index as pairs.npy (<i4, one row per matrix row: its dense row, its bit
+    row), y.npy, ids.txt (one pair key per line) and featurize.json, the
+    sidecar with the n_rows, n_columns and nbits of X.  A non-finite dense
+    value, which read_features would refuse, raises DatasetError naming the
+    file and the first such column (its name from sidecar["columns"], when
+    given) before anything is written."""
     import numpy as np
+    dense, bits, index = _arrays(X)
+    bad = np.flatnonzero(~np.isfinite(dense).all(axis=0))
+    if bad.size:
+        f = int(bad[0])
+        names = sidecar.get("columns") or ()
+        raise DatasetError(
+            f"cannot write {os.path.join(outdir, DENSE_FILE)}: non-finite "
+            f"value in column {f}" + (f" ({names[f]})" if f < len(names) else ""))
     os.makedirs(outdir, exist_ok=True)
-    dense, bits = _blocks(X)
     np.save(os.path.join(outdir, DENSE_FILE), dense)
     np.save(os.path.join(outdir, BITS_FILE), bits)
+    np.save(os.path.join(outdir, INDEX_FILE), index.astype("<i4"))
     np.save(os.path.join(outdir, "y.npy"), y)
     with open(os.path.join(outdir, "ids.txt"), "w", encoding="utf-8",
               newline="\n") as fh:
@@ -277,22 +325,24 @@ def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
 SCHEMA_FIELDS = ("radius", "nbits", "table_version", "columns")
 
 
-def read_features(path) -> tuple[Features, memoryview | array | None]:
+def read_features(path) -> tuple[Features, memoryview | None]:
     """Read a feature directory written by write_features.  Returns its
-    matrix and the float64 values of its y.npy (metrics._doubles), None
+    matrix and the float64 values of its y.npy (metrics._native), None
     when there is no y.npy.  The matrix's schema is the CRC-32, as 8 hex
     digits, of the canonical JSON of the SCHEMA_FIELDS of featurize.json (a
     missing one as null): a CRC catches a changed featurization without
     loading hashlib into predict.
 
-    Feature files are untrusted.  A missing featurize.json, descriptors.npy
-    or fingerprints.npy raises the OSError of its open.  An array of the
-    wrong dtype, rank, order or byte count, or under a header np.save would
-    not write (an object array included; see metrics._npy_payload), row
-    counts that differ among the blocks, y.npy, ids.txt and featurize.json,
-    a width that is not featurize.json's n_columns, or a non-finite dense
-    value raises DatasetError, or FingerprintFormatError for the bit block,
-    naming the file."""
+    Feature files are untrusted.  A missing featurize.json,
+    descriptors.npy, fingerprints.npy or pairs.npy raises the OSError of
+    its open.  An array of the wrong dtype, rank, order or byte count, or
+    under a header np.save would not write (an object array included; see
+    metrics._npy_payload), an index that is not two columns wide or that
+    names a row outside its block, row counts that differ among the index,
+    y.npy, ids.txt and featurize.json, a width that is not featurize.json's
+    n_columns, or a non-finite dense value raises DatasetError, or
+    FingerprintFormatError for the bit block, naming the file.  Only the
+    distinct rows are checked for finite values."""
     def at(name):
         return os.path.join(path, name)
 
@@ -303,18 +353,22 @@ def read_features(path) -> tuple[Features, memoryview | array | None]:
         raise DatasetError(f"{at('featurize.json')}: n_rows, n_columns and "
                            "nbits must be integers >= 0")
     nbits = meta["nbits"]
-    (n, d), dense = _npy_payload(at(DENSE_FILE), "<f8", 2, DatasetError)
-    shape, bits = _npy_payload(at(BITS_FILE), "|u1", 2, FingerprintFormatError)
-    if shape[1] != (nbits + 7) // 8:
+    (dense_rows, d), dense = _npy_payload(at(DENSE_FILE), "<f8", 2, DatasetError)
+    (bit_rows, width), bits = _npy_payload(at(BITS_FILE), "|u1", 2,
+                                           FingerprintFormatError)
+    (n, pair), index = _npy_payload(at(INDEX_FILE), "<i4", 2, DatasetError)
+    if width != (nbits + 7) // 8:
         raise FingerprintFormatError(
-            f"{at(BITS_FILE)}: {shape[1]} bytes per row, "
+            f"{at(BITS_FILE)}: {width} bytes per row, "
             f"{nbits} bits need {(nbits + 7) // 8}")
+    if pair != 2:
+        raise DatasetError(f"{at(INDEX_FILE)}: {pair} columns, expected 2 "
+                           "(a dense row and a bit row per matrix row)")
     if meta["n_columns"] != d + nbits:
         raise DatasetError(
             f"{at('featurize.json')}: n_columns {meta['n_columns']} is not "
             f"{d} dense columns + {nbits} bits")
-    rows = {at(DENSE_FILE): n, at(BITS_FILE): shape[0],
-            at("featurize.json"): meta["n_rows"]}
+    rows = {at(INDEX_FILE): n, at("featurize.json"): meta["n_rows"]}
     y = None
     if os.path.exists(at("y.npy")):
         (n_y,), y = _npy_payload(at("y.npy"), "<f8", 1, DatasetError)
@@ -325,13 +379,18 @@ def read_features(path) -> tuple[Features, memoryview | array | None]:
     if len(set(rows.values())) > 1:
         raise DatasetError("feature row counts disagree: " + ", ".join(
             f"{name} {n}" for name, n in rows.items()))
-    dense = _doubles(dense)
+    dense = _native(dense, "d")
     # a finite sum has finite terms; an overflowed one is checked termwise
     if not (math.isfinite(sum(dense)) or all(map(math.isfinite, dense))):
         raise DatasetError(f"{at(DENSE_FILE)}: non-finite feature value")
     text = json.dumps({k: meta.get(k) for k in SCHEMA_FIELDS}, sort_keys=True,
                       separators=(",", ":"))
     schema = format(zlib.crc32(text.encode("utf-8")), "08x")
-    return (Features(n, dense, d, memoryview(bits), nbits, schema),
-            None if y is None else _doubles(y))
-
+    try:
+        X = Features(dense, dense_rows, d, memoryview(bits), bit_rows, nbits,
+                     _native(index, "i"), schema)
+    except DimensionMismatchError as exc:
+        raise DatasetError(f"{at(INDEX_FILE)}: {exc} ({at(DENSE_FILE)} has "
+                           f"{dense_rows} rows, {at(BITS_FILE)} {bit_rows})"
+                           ) from None
+    return X, None if y is None else _native(y, "d")

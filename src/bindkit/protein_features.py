@@ -62,6 +62,10 @@ class PropertyTableError(DataError):
     pass
 
 
+# A table of finite but huge values can overflow the ambiguity rows and the
+# descriptor sums.  The overflow stays quiet: its inf or nan reaches
+# write_features, which refuses it naming the column.
+@np.errstate(over="ignore", invalid="ignore")
 def _code_rows(rows: dict[str, tuple[float, ...]]) -> np.ndarray:
     """The 24 x 34 code table: one row per code of RESIDUE_CODES, its 14
     properties then its composition over the 20 standard residues.  The
@@ -193,6 +197,7 @@ def _coerce(seq: ProteinSequence | str) -> str:
     return residues
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def receptor_descriptor(
     seq: ProteinSequence | str, table: ResiduePropertyTable | None = None,
 ) -> ReceptorDescriptor:

@@ -220,13 +220,22 @@ def test_featurize_artifacts(pipeline):
     train_dir = pathlib.Path(pipeline["feats"]["train"])
     assert sorted(p.name for p in train_dir.iterdir()) == [
         "descriptors.npy", "featurize.json", "fingerprints.npy", "ids.txt",
-        "y.npy"]
+        "pairs.npy", "y.npy"]
     dense = np.load(train_dir / "descriptors.npy")
     bits = np.load(train_dir / "fingerprints.npy")
-    assert dense.shape == (22, 78) and dense.dtype == np.float64
-    assert bits.shape == (22, 256 // 8) and bits.dtype == np.uint8
+    index = np.load(train_dir / "pairs.npy")
+    # one row per distinct receptor and per distinct ligand of the 22 pairs
+    assert dense.shape == (6, 78) and dense.dtype == np.float64
+    assert bits.shape == (12, 256 // 8) and bits.dtype == np.uint8
+    assert index.shape == (22, 2) and index.dtype == np.dtype("<i4")
+    assert len(np.unique(dense, axis=0)) == 6 and len(np.unique(bits, axis=0)) == 12
+    assert index.min() == 0 and index[:, 0].max() == 5 and index[:, 1].max() == 11
     X, y = read_features(train_dir)
     assert X.shape == (22, 78 + 256)
+    matrix = dense_matrix(X)
+    assert np.array_equal(matrix[:, :78], dense[index[:, 0]])
+    assert np.array_equal(np.packbits(matrix[:, 78:].astype(np.uint8), axis=1,
+                                      bitorder="little"), bits[index[:, 1]])
     assert len(y) == 22
     assert np.array_equal(y, np.load(train_dir / "y.npy"))
     ids = (train_dir / "ids.txt").read_text().splitlines()
@@ -249,6 +258,26 @@ def test_train_artifacts(pipeline):
     assert len(metrics["train_loss"]) == 40
     assert metrics["train_loss"][-1] <= metrics["train_loss"][0]
     assert len(metrics["valid_mae"]) == 40
+
+
+def test_train_valid_mae_matches_numpy_routing(pipeline):
+    """train --valid routes the factored validation features: the
+    valid_mae and best_iteration it writes are those of routing each
+    decoded row through a numpy router, tree by tree."""
+    model = load_model(pipeline["model"])
+    metrics = json.loads(pathlib.Path(pipeline["model"] + ".metrics.json")
+                         .read_text())
+    Xv, yv = read_features(pipeline["feats"]["valid"])
+    M, F = dense_matrix(Xv), np.full(len(Xv), model.base_score)
+    maes = []
+    for tree in model.trees:
+        leaf = np.zeros(len(M), dtype=np.intp)
+        for f, t in zip(tree.feature, tree.threshold):
+            leaf = 2 * leaf + (M[:, f] > t)
+        F += np.asarray(tree.leaf_value)[leaf]
+        maes.append(float(np.abs(np.asarray(yv) - F).mean()))
+    assert metrics["valid_mae"] == maes
+    assert metrics["best_iteration"] == int(np.argmin(maes))
 
 
 def test_train_log_reports_tree_shape(pipeline, tmp_path, capsys):
@@ -376,6 +405,31 @@ def test_malformed_property_table_exits_2(pipeline, tmp_path, capsys, command,
     assert not out.exists()
 
 
+def test_overflowing_property_table_writes_no_features(pipeline, tmp_path):
+    """A table of finite but huge values overflows the receptor descriptors.
+    featurize exits 2 naming descriptors.npy and its first non-finite
+    column, creates no --out directory, and no numpy RuntimeWarning reaches
+    stderr; featurize used to exit 0 and leave train to refuse the
+    directory."""
+    lines = table_lines()
+    for i, line in enumerate(lines[1:], start=1):
+        code, _, rest = line.split(",", 2)
+        lines[i] = f"{code},1e308,{rest}"
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "table.toml"
+    cfg.write_text(f"[paths]\nproperty_table = '{table}'\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bindkit.cli", "--quiet", "--config", str(cfg),
+         "featurize", "--dataset", pipeline["data"], "--subset", "train",
+         "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "descriptors.npy" in proc.stderr and "column 0 (charge_mean)" in proc.stderr
+    assert "Warning" not in proc.stderr, proc.stderr
+    assert not out.exists()
+
+
 def counted(monkeypatch, module, name, calls):
     """Wrap module.name, where its callers look it up, in a call counter,
     as the perfbench tracer does."""
@@ -420,7 +474,7 @@ def test_pipeline_is_deterministic(pipeline, tmp_path):
     assert main(["--config", cfg, "--quiet", "featurize", "--dataset", data2,
                  "--subset", "train", "--out", feat2]) == 0
     written = sorted(p.name for p in pathlib.Path(feat2).iterdir())
-    assert len(written) == 5
+    assert len(written) == 6
     for name in written:
         assert (pathlib.Path(feat2) / name).read_bytes() == \
             (pathlib.Path(pipeline["feats"]["train"]) / name).read_bytes()
@@ -1593,8 +1647,9 @@ def edit_sidecar(feats, **fields):
     ("featurize.json", lambda d: edit_sidecar(d, n_rows=23)),
     ("fingerprints.npy", lambda d: np.save(d / "fingerprints.npy",
                                            np.load(d / "fingerprints.npy")[1:])),
+    # a block one row short leaves the index naming a row it does not hold
     ("descriptors.npy", lambda d: np.save(d / "descriptors.npy",
-                                          np.load(d / "descriptors.npy")[:21])),
+                                          np.load(d / "descriptors.npy")[:-1])),
 ])
 def test_feature_row_counts_must_agree(pipeline, tmp_path, capsys, filename,
                                        damage):
@@ -1632,6 +1687,55 @@ def test_object_arrays_are_rejected(pipeline, tmp_path, capsys, filename):
     assert_features_rejected(pipeline, tmp_path, capsys, feats, filename)
 
 
+def _save_index(edit, **kwargs):
+    """Damage that saves edit(pairs.npy) in place of pairs.npy."""
+    def damage(d):
+        np.save(d / "pairs.npy", edit(np.load(d / "pairs.npy")), **kwargs)
+    return damage
+
+
+def _set(i, at, value):
+    i[at] = value
+    return i
+
+
+@pytest.mark.parametrize("filename,damage", [
+    # the train blocks hold 6 receptor rows and 12 ligand rows
+    ("pairs.npy", _save_index(lambda i: _set(i, (3, 0), 6))),
+    ("pairs.npy", _save_index(lambda i: _set(i, (3, 1), 12))),
+    ("pairs.npy", _save_index(lambda i: _set(i, (0, 0), -1))),
+    ("pairs.npy", _save_index(lambda i: _set(i, (21, 1), -2**31))),
+    ("pairs.npy", _save_index(lambda i: i.astype(np.int64))),
+    ("pairs.npy", _save_index(lambda i: i.astype(">i4"))),
+    ("pairs.npy", _save_index(lambda i: i.astype(np.float64))),
+    ("pairs.npy", _save_index(lambda i: i.ravel())),
+    ("pairs.npy", _save_index(lambda i: i[None])),
+    ("pairs.npy", _save_index(lambda i: np.hstack([i, i[:, :1]]))),
+    ("pairs.npy", _save_index(np.asfortranarray)),
+    ("pairs.npy", _save_index(lambda i: i[:-1])),
+    ("pairs.npy", _save_index(lambda i: np.vstack([i, i[:1]]))),
+    ("pairs.npy", _save_index(lambda i: i.astype(object), allow_pickle=True)),
+    ("descriptors.npy", lambda d: np.save(d / "descriptors.npy",
+                                          np.load(d / "descriptors.npy")[:0])),
+    ("fingerprints.npy", lambda d: np.save(d / "fingerprints.npy",
+                                           np.load(d / "fingerprints.npy")[:0])),
+], ids=["dense-row-out-of-range", "bit-row-out-of-range", "negative",
+        "int32-min", "int64", "big-endian", "float64", "1-D", "3-D",
+        "three-columns", "fortran", "short", "long", "object",
+        "no-dense-rows", "no-bit-rows"])
+def test_feature_index_is_checked(pipeline, tmp_path, capsys, filename, damage):
+    """Each damage of the index, or a block left without rows while the
+    index names some, exits 2 naming the file; none reaches the router."""
+    feats = damaged_features(pipeline, tmp_path, damage)
+    assert_features_rejected(pipeline, tmp_path, capsys, feats, filename)
+
+
+def test_feature_index_must_exist(pipeline, tmp_path, capsys):
+    feats = damaged_features(pipeline, tmp_path,
+                             lambda d: (d / "pairs.npy").unlink())
+    assert_features_rejected(pipeline, tmp_path, capsys, feats, "pairs.npy")
+
+
 def _rewrite_header(name, old, new):
     def damage(d):
         blob = (d / name).read_bytes()
@@ -1655,8 +1759,8 @@ def _save_as_version_3(d):
     ("descriptors.npy", _rewrite_header(
         "descriptors.npy", b"{'descr': '<f8', 'fortran_order': False, ",
         b"{'fortran_order': False, 'descr': '<f8', ")),
-    ("descriptors.npy", _rewrite_header("descriptors.npy", b"'shape': (22, 78)",
-                                        b"'shape': (22,78) ")),
+    ("descriptors.npy", _rewrite_header("descriptors.npy", b"'shape': (6, 78)",
+                                        b"'shape': (6,78) ")),
     ("y.npy", _rewrite_header("y.npy", b"'descr': '<f8'", b"'descr': 'f8' ")),
     ("y.npy", _rewrite_header("y.npy", b"'descr': '<f8'", b'"descr": "<f8"')),
     ("y.npy", _save_as_version_3),
@@ -1680,18 +1784,18 @@ def test_non_finite_descriptor_is_rejected(pipeline, tmp_path, capsys, value):
                              "descriptors.npy")
 
 
-FEATURE_ARRAYS = ("descriptors.npy", "fingerprints.npy", "y.npy")
+FEATURE_ARRAYS = ("descriptors.npy", "fingerprints.npy", "pairs.npy", "y.npy")
 DTYPES = ("float64", "float32", "uint8", "int64", "bool", "<U2", ">f8")
 
 
 @st.composite
 def damaged_array(draw):
     """(file name, damage): truncate the file to a byte count (the largest,
-    descriptors.npy, holds 13,856 bytes), or save an array of a small shape
+    descriptors.npy, holds 3,872 bytes), or save an array of a small shape
     and dtype in its place."""
     name = draw(st.sampled_from(FEATURE_ARRAYS))
     if draw(st.booleans()):
-        return name, ("truncate", draw(st.integers(0, 14000)))
+        return name, ("truncate", draw(st.integers(0, 4000)))
     shape = tuple(draw(st.lists(st.integers(0, 40), max_size=3)))
     return name, ("replace", shape, draw(st.sampled_from(DTYPES)))
 

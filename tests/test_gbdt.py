@@ -26,7 +26,7 @@ from bindkit.gbdt import (
     _bin_columns,
     _column,
 )
-from bindkit.model import Features
+from bindkit.model import Features, _leaves
 from testutil import dense_matrix
 
 
@@ -373,12 +373,16 @@ def packed_matrix(seed, n=200, nbits=45):
     return store, y
 
 
-def features_of(dense, bits):
+def features_of(dense, bits, index=None):
     """Features of the float64 block dense beside the 0/1 columns of bits,
-    packed eight to a byte, LSB-first."""
+    packed eight to a byte, LSB-first; row i takes dense row index[i, 0]
+    and bit row index[i, 1], row i of each block when index is None."""
     packed = np.packbits(bits, axis=1, bitorder="little")
-    return Features(len(dense), memoryview(dense.ravel()), dense.shape[1],
-                    memoryview(packed.ravel()), bits.shape[1])
+    if index is None:
+        index = np.arange(len(dense)).repeat(2).reshape(-1, 2)
+    return Features(memoryview(dense.ravel()), len(dense), dense.shape[1],
+                    memoryview(packed.ravel()), len(packed), bits.shape[1],
+                    memoryview(np.asarray(index, dtype=np.int32).ravel()))
 
 
 def test_feature_store_layout():
@@ -387,7 +391,7 @@ def test_feature_store_layout():
     d = dense.shape[1]
     matrix = dense_matrix(store)
     assert len(store) == 200 and store.shape == matrix.shape == (200, d + 45)
-    assert store.nbytes == dense.nbytes + 200 * 6
+    assert store.nbytes == dense.nbytes + 200 * 6 + 200 * 2 * 4
     assert np.array_equal(matrix[:, :d], dense)
     assert matrix[:, d + 3].max() == 0.0 and matrix[:, d + 17].min() == 1.0
     assert np.array_equal(matrix[:, d + 30], 1.0 - matrix[:, d + 5])
@@ -431,14 +435,30 @@ def test_features_check_their_buffer_lengths(dense, nbits, bits):
     """Three rows of one dense column and nbits bits need 3 values and
     3 * ceil(nbits / 8) bytes; routing a row count the buffers do not hold
     gave as many predictions as the shorter buffer has rows."""
+    identity = memoryview(array("i", [0, 0, 1, 1, 2, 2]))
     with pytest.raises(DimensionMismatchError):
-        Features(3, memoryview(array("d", dense)), 1, memoryview(bits), nbits)
-    fits = Features(3, memoryview(array("d", [0.0, 2.0, 1.0])), 1,
-                    memoryview(bytes(3 * ((nbits + 7) // 8))), nbits)
+        Features(memoryview(array("d", dense)), 3, 1, memoryview(bits), 3, nbits,
+                 identity)
+    fits = Features(memoryview(array("d", [0.0, 2.0, 1.0])), 3, 1,
+                    memoryview(bytes(3 * ((nbits + 7) // 8))), 3, nbits, identity)
     model = GbdtModel(base_score=0.5, params=TrainParams(), feature_count=1 + nbits,
                       trees=(Tree(feature=(0,), threshold=(1.0,),
                                   leaf_value=(0.0, 1.0)),))
     assert len(model.predict(fits)) == 3
+
+
+@pytest.mark.parametrize("index", [
+    [0, 0, 1], [0, 0, 2, 0], [0, 0, 0, 3], [-1, 0], [0, -1],
+], ids=["odd length", "dense row 2 of 2", "bit row 3 of 3", "negative dense row",
+        "negative bit row"])
+def test_features_check_their_index(index):
+    """Two dense rows and three bit rows: each index entry must name a row
+    of its block; a negative one would wrap around a Python list."""
+    with pytest.raises(DimensionMismatchError):
+        Features(memoryview(array("d", [0.0, 1.0])), 2, 1, memoryview(bytes(3)), 3, 8,
+                 memoryview(array("i", index)))
+    Features(memoryview(array("d", [0.0, 1.0])), 2, 1, memoryview(bytes(3)), 3, 8,
+             memoryview(array("i", [1, 2, 0, 0])))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -617,6 +637,126 @@ def test_training_sums_match_numpy_routing(case):
         Fv += reference_route(tree, dense_matrix(Xv))
         assert metrics["train_loss"][k] == float(np.mean((y - F) ** 2))
         assert metrics["valid_mae"][k] == float(np.abs(yv - Fv).mean())
+
+
+# --- the factored router against the per-row router -------------------------
+
+
+def per_row_leaves(tree, X):
+    """The router of the one-row-per-pair store, kept as the reference for
+    the factored one: every row is routed level by level, one comparison
+    per row and level, over its own dense values and its own packed bytes
+    (the blocks expanded through the index)."""
+    index = np.asarray(X.index).reshape(len(X), 2)
+    dense = np.frombuffer(X.dense, dtype=np.float64).reshape(
+        X.dense_rows, X.n_dense)[index[:, 0]].ravel().tolist()
+    width = (X.nbits + 7) >> 3
+    bits = np.frombuffer(X.bits, dtype=np.uint8).reshape(
+        X.bit_rows, width)[index[:, 1]].tobytes()
+    leaf = [0] * len(X)
+    for f, t in zip(tree.feature, tree.threshold):
+        if f < X.n_dense:
+            values = dense[f::X.n_dense]
+        else:
+            f -= X.n_dense
+            values = [(b >> (f & 7)) & 1 for b in bits[f >> 3::width]]
+        leaf = [i + i + (v > t) for i, v in zip(leaf, values)]
+    return leaf
+
+
+def per_row_predict(model, X):
+    """GbdtModel.predict over per_row_leaves, summed in the same order."""
+    pred = [model.base_score] * len(X)
+    for tree in model.trees:
+        pred = [p + tree.leaf_value[i] for p, i in zip(pred, per_row_leaves(tree, X))]
+    return array("d", pred)
+
+
+# dense values: repeats, both signed zeros, extremes and arbitrary floats
+route_values = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.5, 2.25, 5e-324, -1e308, 1e308)),
+    st.floats(allow_nan=False, allow_infinity=False))
+# bit thresholds below 0, at and between 0 and 1, and at or above 1
+bit_thresholds = st.sampled_from(
+    (-1e308, -1.0, -5e-324, -0.0, 0.0, 5e-324, 0.5, 1.0 - 2 ** -53, 1.0, 1.5, 1e308))
+
+
+@st.composite
+def routed_case(draw):
+    """(model, Features): either a factored store, whose index repeats
+    its dense and bit rows, over an nbits that may leave padding bits, or
+    Features.from_array of a dense matrix, with its identity index; and a
+    model of trees from depth 0 up, on thresholds of the block's values,
+    +-0.0 or arbitrary ones."""
+    if draw(st.booleans()):
+        n_dense = draw(st.integers(0, 3))
+        nbits = draw(st.sampled_from((0, 1, 5, 8, 13, 16)))
+        dense_rows, bit_rows = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        values = draw(st.lists(route_values, min_size=dense_rows * n_dense,
+                               max_size=dense_rows * n_dense))
+        width = (nbits + 7) >> 3
+        bits = draw(st.binary(min_size=bit_rows * width, max_size=bit_rows * width))
+        index = draw(st.lists(st.tuples(st.integers(0, dense_rows - 1),
+                                        st.integers(0, bit_rows - 1)), max_size=40))
+        X = Features(memoryview(array("d", values)), dense_rows, n_dense,
+                     memoryview(bits), bit_rows, nbits,
+                     memoryview(array("i", [k for pair in index for k in pair])))
+    else:
+        n, d = draw(st.integers(0, 12)), draw(st.integers(1, 3))
+        values = draw(st.lists(route_values, min_size=n * d, max_size=n * d))
+        X = Features.from_array(np.array(values, dtype=np.float64).reshape(n, d))
+        values = values or [0.0]
+    width = X.n_dense + X.nbits
+    trees = []
+    for _ in range(draw(st.integers(0, 4))):
+        feature, threshold = [], []
+        for _ in range(draw(st.integers(0, 6)) if width else 0):
+            f = draw(st.integers(0, width - 1))
+            feature.append(f)
+            threshold.append(draw(bit_thresholds) if f >= X.n_dense else draw(
+                st.one_of(st.sampled_from(values or [0.0]), route_values)))
+        leaves = draw(st.lists(route_values, min_size=2 ** len(feature),
+                               max_size=2 ** len(feature)))
+        trees.append(Tree(feature=tuple(feature), threshold=tuple(threshold),
+                          leaf_value=tuple(leaves)))
+    model = GbdtModel(base_score=draw(route_values), trees=tuple(trees),
+                      feature_count=width, params=TrainParams())
+    return model, X
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(routed_case())
+def test_factored_router_matches_per_row_router(case):
+    model, X = case
+    want = per_row_predict(model, X).tobytes()
+    for tree in model.trees:
+        assert _leaves(tree, X) == per_row_leaves(tree, X)
+    assert model.predict(X).tobytes() == want
+    assert model.predict(dense_matrix(X)).tobytes() == want
+
+
+def test_validation_through_the_factored_router():
+    """train routes a factored validation set, whose 90 rows repeat 7 dense
+    rows and 11 bit rows, through _leaves: its MAEs and best iteration are
+    those of the same rows given one per row, and those the per-row router
+    gives."""
+    store, y = packed_matrix(3)
+    rng = np.random.default_rng(8)
+    dense, _ = mixed_matrix(8, n=7)
+    index = np.column_stack([rng.integers(0, 7, 90), rng.integers(0, 11, 90)])
+    Xv = features_of(dense, rng.random((11, 45)) < 0.3, index)
+    yv = rng.standard_normal(90)
+    params = TrainParams(n_trees=12, max_depth=4, learning_rate=0.3, seed=1,
+                         min_samples_leaf=3)
+    model, metrics = train(store, y, params, valid=(Xv, yv))
+    assert train(store, y, params, valid=(dense_matrix(Xv), yv))[1] == metrics
+    Fv = np.full(len(Xv), model.base_score)
+    maes = []
+    for tree in model.trees:
+        Fv += np.asarray(tree.leaf_value)[per_row_leaves(tree, Xv)]
+        maes.append(float(np.abs(yv - Fv).mean()))
+    assert metrics["valid_mae"] == maes
+    assert metrics["best_iteration"] == int(np.argmin(maes))
 
 
 def test_input_validation():

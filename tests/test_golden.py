@@ -26,6 +26,15 @@ The parse-outcome digests were recorded from the character-at-a-time
 parser, before SMILES were cut into tokens by one regular expression.
 The canonical config JSON digests were recorded when the canonical form
 was built key by key, before the config fields were named after their keys.
+The train/descriptors.npy and train/fingerprints.npy digests were
+re-recorded when the feature store became factored: each block holds each
+distinct receptor or ligand once, in order of first appearance, and
+pairs.npy (digests added then) gives each pair's two rows.  The decoded
+X.npy digests, both featurize.json digests and the model digests did not
+change.  The valid blocks kept their digests because every valid pair has
+a receptor and a ligand of its own.  The pred.txt digest was recorded
+before that change, from the one-row-per-pair store and router, and still
+holds after it.
 """
 import csv
 import hashlib
@@ -131,15 +140,18 @@ GOLDEN_MODELS = {
 # file of the fixture pipeline -> sha256; the config names the FASTA file by a
 # relative path, so config_digest in featurize.json is the same in any checkout.
 # X.npy stands for np.save of the decoded feature store of its directory.  The
-# block digests were derived from the dense X.npy of the parent implementation:
-# np.save of its 78 descriptor columns, and of its bit columns packed LSB-first.
+# block digests were first derived from the dense X.npy of the implementation
+# before the packed store: np.save of its 78 descriptor columns, and of its bit
+# columns packed LSB-first, one row per pair.
 GOLDEN_ARTIFACTS = {
     "train/X.npy":
         "ff9574e5f021e0a42b6c6d215bb70b6fb369d110d31271c8a03409f5182350aa",
     "train/descriptors.npy":
-        "f5e00d363f49a9e830e24aea9e0c51ba552044f2fe2d6090b27caa8206b2cf8e",
+        "a56e757d91c35e2bcfff177866fa4770e15f710f2f4d7f954980e74e05a08a89",
     "train/fingerprints.npy":
-        "caca26ddcf17024a129523034989a404606351ec1aeef7e502e81de1a59bd4a3",
+        "36c544ff9096e173b65d6ec49f167b3e2e91b792f90f934747b996472cc1e28a",
+    "train/pairs.npy":
+        "3db81c4e9f379c6ef57c38ff298a9e1ae957448286c502c7fb2bfd901ee1005b",
     "train/y.npy":
         "5279694543c5357bf193cb40697dbb541aec0a73a89943e6d24adaa7c7c79096",
     "train/ids.txt":
@@ -152,6 +164,8 @@ GOLDEN_ARTIFACTS = {
         "7e86b0d413bdd2d4cd48c5bab360044b3ad06d2276cbb6a18103066c70011b5c",
     "valid/fingerprints.npy":
         "cb6dc2b145d95108b923a02f81b423ac9a7e2b9274a87b4c4dfc9eac052556fe",
+    "valid/pairs.npy":
+        "f15fd9c0a46ad26ce85cf0771c6d4fc1e956f8d10581bc9fff98529ecb155f50",
     "valid/y.npy":
         "32db329fd329d2723ec196d5fa2d0017a9d48362cda742a5162eb88a68250f6f",
     "valid/ids.txt":
@@ -160,13 +174,16 @@ GOLDEN_ARTIFACTS = {
         "def26d35919c61c841b15ad9cb7da1940ecfe6f4c5ee7bc78580a13542818794",
     "graphs.jsonl":
         "563bec2e7a43ddcc29bc052dd74afd07780470bcc1aa936971e8c8cc156300a9",
+    "pred.txt":
+        "043428dffc8074926380a43cc070a12a9ab77e2e1f7b25facf5cdb041f2c1810",
 }
 
 
 @pytest.fixture(scope="module")
 def fixture_pipeline(tmp_path_factory):
-    """Ingest the CLI fixture table, featurize train and valid (256-bit ECFP)
-    and export the graphs of every record; returns the output directory."""
+    """Ingest the CLI fixture table, featurize train and valid (256-bit ECFP),
+    export the graphs of every record, train on train with valid for
+    validation and predict train; returns the output directory."""
     root = tmp_path_factory.mktemp("golden")
     shutil.copy(FIXTURES / "receptors.fasta", root / "receptors.fasta")
     (root / "pipeline.toml").write_text(
@@ -182,6 +199,16 @@ def fixture_pipeline(tmp_path_factory):
                                "--subset", name, "--out", name]) == 0
         assert main(cfg + ["export-graphs", "--dataset", "dataset",
                            "--subset", "all", "--out", "graphs.jsonl"]) == 0
+        # the boosting settings of MODEL_PARAMS, in a config of their own so
+        # that the featurize.json digests keep theirs
+        (root / "train.toml").write_text(
+            "seed = 11\n\n[gbdt]\nn_trees = 40\nmax_depth = 3\n"
+            "learning_rate = 0.2\nmin_samples_leaf = 2\n")
+        fit = ["--config", "train.toml", "--quiet"]
+        assert main(fit + ["train", "--train", "train", "--valid", "valid",
+                           "--out", "model.json"]) == 0
+        assert main(fit + ["predict", "--model", "model.json",
+                           "--features", "train", "--out", "pred.txt"]) == 0
     return root
 
 

@@ -72,12 +72,15 @@ workers = 2
 """
 
 def dense_matrix(X: Features) -> np.ndarray:
-    """The (n, n_dense + nbits) float64 matrix of X: its dense columns, then
-    each bit column as 0.0 or 1.0."""
-    dense = np.frombuffer(X.dense, dtype=np.float64).reshape(len(X), X.n_dense)
-    bits = np.frombuffer(X.bits, dtype=np.uint8).reshape(len(X), (X.nbits + 7) // 8)
-    return np.hstack([dense, np.unpackbits(bits, axis=1, count=X.nbits,
-                                           bitorder="little")])
+    """The (n, n_dense + nbits) float64 matrix of X: for each row, the
+    dense columns of its dense row, then each bit column of its bit row as
+    0.0 or 1.0."""
+    dense = np.frombuffer(X.dense, dtype=np.float64).reshape(X.dense_rows, X.n_dense)
+    bits = np.frombuffer(X.bits, dtype=np.uint8).reshape(X.bit_rows, (X.nbits + 7) // 8)
+    index = np.asarray(X.index).reshape(len(X), 2)
+    return np.hstack([dense[index[:, 0]],
+                      np.unpackbits(bits[index[:, 1]], axis=1, count=X.nbits,
+                                    bitorder="little")])
 
 
 _TOKEN = re.compile(
