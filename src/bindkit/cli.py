@@ -217,24 +217,29 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     return 0
 
 
+# json.dumps(obj, sort_keys=True, allow_nan=False), with its encoder built once
+_strict_json = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+
+
 def _block_json(features, rows: dict[bytes, str]) -> str:
-    """json.dumps(graph_block(features), sort_keys=True), assembled with the
-    JSON of each node row looked up in ``rows`` by the row's float64 bytes
-    and serialized only when it is new.  Bytes, not values, are the key:
-    -0.0 == 0.0, but json.dumps writes them differently."""
+    """_strict_json(graph_block(features)), assembled with the JSON of each
+    node row looked up in ``rows`` by the row's float64 bytes and
+    serialized only when it is new.  Bytes, not values, are the key: -0.0
+    == 0.0, but json.dumps writes them differently.  A block holding inf
+    or nan raises the encoder's ValueError."""
     block = _cli.graph_block(features)
     parts = []
     for values, row in zip(features.node_features, block["node_features"]):
         key = values.tobytes()
         text = rows.get(key)
         if text is None:
-            text = rows[key] = json.dumps(row)
+            text = rows[key] = _strict_json(row)
         parts.append(text)
     nodes = "[" + ", ".join(parts) + "]"
     # json.dumps joins items with ", " and keys with ": ", in key order
     return "{" + ", ".join(
         f"{json.dumps(name)}: " + (nodes if name == "node_features" else
-                                   json.dumps(value, sort_keys=True))
+                                   _strict_json(value))
         for name, value in sorted(block.items())) + "}"
 
 
@@ -251,18 +256,32 @@ def cmd_export_graphs(args, cfg: PipelineConfig) -> int:
     rows: dict[bytes, str] = {}
     lig_json: dict[str, str] = {}
     rec_json: dict[str, str] = {}
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            lig = lig_json.get(rec.ligand.source)
-            if lig is None:
-                lig = lig_json[rec.ligand.source] = _block_json(
-                    _cli.ligand_graph_features(rec.ligand), rows)
-            rgraph = rec_json.get(rec.receptor.residues)
-            if rgraph is None:
-                rgraph = rec_json[rec.receptor.residues] = _block_json(
-                    _cli.receptor_graph_features(rec.receptor, table), rows)
-            fh.write(f'{{"id": {json.dumps(rec.pair_key)}, "ligand": {lig}, '
-                     f'"receptor": {rgraph}}}\n')
+
+    def strict(features, what: str) -> str:
+        try:
+            return _block_json(features, rows)
+        except ValueError as exc:
+            raise DatasetError(f"cannot write {args.out}: the graph of {what} "
+                               "is not finite (JSON has no inf or nan)") from exc
+
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            for rec in records:
+                lig = lig_json.get(rec.ligand.source)
+                if lig is None:
+                    lig = lig_json[rec.ligand.source] = strict(
+                        _cli.ligand_graph_features(rec.ligand),
+                        f"ligand {rec.ligand.source!r}")
+                rgraph = rec_json.get(rec.receptor.residues)
+                if rgraph is None:
+                    rgraph = rec_json[rec.receptor.residues] = strict(
+                        _cli.receptor_graph_features(rec.receptor, table),
+                        f"receptor {rec.receptor.id}")
+                fh.write(f'{{"id": {json.dumps(rec.pair_key)}, "ligand": {lig}, '
+                         f'"receptor": {rgraph}}}\n')
+    except DatasetError:
+        os.remove(args.out)         # no partial file
+        raise
     _info(args, f"exported {len(records)} pair graphs -> {args.out}")
     return 0
 

@@ -14,10 +14,13 @@ binned once into at most n_histogram_bins quantile bins whose upper bounds
 are data values (a column with few distinct values gets one bin per value;
 a bit column set in some but not all rows gets [0.0, 1.0]).  A split sends
 x > t to the 1 side, t the upper bound of a bin, so routing by raw value
-agrees with routing by bin code.  Constant columns are dropped.  Two-bin
-columns, such as fingerprint bits, keep only their code-1 cells in a
-row-major CSR, and their code-0 side is the node's row count and total
-minus the code-1 side; wider columns keep their codes in one int32 block.
+agrees with routing by bin code.  Binning keeps a cut only if it leaves
+min_samples_leaf of all rows on each side, since no node or in-bag sample
+can take any other; that drops constant columns and most rare fingerprint
+bits once per fit (LightGBM's feature_pre_filter).  Kept columns are laid
+out by block, as model.Features stores them: dense columns keep their bin
+codes in one int32 block, and bit columns their set cells in a row-major
+CSR, the unset side being the node's count and total minus the set side.
 Split search reads each tree's residuals rounded to integers in [-Q, Q], so
 every histogram sum is exact; leaf values take the mean float residual.
 Each level of a tree takes the first (feature, bin) with the largest
@@ -48,21 +51,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class _Binned:
-    """The training matrix as split search reads it.  Each column is binned
-    into ascending upper bounds (actual data values) and then stored by its
-    bin count: one-bin columns cannot split and are dropped, two-bin columns
-    keep only their code-1 cells in a row-major CSR, and wider columns keep
-    their codes in one contiguous block.  dense and bits are the blocks of
-    the matrix, one row per matrix row (_blocks), which _column decodes."""
+    """The training matrix as split search reads it: the kept columns by
+    block, and the candidates in (column, code) order, each kept cut of a
+    dense column and then each kept bit column, cut at its 0 bin.  dense
+    and bits are the blocks of the matrix, one row per matrix row (_blocks),
+    which _column decodes."""
     dense: np.ndarray          # float64 (n, d)
     bits: np.ndarray           # uint8 (n, ceil(nbits / 8))
     uppers: list               # per original column, ascending bin uppers
-    pair_cols: np.ndarray      # original index of each two-bin column
+    codes: np.ndarray          # int32 (n, w) flat (column, bin) cell, kept dense
+    width: int                 # cells per kept dense column: the most bins of one
     indptr: np.ndarray         # CSR row offsets, length n + 1
-    indices: np.ndarray        # position in pair_cols of each code-1 cell
-    wide_cols: np.ndarray      # original index of each wider column
-    wide_codes: np.ndarray     # int32 (n, len(wide_cols)) bin codes
-    wide_bins: np.ndarray      # bins per wider column
+    indices: np.ndarray        # position among the kept bit columns of each set cell
+    col: np.ndarray            # original column of each candidate
+    code: np.ndarray           # bin code of each candidate, the bin its cut follows
+    cell: np.ndarray           # flat (column, bin) cell of each dense candidate
 
 
 _CHUNK_ROWS = 1024            # rows of bits unpacked at a time for the CSR
@@ -84,54 +87,59 @@ def _distinct(ascending: np.ndarray) -> np.ndarray:
     return ascending[np.concatenate(([True], ascending[1:] != ascending[:-1]))]
 
 
-def _bin_columns(X: Features, n_bins: int) -> _Binned:
+def _bin_columns(X: Features, n_bins: int, min_leaf: int) -> _Binned:
     """Dense columns with at most n_bins distinct values bin exactly; wider
     ones keep quantile-ranked values.  A bit column set in some but not all
-    rows has the bins [0, 1], and is constant otherwise.  Binning reads the
-    two blocks of X directly; after binning, _column reads one column at a
-    time, only to route rows."""
+    rows has the bins [0, 1], and is constant otherwise.  A cut with fewer
+    than min_leaf rows at or below it, or above it, leaves as few in every
+    node and every in-bag sample, so it is dropped; for min_leaf >= 1 that
+    drops every constant column.  Binning reads the two blocks of X
+    directly; after binning, _column reads one column at a time, only to
+    route rows."""
     dense, packed = _blocks(X)
     n, d = dense.shape
+
+    def cuts(below):            # rows at or below each upper -> the cuts kept
+        return np.flatnonzero((below >= min_leaf) & (n - below >= min_leaf))
+
     # numpy's "lower" quantile method: the sorted value at floor((n - 1) q)
     lower = np.floor((n - 1) * np.linspace(0.0, 1.0, n_bins)).astype(np.intp)
     uppers: list[np.ndarray] = []
+    dense_cuts: list[np.ndarray] = []
     for column in np.sort(dense, axis=0, kind="stable").T:
         distinct = _distinct(column)
         if len(distinct) > n_bins:
             distinct = _distinct(column[lower])
         uppers.append(distinct)
+        dense_cuts.append(cuts(np.searchsorted(column, distinct, side="right")))
     ones = np.empty(packed.shape[1] * 8, dtype=np.int64)
     for k in range(8):
         ones[k::8] = ((packed >> k) & 1).sum(axis=0)
+    ones = ones[:X.nbits]
     levels = (np.array([0.0]), np.array([1.0]), np.array([0.0, 1.0]))
-    uppers += [levels[0 if c == 0 else 1 if c == n else 2]
-               for c in ones[:X.nbits]]
-    bins = np.array([len(u) for u in uppers], dtype=np.int64)
-    pair_cols = np.flatnonzero(bins == 2)
-    wide_cols = np.flatnonzero(bins > 2)
-    dense_pairs = pair_cols[pair_cols < d]
-    bit_pairs = pair_cols[pair_cols >= d] - d
-    lower = np.array([uppers[f][0] for f in dense_pairs], dtype=np.float64)
+    uppers += [levels[0 if c == 0 else 1 if c == n else 2] for c in ones]
+    bit_cols = cuts(n - ones)
+    sizes = np.array([c.size for c in dense_cuts], dtype=np.intp)
+    kept = np.flatnonzero(sizes)
+    width = max((len(uppers[f]) for f in kept), default=0)
+    codes = np.empty((n, kept.size), dtype=np.int32)
+    for j, f in enumerate(kept):
+        codes[:, j] = j * width + np.searchsorted(uppers[f], dense[:, f], side="left")
     counts = np.empty(n, dtype=np.int64)
     indices = []
     for start in range(0, n, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        bits = np.unpackbits(packed[rows], axis=1, count=X.nbits,
-                             bitorder="little")
-        # code-1 cells, row-major: dense columns precede bit columns
-        on = np.hstack([dense[rows, dense_pairs] > lower,
-                        bits[:, bit_pairs].astype(bool)])
+        on = np.unpackbits(packed[rows], axis=1, count=X.nbits,
+                           bitorder="little")[:, bit_cols].astype(bool)
         counts[rows] = on.sum(axis=1)
         indices.append(np.nonzero(on)[1])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    wide_codes = np.empty((n, len(wide_cols)), dtype=np.int32)
-    for j, f in enumerate(wide_cols):           # bit columns are never wide
-        wide_codes[:, j] = np.searchsorted(uppers[f], dense[:, f], side="left")
-    return _Binned(dense=dense, bits=packed, uppers=uppers, pair_cols=pair_cols,
-                   indptr=indptr, indices=np.concatenate(indices),
-                   wide_cols=wide_cols, wide_codes=wide_codes,
-                   wide_bins=bins[wide_cols])
+    code = np.concatenate(dense_cuts + [np.zeros(bit_cols.size, dtype=np.intp)])
+    cell = np.repeat(np.arange(kept.size) * width, sizes[kept]) + code[:sizes.sum()]
+    return _Binned(dense=dense, bits=packed, uppers=uppers, codes=codes, width=width,
+                   indptr=indptr, indices=np.concatenate(indices), code=code, cell=cell,
+                   col=np.concatenate([np.repeat(np.arange(d), sizes), d + bit_cols]))
 
 
 def _column(bm: _Binned, f: int, rows) -> np.ndarray:
@@ -156,22 +164,21 @@ Q = 4096
 
 
 def _gain(s_left, n_left, total, m):
-    """sum_L^2/n_L + sum_R^2/n_R - sum^2/m, elementwise; every candidate uses
-    this one operation order, so equal sums give bit-equal gains."""
+    """sum_L^2/n_L + sum_R^2/n_R - sum^2/m, elementwise, for sides of at
+    least one row; every candidate uses this one operation order, so equal
+    sums give bit-equal gains."""
     s_right = total - s_left
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (s_left * s_left) / n_left + (s_right * s_right) / (m - n_left) \
-            - (total * total) / m
+    return (s_left * s_left) / n_left + (s_right * s_right) / (m - n_left) \
+        - (total * total) / m
 
 
 def _histograms(bm: _Binned, rows, q, slot, k):
     """Counts and quantized residual sums of k nodes over training rows (q
-    their integer residuals, slot their node): (n1, s1) of the code-1 cells
-    of every two-bin column, shape (k, pairs), and (cnt, ssum) of every
-    (column, bin) cell of the wider columns, shape (k, wide, width).  Every
-    sum is an exact integer."""
-    p, w = bm.pair_cols.size, bm.wide_cols.size
-    width = int(bm.wide_bins.max(initial=0))
+    their integer residuals, slot their node): (n1, s1) of the set cells of
+    every kept bit column, shape (k, bits), and (cnt, ssum) of every
+    (column, bin) cell of the kept dense columns, shape (k, dense, width).
+    Every sum is an exact integer."""
+    p, size = bm.col.size - bm.cell.size, bm.codes.shape[1] * bm.width
     starts = bm.indptr[rows]
     lens = bm.indptr[rows + 1] - starts
     ends = np.cumsum(lens)
@@ -179,49 +186,38 @@ def _histograms(bm: _Binned, rows, q, slot, k):
     key = np.repeat(slot * p, lens) + cells
     n1 = np.bincount(key, minlength=k * p).reshape(k, p)
     s1 = np.bincount(key, weights=np.repeat(q, lens), minlength=k * p).reshape(k, p)
-    key = (((slot * w)[:, None] + np.arange(w)) * width + bm.wide_codes[rows]).ravel()
-    cnt = np.bincount(key, minlength=k * w * width).reshape(k, w, width)
-    ssum = np.bincount(key, weights=np.repeat(q, w),
-                       minlength=k * w * width).reshape(k, w, width)
+    key = ((slot * size)[:, None] + bm.codes[rows]).ravel()
+    shape = (k, bm.codes.shape[1], bm.width)
+    cnt = np.bincount(key, minlength=k * size).reshape(shape)
+    ssum = np.bincount(key, weights=np.repeat(q, shape[1]),
+                       minlength=k * size).reshape(shape)
     return n1, s1, cnt, ssum
 
 
-def _summed_gain(s_left, n_left, count, total, min_leaf):
-    """The gain of each candidate (column of the (k, c) arrays) summed over
-    the nodes whose two sides both keep min_leaf rows, added in node order;
-    -inf where no node does.  s_left is a function of (node, candidate)
-    index arrays, so gains are computed on those cells only."""
+def _best_split(bm: _Binned, hist, count, total, min_leaf):
+    """The first best candidate (column, bin code) of a level by its gain
+    summed, in node order, over the nodes where both its sides keep
+    min_leaf rows, or None when that gain is <= 0.  The candidates are in
+    (column, code) order, so the first best is the first maximum.  The sums
+    are exact, so a column and its complement, or two mirrored columns, tie
+    exactly."""
+    n1, s1, cnt, ssum = hist
+    k = len(count)
+    # the 0 side of each candidate: the rows at or below a dense cut, then
+    # the unset rows of a bit column
+    n_left = np.hstack([np.cumsum(cnt, axis=2).reshape(k, -1)[:, bm.cell],
+                        count[:, None] - n1])
+    s_left = np.hstack([np.cumsum(ssum, axis=2).reshape(k, -1)[:, bm.cell],
+                        total[:, None] - s1])
     node, cand = np.nonzero((n_left >= min_leaf)
                             & (count[:, None] - n_left >= min_leaf))
-    size = n_left.shape[1]
-    gain = np.bincount(cand, weights=_gain(s_left(node, cand), n_left[node, cand],
+    gain = np.bincount(cand, weights=_gain(s_left[node, cand], n_left[node, cand],
                                            total[node], count[node]),
-                       minlength=size)
-    return np.where(np.bincount(cand, minlength=size) > 0, gain, -np.inf)
-
-
-def _best_split(bm: _Binned, hist, count, total, min_leaf):
-    """The first best (feature, bin code) of a level by the gain summed over
-    the nodes of hist, or None when that gain is <= 0.  The sums are exact,
-    so a column and its complement, or two mirrored columns, tie exactly."""
-    n1, s1, cnt, ssum = hist
-    k, width = len(count), cnt.shape[2]
-    n_wide = np.cumsum(cnt, axis=2).reshape(k, -1)
-    s_wide = np.cumsum(ssum, axis=2).reshape(k, -1)
-    # the candidates: each two-bin column at code 0, then each (wider column, bin)
-    col = np.concatenate([bm.pair_cols, np.repeat(bm.wide_cols, width)])
-    code = np.concatenate([np.zeros(bm.pair_cols.size, dtype=np.intp),
-                           np.tile(np.arange(width), bm.wide_cols.size)])
-    gain = np.concatenate([
-        _summed_gain(lambda i, c: total[i] - s1[i, c], count[:, None] - n1,
-                     count, total, min_leaf),
-        _summed_gain(lambda i, c: s_wide[i, c], n_wide, count, total, min_leaf)])
-    best = gain.max(initial=0.0)
-    if best <= 0.0:
+                       minlength=bm.col.size)       # 0 where no node takes it
+    if gain.max(initial=0.0) <= 0.0:
         return None
-    top = np.flatnonzero(gain == best)
-    first = top[np.lexsort((code[top], col[top]))[0]]
-    return int(col[first]), int(code[first])
+    first = int(np.argmax(gain))
+    return int(bm.col[first]), int(bm.code[first])
 
 
 def _grow_tree(binned: _Binned, res, rows,
@@ -343,7 +339,7 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
             metrics["best_iteration"] = 0
         return model, metrics
 
-    binned = _bin_columns(X, params.n_histogram_bins)
+    binned = _bin_columns(X, params.n_histogram_bins, params.min_samples_leaf)
 
     # numpy.random is imported only when rows are subsampled
     rng = (np.random.Generator(np.random.PCG64(params.seed))

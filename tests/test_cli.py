@@ -430,6 +430,37 @@ def test_overflowing_property_table_writes_no_features(pipeline, tmp_path):
     assert not out.exists()
 
 
+def test_overflowing_property_table_writes_no_graphs(tmp_path):
+    """With the first property 1e308 for every residue, the code table's
+    averaged row for X overflows to inf, which JSON cannot hold.
+    export-graphs exits 2 naming the output file and the receptor, and
+    leaves no --out file; it used to write the non-JSON token Infinity."""
+    lines = pathlib.Path(RAW).read_text().splitlines()
+    receptor, rest = lines[1].split("\t", 1)
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("\n".join(lines + [f"MKX{receptor[3:]}\t{rest}"]) + "\n")
+    data = tmp_path / "dataset"
+    assert main(["--quiet", "ingest", "--in", str(raw), "--out", str(data)]) == 0
+    assert any("X" in rec.receptor.residues for rec in load_dataset(data).records)
+    table_rows = table_lines()
+    for i, line in enumerate(table_rows[1:], start=1):
+        code, _, rest = line.split(",", 2)
+        table_rows[i] = f"{code},1e308,{rest}"
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(table_rows) + "\n")
+    cfg = tmp_path / "table.toml"
+    cfg.write_text(f"[paths]\nproperty_table = '{table}'\n")
+    out = tmp_path / "graphs.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bindkit.cli", "--quiet", "--config", str(cfg),
+         "export-graphs", "--dataset", str(data), "--subset", "all",
+         "--out", str(out)], capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert f"cannot write {out}: the graph of receptor seq-" in proc.stderr, proc.stderr
+    assert "Warning" not in proc.stderr, proc.stderr
+    assert not out.exists()
+
+
 def counted(monkeypatch, module, name, calls):
     """Wrap module.name, where its callers look it up, in a call counter,
     as the perfbench tracer does."""

@@ -319,6 +319,7 @@ EQUIVALENCE_PARAMS = {
     "subsample": dict(min_samples_leaf=3, subsample=0.6),
     "two bins": dict(min_samples_leaf=3, n_histogram_bins=2),
     "leaf size at the edge": dict(min_samples_leaf=100),    # root of 200 rows
+    "sparse columns pruned": dict(min_samples_leaf=15),     # ~12 of 200 set
 }
 
 
@@ -396,7 +397,7 @@ def test_feature_store_layout():
     assert matrix[:, d + 3].max() == 0.0 and matrix[:, d + 17].min() == 1.0
     assert np.array_equal(matrix[:, d + 30], 1.0 - matrix[:, d + 5])
     rows, cols = [7, 0, 7], [d + 44, 3, d, d + 17, d - 1]
-    binned = _bin_columns(store, 256)
+    binned = _bin_columns(store, 256, min_leaf=1)
     for f in cols:
         assert np.array_equal(_column(binned, f, rows), matrix[rows, f])
     assert not binned.dense.flags.writeable and not binned.bits.flags.writeable
@@ -417,13 +418,111 @@ bin_values = st.one_of(
            st.lists(bin_values, min_size=n, max_size=n), min_size=1, max_size=4)),
        st.integers(2, 12))
 def test_bin_uppers_are_numpys_unique_values_and_lower_quantiles(columns, n_bins):
-    binned = _bin_columns(Features.from_array(np.array(columns).T.copy()), n_bins)
+    binned = _bin_columns(Features.from_array(np.array(columns).T.copy()), n_bins,
+                          min_leaf=1)
     for column, uppers in zip(map(np.array, columns), binned.uppers):
         expected = np.unique(column)
         if len(expected) > n_bins:
             expected = np.unique(np.quantile(
                 column, np.linspace(0.0, 1.0, n_bins), method="lower"))
         assert len(uppers) == len(expected) and (uppers == expected).all()
+
+
+@pytest.mark.parametrize("n_bins", [4, 256])
+@pytest.mark.parametrize("min_leaf", [1, 12, 15, 100, 101])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_binning_keeps_exactly_the_cuts_that_leave_min_leaf_rows(seed, min_leaf,
+                                                                  n_bins):
+    """The candidates are every (column, bin) whose threshold sends at
+    least min_leaf of the 200 rows each way, in (column, code) order; a
+    kept dense column's codes put a row at or below a cut exactly when its
+    value is, a kept bit column's CSR cells are its set rows, and a column
+    with no cut is in neither block."""
+    store, _ = packed_matrix(seed)
+    matrix = dense_matrix(store)
+    n, d = matrix.shape[0], store.n_dense
+    bm = _bin_columns(store, n_bins, min_leaf)
+    expected = [(f, code) for f in range(matrix.shape[1])
+                for code, t in enumerate(bm.uppers[f])
+                if min_leaf <= (matrix[:, f] > t).sum() <= n - min_leaf]
+    assert list(zip(bm.col.tolist(), bm.code.tolist())) == expected
+    dense_cols = sorted({f for f, _ in expected if f < d})
+    bit_cols = [f for f, _ in expected if f >= d]
+    assert bm.codes.shape == (n, len(dense_cols))
+    assert len(bm.cell) == len(expected) - len(bit_cols)
+    for cell, f, code in zip(bm.cell, bm.col, bm.code):
+        assert np.array_equal(bm.codes[:, dense_cols.index(f)] <= cell,
+                              matrix[:, f] <= bm.uppers[f][code])
+    row = np.repeat(np.arange(n), np.diff(bm.indptr))
+    assert bm.indices.max(initial=-1) < len(bit_cols)
+    for i, f in enumerate(bit_cols):
+        assert np.array_equal(row[bm.indices == i], np.flatnonzero(matrix[:, f]))
+
+
+def with_rare_columns(store, min_leaf, seed):
+    """store with four dense columns and four bit columns appended after its
+    own: each set (or, for a dense one, off its mode) in fewer than
+    min_leaf rows, or constant.  Returns the new Features and the map from
+    a feature index of store to its index in the new one."""
+    rng = np.random.default_rng(seed)
+    n, d = len(store), store.n_dense
+    matrix = dense_matrix(store)
+    rare = np.zeros((n, 4))
+    for j in range(4):
+        rows = rng.permutation(n)[:rng.integers(0, min_leaf)]
+        rare[rows, j] = rng.standard_normal(rows.size) * 10.0 ** j
+    rare[:, 3] += 4.5                     # off 4.5 in fewer than min_leaf rows
+    bits = np.zeros((n, 4), dtype=np.uint8)
+    bits[rng.permutation(n)[:min_leaf - 1], 0] = 1
+    bits[:, 1] = 1
+    bits[rng.permutation(n)[:min_leaf - 1], 2] = 1
+    bits[:, 3] = 1 - bits[:, 2]           # unset in fewer than min_leaf rows
+    wide = features_of(np.hstack([matrix[:, :d], rare]),
+                       np.hstack([matrix[:, d:].astype(np.uint8), bits]))
+    return wide, lambda f: f if f < d else f + 4
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("params", [
+    dict(min_samples_leaf=3), dict(min_samples_leaf=15, subsample=0.6),
+    dict(min_samples_leaf=15, n_histogram_bins=4), dict(min_samples_leaf=60),
+], ids=["leaf 3", "leaf 15 subsampled", "leaf 15 four bins", "leaf 60"])
+def test_columns_that_cannot_split_do_not_change_the_fit(params, seed):
+    """A column with fewer than min_samples_leaf rows on one side of every
+    cut can never split: adding such columns leaves base_score and every
+    tree's splits and leaf values bit-equal."""
+    store, y = packed_matrix(seed)
+    wide, index = with_rare_columns(store, params["min_samples_leaf"], seed)
+    assert _bin_columns(wide, 256, params["min_samples_leaf"]).col.size == \
+        _bin_columns(store, 256, params["min_samples_leaf"]).col.size
+    params = TrainParams(n_trees=6, max_depth=5, learning_rate=0.3, seed=seed, **params)
+    (narrow_model, _), (wide_model, _) = train(store, y, params), train(wide, y, params)
+    assert sum(len(t.feature) for t in narrow_model.trees) > 0
+    assert wide_model.base_score == narrow_model.base_score
+    for got, want in zip(wide_model.trees, narrow_model.trees, strict=True):
+        assert got.feature == tuple(map(index, want.feature))
+        assert np.array_equal(got.threshold, want.threshold)
+        assert np.array_equal(got.leaf_value, want.leaf_value)
+
+
+@pytest.mark.parametrize("case", ["constant columns", "rare columns",
+                                  "leaf too large"])
+def test_no_cut_left_grows_depth_zero_trees(case):
+    """With no cut that leaves min_samples_leaf rows on each side, split
+    search has no candidate and every tree is a single leaf."""
+    rng = np.random.default_rng(7)
+    y = rng.standard_normal(200)
+    if case == "constant columns":
+        X, min_leaf = Features.from_array(np.full((200, 3), 2.5)), 1
+    elif case == "rare columns":
+        X, min_leaf = with_rare_columns(
+            Features.from_array(np.full((200, 1), 2.5)), 9, 7)[0], 9
+    else:
+        X, min_leaf = packed_matrix(0)[0], 101
+    assert _bin_columns(X, 256, min_leaf).col.size == 0
+    model, _ = train(X, y, TrainParams(n_trees=3, max_depth=4, learning_rate=0.5,
+                                       min_samples_leaf=min_leaf))
+    assert [(t.feature, len(t.leaf_value)) for t in model.trees] == [((), 1)] * 3
 
 
 @pytest.mark.parametrize("dense, nbits, bits", [

@@ -127,13 +127,20 @@ FIXTURES = CORPUS.parent
 MODEL_PARAMS = dict(n_trees=40, max_depth=3, learning_rate=0.2,
                     min_samples_leaf=2, seed=11)
 
-# extra TrainParams -> sha256 of model.json trained on the fixture features
+# TrainParams over MODEL_PARAMS -> sha256 of model.json trained on the fixture
+# features
 GOLDEN_MODELS = {
     "fixture config": (
         {}, "a528ca05ea0baad0a3657dbf55fff3ec80136f3a26b37fd6eef40b6b44635573"),
     "subsampled, four bins": (
         {"subsample": 0.8, "n_histogram_bins": 4},
         "d7054946ae4c6c895793ef8cbf534d9128bb72bff03359a62f528615ba82fe81"),
+    "leaf minimum 4": (
+        {"min_samples_leaf": 4},
+        "46601327ff9d05c1e16b6a8f32d24efa91329b00b19c7ef5bc0d83de1b38367c"),
+    "subsampled, leaf minimum 5": (
+        {"min_samples_leaf": 5, "subsample": 0.7},
+        "f8f25ab5a754ddddd362224e0c2a50d59ccfe3750323943049ae7b4d8c3601bc"),
 }
 
 
@@ -237,7 +244,7 @@ def test_pinned_pipeline_artifacts(name, fixture_pipeline):
 def test_pinned_model_bytes(name, fixture_features, tmp_path):
     extra, digest = GOLDEN_MODELS[name]
     model, _ = train(*fixture_features["train"],
-                     TrainParams(**MODEL_PARAMS, **extra),
+                     TrainParams(**{**MODEL_PARAMS, **extra}),
                      valid=fixture_features["valid"])
     path = tmp_path / "model.json"
     save_model(model, path)
