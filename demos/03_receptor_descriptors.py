@@ -45,9 +45,11 @@ for code in ("A", "R", "W", "G"):
 # 14 properties x (mean, sum, min, max), then 20 composition fractions,
 # then sequence length and a disulfide pair estimate.
 
+# The descriptor is a plain float64 vector; DESCRIPTOR_LAYOUT names its
+# columns.
+
 protease = records[0]
-desc = receptor_descriptor(protease)
-vec = desc.vector
+vec = receptor_descriptor(protease)
 print(f"\ndescriptor width: {len(vec)} "
       f"(= 14 props x 4 stats + 20 fractions + 2 globals)")
 by_name = dict(zip(DESCRIPTOR_LAYOUT, vec))
@@ -64,17 +66,20 @@ print(f"  composition fractions sum to {sum(fracs):.12f}")
 
 layout = list(DESCRIPTOR_LAYOUT)
 hmean = layout.index("hydrophobicity_mean")
-plain = receptor_descriptor(parse_fasta(">a\nACDEFG\n")[0]).vector
-coded = receptor_descriptor(parse_fasta(">b\nACDEFGX\n")[0]).vector
+plain = receptor_descriptor(parse_fasta(">a\nACDEFG\n")[0])
+coded = receptor_descriptor(parse_fasta(">b\nACDEFGX\n")[0])
 print(f"\nadding one X shifts hydrophobicity_mean "
       f"{plain[hmean]:+.4f} -> {coded[hmean]:+.4f}")
 
 # --- chain graph ------------------------------------------------------------------
 # One node per residue (9 numeric properties + 20 one-hot columns), edges
-# along the backbone only.
+# along the backbone only.  The record is the one ligand graphs use, with
+# named node columns and an empty edge block: every edge is a peptide bond.
 
 graph = receptor_graph_features(protease)
 print(f"\nchain graph: nodes {graph.node_features.shape}, "
       f"backbone edges {len(graph.edge_list)} "
       f"(= length - 1 = {len(protease.residues) - 1})")
+print(f"  node columns {graph.node_names[:3]}..., edge columns "
+      f"{graph.edge_names}, edge block {graph.edge_features.shape}")
 assert np.all(graph.node_features[:, 9:].sum(axis=1) <= 1.0)

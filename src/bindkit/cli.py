@@ -19,8 +19,10 @@ from .metrics import _load_vector, _write_json, build_report, write_report
 
 # A command imports the modules it runs when it runs, so `evaluate` and
 # `predict` start without numpy.  The names below resolve on first use
-# (PEP 562), and the commands call them through this module's namespace, so
-# that a tracer patching bindkit.cli.<name> sees every call.
+# (PEP 562), and the commands call them as _cli.<name>, read from this
+# module's globals at each call, so that a tracer patching bindkit.cli.<name>
+# sees every call.  (Run as __main__ by python -m, runpy or cProfile, this
+# code has globals of its own, which sys.modules[__name__] is not.)
 _LAZY = {
     "train": "gbdt",
     "save_model": "model", "load_model": "model", "read_features": "model",
@@ -29,12 +31,7 @@ _LAZY = {
     "load_property_table": "protein_features",
     "receptor_graph_features": "protein_features",
 }
-_cli = sys.modules[__name__]   # this module, also when run as __main__
-
-_DATA_ERRORS = (
-    DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-    PermissionError, UnicodeDecodeError,
-)
+_DATA_ERRORS = (DataError, OSError, UnicodeDecodeError)
 
 
 def __getattr__(name: str):
@@ -43,6 +40,14 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f"bindkit.{_LAZY[name]}"), name)
     globals()[name] = value
     return value
+
+
+class _Globals:
+    def __getattr__(self, name: str):
+        return globals()[name] if name in globals() else __getattr__(name)
+
+
+_cli = _Globals()
 
 
 def _info(args, message: str) -> None:

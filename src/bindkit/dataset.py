@@ -119,6 +119,12 @@ def _ligand_identity(refined_ids) -> str:
     return ",".join(str(i) for i in refined_ids)
 
 
+def _ligand_identities(molecules: dict[str, Molecule]) -> dict[str, str]:
+    """The ligand identity of each molecule by SMILES, in one kernel call."""
+    refined = _full_refinement_ids_batch(molecules.values())
+    return {smiles: _ligand_identity(ids) for smiles, ids in zip(molecules, refined)}
+
+
 def _pair_key(residues: str, ligand_identity: str) -> str:
     return hashlib.sha256(f"{residues}|{ligand_identity}".encode("ascii")).hexdigest()
 
@@ -258,11 +264,7 @@ def ingest(
         raise EmptyAfterFilteringError(
             f"no records survived filtering (drops: {drops})")
 
-    # The identity depends on the ligand alone: one kernel call refines
-    # every distinct ligand.
-    refined = _full_refinement_ids_batch(molecules.values())
-    identities = {smiles: _ligand_identity(ids)
-                  for smiles, ids in zip(molecules, refined)}
+    identities = _ligand_identities(molecules)
     stereo_total = 0
     groups: dict[str, list[float]] = {}
     heads: dict[str, tuple[ProteinSequence, Molecule]] = {}
@@ -373,7 +375,7 @@ def featurize_pairs(
          ligands.setdefault(rec.ligand.source, (len(ligands), rec.ligand))[0])
         for rec in records], dtype=np.int32)
     packed = _ecfp_batch([lig for _, lig in ligands.values()], radius, nbits)
-    descriptors = np.array([receptor_descriptor(rec, table).vector
+    descriptors = np.array([receptor_descriptor(rec, table)
                             for _, rec in receptors.values()], dtype=np.float64)
     X = Features(memoryview(descriptors.ravel()), len(descriptors),
                  descriptors.shape[1], memoryview(packed.ravel()), len(packed),
@@ -534,8 +536,7 @@ def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS,
     if not key_lines:
         raise EmptyAfterFilteringError("dataset file holds no records")
     if not trusted:
-        identities = dict(zip(molecules, map(
-            _ligand_identity, _full_refinement_ids_batch(molecules.values()))))
+        identities = _ligand_identities(molecules)
         for rec, line_no in zip(records, key_lines.values()):   # one line each
             if rec.pair_key != _pair_key(rec.receptor.residues,
                                          identities[rec.ligand.source]):

@@ -1,4 +1,5 @@
-"""Ligand featurization: circular fingerprints and graph feature blocks.
+"""Ligand featurization: circular fingerprints, graph feature blocks, and the
+graph record and serializer both partners share (GraphFeatures, graph_block).
 
 The fingerprint is a hashed circular fingerprint over heavy-atom
 neighborhoods.  Radius 2 with 2048 bits is the default everywhere.  All
@@ -23,7 +24,7 @@ from .smiles import (
 
 __all__ = [
     "Fingerprint",
-    "LigandGraphFeatures",
+    "GraphFeatures",
     "FingerprintFormatError",
     "fnv1a32",
     "morgan_environments",
@@ -357,20 +358,7 @@ def infer_hybridization(mol: Molecule) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class LigandGraphFeatures:
-    node_features: np.ndarray           # (n_atoms, 30) float64
-    edge_list: tuple[tuple[int, int], ...]
-    edge_features: np.ndarray           # (n_bonds, 5) float64
-    node_feature_names: tuple[str, ...] = NODE_FEATURE_NAMES
-    edge_feature_names: tuple[str, ...] = EDGE_FEATURE_NAMES
-
-    @property
-    def feature_names(self) -> dict[str, tuple[str, ...]]:
-        return {"node": self.node_feature_names, "edge": self.edge_feature_names}
-
-
-def ligand_graph_features(mol: Molecule) -> LigandGraphFeatures:
+def ligand_graph_features(mol: Molecule) -> GraphFeatures:
     """Node and edge feature blocks over heavy atoms and intramolecular bonds.
 
     Node rows (30 columns): element one-hot with an overflow bucket, degree
@@ -402,25 +390,35 @@ def ligand_graph_features(mol: Molecule) -> LigandGraphFeatures:
         nodes[i, 29] = 1.0 if atom.isotope is not None else 0.0
 
     edges = np.zeros((len(mol.bonds), len(EDGE_FEATURE_NAMES)), dtype=np.float64)
-    edge_list = []
     order_slot = {BOND_SINGLE: 0, BOND_DOUBLE: 1, BOND_TRIPLE: 2, BOND_AROMATIC: 3}
     for k, bond in enumerate(mol.bonds):
         edges[k, order_slot[bond.order]] = 1.0
         edges[k, 4] = 1.0 if bond.in_ring else 0.0
-        edge_list.append((bond.a, bond.b))
-    return LigandGraphFeatures(node_features=nodes, edge_list=tuple(edge_list),
-                               edge_features=edges)
+    edge_list = tuple((bond.a, bond.b) for bond in mol.bonds)
+    return GraphFeatures(nodes, edge_list, edges,
+                         NODE_FEATURE_NAMES, EDGE_FEATURE_NAMES)
 
 
-# --- serialization ---------------------------------------------------------
+# --- the graph record of ligands and receptors, and its serializer ---------
 
 
-def graph_block(features) -> dict:
+@dataclass(frozen=True, eq=False)
+class GraphFeatures:
+    """A ligand or receptor graph's feature blocks and their column names;
+    a receptor's edges carry no features, a (0, 0) block."""
+    node_features: np.ndarray           # (n_nodes, len(node_names)) float64
+    edge_list: tuple[tuple[int, int], ...]
+    edge_features: np.ndarray           # (n_edges, len(edge_names)) float64
+    node_names: tuple[str, ...]
+    edge_names: tuple[str, ...]
+
+
+def graph_block(features: GraphFeatures) -> dict:
     """JSON-ready block of a ligand or receptor graph's features."""
-    names = features.feature_names
     return {
         "node_features": features.node_features.tolist(),
         "edge_list": [list(e) for e in features.edge_list],
         "edge_features": features.edge_features.tolist(),
-        "feature_names": {"node": list(names["node"]), "edge": list(names["edge"])},
+        "feature_names": {"node": list(features.node_names),
+                          "edge": list(features.edge_names)},
     }

@@ -3,7 +3,8 @@
 Everything is driven by a versioned 20x14 residue property table shipped as
 CSV (see data/residue_properties.csv for the scale choices).  Each table
 holds one row per residue code (see _code_rows), and every feature gathers
-those rows.
+those rows: receptor_descriptor into a float64 vector laid out as
+DESCRIPTOR_LAYOUT, receptor_graph_features into a GraphFeatures record.
 """
 from __future__ import annotations
 
@@ -16,13 +17,12 @@ import numpy as np
 
 from .errors import DataError
 from .fasta import RESIDUE_CODES, ProteinSequence
+from .ligand_features import GraphFeatures
 
 __all__ = [
     "PROPERTIES",
     "GRAPH_NODE_PROPERTIES",
     "ResiduePropertyTable",
-    "ReceptorDescriptor",
-    "ReceptorGraphFeatures",
     "UnknownResidueError",
     "EmptySequenceError",
     "PropertyTableError",
@@ -83,7 +83,6 @@ def _code_rows(rows: dict[str, tuple[float, ...]]) -> np.ndarray:
 @dataclass(frozen=True)
 class ResiduePropertyTable:
     version: str
-    properties: tuple[str, ...]
     rows: dict[str, tuple[float, ...]]
     # Derived from rows when the table is built, so it is not compared.
     code_rows: np.ndarray = field(init=False, repr=False, compare=False)
@@ -145,8 +144,7 @@ def _parse_property_table(lines, path) -> ResiduePropertyTable:
         raise PropertyTableError(
             f"{path}: table must cover exactly the 20 standard residues "
             f"(missing {sorted(missing)}, extra {sorted(extra)})")
-    return ResiduePropertyTable(version=version, properties=PROPERTIES,
-                                rows=rows)
+    return ResiduePropertyTable(version=version, rows=rows)
 
 
 @lru_cache(maxsize=1)
@@ -174,7 +172,7 @@ def residue_properties(code: str, table: ResiduePropertyTable | None = None) -> 
     if code not in _CODE_INDEX:
         raise UnknownResidueError(code)
     row = table.code_rows[_CODE_INDEX[code]]
-    return {name: float(v) for name, v in zip(table.properties, row)}
+    return {name: float(v) for name, v in zip(PROPERTIES, row)}
 
 
 DESCRIPTOR_LAYOUT: tuple[str, ...] = (
@@ -182,12 +180,6 @@ DESCRIPTOR_LAYOUT: tuple[str, ...] = (
     + tuple(f"frac_{aa}" for aa in STANDARD_ORDER)
     + ("length", "disulfide_pairs")
 )
-
-
-@dataclass(frozen=True, eq=False)
-class ReceptorDescriptor:
-    vector: np.ndarray                  # float64, len(DESCRIPTOR_LAYOUT)
-    layout: tuple[str, ...] = DESCRIPTOR_LAYOUT
 
 
 def _coerce(seq: ProteinSequence | str) -> str:
@@ -200,8 +192,9 @@ def _coerce(seq: ProteinSequence | str) -> str:
 @np.errstate(over="ignore", invalid="ignore")
 def receptor_descriptor(
     seq: ProteinSequence | str, table: ResiduePropertyTable | None = None,
-) -> ReceptorDescriptor:
-    """Fixed-length sequence descriptor.
+) -> np.ndarray:
+    """Fixed-length sequence descriptor: a float64 vector laid out as
+    DESCRIPTOR_LAYOUT.
 
     Per property: mean, sum, min, max over residues (14 x 4 = 56), then the
     20 composition fractions, the chain length, and a disulfide proxy
@@ -216,8 +209,7 @@ def receptor_descriptor(
                       props.min(axis=0), props.max(axis=0)], axis=1)
     fractions = counts.sum(axis=0) / len(residues)
     tail = np.array([float(len(residues)), float(residues.count("C") // 2)])
-    vector = np.concatenate([stats.ravel(), fractions, tail])
-    return ReceptorDescriptor(vector=vector)
+    return np.concatenate([stats.ravel(), fractions, tail])
 
 
 RECEPTOR_NODE_FEATURE_NAMES: tuple[str, ...] = (
@@ -228,25 +220,9 @@ _NODE_COLUMNS = ([PROPERTIES.index(p) for p in GRAPH_NODE_PROPERTIES]
                  + list(range(len(PROPERTIES), len(PROPERTIES) + 20)))
 
 
-@dataclass(frozen=True, eq=False)
-class ReceptorGraphFeatures:
-    node_features: np.ndarray           # (length, 29) float64
-    edge_list: tuple[tuple[int, int], ...]
-    node_feature_names: tuple[str, ...] = RECEPTOR_NODE_FEATURE_NAMES
-
-    @property
-    def edge_features(self) -> np.ndarray:
-        """Every backbone edge is the same peptide bond: an empty block."""
-        return np.zeros((0, 0), dtype=np.float64)
-
-    @property
-    def feature_names(self) -> dict[str, tuple[str, ...]]:
-        return {"node": self.node_feature_names, "edge": ()}
-
-
 def receptor_graph_features(
     seq: ProteinSequence | str, table: ResiduePropertyTable | None = None,
-) -> ReceptorGraphFeatures:
+) -> GraphFeatures:
     """Residue-chain graph: one node per residue, edges between sequence
     neighbors (the backbone), no edge features since every edge is the same
     peptide bond.  Node rows are 9 physical properties + 20-way one-hot, 29
@@ -254,4 +230,5 @@ def receptor_graph_features(
     residues = _coerce(seq)
     nodes = _gather(residues, table or default_table())[:, _NODE_COLUMNS]
     edge_list = tuple((i, i + 1) for i in range(len(residues) - 1))
-    return ReceptorGraphFeatures(node_features=nodes, edge_list=edge_list)
+    return GraphFeatures(nodes, edge_list, np.zeros((0, 0)),
+                         RECEPTOR_NODE_FEATURE_NAMES, ())

@@ -167,9 +167,9 @@ def test_criterion_3_descriptor_laws():
         for trial in range(100):
             res_a = _random_sequence(rng)
             res_b = _random_sequence(rng)
-            a = receptor_descriptor(ProteinSequence("a", res_a)).vector
-            b = receptor_descriptor(ProteinSequence("b", res_b)).vector
-            ab = receptor_descriptor(ProteinSequence("ab", res_a + res_b)).vector
+            a = receptor_descriptor(ProteinSequence("a", res_a))
+            b = receptor_descriptor(ProteinSequence("b", res_b))
+            ab = receptor_descriptor(ProteinSequence("ab", res_a + res_b))
             assert abs(a[frac_cols].sum() - 1.0) <= 1e-9
             assert abs(ab[frac_cols].sum() - 1.0) <= 1e-9
             na, nb = len(res_a), len(res_b)
@@ -185,11 +185,11 @@ def test_criterion_3_descriptor_laws():
         # line wrapping must not change any descriptor
         records = [ProteinSequence(f"s{i}", _random_sequence(rng))
                    for i in range(5)]
-        baseline = [receptor_descriptor(r).vector.tobytes() for r in records]
+        baseline = [receptor_descriptor(r).tobytes() for r in records]
         for width in (1, 7, 60, 9999):
             text = format_fasta(records, width=width)
             reparsed = parse_fasta(text)
-            got = [receptor_descriptor(r).vector.tobytes() for r in reparsed]
+            got = [receptor_descriptor(r).tobytes() for r in reparsed]
             assert got == baseline
 
 

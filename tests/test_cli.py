@@ -28,12 +28,12 @@ from bindkit.config import load_config
 from bindkit.dataset import load_dataset
 from bindkit.errors import DataError
 from bindkit.gbdt import load_model
-from bindkit.ligand_features import graph_block
+from bindkit.ligand_features import GraphFeatures, graph_block
 from bindkit.model import Features, read_features, write_features
 from bindkit.protein_features import (
     PROPERTIES,
+    RECEPTOR_NODE_FEATURE_NAMES,
     STANDARD_ORDER,
-    ReceptorGraphFeatures,
     default_table,
     load_property_table,
     receptor_graph_features,
@@ -338,8 +338,8 @@ def test_block_json_keys_rows_by_their_bytes():
     nodes = np.zeros((3, 29))
     nodes[:, 1] = 1.0
     nodes[0, 0] = -0.0
-    features = ReceptorGraphFeatures(node_features=nodes,
-                                     edge_list=((0, 1), (1, 2)))
+    features = GraphFeatures(nodes, ((0, 1), (1, 2)), np.zeros((0, 0)),
+                             RECEPTOR_NODE_FEATURE_NAMES, ())
     rows = {}
     text = _block_json(features, rows)
     # -0.0 == 0.0, so a cache keyed by value would write row 0 twice
@@ -459,6 +459,39 @@ def test_overflowing_property_table_writes_no_graphs(tmp_path):
     assert f"cannot write {out}: the graph of receptor seq-" in proc.stderr, proc.stderr
     assert "Warning" not in proc.stderr, proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "featurize"])
+def test_out_naming_an_existing_file_exits_2(pipeline, tmp_path, capsys,
+                                             command):
+    """--out naming a regular file, where the command makes a directory, is
+    a data error (FileExistsError), not an internal failure."""
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    args = {"ingest": ["--in", RAW],
+            "featurize": ["--dataset", pipeline["data"], "--subset", "test"]}
+    assert main(["--quiet", "--config", pipeline["cfg"], command,
+                 *args[command], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "Traceback" not in err, err
+    assert out.read_text() == "kept\n"
+
+
+def test_featurize_runs_through_runpy(pipeline, tmp_path):
+    """runpy.run_module, as cProfile -m uses it, runs this module's code in
+    a namespace that sys.modules holds under no name; featurize still finds
+    the names it imports on first use, and writes what main() writes."""
+    out = tmp_path / "feats"
+    argv = ["bindkit", "--quiet", "--config", pipeline["cfg"], "featurize",
+            "--dataset", pipeline["data"], "--subset", "test", "--out", str(out)]
+    code = ("import runpy, sys\n"
+            f"sys.argv = {argv!r}\n"
+            "runpy.run_module('bindkit.cli', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    want = pathlib.Path(pipeline["feats"]["test"]) / "featurize.json"
+    assert (out / "featurize.json").read_bytes() == want.read_bytes()
 
 
 def counted(monkeypatch, module, name, calls):

@@ -263,7 +263,7 @@ def test_featurize_layout_and_values():
     assert ids == tuple(r.pair_key for r in ds.records)
     assert len(X.bits) == 3 * 128 // 8
     dense = dense_matrix(X)
-    assert np.array_equal(dense[0, :78], receptor_descriptor("MKVLQW").vector)
+    assert np.array_equal(dense[0, :78], receptor_descriptor("MKVLQW"))
     assert np.array_equal(
         dense[1, 78:], ecfp(from_smiles("c1ccccc1"), nbits=128).bits.astype(float))
     assert X.bits[16:32].tobytes() == ecfp(from_smiles("c1ccccc1"), nbits=128).packed()

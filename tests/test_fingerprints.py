@@ -17,6 +17,7 @@ from bindkit.ligand_features import (
     EDGE_FEATURE_NAMES,
     NODE_FEATURE_NAMES,
     Fingerprint,
+    GraphFeatures,
     ecfp,
     fnv1a32,
     full_refinement_ids,
@@ -375,6 +376,9 @@ def test_node_feature_layout():
     assert len(NODE_FEATURE_NAMES) == 30
     assert len(EDGE_FEATURE_NAMES) == 5
     feats = ligand_graph_features(from_smiles("CCO"))
+    assert isinstance(feats, GraphFeatures)
+    assert feats.node_names == NODE_FEATURE_NAMES
+    assert feats.edge_names == EDGE_FEATURE_NAMES
     assert feats.node_features.shape == (3, 30)
     assert feats.edge_features.shape == (2, 5)
     assert feats.edge_list == ((0, 1), (1, 2))

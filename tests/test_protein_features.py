@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bindkit.dataset import AffinityRecord, Dataset, featurize_pairs
 from bindkit.fasta import ProteinSequence
+from bindkit.ligand_features import GraphFeatures
 from bindkit.protein_features import (
     DESCRIPTOR_LAYOUT,
     GRAPH_NODE_PROPERTIES,
@@ -19,12 +21,14 @@ from bindkit.protein_features import (
     receptor_graph_features,
     residue_properties,
 )
+from bindkit.smiles import from_smiles
+from testutil import dense_matrix
 
 
 def test_default_table_shape_and_version():
     table = default_table()
     assert table.version == "bindkit-aa-v1"
-    assert table.properties == PROPERTIES
+    assert tuple(residue_properties("A", table)) == PROPERTIES
     assert len(PROPERTIES) == 14
     assert set(table.rows) == set(STANDARD_ORDER)
     assert all(len(v) == 14 for v in table.rows.values())
@@ -86,40 +90,40 @@ def test_descriptor_layout():
     assert DESCRIPTOR_LAYOUT[56] == "frac_A"
     assert DESCRIPTOR_LAYOUT[-2:] == ("length", "disulfide_pairs")
     desc = receptor_descriptor("ACDEFGHIKLMNPQRSTVWY")
-    assert desc.vector.shape == (78,)
-    assert desc.layout == DESCRIPTOR_LAYOUT
+    assert desc.shape == (len(DESCRIPTOR_LAYOUT),)
+    assert desc.dtype == np.float64
 
 
 def test_homopolymer_statistics_collapse():
     table = default_table()
     desc = receptor_descriptor("AA")
     a_row = np.array(table.rows["A"])
-    stats = desc.vector[:56].reshape(14, 4)
+    stats = desc[:56].reshape(14, 4)
     assert np.allclose(stats[:, 0], a_row)          # mean
     assert np.allclose(stats[:, 1], 2 * a_row)      # sum
     assert np.allclose(stats[:, 2], a_row)          # min
     assert np.allclose(stats[:, 3], a_row)          # max
-    fracs = desc.vector[56:76]
+    fracs = desc[56:76]
     assert fracs[STANDARD_ORDER.index("A")] == 1.0
     assert fracs.sum() == pytest.approx(1.0)
-    assert desc.vector[76] == 2.0                   # length
-    assert desc.vector[77] == 0.0                   # no cysteine pair
+    assert desc[76] == 2.0                   # length
+    assert desc[77] == 0.0                   # no cysteine pair
 
 
 def test_disulfide_proxy_counts_pairs():
-    assert receptor_descriptor("C").vector[77] == 0.0
-    assert receptor_descriptor("CC").vector[77] == 1.0
-    assert receptor_descriptor("CACAC").vector[77] == 1.0
-    assert receptor_descriptor("CCCC").vector[77] == 2.0
+    assert receptor_descriptor("C")[77] == 0.0
+    assert receptor_descriptor("CC")[77] == 1.0
+    assert receptor_descriptor("CACAC")[77] == 1.0
+    assert receptor_descriptor("CCCC")[77] == 2.0
 
 
 def test_composition_of_ambiguity_codes():
-    fracs = receptor_descriptor("BB").vector[56:76]
+    fracs = receptor_descriptor("BB")[56:76]
     assert fracs[STANDARD_ORDER.index("D")] == pytest.approx(0.5)
     assert fracs[STANDARD_ORDER.index("N")] == pytest.approx(0.5)
-    fracs = receptor_descriptor("XXXX").vector[56:76]
+    fracs = receptor_descriptor("XXXX")[56:76]
     assert np.allclose(fracs, 1.0 / 20.0)
-    fracs = receptor_descriptor("U").vector[56:76]
+    fracs = receptor_descriptor("U")[56:76]
     assert fracs[STANDARD_ORDER.index("C")] == 1.0
 
 
@@ -129,9 +133,9 @@ def test_sum_min_max_respect_concatenation():
     for _ in range(5):
         s1 = "".join(rng.choice(aas, size=17))
         s2 = "".join(rng.choice(aas, size=29))
-        d1 = receptor_descriptor(s1).vector[:56].reshape(14, 4)
-        d2 = receptor_descriptor(s2).vector[:56].reshape(14, 4)
-        d12 = receptor_descriptor(s1 + s2).vector[:56].reshape(14, 4)
+        d1 = receptor_descriptor(s1)[:56].reshape(14, 4)
+        d2 = receptor_descriptor(s2)[:56].reshape(14, 4)
+        d12 = receptor_descriptor(s1 + s2)[:56].reshape(14, 4)
         assert np.allclose(d12[:, 1], d1[:, 1] + d2[:, 1])
         assert np.allclose(d12[:, 2], np.minimum(d1[:, 2], d2[:, 2]))
         assert np.allclose(d12[:, 3], np.maximum(d1[:, 3], d2[:, 3]))
@@ -139,10 +143,21 @@ def test_sum_min_max_respect_concatenation():
         assert np.allclose(d12[:, 0], w * d1[:, 0] + (1 - w) * d2[:, 0])
 
 
+def test_descriptor_is_the_dense_row_of_featurize_pairs():
+    records = tuple(
+        AffinityRecord(receptor=ProteinSequence(f"r{i}", residues),
+                       ligand=from_smiles("CCO"), log_ki=1.0, pair_key=f"k{i}")
+        for i, residues in enumerate(["MKVLQW", "ACDBZX", "MKVLQW"]))
+    X, *_ = featurize_pairs(Dataset(records=records, provenance={}), nbits=8)
+    dense = dense_matrix(X)[:, :len(DESCRIPTOR_LAYOUT)]
+    for rec, row in zip(records, dense):
+        assert receptor_descriptor(rec.receptor).tobytes() == row.tobytes()
+
+
 def test_accepts_sequence_objects_and_strings():
     seq = ProteinSequence("r1", "MKVLQW")
-    assert np.array_equal(receptor_descriptor(seq).vector,
-                          receptor_descriptor("MKVLQW").vector)
+    assert np.array_equal(receptor_descriptor(seq),
+                          receptor_descriptor("MKVLQW"))
     with pytest.raises(EmptySequenceError):
         receptor_descriptor("")
 
@@ -157,8 +172,8 @@ def test_custom_table_round_trip(tmp_path):
     table = load_property_table(path)
     assert table.version == "custom-v9"
     assert table.rows == src.rows
-    got = receptor_descriptor("MKV", table=table).vector
-    assert np.array_equal(got, receptor_descriptor("MKV").vector)
+    got = receptor_descriptor("MKV", table=table)
+    assert np.array_equal(got, receptor_descriptor("MKV"))
 
 
 def test_table_validation(tmp_path):
@@ -191,7 +206,9 @@ def test_graph_features_layout():
     assert feats.node_features.shape == (3, 29)
     assert feats.edge_list == ((0, 1), (1, 2))
     assert len(RECEPTOR_NODE_FEATURE_NAMES) == 29
-    assert feats.feature_names["edge"] == ()
+    assert isinstance(feats, GraphFeatures)
+    assert feats.node_names == RECEPTOR_NODE_FEATURE_NAMES
+    assert feats.edge_features.shape == (0, 0) and feats.edge_names == ()
     table = default_table()
     prop_idx = [PROPERTIES.index(p) for p in GRAPH_NODE_PROPERTIES]
     a_row = np.array(table.rows["A"])[prop_idx]
@@ -287,13 +304,13 @@ def test_code_rows_are_the_reference_rows_and_not_compared():
         want = np.concatenate([_property_vector(code, table),
                                _composition_counts(code)])
         assert row.tobytes() == want.tobytes(), code
-    twin = ResiduePropertyTable(table.version, table.properties, dict(table.rows))
+    twin = ResiduePropertyTable(table.version, dict(table.rows))
     assert twin == table and twin.code_rows is not table.code_rows
 
 
 def assert_matches_reference(residues):
     table = default_table()
-    got = receptor_descriptor(residues).vector
+    got = receptor_descriptor(residues)
     assert got.tobytes() == reference_descriptor(residues, table).tobytes()
     nodes = receptor_graph_features(residues).node_features
     want = reference_nodes(residues, table)
@@ -326,7 +343,7 @@ def test_ambiguity_codes_keep_the_sign_of_zero(tmp_path):
     path = tmp_path / "signed.csv"
     path.write_text("\n".join(lines) + "\n")
     table = load_property_table(path)
-    got = receptor_descriptor("BZUX", table).vector
+    got = receptor_descriptor("BZUX", table)
     assert got.tobytes() == reference_descriptor("BZUX", table).tobytes()
     assert np.signbit(got[DESCRIPTOR_LAYOUT.index("charge_min")])
     nodes = receptor_graph_features("BZUX", table).node_features
