@@ -31,25 +31,32 @@ print(f"\nbenzene keeps {len(envs)} environments "
       f"but only {len(ids)} distinct identifiers")
 
 # --- folding into bits -------------------------------------------------------
+# ecfp fingerprints a list of molecules at once and returns one row of
+# packed bytes per molecule, LSB-first: bit j sits in byte j // 8 at bit
+# j % 8.  np.unpackbits with bitorder="little" gives back the 0/1 vector.
+
+def unpack(row):
+    return np.unpackbits(row, bitorder="little")
+
 
 for nbits in (512, 2048):
-    fp = ecfp(from_smiles("CC(=O)Oc1ccccc1C(=O)O"), radius=2, nbits=nbits)
-    print(f"aspirin at {nbits:4d} bits: popcount {fp.popcount}, "
-          f"first on-bits {fp.on_bits()[:5]}")
+    bits = unpack(ecfp([from_smiles("CC(=O)Oc1ccccc1C(=O)O")], radius=2,
+                       nbits=nbits)[0])
+    print(f"aspirin at {nbits:4d} bits: popcount {int(bits.sum())}, "
+          f"first on-bits {tuple(np.flatnonzero(bits)[:5].tolist())}")
 
 # --- order invariance --------------------------------------------------------
 # The same molecule written two ways gives the same bits.
 
-a = ecfp(from_smiles("Oc1ccccc1"))
-b = ecfp(from_smiles("c1ccc(O)cc1"))
-print(f"\nphenol written two ways: identical bits {np.array_equal(a.bits, b.bits)}")
+a, b = ecfp([from_smiles("Oc1ccccc1"), from_smiles("c1ccc(O)cc1")])
+print(f"\nphenol written two ways: identical bits {np.array_equal(a, b)}")
 
 
 # --- Tanimoto ranking against aspirin ----------------------------------------
 
 def tanimoto(x, y):
-    both = int(np.sum(x.bits & y.bits))
-    either = int(np.sum(x.bits | y.bits))
+    both = int(np.sum(unpack(x & y)))
+    either = int(np.sum(unpack(x | y)))
     return both / either if either else 0.0
 
 
@@ -60,9 +67,9 @@ panel = {
     "ibuprofen": "CC(C)Cc1ccc(cc1)C(C)C(=O)O",
     "hexane": "CCCCCC",
 }
-aspirin = ecfp(from_smiles("CC(=O)Oc1ccccc1C(=O)O"))
-scores = {name: tanimoto(aspirin, ecfp(from_smiles(s)))
-          for name, s in panel.items()}
+aspirin, *rows = ecfp([from_smiles(s) for s in
+                       ["CC(=O)Oc1ccccc1C(=O)O", *panel.values()]])
+scores = {name: tanimoto(aspirin, row) for name, row in zip(panel, rows)}
 print("\nsimilarity to aspirin:")
 for name, score in sorted(scores.items(), key=lambda kv: -kv[1]):
     print(f"  {name:16s} {score:.3f}")

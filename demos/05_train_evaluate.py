@@ -64,20 +64,17 @@ print(f"\ntest MAE {mae(yte, pred):.4f}  "
 accuracy = classify_accuracy(yte, pred, threshold=4.0)
 print(f"strong-binder accuracy at log Ki < 4.0: {accuracy:.3f}")
 
-table = binned_mae(yte, pred, start=2.0, stop=7.0, width=1.0)
+bins, out_of_range = binned_mae(yte, pred, start=2.0, stop=7.0, width=1.0)
 print("\nMAE by affinity bin:")
-for lo, hi, count, err in zip(table.edges, table.edges[1:],
-                              table.counts, table.maes):
-    shown = f"{err:.4f}" if err is not None else "(empty)"
-    print(f"  [{lo:+.1f}, {hi:+.1f})  n={count:4d}  {shown}")
-if table.out_of_range_count:
-    print(f"  out of range   n={table.out_of_range_count:4d}  "
-          f"{table.out_of_range_mae:.4f}")
+for cell in bins:
+    shown = f"{cell['mae']:.4f}" if cell["mae"] is not None else "(empty)"
+    print(f"  [{cell['lo']:+.1f}, {cell['hi']:+.1f})  n={cell['count']:4d}  {shown}")
+if out_of_range["count"]:
+    print(f"  out of range   n={out_of_range['count']:4d}  "
+          f"{out_of_range['mae']:.4f}")
 
 # The weighted bins always recombine to the global number.
-parts = [(c, m) for c, m in zip(table.counts, table.maes) if c]
-if table.out_of_range_count:
-    parts.append((table.out_of_range_count, table.out_of_range_mae))
+parts = [(c["count"], c["mae"]) for c in [*bins, out_of_range] if c["count"]]
 recombined = sum(c * m for c, m in parts) / sum(c for c, _ in parts)
 print(f"recombined {recombined:.10f} == global {mae(yte, pred):.10f}")
 

@@ -23,8 +23,8 @@ _EXPORTS = {
         parse_smiles assign_implicit_hydrogens perceive_rings from_smiles""",
     "fasta": """ProteinSequence FastaError NoHeaderError EmptyRecordError
         IllegalResidueError parse_fasta format_fasta""",
-    "ligand_features": """Fingerprint ecfp morgan_environments
-        full_refinement_ids infer_hybridization ligand_graph_features""",
+    "ligand_features": """ecfp morgan_environments full_refinement_ids
+        infer_hybridization ligand_graph_features""",
     "protein_features": """ResiduePropertyTable UnknownResidueError
         EmptySequenceError load_property_table default_table
         residue_properties receptor_descriptor receptor_graph_features""",

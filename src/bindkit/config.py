@@ -25,7 +25,7 @@ from .metrics import (
     DEFAULT_BIN_STOP,
     DEFAULT_BIN_WIDTH,
     DEFAULT_THRESHOLD,
-    _bin_count,
+    _bin_edges,
 )
 
 __all__ = ["ConfigError", "KiBounds", "TrainParams", "PipelineConfig",
@@ -164,7 +164,7 @@ _SCHEMA = {
 # prefix of its message; TrainParams checks the [gbdt] keys itself.
 _SECTION_CHECKS = {
     "curation": ("curation bounds: ", lambda c: c.bounds),
-    "evaluation": ("evaluation: ", lambda c: _bin_count(c.bin_start, c.bin_stop, c.bin_width)),
+    "evaluation": ("evaluation: ", lambda c: _bin_edges(c.bin_start, c.bin_stop, c.bin_width)),
 }
 
 

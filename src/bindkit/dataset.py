@@ -20,9 +20,8 @@ from .config import KiBounds
 from .errors import DatasetError
 from .fasta import FastaError, ProteinSequence, parse_fasta
 from .ligand_features import (
-    _ecfp_batch,
     _full_refinement_ids_batch,
-    ecfp,  # not called here; named so that tracers can wrap it
+    ecfp,
     full_refinement_ids,
 )
 from .metrics import _read_json, _write_json
@@ -359,8 +358,8 @@ def featurize_pairs(
     fingerprint bits, packed LSB-first, of each distinct ligand of the
     subset once, and its index gives each pair's receptor row and ligand
     row, in dataset record order.  Rows are numbered in order of first
-    appearance.  The ligands are fingerprinted by one batch-kernel call
-    straight into packed rows.  y is log10 Ki, ids are pair keys.
+    appearance.  The ligands are fingerprinted by one ecfp call straight
+    into packed rows.  y is log10 Ki, ids are pair keys.
     """
     table = table or default_table()
     records = dataset.subset(which)
@@ -374,7 +373,7 @@ def featurize_pairs(
                               (len(receptors), rec.receptor))[0],
          ligands.setdefault(rec.ligand.source, (len(ligands), rec.ligand))[0])
         for rec in records], dtype=np.int32)
-    packed = _ecfp_batch([lig for _, lig in ligands.values()], radius, nbits)
+    packed = ecfp([lig for _, lig in ligands.values()], radius, nbits)
     descriptors = np.array([receptor_descriptor(rec, table)
                             for _, rec in receptors.values()], dtype=np.float64)
     X = Features(memoryview(descriptors.ravel()), len(descriptors),

@@ -2,10 +2,11 @@
 graph record and serializer both partners share (GraphFeatures, graph_block).
 
 The fingerprint is a hashed circular fingerprint over heavy-atom
-neighborhoods.  Radius 2 with 2048 bits is the default everywhere.  All
-hashing is pinned so fingerprints are reproducible across platforms:
-FNV-1a, 32-bit, over the little-endian 4-byte encodings of the integer
-components being combined.
+neighborhoods; ecfp returns those of a list of molecules as rows packed
+LSB-first, a feature directory's bit-block layout.  Radius 2 with 2048
+bits is the default everywhere.  All hashing is pinned so fingerprints are
+reproducible across platforms: FNV-1a, 32-bit, over the little-endian
+4-byte encodings of the integer components being combined.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .smiles import (
 )
 
 __all__ = [
-    "Fingerprint",
     "GraphFeatures",
     "FingerprintFormatError",
     "fnv1a32",
@@ -255,9 +255,13 @@ def _chunks(mols):
     return [mols[i:i + _CHUNK] for i in range(0, len(mols), _CHUNK)]
 
 
-def _ecfp_batch(mols, radius: int = 2, nbits: int = 2048) -> np.ndarray:
-    """ecfp of each molecule, packed LSB-first: a uint8 array of one row of
-    ceil(nbits/8) bytes per molecule, each row Fingerprint.packed()."""
+def ecfp(mols, radius: int = 2, nbits: int = 2048) -> np.ndarray:
+    """Hashed circular fingerprints (radius 2 is the standard diameter-4
+    set), one row per molecule: bit (identifier mod nbits) is set for each
+    environment morgan_environments keeps.  Returns a uint8 array of one
+    row of ceil(nbits/8) bytes per molecule, packed LSB-first (bit j in
+    byte j // 8 at bit j % 8), as np.packbits(..., bitorder="little")
+    packs."""
     if nbits <= 0 or (nbits & (nbits - 1)) != 0:
         raise ValueError("nbits must be a power of two")
     blocks = [np.zeros((0, (nbits + 7) // 8), dtype=np.uint8)]
@@ -293,33 +297,6 @@ def morgan_environments(
     kept = [(r, ident, frozenset(np.flatnonzero(row).tolist()))
             for r, ident, row in zip(level.tolist(), ids.tolist(), bits)]
     return sorted(kept, key=lambda t: (t[0], t[1], sorted(t[2])))
-
-
-@dataclass(frozen=True, eq=False)
-class Fingerprint:
-    bits: np.ndarray            # uint8 vector of 0/1, length nbits
-    nbits: int
-    radius: int
-
-    @property
-    def popcount(self) -> int:
-        return int(self.bits.sum())
-
-    def on_bits(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.flatnonzero(self.bits))
-
-    def packed(self) -> bytes:
-        """LSB-first packed bytes (bit j lands in byte j//8, bit j%8)."""
-        return np.packbits(self.bits, bitorder="little").tobytes()
-
-
-def ecfp(mol: Molecule, radius: int = 2, nbits: int = 2048) -> Fingerprint:
-    """Hashed circular fingerprint (radius 2 is the standard diameter-4 set):
-    bit (identifier mod nbits) is set for each environment morgan_environments
-    keeps."""
-    row = _ecfp_batch([mol], radius, nbits)[0]
-    return Fingerprint(bits=np.unpackbits(row, count=nbits, bitorder="little"),
-                       nbits=nbits, radius=radius)
 
 
 def full_refinement_ids(mol: Molecule) -> tuple[int, ...]:

@@ -1,8 +1,9 @@
 """Evaluation metrics: MAE, affinity-binned MAE, threshold classification.
 
 The binned report partitions samples by their TRUE log-affinity into
-half-open bins [lo, lo+width); anything outside [start, stop) is pooled into
-an out-of-range cell.  Since the cells partition the samples, the weighted
+half-open bins [lo, hi) of the given width, each truth in the bin whose
+printed edges hold it; anything outside [start, stop) is pooled into an
+out-of-range cell.  Since the cells partition the samples, the weighted
 recombination of cell MAEs reproduces the overall MAE.
 
 The module imports no numpy, so the evaluate command starts without it.
@@ -18,13 +19,12 @@ import math
 import re
 import sys
 from array import array
-from dataclasses import dataclass
+from bisect import bisect_right
 
 from .errors import DataError, DatasetError, DimensionMismatchError
 
 __all__ = [
     "MetricsError",
-    "BinnedMae",
     "mae",
     "binned_mae",
     "classify_accuracy",
@@ -75,50 +75,35 @@ def mae(y_true, y_pred) -> float:
     return _mean([abs(a - b) for a, b in zip(t, p)])
 
 
-@dataclass(frozen=True)
-class BinnedMae:
-    edges: tuple[float, ...]            # len(bins) + 1 ascending edges
-    counts: tuple[int, ...]             # per bin
-    maes: tuple[float | None, ...]      # None marks an empty bin
-    out_of_range_count: int
-    out_of_range_mae: float | None
-
-
 def binned_mae(
     y_true, y_pred,
     start: float = DEFAULT_BIN_START,
     stop: float = DEFAULT_BIN_STOP,
     width: float = DEFAULT_BIN_WIDTH,
-) -> BinnedMae:
-    """MAE within half-open truth bins [edge, edge+width).
-
-    Samples with truth outside [start, stop) land in the out-of-range cell.
-    Empty bins report count 0 and a None MAE rather than being dropped, so
-    the bin axis is stable across datasets.
-    """
+) -> tuple[list[dict], dict]:
+    """MAE within half-open truth bins [lo, hi): the report's "bins", a
+    {"lo", "hi", "count", "mae"} per bin, and its "out_of_range", the
+    {"count", "mae"} of truths outside [start, stop).  An empty cell has
+    count 0 and a None MAE, so the bin axis is stable across datasets."""
     t, p = _pair(y_true, y_pred)
-    n_bins = _bin_count(start, stop, width)
-    cells = [[] for _ in range(n_bins)]
-    outside = []
+    edges = _bin_edges(start, stop, width)
+    n_bins = len(edges) - 1
+    cells = [[] for _ in range(n_bins + 1)]     # the last: out of range
     for a, b in zip(t, p):
-        if start <= a < stop:
-            # guard the float edge case where a just below stop floors onto n_bins
-            cells[min(math.floor((a - start) / width), n_bins - 1)].append(abs(a - b))
-        else:
-            outside.append(abs(a - b))
-    maes = tuple(_mean(c) if c else None for c in cells)
-    oor_mae = _mean(outside) if outside else None
-    edges = tuple(start + i * width for i in range(n_bins + 1))
-    return BinnedMae(edges=edges, counts=tuple(map(len, cells)), maes=maes,
-                     out_of_range_count=len(outside), out_of_range_mae=oor_mae)
+        i = bisect_right(edges, a) - 1
+        cells[i if 0 <= i < n_bins else n_bins].append(abs(a - b))
+    means = [{"count": len(c), "mae": _mean(c) if c else None} for c in cells]
+    bins = [{"lo": lo, "hi": hi, **m}
+            for lo, hi, m in zip(edges, edges[1:], means)]
+    return bins, means[n_bins]
 
 
-def _bin_count(start: float, stop: float, width: float) -> int:
-    """Number of bins of the given width that tile [start, stop).
-
-    MetricsError unless all three are finite, stop > start, width > 0, the
-    bins tile the range within float tolerance and there are at most
-    MAX_BINS of them."""
+def _bin_edges(start: float, stop: float, width: float) -> list[float]:
+    """The edges of the n bins of the given width that tile [start, stop):
+    edge i is (start * (n - i) + stop * i) / n, correctly rounded for
+    integer start and stop, and the ends are start and stop.  MetricsError
+    unless all three are finite, stop > start, width > 0, the bins tile the
+    range within float tolerance, n <= MAX_BINS and the edges increase."""
     if not all(map(math.isfinite, (start, stop, width))):
         raise MetricsError("bin start, stop and width must be finite")
     if width <= 0 or stop <= start:
@@ -129,7 +114,12 @@ def _bin_count(start: float, stop: float, width: float) -> int:
     count = round(n_bins)
     if count < 1 or abs(n_bins - count) > 1e-9:
         raise MetricsError("width must tile the [start, stop) range")
-    return count
+    edges = [(start * (count - i) + stop * i) / count for i in range(count + 1)]
+    edges[0], edges[-1] = float(start), float(stop)
+    if not all(lo < hi for lo, hi in zip(edges, edges[1:])):
+        raise MetricsError(f"the {count} bin edges of [{start!r}, {stop!r}) "
+                           "do not strictly increase in float arithmetic")
+    return edges
 
 
 def classify_accuracy(y_true, y_pred, threshold: float = DEFAULT_THRESHOLD) -> float:
@@ -150,25 +140,14 @@ def build_report(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> dict:
     t, p = _pair(y_true, y_pred)
-    binned = binned_mae(t, p, start=start, stop=stop, width=width)
-    bins = []
-    for i, (count, bmae) in enumerate(zip(binned.counts, binned.maes)):
-        bins.append({
-            "lo": binned.edges[i],
-            "hi": binned.edges[i + 1],
-            "count": count,
-            "mae": bmae,
-        })
+    bins, out_of_range = binned_mae(t, p, start=start, stop=stop, width=width)
     return {
         "n": len(t),
         "mae": mae(t, p),
         "threshold": threshold,
         "accuracy_at_threshold": classify_accuracy(t, p, threshold),
         "bins": bins,
-        "out_of_range": {
-            "count": binned.out_of_range_count,
-            "mae": binned.out_of_range_mae,
-        },
+        "out_of_range": out_of_range,
     }
 
 

@@ -52,7 +52,7 @@ class Features:
     1].  The dense block holds dense_rows rows of n_dense values, row-major;
     the bit block holds bit_rows rows of ceil(nbits / 8) bytes, column
     n_dense + j being bit j % 8 of byte j // 8 of a row, as np.packbits(...,
-    bitorder="little") packs a row and Fingerprint.packed() writes it.
+    bitorder="little") packs a row and ligand_features.ecfp returns it.
     featurize_pairs builds one with a dense row per distinct receptor and a
     bit row per distinct ligand, from_array one with an identity index,
     write_features writes it, read_features reads it, train and predict
@@ -158,6 +158,12 @@ def _leaves(tree: Tree, X: Features) -> list[int]:
             for r, b in zip(X.index[0::2].tolist(), X.index[1::2].tolist())]
 
 
+def _finite(values) -> bool:
+    """Whether every float of values is finite: a finite sum has finite
+    terms, and an overflowed one is checked termwise."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
 @dataclass(frozen=True, eq=False)
 class GbdtModel:
     base_score: float
@@ -169,12 +175,15 @@ class GbdtModel:
 
     def predict(self, X) -> array:
         """Predictions for the rows of Features, a 2-D array, or one row as a
-        1-D array."""
+        1-D array.  A non-finite value in the distinct dense rows raises
+        GbdtError, as train does."""
         if not isinstance(X, Features):
             X = Features.from_array(X)
         if X.shape[1] != self.feature_count:
             raise DimensionMismatchError(
                 f"expected {self.feature_count} features, got shape {X.shape}")
+        if not _finite(X.dense):        # NaN would route as "not above"
+            raise GbdtError("feature matrix contains non-finite values")
         pred = [self.base_score] * len(X)
         for tree in self.trees:
             value = tree.leaf_value
@@ -380,8 +389,7 @@ def read_features(path) -> tuple[Features, memoryview | None]:
         raise DatasetError("feature row counts disagree: " + ", ".join(
             f"{name} {n}" for name, n in rows.items()))
     dense = _native(dense, "d")
-    # a finite sum has finite terms; an overflowed one is checked termwise
-    if not (math.isfinite(sum(dense)) or all(map(math.isfinite, dense))):
+    if not _finite(dense):
         raise DatasetError(f"{at(DENSE_FILE)}: non-finite feature value")
     text = json.dumps({k: meta.get(k) for k in SCHEMA_FIELDS}, sort_keys=True,
                       separators=(",", ":"))

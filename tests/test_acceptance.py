@@ -25,7 +25,7 @@ from bindkit.dataset import RawRecord, ingest, read_raw_tsv, split
 from bindkit.dataset import featurize_pairs
 from bindkit.fasta import ProteinSequence, format_fasta, parse_fasta
 from bindkit.gbdt import TrainParams, train
-from bindkit.ligand_features import ecfp, morgan_environments
+from bindkit.ligand_features import morgan_environments
 from bindkit.metrics import binned_mae, classify_accuracy, mae
 from bindkit.protein_features import DESCRIPTOR_LAYOUT, receptor_descriptor
 from bindkit.smiles import (
@@ -38,7 +38,7 @@ from bindkit.smiles import (
     from_smiles,
     parse_smiles,
 )
-from testutil import reserialize
+from testutil import binned_columns, fingerprint_bits, reserialize
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -133,13 +133,13 @@ def test_criterion_2_fingerprint_oracle():
             mol = from_smiles(row["smiles"])
             envs = morgan_environments(mol, radius=2)
             assert len(envs) == _distinct_ball_count(mol, 2), row["name"]
-            reference = ecfp(mol, radius=2, nbits=2048)
+            reference = fingerprint_bits(mol, radius=2, nbits=2048)
             for _ in range(5):
                 order = list(range(len(mol.atoms)))
                 rng.shuffle(order)
                 again = from_smiles(reserialize(mol, order))
-                other = ecfp(again, radius=2, nbits=2048)
-                assert other.bits.tobytes() == reference.bits.tobytes(), \
+                other = fingerprint_bits(again, radius=2, nbits=2048)
+                assert other.tobytes() == reference.tobytes(), \
                     row["name"]
 
 
@@ -302,16 +302,17 @@ def test_criterion_6_metrics():
             n = int(rng.integers(1, 400))
             truth = rng.uniform(-4.0, 14.0, size=n)   # spills out of range
             pred = truth + rng.normal(0.0, 1.0, size=n)
-            table = binned_mae(truth, pred)
+            _, counts, maes, out_count, out_mae = binned_columns(
+                binned_mae(truth, pred))
             total = 0.0
             count = 0
-            for c, m in zip(table.counts, table.maes):
+            for c, m in zip(counts, maes):
                 if c:
                     total += c * m
                     count += c
-            if table.out_of_range_count:
-                total += table.out_of_range_count * table.out_of_range_mae
-                count += table.out_of_range_count
+            if out_count:
+                total += out_count * out_mae
+                count += out_count
             assert count == n
             assert abs(total / count - mae(truth, pred)) <= 1e-12
         truth = [3.0, 5.0, 3.0, 5.0]

@@ -36,7 +36,8 @@ def test_star_import_resolves_all(name):
                                   "load_features", "atom_invariant",
                                   "feature_schema", "LigandGraphFeatures",
                                   "ReceptorGraphFeatures",
-                                  "ReceptorDescriptor"])
+                                  "ReceptorDescriptor", "Fingerprint",
+                                  "BinnedMae"])
 def test_removed_names_are_not_exported(name):
     assert not hasattr(bindkit, name)
     for sub in SUBMODULES:
@@ -47,15 +48,16 @@ def test_removed_names_are_not_exported(name):
 # Every name bindkit exported when its __init__ imported each module eagerly,
 # by the module it was imported from, less the classes deleted since
 # (LigandGraphFeatures, ReceptorGraphFeatures: one GraphFeatures record;
-# ReceptorDescriptor: receptor_descriptor returns its vector).
+# ReceptorDescriptor: receptor_descriptor returns its vector; Fingerprint:
+# ecfp returns packed rows).
 FORMER_EXPORTS = {
     "smiles": """Atom Bond Molecule ParseError EmptyInputError UnknownSymbolError
         UnbalancedParenError UnclosedRingError DuplicateBondError ValenceError
         parse_smiles assign_implicit_hydrogens perceive_rings from_smiles""",
     "fasta": """ProteinSequence FastaError NoHeaderError EmptyRecordError
         IllegalResidueError parse_fasta format_fasta""",
-    "ligand_features": """Fingerprint ecfp morgan_environments
-        full_refinement_ids infer_hybridization ligand_graph_features""",
+    "ligand_features": """ecfp morgan_environments full_refinement_ids
+        infer_hybridization ligand_graph_features""",
     "protein_features": """ResiduePropertyTable UnknownResidueError
         EmptySequenceError load_property_table default_table
         residue_properties receptor_descriptor receptor_graph_features""",

@@ -34,7 +34,7 @@ from bindkit.fasta import ProteinSequence
 from bindkit.protein_features import DESCRIPTOR_LAYOUT, receptor_descriptor
 from bindkit.ligand_features import ecfp
 from bindkit.smiles import UnclosedRingError, from_smiles
-from testutil import dense_matrix
+from testutil import dense_matrix, fingerprint_bits
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -265,8 +265,32 @@ def test_featurize_layout_and_values():
     dense = dense_matrix(X)
     assert np.array_equal(dense[0, :78], receptor_descriptor("MKVLQW"))
     assert np.array_equal(
-        dense[1, 78:], ecfp(from_smiles("c1ccccc1"), nbits=128).bits.astype(float))
-    assert X.bits[16:32].tobytes() == ecfp(from_smiles("c1ccccc1"), nbits=128).packed()
+        dense[1, 78:],
+        fingerprint_bits(from_smiles("c1ccccc1"), nbits=128).astype(float))
+    assert X.bits[16:32].tobytes() == \
+        ecfp([from_smiles("c1ccccc1")], nbits=128)[0].tobytes()
+
+
+def test_featurize_calls_ecfp_once_over_the_distinct_ligands(monkeypatch):
+    """featurize_pairs fingerprints through the ecfp its module names, in
+    one call over the distinct ligands in order of first appearance, so a
+    tracer that wraps bindkit.dataset.ecfp times the fingerprinting."""
+    calls = []
+
+    def counting(mols, *args, **kwargs):
+        calls.append([mol.source for mol in mols])
+        return ecfp(mols, *args, **kwargs)
+
+    monkeypatch.setattr(dataset_module, "ecfp", counting)
+    ds = ingest(rows_from(
+        ("MKVLQW", "CCO", 10.0),
+        ("ACDEFG", "c1ccccc1", 100.0),
+        ("ACDEFG", "CCO", 30.0),
+        ("MKVLQW", "CC(C)C", 1000.0),
+    ))
+    featurize_pairs(ds, nbits=64)
+    assert calls == [list(dict.fromkeys(r.ligand.source for r in ds.records))]
+    assert len(calls[0]) == 3 < len(ds.records)
 
 
 def test_featurize_respects_subsets():

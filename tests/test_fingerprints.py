@@ -16,7 +16,6 @@ from bindkit import ligand_features
 from bindkit.ligand_features import (
     EDGE_FEATURE_NAMES,
     NODE_FEATURE_NAMES,
-    Fingerprint,
     GraphFeatures,
     ecfp,
     fnv1a32,
@@ -31,11 +30,10 @@ from bindkit.ligand_features import (
     _FNV_OFFSET,
     _FNV_PRIME,
     _MASK32,
-    _ecfp_batch,
     _full_refinement_ids_batch,
 )
 from bindkit.smiles import ParseError, from_smiles, parse_smiles
-from testutil import reserialize
+from testutil import on_bits, reserialize
 
 
 # --- per-atom reference ------------------------------------------------------
@@ -125,7 +123,7 @@ def assert_kernel_matches_reference(mols):
     assert _full_refinement_ids_batch(mols) == [
         reference_refinement_ids(m) for m in mols]
     for radius, nbits in ((0, 2048), (1, 64), (2, 2048), (3, 256)):
-        rows = _ecfp_batch(mols, radius=radius, nbits=nbits)
+        rows = ecfp(mols, radius=radius, nbits=nbits)
         assert rows.dtype == np.uint8 and rows.shape == (len(mols), nbits // 8)
         for row, mol in zip(rows, mols):
             assert row.tobytes() == reference_ecfp_row(mol, radius, nbits).tobytes()
@@ -174,7 +172,7 @@ def test_methane_has_a_single_environment():
     envs = morgan_environments(from_smiles("C"), radius=2)
     assert len(envs) == 1
     assert envs[0][0] == 0 and envs[0][2] == frozenset([0])
-    assert ecfp(from_smiles("C")).popcount == 1
+    assert len(on_bits(from_smiles("C"))) == 1
 
 
 def test_ethanol_environment_census():
@@ -197,8 +195,7 @@ def test_benzene_environment_census():
     for r, ident, _ in envs:
         ids_per_radius[r].add(ident)
     assert all(len(v) == 1 for v in ids_per_radius.values())
-    fp = ecfp(from_smiles("c1ccccc1"))
-    assert fp.popcount == 3
+    assert len(on_bits(from_smiles("c1ccccc1"))) == 3
 
 
 def test_radius_zero_restricts_to_atoms():
@@ -216,25 +213,25 @@ def test_nbits_must_be_a_power_of_two():
     mol = from_smiles("CCO")
     for bad in (0, -8, 100, 2047):
         with pytest.raises(ValueError):
-            ecfp(mol, nbits=bad)
-    ecfp(mol, nbits=1024)
+            ecfp([mol], nbits=bad)
+    ecfp([mol], nbits=1024)
 
 
 def test_popcount_monotone_in_radius():
     mol = from_smiles("CC(C)Cc1ccc(cc1)C(C)C(=O)O")
-    p0 = ecfp(mol, radius=0).popcount
-    p1 = ecfp(mol, radius=1).popcount
-    p2 = ecfp(mol, radius=2).popcount
+    p0 = len(on_bits(mol, radius=0))
+    p1 = len(on_bits(mol, radius=1))
+    p2 = len(on_bits(mol, radius=2))
     assert p0 <= p1 <= p2
-    assert set(ecfp(mol, radius=0).on_bits()) <= set(ecfp(mol, radius=2).on_bits())
+    assert set(on_bits(mol, radius=0)) <= set(on_bits(mol, radius=2))
 
 
 def test_smaller_width_folds_consistently():
     # 512 divides 2048 so folding must commute with the modulus
     mol = from_smiles("CN1C=NC2=C1C(=O)N(C)C(=O)N2C")
-    wide = ecfp(mol, nbits=2048)
-    narrow = ecfp(mol, nbits=512)
-    assert set(narrow.on_bits()) == {b % 512 for b in wide.on_bits()}
+    wide = on_bits(mol, nbits=2048)
+    narrow = on_bits(mol, nbits=512)
+    assert set(narrow) == {b % 512 for b in wide}
 
 
 PERMUTATION_SMILES = [
@@ -251,13 +248,13 @@ PERMUTATION_SMILES = [
 @pytest.mark.parametrize("smiles", PERMUTATION_SMILES)
 def test_fingerprint_is_atom_order_invariant(smiles):
     mol = from_smiles(smiles)
-    reference = ecfp(mol).on_bits()
+    reference = on_bits(mol)
     rng = random.Random(7)
     for _ in range(5):
         order = list(range(len(mol.atoms)))
         rng.shuffle(order)
         again = from_smiles(reserialize(mol, order))
-        assert ecfp(again).on_bits() == reference
+        assert on_bits(again) == reference
 
 
 @pytest.mark.parametrize("smiles", PERMUTATION_SMILES)
@@ -286,7 +283,7 @@ def test_annotation_is_required():
     with pytest.raises(ValueError):
         morgan_environments(bare)
     with pytest.raises(ValueError):
-        ecfp(bare)
+        ecfp([bare])
     with pytest.raises(ValueError):
         full_refinement_ids(bare)
     with pytest.raises(ValueError):
@@ -335,7 +332,7 @@ def test_kernel_matches_reference_on_edge_cases(case):
 
 def test_kernel_on_an_empty_list():
     assert _full_refinement_ids_batch([]) == []
-    assert _ecfp_batch([], nbits=256).shape == (0, 32)
+    assert ecfp([], nbits=256).shape == (0, 32)
 
 
 def test_batch_across_chunks_equals_per_molecule_results():
@@ -346,7 +343,7 @@ def test_batch_across_chunks_equals_per_molecule_results():
     count = 2 * ligand_features._CHUNK + 3
     mols = [from_smiles(smiles[i % len(smiles)]) for i in range(count)]
     ids = _full_refinement_ids_batch(mols)
-    rows = _ecfp_batch(mols)
+    rows = ecfp(mols)
     for i in range(len(smiles)):
         ref_ids = reference_refinement_ids(mols[i])
         ref_row = reference_ecfp_row(mols[i]).tobytes()
@@ -358,7 +355,7 @@ def test_batch_across_chunks_equals_per_molecule_results():
 def test_batch_kernel_requires_annotation():
     bare = parse_smiles("CCO")
     with pytest.raises(ValueError):
-        _ecfp_batch([from_smiles("C"), bare])
+        ecfp([from_smiles("C"), bare])
     with pytest.raises(ValueError):
         _full_refinement_ids_batch([bare])
 
@@ -408,10 +405,14 @@ def test_node_features_charge_and_isotope():
 
 
 def test_packed_bit_layout_is_lsb_first():
-    bits = np.zeros(16, dtype=np.uint8)
-    bits[[0, 1, 9]] = 1
-    fp = Fingerprint(bits=bits, nbits=16, radius=0)
-    assert fp.packed() == bytes([0b00000011, 0b00000010])
+    # bit j of a row is bit j % 8 of its byte j // 8
+    mol = from_smiles("CC(=O)O")
+    bits = sorted({ident % 16 for _, ident, _ in morgan_environments(mol, 1)})
+    packed = bytearray(2)
+    for j in bits:
+        packed[j >> 3] |= 1 << (j & 7)
+    assert ecfp([mol], radius=1, nbits=16)[0].tobytes() == bytes(packed)
+    assert on_bits(mol, radius=1, nbits=16) == tuple(bits)
 
 
 def test_graph_jsonl_output():

@@ -653,6 +653,21 @@ def test_predict_input_handling():
         model.predict(X[:, :3])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_predict_refuses_non_finite_rows(value):
+    """NaN is never above a threshold, so it would route down the 0 side of
+    every level; predict refuses it, and inf, with train's error."""
+    X, y = regression_problem(n=50)
+    model, _ = train(X, y, TrainParams(n_trees=3, max_depth=2,
+                                       learning_rate=0.5, min_samples_leaf=2))
+    bad = X[:4].copy()
+    bad[2, 0] = value
+    with pytest.raises(GbdtError, match="feature matrix contains non-finite"):
+        model.predict(bad)
+    with pytest.raises(GbdtError, match="feature matrix contains non-finite"):
+        model.predict(bad[2])
+
+
 # --- the router against the numpy reference ----------------------------------
 
 

@@ -52,10 +52,9 @@ from bindkit.config import config_from_mapping
 from bindkit.dataset import pair_key
 from bindkit.fasta import ProteinSequence
 from bindkit.gbdt import TrainParams, save_model, train
-from bindkit.ligand_features import ecfp
 from bindkit.model import read_features
 from bindkit.smiles import ParseError, from_smiles, parse_smiles
-from testutil import FULL_TOML, dense_matrix
+from testutil import FULL_TOML, dense_matrix, on_bits
 
 CORPUS = pathlib.Path(__file__).parent / "fixtures" / "corpus.tsv"
 RECEPTOR = ProteinSequence(id="recA", residues="MKTWQENLGSHMAAALDEFKR")
@@ -96,9 +95,9 @@ def corpus_smiles():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_pinned_pair_key_and_fingerprint(name):
     mol = from_smiles(corpus_smiles()[name])
-    key, on_bits = GOLDEN[name]
+    key, bits = GOLDEN[name]
     assert pair_key(RECEPTOR, mol) == key
-    assert ecfp(mol, radius=2, nbits=2048).on_bits() == on_bits
+    assert on_bits(mol, radius=2, nbits=2048) == bits
 
 
 # --- canonical config JSON -------------------------------------------------------

@@ -30,6 +30,7 @@ from bindkit.metrics import (
     mae,
     write_report,
 )
+from testutil import binned_columns
 
 
 def _read_npy(path, dtype, ndim):
@@ -51,51 +52,55 @@ def test_defaults():
     assert (DEFAULT_BIN_START, DEFAULT_BIN_STOP) == (-2.0, 12.0)
     assert DEFAULT_BIN_WIDTH == 0.5
     assert DEFAULT_THRESHOLD == 4.0
-    report = binned_mae([0.0], [0.0])
-    assert len(report.counts) == 28
-    assert report.edges[0] == -2.0 and report.edges[-1] == 12.0
+    edges, counts, _, _, _ = binned_columns(binned_mae([0.0], [0.0]))
+    assert len(counts) == 28
+    assert edges[0] == -2.0 and edges[-1] == 12.0
+    # the default edges are start + i * width, bit for bit
+    assert edges == tuple(-2.0 + i * 0.5 for i in range(29))
 
 
 def test_recombination_reproduces_overall_mae():
     rng = np.random.default_rng(17)
     t = rng.uniform(-4.0, 14.0, size=2000)      # some mass out of range
     p = t + rng.standard_normal(2000)
-    report = binned_mae(t, p)
-    total = sum(report.counts) + report.out_of_range_count
+    _, counts, maes, out_count, out_mae = binned_columns(binned_mae(t, p))
+    total = sum(counts) + out_count
     assert total == 2000
     acc = 0.0
-    for count, cell_mae in zip(report.counts, report.maes):
+    for count, cell_mae in zip(counts, maes):
         if count:
             acc += count * cell_mae
-    acc += report.out_of_range_count * report.out_of_range_mae
+    acc += out_count * out_mae
     assert abs(acc / total - mae(t, p)) <= 1e-12
 
 
 def test_bin_edges_are_half_open():
     # truth exactly on an inner edge belongs to the right bin
-    report = binned_mae([0.5, 0.5 - 1e-9], [0.0, 0.0],
-                        start=0.0, stop=1.0, width=0.5)
-    assert report.counts == (1, 1)
+    _, counts, _, _, _ = binned_columns(binned_mae(
+        [0.5, 0.5 - 1e-9], [0.0, 0.0], start=0.0, stop=1.0, width=0.5))
+    assert counts == (1, 1)
     # truth exactly at stop is out of range, start is in
-    report = binned_mae([0.0, 1.0], [0.0, 0.0], start=0.0, stop=1.0, width=0.5)
-    assert report.counts == (1, 0)
-    assert report.out_of_range_count == 1
+    _, counts, _, out_count, _ = binned_columns(binned_mae(
+        [0.0, 1.0], [0.0, 0.0], start=0.0, stop=1.0, width=0.5))
+    assert counts == (1, 0)
+    assert out_count == 1
 
 
 def test_empty_bins_are_none_not_dropped():
-    report = binned_mae([0.1, 0.9], [0.0, 1.0], start=0.0, stop=2.0, width=0.5)
-    assert report.counts == (1, 1, 0, 0)
-    assert report.maes[2] is None and report.maes[3] is None
-    assert report.out_of_range_count == 0
-    assert report.out_of_range_mae is None
+    _, counts, maes, out_count, out_mae = binned_columns(binned_mae(
+        [0.1, 0.9], [0.0, 1.0], start=0.0, stop=2.0, width=0.5))
+    assert counts == (1, 1, 0, 0)
+    assert maes[2] is None and maes[3] is None
+    assert out_count == 0
+    assert out_mae is None
 
 
 def test_out_of_range_pooling():
-    report = binned_mae([-5.0, 20.0, 1.0], [-4.0, 22.0, 1.0],
-                        start=0.0, stop=2.0, width=1.0)
-    assert report.out_of_range_count == 2
-    assert report.out_of_range_mae == pytest.approx(1.5)
-    assert report.counts == (0, 1)
+    _, counts, _, out_count, out_mae = binned_columns(binned_mae(
+        [-5.0, 20.0, 1.0], [-4.0, 22.0, 1.0], start=0.0, stop=2.0, width=1.0))
+    assert out_count == 2
+    assert out_mae == pytest.approx(1.5)
+    assert counts == (0, 1)
 
 
 def test_binning_validation():
@@ -120,8 +125,30 @@ def test_binning_validation():
 def test_binning_rejects_non_finite_and_too_many_bins(start, stop, width, message):
     with pytest.raises(MetricsError, match=message):
         binned_mae([1.0], [1.0], start=start, stop=stop, width=width)
-    assert len(binned_mae([1.0], [1.0], start=0.0, stop=MAX_BINS,
-                          width=1.0).counts) == MAX_BINS
+    bins, _ = binned_mae([1.0], [1.0], start=0.0, stop=MAX_BINS, width=1.0)
+    assert len(bins) == MAX_BINS
+
+
+@pytest.mark.parametrize("truth, start, stop, width, lo, hi", [
+    (-1.8, -2.0, 12.0, 0.1, -1.8, -1.7),
+    (7.3, -2.0, 12.0, 0.1, 7.3, 7.4),
+    (math.log10(0.9999999999999999), -2.0, 12.0, 0.5, -0.5, 0.0),
+])
+def test_truth_is_counted_in_the_bin_whose_printed_edges_hold_it(
+        truth, start, stop, width, lo, hi):
+    """Binning by floor((truth - start) / width) beside edges printed as
+    start + i * width counts -1.8 in [-1.9, -1.8), 7.3 in
+    [7.300000000000001, 7.4) and -4.8e-17 in [0.0, 0.5)."""
+    report = build_report([truth], [0.0], start=start, stop=stop, width=width)
+    (cell,) = [cell for cell in report["bins"] if cell["count"]]
+    assert (cell["lo"], cell["hi"]) == (lo, hi)
+    assert cell["lo"] <= truth < cell["hi"]
+
+
+def test_bin_edges_must_strictly_increase():
+    # 10,000 bins between two floats 16 apart: many edges round alike
+    with pytest.raises(MetricsError, match="strictly increase"):
+        binned_mae([1e17], [1e17], start=1e17, stop=1e17 + 16, width=0.0016)
 
 
 # Lengths on each side of the block sizes of numpy's pairwise summation (8
@@ -163,17 +190,15 @@ def bits(value):
 def test_report_means_are_the_exact_mean_rounded_once(values):
     """Scored against the reversed vector, every mean of the report is the
     exactly rounded sum of its errors over their count, bit for bit; the
-    report bins each truth as floor((truth - start) / width)."""
+    report bins each truth in the bin whose printed [lo, hi) holds it."""
     t, p = values, values[::-1]
     report = build_report(t, p)
-    start, width = DEFAULT_BIN_START, DEFAULT_BIN_WIDTH
     cells = [[] for _ in report["bins"]]
     outside = []
     for a, b in zip(t, p):
-        if start <= a < DEFAULT_BIN_STOP:
-            cells[min(math.floor((a - start) / width), len(cells) - 1)].append(abs(a - b))
-        else:
-            outside.append(abs(a - b))
+        held = [i for i, cell in enumerate(report["bins"])
+                if cell["lo"] <= a < cell["hi"]]
+        (cells[held[0]] if held else outside).append(abs(a - b))
     assert [cell["count"] for cell in report["bins"]] == list(map(len, cells))
     assert report["out_of_range"]["count"] == len(outside)
     got = [report["mae"], *(cell["mae"] for cell in report["bins"]),
@@ -193,9 +218,11 @@ def test_sum_of_negative_zeros_is_positive_zero_as_in_numpy(n):
     zero = pack(np.abs(np.array(t) - np.array(p)).mean())
     assert zero == pack(0.0)
     assert pack(mae(t, p)) == zero
-    assert pack(binned_mae(t, p).maes[4]) == zero            # bin [0.0, 0.5)
-    assert pack(binned_mae(t, p, start=1.0, stop=2.0, width=1.0)
-                .out_of_range_mae) == zero
+    _, _, maes, _, _ = binned_columns(binned_mae(t, p))
+    assert pack(maes[4]) == zero                             # bin [0.0, 0.5)
+    _, _, _, _, out_mae = binned_columns(
+        binned_mae(t, p, start=1.0, stop=2.0, width=1.0))
+    assert pack(out_mae) == zero
 
 
 def test_errors_summing_past_the_float_range_give_inf():

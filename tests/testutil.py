@@ -4,7 +4,9 @@ FULL_TOML is a config that sets every key to a value other than its
 default; each value is also valid on its own.
 
 dense_matrix decodes a feature matrix to the plain float64 matrix that the
-numpy references in the tests read.
+numpy references in the tests read; fingerprint_bits and on_bits unpack one
+molecule's packed ecfp row, and binned_columns splits a binned_mae result
+into its edges, counts and MAEs.
 
 Two independent oracles against the parser:
 
@@ -23,6 +25,7 @@ import sys
 
 import numpy as np
 
+from bindkit.ligand_features import ecfp
 from bindkit.model import Features
 from bindkit.smiles import (
     BOND_AROMATIC,
@@ -81,6 +84,27 @@ def dense_matrix(X: Features) -> np.ndarray:
     return np.hstack([dense[index[:, 0]],
                       np.unpackbits(bits[index[:, 1]], axis=1, count=X.nbits,
                                     bitorder="little")])
+
+
+def fingerprint_bits(mol, radius=2, nbits=2048) -> np.ndarray:
+    """mol's row of ecfp unpacked LSB-first: its nbits bits as 0/1 uint8."""
+    return np.unpackbits(ecfp([mol], radius, nbits)[0], count=nbits,
+                         bitorder="little")
+
+
+def on_bits(mol, radius=2, nbits=2048) -> tuple[int, ...]:
+    """The indices of the set bits of mol's fingerprint, ascending."""
+    return tuple(np.flatnonzero(fingerprint_bits(mol, radius, nbits)).tolist())
+
+
+def binned_columns(binned):
+    """(edges, counts, maes, out-of-range count, out-of-range MAE) of a
+    metrics.binned_mae result, with one edge more than there are bins."""
+    bins, out = binned
+    assert all(b["hi"] == c["lo"] for b, c in zip(bins, bins[1:]))
+    return ((*(b["lo"] for b in bins), bins[-1]["hi"]),
+            tuple(b["count"] for b in bins), tuple(b["mae"] for b in bins),
+            out["count"], out["mae"])
 
 
 _TOKEN = re.compile(
