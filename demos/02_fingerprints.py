@@ -6,8 +6,6 @@ How atom environments grow outward by radius, how they fold into a fixed
 bit vector, and why the result ignores atom ordering.  Closes with a
 Tanimoto similarity ranking and the graph feature block.
 """
-import numpy as np
-
 from bindkit import ecfp, from_smiles, ligand_graph_features, morgan_environments
 
 # --- environments, radius by radius ----------------------------------------
@@ -31,33 +29,35 @@ print(f"\nbenzene keeps {len(envs)} environments "
       f"but only {len(ids)} distinct identifiers")
 
 # --- folding into bits -------------------------------------------------------
-# ecfp fingerprints a list of molecules at once and returns one row of
-# packed bytes per molecule, LSB-first: bit j sits in byte j // 8 at bit
-# j % 8.  np.unpackbits with bitorder="little" gives back the 0/1 vector.
+# ecfp fingerprints a list of molecules at once and returns their set bits
+# as one CSR, (offsets, indices): molecule i sets the ascending bits
+# indices[offsets[i]:offsets[i + 1]].  A typical drug-like ligand sets a few
+# dozen of 2,048 bits, so the index sets are what the feature store keeps.
 
-def unpack(row):
-    return np.unpackbits(row, bitorder="little")
+def on_bits(mols, radius=2, nbits=2048):
+    """Each molecule's set bits, as a set of bit indices."""
+    offsets, indices = ecfp(mols, radius=radius, nbits=nbits)
+    return [set(indices[a:b].tolist()) for a, b in zip(offsets, offsets[1:])]
 
 
 for nbits in (512, 2048):
-    bits = unpack(ecfp([from_smiles("CC(=O)Oc1ccccc1C(=O)O")], radius=2,
-                       nbits=nbits)[0])
-    print(f"aspirin at {nbits:4d} bits: popcount {int(bits.sum())}, "
-          f"first on-bits {tuple(np.flatnonzero(bits)[:5].tolist())}")
+    (bits,) = on_bits([from_smiles("CC(=O)Oc1ccccc1C(=O)O")], nbits=nbits)
+    print(f"aspirin at {nbits:4d} bits: popcount {len(bits)}, "
+          f"first on-bits {tuple(sorted(bits)[:5])}")
 
 # --- order invariance --------------------------------------------------------
 # The same molecule written two ways gives the same bits.
 
-a, b = ecfp([from_smiles("Oc1ccccc1"), from_smiles("c1ccc(O)cc1")])
-print(f"\nphenol written two ways: identical bits {np.array_equal(a, b)}")
+a, b = on_bits([from_smiles("Oc1ccccc1"), from_smiles("c1ccc(O)cc1")])
+print(f"\nphenol written two ways: identical bits {a == b}")
 
 
 # --- Tanimoto ranking against aspirin ----------------------------------------
 
 def tanimoto(x, y):
-    both = int(np.sum(unpack(x & y)))
-    either = int(np.sum(unpack(x | y)))
-    return both / either if either else 0.0
+    """|x & y| / |x | y| of two sets of bit indices."""
+    either = len(x | y)
+    return len(x & y) / either if either else 0.0
 
 
 panel = {
@@ -67,8 +67,8 @@ panel = {
     "ibuprofen": "CC(C)Cc1ccc(cc1)C(C)C(=O)O",
     "hexane": "CCCCCC",
 }
-aspirin, *rows = ecfp([from_smiles(s) for s in
-                       ["CC(=O)Oc1ccccc1C(=O)O", *panel.values()]])
+aspirin, *rows = on_bits([from_smiles(s) for s in
+                          ["CC(=O)Oc1ccccc1C(=O)O", *panel.values()]])
 scores = {name: tanimoto(aspirin, row) for name, row in zip(panel, rows)}
 print("\nsimilarity to aspirin:")
 for name, score in sorted(scores.items(), key=lambda kv: -kv[1]):

@@ -354,12 +354,12 @@ def featurize_pairs(
 
     Returns (X, y, columns, ids): X is model.Features over the arrays built
     here, factored: its dense block holds the 78 receptor descriptor
-    columns of each distinct receptor once, its bit block the nbits
-    fingerprint bits, packed LSB-first, of each distinct ligand of the
-    subset once, and its index gives each pair's receptor row and ligand
-    row, in dataset record order.  Rows are numbered in order of first
-    appearance.  The ligands are fingerprinted by one ecfp call straight
-    into packed rows.  y is log10 Ki, ids are pair keys.
+    columns of each distinct receptor once, its bit block the set bits
+    among nbits fingerprint bits of each distinct ligand of the subset
+    once, and its index gives each pair's receptor row and ligand row, in
+    dataset record order.  Rows are numbered in order of first appearance.
+    The ligands are fingerprinted by one ecfp call, whose CSR is the bit
+    block.  y is log10 Ki, ids are pair keys.
     """
     table = table or default_table()
     records = dataset.subset(which)
@@ -373,11 +373,11 @@ def featurize_pairs(
                               (len(receptors), rec.receptor))[0],
          ligands.setdefault(rec.ligand.source, (len(ligands), rec.ligand))[0])
         for rec in records], dtype=np.int32)
-    packed = ecfp([lig for _, lig in ligands.values()], radius, nbits)
+    offsets, bits = ecfp([lig for _, lig in ligands.values()], radius, nbits)
     descriptors = np.array([receptor_descriptor(rec, table)
                             for _, rec in receptors.values()], dtype=np.float64)
     X = Features(memoryview(descriptors.ravel()), len(descriptors),
-                 descriptors.shape[1], memoryview(packed.ravel()), len(packed),
+                 descriptors.shape[1], memoryview(offsets), memoryview(bits),
                  nbits, memoryview(index.ravel()))
     y = np.array([rec.log_ki for rec in records], dtype=np.float64)
     columns = tuple(DESCRIPTOR_LAYOUT) + tuple(f"fp_{j}" for j in range(nbits))

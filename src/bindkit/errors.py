@@ -32,4 +32,7 @@ class DimensionMismatchError(GbdtError):
 
 
 class FingerprintFormatError(DataError):
-    """A packed fingerprint block whose type or width does not fit its bits."""
+    """A fingerprint bit block that is not a CSR of ascending bits below
+    nbits: the wrong dtype or rank, offsets that do not run from 0 to the
+    number of set bits without decreasing, or a row whose bits reach nbits
+    or do not strictly ascend."""

@@ -4,10 +4,12 @@ Stagewise boosting on the squared loss: each tree fits the current
 residuals, and a prediction is base_score plus the routed leaf values.  The
 model, its file, its router and its input, model.Features, live in the
 numpy-free model module.  Training reads a Features (a plain 2-D array is
-one with no bit columns and an identity index) with its distinct rows
-expanded through its index (_blocks), so it sees one row per pair; rows
-are routed by the column that _column decodes, so a bit column splits
-as its dense float column would.
+one with no bit columns and an identity index): its distinct dense rows
+expanded through its index, so it sees one row per pair, and the set bits
+of its distinct bit rows, gathered through the index into one CSR row per
+pair.  Rows are routed by the column that _column reads, a bit column as
+0.0 or 1.0 by whether the row's distinct bit row holds the bit, so a bit
+column splits as its dense float column would.
 
 Split search is histogram-based, as in CatBoost and LightGBM: features are
 binned once into at most n_histogram_bins quantile bins whose upper bounds
@@ -53,11 +55,14 @@ __all__ = [
 class _Binned:
     """The training matrix as split search reads it: the kept columns by
     block, and the candidates in (column, code) order, each kept cut of a
-    dense column and then each kept bit column, cut at its 0 bin.  dense
-    and bits are the blocks of the matrix, one row per matrix row (_blocks),
-    which _column decodes."""
-    dense: np.ndarray          # float64 (n, d)
-    bits: np.ndarray           # uint8 (n, ceil(nbits / 8))
+    dense column and then each kept bit column, cut at its 0 bin.  dense,
+    one row per matrix row, and ligand, holder and bit, the bit block as
+    pairs (distinct bit row, set bit), are what _column reads."""
+    dense: np.ndarray          # float64 (n, d), read-only
+    ligand: np.ndarray         # distinct bit row of each matrix row
+    bit_rows: int              # distinct bit rows
+    holder: np.ndarray         # distinct bit row of each set bit
+    bit: np.ndarray            # column among the bit columns of each set bit
     uppers: list               # per original column, ascending bin uppers
     codes: np.ndarray          # int32 (n, w) flat (column, bin) cell, kept dense
     width: int                 # cells per kept dense column: the most bins of one
@@ -68,16 +73,11 @@ class _Binned:
     cell: np.ndarray           # flat (column, bin) cell of each dense candidate
 
 
-_CHUNK_ROWS = 1024            # rows of bits unpacked at a time for the CSR
-
-
-def _blocks(X: Features):
-    """The dense block and the packed bit block of X with one row per row
-    of X: its distinct rows expanded through its index, read-only."""
-    dense, bits, index = _arrays(X)
-    dense, bits = dense[index[:, 0]], bits[index[:, 1]]
-    dense.flags.writeable = bits.flags.writeable = False
-    return dense, bits
+def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The positions of the spans [starts[i], starts[i] + lens[i]), in
+    order, concatenated."""
+    ends = np.cumsum(lens)
+    return np.arange(lens.sum()) + np.repeat(starts - (ends - lens), lens)
 
 
 def _distinct(ascending: np.ndarray) -> np.ndarray:
@@ -93,11 +93,16 @@ def _bin_columns(X: Features, n_bins: int, min_leaf: int) -> _Binned:
     rows has the bins [0, 1], and is constant otherwise.  A cut with fewer
     than min_leaf rows at or below it, or above it, leaves as few in every
     node and every in-bag sample, so it is dropped; for min_leaf >= 1 that
-    drops every constant column.  Binning reads the two blocks of X
-    directly; after binning, _column reads one column at a time, only to
-    route rows."""
-    dense, packed = _blocks(X)
+    drops every constant column.  A bit column's count of set rows is the
+    sum, over the distinct bit rows that hold it, of the matrix rows that
+    take each; each matrix row's kept set bits are its bit row's, gathered
+    through the index.  After binning, _column reads one column at a time,
+    only to route rows."""
+    dense, offsets, bit, index = _arrays(X)
+    dense, ligand = dense[index[:, 0]], index[:, 1]
+    dense.flags.writeable = False
     n, d = dense.shape
+    holder = np.repeat(np.arange(X.bit_rows), np.diff(offsets))
 
     def cuts(below):            # rows at or below each upper -> the cuts kept
         return np.flatnonzero((below >= min_leaf) & (n - below >= min_leaf))
@@ -112,10 +117,8 @@ def _bin_columns(X: Features, n_bins: int, min_leaf: int) -> _Binned:
             distinct = _distinct(column[lower])
         uppers.append(distinct)
         dense_cuts.append(cuts(np.searchsorted(column, distinct, side="right")))
-    ones = np.empty(packed.shape[1] * 8, dtype=np.int64)
-    for k in range(8):
-        ones[k::8] = ((packed >> k) & 1).sum(axis=0)
-    ones = ones[:X.nbits]
+    uses = np.bincount(ligand, minlength=X.bit_rows)     # matrix rows per bit row
+    ones = np.bincount(bit, weights=uses[holder], minlength=X.nbits).astype(np.int64)
     levels = (np.array([0.0]), np.array([1.0]), np.array([0.0, 1.0]))
     uppers += [levels[0 if c == 0 else 1 if c == n else 2] for c in ones]
     bit_cols = cuts(n - ones)
@@ -125,30 +128,32 @@ def _bin_columns(X: Features, n_bins: int, min_leaf: int) -> _Binned:
     codes = np.empty((n, kept.size), dtype=np.int32)
     for j, f in enumerate(kept):
         codes[:, j] = j * width + np.searchsorted(uppers[f], dense[:, f], side="left")
-    counts = np.empty(n, dtype=np.int64)
-    indices = []
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        on = np.unpackbits(packed[rows], axis=1, count=X.nbits,
-                           bitorder="little")[:, bit_cols].astype(bool)
-        counts[rows] = on.sum(axis=1)
-        indices.append(np.nonzero(on)[1])
+    kept_at = np.full(X.nbits, -1, dtype=np.intp)       # among the kept bit columns
+    kept_at[bit_cols] = np.arange(bit_cols.size)
+    at = kept_at[bit]                                   # of each set bit, or -1
+    hit = at >= 0
+    per_row = np.bincount(holder[hit], minlength=X.bit_rows)   # kept bits per bit row
+    lens = per_row[ligand]
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(lens, out=indptr[1:])
+    indices = at[hit][_spans((np.cumsum(per_row) - per_row)[ligand], lens)]
     code = np.concatenate(dense_cuts + [np.zeros(bit_cols.size, dtype=np.intp)])
     cell = np.repeat(np.arange(kept.size) * width, sizes[kept]) + code[:sizes.sum()]
-    return _Binned(dense=dense, bits=packed, uppers=uppers, codes=codes, width=width,
-                   indptr=indptr, indices=np.concatenate(indices), code=code, cell=cell,
+    return _Binned(dense=dense, ligand=ligand, bit_rows=X.bit_rows, holder=holder,
+                   bit=bit, uppers=uppers, codes=codes, width=width, indptr=indptr,
+                   indices=indices, code=code, cell=cell,
                    col=np.concatenate([np.repeat(np.arange(d), sizes), d + bit_cols]))
 
 
 def _column(bm: _Binned, f: int, rows) -> np.ndarray:
-    """Column f at rows as float64; a bit column decodes to 0.0 or 1.0."""
+    """Column f at rows as float64; a bit column reads 1.0 where the row's
+    distinct bit row holds the bit, else 0.0."""
     d = bm.dense.shape[1]
     if f < d:
         return bm.dense[rows, f]
-    f -= d
-    return ((bm.bits[rows, f >> 3] >> (f & 7)) & 1).astype(np.float64)
+    held = np.zeros(bm.bit_rows, dtype=np.float64)
+    held[bm.holder[bm.bit == f - d]] = 1.0
+    return held[bm.ligand[rows]]
 
 
 # --- split search ------------------------------------------------------------
@@ -181,8 +186,7 @@ def _histograms(bm: _Binned, rows, q, slot, k):
     p, size = bm.col.size - bm.cell.size, bm.codes.shape[1] * bm.width
     starts = bm.indptr[rows]
     lens = bm.indptr[rows + 1] - starts
-    ends = np.cumsum(lens)
-    cells = bm.indices[np.arange(lens.sum()) + np.repeat(starts - (ends - lens), lens)]
+    cells = bm.indices[_spans(starts, lens)]
     key = np.repeat(slot * p, lens) + cells
     n1 = np.bincount(key, minlength=k * p).reshape(k, p)
     s1 = np.bincount(key, weights=np.repeat(q, lens), minlength=k * p).reshape(k, p)

@@ -2,11 +2,12 @@
 graph record and serializer both partners share (GraphFeatures, graph_block).
 
 The fingerprint is a hashed circular fingerprint over heavy-atom
-neighborhoods; ecfp returns those of a list of molecules as rows packed
-LSB-first, a feature directory's bit-block layout.  Radius 2 with 2048
-bits is the default everywhere.  All hashing is pinned so fingerprints are
-reproducible across platforms: FNV-1a, 32-bit, over the little-endian
-4-byte encodings of the integer components being combined.
+neighborhoods; ecfp returns those of a list of molecules as one CSR of
+each row's ascending set bits, the layout in which a feature directory
+stores its bit block, routing reads it and training gathers it.  Radius 2
+with 2048 bits is the default everywhere.  All hashing is pinned so
+fingerprints are reproducible across platforms: FNV-1a, 32-bit, over the
+little-endian 4-byte encodings of the integer components being combined.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_NBITS
 from .errors import FingerprintFormatError
 from .smiles import (
     BOND_AROMATIC,
@@ -255,24 +257,26 @@ def _chunks(mols):
     return [mols[i:i + _CHUNK] for i in range(0, len(mols), _CHUNK)]
 
 
-def ecfp(mols, radius: int = 2, nbits: int = 2048) -> np.ndarray:
+def ecfp(mols, radius: int = 2, nbits: int = 2048) -> tuple[np.ndarray, np.ndarray]:
     """Hashed circular fingerprints (radius 2 is the standard diameter-4
     set), one row per molecule: bit (identifier mod nbits) is set for each
-    environment morgan_environments keeps.  Returns a uint8 array of one
-    row of ceil(nbits/8) bytes per molecule, packed LSB-first (bit j in
-    byte j // 8 at bit j % 8), as np.packbits(..., bitorder="little")
-    packs."""
-    if nbits <= 0 or (nbits & (nbits - 1)) != 0:
-        raise ValueError("nbits must be a power of two")
-    blocks = [np.zeros((0, (nbits + 7) // 8), dtype=np.uint8)]
+    environment morgan_environments keeps.  Returns the rows as one CSR,
+    (offsets, indices): row i holds the ascending set bits
+    indices[offsets[i]:offsets[i + 1]], offsets is int32 of length
+    len(mols) + 1 from 0, and indices is uint16, which holds every bit of
+    an nbits up to config.MAX_NBITS."""
+    if nbits <= 0 or (nbits & (nbits - 1)) != 0 or nbits > MAX_NBITS:
+        raise ValueError(f"nbits must be a power of two <= {MAX_NBITS}")
+    # the leading 0 count makes the cumulative sum the row offsets
+    counts, indices = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.uint16)]
     for chunk in _chunks(mols):
         mol, _, ids, _ = _environments(_union(chunk), radius)
-        bit = ids.astype(np.intp) & (nbits - 1)
-        rows = np.zeros((len(chunk), (nbits + 7) // 8), dtype=np.uint8)
-        np.bitwise_or.at(rows, (mol, bit >> 3),
-                         np.left_shift(1, bit & 7).astype(np.uint8))
-        blocks.append(rows)
-    return np.concatenate(blocks)
+        key = np.sort(mol.astype(np.int64) * nbits + (ids & (nbits - 1)))
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        counts.append(np.bincount(key // nbits, minlength=len(chunk)))
+        indices.append((key % nbits).astype(np.uint16))
+    return (np.cumsum(np.concatenate(counts)).astype(np.int32),
+            np.concatenate(indices))
 
 
 def _full_refinement_ids_batch(mols) -> list[tuple[int, ...]]:
@@ -292,10 +296,10 @@ def morgan_environments(
     independent of atom input order.
     """
     _, level, ids, span = _environments(_union([mol]), radius)
-    bits = np.unpackbits(span.astype("<u8").view(np.uint8), axis=1,
-                         bitorder="little")
+    bits = (span[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
     kept = [(r, ident, frozenset(np.flatnonzero(row).tolist()))
-            for r, ident, row in zip(level.tolist(), ids.tolist(), bits)]
+            for r, ident, row in zip(level.tolist(), ids.tolist(),
+                                     bits.reshape(len(span), -1))]
     return sorted(kept, key=lambda t: (t[0], t[1], sorted(t[2])))
 
 

@@ -59,6 +59,10 @@ def _mean(errors: list[float]) -> float:
 
 
 def _pair(y_true, y_pred):
+    """The truths and predictions as lists of floats, checked once: equal
+    lengths, at least one sample, every value finite.  The public scorers
+    each call it; build_report calls it once and passes the lists on to
+    the unchecked _mae, _binned and _accuracy."""
     t, p = [float(v) for v in y_true], [float(v) for v in y_pred]
     if len(t) != len(p):
         raise DimensionMismatchError(
@@ -71,7 +75,10 @@ def _pair(y_true, y_pred):
 
 
 def mae(y_true, y_pred) -> float:
-    t, p = _pair(y_true, y_pred)
+    return _mae(*_pair(y_true, y_pred))
+
+
+def _mae(t: list[float], p: list[float]) -> float:
     return _mean([abs(a - b) for a, b in zip(t, p)])
 
 
@@ -85,8 +92,11 @@ def binned_mae(
     {"lo", "hi", "count", "mae"} per bin, and its "out_of_range", the
     {"count", "mae"} of truths outside [start, stop).  An empty cell has
     count 0 and a None MAE, so the bin axis is stable across datasets."""
-    t, p = _pair(y_true, y_pred)
-    edges = _bin_edges(start, stop, width)
+    return _binned(*_pair(y_true, y_pred), _bin_edges(start, stop, width))
+
+
+def _binned(t: list[float], p: list[float],
+            edges: list[float]) -> tuple[list[dict], dict]:
     n_bins = len(edges) - 1
     cells = [[] for _ in range(n_bins + 1)]     # the last: out of range
     for a, b in zip(t, p):
@@ -128,7 +138,10 @@ def classify_accuracy(y_true, y_pred, threshold: float = DEFAULT_THRESHOLD) -> f
     Values exactly at the threshold are 'not below' on both sides, so a
     prediction equal to the threshold agrees with a truth equal to it.
     """
-    t, p = _pair(y_true, y_pred)
+    return _accuracy(*_pair(y_true, y_pred), threshold)
+
+
+def _accuracy(t: list[float], p: list[float], threshold: float) -> float:
     return sum((a < threshold) == (b < threshold) for a, b in zip(t, p)) / len(t)
 
 
@@ -140,12 +153,12 @@ def build_report(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> dict:
     t, p = _pair(y_true, y_pred)
-    bins, out_of_range = binned_mae(t, p, start=start, stop=stop, width=width)
+    bins, out_of_range = _binned(t, p, _bin_edges(start, stop, width))
     return {
         "n": len(t),
-        "mae": mae(t, p),
+        "mae": _mae(t, p),
         "threshold": threshold,
-        "accuracy_at_threshold": classify_accuracy(t, p, threshold),
+        "accuracy_at_threshold": _accuracy(t, p, threshold),
         "bins": bins,
         "out_of_range": out_of_range,
     }
@@ -243,9 +256,9 @@ def _load_vector(path) -> list[float]:
 
 
 def _native(data: bytes, typecode: str) -> memoryview:
-    """The little-endian values in data, float64 for typecode 'd' or int32
-    for 'i', as a memoryview of native values, with no copy on a
-    little-endian machine."""
+    """The little-endian values in data, float64 for typecode 'd', int32
+    for 'i' or uint16 for 'H', as a memoryview of native values, with no
+    copy on a little-endian machine."""
     if sys.byteorder == "little":
         return memoryview(data).cast(typecode)
     values = array(typecode, data)

@@ -4,11 +4,12 @@ leaf each row routes to, added in the order numpy's pred += would add them.
 
 The module imports without numpy, so predict starts without it.  It routes
 the checked buffers of a feature directory (read_features), a block of
-distinct dense rows, a block of distinct packed bit rows and a per-row
-index into both: dense columns through a float64 memoryview, bit columns
-from the packed bytes as 0 or 1, so a bit column routes as its dense float
-column would.  It also writes that directory (write_features), importing
-numpy for np.save when it does.
+distinct dense rows, a CSR of the set bits of each distinct bit row and a
+per-row index into both: dense columns through a float64 memoryview, bit
+columns by membership in each distinct bit row's set of bits, read as 0
+or 1, so a bit column routes as its dense float column would.  It also
+writes that directory (write_features), importing numpy for np.save when
+it does.
 """
 from __future__ import annotations
 
@@ -17,10 +18,13 @@ import math
 import os
 import zlib
 from array import array
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from functools import cache
+from functools import cached_property
+from itertools import compress, count
+from operator import ge, gt
 
-from .config import MAX_DEPTH, TrainParams
+from .config import MAX_DEPTH, MAX_NBITS, TrainParams
 from .errors import (DatasetError, DimensionMismatchError,
                      FingerprintFormatError, GbdtError)
 from .metrics import _native, _npy_payload, _read_json, _write_json
@@ -33,6 +37,7 @@ MODEL_FORMAT = "bindkit-gbdt"
 MODEL_VERSION = "3"
 DENSE_FILE = "descriptors.npy"
 BITS_FILE = "fingerprints.npy"
+OFFSETS_FILE = "fingerprint_offsets.npy"
 INDEX_FILE = "pairs.npy"
 
 
@@ -50,35 +55,50 @@ class Features:
     stored factored: two blocks of distinct rows and one index.  Row i of
     the matrix is dense row index[2 * i] followed by bit row index[2 * i +
     1].  The dense block holds dense_rows rows of n_dense values, row-major;
-    the bit block holds bit_rows rows of ceil(nbits / 8) bytes, column
-    n_dense + j being bit j % 8 of byte j // 8 of a row, as np.packbits(...,
-    bitorder="little") packs a row and ligand_features.ecfp returns it.
-    featurize_pairs builds one with a dense row per distinct receptor and a
-    bit row per distinct ligand, from_array one with an identity index,
-    write_features writes it, read_features reads it, train and predict
-    take it.  Buffers of another length than the sizes need, or an index
-    entry outside its block, raise DimensionMismatchError."""
+    the bit block is a CSR, as ligand_features.ecfp returns it: bit row k
+    sets the columns n_dense + j for the ascending j of
+    indices[offsets[k]:offsets[k + 1]], and no other.  featurize_pairs
+    builds one with a dense row per distinct receptor and a bit row per
+    distinct ligand, from_array one with an identity index, write_features
+    writes it, read_features reads it, train and predict take it.  Buffers
+    of another length than the sizes need, or an index entry outside its
+    block, raise DimensionMismatchError; offsets that do not run from 0 to
+    len(indices) without decreasing, a bit not below nbits, or a row whose
+    bits do not strictly ascend raise FingerprintFormatError."""
     dense: memoryview          # float64 values, dense_rows * n_dense
     dense_rows: int
     n_dense: int
-    bits: memoryview           # bytes, bit_rows * ceil(nbits / 8)
-    bit_rows: int
+    offsets: memoryview        # integers, bit_rows + 1 row starts into indices
+    indices: memoryview        # integers, the set bits of each bit row
     nbits: int
     index: memoryview          # integers, per row its dense row, its bit row
     schema: str | None = None  # of the featurize.json it was read with
 
     def __post_init__(self):
-        width = (self.nbits + 7) >> 3
         if (len(self.dense) != self.dense_rows * self.n_dense
-                or len(self.bits) != self.bit_rows * width
                 or len(self.index) % 2):
             raise DimensionMismatchError(
-                f"{self.dense_rows} rows of {self.n_dense} dense columns and "
-                f"{self.bit_rows} rows of {self.nbits} bits need "
-                f"{self.dense_rows * self.n_dense} values and "
-                f"{self.bit_rows * width} bytes, and the index two entries "
-                f"per row; got {len(self.dense)}, {len(self.bits)} and "
-                f"{len(self.index)}")
+                f"{self.dense_rows} rows of {self.n_dense} dense columns need "
+                f"{self.dense_rows * self.n_dense} values, and the index two "
+                f"entries per row; got {len(self.dense)} and {len(self.index)}")
+        offsets, bits = self.offsets.tolist(), self.indices.tolist()
+        if offsets[:1] != [0] or any(map(gt, offsets, offsets[1:])):
+            raise FingerprintFormatError(
+                "offsets: bit row offsets must start at 0 and never decrease")
+        if offsets[-1] != len(bits):
+            raise FingerprintFormatError(
+                f"indices, offsets: {len(bits)} set bits, but the bit row "
+                f"offsets end at {offsets[-1]}")
+        if bits and not (min(bits) >= 0 and max(bits) < self.nbits):
+            raise FingerprintFormatError(
+                f"indices: bit {max(bits) if min(bits) >= 0 else min(bits)} "
+                f"is outside the {self.nbits} bits")
+        # a fall from one bit to the next is allowed only where a row starts
+        falls = set(compress(count(1), map(ge, bits, bits[1:]))) - set(offsets)
+        if falls:
+            raise FingerprintFormatError(
+                f"indices: the bits of bit row "
+                f"{bisect_right(offsets, min(falls)) - 1} do not strictly ascend")
         for block, rows, column in (("dense", self.dense_rows, self.index[0::2]),
                                     ("bit", self.bit_rows, self.index[1::2])):
             low, high = min(column, default=0), max(column, default=-1)
@@ -100,8 +120,20 @@ class Features:
             raise DimensionMismatchError(
                 f"feature matrix must be 2-D, got shape {X.shape}")
         n = len(X)
-        return cls(memoryview(X.ravel()), n, X.shape[1], memoryview(b""), n, 0,
+        return cls(memoryview(X.ravel()), n, X.shape[1],
+                   memoryview(np.zeros(n + 1, dtype=np.int32)),
+                   memoryview(np.zeros(0, dtype=np.uint16)), 0,
                    memoryview(np.arange(n, dtype=np.int32).repeat(2)))
+
+    @property
+    def bit_rows(self) -> int:
+        return len(self.offsets) - 1
+
+    @cached_property
+    def _bit_sets(self) -> list[frozenset]:
+        """The set bits of each bit row, for routing by membership."""
+        bits, offsets = self.indices.tolist(), self.offsets.tolist()
+        return [frozenset(bits[a:b]) for a, b in zip(offsets, offsets[1:])]
 
     @property
     def n_rows(self) -> int:
@@ -116,7 +148,8 @@ class Features:
 
     @property
     def nbytes(self) -> int:
-        return self.dense.nbytes + self.bits.nbytes + self.index.nbytes
+        return (self.dense.nbytes + self.offsets.nbytes + self.indices.nbytes
+                + self.index.nbytes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,20 +162,12 @@ class Tree:
     leaf_value: tuple[float, ...]      # 2**depth, already learning-rate scaled
 
 
-@cache
-def _above(k: int, zero: bool, one: bool) -> bytes:
-    """The translate table that maps a byte to whether its bit k, compared
-    as 0 or 1 with a threshold, is above it: zero when it is 0, one when 1."""
-    return bytes(one if b >> k & 1 else zero for b in range(256))
-
-
 def _leaves(tree: Tree, X: Features) -> list[int]:
     """The leaf index of each row of X.  Each level's bit is worked out once
     per distinct row of the block its column lies in, at the level's place
     value, so a row's leaf index is the partial index of its dense row plus
     that of its bit row."""
     dense, bits = [0] * X.dense_rows, [0] * X.bit_rows
-    width = (X.nbits + 7) >> 3
     place = 1 << len(tree.feature)
     for f, t in zip(tree.feature, tree.threshold):
         place >>= 1
@@ -151,9 +176,9 @@ def _leaves(tree: Tree, X: Features) -> list[int]:
             dense = [i + place if v > t else i for i, v in zip(dense, values)]
         else:
             f -= X.n_dense
-            above = bytes(X.bits[f >> 3::width]).translate(
-                _above(f & 7, 0 > t, 1 > t))
-            bits = [i + place if b else i for i, b in zip(bits, above)]
+            unset, set_ = 0 > t, 1 > t          # whether 0 and 1 are above t
+            bits = [i + place if (set_ if f in row else unset) else i
+                    for i, row in zip(bits, X._bit_sets)]
     return [dense[r] + bits[b]
             for r, b in zip(X.index[0::2].tolist(), X.index[1::2].tolist())]
 
@@ -288,28 +313,29 @@ def _check_tree(tree: Tree, feature_count: int, k: int) -> None:
 
 
 def _arrays(X: Features):
-    """The distinct dense rows, the distinct packed bit rows and the index of
-    X, as read-only numpy arrays over its buffers of shapes (dense_rows,
-    n_dense), (bit_rows, ceil(nbits / 8)) and (n, 2)."""
+    """The distinct dense rows, the bit row offsets, the set bits and the
+    index of X, as read-only numpy arrays over its buffers of shapes
+    (dense_rows, n_dense), (bit_rows + 1,), (number of set bits,) and (n, 2)."""
     import numpy as np
     return (np.frombuffer(X.dense.toreadonly(), dtype=np.float64)
             .reshape(X.dense_rows, X.n_dense),
-            np.frombuffer(X.bits.toreadonly(), dtype=np.uint8)
-            .reshape(X.bit_rows, (X.nbits + 7) >> 3),
+            np.asarray(X.offsets.toreadonly()), np.asarray(X.indices.toreadonly()),
             np.asarray(X.index.toreadonly()).reshape(len(X), 2))
 
 
 def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
     """Write a feature directory: the distinct dense rows of X as
-    descriptors.npy, its distinct packed bit rows as fingerprints.npy, its
-    index as pairs.npy (<i4, one row per matrix row: its dense row, its bit
-    row), y.npy, ids.txt (one pair key per line) and featurize.json, the
-    sidecar with the n_rows, n_columns and nbits of X.  A non-finite dense
-    value, which read_features would refuse, raises DatasetError naming the
-    file and the first such column (its name from sidecar["columns"], when
+    descriptors.npy, the set bits of its distinct bit rows as
+    fingerprints.npy (<u2) and their row offsets as
+    fingerprint_offsets.npy (<i4, bit_rows + 1 of them), its index as
+    pairs.npy (<i4, one row per matrix row: its dense row, its bit row),
+    y.npy, ids.txt (one pair key per line) and featurize.json, the sidecar
+    with the n_rows, n_columns and nbits of X.  A non-finite dense value,
+    which read_features would refuse, raises DatasetError naming the file
+    and the first such column (its name from sidecar["columns"], when
     given) before anything is written."""
     import numpy as np
-    dense, bits, index = _arrays(X)
+    dense, offsets, bits, index = _arrays(X)
     bad = np.flatnonzero(~np.isfinite(dense).all(axis=0))
     if bad.size:
         f = int(bad[0])
@@ -319,7 +345,8 @@ def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
             f"value in column {f}" + (f" ({names[f]})" if f < len(names) else ""))
     os.makedirs(outdir, exist_ok=True)
     np.save(os.path.join(outdir, DENSE_FILE), dense)
-    np.save(os.path.join(outdir, BITS_FILE), bits)
+    np.save(os.path.join(outdir, BITS_FILE), bits.astype("<u2"))
+    np.save(os.path.join(outdir, OFFSETS_FILE), offsets.astype("<i4"))
     np.save(os.path.join(outdir, INDEX_FILE), index.astype("<i4"))
     np.save(os.path.join(outdir, "y.npy"), y)
     with open(os.path.join(outdir, "ids.txt"), "w", encoding="utf-8",
@@ -343,14 +370,19 @@ def read_features(path) -> tuple[Features, memoryview | None]:
     loading hashlib into predict.
 
     Feature files are untrusted.  A missing featurize.json,
-    descriptors.npy, fingerprints.npy or pairs.npy raises the OSError of
-    its open.  An array of the wrong dtype, rank, order or byte count, or
-    under a header np.save would not write (an object array included; see
-    metrics._npy_payload), an index that is not two columns wide or that
-    names a row outside its block, row counts that differ among the index,
-    y.npy, ids.txt and featurize.json, a width that is not featurize.json's
-    n_columns, or a non-finite dense value raises DatasetError, or
-    FingerprintFormatError for the bit block, naming the file.  Only the
+    descriptors.npy, fingerprints.npy, fingerprint_offsets.npy or pairs.npy
+    raises the OSError of its open.  An array of the wrong dtype, rank,
+    order or byte count, or under a header np.save would not write (an
+    object array included; see metrics._npy_payload), an index that is not
+    two columns wide or that names a row outside its block, row counts that
+    differ among the index, y.npy, ids.txt and featurize.json, a width that
+    is not featurize.json's n_columns, an nbits above config.MAX_NBITS, or
+    a non-finite dense value raises DatasetError, naming the file.  The bit block raises
+    FingerprintFormatError, naming its files, where fingerprints.npy is
+    not 1-D <u2 (the packed uint8 rows of the former layout included) or
+    fingerprint_offsets.npy not 1-D <i4, or where the pair breaks a rule of
+    Features: offsets from 0 to the number of bits, never decreasing, each
+    bit below nbits and each row's bits strictly ascending.  Only the
     distinct rows are checked for finite values."""
     def at(name):
         return os.path.join(path, name)
@@ -362,14 +394,14 @@ def read_features(path) -> tuple[Features, memoryview | None]:
         raise DatasetError(f"{at('featurize.json')}: n_rows, n_columns and "
                            "nbits must be integers >= 0")
     nbits = meta["nbits"]
+    if nbits > MAX_NBITS:       # training sizes arrays by nbits
+        raise DatasetError(f"{at('featurize.json')}: nbits {nbits} is above "
+                           f"{MAX_NBITS}")
     (dense_rows, d), dense = _npy_payload(at(DENSE_FILE), "<f8", 2, DatasetError)
-    (bit_rows, width), bits = _npy_payload(at(BITS_FILE), "|u1", 2,
-                                           FingerprintFormatError)
+    _, bits = _npy_payload(at(BITS_FILE), "<u2", 1, FingerprintFormatError)
+    (n_offsets,), offsets = _npy_payload(at(OFFSETS_FILE), "<i4", 1,
+                                         FingerprintFormatError)
     (n, pair), index = _npy_payload(at(INDEX_FILE), "<i4", 2, DatasetError)
-    if width != (nbits + 7) // 8:
-        raise FingerprintFormatError(
-            f"{at(BITS_FILE)}: {width} bytes per row, "
-            f"{nbits} bits need {(nbits + 7) // 8}")
     if pair != 2:
         raise DatasetError(f"{at(INDEX_FILE)}: {pair} columns, expected 2 "
                            "(a dense row and a bit row per matrix row)")
@@ -395,10 +427,15 @@ def read_features(path) -> tuple[Features, memoryview | None]:
                       separators=(",", ":"))
     schema = format(zlib.crc32(text.encode("utf-8")), "08x")
     try:
-        X = Features(dense, dense_rows, d, memoryview(bits), bit_rows, nbits,
-                     _native(index, "i"), schema)
+        X = Features(dense, dense_rows, d, _native(offsets, "i"),
+                     _native(bits, "H"), nbits, _native(index, "i"), schema)
+    except FingerprintFormatError as exc:     # "<fields of Features>: why"
+        fields, _, why = str(exc).partition(": ")
+        files = {"offsets": OFFSETS_FILE, "indices": BITS_FILE}
+        raise FingerprintFormatError(", ".join(
+            at(files[f]) for f in fields.split(", ")) + f": {why}") from None
     except DimensionMismatchError as exc:
         raise DatasetError(f"{at(INDEX_FILE)}: {exc} ({at(DENSE_FILE)} has "
-                           f"{dense_rows} rows, {at(BITS_FILE)} {bit_rows})"
-                           ) from None
+                           f"{dense_rows} rows, {at(OFFSETS_FILE)} "
+                           f"{n_offsets - 1})") from None
     return X, None if y is None else _native(y, "d")

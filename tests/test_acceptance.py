@@ -382,7 +382,8 @@ def test_criterion_7_end_to_end_determinism(tmp_path):
         run_b.mkdir()
         files_a = _run_pipeline(run_a, str(cfg))
         files_b = _run_pipeline(run_b, str(cfg))
-        assert len(files_a) == len(files_b) == 26      # pairs.npy in each of 3 feature dirs
+        # pairs.npy and fingerprint_offsets.npy in each of 3 feature dirs
+        assert len(files_a) == len(files_b) == 29
         for fa, fb in zip(files_a, files_b):
             assert filecmp.cmp(fa, fb, shallow=False), \
                 f"stage output differs: {os.path.basename(fa)}"

@@ -26,7 +26,7 @@ import bindkit.smiles
 from bindkit.cli import _block_json, main
 from bindkit.config import load_config
 from bindkit.dataset import load_dataset
-from bindkit.errors import DataError
+from bindkit.errors import DataError, FingerprintFormatError
 from bindkit.gbdt import load_model
 from bindkit.ligand_features import GraphFeatures, graph_block
 from bindkit.model import Features, read_features, write_features
@@ -38,7 +38,7 @@ from bindkit.protein_features import (
     load_property_table,
     receptor_graph_features,
 )
-from testutil import dense_matrix
+from testutil import csr_rows, dense_matrix
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 RAW = str(FIXTURES / "raw_affinities.tsv")
@@ -219,23 +219,26 @@ def test_non_ascii_digit_in_smiles_is_a_bad_smiles_drop(tmp_path):
 def test_featurize_artifacts(pipeline):
     train_dir = pathlib.Path(pipeline["feats"]["train"])
     assert sorted(p.name for p in train_dir.iterdir()) == [
-        "descriptors.npy", "featurize.json", "fingerprints.npy", "ids.txt",
-        "pairs.npy", "y.npy"]
+        "descriptors.npy", "featurize.json", "fingerprint_offsets.npy",
+        "fingerprints.npy", "ids.txt", "pairs.npy", "y.npy"]
     dense = np.load(train_dir / "descriptors.npy")
     bits = np.load(train_dir / "fingerprints.npy")
+    offsets = np.load(train_dir / "fingerprint_offsets.npy")
     index = np.load(train_dir / "pairs.npy")
     # one row per distinct receptor and per distinct ligand of the 22 pairs
     assert dense.shape == (6, 78) and dense.dtype == np.float64
-    assert bits.shape == (12, 256 // 8) and bits.dtype == np.uint8
+    assert offsets.shape == (13,) and offsets.dtype == np.dtype("<i4")
+    assert bits.shape == (offsets[-1],) and bits.dtype == np.dtype("<u2")
+    rows = csr_rows(offsets, bits)
     assert index.shape == (22, 2) and index.dtype == np.dtype("<i4")
-    assert len(np.unique(dense, axis=0)) == 6 and len(np.unique(bits, axis=0)) == 12
+    assert len(np.unique(dense, axis=0)) == 6 and len(set(rows)) == 12
     assert index.min() == 0 and index[:, 0].max() == 5 and index[:, 1].max() == 11
     X, y = read_features(train_dir)
     assert X.shape == (22, 78 + 256)
     matrix = dense_matrix(X)
     assert np.array_equal(matrix[:, :78], dense[index[:, 0]])
-    assert np.array_equal(np.packbits(matrix[:, 78:].astype(np.uint8), axis=1,
-                                      bitorder="little"), bits[index[:, 1]])
+    assert [tuple(np.flatnonzero(row).tolist()) for row in matrix[:, 78:]] == \
+        [rows[i] for i in index[:, 1]]
     assert len(y) == 22
     assert np.array_equal(y, np.load(train_dir / "y.npy"))
     ids = (train_dir / "ids.txt").read_text().splitlines()
@@ -538,7 +541,7 @@ def test_pipeline_is_deterministic(pipeline, tmp_path):
     assert main(["--config", cfg, "--quiet", "featurize", "--dataset", data2,
                  "--subset", "train", "--out", feat2]) == 0
     written = sorted(p.name for p in pathlib.Path(feat2).iterdir())
-    assert len(written) == 6
+    assert len(written) == 7
     for name in written:
         assert (pathlib.Path(feat2) / name).read_bytes() == \
             (pathlib.Path(pipeline["feats"]["train"]) / name).read_bytes()
@@ -1728,11 +1731,22 @@ def test_feature_width_must_match_sidecar(pipeline, tmp_path, capsys):
                              "featurize.json")
 
 
+def test_sidecar_nbits_above_the_cap_is_rejected(pipeline, tmp_path, capsys):
+    """The bit block no longer ties nbits to a file's width, and training
+    sizes arrays by nbits, so an nbits past config.MAX_NBITS that
+    n_columns agrees with is refused before anything is allocated."""
+    nbits = 2 ** 40
+    feats = damaged_features(pipeline, tmp_path, lambda d: edit_sidecar(
+        d, nbits=nbits, n_columns=78 + nbits))
+    assert_features_rejected(pipeline, tmp_path, capsys, feats,
+                             "featurize.json")
+
+
 @pytest.mark.parametrize("bits", [
-    lambda b: b.astype(np.int16),                # not uint8
+    lambda b: b.astype(np.int16),                # not uint16
     lambda b: b.astype(np.float64),
-    lambda b: b[:, :-1],                         # one byte short of 256 bits
-    lambda b: np.hstack([b, b[:, :1]]),          # one byte too many
+    lambda b: b[:-1],                            # one bit short of the offsets
+    lambda b: np.concatenate([b, b[:1]]),        # one bit too many
 ])
 def test_fingerprint_block_layout_is_checked(pipeline, tmp_path, capsys, bits):
     feats = damaged_features(pipeline, tmp_path, lambda d: np.save(
@@ -1741,8 +1755,61 @@ def test_fingerprint_block_layout_is_checked(pipeline, tmp_path, capsys, bits):
                              "fingerprints.npy")
 
 
+def _edit_bits(edit):
+    """Damage that saves the (offsets, bits) that edit returns in place of
+    the bit block's two files."""
+    def damage(d):
+        offsets, bits = edit(np.load(d / "fingerprint_offsets.npy"),
+                             np.load(d / "fingerprints.npy"))
+        np.save(d / "fingerprint_offsets.npy", offsets)
+        np.save(d / "fingerprints.npy", bits)
+    return damage
+
+
+def _packed_layout(d):
+    """The directory as the former layout wrote it: fingerprints.npy the
+    packed uint8 rows, and no fingerprint_offsets.npy."""
+    rows = csr_rows(np.load(d / "fingerprint_offsets.npy"),
+                    np.load(d / "fingerprints.npy"))
+    on = np.zeros((len(rows), 256), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        on[i, list(row)] = 1
+    np.save(d / "fingerprints.npy", np.packbits(on, axis=1, bitorder="little"))
+    (d / "fingerprint_offsets.npy").unlink()
+
+
+def _swap(a, i, j):
+    a[[i, j]] = a[[j, i]]
+    return a
+
+
+# the train bit block holds 12 ligand rows of 256 bits, each several bits long
+@pytest.mark.parametrize("filename,damage", [
+    ("fingerprint_offsets.npy", _edit_bits(lambda o, b: (o + 1, np.concatenate([b[:1], b])))),
+    ("fingerprint_offsets.npy", _edit_bits(lambda o, b: (_swap(o, 3, 4), b))),
+    ("fingerprint_offsets.npy", _edit_bits(lambda o, b: (_set(o, -1, o[-1] - 1), b))),
+    ("fingerprints.npy", _edit_bits(lambda o, b: (o, _set(b, 0, 256)))),
+    ("fingerprints.npy", _edit_bits(lambda o, b: (o, _set(b, 1, b[0])))),
+    ("fingerprints.npy", _edit_bits(lambda o, b: (o, _swap(b, 0, 1)))),
+    ("fingerprints.npy", _edit_bits(lambda o, b: (o, b.astype("<i4")))),
+    ("fingerprints.npy", _edit_bits(lambda o, b: (o, b[None]))),
+    ("fingerprint_offsets.npy", _edit_bits(lambda o, b: (o.astype("<u2"), b))),
+    ("fingerprint_offsets.npy", _edit_bits(lambda o, b: (o[:, None], b))),
+    ("fingerprints.npy", _packed_layout),
+], ids=["offsets-not-from-0", "offsets-decrease", "offsets-end-short",
+        "bit-at-nbits", "duplicate-bit", "descending-bits", "bits-int32",
+        "bits-2-D", "offsets-uint16", "offsets-2-D", "packed-layout"])
+def test_bit_block_is_checked(pipeline, tmp_path, capsys, filename, damage):
+    """Each damage of the bit block raises FingerprintFormatError naming
+    the file, and exits 2 through train and predict."""
+    feats = damaged_features(pipeline, tmp_path, damage)
+    with pytest.raises(FingerprintFormatError, match=filename):
+        read_features(feats)
+    assert_features_rejected(pipeline, tmp_path, capsys, feats, filename)
+
+
 @pytest.mark.parametrize("filename", ["descriptors.npy", "fingerprints.npy",
-                                      "y.npy"])
+                                      "fingerprint_offsets.npy", "y.npy"])
 def test_object_arrays_are_rejected(pipeline, tmp_path, capsys, filename):
     def pickle_it(d):
         values = np.load(d / filename)
@@ -1781,8 +1848,10 @@ def _set(i, at, value):
     ("pairs.npy", _save_index(lambda i: i.astype(object), allow_pickle=True)),
     ("descriptors.npy", lambda d: np.save(d / "descriptors.npy",
                                           np.load(d / "descriptors.npy")[:0])),
-    ("fingerprints.npy", lambda d: np.save(d / "fingerprints.npy",
-                                           np.load(d / "fingerprints.npy")[:0])),
+    ("fingerprint_offsets.npy", lambda d: (
+        np.save(d / "fingerprints.npy", np.load(d / "fingerprints.npy")[:0]),
+        np.save(d / "fingerprint_offsets.npy",
+                np.load(d / "fingerprint_offsets.npy")[:1]))),
 ], ids=["dense-row-out-of-range", "bit-row-out-of-range", "negative",
         "int32-min", "int64", "big-endian", "float64", "1-D", "3-D",
         "three-columns", "fortran", "short", "long", "object",
@@ -1808,6 +1877,17 @@ def _rewrite_header(name, old, new):
     return damage
 
 
+def _save_as_fortran_order(name):
+    def damage(d):
+        values = np.load(d / name)
+        with open(d / name, "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": values.dtype.str, "fortran_order": True,
+                "shape": values.shape})
+            fh.write(values.tobytes())
+    return damage
+
+
 def _save_as_version_3(d):
     y = np.load(d / "y.npy")
     with open(d / "y.npy", "wb") as fh:
@@ -1817,8 +1897,8 @@ def _save_as_version_3(d):
 @pytest.mark.parametrize("filename,damage", [
     ("descriptors.npy", lambda d: np.save(d / "descriptors.npy", np.asfortranarray(
         np.load(d / "descriptors.npy")))),
-    ("fingerprints.npy", lambda d: np.save(d / "fingerprints.npy", np.asfortranarray(
-        np.load(d / "fingerprints.npy")))),
+    # np.save writes a 1-D array with fortran_order False
+    ("fingerprints.npy", _save_as_fortran_order("fingerprints.npy")),
     # headers np.save would not write, over the same data bytes
     ("descriptors.npy", _rewrite_header(
         "descriptors.npy", b"{'descr': '<f8', 'fortran_order': False, ",
@@ -1848,7 +1928,8 @@ def test_non_finite_descriptor_is_rejected(pipeline, tmp_path, capsys, value):
                              "descriptors.npy")
 
 
-FEATURE_ARRAYS = ("descriptors.npy", "fingerprints.npy", "pairs.npy", "y.npy")
+FEATURE_ARRAYS = ("descriptors.npy", "fingerprints.npy", "fingerprint_offsets.npy",
+                  "pairs.npy", "y.npy")
 DTYPES = ("float64", "float32", "uint8", "int64", "bool", "<U2", ">f8")
 
 

@@ -34,7 +34,7 @@ from bindkit.fasta import ProteinSequence
 from bindkit.protein_features import DESCRIPTOR_LAYOUT, receptor_descriptor
 from bindkit.ligand_features import ecfp
 from bindkit.smiles import UnclosedRingError, from_smiles
-from testutil import dense_matrix, fingerprint_bits
+from testutil import csr_rows, dense_matrix, fingerprint_bits
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -261,14 +261,14 @@ def test_featurize_layout_and_values():
     assert columns[78] == "fp_0" and columns[-1] == "fp_127"
     assert np.array_equal(y, [1.0, 2.0, 3.0])
     assert ids == tuple(r.pair_key for r in ds.records)
-    assert len(X.bits) == 3 * 128 // 8
+    assert X.bit_rows == 3 and len(X.indices) == X.offsets[-1]
     dense = dense_matrix(X)
     assert np.array_equal(dense[0, :78], receptor_descriptor("MKVLQW"))
     assert np.array_equal(
         dense[1, 78:],
         fingerprint_bits(from_smiles("c1ccccc1"), nbits=128).astype(float))
-    assert X.bits[16:32].tobytes() == \
-        ecfp([from_smiles("c1ccccc1")], nbits=128)[0].tobytes()
+    assert csr_rows(X.offsets, X.indices)[1] == \
+        csr_rows(*ecfp([from_smiles("c1ccccc1")], nbits=128))[0]
 
 
 def test_featurize_calls_ecfp_once_over_the_distinct_ligands(monkeypatch):

@@ -33,7 +33,8 @@ from bindkit.ligand_features import (
     _full_refinement_ids_batch,
 )
 from bindkit.smiles import ParseError, from_smiles, parse_smiles
-from testutil import on_bits, reserialize
+from bindkit.config import MAX_NBITS
+from testutil import csr_rows, on_bits, reserialize
 
 
 # --- per-atom reference ------------------------------------------------------
@@ -101,10 +102,8 @@ def reference_environments(mol, radius=2):
 
 
 def reference_ecfp_row(mol, radius=2, nbits=2048):
-    bits = np.zeros(nbits, dtype=np.uint8)
-    for _, ident, _ in reference_environments(mol, radius):
-        bits[ident % nbits] = 1
-    return np.packbits(bits, bitorder="little")
+    return tuple(sorted({ident % nbits
+                         for _, ident, _ in reference_environments(mol, radius)}))
 
 
 def reference_refinement_ids(mol):
@@ -123,10 +122,11 @@ def assert_kernel_matches_reference(mols):
     assert _full_refinement_ids_batch(mols) == [
         reference_refinement_ids(m) for m in mols]
     for radius, nbits in ((0, 2048), (1, 64), (2, 2048), (3, 256)):
-        rows = ecfp(mols, radius=radius, nbits=nbits)
-        assert rows.dtype == np.uint8 and rows.shape == (len(mols), nbits // 8)
-        for row, mol in zip(rows, mols):
-            assert row.tobytes() == reference_ecfp_row(mol, radius, nbits).tobytes()
+        offsets, indices = ecfp(mols, radius=radius, nbits=nbits)
+        assert offsets.dtype == np.int32 and offsets.shape == (len(mols) + 1,)
+        assert indices.dtype == np.uint16 and indices.shape == (offsets[-1],)
+        assert csr_rows(offsets, indices) == [
+            reference_ecfp_row(mol, radius, nbits) for mol in mols]
     for mol in mols:
         for radius in (0, 2, 3):
             assert morgan_environments(mol, radius) == \
@@ -211,10 +211,11 @@ def test_identifiers_are_uint32():
 
 def test_nbits_must_be_a_power_of_two():
     mol = from_smiles("CCO")
-    for bad in (0, -8, 100, 2047):
+    for bad in (0, -8, 100, 2047, 2 * MAX_NBITS):
         with pytest.raises(ValueError):
             ecfp([mol], nbits=bad)
     ecfp([mol], nbits=1024)
+    ecfp([mol], nbits=MAX_NBITS)
 
 
 def test_popcount_monotone_in_radius():
@@ -332,7 +333,8 @@ def test_kernel_matches_reference_on_edge_cases(case):
 
 def test_kernel_on_an_empty_list():
     assert _full_refinement_ids_batch([]) == []
-    assert ecfp([], nbits=256).shape == (0, 32)
+    offsets, indices = ecfp([], nbits=256)
+    assert offsets.tolist() == [0] and indices.shape == (0,)
 
 
 def test_batch_across_chunks_equals_per_molecule_results():
@@ -343,13 +345,13 @@ def test_batch_across_chunks_equals_per_molecule_results():
     count = 2 * ligand_features._CHUNK + 3
     mols = [from_smiles(smiles[i % len(smiles)]) for i in range(count)]
     ids = _full_refinement_ids_batch(mols)
-    rows = ecfp(mols)
+    rows = csr_rows(*ecfp(mols))
     for i in range(len(smiles)):
         ref_ids = reference_refinement_ids(mols[i])
-        ref_row = reference_ecfp_row(mols[i]).tobytes()
+        ref_row = reference_ecfp_row(mols[i])
         for j in range(i, count, len(smiles)):
             assert ids[j] == ref_ids
-            assert rows[j].tobytes() == ref_row
+            assert rows[j] == ref_row
 
 
 def test_batch_kernel_requires_annotation():
@@ -405,13 +407,17 @@ def test_node_features_charge_and_isotope():
 
 
 def test_packed_bit_layout_is_lsb_first():
-    # bit j of a row is bit j % 8 of its byte j // 8
+    # the former packed row, as README's migration note rebuilds it from a
+    # row of the CSR: bit j of a row is bit j % 8 of its byte j // 8
     mol = from_smiles("CC(=O)O")
     bits = sorted({ident % 16 for _, ident, _ in morgan_environments(mol, 1)})
     packed = bytearray(2)
     for j in bits:
         packed[j >> 3] |= 1 << (j & 7)
-    assert ecfp([mol], radius=1, nbits=16)[0].tobytes() == bytes(packed)
+    offsets, indices = ecfp([mol], radius=1, nbits=16)
+    row = np.zeros(16, dtype=np.uint8)
+    row[indices[offsets[0]:offsets[1]]] = 1
+    assert np.packbits(row, bitorder="little").tobytes() == bytes(packed)
     assert on_bits(mol, radius=1, nbits=16) == tuple(bits)
 
 

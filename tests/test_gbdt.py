@@ -4,6 +4,7 @@ Training behavior is checked against closed-form expectations on tiny
 constructed problems (where leaf means are dyadic rationals and thus exact
 in binary floating point), plus structural contracts on realistic data.
 """
+import tempfile
 import warnings
 from array import array
 
@@ -26,8 +27,9 @@ from bindkit.gbdt import (
     _bin_columns,
     _column,
 )
-from bindkit.model import Features, _leaves
-from testutil import dense_matrix
+from bindkit.errors import FingerprintFormatError
+from bindkit.model import Features, _leaves, read_features, write_features
+from testutil import csr_rows, dense_matrix
 
 
 def regression_problem(n=300, d=6, seed=0, noise=0.1):
@@ -356,11 +358,10 @@ def test_tree_does_not_depend_on_row_order(seed):
 
 
 def packed_matrix(seed, n=200, nbits=45):
-    """The mixed dense matrix beside a packed block of sparse bits with an
-    all-zero, an all-one, an exact-half and a complementary bit column; 45
-    bits leave three padding bits in the last byte.  The exact-half bit
-    carries the largest weight, so even a 100-row leaf minimum splits on a
-    bit."""
+    """The mixed dense matrix beside a block of 45 sparse bits with an
+    all-zero, an all-one, an exact-half and a complementary bit column.
+    The exact-half bit carries the largest weight, so even a 100-row leaf
+    minimum splits on a bit."""
     rng = np.random.default_rng(seed + 100)
     dense, _ = mixed_matrix(seed, n)
     bits = (rng.random((n, nbits)) < 0.08).astype(np.uint8)
@@ -376,14 +377,17 @@ def packed_matrix(seed, n=200, nbits=45):
 
 def features_of(dense, bits, index=None):
     """Features of the float64 block dense beside the 0/1 columns of bits,
-    packed eight to a byte, LSB-first; row i takes dense row index[i, 0]
-    and bit row index[i, 1], row i of each block when index is None."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
+    held as the CSR of each bit row's set columns; row i takes dense row
+    index[i, 0] and bit row index[i, 1], row i of each block when index is
+    None."""
+    rows, columns = np.nonzero(bits)
+    offsets = np.zeros(len(bits) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=len(bits)), out=offsets[1:])
     if index is None:
         index = np.arange(len(dense)).repeat(2).reshape(-1, 2)
     return Features(memoryview(dense.ravel()), len(dense), dense.shape[1],
-                    memoryview(packed.ravel()), len(packed), bits.shape[1],
-                    memoryview(np.asarray(index, dtype=np.int32).ravel()))
+                    memoryview(offsets), memoryview(columns.astype(np.uint16)),
+                    bits.shape[1], memoryview(np.asarray(index, dtype=np.int32).ravel()))
 
 
 def test_feature_store_layout():
@@ -392,7 +396,8 @@ def test_feature_store_layout():
     d = dense.shape[1]
     matrix = dense_matrix(store)
     assert len(store) == 200 and store.shape == matrix.shape == (200, d + 45)
-    assert store.nbytes == dense.nbytes + 200 * 6 + 200 * 2 * 4
+    assert store.nbytes == (dense.nbytes + 201 * 4 + 2 * int(matrix[:, d:].sum())
+                            + 200 * 2 * 4)
     assert np.array_equal(matrix[:, :d], dense)
     assert matrix[:, d + 3].max() == 0.0 and matrix[:, d + 17].min() == 1.0
     assert np.array_equal(matrix[:, d + 30], 1.0 - matrix[:, d + 5])
@@ -400,7 +405,7 @@ def test_feature_store_layout():
     binned = _bin_columns(store, 256, min_leaf=1)
     for f in cols:
         assert np.array_equal(_column(binned, f, rows), matrix[rows, f])
-    assert not binned.dense.flags.writeable and not binned.bits.flags.writeable
+    assert not binned.dense.flags.writeable
     one = Features.from_array(dense[0])
     assert one.shape == (1, d) and np.array_equal(dense_matrix(one), dense[:1])
     with pytest.raises(DimensionMismatchError):
@@ -525,21 +530,23 @@ def test_no_cut_left_grows_depth_zero_trees(case):
     assert [(t.feature, len(t.leaf_value)) for t in model.trees] == [((), 1)] * 3
 
 
-@pytest.mark.parametrize("dense, nbits, bits", [
-    ([0.0, 2.0], 0, b""),
-    ([0.0, 2.0, 1.0, 4.0], 0, b""),
-    ([0.0, 2.0, 1.0], 9, bytes(5)),
+@pytest.mark.parametrize("dense, nbits, bits, error", [
+    ([0.0, 2.0], 0, [], DimensionMismatchError),
+    ([0.0, 2.0, 1.0, 4.0], 0, [], DimensionMismatchError),
+    ([0.0, 2.0, 1.0], 9, [4, 8], FingerprintFormatError),
 ], ids=["short dense", "long dense", "short bits"])
-def test_features_check_their_buffer_lengths(dense, nbits, bits):
-    """Three rows of one dense column and nbits bits need 3 values and
-    3 * ceil(nbits / 8) bytes; routing a row count the buffers do not hold
-    gave as many predictions as the shorter buffer has rows."""
+def test_features_check_their_buffer_lengths(dense, nbits, bits, error):
+    """Three rows of one dense column and nbits bits, one set in each bit
+    row, need 3 values and 3 set bits; routing a row count the buffers do
+    not hold gave as many predictions as the shorter buffer has rows."""
     identity = memoryview(array("i", [0, 0, 1, 1, 2, 2]))
-    with pytest.raises(DimensionMismatchError):
-        Features(memoryview(array("d", dense)), 3, 1, memoryview(bits), 3, nbits,
-                 identity)
-    fits = Features(memoryview(array("d", [0.0, 2.0, 1.0])), 3, 1,
-                    memoryview(bytes(3 * ((nbits + 7) // 8))), 3, nbits, identity)
+    offsets = memoryview(array("i", [0, 1, 2, 3] if nbits else [0, 0, 0, 0]))
+    with pytest.raises(error):
+        Features(memoryview(array("d", dense)), 3, 1, offsets,
+                 memoryview(array("H", bits)), nbits, identity)
+    fits = Features(memoryview(array("d", [0.0, 2.0, 1.0])), 3, 1, offsets,
+                    memoryview(array("H", [4, 8, 0][:3 if nbits else 0])), nbits,
+                    identity)
     model = GbdtModel(base_score=0.5, params=TrainParams(), feature_count=1 + nbits,
                       trees=(Tree(feature=(0,), threshold=(1.0,),
                                   leaf_value=(0.0, 1.0)),))
@@ -553,10 +560,11 @@ def test_features_check_their_buffer_lengths(dense, nbits, bits):
 def test_features_check_their_index(index):
     """Two dense rows and three bit rows: each index entry must name a row
     of its block; a negative one would wrap around a Python list."""
+    offsets, bits = memoryview(array("i", [0, 0, 0, 0])), memoryview(array("H"))
     with pytest.raises(DimensionMismatchError):
-        Features(memoryview(array("d", [0.0, 1.0])), 2, 1, memoryview(bytes(3)), 3, 8,
+        Features(memoryview(array("d", [0.0, 1.0])), 2, 1, offsets, bits, 8,
                  memoryview(array("i", index)))
-    Features(memoryview(array("d", [0.0, 1.0])), 2, 1, memoryview(bytes(3)), 3, 8,
+    Features(memoryview(array("d", [0.0, 1.0])), 2, 1, offsets, bits, 8,
              memoryview(array("i", [1, 2, 0, 0])))
 
 
@@ -668,13 +676,38 @@ def test_predict_refuses_non_finite_rows(value):
         model.predict(bad[2])
 
 
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_PARAMS))
+def test_trees_on_repeated_rows_match_dense_trees(case):
+    """A store whose 200 rows repeat 9 dense rows and 23 bit rows grows the
+    trees of its decoded matrix: a bit column's set rows are counted per
+    matrix row, and each row's bits gathered from its bit row.  Bit 44,
+    set in bit rows 0 to 10 and so in exactly 100 matrix rows, carries the
+    largest weight, so even a 100-row leaf minimum splits on a bit."""
+    rng = np.random.default_rng(11)
+    dense, _ = mixed_matrix(11, n=9)
+    bits = rng.random((23, 45)) < 0.3
+    bits[:, 44] = np.arange(23) < 11
+    index = np.column_stack([rng.integers(0, 9, 200), np.concatenate(
+        [rng.integers(0, 11, 100), rng.integers(11, 23, 100)])])
+    store = features_of(dense, bits, index)
+    matrix = dense_matrix(store)
+    y = matrix @ rng.standard_normal(matrix.shape[1]) + 8.0 * matrix[:, -1] \
+        + 0.3 * rng.standard_normal(200)
+    params = TrainParams(n_trees=6, max_depth=5, learning_rate=0.3, seed=2,
+                         **EQUIVALENCE_PARAMS[case])
+    got, want = train(store, y, params)[0], train(matrix, y, params)[0]
+    assert any(f >= store.n_dense for t in got.trees for f in t.feature)
+    for a, b in zip(got.trees, want.trees, strict=True):
+        for name in ("feature", "threshold", "leaf_value"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 # --- the router against the numpy reference ----------------------------------
 
 
 def routing_store(rng, n=120, nbits=13):
     """A store whose dense columns repeat a few values, -0.0 and 0.0 among
-    them, beside continuous columns; 13 bit columns leave three padding
-    bits in each row's last byte, 16 fill two bytes."""
+    them, beside continuous columns and nbits bit columns."""
     few = rng.choice([-0.0, 0.0, 1.0, -1.5, 2.25], size=(n, 4))
     dense = np.hstack([few, rng.standard_normal((n, 3))])
     return features_of(dense, rng.random((n, nbits)) < 0.4)
@@ -759,21 +792,19 @@ def test_training_sums_match_numpy_routing(case):
 def per_row_leaves(tree, X):
     """The router of the one-row-per-pair store, kept as the reference for
     the factored one: every row is routed level by level, one comparison
-    per row and level, over its own dense values and its own packed bytes
+    per row and level, over its own dense values and its own set bits
     (the blocks expanded through the index)."""
     index = np.asarray(X.index).reshape(len(X), 2)
     dense = np.frombuffer(X.dense, dtype=np.float64).reshape(
         X.dense_rows, X.n_dense)[index[:, 0]].ravel().tolist()
-    width = (X.nbits + 7) >> 3
-    bits = np.frombuffer(X.bits, dtype=np.uint8).reshape(
-        X.bit_rows, width)[index[:, 1]].tobytes()
+    rows = csr_rows(X.offsets, X.indices)
+    bits = [rows[b] for b in index[:, 1].tolist()]
     leaf = [0] * len(X)
     for f, t in zip(tree.feature, tree.threshold):
         if f < X.n_dense:
             values = dense[f::X.n_dense]
         else:
-            f -= X.n_dense
-            values = [(b >> (f & 7)) & 1 for b in bits[f >> 3::width]]
+            values = [int(f - X.n_dense in on) for on in bits]
         leaf = [i + i + (v > t) for i, v in zip(leaf, values)]
     return leaf
 
@@ -796,25 +827,36 @@ bit_thresholds = st.sampled_from(
 
 
 @st.composite
+def factored_store(draw):
+    """Features whose index repeats its dense and bit rows, over an nbits
+    that may be 0 or not a power of 2."""
+    n_dense = draw(st.integers(0, 3))
+    nbits = draw(st.sampled_from((0, 1, 5, 8, 13, 16)))
+    dense_rows, bit_rows = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    values = draw(st.lists(route_values, min_size=dense_rows * n_dense,
+                           max_size=dense_rows * n_dense))
+    rows = [sorted(draw(st.sets(st.integers(0, nbits - 1)) if nbits
+                        else st.just(set()))) for _ in range(bit_rows)]
+    offsets = [0]
+    for row in rows:
+        offsets.append(offsets[-1] + len(row))
+    index = draw(st.lists(st.tuples(st.integers(0, dense_rows - 1),
+                                    st.integers(0, bit_rows - 1)), max_size=40))
+    return Features(memoryview(array("d", values)), dense_rows, n_dense,
+                    memoryview(array("i", offsets)),
+                    memoryview(array("H", [j for row in rows for j in row])), nbits,
+                    memoryview(array("i", [k for pair in index for k in pair])))
+
+
+@st.composite
 def routed_case(draw):
-    """(model, Features): either a factored store, whose index repeats
-    its dense and bit rows, over an nbits that may leave padding bits, or
-    Features.from_array of a dense matrix, with its identity index; and a
-    model of trees from depth 0 up, on thresholds of the block's values,
-    +-0.0 or arbitrary ones."""
+    """(model, Features): either a factored_store or Features.from_array of
+    a dense matrix, with its identity index; and a model of trees from
+    depth 0 up, on thresholds of the block's values, +-0.0 or arbitrary
+    ones."""
     if draw(st.booleans()):
-        n_dense = draw(st.integers(0, 3))
-        nbits = draw(st.sampled_from((0, 1, 5, 8, 13, 16)))
-        dense_rows, bit_rows = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-        values = draw(st.lists(route_values, min_size=dense_rows * n_dense,
-                               max_size=dense_rows * n_dense))
-        width = (nbits + 7) >> 3
-        bits = draw(st.binary(min_size=bit_rows * width, max_size=bit_rows * width))
-        index = draw(st.lists(st.tuples(st.integers(0, dense_rows - 1),
-                                        st.integers(0, bit_rows - 1)), max_size=40))
-        X = Features(memoryview(array("d", values)), dense_rows, n_dense,
-                     memoryview(bits), bit_rows, nbits,
-                     memoryview(array("i", [k for pair in index for k in pair])))
+        X = draw(factored_store())
+        values = X.dense.tolist()
     else:
         n, d = draw(st.integers(0, 12)), draw(st.integers(1, 3))
         values = draw(st.lists(route_values, min_size=n * d, max_size=n * d))
@@ -847,6 +889,22 @@ def test_factored_router_matches_per_row_router(case):
         assert _leaves(tree, X) == per_row_leaves(tree, X)
     assert model.predict(X).tobytes() == want
     assert model.predict(dense_matrix(X)).tobytes() == want
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(factored_store())
+def test_feature_directory_round_trip(X):
+    """read_features gives back the blocks and index write_features wrote:
+    the same dense bytes, the same set bits of each bit row."""
+    y = np.arange(len(X), dtype=np.float64)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_features(tmp, X, y, [f"pair{i}" for i in range(len(X))], {})
+        got, got_y = read_features(tmp)
+    assert (got.dense_rows, got.n_dense, got.nbits) == (X.dense_rows, X.n_dense, X.nbits)
+    assert bytes(got.dense) == bytes(X.dense)
+    assert csr_rows(got.offsets, got.indices) == csr_rows(X.offsets, X.indices)
+    assert got.index.tolist() == X.index.tolist()
+    assert got_y.tolist() == y.tolist()
 
 
 def test_validation_through_the_factored_router():

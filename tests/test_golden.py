@@ -35,6 +35,11 @@ change.  The valid blocks kept their digests because every valid pair has
 a receptor and a ligand of its own.  The pred.txt digest was recorded
 before that change, from the one-row-per-pair store and router, and still
 holds after it.
+The train/ and valid/fingerprints.npy digests were re-recorded, and the
+fingerprint_offsets.npy digests added, when the bit block became a CSR of
+each distinct ligand's set bits (<u2 bits, <i4 row offsets) in place of
+packed uint8 rows; the decoded X.npy digests, which expand the CSR, and
+every model and pred.txt digest did not change.
 """
 import csv
 import hashlib
@@ -155,7 +160,9 @@ GOLDEN_ARTIFACTS = {
     "train/descriptors.npy":
         "a56e757d91c35e2bcfff177866fa4770e15f710f2f4d7f954980e74e05a08a89",
     "train/fingerprints.npy":
-        "36c544ff9096e173b65d6ec49f167b3e2e91b792f90f934747b996472cc1e28a",
+        "84f9ab83df2abe4fed5627ce97f13d7633040272f130825c1db4cd9a02fb5d85",
+    "train/fingerprint_offsets.npy":
+        "5c25a60acd1e8632b638c11bd06415b0bfd92b4e4c0ab790bbf57518ebe1f210",
     "train/pairs.npy":
         "3db81c4e9f379c6ef57c38ff298a9e1ae957448286c502c7fb2bfd901ee1005b",
     "train/y.npy":
@@ -169,7 +176,9 @@ GOLDEN_ARTIFACTS = {
     "valid/descriptors.npy":
         "7e86b0d413bdd2d4cd48c5bab360044b3ad06d2276cbb6a18103066c70011b5c",
     "valid/fingerprints.npy":
-        "cb6dc2b145d95108b923a02f81b423ac9a7e2b9274a87b4c4dfc9eac052556fe",
+        "c1862c65f74b77ba1adde397c50afc5f8402c3805bc0f494be418e5ac02522aa",
+    "valid/fingerprint_offsets.npy":
+        "27db8cabd0904c8799a11ade351e9fdf7432938736ab5c56ea4fd38d42394ca6",
     "valid/pairs.npy":
         "f15fd9c0a46ad26ce85cf0771c6d4fc1e956f8d10581bc9fff98529ecb155f50",
     "valid/y.npy":

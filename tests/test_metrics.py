@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bindkit.metrics as metrics_module
 from bindkit.dataset import DatasetError
 from bindkit.gbdt import DimensionMismatchError
 from bindkit.metrics import (
@@ -336,6 +337,29 @@ def test_report_structure():
     assert report["bins"][-1]["hi"] == 12.0
     assert sum(cell["count"] for cell in report["bins"]) == 50
     assert report["out_of_range"]["count"] == 0
+
+
+def test_report_checks_its_input_once(monkeypatch):
+    """build_report converts and checks the two vectors in one _pair pass
+    and scores those floats, where it once made four; its report is that
+    of the public scorers, each checking on its own."""
+    calls = []
+
+    def counting(y_true, y_pred):
+        calls.append(1)
+        return pair(y_true, y_pred)
+
+    pair = metrics_module._pair
+    monkeypatch.setattr(metrics_module, "_pair", counting)
+    rng = np.random.default_rng(5)
+    t = rng.uniform(-3.0, 13.0, 200)
+    p = t + rng.standard_normal(200)
+    report = build_report(t, p, threshold=5.0)
+    assert len(calls) == 1
+    bins, out = binned_mae(t, p)
+    assert report == {"n": 200, "mae": mae(t, p), "threshold": 5.0,
+                      "accuracy_at_threshold": classify_accuracy(t, p, 5.0),
+                      "bins": bins, "out_of_range": out}
 
 
 def test_write_report_files(tmp_path):

@@ -3,10 +3,11 @@
 FULL_TOML is a config that sets every key to a value other than its
 default; each value is also valid on its own.
 
-dense_matrix decodes a feature matrix to the plain float64 matrix that the
-numpy references in the tests read; fingerprint_bits and on_bits unpack one
-molecule's packed ecfp row, and binned_columns splits a binned_mae result
-into its edges, counts and MAEs.
+dense_matrix expands a feature matrix to the plain float64 matrix that the
+numpy references in the tests read; csr_rows splits a bit CSR into its rows,
+on_bits reads one molecule's row of ecfp and fingerprint_bits expands it to
+0/1, and binned_columns splits a binned_mae result into its edges, counts
+and MAEs.
 
 Two independent oracles against the parser:
 
@@ -74,27 +75,36 @@ fasta = "receptors.fasta"
 workers = 2
 """
 
+def csr_rows(offsets, indices) -> list[tuple[int, ...]]:
+    """The set bits of each row of a bit CSR, (offsets, indices) as
+    ligand_features.ecfp returns it and model.Features holds it."""
+    offsets, indices = np.asarray(offsets).tolist(), np.asarray(indices).tolist()
+    return [tuple(indices[a:b]) for a, b in zip(offsets, offsets[1:])]
+
+
 def dense_matrix(X: Features) -> np.ndarray:
     """The (n, n_dense + nbits) float64 matrix of X: for each row, the
     dense columns of its dense row, then each bit column of its bit row as
     0.0 or 1.0."""
     dense = np.frombuffer(X.dense, dtype=np.float64).reshape(X.dense_rows, X.n_dense)
-    bits = np.frombuffer(X.bits, dtype=np.uint8).reshape(X.bit_rows, (X.nbits + 7) // 8)
+    bits = np.zeros((X.bit_rows, X.nbits))
+    for row, on in enumerate(csr_rows(X.offsets, X.indices)):
+        bits[row, list(on)] = 1.0
     index = np.asarray(X.index).reshape(len(X), 2)
-    return np.hstack([dense[index[:, 0]],
-                      np.unpackbits(bits[index[:, 1]], axis=1, count=X.nbits,
-                                    bitorder="little")])
-
-
-def fingerprint_bits(mol, radius=2, nbits=2048) -> np.ndarray:
-    """mol's row of ecfp unpacked LSB-first: its nbits bits as 0/1 uint8."""
-    return np.unpackbits(ecfp([mol], radius, nbits)[0], count=nbits,
-                         bitorder="little")
+    return np.hstack([dense[index[:, 0]], bits[index[:, 1]]])
 
 
 def on_bits(mol, radius=2, nbits=2048) -> tuple[int, ...]:
-    """The indices of the set bits of mol's fingerprint, ascending."""
-    return tuple(np.flatnonzero(fingerprint_bits(mol, radius, nbits)).tolist())
+    """The indices of the set bits of mol's fingerprint, ascending: its row
+    of ecfp."""
+    return csr_rows(*ecfp([mol], radius, nbits))[0]
+
+
+def fingerprint_bits(mol, radius=2, nbits=2048) -> np.ndarray:
+    """mol's fingerprint as nbits 0/1 uint8 values."""
+    bits = np.zeros(nbits, dtype=np.uint8)
+    bits[list(on_bits(mol, radius, nbits))] = 1
+    return bits
 
 
 def binned_columns(binned):
