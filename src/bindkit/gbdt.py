@@ -7,22 +7,24 @@ numpy-free model module.  Training reads a Features (a plain 2-D array is
 one with no bit columns and an identity index): its distinct dense rows
 expanded through its index, so it sees one row per pair, and the set bits
 of its distinct bit rows, gathered through the index into one CSR row per
-pair.  Rows are routed by the column that _column reads, a bit column as
-0.0 or 1.0 by whether the row's distinct bit row holds the bit, so a bit
-column splits as its dense float column would.
+pair.  The expanded dense block lives only while it is binned: split
+search and routing both read the bin codes and the kept-bit CSR, as
+CatBoost and LightGBM route quantized rows by bin.
 
 Split search is histogram-based, as in CatBoost and LightGBM: features are
 binned once into at most n_histogram_bins quantile bins whose upper bounds
 are data values (a column with few distinct values gets one bin per value;
 a bit column set in some but not all rows gets [0.0, 1.0]).  A split sends
-x > t to the 1 side, t the upper bound of a bin, so routing by raw value
-agrees with routing by bin code.  Binning keeps a cut only if it leaves
-min_samples_leaf of all rows on each side, since no node or in-bag sample
-can take any other; that drops constant columns and most rare fingerprint
-bits once per fit (LightGBM's feature_pre_filter).  Kept columns are laid
-out by block, as model.Features stores them: dense columns keep their bin
-codes in one int32 block, and bit columns their set cells in a row-major
-CSR, the unset side being the node's count and total minus the set side.
+x > t to the 1 side, t the upper bound of a bin; a row's code counts the
+uppers below its value, so routing by bin code agrees with routing by raw
+value, and a bit column, cut at 0.0, splits as its float column would.
+Binning keeps a cut only if it leaves min_samples_leaf of all rows on each
+side, since no node or in-bag sample can take any other; that drops
+constant columns and most rare fingerprint bits once per fit (LightGBM's
+feature_pre_filter).  Kept columns are laid out by block, as
+model.Features stores them: dense columns keep their bin codes in one
+int32 block, and bit columns their set cells in a row-major CSR, the unset
+side being the node's count and total minus the set side.
 Split search reads each tree's residuals rounded to integers in [-Q, Q], so
 every histogram sum is exact; leaf values take the mean float residual.
 Each level of a tree takes the first (feature, bin) with the largest
@@ -53,24 +55,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class _Binned:
-    """The training matrix as split search reads it: the kept columns by
-    block, and the candidates in (column, code) order, each kept cut of a
-    dense column and then each kept bit column, cut at its 0 bin.  dense,
-    one row per matrix row, and ligand, holder and bit, the bit block as
-    pairs (distinct bit row, set bit), are what _column reads."""
-    dense: np.ndarray          # float64 (n, d), read-only
-    ligand: np.ndarray         # distinct bit row of each matrix row
-    bit_rows: int              # distinct bit rows
-    holder: np.ndarray         # distinct bit row of each set bit
-    bit: np.ndarray            # column among the bit columns of each set bit
-    uppers: list               # per original column, ascending bin uppers
+    """The training matrix as split search and routing read it: the kept
+    columns by block, and the candidates in (column, threshold) order, each
+    kept cut of a dense column and then each kept bit column, cut at 0.0.
+    A row goes to a candidate's 1 side when its code is above the cut's
+    cell, or, for a bit candidate, when its CSR row holds the column."""
     codes: np.ndarray          # int32 (n, w) flat (column, bin) cell, kept dense
     width: int                 # cells per kept dense column: the most bins of one
     indptr: np.ndarray         # CSR row offsets, length n + 1
     indices: np.ndarray        # position among the kept bit columns of each set cell
     col: np.ndarray            # original column of each candidate
-    code: np.ndarray           # bin code of each candidate, the bin its cut follows
     cell: np.ndarray           # flat (column, bin) cell of each dense candidate
+    threshold: np.ndarray      # float64 cut of each candidate: a bin upper, or 0.0
 
 
 def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -93,14 +89,13 @@ def _bin_columns(X: Features, n_bins: int, min_leaf: int) -> _Binned:
     rows has the bins [0, 1], and is constant otherwise.  A cut with fewer
     than min_leaf rows at or below it, or above it, leaves as few in every
     node and every in-bag sample, so it is dropped; for min_leaf >= 1 that
-    drops every constant column.  A bit column's count of set rows is the
-    sum, over the distinct bit rows that hold it, of the matrix rows that
-    take each; each matrix row's kept set bits are its bit row's, gathered
-    through the index.  After binning, _column reads one column at a time,
-    only to route rows."""
+    drops every constant column.  The dense block is expanded to one row
+    per pair only to be sorted and coded here.  A bit column's count of set
+    rows is the sum, over the distinct bit rows that hold it, of the matrix
+    rows that take each; each matrix row's kept set bits are its bit row's,
+    gathered through the index."""
     dense, offsets, bit, index = _arrays(X)
     dense, ligand = dense[index[:, 0]], index[:, 1]
-    dense.flags.writeable = False
     n, d = dense.shape
     holder = np.repeat(np.arange(X.bit_rows), np.diff(offsets))
 
@@ -119,8 +114,6 @@ def _bin_columns(X: Features, n_bins: int, min_leaf: int) -> _Binned:
         dense_cuts.append(cuts(np.searchsorted(column, distinct, side="right")))
     uses = np.bincount(ligand, minlength=X.bit_rows)     # matrix rows per bit row
     ones = np.bincount(bit, weights=uses[holder], minlength=X.nbits).astype(np.int64)
-    levels = (np.array([0.0]), np.array([1.0]), np.array([0.0, 1.0]))
-    uppers += [levels[0 if c == 0 else 1 if c == n else 2] for c in ones]
     bit_cols = cuts(n - ones)
     sizes = np.array([c.size for c in dense_cuts], dtype=np.intp)
     kept = np.flatnonzero(sizes)
@@ -137,23 +130,25 @@ def _bin_columns(X: Features, n_bins: int, min_leaf: int) -> _Binned:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lens, out=indptr[1:])
     indices = at[hit][_spans((np.cumsum(per_row) - per_row)[ligand], lens)]
-    code = np.concatenate(dense_cuts + [np.zeros(bit_cols.size, dtype=np.intp)])
-    cell = np.repeat(np.arange(kept.size) * width, sizes[kept]) + code[:sizes.sum()]
-    return _Binned(dense=dense, ligand=ligand, bit_rows=X.bit_rows, holder=holder,
-                   bit=bit, uppers=uppers, codes=codes, width=width, indptr=indptr,
-                   indices=indices, code=code, cell=cell,
-                   col=np.concatenate([np.repeat(np.arange(d), sizes), d + bit_cols]))
+    code = np.concatenate(dense_cuts + [np.zeros(0, dtype=np.intp)])
+    return _Binned(codes=codes, width=width, indptr=indptr, indices=indices,
+                   col=np.concatenate([np.repeat(np.arange(d), sizes), d + bit_cols]),
+                   cell=np.repeat(np.arange(kept.size) * width, sizes[kept]) + code,
+                   threshold=np.concatenate([u[c] for u, c in zip(uppers, dense_cuts)]
+                                            + [np.zeros(bit_cols.size)]))
 
 
-def _column(bm: _Binned, f: int, rows) -> np.ndarray:
-    """Column f at rows as float64; a bit column reads 1.0 where the row's
-    distinct bit row holds the bit, else 0.0."""
-    d = bm.dense.shape[1]
-    if f < d:
-        return bm.dense[rows, f]
-    held = np.zeros(bm.bit_rows, dtype=np.float64)
-    held[bm.holder[bm.bit == f - d]] = 1.0
-    return held[bm.ligand[rows]]
+def _above(bm: _Binned, c: int) -> np.ndarray:
+    """Whether each training row goes to candidate c's 1 side.  A row's code
+    counts the bin uppers below its value, so the value is above the cut
+    exactly when the code is; a bit candidate's 1 side is the rows whose
+    CSR cells hold its column."""
+    if c < bm.cell.size:
+        return bm.codes[:, bm.cell[c] // bm.width] > bm.cell[c]
+    held = np.flatnonzero(bm.indices == c - bm.cell.size)
+    above = np.zeros(bm.indptr.size - 1, dtype=bool)
+    above[np.searchsorted(bm.indptr, held, side="right") - 1] = True
+    return above
 
 
 # --- split search ------------------------------------------------------------
@@ -199,12 +194,12 @@ def _histograms(bm: _Binned, rows, q, slot, k):
 
 
 def _best_split(bm: _Binned, hist, count, total, min_leaf):
-    """The first best candidate (column, bin code) of a level by its gain
+    """The index of the first best candidate of a level by its gain
     summed, in node order, over the nodes where both its sides keep
     min_leaf rows, or None when that gain is <= 0.  The candidates are in
-    (column, code) order, so the first best is the first maximum.  The sums
-    are exact, so a column and its complement, or two mirrored columns, tie
-    exactly."""
+    (column, threshold) order, so the first best is the first maximum.  The
+    sums are exact, so a column and its complement, or two mirrored
+    columns, tie exactly."""
     n1, s1, cnt, ssum = hist
     k = len(count)
     # the 0 side of each candidate: the rows at or below a dense cut, then
@@ -220,8 +215,7 @@ def _best_split(bm: _Binned, hist, count, total, min_leaf):
                        minlength=bm.col.size)       # 0 where no node takes it
     if gain.max(initial=0.0) <= 0.0:
         return None
-    first = int(np.argmax(gain))
-    return int(bm.col[first]), int(bm.code[first])
+    return int(np.argmax(gain))
 
 
 def _grow_tree(binned: _Binned, res, rows,
@@ -248,17 +242,16 @@ def _grow_tree(binned: _Binned, res, rows,
     feature, threshold = [], []
     while count.size and len(feature) < params.max_depth:
         k = count.size
-        split = _best_split(binned, hist, count, total, min_leaf)
-        if split is None:
+        c = _best_split(binned, hist, count, total, min_leaf)
+        if c is None:
             break
-        f, code = split
-        feature.append(f)
-        threshold.append(float(binned.uppers[f][code]))
-        bit = _column(binned, f, slice(None)) > threshold[-1]
-        leaf = 2 * leaf + bit
+        feature.append(int(binned.col[c]))
+        threshold.append(float(binned.threshold[c]))
+        above = _above(binned, c)
+        leaf = 2 * leaf + above
         value = np.repeat(value, 2)
         at = rows[live]
-        child = 2 * slot + bit[at]              # each live row's child, of 2k
+        child = 2 * slot + above[at]            # each live row's child, of 2k
         count = np.bincount(child, minlength=2 * k)
         total = np.bincount(child, weights=q[live], minlength=2 * k)
         sums = np.bincount(child, weights=r[live], minlength=2 * k)

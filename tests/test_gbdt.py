@@ -24,8 +24,8 @@ from bindkit.gbdt import (
     save_model,
     train,
     Q,
+    _above,
     _bin_columns,
-    _column,
 )
 from bindkit.errors import FingerprintFormatError
 from bindkit.model import Features, _leaves, read_features, write_features
@@ -401,11 +401,11 @@ def test_feature_store_layout():
     assert np.array_equal(matrix[:, :d], dense)
     assert matrix[:, d + 3].max() == 0.0 and matrix[:, d + 17].min() == 1.0
     assert np.array_equal(matrix[:, d + 30], 1.0 - matrix[:, d + 5])
-    rows, cols = [7, 0, 7], [d + 44, 3, d, d + 17, d - 1]
     binned = _bin_columns(store, 256, min_leaf=1)
-    for f in cols:
-        assert np.array_equal(_column(binned, f, rows), matrix[rows, f])
-    assert not binned.dense.flags.writeable
+    candidates = set(binned.col.tolist())
+    assert {d - 1, d, d + 44} <= candidates and not {d + 3, d + 17} & candidates
+    for c, (f, t) in enumerate(zip(binned.col, binned.threshold)):
+        assert np.array_equal(_above(binned, c), matrix[:, f] > t)
     one = Features.from_array(dense[0])
     assert one.shape == (1, d) and np.array_equal(dense_matrix(one), dense[:1])
     with pytest.raises(DimensionMismatchError):
@@ -423,14 +423,45 @@ bin_values = st.one_of(
            st.lists(bin_values, min_size=n, max_size=n), min_size=1, max_size=4)),
        st.integers(2, 12))
 def test_bin_uppers_are_numpys_unique_values_and_lower_quantiles(columns, n_bins):
+    """At min_leaf 1 every bin upper but the top, the column's largest value,
+    leaves a row on each side, so a column's thresholds are its uppers less
+    the top one."""
     binned = _bin_columns(Features.from_array(np.array(columns).T.copy()), n_bins,
                           min_leaf=1)
-    for column, uppers in zip(map(np.array, columns), binned.uppers):
+    for f, column in enumerate(map(np.array, columns)):
         expected = np.unique(column)
         if len(expected) > n_bins:
             expected = np.unique(np.quantile(
                 column, np.linspace(0.0, 1.0, n_bins), method="lower"))
-        assert len(uppers) == len(expected) and (uppers == expected).all()
+        thresholds = binned.threshold[binned.col == f]
+        assert len(thresholds) == len(expected) - 1
+        assert (thresholds == expected[:-1]).all()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+           st.lists(st.lists(bin_values, min_size=n, max_size=n),
+                    min_size=1, max_size=3),
+           st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                    max_size=3),
+           st.integers(0, 2**32 - 1))),
+       st.integers(2, 12))
+def test_routing_by_code_matches_routing_by_value(case, n_bins):
+    """The grower routes each training row by its bin code or its CSR row;
+    every iteration's train loss equals the loss of the same trees routed
+    by raw value, on signed zeros, subnormals, extremes and repeats."""
+    dense, bits, seed = case
+    n = len(dense[0])
+    bits = np.array(bits, dtype=np.uint8).reshape(-1, n).T
+    store = features_of(np.array(dense).T.copy(), bits)
+    y = np.random.default_rng(seed).standard_normal(n)
+    model, metrics = train(store, y, TrainParams(
+        n_trees=3, max_depth=4, learning_rate=0.5, min_samples_leaf=1,
+        n_histogram_bins=n_bins))
+    F = np.full(n, model.base_score)
+    for tree, loss in zip(model.trees, metrics["train_loss"], strict=True):
+        F += reference_route(tree, dense_matrix(store))
+        assert float(np.mean((y - F) ** 2)) == loss
 
 
 @pytest.mark.parametrize("n_bins", [4, 256])
@@ -438,26 +469,27 @@ def test_bin_uppers_are_numpys_unique_values_and_lower_quantiles(columns, n_bins
 @pytest.mark.parametrize("seed", [0, 1])
 def test_binning_keeps_exactly_the_cuts_that_leave_min_leaf_rows(seed, min_leaf,
                                                                   n_bins):
-    """The candidates are every (column, bin) whose threshold sends at
-    least min_leaf of the 200 rows each way, in (column, code) order; a
-    kept dense column's codes put a row at or below a cut exactly when its
-    value is, a kept bit column's CSR cells are its set rows, and a column
-    with no cut is in neither block."""
+    """The candidates are every (column, bin upper) that sends at least
+    min_leaf of the 200 rows each way, in (column, threshold) order, with
+    the reference's bin uppers ([0.0, 1.0] for a bit column set in some
+    rows); a kept dense column's codes put a row at or below a cut exactly
+    when its value is, a kept bit column's CSR cells are its set rows, and
+    a column with no cut is in neither block."""
     store, _ = packed_matrix(seed)
     matrix = dense_matrix(store)
     n, d = matrix.shape[0], store.n_dense
     bm = _bin_columns(store, n_bins, min_leaf)
-    expected = [(f, code) for f in range(matrix.shape[1])
-                for code, t in enumerate(bm.uppers[f])
+    _, uppers = reference_bins(matrix, n_bins)
+    expected = [(f, float(t)) for f in range(matrix.shape[1]) for t in uppers[f]
                 if min_leaf <= (matrix[:, f] > t).sum() <= n - min_leaf]
-    assert list(zip(bm.col.tolist(), bm.code.tolist())) == expected
+    assert list(zip(bm.col.tolist(), bm.threshold.tolist())) == expected
     dense_cols = sorted({f for f, _ in expected if f < d})
     bit_cols = [f for f, _ in expected if f >= d]
     assert bm.codes.shape == (n, len(dense_cols))
     assert len(bm.cell) == len(expected) - len(bit_cols)
-    for cell, f, code in zip(bm.cell, bm.col, bm.code):
+    for cell, f, t in zip(bm.cell, bm.col, bm.threshold):
         assert np.array_equal(bm.codes[:, dense_cols.index(f)] <= cell,
-                              matrix[:, f] <= bm.uppers[f][code])
+                              matrix[:, f] <= t)
     row = np.repeat(np.arange(n), np.diff(bm.indptr))
     assert bm.indices.max(initial=-1) < len(bit_cols)
     for i, f in enumerate(bit_cols):

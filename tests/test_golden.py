@@ -145,6 +145,12 @@ GOLDEN_MODELS = {
     "subsampled, leaf minimum 5": (
         {"min_samples_leaf": 5, "subsample": 0.7},
         "f8f25ab5a754ddddd362224e0c2a50d59ccfe3750323943049ae7b4d8c3601bc"),
+    "leaf minimum 1, depth 6": (
+        {"min_samples_leaf": 1, "max_depth": 6},
+        "aa069868260ac8776186ac26b2887678feab6728cbe776c8a131d732e7f1d684"),
+    "leaf minimum 1, two bins": (
+        {"n_histogram_bins": 2, "min_samples_leaf": 1},
+        "3cfe527cfcec3d095f27d61decbd0e4de0ae855524c80472ed5e929105120aab"),
 }
 
 
