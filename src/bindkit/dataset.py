@@ -25,7 +25,7 @@ from .ligand_features import (
     full_refinement_ids,
 )
 from .metrics import _read_json, _write_json
-from .model import Features, write_features
+from .model import Features, column_names, write_features
 from .protein_features import (
     DESCRIPTOR_LAYOUT,
     ResiduePropertyTable,
@@ -359,7 +359,9 @@ def featurize_pairs(
     once, and its index gives each pair's receptor row and ligand row, in
     dataset record order.  Rows are numbered in order of first appearance.
     The ligands are fingerprinted by one ecfp call, whose CSR is the bit
-    block.  y is log10 Ki, ids are pair keys.
+    block.  columns names every column (model.column_names: the
+    descriptor names, then fp_j for bit j), y is log10 Ki, ids are pair
+    keys.
     """
     table = table or default_table()
     records = dataset.subset(which)
@@ -380,8 +382,8 @@ def featurize_pairs(
                  descriptors.shape[1], memoryview(offsets), memoryview(bits),
                  nbits, memoryview(index.ravel()))
     y = np.array([rec.log_ki for rec in records], dtype=np.float64)
-    columns = tuple(DESCRIPTOR_LAYOUT) + tuple(f"fp_{j}" for j in range(nbits))
-    return X, y, columns, tuple(rec.pair_key for rec in records)
+    return (X, y, column_names(DESCRIPTOR_LAYOUT, nbits),
+            tuple(rec.pair_key for rec in records))
 
 
 # --- on-disk curated dataset -------------------------------------------------

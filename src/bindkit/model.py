@@ -30,8 +30,8 @@ from .errors import (DatasetError, DimensionMismatchError,
 from .metrics import _native, _npy_payload, _read_json, _write_json
 
 __all__ = ["Features", "Tree", "GbdtModel", "ModelFormatError",
-           "ModelVersionError", "save_model", "load_model", "read_features",
-           "write_features"]
+           "ModelVersionError", "column_names", "save_model", "load_model",
+           "read_features", "write_features"]
 
 MODEL_FORMAT = "bindkit-gbdt"
 MODEL_VERSION = "3"
@@ -323,6 +323,12 @@ def _arrays(X: Features):
             np.asarray(X.index.toreadonly()).reshape(len(X), 2))
 
 
+def column_names(dense_names, nbits: int) -> tuple[str, ...]:
+    """The names of a matrix's columns: its dense columns' names, then
+    fp_j for bit column j, the column n_dense + j."""
+    return tuple(dense_names) + tuple(f"fp_{j}" for j in range(nbits))
+
+
 def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
     """Write a feature directory: the distinct dense rows of X as
     descriptors.npy, the set bits of its distinct bit rows as
@@ -330,19 +336,29 @@ def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
     fingerprint_offsets.npy (<i4, bit_rows + 1 of them), its index as
     pairs.npy (<i4, one row per matrix row: its dense row, its bit row),
     y.npy, ids.txt (one pair key per line) and featurize.json, the sidecar
-    with the n_rows, n_columns and nbits of X.  A non-finite dense value,
+    with the n_rows, n_columns and nbits of X.  sidecar["columns"], when
+    given, names every column of X as featurize_pairs does; featurize.json
+    lists its dense names only, since column_names rebuilds the rest from
+    nbits, and other names raise ValueError.  A non-finite dense value,
     which read_features would refuse, raises DatasetError naming the file
-    and the first such column (its name from sidecar["columns"], when
-    given) before anything is written."""
+    and the first such column (by name, when given) before anything is
+    written."""
     import numpy as np
     dense, offsets, bits, index = _arrays(X)
+    meta = {**sidecar, "n_rows": X.shape[0], "n_columns": X.shape[1],
+            "nbits": X.nbits}
+    names = sidecar.get("columns")
+    if names is not None:
+        meta["columns"] = list(names[:X.n_dense])
+        if tuple(names) != column_names(meta["columns"], X.nbits):
+            raise ValueError(f"columns must be column_names of {X.n_dense} "
+                             f"dense names and {X.nbits} bits")
     bad = np.flatnonzero(~np.isfinite(dense).all(axis=0))
     if bad.size:
         f = int(bad[0])
-        names = sidecar.get("columns") or ()
         raise DatasetError(
             f"cannot write {os.path.join(outdir, DENSE_FILE)}: non-finite "
-            f"value in column {f}" + (f" ({names[f]})" if f < len(names) else ""))
+            f"value in column {f}" + (f" ({names[f]})" if names else ""))
     os.makedirs(outdir, exist_ok=True)
     np.save(os.path.join(outdir, DENSE_FILE), dense)
     np.save(os.path.join(outdir, BITS_FILE), bits.astype("<u2"))
@@ -352,8 +368,6 @@ def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
     with open(os.path.join(outdir, "ids.txt"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write("".join(i + "\n" for i in ids))
-    meta = {**sidecar, "n_rows": X.shape[0], "n_columns": X.shape[1],
-            "nbits": X.nbits}
     _write_json(os.path.join(outdir, "featurize.json"), meta, DatasetError)
 
 
@@ -366,8 +380,9 @@ def read_features(path) -> tuple[Features, memoryview | None]:
     matrix and the float64 values of its y.npy (metrics._native), None
     when there is no y.npy.  The matrix's schema is the CRC-32, as 8 hex
     digits, of the canonical JSON of the SCHEMA_FIELDS of featurize.json (a
-    missing one as null): a CRC catches a changed featurization without
-    loading hashlib into predict.
+    missing one as null), its columns, the dense names, rebuilt by
+    column_names into the name of every column: a CRC catches a changed
+    featurization without loading hashlib into predict.
 
     Feature files are untrusted.  A missing featurize.json,
     descriptors.npy, fingerprints.npy, fingerprint_offsets.npy or pairs.npy
@@ -376,8 +391,10 @@ def read_features(path) -> tuple[Features, memoryview | None]:
     object array included; see metrics._npy_payload), an index that is not
     two columns wide or that names a row outside its block, row counts that
     differ among the index, y.npy, ids.txt and featurize.json, a width that
-    is not featurize.json's n_columns, an nbits above config.MAX_NBITS, or
-    a non-finite dense value raises DatasetError, naming the file.  The bit block raises
+    is not featurize.json's n_columns, an nbits above config.MAX_NBITS, a
+    columns that is not a JSON list of strings or not n_columns - nbits
+    long (a list of every column's name included), or a non-finite dense
+    value raises DatasetError, naming the file.  The bit block raises
     FingerprintFormatError, naming its files, where fingerprints.npy is
     not 1-D <u2 (the packed uint8 rows of the former layout included) or
     fingerprint_offsets.npy not 1-D <i4, or where the pair breaks a rule of
@@ -397,6 +414,17 @@ def read_features(path) -> tuple[Features, memoryview | None]:
     if nbits > MAX_NBITS:       # training sizes arrays by nbits
         raise DatasetError(f"{at('featurize.json')}: nbits {nbits} is above "
                            f"{MAX_NBITS}")
+    names = meta.get("columns")
+    if names is not None:
+        if not (type(names) is list and all(type(c) is str for c in names)):
+            raise DatasetError(f"{at('featurize.json')}: columns must be a "
+                               "JSON list of strings")
+        if len(names) != meta["n_columns"] - nbits:
+            raise DatasetError(
+                f"{at('featurize.json')}: {len(names)} columns named, expected "
+                f"the names of the {meta['n_columns'] - nbits} dense columns "
+                "(n_columns - nbits)")
+        names = list(column_names(names, nbits))
     (dense_rows, d), dense = _npy_payload(at(DENSE_FILE), "<f8", 2, DatasetError)
     _, bits = _npy_payload(at(BITS_FILE), "<u2", 1, FingerprintFormatError)
     (n_offsets,), offsets = _npy_payload(at(OFFSETS_FILE), "<i4", 1,
@@ -423,8 +451,8 @@ def read_features(path) -> tuple[Features, memoryview | None]:
     dense = _native(dense, "d")
     if not _finite(dense):
         raise DatasetError(f"{at(DENSE_FILE)}: non-finite feature value")
-    text = json.dumps({k: meta.get(k) for k in SCHEMA_FIELDS}, sort_keys=True,
-                      separators=(",", ":"))
+    text = json.dumps({k: meta.get(k) for k in SCHEMA_FIELDS} | {"columns": names},
+                      sort_keys=True, separators=(",", ":"))
     schema = format(zlib.crc32(text.encode("utf-8")), "08x")
     try:
         X = Features(dense, dense_rows, d, _native(offsets, "i"),

@@ -31,6 +31,7 @@ from bindkit.gbdt import load_model
 from bindkit.ligand_features import GraphFeatures, graph_block
 from bindkit.model import Features, read_features, write_features
 from bindkit.protein_features import (
+    DESCRIPTOR_LAYOUT,
     PROPERTIES,
     RECEPTOR_NODE_FEATURE_NAMES,
     STANDARD_ORDER,
@@ -244,9 +245,11 @@ def test_featurize_artifacts(pipeline):
     ids = (train_dir / "ids.txt").read_text().splitlines()
     assert len(ids) == 22 and all(len(i) == 64 for i in ids)
     sidecar = json.loads((train_dir / "featurize.json").read_text())
-    assert sidecar["n_rows"] == 22 and sidecar["n_columns"] == 334
+    # featurize.json names the dense columns only; nbits implies the others
+    assert sidecar["n_rows"] == 22 and sidecar["n_columns"] == 78 + 256
+    assert sidecar["nbits"] == 256
     assert sidecar["columns"][0] == "charge_mean"
-    assert sidecar["columns"][78] == "fp_0"
+    assert sidecar["columns"] == list(DESCRIPTOR_LAYOUT)
     assert sidecar["table_version"] == "bindkit-aa-v1"
     assert sidecar["config_digest"] == load_config(pipeline["cfg"]).digest()
     assert read_features(pipeline["feats"]["test"])[0].shape[0] == 3
@@ -1426,12 +1429,16 @@ def test_predict_checks_the_feature_schema(pipeline, tmp_path, capsys):
     files; features of the training config predict with exit 0.  A model
     with no schema, as the Python API trains it, predicts from both.  The
     schema is the CRC-32 of the canonical JSON of the featurize.json fields
-    that fix what the columns mean."""
+    that fix what the columns mean, its columns rebuilt into the name of
+    every column: the dense names, then fp_j for bit j."""
     feats = pipeline["feats"]
     doc = json.loads(pathlib.Path(pipeline["model"]).read_text())
     meta = json.loads((pathlib.Path(feats["train"]) / "featurize.json").read_text())
-    text = json.dumps({k: meta[k] for k in ("radius", "nbits", "table_version",
-                                            "columns")},
+    names = meta["columns"] + [f"fp_{j}" for j in range(meta["nbits"])]
+    assert len(names) == meta["n_columns"]
+    text = json.dumps({**{k: meta[k] for k in ("radius", "nbits",
+                                               "table_version")},
+                       "columns": names},
                       sort_keys=True, separators=(",", ":"))
     assert doc["schema"] == format(zlib.crc32(text.encode()), "08x") == \
         read_features(feats["train"])[0].schema == \
@@ -1729,6 +1736,52 @@ def test_feature_width_must_match_sidecar(pipeline, tmp_path, capsys):
                              lambda d: edit_sidecar(d, n_columns=333))
     assert_features_rejected(pipeline, tmp_path, capsys, feats,
                              "featurize.json")
+
+
+@pytest.mark.parametrize("columns", [
+    "charge_mean",                               # not a list
+    {"charge_mean": 0},
+    [*DESCRIPTOR_LAYOUT[:-1], 7],                # not all strings
+    [*DESCRIPTOR_LAYOUT, None],
+    list(DESCRIPTOR_LAYOUT[:-1]),                # one dense name short
+    [*DESCRIPTOR_LAYOUT, "fp_0"],                # one name too many
+    # every column's name, as featurize.json once listed them
+    [*DESCRIPTOR_LAYOUT, *(f"fp_{j}" for j in range(256))],
+    [],
+])
+def test_sidecar_columns_are_checked(pipeline, tmp_path, capsys, columns):
+    """featurize.json's columns name the n_columns - nbits dense columns;
+    any other value is refused with exit 2 naming featurize.json."""
+    feats = damaged_features(pipeline, tmp_path,
+                             lambda d: edit_sidecar(d, columns=columns))
+    assert_features_rejected(pipeline, tmp_path, capsys, feats,
+                             "featurize.json")
+
+
+def test_write_features_lists_the_dense_names_only(tmp_path):
+    """write_features takes the name of every column, as featurize_pairs
+    gives them, and lists the dense ones in featurize.json; names that do
+    not end in fp_0 ... fp_{nbits - 1} raise ValueError and write nothing."""
+    X = Features(memoryview(np.zeros(2)), 1, 2,
+                 memoryview(np.array([0, 2], dtype=np.int32)),
+                 memoryview(np.array([1, 3], dtype=np.uint16)), 4,
+                 memoryview(np.zeros(4, dtype=np.int32)))
+    names = ["a", "b", "fp_0", "fp_1", "fp_2", "fp_3"]
+    write_features(tmp_path / "ok", X, np.zeros(2), ["p0", "p1"],
+                   {"columns": names})
+    sidecar = json.loads((tmp_path / "ok" / "featurize.json").read_text())
+    assert sidecar["columns"] == ["a", "b"]
+    assert (sidecar["n_columns"], sidecar["nbits"]) == (6, 4)
+    text = json.dumps({"columns": names, "nbits": 4, "radius": None,
+                       "table_version": None}, separators=(",", ":"))
+    assert read_features(tmp_path / "ok")[0].schema == \
+        format(zlib.crc32(text.encode()), "08x")
+    for bad in (["a", "b"], ["a", "b", "fp_1", "fp_0", "fp_2", "fp_3"],
+                names + ["fp_4"]):
+        with pytest.raises(ValueError):
+            write_features(tmp_path / "bad", X, np.zeros(2), ["p0", "p1"],
+                           {"columns": bad})
+        assert not (tmp_path / "bad").exists()
 
 
 def test_sidecar_nbits_above_the_cap_is_rejected(pipeline, tmp_path, capsys):

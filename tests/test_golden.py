@@ -40,10 +40,18 @@ fingerprint_offsets.npy digests added, when the bit block became a CSR of
 each distinct ligand's set bits (<u2 bits, <i4 row offsets) in place of
 packed uint8 rows; the decoded X.npy digests, which expand the CSR, and
 every model and pred.txt digest did not change.
+The train/ and valid/featurize.json digests were re-recorded when
+featurize.json stopped listing the fp_j names of the bit columns, which
+nbits implies: its columns are the 78 descriptor names alone, and
+read_features rebuilds the full list before it takes the schema CRC.  That
+schema (FIXTURE_SCHEMA), recorded before the change, the model and pred.txt
+digests and every other file's digest did not change, and a model trained
+before the change (fixtures/model_4_trees.json) still predicts.
 """
 import csv
 import hashlib
 import io
+import json
 import pathlib
 import random
 import shutil
@@ -176,7 +184,7 @@ GOLDEN_ARTIFACTS = {
     "train/ids.txt":
         "adc6cdcdf6e6eed7b4ab91abe12b78574792b85a107aa787385b3d51bf938076",
     "train/featurize.json":
-        "278163fcf04cc3ee7082e60ab445e29514ddf6d3e36a632c161c34af975cc893",
+        "b2794becbc06e73d01a99e7601006e80f0bc4218c81a5bdb12fd4636bcd7d2af",
     "valid/X.npy":
         "9fc3f9cbeb6257954b1b383831c57049fcc3097b98d216c8ecc22207ccc948a7",
     "valid/descriptors.npy":
@@ -192,7 +200,7 @@ GOLDEN_ARTIFACTS = {
     "valid/ids.txt":
         "040f4b83206c39c76aa2ce74d9598b5659c1eb19eb787038228fe162422b0370",
     "valid/featurize.json":
-        "def26d35919c61c841b15ad9cb7da1940ecfe6f4c5ee7bc78580a13542818794",
+        "b945c34e3f3a52fdc01056af784a546d69575e041b7d33fe9b4b2003b8271ef5",
     "graphs.jsonl":
         "563bec2e7a43ddcc29bc052dd74afd07780470bcc1aa936971e8c8cc156300a9",
     "pred.txt":
@@ -233,6 +241,19 @@ def fixture_pipeline(tmp_path_factory):
     return root
 
 
+# Features.schema of the fixture's train and valid directories, the CRC of
+# their full column list
+FIXTURE_SCHEMA = "ba788026"
+
+# fixtures/model_4_trees.json, 4 trees of MODEL_PARAMS trained on the train
+# directory by the code that listed every column's name in featurize.json:
+# directory -> sha256 of its predictions
+OLD_MODEL_PREDICTIONS = {
+    "train": "874a244ad4f3724f54c5059eb1fe6ef5d10182c3b88b4265832e489fcdd1d3b7",
+    "valid": "a25a303878459e1d47b80453e978a7ec8598b593a5ee0c63c4ea8b1a65a0e313",
+}
+
+
 @pytest.fixture(scope="module")
 def fixture_features(fixture_pipeline):
     """(Features, y) of the train and valid directories."""
@@ -252,6 +273,27 @@ def artifact_bytes(path):
 def test_pinned_pipeline_artifacts(name, fixture_pipeline):
     digest = hashlib.sha256(artifact_bytes(fixture_pipeline / name)).hexdigest()
     assert digest == GOLDEN_ARTIFACTS[name]
+
+
+def test_pinned_feature_schema(fixture_pipeline, fixture_features):
+    """Both directories read to the schema of the full column list, which
+    train stamps into model.json."""
+    assert [X.schema for X, _ in fixture_features.values()] == [FIXTURE_SCHEMA] * 2
+    model = json.loads((fixture_pipeline / "model.json").read_text())
+    assert model["schema"] == FIXTURE_SCHEMA
+
+
+@pytest.mark.parametrize("name", sorted(OLD_MODEL_PREDICTIONS))
+def test_model_of_the_full_column_list_predicts(name, fixture_pipeline, tmp_path):
+    """A model.json trained when featurize.json listed every column's name
+    predicts with exit 0, and the same values, on features written now."""
+    model = FIXTURES / "model_4_trees.json"
+    assert json.loads(model.read_text())["schema"] == FIXTURE_SCHEMA
+    out = tmp_path / "pred.txt"
+    assert main(["--quiet", "predict", "--model", str(model), "--features",
+                 str(fixture_pipeline / name), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        OLD_MODEL_PREDICTIONS[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
