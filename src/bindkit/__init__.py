@@ -40,9 +40,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}
-_SUBMODULES = ("cli", "config", "dataset", "errors", "fasta", "gbdt",
-               "ligand_features", "metrics", "model", "protein_features",
-               "smiles")
+_SUBMODULES = {*_EXPORTS, "cli"}
 
 __all__ = sorted(_HOME)
 
@@ -58,4 +56,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_HOME) | set(_SUBMODULES))
+    return sorted(set(globals()) | set(_HOME) | _SUBMODULES)

@@ -315,10 +315,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
-    except ConfigError as exc:
-        print(f"bindkit: config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"bindkit: config error: {exc}", file=sys.stderr)

@@ -265,31 +265,22 @@ def ingest(
 
     identities = _ligand_identities(molecules)
     stereo_total = 0
-    groups: dict[str, list[float]] = {}
-    heads: dict[str, tuple[ProteinSequence, Molecule]] = {}
+    # each pair key's first receptor and ligand, and every log Ki it carries
+    groups: dict[str, tuple[ProteinSequence, Molecule, list[float]]] = {}
     for seq, smiles, log_ki in kept:
         mol = molecules[smiles]
         stereo_total += mol.stereo_warnings
         key = _pair_key(seq.residues, identities[smiles])
-        if key not in groups:
-            groups[key] = []
-            heads[key] = (seq, mol)
-        groups[key].append(log_ki)
+        groups.setdefault(key, (seq, mol, []))[2].append(log_ki)
 
-    records = []
-    merged = 0
-    for key, logs in groups.items():
-        seq, mol = heads[key]
-        merged += len(logs) - 1
-        records.append(AffinityRecord(
-            receptor=seq, ligand=mol,
-            log_ki=logs[0] if len(logs) == 1 else _median(logs),
-            pair_key=key))
+    records = [AffinityRecord(receptor=seq, ligand=mol, log_ki=_median(logs),
+                              pair_key=key)
+               for key, (seq, mol, logs) in groups.items()]
     provenance = {
         "source_digest": source_digest,
         "n_input_rows": n_input,
         "drops": drops,
-        "duplicates_merged": merged,
+        "duplicates_merged": len(kept) - len(records),
         "n_records": len(records),
         "ki_bounds_nm": [bounds.min_nm, bounds.max_nm],
         "stereo_warnings_total": stereo_total,

@@ -107,7 +107,6 @@ def parse_fasta(text: str, warnings: list[str] | None = None) -> list[ProteinSeq
     record_id: str | None = None
     chunks: list[str] = []
     records: list[ProteinSequence] = []
-    saw_header = False
     for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line:
@@ -115,16 +114,15 @@ def parse_fasta(text: str, warnings: list[str] | None = None) -> list[ProteinSeq
         if line.startswith(">"):
             if record_id is not None:
                 records.append(_finish_record(record_id, chunks, warnings))
-            saw_header = True
             record_id = line[1:].split(None, 1)[0] if line[1:].strip() else ""
             if not record_id:
                 raise EmptyRecordError("header with empty id")
             chunks = []
         else:
-            if not saw_header:
+            if record_id is None:
                 raise NoHeaderError("sequence data before any '>' header")
             chunks.append(line)
-    if not saw_header:
+    if record_id is None:
         # blank documents are empty, not malformed
         return records
     records.append(_finish_record(record_id, chunks, warnings))

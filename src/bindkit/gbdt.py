@@ -277,15 +277,13 @@ def _grow_tree(binned: _Binned, res, rows,
                 leaf_value=tuple(value.tolist())), leaf
 
 
-def _check_matrix(X, y=None):
+def _check_matrix(X, y):
     if not isinstance(X, Features):
         X = Features.from_array(X)
     if X.shape[0] == 0 or X.shape[1] == 0:
         raise DimensionMismatchError(f"feature matrix is empty: {X.shape}")
     if not np.isfinite(_arrays(X)[0]).all():      # the distinct dense rows
         raise GbdtError("feature matrix contains non-finite values")
-    if y is None:
-        return X
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or len(y) != len(X):
         raise DimensionMismatchError(
@@ -369,13 +367,12 @@ def train(X, y, params: TrainParams = TrainParams(), valid=None):
                 best_mae = mae
                 best_iter = it
             if (params.early_stopping_rounds is not None
-                    and best_iter is not None
                     and it - best_iter >= params.early_stopping_rounds):
                 metrics["stopped_early"] = True
                 break
     if Fv is not None:
         metrics["best_iteration"] = best_iter
-        if params.early_stopping_rounds is not None and best_iter is not None:
+        if params.early_stopping_rounds is not None:
             trees = trees[:best_iter + 1]
     model = GbdtModel(base_score=base, trees=tuple(trees),
                       feature_count=X.shape[1], params=params)

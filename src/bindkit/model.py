@@ -135,16 +135,12 @@ class Features:
         bits, offsets = self.indices.tolist(), self.offsets.tolist()
         return [frozenset(bits[a:b]) for a, b in zip(offsets, offsets[1:])]
 
-    @property
-    def n_rows(self) -> int:
-        return len(self.index) >> 1
-
     def __len__(self) -> int:
-        return self.n_rows
+        return len(self.index) >> 1
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.n_rows, self.n_dense + self.nbits
+        return len(self), self.n_dense + self.nbits
 
     @property
     def nbytes(self) -> int:

@@ -154,10 +154,6 @@ class Bond(NamedTuple):
     order: int                   # BOND_SINGLE/DOUBLE/TRIPLE/AROMATIC
     in_ring: bool = False
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.a, self.b) if self.a < self.b else (self.b, self.a)
-
 
 # The parser and _annotated build atoms and bonds as _new(Atom, fields) with
 # every field given in order: a plain tuple allocation, without the keyword
@@ -446,7 +442,8 @@ def _implicit_hydrogens(mol: Molecule) -> list[int]:
 
 
 def _bridges(mol: Molecule) -> set[tuple[int, int]]:
-    """Keys (Bond.key) of the bonds of mol that lie on no cycle.
+    """The bonds of mol that lie on no cycle, each as its (lower, higher)
+    atom index pair.
 
     One iterative depth-first pass (Tarjan, Inf. Proc. Lett. 2(6), 1974):
     the tree edge into v is a bridge when no back edge from v's subtree

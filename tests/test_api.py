@@ -149,6 +149,19 @@ def test_removed_methods_are_gone():
     assert not hasattr(ResiduePropertyTable, "row")
 
 
+def test_submodules_are_the_modules_of_the_package():
+    """bindkit.<module> resolves for every module, one with no exports
+    (cli) included."""
+    assert set(bindkit._SUBMODULES) == set(SUBMODULES)
+
+
+def test_removed_attributes_are_gone():
+    from bindkit.model import Features
+    from bindkit.smiles import Bond
+    assert not hasattr(Features, "n_rows")        # len(X) or X.shape[0]
+    assert not hasattr(Bond, "key")
+
+
 def test_import_loads_no_submodule_and_no_numpy():
     code = ("import sys, bindkit\n"
             "print(sorted(m for m in sys.modules\n"

@@ -634,6 +634,23 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "data error" in err
 
 
+def _fail(*args, **kwargs):
+    raise RuntimeError("planted failure")
+
+
+@pytest.mark.parametrize("name", ["load_config", "train"])
+def test_unexpected_failures_exit_3(tmp_path, capsys, monkeypatch, name):
+    """An exception no handler names exits 3 with a traceback, whether it
+    is raised while the config loads or inside a command."""
+    feats = packed_features(tmp_path / "feats", np.zeros((2, 3)))
+    monkeypatch.setattr(bindkit.cli, name, _fail)
+    assert main(["--quiet", "train", "--train", str(feats),
+                 "--out", str(tmp_path / "m.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "RuntimeError: planted failure" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
 def test_bad_log_ki_in_dataset_exits_2(pipeline, tmp_path, capsys, bad):
     data = tmp_path / "dataset"

@@ -393,7 +393,7 @@ def test_atoms_and_bonds_are_named_tuples():
     assert atom._replace(implicit_h=2).implicit_h == 2
     bond = Bond(3, 1, BOND_DOUBLE)
     assert bond == Bond(a=3, b=1, order=BOND_DOUBLE, in_ring=False)
-    assert bond.key == (1, 3) and hash(bond) == hash((3, 1, BOND_DOUBLE, False))
+    assert hash(bond) == hash((3, 1, BOND_DOUBLE, False))
     with pytest.raises(AttributeError):
         atom.element = 6
     with pytest.raises(AttributeError):
