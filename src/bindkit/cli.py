@@ -13,9 +13,13 @@ import json
 import os
 import sys
 
-from .config import ConfigError, PipelineConfig, load_config
-from .errors import DataError, DatasetError, GbdtError
-from .metrics import _load_vector, _write_json, build_report, write_report
+from array import array
+
+from .config import ConfigError, PipelineConfig, load_config, property_table_bytes
+from .errors import DataError, DatasetError, EmptyAfterFilteringError, GbdtError
+from .metrics import (TSV_DIGEST, _checked_log_ki, _dataset_rows, _load_vector,
+                      _read_json, _read_provenance, _write_json, build_report,
+                      file_digest, write_report)
 
 # A command imports the modules it runs when it runs, so `evaluate` and
 # `predict` start without numpy.  The names below resolve on first use
@@ -26,6 +30,7 @@ from .metrics import _load_vector, _write_json, build_report, write_report
 _LAZY = {
     "train": "gbdt",
     "save_model": "model", "load_model": "model", "read_features": "model",
+    "write_features": "model",
     "graph_block": "ligand_features", "ligand_graph_features": "ligand_features",
     "default_table": "protein_features",
     "load_property_table": "protein_features",
@@ -121,8 +126,24 @@ def _table_for(cfg: PipelineConfig):
     return _cli.load_property_table(cfg.property_table)
 
 
+def _table_digest(cfg: PipelineConfig) -> str:
+    """The sha256 of the bytes of the configured property table."""
+    import hashlib
+    return hashlib.sha256(property_table_bytes(cfg.property_table)).hexdigest()
+
+
+def _sidecar(cfg: PipelineConfig, columns, dataset_digest: str, subset: str,
+             table_version: str) -> dict:
+    """The featurize.json fields of a feature directory that featurize
+    writes, less those write_features adds."""
+    return {"columns": list(columns), "config_digest": cfg.digest(),
+            "dataset_digest": dataset_digest, "radius": cfg.radius,
+            "subset": subset, "table_version": table_version}
+
+
 def cmd_ingest(args, cfg: PipelineConfig) -> int:
     from . import dataset as ds_mod
+    from .model import STORE_VERSION
     rows, reader_drops, digest = ds_mod.read_raw_tsv(args.input)
     fasta_index = None
     if cfg.fasta is not None:
@@ -132,29 +153,98 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
                             source_digest=digest, initial_drops=reader_drops)
     dataset = ds_mod.split(dataset, seed=cfg.seed, ratios=cfg.ratios)
     dataset.provenance["config_digest"] = cfg.digest()
-    ds_mod.write_dataset(dataset, args.out)
+    # The feature store, from which featurize selects a split: the features
+    # of every record, stamped with what fixes their bytes.
+    table = _table_for(cfg) or _cli.default_table()
+    X, y, columns, ids = ds_mod.featurize_pairs(
+        dataset, radius=cfg.radius, nbits=cfg.nbits, table=table)
+    store = {**_sidecar(cfg, columns, digest, "all", table.version),
+             "store_version": STORE_VERSION, "table_sha256": _table_digest(cfg)}
+    ds_mod.write_dataset(dataset, args.out, features=(X, y, ids, store))
     sizes = dataset.provenance["split_sizes"]
     _info(args, f"ingested {len(dataset.records)} records ({sizes}) -> {args.out}")
     return 0
 
 
+def _from_store(path, subset: str, cfg: PipelineConfig):
+    """The (X, y, ids, sidecar) that featurize writes for subset of the
+    dataset directory at path, read from its feature store; or, where the
+    store cannot serve them, the reason, a string.
+
+    The store serves only the dataset.tsv whose sha256 both provenance.json
+    and the store's featurize.json record, and only for the radius, nbits,
+    property-table bytes and STORE_VERSION it records.  Every row of
+    dataset.tsv gets the checks of load_dataset's trusted load; the rows of
+    subset give ids and y, their pair keys and log_ki, and select X from
+    the store.  A malformed provenance.json raises DatasetFormatError, and
+    a store that read_features refuses, whose featurize.json is not a JSON
+    object naming its columns and table_version, or whose row count is not
+    the dataset's raises DatasetError, naming the file."""
+    from .model import STORE_DIR, STORE_VERSION, column_names
+    store = os.path.join(path, STORE_DIR)
+    meta_path = os.path.join(store, "featurize.json")
+    prov_path = os.path.join(path, "provenance.json")
+    if not os.path.exists(meta_path):
+        return "the dataset has no feature store"
+    if not os.path.exists(prov_path):
+        return "the dataset has no provenance.json"
+    provenance = _read_provenance(prov_path)
+    meta = _read_json(meta_path, DatasetError)
+    if not (isinstance(meta, dict) and isinstance(meta.get("columns"), list)
+            and isinstance(meta.get("table_version"), str)):
+        raise DatasetError(f"{meta_path}: expected a JSON object with a "
+                           "columns list and a table_version string")
+    if meta.get("store_version") != STORE_VERSION:
+        return (f"the feature store is version {meta.get('store_version')!r}, "
+                f"not {STORE_VERSION!r}")
+    for key in ("radius", "nbits"):
+        if meta.get(key) != getattr(cfg, key):
+            return f"the feature store has {key} {meta.get(key)!r}, not {getattr(cfg, key)!r}"
+    if meta.get("table_sha256") != _table_digest(cfg):
+        return "the feature store was written with another property table"
+    tsv = os.path.join(path, "dataset.tsv")
+    digest = file_digest(tsv)
+    if provenance.get(TSV_DIGEST) != digest:
+        return "dataset.tsv is not the file provenance.json records"
+    if meta.get(TSV_DIGEST) != digest:
+        return "the feature store was written for another dataset.tsv"
+    bounds = cfg.bounds
+    with open(tsv, "r", encoding="utf-8") as fh:
+        checked = [(cells, _checked_log_ki(cells[5], cells[6], line_no, bounds))
+                   for line_no, cells in _dataset_rows(fh)]
+    rows = [i for i, (cells, _) in enumerate(checked)
+            if subset in ("all", cells[1])]
+    if not rows:
+        raise EmptyAfterFilteringError(f"subset {subset!r} is empty")
+    X, _ = _cli.read_features(store)
+    if len(X) != len(checked):
+        raise DatasetError(f"{meta_path}: {len(X)} rows, but {tsv} holds "
+                           f"{len(checked)} records")
+    sidecar = _sidecar(cfg, column_names(meta["columns"], cfg.nbits),
+                       provenance.get("source_digest", ""), subset,
+                       meta["table_version"])
+    return (X.take(rows), array("d", [checked[i][1] for i in rows]),
+            [checked[i][0][0] for i in rows], sidecar)
+
+
 def cmd_featurize(args, cfg: PipelineConfig) -> int:
-    from . import dataset as ds_mod
-    dataset = ds_mod.load_dataset(args.dataset, cfg.bounds, args.subset)
-    table = _table_for(cfg)
-    X, y, columns, ids = ds_mod.featurize_pairs(
-        dataset, which=args.subset, radius=cfg.radius, nbits=cfg.nbits,
-        table=table)
-    sidecar = {
-        "columns": list(columns),
-        "config_digest": cfg.digest(),
-        "dataset_digest": dataset.provenance.get("source_digest", ""),
-        "radius": cfg.radius,
-        "subset": args.subset,
-        "table_version": (table or _cli.default_table()).version,
-    }
-    ds_mod.write_features(args.out, X, y, ids, sidecar)
-    _info(args, f"featurized {args.subset}: X {X.shape} -> {args.out}")
+    served = _from_store(args.dataset, args.subset, cfg)
+    if isinstance(served, str):
+        from . import dataset as ds_mod
+        dataset = ds_mod.load_dataset(args.dataset, cfg.bounds, args.subset)
+        table = _table_for(cfg)
+        X, y, columns, ids = ds_mod.featurize_pairs(
+            dataset, which=args.subset, radius=cfg.radius, nbits=cfg.nbits,
+            table=table)
+        sidecar = _sidecar(cfg, columns,
+                           dataset.provenance.get("source_digest", ""),
+                           args.subset, (table or _cli.default_table()).version)
+        how = f"computed: {served}"
+    else:
+        X, y, ids, sidecar = served
+        how = "read from the dataset's feature store"
+    _cli.write_features(args.out, X, y, ids, sidecar)
+    _info(args, f"featurized {args.subset}: X {X.shape} {how} -> {args.out}")
     return 0
 
 

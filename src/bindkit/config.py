@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import tomllib
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -29,12 +30,15 @@ from .metrics import (
 )
 
 __all__ = ["ConfigError", "KiBounds", "TrainParams", "PipelineConfig",
-           "config_from_mapping", "load_config", "MAX_RADIUS", "MAX_NBITS",
-           "MAX_DEPTH"]
+           "config_from_mapping", "load_config", "property_table_bytes",
+           "MAX_RADIUS", "MAX_NBITS", "MAX_DEPTH", "DEFAULT_PROPERTY_TABLE"]
 
 MAX_RADIUS = 8              # ECFP radius; 2 and 3 are the usual choices
 MAX_NBITS = 1 << 16         # fingerprint width
 MAX_DEPTH = 10              # an oblivious tree stores 2**depth leaves
+# The residue property table when [paths] property_table is unset
+DEFAULT_PROPERTY_TABLE = os.path.join(os.path.dirname(__file__), "data",
+                                      "residue_properties.csv")
 
 
 class ConfigError(ValueError):
@@ -112,6 +116,17 @@ class PipelineConfig:
         if seed < 0:                    # numpy's generators refuse it
             raise ConfigError("seed must be >= 0")
         return replace(self, seed=seed, gbdt=replace(self.gbdt, seed=seed))
+
+
+def property_table_bytes(path: str | None) -> bytes:
+    """The bytes of the property table at path, or of the shipped one when
+    path is None, read through this package's loader (a file on disk or a
+    zip member alike) without importing importlib.resources, which pulls
+    in pathlib, tempfile, shutil and zipfile."""
+    if path is None:
+        return __spec__.loader.get_data(DEFAULT_PROPERTY_TABLE)
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _of_type(*types):

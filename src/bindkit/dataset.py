@@ -17,15 +17,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import KiBounds
-from .errors import DatasetError
+from .errors import DatasetError, DatasetFormatError, EmptyAfterFilteringError
 from .fasta import FastaError, ProteinSequence, parse_fasta
 from .ligand_features import (
     _full_refinement_ids_batch,
     ecfp,
     full_refinement_ids,
 )
-from .metrics import _read_json, _write_json
-from .model import Features, column_names, write_features
+from .metrics import (DATASET_COLUMNS, SPLIT_NAMES, TSV_DIGEST, _checked_log_ki,
+                      _dataset_rows, _read_provenance, _write_json, file_digest)
+from .model import STORE_DIR, Features, column_names, write_features
 from .protein_features import (
     DESCRIPTOR_LAYOUT,
     ResiduePropertyTable,
@@ -57,21 +58,11 @@ __all__ = [
 ]
 
 
-class DatasetFormatError(DatasetError):
-    pass
-
-
-class EmptyAfterFilteringError(DatasetError):
-    pass
-
-
 class TooFewRecordsError(DatasetError):
     pass
 
 
 DEFAULT_BOUNDS = KiBounds()
-
-SPLIT_NAMES = ("train", "valid", "test")
 
 
 @dataclass(frozen=True)
@@ -126,11 +117,6 @@ def _ligand_identities(molecules: dict[str, Molecule]) -> dict[str, str]:
 
 def _pair_key(residues: str, ligand_identity: str) -> str:
     return hashlib.sha256(f"{residues}|{ligand_identity}".encode("ascii")).hexdigest()
-
-
-def file_digest(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def build_fasta_index(text: str) -> dict[str, ProteinSequence]:
@@ -379,12 +365,22 @@ def featurize_pairs(
 
 # --- on-disk curated dataset -------------------------------------------------
 
-_TSV_COLUMNS = ("pair_key", "split", "receptor_id", "receptor_fasta",
-                "ligand_smiles", "ki_nm", "log_ki")
-_TSV_DIGEST = "dataset_tsv_sha256"      # the provenance.json key
+
+def _tsv_lines(dataset: Dataset):
+    """The lines of the dataset.tsv of dataset, made one at a time (a
+    screen's file runs to megabytes); a field holding a tab or a newline
+    raises DatasetFormatError."""
+    yield "\t".join(DATASET_COLUMNS) + "\n"
+    for rec in dataset.records:
+        cells = (rec.pair_key, rec.split, rec.receptor.id, rec.receptor.residues,
+                 rec.ligand.source, repr(10.0 ** rec.log_ki), repr(rec.log_ki))
+        for cell in cells:
+            if "\t" in cell or "\n" in cell:
+                raise DatasetFormatError(f"field contains separator: {cell!r}")
+        yield "\t".join(cells) + "\n"
 
 
-def write_dataset(dataset: Dataset, outdir) -> None:
+def write_dataset(dataset: Dataset, outdir, features=None) -> None:
     """Write dataset.tsv and provenance.json into a directory.
 
     Floats are serialized with repr (shortest round-trip), keys are sorted,
@@ -392,53 +388,27 @@ def write_dataset(dataset: Dataset, outdir) -> None:
     byte-identical files.  provenance.json holds dataset.provenance plus
     the sha256 of the dataset.tsv written (dataset_tsv_sha256), by which
     load_dataset knows a file this function wrote.
+
+    features, when given, is the (X, y, ids, sidecar) of every record that
+    write_features writes, in record order.  It is written first, as the
+    dataset's feature store, outdir/features, with the dataset.tsv digest
+    added to its sidecar, so a features that write_features refuses raises
+    before any file is written.
     """
+    sha = hashlib.sha256()
+    for line in _tsv_lines(dataset):
+        sha.update(line.encode("utf-8"))
+    digest = sha.hexdigest()
+    if features is not None:
+        X, y, ids, sidecar = features
+        write_features(os.path.join(outdir, STORE_DIR), X, y, ids,
+                       {**sidecar, TSV_DIGEST: digest})
     os.makedirs(outdir, exist_ok=True)
-    rows = [_TSV_COLUMNS]
-    for rec in dataset.records:
-        cells = (rec.pair_key, rec.split, rec.receptor.id, rec.receptor.residues,
-                 rec.ligand.source, repr(10.0 ** rec.log_ki), repr(rec.log_ki))
-        for cell in cells:
-            if "\t" in cell or "\n" in cell:
-                raise DatasetFormatError(f"field contains separator: {cell!r}")
-        rows.append(cells)
-    digest = hashlib.sha256()
     with open(os.path.join(outdir, "dataset.tsv"), "w", encoding="utf-8",
               newline="\n") as fh:
-        for cells in rows:
-            line = "\t".join(cells) + "\n"
-            fh.write(line)
-            digest.update(line.encode("utf-8"))
-    doc = {**dataset.provenance, _TSV_DIGEST: digest.hexdigest()}
+        fh.writelines(_tsv_lines(dataset))
+    doc = {**dataset.provenance, TSV_DIGEST: digest}
     _write_json(os.path.join(outdir, "provenance.json"), doc, DatasetFormatError)
-
-
-def _checked_log_ki(ki_nm: str, log_ki: str, line_no: int,
-                    bounds: KiBounds) -> float:
-    """The log_ki cell of a dataset.tsv row as a float; DatasetFormatError
-    naming the line unless it is finite, the ki_nm cell is the
-    repr(10.0 ** log_ki) that write_dataset writes, and it lies within the
-    log10 of bounds (ingest keeps a Ki within bounds as log10(Ki), and 10.0
-    ** that can round just outside them)."""
-    try:
-        value = float(log_ki)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise DatasetFormatError(f"bad log_ki {log_ki!r} at line {line_no}")
-    try:
-        expected = repr(10.0 ** value)
-    except OverflowError:
-        expected = None
-    if ki_nm != expected:
-        raise DatasetFormatError(
-            f"ki_nm {ki_nm!r} does not match log_ki {log_ki!r} "
-            f"at line {line_no}")
-    if not math.log10(bounds.min_nm) <= value <= math.log10(bounds.max_nm):
-        raise DatasetFormatError(
-            f"ki_nm {ki_nm!r} outside the curation window "
-            f"[{bounds.min_nm!r}, {bounds.max_nm!r}] at line {line_no}")
-    return value
 
 
 def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS,
@@ -448,11 +418,11 @@ def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS,
     name), in file order.
 
     Every row gets the per-line checks: a wrong column count, an unknown
-    split, a pair key seen on an earlier line, or a log_ki that
-    _checked_log_ki rejects raises DatasetFormatError naming the line.  A
-    provenance.json that is not JSON, is not a JSON object, or holds a
-    source_digest that is not a string raises DatasetFormatError naming
-    the file.
+    split, a pair key seen on an earlier line (metrics._dataset_rows), or
+    a log_ki that metrics._checked_log_ki rejects raises DatasetFormatError
+    naming the line.  A provenance.json that is not JSON, is not a JSON
+    object, or holds a source_digest that is not a string raises
+    DatasetFormatError naming the file.
 
     When provenance.json records the sha256 of this very dataset.tsv, the
     file is write_dataset's own output and already validated: only the
@@ -471,38 +441,16 @@ def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS,
         raise ValueError(f"unknown subset {subset!r}")
     tsv = os.path.join(outdir, "dataset.tsv")
     prov_path = os.path.join(outdir, "provenance.json")
-    provenance = {}
-    if os.path.exists(prov_path):
-        provenance = _read_json(prov_path, DatasetFormatError)
-        if not isinstance(provenance, dict) or not isinstance(
-                provenance.get("source_digest", ""), str):
-            raise DatasetFormatError(f"{prov_path}: expected a JSON object "
-                                     "whose source_digest is a string")
-    recorded = provenance.pop(_TSV_DIGEST, None)
+    provenance = _read_provenance(prov_path) if os.path.exists(prov_path) else {}
+    recorded = provenance.pop(TSV_DIGEST, None)
     trusted = isinstance(recorded, str) and recorded == file_digest(tsv)
     molecules: dict[str, Molecule] = {}
     receptors: dict[tuple[str, str], ProteinSequence] = {}
-    key_lines: dict[str, int] = {}
+    records, line_nos = [], []
     with open(tsv, "r", encoding="utf-8") as fh:
-        header = tuple(fh.readline().rstrip("\n").split("\t"))
-        if header != _TSV_COLUMNS:
-            raise DatasetFormatError(f"unexpected dataset columns {header}")
-        records = []
-        for line_no, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(_TSV_COLUMNS):
-                raise DatasetFormatError(f"bad row at line {line_no}")
+        for line_no, cells in _dataset_rows(fh):
             key, split_name, rid, residues, smiles, ki_nm, log_ki = cells
-            if split_name not in SPLIT_NAMES + ("unassigned",):
-                raise DatasetFormatError(f"bad split {split_name!r} at line {line_no}")
-            first = key_lines.setdefault(key, line_no)
-            if first != line_no:
-                raise DatasetFormatError(
-                    f"duplicate pair_key {key} at line {line_no} "
-                    f"(first at line {first})")
+            line_nos.append(line_no)
             if trusted and subset not in ("all", split_name):
                 _checked_log_ki(ki_nm, log_ki, line_no, bounds)
                 continue            # ingest validated the rest of this row
@@ -525,11 +473,11 @@ def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS,
                 pair_key=key,
                 split=split_name,
             ))
-    if not key_lines:
+    if not line_nos:
         raise EmptyAfterFilteringError("dataset file holds no records")
     if not trusted:
         identities = _ligand_identities(molecules)
-        for rec, line_no in zip(records, key_lines.values()):   # one line each
+        for rec, line_no in zip(records, line_nos):     # every row is a record
             if rec.pair_key != _pair_key(rec.receptor.residues,
                                          identities[rec.ligand.source]):
                 raise DatasetFormatError(

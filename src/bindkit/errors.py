@@ -11,7 +11,8 @@ problem exits 1.
 """
 from __future__ import annotations
 
-__all__ = ["DataError", "DatasetError", "GbdtError", "DimensionMismatchError",
+__all__ = ["DataError", "DatasetError", "DatasetFormatError",
+           "EmptyAfterFilteringError", "GbdtError", "DimensionMismatchError",
            "FingerprintFormatError"]
 
 
@@ -20,6 +21,14 @@ class DataError(ValueError):
 
 
 class DatasetError(DataError):
+    pass
+
+
+class DatasetFormatError(DatasetError):
+    pass
+
+
+class EmptyAfterFilteringError(DatasetError):
     pass
 
 

@@ -40,8 +40,7 @@ import numpy as np
 from .config import TrainParams
 from .errors import DimensionMismatchError, GbdtError
 from .model import (Features, GbdtModel, ModelFormatError,  # re-exported
-                    ModelVersionError, Tree, _arrays, _leaves, load_model,
-                    save_model)
+                    ModelVersionError, Tree, _leaves, load_model, save_model)
 
 __all__ = [
     "TrainParams", "Tree", "GbdtModel", "GbdtError", "DimensionMismatchError",
@@ -51,6 +50,16 @@ __all__ = [
 
 
 # --- binning -----------------------------------------------------------------
+
+
+def _arrays(X: Features):
+    """The distinct dense rows, the bit row offsets, the set bits and the
+    index of X, as read-only numpy arrays over its buffers of shapes
+    (dense_rows, n_dense), (bit_rows + 1,), (number of set bits,) and (n, 2)."""
+    return (np.frombuffer(X.dense.toreadonly(), dtype=np.float64)
+            .reshape(X.dense_rows, X.n_dense),
+            np.asarray(X.offsets.toreadonly()), np.asarray(X.indices.toreadonly()),
+            np.asarray(X.index.toreadonly()).reshape(len(X), 2))
 
 
 @dataclass(frozen=True, eq=False)

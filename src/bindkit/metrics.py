@@ -9,8 +9,10 @@ recombination of cell MAEs reproduces the overall MAE.
 The module imports no numpy, so the evaluate command starts without it.
 Every mean is math.fsum of its errors, the correctly rounded sum (Shewchuk,
 Discrete Comput. Geom. 18, 1997), divided by the count; an accuracy is an
-exact count over n.  The JSON reader and writer of every bindkit module
-and the checked .npy reader live here, so evaluate reads without numpy.
+exact count over n.  The JSON reader and writer of every bindkit module,
+the checked .npy reader and the .npy writer live here, so evaluate reads
+without numpy, and so do the checks of a dataset.tsv row, so featurize
+reads a dataset's feature store without it.
 """
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ import sys
 from array import array
 from bisect import bisect_right
 
-from .errors import DataError, DatasetError, DimensionMismatchError
+from .errors import (DataError, DatasetError, DatasetFormatError,
+                     DimensionMismatchError)
 
 __all__ = [
     "MetricsError",
@@ -240,6 +243,21 @@ def _npy_payload(path, descr: str, ndim: int, error) -> tuple[tuple, bytes]:
     return shape, data
 
 
+def _write_npy(path, descr: str, shape: tuple, data: bytes) -> None:
+    """Write data, the C-order bytes of an array of dtype descr and the
+    given shape, as np.save writes that array: format 1.0, its header dict
+    with the keys sorted, 21 - len(repr(shape[0])) spaces of room for the
+    first axis to grow, then spaces and a newline to a multiple of 64
+    bytes.  (np.save turns to format 2.0 only for a header past 64 KiB,
+    which no shape of rank 2 reaches.)"""
+    header = f"{{'descr': '{descr}', 'fortran_order': False, 'shape': {shape!r}, }}"
+    header += " " * (21 - len(repr(shape[0]))) if shape else ""
+    pad = 64 - (len(header) + 11) % 64       # magic, length and newline: 11
+    with open(path, "wb") as fh:
+        fh.write(b"\x93NUMPY\x01\x00" + (len(header) + pad + 1).to_bytes(2, "little")
+                 + header.encode("latin-1") + b" " * pad + b"\n" + data)
+
+
 def _load_vector(path) -> list[float]:
     """Read a vector of predictions or truths as floats: a .npy file of a
     1-D little-endian float64 array, as featurize writes y.npy, or a text
@@ -264,3 +282,102 @@ def _native(data: bytes, typecode: str) -> memoryview:
     values = array(typecode, data)
     values.byteswap()
     return memoryview(values)
+
+
+def _little(values, typecode: str) -> bytes:
+    """The inverse of _native: values, a buffer or an iterable of numbers,
+    as the little-endian bytes of float64 ('d'), int32 ('i') or uint16
+    ('H') values, copied once where values already is a C-contiguous
+    buffer of that type on a little-endian machine."""
+    try:
+        view = memoryview(values)
+    except TypeError:
+        view = None
+    if (view is not None and view.format == typecode and view.c_contiguous
+            and sys.byteorder == "little"):
+        return view.tobytes()
+    data = array(typecode, values if view is None else view.tolist())
+    if sys.byteorder != "little":
+        data.byteswap()
+    return data.tobytes()
+
+
+# --- dataset.tsv and provenance.json, as dataset.write_dataset writes them ----
+
+SPLIT_NAMES = ("train", "valid", "test")
+DATASET_COLUMNS = ("pair_key", "split", "receptor_id", "receptor_fasta",
+                   "ligand_smiles", "ki_nm", "log_ki")
+TSV_DIGEST = "dataset_tsv_sha256"       # the provenance.json key
+
+
+def file_digest(path) -> str:
+    """The sha256 of a file's bytes, as hex."""
+    import hashlib                      # only ingest and featurize digest files
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def _read_provenance(path) -> dict:
+    """The document of a provenance.json; one that is not JSON, is not a
+    JSON object, or holds a source_digest that is not a string raises
+    DatasetFormatError naming the file."""
+    provenance = _read_json(path, DatasetFormatError)
+    if not isinstance(provenance, dict) or not isinstance(
+            provenance.get("source_digest", ""), str):
+        raise DatasetFormatError(f"{path}: expected a JSON object whose "
+                                 "source_digest is a string")
+    return provenance
+
+
+def _dataset_rows(fh):
+    """(line number, cells) of each row of an open dataset.tsv, blank lines
+    skipped, after the checks every row gets: a header other than
+    DATASET_COLUMNS, or a row with a wrong column count, an unknown split or
+    the pair key of an earlier line, raises DatasetFormatError naming the
+    line."""
+    header = tuple(fh.readline().rstrip("\n").split("\t"))
+    if header != DATASET_COLUMNS:
+        raise DatasetFormatError(f"unexpected dataset columns {header}")
+    key_lines: dict[str, int] = {}
+    for line_no, raw in enumerate(fh, start=2):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(DATASET_COLUMNS):
+            raise DatasetFormatError(f"bad row at line {line_no}")
+        if cells[1] not in SPLIT_NAMES + ("unassigned",):
+            raise DatasetFormatError(f"bad split {cells[1]!r} at line {line_no}")
+        first = key_lines.setdefault(cells[0], line_no)
+        if first != line_no:
+            raise DatasetFormatError(
+                f"duplicate pair_key {cells[0]} at line {line_no} "
+                f"(first at line {first})")
+        yield line_no, cells
+
+
+def _checked_log_ki(ki_nm: str, log_ki: str, line_no: int, bounds) -> float:
+    """The log_ki cell of a dataset.tsv row as a float; DatasetFormatError
+    naming the line unless it is finite, the ki_nm cell is the
+    repr(10.0 ** log_ki) that write_dataset writes, and it lies within the
+    log10 of bounds, a config.KiBounds (ingest keeps a Ki within bounds as
+    log10(Ki), and 10.0 ** that can round just outside them)."""
+    try:
+        value = float(log_ki)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DatasetFormatError(f"bad log_ki {log_ki!r} at line {line_no}")
+    try:
+        expected = repr(10.0 ** value)
+    except OverflowError:
+        expected = None
+    if ki_nm != expected:
+        raise DatasetFormatError(
+            f"ki_nm {ki_nm!r} does not match log_ki {log_ki!r} "
+            f"at line {line_no}")
+    if not math.log10(bounds.min_nm) <= value <= math.log10(bounds.max_nm):
+        raise DatasetFormatError(
+            f"ki_nm {ki_nm!r} outside the curation window "
+            f"[{bounds.min_nm!r}, {bounds.max_nm!r}] at line {line_no}")
+    return value

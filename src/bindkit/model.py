@@ -8,8 +8,9 @@ distinct dense rows, a CSR of the set bits of each distinct bit row and a
 per-row index into both: dense columns through a float64 memoryview, bit
 columns by membership in each distinct bit row's set of bits, read as 0
 or 1, so a bit column routes as its dense float column would.  It also
-writes that directory (write_features), importing numpy for np.save when
-it does.
+writes that directory (write_features), with the .npy writer of metrics,
+and takes the rows of one split from a dataset's feature store
+(Features.take), so featurize can serve a split without numpy.
 """
 from __future__ import annotations
 
@@ -27,11 +28,12 @@ from operator import ge, gt
 from .config import MAX_DEPTH, MAX_NBITS, TrainParams
 from .errors import (DatasetError, DimensionMismatchError,
                      FingerprintFormatError, GbdtError)
-from .metrics import _native, _npy_payload, _read_json, _write_json
+from .metrics import (_little, _native, _npy_payload, _read_json, _write_json,
+                      _write_npy)
 
 __all__ = ["Features", "Tree", "GbdtModel", "ModelFormatError",
-           "ModelVersionError", "column_names", "save_model", "load_model",
-           "read_features", "write_features"]
+           "ModelVersionError", "STORE_DIR", "STORE_VERSION", "column_names",
+           "save_model", "load_model", "read_features", "write_features"]
 
 MODEL_FORMAT = "bindkit-gbdt"
 MODEL_VERSION = "3"
@@ -39,6 +41,11 @@ DENSE_FILE = "descriptors.npy"
 BITS_FILE = "fingerprints.npy"
 OFFSETS_FILE = "fingerprint_offsets.npy"
 INDEX_FILE = "pairs.npy"
+# A dataset directory's feature store: a feature directory of every record,
+# in dataset.tsv order, that ingest writes and featurize selects a split
+# from.  STORE_VERSION changes with any change to the bytes of its files.
+STORE_DIR = "features"
+STORE_VERSION = "1"
 
 
 class ModelFormatError(GbdtError):
@@ -124,6 +131,27 @@ class Features:
                    memoryview(np.zeros(n + 1, dtype=np.int32)),
                    memoryview(np.zeros(0, dtype=np.uint16)), 0,
                    memoryview(np.arange(n, dtype=np.int32).repeat(2)))
+
+    def take(self, rows) -> Features:
+        """The matrix of the given rows of this one, in that order, holding
+        only the distinct dense and bit rows they use, each numbered by the
+        first row that uses it, as featurize_pairs numbers those of a
+        subset."""
+        n, pairs, offsets = self.n_dense, self.index.tolist(), self.offsets.tolist()
+        dense_new: dict[int, int] = {}
+        bit_new: dict[int, int] = {}
+        index = array("i")
+        for r in rows:
+            index.append(dense_new.setdefault(pairs[2 * r], len(dense_new)))
+            index.append(bit_new.setdefault(pairs[2 * r + 1], len(bit_new)))
+        dense, bits, starts = array("d"), array("H"), array("i", [0])
+        for d in dense_new:
+            dense.extend(self.dense[d * n:(d + 1) * n])
+        for b in bit_new:
+            bits.extend(self.indices[offsets[b]:offsets[b + 1]])
+            starts.append(len(bits))
+        return Features(memoryview(dense), len(dense_new), n, memoryview(starts),
+                        memoryview(bits), self.nbits, memoryview(index))
 
     @property
     def bit_rows(self) -> int:
@@ -308,17 +336,6 @@ def _check_tree(tree: Tree, feature_count: int, k: int) -> None:
 # --- on-disk feature directory -------------------------------------------------
 
 
-def _arrays(X: Features):
-    """The distinct dense rows, the bit row offsets, the set bits and the
-    index of X, as read-only numpy arrays over its buffers of shapes
-    (dense_rows, n_dense), (bit_rows + 1,), (number of set bits,) and (n, 2)."""
-    import numpy as np
-    return (np.frombuffer(X.dense.toreadonly(), dtype=np.float64)
-            .reshape(X.dense_rows, X.n_dense),
-            np.asarray(X.offsets.toreadonly()), np.asarray(X.indices.toreadonly()),
-            np.asarray(X.index.toreadonly()).reshape(len(X), 2))
-
-
 def column_names(dense_names, nbits: int) -> tuple[str, ...]:
     """The names of a matrix's columns: its dense columns' names, then
     fp_j for bit column j, the column n_dense + j."""
@@ -327,20 +344,19 @@ def column_names(dense_names, nbits: int) -> tuple[str, ...]:
 
 def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
     """Write a feature directory: the distinct dense rows of X as
-    descriptors.npy, the set bits of its distinct bit rows as
-    fingerprints.npy (<u2) and their row offsets as
+    descriptors.npy (<f8, dense_rows by n_dense), the set bits of its
+    distinct bit rows as fingerprints.npy (<u2) and their row offsets as
     fingerprint_offsets.npy (<i4, bit_rows + 1 of them), its index as
     pairs.npy (<i4, one row per matrix row: its dense row, its bit row),
-    y.npy, ids.txt (one pair key per line) and featurize.json, the sidecar
-    with the n_rows, n_columns and nbits of X.  sidecar["columns"], when
-    given, names every column of X as featurize_pairs does; featurize.json
-    lists its dense names only, since column_names rebuilds the rest from
-    nbits, and other names raise ValueError.  A non-finite dense value,
-    which read_features would refuse, raises DatasetError naming the file
-    and the first such column (by name, when given) before anything is
-    written."""
-    import numpy as np
-    dense, offsets, bits, index = _arrays(X)
+    y as y.npy (<f8), ids.txt (one pair key per line) and featurize.json,
+    the sidecar with the n_rows, n_columns and nbits of X.  Each .npy file
+    holds the bytes np.save writes of that array.  sidecar["columns"],
+    when given, names every column of X as featurize_pairs does;
+    featurize.json lists its dense names only, since column_names rebuilds
+    the rest from nbits, and other names raise ValueError.  A non-finite
+    dense value, which read_features would refuse, raises DatasetError
+    naming the file and the first such column (by name, when given) before
+    anything is written."""
     meta = {**sidecar, "n_rows": X.shape[0], "n_columns": X.shape[1],
             "nbits": X.nbits}
     names = sidecar.get("columns")
@@ -349,21 +365,24 @@ def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
         if tuple(names) != column_names(meta["columns"], X.nbits):
             raise ValueError(f"columns must be column_names of {X.n_dense} "
                              f"dense names and {X.nbits} bits")
-    bad = np.flatnonzero(~np.isfinite(dense).all(axis=0))
-    if bad.size:
-        f = int(bad[0])
+    if not _finite(X.dense):
+        f = min(i % X.n_dense for i, v in enumerate(X.dense.tolist())
+                if not math.isfinite(v))
         raise DatasetError(
             f"cannot write {os.path.join(outdir, DENSE_FILE)}: non-finite "
             f"value in column {f}" + (f" ({names[f]})" if names else ""))
+    targets = _little(y, "d")
     os.makedirs(outdir, exist_ok=True)
-    np.save(os.path.join(outdir, DENSE_FILE), dense)
-    np.save(os.path.join(outdir, BITS_FILE), bits.astype("<u2"))
-    np.save(os.path.join(outdir, OFFSETS_FILE), offsets.astype("<i4"))
-    np.save(os.path.join(outdir, INDEX_FILE), index.astype("<i4"))
-    np.save(os.path.join(outdir, "y.npy"), y)
+    for name, descr, shape, data in (
+            (DENSE_FILE, "<f8", (X.dense_rows, X.n_dense), _little(X.dense, "d")),
+            (BITS_FILE, "<u2", (len(X.indices),), _little(X.indices, "H")),
+            (OFFSETS_FILE, "<i4", (len(X.offsets),), _little(X.offsets, "i")),
+            (INDEX_FILE, "<i4", (len(X), 2), _little(X.index, "i")),
+            ("y.npy", "<f8", (len(targets) // 8,), targets)):
+        _write_npy(os.path.join(outdir, name), descr, shape, data)
     with open(os.path.join(outdir, "ids.txt"), "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.write("".join(i + "\n" for i in ids))
+        fh.writelines(i + "\n" for i in ids)
     _write_json(os.path.join(outdir, "featurize.json"), meta, DatasetError)
 
 

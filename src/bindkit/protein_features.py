@@ -9,12 +9,12 @@ DESCRIPTOR_LAYOUT, receptor_graph_features into a GraphFeatures record.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from .config import DEFAULT_PROPERTY_TABLE, property_table_bytes
 from .errors import DataError
 from .fasta import RESIDUE_CODES, ProteinSequence
 from .ligand_features import GraphFeatures
@@ -149,12 +149,9 @@ def _parse_property_table(lines, path) -> ResiduePropertyTable:
 
 @lru_cache(maxsize=1)
 def default_table() -> ResiduePropertyTable:
-    """The shipped table, read through this package's loader (a file on
-    disk or a zip member alike) without importing importlib.resources,
-    which pulls in pathlib, tempfile, shutil and zipfile."""
-    path = os.path.join(os.path.dirname(__file__), "data", "residue_properties.csv")
-    text = __spec__.loader.get_data(path).decode("utf-8")
-    return _parse_property_table(text.splitlines(), path)
+    """The shipped table, config.DEFAULT_PROPERTY_TABLE."""
+    text = property_table_bytes(None).decode("utf-8")
+    return _parse_property_table(text.splitlines(), DEFAULT_PROPERTY_TABLE)
 
 
 def _gather(residues: str, table: ResiduePropertyTable) -> np.ndarray:

@@ -7,6 +7,7 @@ FASTA references cannot resolve).
 """
 import ast
 import collections
+import hashlib
 import json
 import math
 import os
@@ -24,12 +25,12 @@ from hypothesis import given, settings, strategies as st
 import bindkit.cli
 import bindkit.smiles
 from bindkit.cli import _block_json, main
-from bindkit.config import load_config
+from bindkit.config import DEFAULT_PROPERTY_TABLE, load_config
 from bindkit.dataset import load_dataset
 from bindkit.errors import DataError, FingerprintFormatError
 from bindkit.gbdt import load_model
 from bindkit.ligand_features import GraphFeatures, graph_block
-from bindkit.model import Features, read_features, write_features
+from bindkit.model import STORE_VERSION, Features, read_features, write_features
 from bindkit.protein_features import (
     DESCRIPTOR_LAYOUT,
     PROPERTIES,
@@ -163,6 +164,15 @@ def pipeline(tmp_path_factory):
             "model": model, "preds": preds, "report": report, "graphs": graphs}
 
 
+def without_store(pipeline, tmp_path):
+    """A copy of the fixture dataset directory without its feature store,
+    so featurize computes the features."""
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    shutil.rmtree(data / "features")
+    return data
+
+
 def test_ingest_provenance(pipeline):
     prov = json.loads(
         (pathlib.Path(pipeline["data"]) / "provenance.json").read_text())
@@ -253,6 +263,205 @@ def test_featurize_artifacts(pipeline):
     assert sidecar["table_version"] == "bindkit-aa-v1"
     assert sidecar["config_digest"] == load_config(pipeline["cfg"]).digest()
     assert read_features(pipeline["feats"]["test"])[0].shape[0] == 3
+
+
+# --- the dataset's feature store ------------------------------------------------
+
+
+def files(path):
+    """The bytes of each file of a directory, by name."""
+    return {p.name: p.read_bytes() for p in pathlib.Path(path).iterdir()}
+
+
+def featurized(cfg, data, out, capsys, subset="test"):
+    """The files featurize writes of subset and its progress line."""
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "featurize", "--dataset", str(data),
+                 "--subset", subset, "--out", str(out)]) == 0
+    return files(out), capsys.readouterr().err
+
+
+def test_ingest_writes_the_feature_store(pipeline):
+    """The store is the feature directory of every record in dataset.tsv
+    order, stamped with the dataset.tsv digest that provenance.json
+    records, the radius and nbits, the property table's digest and the
+    store version."""
+    data = pathlib.Path(pipeline["data"])
+    store = json.loads((data / "features" / "featurize.json").read_text())
+    prov = json.loads((data / "provenance.json").read_text())
+    shipped = pathlib.Path(DEFAULT_PROPERTY_TABLE).read_bytes()
+    assert store["dataset_tsv_sha256"] == prov["dataset_tsv_sha256"]
+    assert (store["radius"], store["nbits"], store["subset"]) == (2, 256, "all")
+    assert store["table_sha256"] == hashlib.sha256(shipped).hexdigest()
+    assert store["store_version"] == STORE_VERSION
+    keys = [line.split("\t")[0] for line in
+            (data / "dataset.tsv").read_text().splitlines()[1:]]
+    assert (data / "features" / "ids.txt").read_text().splitlines() == keys
+
+
+@pytest.mark.parametrize("subset", ["train", "valid", "test", "all"])
+def test_store_and_computed_features_are_the_same_bytes(pipeline, tmp_path,
+                                                        capsys, subset):
+    """featurize reads its split from the store, or, without one, computes
+    it, into the same bytes; the store's arrays and ids are those of the
+    computed "all" directory."""
+    cfg = pipeline["cfg"]
+    read, err = featurized(cfg, pipeline["data"], tmp_path / "read", capsys, subset)
+    assert "read from the dataset's feature store" in err, err
+    computed, err = featurized(cfg, without_store(pipeline, tmp_path),
+                               tmp_path / "computed", capsys, subset)
+    assert "computed: the dataset has no feature store" in err, err
+    assert read == computed
+    if subset == "all":
+        store = files(pathlib.Path(pipeline["data"]) / "features")
+        assert {k: v for k, v in store.items() if k != "featurize.json"} == \
+            {k: v for k, v in read.items() if k != "featurize.json"}
+
+
+def _config_with(old, new):
+    def edit(data, tmp_path, pipeline):
+        text = pathlib.Path(pipeline["cfg"]).read_text()
+        assert old in text
+        return text.replace(old, new)
+    return edit
+
+
+def _table_with_a_comment(data, tmp_path, pipeline):
+    table = tmp_path / "table.csv"
+    table.write_text("# the shipped values\n"
+                     + pathlib.Path(DEFAULT_PROPERTY_TABLE).read_text())
+    return pathlib.Path(pipeline["cfg"]).read_text() + f"property_table = '{table}'\n"
+
+
+def _edited(edit):
+    def damage(data, tmp_path, pipeline):
+        edit(data, tmp_path, pipeline)
+        return pathlib.Path(pipeline["cfg"]).read_text()
+    return damage
+
+
+def _append_blank_line(data, tmp_path, pipeline):
+    with open(data / "dataset.tsv", "a", encoding="utf-8") as fh:
+        fh.write("\n")
+
+
+def _store_of_another_split(data, tmp_path, pipeline):
+    other = tmp_path / "other"
+    assert main(["--quiet", "--config", pipeline["cfg"], "--seed", "12", "ingest",
+                 "--in", RAW, "--out", str(other)]) == 0
+    shutil.rmtree(data / "features")
+    shutil.copytree(other / "features", data / "features")
+
+
+def _store_version(data, tmp_path, pipeline):
+    path = data / "features" / "featurize.json"
+    path.write_text(json.dumps(dict(json.loads(path.read_text()),
+                                    store_version="0")))
+
+
+# Why featurize computes, by how the dataset directory or the config
+# differs from the fixture's: the edit (it returns the config text), the
+# reason on the progress line, and whether the features keep the bytes of
+# the fixture's test directory (a config edit changes the config_digest of
+# featurize.json, if nothing else).
+STORE_MISSES = {
+    "no store": (_edited(lambda data, *_: shutil.rmtree(data / "features")),
+                 "the dataset has no feature store", True),
+    "dataset.tsv edited": (_edited(_append_blank_line),
+                           "dataset.tsv is not the file provenance.json records",
+                           True),
+    "digest edited": (_edited(lambda data, *_: set_tsv_digest(data, "0" * 64)),
+                      "dataset.tsv is not the file provenance.json records", True),
+    "store of another dataset.tsv": (
+        _edited(_store_of_another_split),
+        "the feature store was written for another dataset.tsv", True),
+    "radius": (_config_with("nbits = 256", "nbits = 256\nradius = 1"),
+               "the feature store has radius 2, not 1", False),
+    "nbits": (_config_with("nbits = 256", "nbits = 512"),
+              "the feature store has nbits 256, not 512", False),
+    "property table": (_table_with_a_comment,
+                       "the feature store was written with another property table",
+                       False),
+    "store version": (_edited(_store_version),
+                      f"the feature store is version '0', not '{STORE_VERSION}'",
+                      True),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(STORE_MISSES))
+def test_each_reason_to_compute_gives_the_computed_bytes(pipeline, tmp_path,
+                                                         capsys, reason):
+    edit, message, unchanged = STORE_MISSES[reason]
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    cfg = tmp_path / "edited.toml"
+    cfg.write_text(edit(data, tmp_path, pipeline))
+    got, err = featurized(cfg, data, tmp_path / "got", capsys)
+    assert f"computed: {message} ->" in err, err
+    bare = tmp_path / "bare"
+    shutil.copytree(data, bare)
+    shutil.rmtree(bare / "features", ignore_errors=True)
+    assert got == featurized(cfg, bare, tmp_path / "want", capsys)[0]
+    assert (got == files(pipeline["feats"]["test"])) is unchanged
+
+
+def _store_of_the_test_split(store, pipeline):
+    """The arrays of the fixture's 3-row test directory under the store's
+    featurize.json, its n_rows set to 3: a consistent feature directory of
+    another row count than dataset.tsv."""
+    meta = json.loads((store / "featurize.json").read_text())
+    for name in os.listdir(store):
+        os.remove(store / name)
+    for name, data in files(pipeline["feats"]["test"]).items():
+        (store / name).write_bytes(data)
+    (store / "featurize.json").write_text(json.dumps(dict(meta, n_rows=3)))
+
+
+@pytest.mark.parametrize("name, damage", [
+    ("fingerprints.npy", lambda store, _: (store / "fingerprints.npy").write_bytes(
+        (store / "fingerprints.npy").read_bytes()[:-2])),
+    ("pairs.npy", lambda store, _: os.remove(store / "pairs.npy")),
+    ("descriptors.npy", lambda store, _: np.save(
+        store / "descriptors.npy", np.load(store / "descriptors.npy").astype("<f4"))),
+    ("ids.txt", lambda store, _: (store / "ids.txt").write_text("extra\n")),
+    ("featurize.json", lambda store, _: (store / "featurize.json").write_text("{")),
+    ("featurize.json", lambda store, _: (store / "featurize.json").write_text("[]")),
+    ("featurize.json", _store_of_the_test_split),
+], ids=["truncated bits", "no index", "float32 descriptors", "ids count",
+        "not JSON", "not an object", "row count"])
+def test_damaged_store_exits_2_naming_the_file(pipeline, tmp_path, capsys, name,
+                                               damage):
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    damage(data / "features", pipeline)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["--quiet", "--config", pipeline["cfg"], "featurize", "--dataset",
+                 str(data), "--subset", "test", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(data / "features" / name) in err, err
+    assert not out.exists()
+
+
+def test_empty_subset_exits_2_with_or_without_a_store(tmp_path, capsys):
+    """Three records split 80:10:10 leave valid empty."""
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("receptor_fasta\tligand_smiles\tki_nm\n"
+                   "ACDEFGHIKL\tCCO\t10\nACDEFGHIKL\tCCN\t20\n"
+                   "ACDEFGHIKL\tc1ccccc1\t30\n")
+    data = tmp_path / "dataset"
+    assert main(["--quiet", "ingest", "--in", str(raw), "--out", str(data)]) == 0
+    assert json.loads((data / "provenance.json").read_text())["split_sizes"]["valid"] == 0
+    bare = tmp_path / "bare"
+    shutil.copytree(data, bare)
+    shutil.rmtree(bare / "features")
+    for dataset in (data, bare):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["--quiet", "featurize", "--dataset", str(dataset),
+                     "--subset", "valid", "--out", str(out)]) == 2
+        assert "subset 'valid' is empty" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_train_artifacts(pipeline):
@@ -433,6 +642,30 @@ def test_overflowing_property_table_writes_no_features(pipeline, tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "descriptors.npy" in proc.stderr and "column 0 (charge_mean)" in proc.stderr
     assert "Warning" not in proc.stderr, proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("table, message", [
+    (lambda lines: lines[:3] + [lines[3] + ",1.0"] + lines[4:], "line 4: "),
+    (lambda lines: [lines[0]] + [f"{line.split(',', 1)[0]},1e308,"
+                                 + line.split(",", 2)[2] for line in lines[1:]],
+     "column 0 (charge_mean)"),
+], ids=["malformed", "overflowing"])
+def test_ingest_refuses_a_table_featurize_refuses(tmp_path, capsys, table,
+                                                 message):
+    """ingest featurizes every record for the dataset's feature store, so a
+    property table that featurize refuses exits 2 before any file is
+    written."""
+    path = tmp_path / "table.csv"
+    path.write_text("\n".join(table(table_lines())) + "\n")
+    cfg = tmp_path / "table.toml"
+    cfg.write_text(f"[paths]\nproperty_table = '{path}'\n")
+    out = tmp_path / "dataset"
+    capsys.readouterr()
+    assert main(["--quiet", "--config", str(cfg), "ingest", "--in", RAW,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and message in err, err
     assert not out.exists()
 
 
@@ -774,12 +1007,11 @@ def distinct_ligands(data, split_name):
 @pytest.mark.parametrize("digest", ["as ingest wrote it", "edited", "deleted"])
 def test_only_a_trusted_load_skips_the_other_subsets(pipeline, tmp_path,
                                                      monkeypatch, digest):
-    """featurize --subset test of the dataset ingest wrote parses each
-    distinct test ligand once and no other; with the digest edited or
-    deleted it parses every distinct ligand of the file.  The features are
-    the same bytes either way."""
-    data = tmp_path / "dataset"
-    shutil.copytree(pipeline["data"], data)
+    """Without a feature store, featurize --subset test of the dataset
+    ingest wrote parses each distinct test ligand once and no other; with
+    the digest edited or deleted it parses every distinct ligand of the
+    file.  The features are the same bytes either way."""
+    data = without_store(pipeline, tmp_path)
     if digest != "as ingest wrote it":
         set_tsv_digest(data, "0" * 64 if digest == "edited" else None)
     calls = collections.Counter()
@@ -939,9 +1171,10 @@ def test_every_json_artifact_is_strict_json(pipeline):
         raise AssertionError(f"non-finite token {constant}")
 
     paths = sorted(pipeline["root"].rglob("*.json"))
+    # three feature directories and the dataset's feature store
     assert sorted(path.name for path in paths) == [
-        "featurize.json", "featurize.json", "featurize.json", "model.json",
-        "model.json.metrics.json", "provenance.json", "report.json"]
+        "featurize.json", "featurize.json", "featurize.json", "featurize.json",
+        "model.json", "model.json.metrics.json", "provenance.json", "report.json"]
     for path in paths:
         json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
 
@@ -1123,13 +1356,16 @@ _PIPELINE_MODULES = """cli config dataset errors fasta ligand_features
     metrics model protein_features smiles"""
 
 # For each command: whether it loads numpy, and the bindkit modules it loads.
-# The numpy-free commands also load neither hashlib nor traceback (nor
-# logging, which imports traceback).  No command loads statistics (with
-# decimal and fractions) or importlib.resources (with pathlib, tempfile and
-# zipfile).
+# The numpy-free commands also load neither traceback (nor logging, which
+# imports traceback) nor, but for featurize, which digests dataset.tsv and
+# the property table, hashlib.  No command loads statistics (with decimal
+# and fractions) or importlib.resources (with pathlib, tempfile and
+# zipfile).  featurize of the fixture dataset reads its feature store;
+# "featurize, computed" runs on a copy without one.
 COMMAND_MODULES = {
     "ingest": (True, _PIPELINE_MODULES),
-    "featurize": (True, _PIPELINE_MODULES),
+    "featurize": (False, "cli config errors metrics model"),
+    "featurize, computed": (True, _PIPELINE_MODULES),
     "export-graphs": (True, _PIPELINE_MODULES),
     "train": (True, "cli config errors gbdt metrics model"),
     "predict": (False, "cli config errors metrics model"),
@@ -1143,12 +1379,15 @@ def test_command_loads_only_its_modules(pipeline, tmp_path, command):
     args = {
         "ingest": ["--in", RAW],
         "featurize": ["--dataset", pipeline["data"], "--subset", "test"],
+        "featurize, computed": ["--dataset", str(without_store(pipeline, tmp_path)),
+                                "--subset", "test"],
         "export-graphs": ["--dataset", pipeline["data"], "--subset", "test"],
         "train": ["--train", feats["train"]],
         "predict": ["--model", pipeline["model"], "--features", feats["test"]],
         "evaluate": ["--pred", pipeline["preds"], "--truth", feats["test"]],
     }[command]
-    argv = ["--quiet", "--config", pipeline["cfg"], command, *args, "--out", out]
+    argv = ["--quiet", "--config", pipeline["cfg"], command.split(",")[0], *args,
+            "--out", out]
     # The child runs without site (python -S), whose .pth files may import
     # modules themselves, with bindkit's and numpy's directories on its path.
     paths = [str(pathlib.Path(module.__file__).parent.parent) for module in (bindkit.cli, np)]
@@ -1170,7 +1409,7 @@ def test_command_loads_only_its_modules(pipeline, tmp_path, command):
     loaded, stdlib, unwanted = proc.stdout.splitlines()
     assert loaded == f"{numpy} {sorted(modules.split())}"
     if not numpy:
-        assert stdlib == "[]"
+        assert stdlib == ("['hashlib']" if command == "featurize" else "[]")
     assert unwanted == "[]"
 
 
@@ -1189,8 +1428,9 @@ atexit.register(_threads)
 
 def _featurize_threads(pipeline, tmp_path, blas_threads):
     """The threads at exit of `python -m bindkit.cli featurize` of the test
-    split, with OPENBLAS_NUM_THREADS unset or as given; its features must
-    have the bytes of the in-process run."""
+    split of a dataset without a feature store, the path that loads numpy,
+    with OPENBLAS_NUM_THREADS unset or as given; its features must have
+    the bytes of the in-process run."""
     if not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc/self/status")
     hook = tmp_path / "hook"
@@ -1204,8 +1444,9 @@ def _featurize_threads(pipeline, tmp_path, blas_threads):
     out = tmp_path / "feat"
     proc = subprocess.run(
         [sys.executable, "-m", "bindkit.cli", "--quiet", "--config", pipeline["cfg"],
-         "featurize", "--dataset", pipeline["data"], "--subset", "test",
-         "--out", str(out)], env=env, capture_output=True, text=True)
+         "featurize", "--dataset", str(without_store(pipeline, tmp_path)),
+         "--subset", "test", "--out", str(out)], env=env, capture_output=True,
+        text=True)
     assert proc.returncode == 0, proc.stderr
     expected = pathlib.Path(pipeline["feats"]["test"])
     assert sorted(os.listdir(out)) == sorted(os.listdir(expected))
@@ -1799,6 +2040,31 @@ def test_write_features_lists_the_dense_names_only(tmp_path):
             write_features(tmp_path / "bad", X, np.zeros(2), ["p0", "p1"],
                            {"columns": bad})
         assert not (tmp_path / "bad").exists()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6),
+       st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29),
+                          st.sampled_from((math.nan, math.inf, -math.inf, 1e308))),
+                max_size=4))
+def test_write_features_names_the_first_non_finite_column(rows, columns, cells):
+    """write_features refuses a non-finite dense value naming the lowest
+    column that holds one, the column np.flatnonzero finds, and writes
+    nothing; finite values whose sum overflows are written."""
+    dense = np.arange(rows * columns, dtype=np.float64).reshape(rows, columns)
+    for r, c, value in cells:
+        dense[r % rows, c % columns] = value
+    bad = np.flatnonzero(~np.isfinite(dense).all(axis=0))
+    X = Features.from_array(dense)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "feats")
+        if not bad.size:
+            write_features(out, X, np.zeros(rows), ["p"] * rows, {})
+            assert bytes(read_features(out)[0].dense) == dense.tobytes()
+            return
+        with pytest.raises(DataError, match=f"non-finite value in column {bad[0]}$"):
+            write_features(out, X, np.zeros(rows), ["p"] * rows, {})
+        assert not os.path.exists(out)
 
 
 def test_sidecar_nbits_above_the_cap_is_rejected(pipeline, tmp_path, capsys):

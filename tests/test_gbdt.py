@@ -939,6 +939,24 @@ def test_feature_directory_round_trip(X):
     assert got_y.tolist() == y.tolist()
 
 
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(factored_store(), st.data())
+def test_take_keeps_the_rows_and_numbers_blocks_by_first_use(X, data):
+    """X.take(rows) is the matrix of those rows of X, in that order, with
+    only the dense and bit rows they use, numbered by first use."""
+    rows = data.draw(st.lists(st.integers(0, len(X) - 1), unique=True)
+                     if len(X) else st.just([]))
+    got = X.take(rows)
+    assert (got.n_dense, got.nbits, len(got)) == (X.n_dense, X.nbits, len(rows))
+    assert np.array_equal(dense_matrix(got), dense_matrix(X)[rows])
+    for column in (got.index[0::2].tolist(), got.index[1::2].tolist()):
+        firsts = list(dict.fromkeys(column))
+        assert firsts == list(range(len(firsts)))
+    assert (got.dense_rows, got.bit_rows) == (
+        len(set(X.index[0::2].tolist()[r] for r in rows)),
+        len(set(X.index[1::2].tolist()[r] for r in rows)))
+
+
 def test_validation_through_the_factored_router():
     """train routes a factored validation set, whose 90 rows repeat 7 dense
     rows and 11 bit rows, through _leaves: its MAEs and best iteration are

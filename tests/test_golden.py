@@ -47,6 +47,9 @@ read_features rebuilds the full list before it takes the schema CRC.  That
 schema (FIXTURE_SCHEMA), recorded before the change, the model and pred.txt
 digests and every other file's digest did not change, and a model trained
 before the change (fixtures/model_4_trees.json) still predicts.
+The GOLDEN_STORE digests were recorded when ingest began writing the
+dataset's feature store, from which featurize selects its split; every
+other digest did not change.
 """
 import csv
 import hashlib
@@ -65,7 +68,7 @@ from bindkit.config import config_from_mapping
 from bindkit.dataset import pair_key
 from bindkit.fasta import ProteinSequence
 from bindkit.gbdt import TrainParams, save_model, train
-from bindkit.model import read_features
+from bindkit.model import STORE_VERSION, read_features
 from bindkit.smiles import ParseError, from_smiles, parse_smiles
 from testutil import FULL_TOML, dense_matrix, on_bits
 
@@ -208,6 +211,20 @@ GOLDEN_ARTIFACTS = {
 }
 
 
+# The store version, and the digests of the two blocks of the feature store
+# that ingest writes into the fixture's dataset directory.  featurize serves
+# a split only from a store of its own STORE_VERSION, so a change to the
+# bytes of either block (another fingerprint hash, descriptor or layout)
+# fails here until the version changes with it; a store written before the
+# change is then computed afresh, never served stale.
+GOLDEN_STORE = ("1", {
+    "dataset/features/descriptors.npy":
+        "a56e757d91c35e2bcfff177866fa4770e15f710f2f4d7f954980e74e05a08a89",
+    "dataset/features/fingerprints.npy":
+        "33b66978e02ad2490d51ce1edba30f23b574035dad0add551a43f765ade85076",
+})
+
+
 @pytest.fixture(scope="module")
 def fixture_pipeline(tmp_path_factory):
     """Ingest the CLI fixture table, featurize train and valid (256-bit ECFP),
@@ -273,6 +290,13 @@ def artifact_bytes(path):
 def test_pinned_pipeline_artifacts(name, fixture_pipeline):
     digest = hashlib.sha256(artifact_bytes(fixture_pipeline / name)).hexdigest()
     assert digest == GOLDEN_ARTIFACTS[name]
+
+
+def test_pinned_store_version_and_blocks(fixture_pipeline):
+    version, digests = GOLDEN_STORE
+    assert STORE_VERSION == version
+    assert {name: hashlib.sha256((fixture_pipeline / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
 
 def test_pinned_feature_schema(fixture_pipeline, fixture_features):

@@ -25,6 +25,7 @@ from bindkit.metrics import (
     MetricsError,
     _load_vector,
     _npy_payload,
+    _write_npy,
     binned_mae,
     build_report,
     classify_accuracy,
@@ -40,6 +41,43 @@ def _read_npy(path, dtype, ndim):
     descr = np.dtype(dtype).newbyteorder("<").str
     shape, data = _npy_payload(path, descr, ndim, DatasetError)
     return np.frombuffer(data, dtype=descr).reshape(shape)
+
+
+# Each dtype and rank write_features writes: descriptors.npy (<f8, 2-D),
+# y.npy (<f8, 1-D), fingerprints.npy (<u2, 1-D), fingerprint_offsets.npy
+# (<i4, 1-D) and pairs.npy (<i4, 2-D), empty ones included.
+WRITTEN_ARRAYS = [("<f8", (0, 78)), ("<f8", (3, 78)), ("<f8", (2, 0)),
+                  ("<f8", (0,)), ("<f8", (22,)), ("<u2", (0,)), ("<u2", (417,)),
+                  ("<i4", (0,)), ("<i4", (13,)), ("<i4", (0, 2)), ("<i4", (22, 2)),
+                  ("<i4", (100_000, 2))]
+
+
+@pytest.mark.parametrize("descr, shape", WRITTEN_ARRAYS)
+def test_npy_writer_writes_the_bytes_of_np_save(tmp_path, descr, shape):
+    rng = np.random.default_rng(sum(shape))
+    if descr == "<f8":
+        array_ = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        array_.flat[:3] = [-0.0, 5e-324, 1.7976931348623157e308][:array_.size]
+    else:
+        info = np.iinfo(descr)
+        array_ = rng.integers(info.min, info.max, shape, endpoint=True, dtype=descr)
+    np.save(tmp_path / "numpy.npy", array_)
+    _write_npy(tmp_path / "bindkit.npy", descr, shape, array_.tobytes())
+    assert (tmp_path / "bindkit.npy").read_bytes() == \
+        (tmp_path / "numpy.npy").read_bytes()
+    assert _npy_payload(tmp_path / "bindkit.npy", descr, len(shape), DatasetError) \
+        == (shape, array_.tobytes())
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.sampled_from(("<f8", "<i4", "<u2")), st.integers(0, 10 ** 18))
+def test_npy_writer_pads_every_header_as_np_save_does(tmp_path_factory, descr, n):
+    """The header grows with the digits of the first axis; an n x 0 array
+    holds no data, so any n is cheap to save."""
+    path = tmp_path_factory.mktemp("npy")
+    np.save(path / "numpy.npy", np.zeros((n, 0), dtype=descr))
+    _write_npy(path / "bindkit.npy", descr, (n, 0), b"")
+    assert (path / "bindkit.npy").read_bytes() == (path / "numpy.npy").read_bytes()
 
 
 def test_mae_hand_values():
