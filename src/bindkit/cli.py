@@ -166,28 +166,38 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
     return 0
 
 
-def _from_store(path, subset: str, cfg: PipelineConfig):
-    """The (X, y, ids, sidecar) that featurize writes for subset of the
-    dataset directory at path, read from its feature store; or, where the
-    store cannot serve them, the reason, a string.
+def cmd_featurize(args, cfg: PipelineConfig) -> int:
+    """Write the features of --subset, selected from the dataset's feature
+    store.
 
     The store serves only the dataset.tsv whose sha256 both provenance.json
     and the store's featurize.json record, and only for the radius, nbits,
-    property-table bytes and STORE_VERSION it records.  Every row of
-    dataset.tsv gets the checks of load_dataset's trusted load; the rows of
-    subset give ids and y, their pair keys and log_ki, and select X from
-    the store.  A malformed provenance.json raises DatasetFormatError, and
-    a store that read_features refuses, whose featurize.json is not a JSON
-    object naming its columns and table_version, or whose row count is not
-    the dataset's raises DatasetError, naming the file."""
+    property-table bytes and STORE_VERSION it records; any other dataset,
+    and an --out that is the store itself, raises DatasetError naming the
+    reason before anything is written.  Every row of dataset.tsv gets the
+    checks of load_dataset's trusted load; the rows of the subset give ids
+    and y, their pair keys and log_ki, and select X from the store.  A
+    malformed provenance.json raises DatasetFormatError, and a store that
+    read_features refuses, whose featurize.json is not a JSON object naming
+    its columns and table_version, or whose row count is not the dataset's
+    raises DatasetError, naming the file."""
     from .model import STORE_DIR, STORE_VERSION, column_names
+    path, subset = args.dataset, args.subset
     store = os.path.join(path, STORE_DIR)
+    if os.path.realpath(args.out) == os.path.realpath(store):
+        raise DatasetError(f"--out {args.out} is the feature store of {path}, "
+                           "which featurize reads; choose another directory")
+
+    def stale(reason: str) -> DatasetError:
+        return DatasetError(f"{path}: {reason}; re-run bindkit ingest with "
+                            "this config to write its feature store")
+
     meta_path = os.path.join(store, "featurize.json")
     prov_path = os.path.join(path, "provenance.json")
     if not os.path.exists(meta_path):
-        return "the dataset has no feature store"
+        raise stale("the dataset has no feature store")
     if not os.path.exists(prov_path):
-        return "the dataset has no provenance.json"
+        raise stale("the dataset has no provenance.json")
     provenance = _read_provenance(prov_path)
     meta = _read_json(meta_path, DatasetError)
     if not (isinstance(meta, dict) and isinstance(meta.get("columns"), list)
@@ -195,19 +205,20 @@ def _from_store(path, subset: str, cfg: PipelineConfig):
         raise DatasetError(f"{meta_path}: expected a JSON object with a "
                            "columns list and a table_version string")
     if meta.get("store_version") != STORE_VERSION:
-        return (f"the feature store is version {meta.get('store_version')!r}, "
-                f"not {STORE_VERSION!r}")
+        raise stale(f"the feature store is version {meta.get('store_version')!r}, "
+                    f"not {STORE_VERSION!r}")
     for key in ("radius", "nbits"):
         if meta.get(key) != getattr(cfg, key):
-            return f"the feature store has {key} {meta.get(key)!r}, not {getattr(cfg, key)!r}"
+            raise stale(f"the feature store has {key} {meta.get(key)!r}, "
+                        f"not {getattr(cfg, key)!r}")
     if meta.get("table_sha256") != _table_digest(cfg):
-        return "the feature store was written with another property table"
+        raise stale("the feature store was written with another property table")
     tsv = os.path.join(path, "dataset.tsv")
     digest = file_digest(tsv)
     if provenance.get(TSV_DIGEST) != digest:
-        return "dataset.tsv is not the file provenance.json records"
+        raise stale("dataset.tsv is not the file provenance.json records")
     if meta.get(TSV_DIGEST) != digest:
-        return "the feature store was written for another dataset.tsv"
+        raise stale("the feature store was written for another dataset.tsv")
     bounds = cfg.bounds
     with open(tsv, "r", encoding="utf-8") as fh:
         checked = [(cells, _checked_log_ki(cells[5], cells[6], line_no, bounds))
@@ -220,31 +231,14 @@ def _from_store(path, subset: str, cfg: PipelineConfig):
     if len(X) != len(checked):
         raise DatasetError(f"{meta_path}: {len(X)} rows, but {tsv} holds "
                            f"{len(checked)} records")
+    X = X.take(rows)
     sidecar = _sidecar(cfg, column_names(meta["columns"], cfg.nbits),
                        provenance.get("source_digest", ""), subset,
                        meta["table_version"])
-    return (X.take(rows), array("d", [checked[i][1] for i in rows]),
-            [checked[i][0][0] for i in rows], sidecar)
-
-
-def cmd_featurize(args, cfg: PipelineConfig) -> int:
-    served = _from_store(args.dataset, args.subset, cfg)
-    if isinstance(served, str):
-        from . import dataset as ds_mod
-        dataset = ds_mod.load_dataset(args.dataset, cfg.bounds, args.subset)
-        table = _table_for(cfg)
-        X, y, columns, ids = ds_mod.featurize_pairs(
-            dataset, which=args.subset, radius=cfg.radius, nbits=cfg.nbits,
-            table=table)
-        sidecar = _sidecar(cfg, columns,
-                           dataset.provenance.get("source_digest", ""),
-                           args.subset, (table or _cli.default_table()).version)
-        how = f"computed: {served}"
-    else:
-        X, y, ids, sidecar = served
-        how = "read from the dataset's feature store"
-    _cli.write_features(args.out, X, y, ids, sidecar)
-    _info(args, f"featurized {args.subset}: X {X.shape} {how} -> {args.out}")
+    _cli.write_features(args.out, X, array("d", [checked[i][1] for i in rows]),
+                        [checked[i][0][0] for i in rows], sidecar)
+    _info(args, f"featurized {subset}: X {X.shape} read from the dataset's "
+                f"feature store -> {args.out}")
     return 0
 
 

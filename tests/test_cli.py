@@ -7,7 +7,9 @@ FASTA references cannot resolve).
 """
 import ast
 import collections
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -26,7 +28,7 @@ import bindkit.cli
 import bindkit.smiles
 from bindkit.cli import _block_json, main
 from bindkit.config import DEFAULT_PROPERTY_TABLE, load_config
-from bindkit.dataset import load_dataset
+from bindkit.dataset import featurize_pairs, load_dataset
 from bindkit.errors import DataError, FingerprintFormatError
 from bindkit.gbdt import load_model
 from bindkit.ligand_features import GraphFeatures, graph_block
@@ -164,15 +166,6 @@ def pipeline(tmp_path_factory):
             "model": model, "preds": preds, "report": report, "graphs": graphs}
 
 
-def without_store(pipeline, tmp_path):
-    """A copy of the fixture dataset directory without its feature store,
-    so featurize computes the features."""
-    data = tmp_path / "dataset"
-    shutil.copytree(pipeline["data"], data)
-    shutil.rmtree(data / "features")
-    return data
-
-
 def test_ingest_provenance(pipeline):
     prov = json.loads(
         (pathlib.Path(pipeline["data"]) / "provenance.json").read_text())
@@ -281,6 +274,52 @@ def featurized(cfg, data, out, capsys, subset="test"):
     return files(out), capsys.readouterr().err
 
 
+def computed(cfg, data, out, subset="test"):
+    """The files write_features writes of featurize_pairs of the records of
+    subset, as load_dataset reads them from data, with the sidecar featurize
+    writes: the bytes featurize selects from the store."""
+    config = load_config(str(cfg))
+    dataset = load_dataset(data, config.bounds, subset)
+    table = (default_table() if config.property_table is None
+             else load_property_table(config.property_table))
+    X, y, columns, ids = featurize_pairs(dataset, which=subset,
+                                         radius=config.radius,
+                                         nbits=config.nbits, table=table)
+    write_features(out, X, y, ids, {
+        "columns": columns, "config_digest": config.digest(),
+        "dataset_digest": dataset.provenance["source_digest"],
+        "radius": config.radius, "subset": subset,
+        "table_version": table.version})
+    return files(out)
+
+
+def child_main(argv):
+    """The exit code, whether numpy loaded, and the stderr of main(argv) in
+    a child python -S, with bindkit's and numpy's directories on its path."""
+    paths = [str(pathlib.Path(module.__file__).parent.parent)
+             for module in (bindkit.cli, np)]
+    code = ("import sys\n"
+            f"sys.path[:0] = {paths!r}\n"
+            "from bindkit.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True)
+    code, numpy = proc.stdout.split()
+    return int(code), numpy == "True", proc.stderr
+
+
+# The refusal featurize gives when dataset.tsv is not the file ingest wrote
+STALE = "dataset.tsv is not the file provenance.json records"
+
+
+def assert_refused(err, reason):
+    """err holds featurize's refusal of a dataset that its feature store
+    cannot serve: a data error naming reason and asking for an ingest."""
+    assert "data error" in err and reason in err, err
+    assert "re-run bindkit ingest with this config" in err, err
+
+
 def test_ingest_writes_the_feature_store(pipeline):
     """The store is the feature directory of every record in dataset.tsv
     order, stamped with the dataset.tsv digest that provenance.json
@@ -302,16 +341,13 @@ def test_ingest_writes_the_feature_store(pipeline):
 @pytest.mark.parametrize("subset", ["train", "valid", "test", "all"])
 def test_store_and_computed_features_are_the_same_bytes(pipeline, tmp_path,
                                                         capsys, subset):
-    """featurize reads its split from the store, or, without one, computes
-    it, into the same bytes; the store's arrays and ids are those of the
-    computed "all" directory."""
+    """featurize reads its split from the store into the bytes that
+    write_features writes of featurize_pairs of the split's records; the
+    store's arrays and ids are those of the computed "all" directory."""
     cfg = pipeline["cfg"]
     read, err = featurized(cfg, pipeline["data"], tmp_path / "read", capsys, subset)
     assert "read from the dataset's feature store" in err, err
-    computed, err = featurized(cfg, without_store(pipeline, tmp_path),
-                               tmp_path / "computed", capsys, subset)
-    assert "computed: the dataset has no feature store" in err, err
-    assert read == computed
+    assert read == computed(cfg, pipeline["data"], tmp_path / "computed", subset)
     if subset == "all":
         store = files(pathlib.Path(pipeline["data"]) / "features")
         assert {k: v for k, v in store.items() if k != "featurize.json"} == \
@@ -359,19 +395,21 @@ def _store_version(data, tmp_path, pipeline):
                                     store_version="0")))
 
 
-# Why featurize computes, by how the dataset directory or the config
-# differs from the fixture's: the edit (it returns the config text), the
-# reason on the progress line, and whether the features keep the bytes of
-# the fixture's test directory (a config edit changes the config_digest of
-# featurize.json, if nothing else).
+# Why the feature store cannot serve featurize, by how the dataset directory
+# or the config differs from the fixture's: the edit (it returns the config
+# text), the reason featurize's refusal names, and whether the features of
+# a new ingest keep the bytes of the fixture's test directory (a config edit
+# changes the config_digest of featurize.json, if nothing else).  featurize
+# once computed the features itself in each of these cases.
 STORE_MISSES = {
     "no store": (_edited(lambda data, *_: shutil.rmtree(data / "features")),
                  "the dataset has no feature store", True),
-    "dataset.tsv edited": (_edited(_append_blank_line),
-                           "dataset.tsv is not the file provenance.json records",
-                           True),
+    "no provenance.json": (
+        _edited(lambda data, *_: os.remove(data / "provenance.json")),
+        "the dataset has no provenance.json", True),
+    "dataset.tsv edited": (_edited(_append_blank_line), STALE, True),
     "digest edited": (_edited(lambda data, *_: set_tsv_digest(data, "0" * 64)),
-                      "dataset.tsv is not the file provenance.json records", True),
+                      STALE, True),
     "store of another dataset.tsv": (
         _edited(_store_of_another_split),
         "the feature store was written for another dataset.tsv", True),
@@ -391,18 +429,51 @@ STORE_MISSES = {
 @pytest.mark.parametrize("reason", sorted(STORE_MISSES))
 def test_each_reason_to_compute_gives_the_computed_bytes(pipeline, tmp_path,
                                                          capsys, reason):
+    """Each reason featurize once had to compute the features itself is a
+    refusal: exit 2, a data error naming the reason and asking for an
+    ingest with this config, no --out, and no numpy loaded.  The ingest it
+    asks for then makes featurize write the computed bytes."""
     edit, message, unchanged = STORE_MISSES[reason]
     data = tmp_path / "dataset"
     shutil.copytree(pipeline["data"], data)
     cfg = tmp_path / "edited.toml"
     cfg.write_text(edit(data, tmp_path, pipeline))
-    got, err = featurized(cfg, data, tmp_path / "got", capsys)
-    assert f"computed: {message} ->" in err, err
-    bare = tmp_path / "bare"
-    shutil.copytree(data, bare)
-    shutil.rmtree(bare / "features", ignore_errors=True)
-    assert got == featurized(cfg, bare, tmp_path / "want", capsys)[0]
+    out = tmp_path / "got"
+    code, numpy, err = child_main(["--config", str(cfg), "featurize", "--dataset",
+                                   str(data), "--subset", "test", "--out", str(out)])
+    assert (code, numpy) == (2, False), err
+    assert_refused(err, message)
+    assert not out.exists()
+    assert main(["--quiet", "--config", str(cfg), "ingest", "--in", RAW,
+                 "--out", str(data)]) == 0
+    got = featurized(cfg, data, out, capsys)[0]
+    assert got == computed(cfg, data, tmp_path / "want")
     assert (got == files(pipeline["feats"]["test"])) is unchanged
+
+
+@pytest.mark.parametrize("out", [
+    lambda data, _: data / "features",
+    lambda data, _: f"{data / 'features'}{os.sep}",
+    lambda data, _: data / "split" / ".." / "features",
+    lambda data, tmp_path: tmp_path / "link",
+], ids=["same path", "trailing separator", "dot-dot", "symlink"])
+def test_out_naming_the_feature_store_exits_2(pipeline, tmp_path, out):
+    """An --out that is the dataset's own feature store, by whatever path,
+    exits 2 naming it, before anything is written and without numpy; the
+    store keeps its bytes.  featurize used to replace the 28-row store with
+    the 3 rows of its split."""
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    (tmp_path / "link").symlink_to(data / "features")
+    before = files(data / "features")
+    target = str(out(data, tmp_path))
+    code, numpy, err = child_main(["--config", pipeline["cfg"], "featurize",
+                                   "--dataset", str(data), "--subset", "test",
+                                   "--out", target])
+    assert (code, numpy) == (2, False), err
+    assert "data error" in err and f"--out {target} is the feature store" in err, err
+    assert files(data / "features") == before
+    assert not (data / "split").exists()
 
 
 def _store_of_the_test_split(store, pipeline):
@@ -444,7 +515,9 @@ def test_damaged_store_exits_2_naming_the_file(pipeline, tmp_path, capsys, name,
 
 
 def test_empty_subset_exits_2_with_or_without_a_store(tmp_path, capsys):
-    """Three records split 80:10:10 leave valid empty."""
+    """Three records split 80:10:10 leave valid empty.  featurize and
+    export-graphs exit 2 naming the empty subset; featurize refuses the
+    dataset without a store first."""
     raw = tmp_path / "raw.tsv"
     raw.write_text("receptor_fasta\tligand_smiles\tki_nm\n"
                    "ACDEFGHIKL\tCCO\t10\nACDEFGHIKL\tCCN\t20\n"
@@ -456,12 +529,17 @@ def test_empty_subset_exits_2_with_or_without_a_store(tmp_path, capsys):
     shutil.copytree(data, bare)
     shutil.rmtree(bare / "features")
     for dataset in (data, bare):
-        out = tmp_path / "out"
-        capsys.readouterr()
-        assert main(["--quiet", "featurize", "--dataset", str(dataset),
-                     "--subset", "valid", "--out", str(out)]) == 2
-        assert "subset 'valid' is empty" in capsys.readouterr().err
-        assert not out.exists()
+        for command in ("featurize", "export-graphs"):
+            out = tmp_path / "out"
+            capsys.readouterr()
+            assert main(["--quiet", command, "--dataset", str(dataset),
+                         "--subset", "valid", "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            if command == "featurize" and dataset == bare:
+                assert_refused(err, "the dataset has no feature store")
+            else:
+                assert "subset 'valid' is empty" in err, err
+            assert not out.exists()
 
 
 def test_train_artifacts(pipeline):
@@ -610,22 +688,27 @@ def test_malformed_property_table_exits_2(pipeline, tmp_path, capsys, command,
     lines[line - 1] = text
     table = tmp_path / "table.csv"
     table.write_text("\n".join(lines) + "\n")
-    cfg = tmp_path / "table.toml"
-    cfg.write_text(f"[paths]\nproperty_table = '{table}'\n")
+    cfg = tmp_path / "table.toml"      # the fixture's config and this table
+    cfg.write_text(pathlib.Path(pipeline["cfg"]).read_text()
+                   + f"property_table = '{table}'\n")
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(["--config", str(cfg), "--quiet", command, "--dataset",
                  pipeline["data"], "--subset", "all", "--out", str(out)]) == 2
-    assert f"{table}: line {line}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if command == "featurize":      # only ingest and export-graphs read it
+        assert_refused(err, "the feature store was written with another property table")
+    else:
+        assert f"{table}: line {line}: " in err, err
     assert not out.exists()
 
 
-def test_overflowing_property_table_writes_no_features(pipeline, tmp_path):
+def test_overflowing_property_table_writes_no_features(tmp_path):
     """A table of finite but huge values overflows the receptor descriptors.
-    featurize exits 2 naming descriptors.npy and its first non-finite
-    column, creates no --out directory, and no numpy RuntimeWarning reaches
-    stderr; featurize used to exit 0 and leave train to refuse the
-    directory."""
+    ingest, which featurizes every record for the feature store, exits 2
+    naming descriptors.npy and its first non-finite column, creates no
+    --out directory, and no numpy RuntimeWarning reaches stderr; featurize
+    used to exit 0 and leave train to refuse the directory."""
     lines = table_lines()
     for i, line in enumerate(lines[1:], start=1):
         code, _, rest = line.split(",", 2)
@@ -637,8 +720,7 @@ def test_overflowing_property_table_writes_no_features(pipeline, tmp_path):
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, "-m", "bindkit.cli", "--quiet", "--config", str(cfg),
-         "featurize", "--dataset", pipeline["data"], "--subset", "train",
-         "--out", str(out)], capture_output=True, text=True)
+         "ingest", "--in", RAW, "--out", str(out)], capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
     assert "descriptors.npy" in proc.stderr and "column 0 (charge_mean)" in proc.stderr
     assert "Warning" not in proc.stderr, proc.stderr
@@ -893,11 +975,17 @@ def test_bad_log_ki_in_dataset_exits_2(pipeline, tmp_path, capsys, bad):
     cells[-1] = bad
     lines[4] = "\t".join(cells)
     (data / "dataset.tsv").write_text("\n".join(lines) + "\n")
-    assert main(["--quiet", "featurize", "--dataset", str(data),
-                 "--subset", "all", "--out", str(tmp_path / "f")]) == 2
-    err = capsys.readouterr().err
-    assert "data error" in err and "line 5" in err
-    assert not (tmp_path / "f").exists()
+    for command in ("featurize", "export-graphs"):
+        out = tmp_path / command
+        assert main(["--quiet", "--config", pipeline["cfg"], command,
+                     "--dataset", str(data), "--subset", "all",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        if command == "featurize":
+            assert_refused(err, STALE)
+        else:
+            assert "data error" in err and "line 5" in err, err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("column,bad,message", [
@@ -915,11 +1003,17 @@ def test_bad_structure_in_dataset_names_its_line(pipeline, tmp_path, capsys,
     cells[column] = bad
     lines[7] = "\t".join(cells)
     (data / "dataset.tsv").write_text("\n".join(lines) + "\n")
-    assert main(["--quiet", "featurize", "--dataset", str(data),
-                 "--subset", "all", "--out", str(tmp_path / "f")]) == 2
-    err = capsys.readouterr().err
-    assert "data error" in err and message in err and "line 8" in err
-    assert not (tmp_path / "f").exists()
+    for command in ("featurize", "export-graphs"):
+        out = tmp_path / command
+        assert main(["--quiet", "--config", pipeline["cfg"], command,
+                     "--dataset", str(data), "--subset", "all",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        if command == "featurize":
+            assert_refused(err, STALE)
+        else:
+            assert "data error" in err and message in err and "line 8" in err, err
+        assert not out.exists()
 
 
 def with_cell(lines, row, column, value):
@@ -951,10 +1045,13 @@ def test_inconsistent_dataset_row_exits_2(pipeline, tmp_path, capsys, damage,
     (data / "dataset.tsv").write_text("\n".join(lines) + "\n")
     for command in ("featurize", "export-graphs"):
         out = tmp_path / command
-        assert main(["--quiet", command, "--dataset", str(data), "--subset",
-                     "all", "--out", str(out)]) == 2
+        assert main(["--quiet", "--config", pipeline["cfg"], command,
+                     "--dataset", str(data), "--subset", "all", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "data error" in err and message in err and f"line {line}" in err
+        if command == "featurize":
+            assert_refused(err, STALE)
+        else:
+            assert "data error" in err and message in err and f"line {line}" in err
         assert not out.exists()
 
 
@@ -977,8 +1074,9 @@ def set_tsv_digest(data, value):
 ])
 def test_damaged_train_rows_fail_a_test_subset_load(pipeline, tmp_path, capsys,
                                                    damage, line, digest):
-    """An edit of dataset.tsv breaks its digest, so the load validates every
-    row, also those outside the requested subset."""
+    """An edit of dataset.tsv breaks its digest, so export-graphs' load
+    validates every row, also those outside the requested subset, and
+    featurize refuses the dataset."""
     data = tmp_path / "dataset"
     shutil.copytree(pipeline["data"], data)
     lines = (data / "dataset.tsv").read_text().splitlines()
@@ -990,11 +1088,14 @@ def test_damaged_train_rows_fail_a_test_subset_load(pipeline, tmp_path, capsys,
         set_tsv_digest(data, "0" * 64)
     for command in ("featurize", "export-graphs"):
         out = tmp_path / command
-        assert main(["--quiet", command, "--dataset", str(data), "--subset",
-                     "test", "--out", str(out)]) == 2
+        assert main(["--quiet", "--config", pipeline["cfg"], command,
+                     "--dataset", str(data), "--subset", "test", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "is not the key of its receptor and ligand" in err, err
-        assert f"line {line}" in err
+        if command == "featurize":
+            assert_refused(err, STALE)
+        else:
+            assert "is not the key of its receptor and ligand" in err, err
+            assert f"line {line}" in err
         assert not out.exists()
 
 
@@ -1007,27 +1108,25 @@ def distinct_ligands(data, split_name):
 @pytest.mark.parametrize("digest", ["as ingest wrote it", "edited", "deleted"])
 def test_only_a_trusted_load_skips_the_other_subsets(pipeline, tmp_path,
                                                      monkeypatch, digest):
-    """Without a feature store, featurize --subset test of the dataset
-    ingest wrote parses each distinct test ligand once and no other; with
-    the digest edited or deleted it parses every distinct ligand of the
-    file.  The features are the same bytes either way."""
-    data = without_store(pipeline, tmp_path)
+    """export-graphs --subset test of the dataset ingest wrote parses each
+    distinct test ligand once and no other; with the digest edited or
+    deleted it parses every distinct ligand of the file.  The graphs are
+    the same bytes either way."""
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
     if digest != "as ingest wrote it":
         set_tsv_digest(data, "0" * 64 if digest == "edited" else None)
     calls = collections.Counter()
     counted(monkeypatch, bindkit.smiles, "parse_smiles", calls)
-    out = tmp_path / "feats"
-    assert main(["--quiet", "--config", pipeline["cfg"], "featurize",
+    out = tmp_path / "graphs.jsonl"
+    assert main(["--quiet", "--config", pipeline["cfg"], "export-graphs",
                  "--dataset", str(data), "--subset", "test",
                  "--out", str(out)]) == 0
     parsed = distinct_ligands(data, "test" if digest == "as ingest wrote it"
                               else "all")
     assert calls["parse_smiles"] == len(parsed)
     assert len(distinct_ligands(data, "test")) < len(distinct_ligands(data, "all"))
-    for name in ("descriptors.npy", "fingerprints.npy", "y.npy", "ids.txt",
-                 "featurize.json"):
-        assert (out / name).read_bytes() == \
-            (pathlib.Path(pipeline["feats"]["test"]) / name).read_bytes()
+    assert out.read_bytes() == pathlib.Path(pipeline["graphs"]).read_bytes()
 
 
 def _above(ki_max):
@@ -1039,32 +1138,47 @@ def _above(ki_max):
     return log_ki
 
 
-@pytest.mark.parametrize("case", ["ki_nm 0.0", "just above ki_max_nm"])
+@pytest.mark.parametrize("case", ["ki_nm 0.0", "just above ki_max_nm",
+                                  "unedited, ki_max_nm below the largest"])
 def test_dataset_row_outside_the_curation_window_exits_2(pipeline, tmp_path,
                                                          capsys, case):
-    """The configured window is the largest ki_nm in the dataset: the
-    unedited dataset passes, and one row moved outside the window fails on
-    both commands that read it."""
+    """With the configured window ending at the largest ki_nm in the
+    dataset, the unedited dataset passes, and one row moved outside the
+    window fails export-graphs naming its line; featurize refuses the
+    edited dataset.tsv.  With the window ending below the largest ki_nm,
+    the unedited dataset fails both commands, naming the first line
+    outside it."""
     data = tmp_path / "dataset"
     shutil.copytree(pipeline["data"], data)
     lines = (data / "dataset.tsv").read_text().splitlines()
     ki_max = max(float(line.split("\t")[5]) for line in lines[1:])
+    edited = not case.startswith("unedited")
+    window = ki_max if edited else ki_max / 2
     cfg = tmp_path / "window.toml"
     cfg.write_text(pathlib.Path(pipeline["cfg"]).read_text()
-                   + f"\n[curation]\nki_max_nm = {ki_max!r}\n")
+                   + f"\n[curation]\nki_max_nm = {window!r}\n")
     argv = ["--quiet", "--config", str(cfg)]
-    assert main([*argv, "featurize", "--dataset", str(data), "--subset", "all",
-                 "--out", str(tmp_path / "control")]) == 0
-    log_ki = -400.0 if case == "ki_nm 0.0" else _above(ki_max)
-    lines = with_cell(lines, 4, 5, repr(10.0 ** log_ki))
-    (data / "dataset.tsv").write_text(
-        "\n".join(with_cell(lines, 4, 6, repr(log_ki))) + "\n")
+    if edited:
+        assert main([*argv, "featurize", "--dataset", str(data), "--subset", "all",
+                     "--out", str(tmp_path / "control")]) == 0
+        log_ki = -400.0 if case == "ki_nm 0.0" else _above(ki_max)
+        lines = with_cell(lines, 4, 5, repr(10.0 ** log_ki))
+        (data / "dataset.tsv").write_text(
+            "\n".join(with_cell(lines, 4, 6, repr(log_ki))) + "\n")
+        line = 5
+    else:
+        line = next(n for n, text in enumerate(lines[1:], start=2)
+                    if float(text.split("\t")[5]) > window)
     for command in ("featurize", "export-graphs"):
         out = tmp_path / command
         assert main([*argv, command, "--dataset", str(data), "--subset", "all",
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "outside the curation window" in err and "line 5" in err, err
+        if command == "featurize" and edited:
+            assert_refused(err, STALE)
+        else:
+            assert "outside the curation window" in err, err
+            assert f"line {line}" in err, err
         assert not out.exists()
 
 
@@ -1360,12 +1474,10 @@ _PIPELINE_MODULES = """cli config dataset errors fasta ligand_features
 # imports traceback) nor, but for featurize, which digests dataset.tsv and
 # the property table, hashlib.  No command loads statistics (with decimal
 # and fractions) or importlib.resources (with pathlib, tempfile and
-# zipfile).  featurize of the fixture dataset reads its feature store;
-# "featurize, computed" runs on a copy without one.
+# zipfile).
 COMMAND_MODULES = {
     "ingest": (True, _PIPELINE_MODULES),
     "featurize": (False, "cli config errors metrics model"),
-    "featurize, computed": (True, _PIPELINE_MODULES),
     "export-graphs": (True, _PIPELINE_MODULES),
     "train": (True, "cli config errors gbdt metrics model"),
     "predict": (False, "cli config errors metrics model"),
@@ -1379,15 +1491,12 @@ def test_command_loads_only_its_modules(pipeline, tmp_path, command):
     args = {
         "ingest": ["--in", RAW],
         "featurize": ["--dataset", pipeline["data"], "--subset", "test"],
-        "featurize, computed": ["--dataset", str(without_store(pipeline, tmp_path)),
-                                "--subset", "test"],
         "export-graphs": ["--dataset", pipeline["data"], "--subset", "test"],
         "train": ["--train", feats["train"]],
         "predict": ["--model", pipeline["model"], "--features", feats["test"]],
         "evaluate": ["--pred", pipeline["preds"], "--truth", feats["test"]],
     }[command]
-    argv = ["--quiet", "--config", pipeline["cfg"], command.split(",")[0], *args,
-            "--out", out]
+    argv = ["--quiet", "--config", pipeline["cfg"], command, *args, "--out", out]
     # The child runs without site (python -S), whose .pth files may import
     # modules themselves, with bindkit's and numpy's directories on its path.
     paths = [str(pathlib.Path(module.__file__).parent.parent) for module in (bindkit.cli, np)]
@@ -1426,11 +1535,11 @@ atexit.register(_threads)
 """
 
 
-def _featurize_threads(pipeline, tmp_path, blas_threads):
-    """The threads at exit of `python -m bindkit.cli featurize` of the test
-    split of a dataset without a feature store, the path that loads numpy,
-    with OPENBLAS_NUM_THREADS unset or as given; its features must have
-    the bytes of the in-process run."""
+def _ingest_threads(pipeline, tmp_path, blas_threads):
+    """The threads at exit of `python -m bindkit.cli ingest` of the fixture,
+    a command that loads numpy, with OPENBLAS_NUM_THREADS unset or as
+    given; its dataset directory must have the bytes of the in-process
+    run."""
     if not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc/self/status")
     hook = tmp_path / "hook"
@@ -1441,25 +1550,27 @@ def _featurize_threads(pipeline, tmp_path, blas_threads):
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    out = tmp_path / "feat"
+    out = tmp_path / "dataset"
     proc = subprocess.run(
         [sys.executable, "-m", "bindkit.cli", "--quiet", "--config", pipeline["cfg"],
-         "featurize", "--dataset", str(without_store(pipeline, tmp_path)),
-         "--subset", "test", "--out", str(out)], env=env, capture_output=True,
+         "ingest", "--in", RAW, "--out", str(out)], env=env, capture_output=True,
         text=True)
     assert proc.returncode == 0, proc.stderr
-    expected = pathlib.Path(pipeline["feats"]["test"])
-    assert sorted(os.listdir(out)) == sorted(os.listdir(expected))
-    for name in os.listdir(out):
+    expected = pathlib.Path(pipeline["data"])
+    names = sorted(str(p.relative_to(expected)) for p in expected.rglob("*")
+                   if p.is_file())
+    assert names == sorted(str(p.relative_to(out)) for p in out.rglob("*")
+                           if p.is_file())
+    for name in names:
         assert (out / name).read_bytes() == (expected / name).read_bytes(), name
     return int(proc.stderr.splitlines()[-1])
 
 
-def test_featurize_process_runs_one_thread(pipeline, tmp_path):
-    assert _featurize_threads(pipeline, tmp_path, None) == 1
+def test_ingest_process_runs_one_thread(pipeline, tmp_path):
+    assert _ingest_threads(pipeline, tmp_path, None) == 1
 
 
-def test_featurize_process_keeps_the_users_blas_threads(pipeline, tmp_path):
+def test_ingest_process_keeps_the_users_blas_threads(pipeline, tmp_path):
     """OPENBLAS_NUM_THREADS=2 starts a second thread where OpenBLAS has two
     cores to use."""
     try:
@@ -1468,7 +1579,7 @@ def test_featurize_process_keeps_the_users_blas_threads(pipeline, tmp_path):
         blas = "unknown"
     if "openblas" not in blas or len(os.sched_getaffinity(0)) < 2:
         pytest.skip(f"numpy's BLAS is {blas} on {len(os.sched_getaffinity(0))} cores")
-    assert _featurize_threads(pipeline, tmp_path, "2") == 2
+    assert _ingest_threads(pipeline, tmp_path, "2") == 2
 
 
 def test_main_in_process_leaves_the_environment_alone(pipeline, tmp_path, monkeypatch):
@@ -1681,6 +1792,19 @@ def test_model_with_nan_leaf_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def radius3_features(pipeline, tmp_path, subset):
+    """The features of subset of the fixture ingested with radius 3."""
+    cfg = tmp_path / "radius3.toml"
+    cfg.write_text(pathlib.Path(pipeline["cfg"]).read_text()
+                   .replace("[fingerprint]\n", "[fingerprint]\nradius = 3\n"))
+    data, radius3 = tmp_path / "radius3-dataset", tmp_path / "radius3"
+    for argv in (["ingest", "--in", RAW, "--out", str(data)],
+                 ["featurize", "--dataset", str(data), "--subset", subset,
+                  "--out", str(radius3)]):
+        assert main(["--quiet", "--config", str(cfg), *argv]) == 0
+    return radius3
+
+
 def test_predict_checks_the_feature_schema(pipeline, tmp_path, capsys):
     """train stamps the schema of its features into the model.  Features of
     another radius have the same width, yet predict exits 2 naming both
@@ -1701,12 +1825,7 @@ def test_predict_checks_the_feature_schema(pipeline, tmp_path, capsys):
     assert doc["schema"] == format(zlib.crc32(text.encode()), "08x") == \
         read_features(feats["train"])[0].schema == \
         read_features(feats["test"])[0].schema
-    cfg = tmp_path / "radius3.toml"
-    cfg.write_text(pathlib.Path(pipeline["cfg"]).read_text()
-                   .replace("[fingerprint]\n", "[fingerprint]\nradius = 3\n"))
-    radius3 = tmp_path / "radius3"
-    assert main(["--quiet", "--config", str(cfg), "featurize", "--dataset",
-                 pipeline["data"], "--subset", "test", "--out", str(radius3)]) == 0
+    radius3 = radius3_features(pipeline, tmp_path, "test")
     assert read_features(radius3)[0].shape == read_features(feats["test"])[0].shape
     assert read_features(radius3)[0].schema != doc["schema"]
     out = tmp_path / "pred.txt"
@@ -1730,12 +1849,7 @@ def test_train_checks_the_validation_schema(pipeline, tmp_path, capsys):
     """Validation features of another radius have the training width, yet
     train --valid exits 2 naming both featurize.json files and writes no
     model; early stopping would score columns that mean something else."""
-    cfg = tmp_path / "radius3.toml"
-    cfg.write_text(pathlib.Path(pipeline["cfg"]).read_text()
-                   .replace("[fingerprint]\n", "[fingerprint]\nradius = 3\n"))
-    radius3 = tmp_path / "radius3"
-    assert main(["--quiet", "--config", str(cfg), "featurize", "--dataset",
-                 pipeline["data"], "--subset", "valid", "--out", str(radius3)]) == 0
+    radius3 = radius3_features(pipeline, tmp_path, "valid")
     out = tmp_path / "model.json"
     assert main(["--quiet", "--config", pipeline["cfg"], "train", "--train",
                  pipeline["feats"]["train"], "--valid", str(radius3),
@@ -2335,11 +2449,16 @@ def test_ligand_past_max_atoms_is_a_bad_smiles_drop_and_a_bad_dataset_line(
     (out / "dataset.tsv").write_text("\n".join(with_cell(lines, 7, 4, huge)) + "\n")
     for command in ("featurize", "export-graphs"):
         target = tmp_path / command
-        assert main(["--quiet", command, "--dataset", str(out), "--subset",
-                     "all", "--out", str(target)]) == 2
+        assert main(["--quiet", "--config", pipeline["cfg"], command,
+                     "--dataset", str(out), "--subset", "all",
+                     "--out", str(target)]) == 2
         err = capsys.readouterr().err
-        assert f"more than {bindkit.smiles.MAX_ATOMS} atoms" in err, err
-        assert "line 8" in err and not target.exists()
+        if command == "featurize":
+            assert_refused(err, STALE)
+        else:
+            assert f"more than {bindkit.smiles.MAX_ATOMS} atoms" in err, err
+            assert "line 8" in err
+        assert not target.exists()
 
 
 def test_receptor_past_max_residues_is_a_bad_receptor_drop_and_a_bad_dataset_line(
@@ -2358,11 +2477,16 @@ def test_receptor_past_max_residues_is_a_bad_receptor_drop_and_a_bad_dataset_lin
     (out / "dataset.tsv").write_text("\n".join(with_cell(lines, 7, 3, huge)) + "\n")
     for command in ("featurize", "export-graphs"):
         target = tmp_path / command
-        assert main(["--quiet", command, "--dataset", str(out), "--subset",
-                     "all", "--out", str(target)]) == 2
+        assert main(["--quiet", "--config", pipeline["cfg"], command,
+                     "--dataset", str(out), "--subset", "all",
+                     "--out", str(target)]) == 2
         err = capsys.readouterr().err
-        assert f"more than {bindkit.fasta.MAX_RESIDUES}" in err, err
-        assert "line 8" in err and not target.exists()
+        if command == "featurize":
+            assert_refused(err, STALE)
+        else:
+            assert f"more than {bindkit.fasta.MAX_RESIDUES}" in err, err
+            assert "line 8" in err
+        assert not target.exists()
 
 
 def test_fasta_record_past_max_residues_exits_2(tmp_path, capsys):
@@ -2496,8 +2620,11 @@ def edit_dataset_lines(lines: list[bytes], edit) -> None:
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(st.lists(dataset_edit, min_size=1, max_size=3))
 def test_fuzzed_dataset_tsv_never_exits_3_and_keeps_every_row(pipeline, edits):
-    lines = (pathlib.Path(pipeline["data"]) / "dataset.tsv").read_bytes() \
-        .split(b"\n")[:-1]
+    """featurize serves only the dataset.tsv that ingest wrote and refuses
+    any edit of it; export-graphs loads an edited file with exit 0 or 2,
+    and writes a line for every row it loads."""
+    original = (pathlib.Path(pipeline["data"]) / "dataset.tsv").read_bytes()
+    lines = original.split(b"\n")[:-1]
     for edit in edits:
         edit_dataset_lines(lines, edit)
     blob = b"".join(line + b"\n" for line in lines)
@@ -2507,20 +2634,30 @@ def test_fuzzed_dataset_tsv_never_exits_3_and_keeps_every_row(pipeline, edits):
         shutil.copytree(pipeline["data"], data)
         (data / "dataset.tsv").write_bytes(blob)
         feats, graphs = tmp / "feats", tmp / "graphs.jsonl"
-        codes = [main(["--quiet", "--config", pipeline["cfg"], command,
-                       "--dataset", str(data), "--subset", "all",
-                       "--out", str(out)])
-                 for command, out in (("featurize", feats),
-                                      ("export-graphs", graphs))]
-        assert codes in ([0, 0], [2, 2]), codes
-        if codes[0] == 2:
+        codes, errs = [], []
+        for command, out in (("featurize", feats), ("export-graphs", graphs)):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                codes.append(main(["--quiet", "--config", pipeline["cfg"], command,
+                                   "--dataset", str(data), "--subset", "all",
+                                   "--out", str(out)]))
+            errs.append(err.getvalue())
+        if blob == original:
+            assert codes == [0, 0], errs
+        else:
+            assert codes[0] == 2 and codes[1] in (0, 2), (codes, errs)
+            assert_refused(errs[0], STALE)
+            assert not feats.exists()
+        if 0 not in codes:
             return
         # the rows load_dataset reads: universal newlines, blank lines skipped
         text = blob.decode("utf-8").replace("\r\n", "\n")
         keys = [row.split("\t")[0] for row in text.split("\n")[1:] if row]
-        assert (feats / "ids.txt").read_text(encoding="utf-8").split("\n") == \
-            keys + [""]
-        X, y = read_features(str(feats))
-        assert X.shape[0] == len(y) == len(keys)
-        with open(graphs, encoding="utf-8") as fh:
-            assert [json.loads(line)["id"] for line in fh] == keys
+        if codes[0] == 0:
+            assert (feats / "ids.txt").read_text(encoding="utf-8").split("\n") == \
+                keys + [""]
+            X, y = read_features(str(feats))
+            assert X.shape[0] == len(y) == len(keys)
+        if codes[1] == 0:
+            with open(graphs, encoding="utf-8") as fh:
+                assert [json.loads(line)["id"] for line in fh] == keys
