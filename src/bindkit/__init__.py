@@ -40,7 +40,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}
-_SUBMODULES = {*_EXPORTS, "cli"}
+_SUBMODULES = {*_EXPORTS, "cli", "_formats"}
 
 __all__ = sorted(_HOME)
 

@@ -15,11 +15,11 @@ import sys
 
 from array import array
 
+from ._formats import (TSV_DIGEST, _load_vector, _read_dataset, _read_json,
+                       _stale, _write_json)
 from .config import ConfigError, PipelineConfig, load_config, property_table_bytes
-from .errors import DataError, DatasetError, EmptyAfterFilteringError, GbdtError
-from .metrics import (TSV_DIGEST, _checked_log_ki, _dataset_rows, _load_vector,
-                      _read_json, _read_provenance, _write_json, build_report,
-                      file_digest, write_report)
+from .errors import DataError, DatasetError, GbdtError
+from .metrics import build_report, write_report
 
 # A command imports the modules it runs when it runs, so `evaluate` and
 # `predict` start without numpy.  The names below resolve on first use
@@ -170,73 +170,58 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
     """Write the features of --subset, selected from the dataset's feature
     store.
 
-    The store serves only the dataset.tsv whose sha256 both provenance.json
-    and the store's featurize.json record, and only for the radius, nbits,
-    property-table bytes and STORE_VERSION it records; any other dataset,
-    and an --out that is the store itself, raises DatasetError naming the
-    reason before anything is written.  Every row of dataset.tsv gets the
-    checks of load_dataset's trusted load; the rows of the subset give ids
-    and y, their pair keys and log_ki, and select X from the store.  A
-    malformed provenance.json raises DatasetFormatError, and a store that
-    read_features refuses, whose featurize.json is not a JSON object naming
-    its columns and table_version, or whose row count is not the dataset's
-    raises DatasetError, naming the file."""
+    The store serves only a dataset.tsv that _formats._read_dataset reads
+    and whose sha256 featurize.json records, and only for the radius,
+    nbits, property-table bytes and STORE_VERSION it records; any other
+    dataset, and an --out that is the store, raises DatasetError naming
+    the reason before anything is written.  The rows of the subset give
+    ids and y, and select X from the store.  A store that read_features
+    refuses, whose featurize.json is not a JSON object naming its columns
+    and table_version, or whose row count is not the dataset's raises
+    DatasetError naming the file."""
     from .model import STORE_DIR, STORE_VERSION, column_names
     path, subset = args.dataset, args.subset
     store = os.path.join(path, STORE_DIR)
     if os.path.realpath(args.out) == os.path.realpath(store):
         raise DatasetError(f"--out {args.out} is the feature store of {path}, "
                            "which featurize reads; choose another directory")
-
-    def stale(reason: str) -> DatasetError:
-        return DatasetError(f"{path}: {reason}; re-run bindkit ingest with "
-                            "this config to write its feature store")
-
     meta_path = os.path.join(store, "featurize.json")
-    prov_path = os.path.join(path, "provenance.json")
     if not os.path.exists(meta_path):
-        raise stale("the dataset has no feature store")
-    if not os.path.exists(prov_path):
-        raise stale("the dataset has no provenance.json")
-    provenance = _read_provenance(prov_path)
-    meta = _read_json(meta_path, DatasetError)
-    if not (isinstance(meta, dict) and isinstance(meta.get("columns"), list)
-            and isinstance(meta.get("table_version"), str)):
-        raise DatasetError(f"{meta_path}: expected a JSON object with a "
-                           "columns list and a table_version string")
-    if meta.get("store_version") != STORE_VERSION:
-        raise stale(f"the feature store is version {meta.get('store_version')!r}, "
-                    f"not {STORE_VERSION!r}")
-    for key in ("radius", "nbits"):
-        if meta.get(key) != getattr(cfg, key):
-            raise stale(f"the feature store has {key} {meta.get(key)!r}, "
-                        f"not {getattr(cfg, key)!r}")
-    if meta.get("table_sha256") != _table_digest(cfg):
-        raise stale("the feature store was written with another property table")
-    tsv = os.path.join(path, "dataset.tsv")
-    digest = file_digest(tsv)
-    if provenance.get(TSV_DIGEST) != digest:
-        raise stale("dataset.tsv is not the file provenance.json records")
-    if meta.get(TSV_DIGEST) != digest:
-        raise stale("the feature store was written for another dataset.tsv")
-    bounds = cfg.bounds
-    with open(tsv, "r", encoding="utf-8") as fh:
-        checked = [(cells, _checked_log_ki(cells[5], cells[6], line_no, bounds))
-                   for line_no, cells in _dataset_rows(fh)]
-    rows = [i for i, (cells, _) in enumerate(checked)
-            if subset in ("all", cells[1])]
-    if not rows:
-        raise EmptyAfterFilteringError(f"subset {subset!r} is empty")
+        raise _stale(path, "the dataset has no feature store")
+    meta = None
+
+    def check_store():
+        nonlocal meta
+        meta = _read_json(meta_path, DatasetError)
+        if not (isinstance(meta, dict) and isinstance(meta.get("columns"), list)
+                and isinstance(meta.get("table_version"), str)):
+            raise DatasetError(f"{meta_path}: expected a JSON object with a "
+                               "columns list and a table_version string")
+        if meta.get("store_version") != STORE_VERSION:
+            raise _stale(path, "the feature store is version "
+                         f"{meta.get('store_version')!r}, not {STORE_VERSION!r}")
+        for key in ("radius", "nbits"):
+            if meta.get(key) != getattr(cfg, key):
+                raise _stale(path, f"the feature store has {key} "
+                             f"{meta.get(key)!r}, not {getattr(cfg, key)!r}")
+        if meta.get("table_sha256") != _table_digest(cfg):
+            raise _stale(path, "the feature store was written with another "
+                         "property table")
+        return meta.get(TSV_DIGEST)
+
+    provenance, n_records, rows = _read_dataset(path, cfg.bounds, subset,
+                                                store=check_store)
     X, _ = _cli.read_features(store)
-    if len(X) != len(checked):
-        raise DatasetError(f"{meta_path}: {len(X)} rows, but {tsv} holds "
-                           f"{len(checked)} records")
-    X = X.take(rows)
+    if len(X) != n_records:
+        raise DatasetError(f"{meta_path}: {len(X)} rows, but "
+                           f"{os.path.join(path, 'dataset.tsv')} holds "
+                           f"{n_records} records")
+    X = X.take([i for i, _, _ in rows])
     sidecar = _sidecar(cfg, column_names(meta["columns"], cfg.nbits),
                        provenance.get("source_digest", ""), subset,
                        meta["table_version"])
-    _cli.write_features(args.out, X, array("d", [checked[i][1] for i in rows]),
-                        [checked[i][0][0] for i in rows], sidecar)
+    _cli.write_features(args.out, X, array("d", [log_ki for _, _, log_ki in rows]),
+                        [cells[0] for _, cells, _ in rows], sidecar)
     _info(args, f"featurized {subset}: X {X.shape} read from the dataset's "
                 f"feature store -> {args.out}")
     return 0
@@ -333,12 +318,21 @@ def _block_json(features, rows: dict[bytes, str]) -> str:
 
 
 def cmd_export_graphs(args, cfg: PipelineConfig) -> int:
+    """Write the graphs of each record of --subset that load_dataset reads.
+    An --out that is the dataset's dataset.tsv, provenance.json or a file
+    of its store, by any path, raises DatasetError before anything is read."""
+    from .model import STORE_DIR
+    out, data = os.path.realpath(args.out), os.path.realpath(args.dataset)
+    store = os.path.join(data, STORE_DIR)
+    if (out in (os.path.join(data, "dataset.tsv"),
+                os.path.join(data, "provenance.json"))
+            or os.path.commonpath([out, store]) == store):
+        raise DatasetError(f"--out {args.out} is a file of the dataset "
+                           f"{args.dataset}, which export-graphs reads; "
+                           "choose another file")
     from . import dataset as ds_mod
-    dataset = ds_mod.load_dataset(args.dataset, cfg.bounds, args.subset)
+    records = ds_mod.load_dataset(args.dataset, cfg.bounds, args.subset).records
     table = _table_for(cfg)
-    records = dataset.records
-    if not records:
-        raise DatasetError(f"subset {args.subset!r} is empty")
     # Each distinct block and node row is serialized once; a line is then
     # assembled from those strings exactly as json.dumps(line,
     # sort_keys=True) writes it.

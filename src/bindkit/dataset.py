@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._formats import (DATASET_COLUMNS, SPLIT_NAMES, TSV_DIGEST, _read_dataset,
+                       _write_json, file_digest)
 from .config import KiBounds
 from .errors import DatasetError, DatasetFormatError, EmptyAfterFilteringError
 from .fasta import FastaError, ProteinSequence, parse_fasta
@@ -24,8 +26,6 @@ from .ligand_features import (
     ecfp,
     full_refinement_ids,
 )
-from .metrics import (DATASET_COLUMNS, SPLIT_NAMES, TSV_DIGEST, _checked_log_ki,
-                      _dataset_rows, _read_provenance, _write_json, file_digest)
 from .model import STORE_DIR, Features, column_names, write_features
 from .protein_features import (
     DESCRIPTOR_LAYOUT,
@@ -107,12 +107,6 @@ def pair_key(receptor: ProteinSequence, ligand: Molecule) -> str:
 
 def _ligand_identity(refined_ids) -> str:
     return ",".join(str(i) for i in refined_ids)
-
-
-def _ligand_identities(molecules: dict[str, Molecule]) -> dict[str, str]:
-    """The ligand identity of each molecule by SMILES, in one kernel call."""
-    refined = _full_refinement_ids_batch(molecules.values())
-    return {smiles: _ligand_identity(ids) for smiles, ids in zip(molecules, refined)}
 
 
 def _pair_key(residues: str, ligand_identity: str) -> str:
@@ -249,7 +243,9 @@ def ingest(
         raise EmptyAfterFilteringError(
             f"no records survived filtering (drops: {drops})")
 
-    identities = _ligand_identities(molecules)
+    refined = _full_refinement_ids_batch(molecules.values())     # one kernel call
+    identities = {smiles: _ligand_identity(ids)
+                  for smiles, ids in zip(molecules, refined)}
     stereo_total = 0
     # each pair key's first receptor and ligand, and every log Ki it carries
     groups: dict[str, tuple[ProteinSequence, Molecule, list[float]]] = {}
@@ -413,75 +409,25 @@ def write_dataset(dataset: Dataset, outdir, features=None) -> None:
 
 def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS,
                  subset: str = "all") -> Dataset:
-    """Reload a curated dataset directory written by write_dataset; the
-    returned dataset holds the records of subset ("all", or one split
-    name), in file order.
-
-    Every row gets the per-line checks: a wrong column count, an unknown
-    split, a pair key seen on an earlier line (metrics._dataset_rows), or
-    a log_ki that metrics._checked_log_ki rejects raises DatasetFormatError
-    naming the line.  A provenance.json that is not JSON, is not a JSON
-    object, or holds a source_digest that is not a string raises
-    DatasetFormatError naming the file.
-
-    When provenance.json records the sha256 of this very dataset.tsv, the
-    file is write_dataset's own output and already validated: only the
-    rows of subset build a receptor and parse a ligand, and no pair key is
-    recomputed.  Any other file is validated in full: every row's receptor
-    and ligand are built (a bad SMILES or residue string raises its own
-    ParseError or FastaError, with the line named), and one batch
-    refinement of the distinct ligands then recomputes every pair key; the
-    first row whose key is not that of its residues and ligand raises
-    DatasetFormatError naming the line.  Either way each distinct SMILES
-    is parsed, and each distinct (receptor id, residues) pair validated,
-    once, at its first row; records that name the same ligand or receptor
-    share one frozen object.
+    """The records of subset ("all", or one split name) of a dataset
+    directory that write_dataset wrote, in file order, read and refused
+    as _formats._read_dataset reads and refuses.  Each distinct SMILES is
+    parsed, and each distinct (receptor id, residues) pair validated, once;
+    records that name the same ligand or receptor share one object.
     """
-    if subset != "all" and subset not in SPLIT_NAMES:
-        raise ValueError(f"unknown subset {subset!r}")
-    tsv = os.path.join(outdir, "dataset.tsv")
-    prov_path = os.path.join(outdir, "provenance.json")
-    provenance = _read_provenance(prov_path) if os.path.exists(prov_path) else {}
-    recorded = provenance.pop(TSV_DIGEST, None)
-    trusted = isinstance(recorded, str) and recorded == file_digest(tsv)
+    provenance, _, rows = _read_dataset(outdir, bounds, subset)
     molecules: dict[str, Molecule] = {}
     receptors: dict[tuple[str, str], ProteinSequence] = {}
-    records, line_nos = [], []
-    with open(tsv, "r", encoding="utf-8") as fh:
-        for line_no, cells in _dataset_rows(fh):
-            key, split_name, rid, residues, smiles, ki_nm, log_ki = cells
-            line_nos.append(line_no)
-            if trusted and subset not in ("all", split_name):
-                _checked_log_ki(ki_nm, log_ki, line_no, bounds)
-                continue            # ingest validated the rest of this row
-            try:
-                receptor = receptors.get((rid, residues))
-                if receptor is None:
-                    receptor = receptors[(rid, residues)] = ProteinSequence(
-                        id=rid, residues=residues)
-                ligand = molecules.get(smiles)
-                if ligand is None:
-                    ligand = molecules[smiles] = from_smiles(smiles)
-            except (FastaError, ParseError) as exc:
-                # name the line, keeping the class and its offset fields
-                exc.args = (f"{exc} at line {line_no}",)
-                raise
-            records.append(AffinityRecord(
-                receptor=receptor,
-                ligand=ligand,
-                log_ki=_checked_log_ki(ki_nm, log_ki, line_no, bounds),
-                pair_key=key,
-                split=split_name,
-            ))
-    if not line_nos:
-        raise EmptyAfterFilteringError("dataset file holds no records")
-    if not trusted:
-        identities = _ligand_identities(molecules)
-        for rec, line_no in zip(records, line_nos):     # every row is a record
-            if rec.pair_key != _pair_key(rec.receptor.residues,
-                                         identities[rec.ligand.source]):
-                raise DatasetFormatError(
-                    f"pair_key {rec.pair_key} is not the key of its receptor "
-                    f"and ligand at line {line_no}")
-        records = [rec for rec in records if subset in ("all", rec.split)]
+    records = []
+    for _, (key, split_name, rid, residues, smiles, _, _), log_ki in rows:
+        receptor = receptors.get((rid, residues))
+        if receptor is None:
+            receptor = receptors[(rid, residues)] = ProteinSequence(
+                id=rid, residues=residues)
+        ligand = molecules.get(smiles)
+        if ligand is None:
+            ligand = molecules[smiles] = from_smiles(smiles)
+        records.append(AffinityRecord(receptor=receptor, ligand=ligand,
+                                      log_ki=log_ki, pair_key=key,
+                                      split=split_name))
     return Dataset(records=tuple(records), provenance=provenance)

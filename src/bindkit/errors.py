@@ -1,9 +1,10 @@
 """Error classes shared by the numpy-backed modules and the modules that
 import without numpy.
 
-`metrics` raises these and `cli` catches them, and neither may load numpy,
-so they live here rather than in `dataset`, `gbdt` and `ligand_features`,
-which import numpy and re-export them under their old names.
+`_formats` and `metrics` raise these and `cli` catches them, and none of
+them may load numpy, so they live here rather than in `dataset`, `gbdt`
+and `ligand_features`, which import numpy and re-export them under their
+old names.
 
 Every error of a bad input file or value is a DataError, which the command
 line reports with exit code 2.  `config.ConfigError` is not one: a config

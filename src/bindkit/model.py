@@ -8,7 +8,7 @@ distinct dense rows, a CSR of the set bits of each distinct bit row and a
 per-row index into both: dense columns through a float64 memoryview, bit
 columns by membership in each distinct bit row's set of bits, read as 0
 or 1, so a bit column routes as its dense float column would.  It also
-writes that directory (write_features), with the .npy writer of metrics,
+writes that directory (write_features), with the .npy writer of _formats,
 and takes the rows of one split from a dataset's feature store
 (Features.take), so featurize can serve a split without numpy.
 """
@@ -25,11 +25,11 @@ from functools import cached_property
 from itertools import compress, count
 from operator import ge, gt
 
+from ._formats import (_little, _native, _npy_payload, _read_json, _write_json,
+                       _write_npy)
 from .config import MAX_DEPTH, MAX_NBITS, TrainParams
 from .errors import (DatasetError, DimensionMismatchError,
                      FingerprintFormatError, GbdtError)
-from .metrics import (_little, _native, _npy_payload, _read_json, _write_json,
-                      _write_npy)
 
 __all__ = ["Features", "Tree", "GbdtModel", "ModelFormatError",
            "ModelVersionError", "STORE_DIR", "STORE_VERSION", "column_names",
@@ -392,7 +392,7 @@ SCHEMA_FIELDS = ("radius", "nbits", "table_version", "columns")
 
 def read_features(path) -> tuple[Features, memoryview | None]:
     """Read a feature directory written by write_features.  Returns its
-    matrix and the float64 values of its y.npy (metrics._native), None
+    matrix and the float64 values of its y.npy (_formats._native), None
     when there is no y.npy.  The matrix's schema is the CRC-32, as 8 hex
     digits, of the canonical JSON of the SCHEMA_FIELDS of featurize.json (a
     missing one as null), its columns, the dense names, rebuilt by
@@ -403,7 +403,7 @@ def read_features(path) -> tuple[Features, memoryview | None]:
     descriptors.npy, fingerprints.npy, fingerprint_offsets.npy or pairs.npy
     raises the OSError of its open.  An array of the wrong dtype, rank,
     order or byte count, or under a header np.save would not write (an
-    object array included; see metrics._npy_payload), an index that is not
+    object array included; see _formats._npy_payload), an index that is not
     two columns wide or that names a row outside its block, row counts that
     differ among the index, y.npy, ids.txt and featurize.json, a width that
     is not featurize.json's n_columns, an nbits above config.MAX_NBITS, a

@@ -5,6 +5,7 @@ longer defines, so an entry left behind when a function is deleted shows up
 here; the package import checks the re-exports of bindkit/__init__.py,
 which resolve on first use.
 """
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -150,8 +151,8 @@ def test_removed_methods_are_gone():
 
 
 def test_submodules_are_the_modules_of_the_package():
-    """bindkit.<module> resolves for every module, one with no exports
-    (cli) included."""
+    """bindkit.<module> resolves for every module, those with no exports
+    (cli, _formats) included."""
     assert set(bindkit._SUBMODULES) == set(SUBMODULES)
 
 
@@ -170,3 +171,23 @@ def test_import_loads_no_submodule_and_no_numpy():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_formats_adds_only_the_standard_library_and_errors():
+    """bindkit._formats, which every command loads, adds only standard
+    library modules and bindkit.errors to a python -S process: no numpy,
+    no dataclasses (with inspect), and no hashlib until a file is
+    digested."""
+    code = ("import sys\n"
+            f"sys.path.insert(0, {str(pathlib.Path(bindkit.__file__).parent.parent)!r})\n"
+            "before = set(sys.modules)\n"
+            "import bindkit._formats\n"
+            "print(sorted(set(sys.modules) - before))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = set(ast.literal_eval(proc.stdout))
+    ours = {m for m in added if m.partition(".")[0] == "bindkit"}
+    assert ours == {"bindkit", "bindkit._formats", "bindkit.errors"}
+    assert {m.partition(".")[0] for m in added - ours} <= sys.stdlib_module_names
+    assert not {"numpy", "dataclasses", "inspect", "hashlib"} & added

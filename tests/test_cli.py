@@ -26,10 +26,10 @@ from hypothesis import given, settings, strategies as st
 
 import bindkit.cli
 import bindkit.smiles
-from bindkit.cli import _block_json, main
+from bindkit.cli import _COMMANDS, _block_json, build_parser, main
 from bindkit.config import DEFAULT_PROPERTY_TABLE, load_config
 from bindkit.dataset import featurize_pairs, load_dataset
-from bindkit.errors import DataError, FingerprintFormatError
+from bindkit.errors import DataError, EmptyAfterFilteringError, FingerprintFormatError
 from bindkit.gbdt import load_model
 from bindkit.ligand_features import GraphFeatures, graph_block
 from bindkit.model import STORE_VERSION, Features, read_features, write_features
@@ -476,6 +476,35 @@ def test_out_naming_the_feature_store_exits_2(pipeline, tmp_path, out):
     assert not (data / "split").exists()
 
 
+@pytest.mark.parametrize("out", [
+    lambda data, name, _: data / name,
+    lambda data, name, _: f"{data / name}{os.sep}",
+    lambda data, name, _: data / "split" / ".." / name,
+    lambda data, name, tmp_path: tmp_path / name.replace(os.sep, "-"),
+], ids=["same path", "trailing separator", "dot-dot", "symlink"])
+def test_export_graphs_out_naming_a_dataset_file_exits_2(pipeline, tmp_path,
+                                                         capsys, out):
+    """An --out that is the dataset's dataset.tsv, its provenance.json or a
+    file of its feature store, by whatever path, exits 2 naming it before
+    anything is opened for writing; every file of the dataset keeps its
+    bytes.  export-graphs used to write its graphs over dataset.tsv and
+    exit 0."""
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    before = {p: p.read_bytes() for p in data.rglob("*") if p.is_file()}
+    for name in ("dataset.tsv", "provenance.json", os.path.join("features", "ids.txt")):
+        (tmp_path / name.replace(os.sep, "-")).symlink_to(data / name)
+        target = str(out(data, name, tmp_path))
+        capsys.readouterr()
+        assert main(["--quiet", "--config", pipeline["cfg"], "export-graphs",
+                     "--dataset", str(data), "--subset", "test",
+                     "--out", target]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and f"--out {target} is a file of the dataset" in err, err
+    assert {p: p.read_bytes() for p in data.rglob("*") if p.is_file()} == before
+    assert not (data / "split").exists()
+
+
 def _store_of_the_test_split(store, pipeline):
     """The arrays of the fixture's 3-row test directory under the store's
     featurize.json, its n_rows set to 3: a consistent feature directory of
@@ -516,8 +545,9 @@ def test_damaged_store_exits_2_naming_the_file(pipeline, tmp_path, capsys, name,
 
 def test_empty_subset_exits_2_with_or_without_a_store(tmp_path, capsys):
     """Three records split 80:10:10 leave valid empty.  featurize and
-    export-graphs exit 2 naming the empty subset; featurize refuses the
-    dataset without a store first."""
+    export-graphs exit 2 naming the empty subset, both by the one reader's
+    EmptyAfterFilteringError and message; featurize refuses the dataset
+    without a store first."""
     raw = tmp_path / "raw.tsv"
     raw.write_text("receptor_fasta\tligand_smiles\tki_nm\n"
                    "ACDEFGHIKL\tCCO\t10\nACDEFGHIKL\tCCN\t20\n"
@@ -540,6 +570,14 @@ def test_empty_subset_exits_2_with_or_without_a_store(tmp_path, capsys):
             else:
                 assert "subset 'valid' is empty" in err, err
             assert not out.exists()
+    raised = set()
+    for command in ("featurize", "export-graphs"):
+        args = build_parser().parse_args([command, "--dataset", str(data),
+                                          "--subset", "valid", "--out", str(out)])
+        with pytest.raises(DataError) as info:
+            _COMMANDS[command](args, load_config(None))
+        raised.add((type(info.value), str(info.value)))
+    assert raised == {(EmptyAfterFilteringError, "subset 'valid' is empty")}
 
 
 def test_train_artifacts(pipeline):
@@ -980,11 +1018,7 @@ def test_bad_log_ki_in_dataset_exits_2(pipeline, tmp_path, capsys, bad):
         assert main(["--quiet", "--config", pipeline["cfg"], command,
                      "--dataset", str(data), "--subset", "all",
                      "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        if command == "featurize":
-            assert_refused(err, STALE)
-        else:
-            assert "data error" in err and "line 5" in err, err
+        assert_refused(capsys.readouterr().err, STALE)
         assert not out.exists()
 
 
@@ -996,6 +1030,8 @@ def test_bad_log_ki_in_dataset_exits_2(pipeline, tmp_path, capsys, bad):
 ])
 def test_bad_structure_in_dataset_names_its_line(pipeline, tmp_path, capsys,
                                                  column, bad, message):
+    """A receptor or ligand cell that ingest would drop (message) is an edit
+    of dataset.tsv, which both commands refuse before reading a row."""
     data = tmp_path / "dataset"
     shutil.copytree(pipeline["data"], data)
     lines = (data / "dataset.tsv").read_text().splitlines()
@@ -1008,11 +1044,7 @@ def test_bad_structure_in_dataset_names_its_line(pipeline, tmp_path, capsys,
         assert main(["--quiet", "--config", pipeline["cfg"], command,
                      "--dataset", str(data), "--subset", "all",
                      "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        if command == "featurize":
-            assert_refused(err, STALE)
-        else:
-            assert "data error" in err and message in err and "line 8" in err, err
+        assert_refused(capsys.readouterr().err, STALE)
         assert not out.exists()
 
 
@@ -1039,6 +1071,9 @@ def swap_smiles(lines, a, b):
 ])
 def test_inconsistent_dataset_row_exits_2(pipeline, tmp_path, capsys, damage,
                                           message, line):
+    """Each damage gives a row that a check of a hand-made dataset.tsv
+    would refuse (message, at line); both commands refuse the edited file
+    before reading a row."""
     data = tmp_path / "dataset"
     shutil.copytree(pipeline["data"], data)
     lines = damage((data / "dataset.tsv").read_text().splitlines())
@@ -1047,11 +1082,7 @@ def test_inconsistent_dataset_row_exits_2(pipeline, tmp_path, capsys, damage,
         out = tmp_path / command
         assert main(["--quiet", "--config", pipeline["cfg"], command,
                      "--dataset", str(data), "--subset", "all", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        if command == "featurize":
-            assert_refused(err, STALE)
-        else:
-            assert "data error" in err and message in err and f"line {line}" in err
+        assert_refused(capsys.readouterr().err, STALE)
         assert not out.exists()
 
 
@@ -1074,9 +1105,9 @@ def set_tsv_digest(data, value):
 ])
 def test_damaged_train_rows_fail_a_test_subset_load(pipeline, tmp_path, capsys,
                                                    damage, line, digest):
-    """An edit of dataset.tsv breaks its digest, so export-graphs' load
-    validates every row, also those outside the requested subset, and
-    featurize refuses the dataset."""
+    """An edit of train rows breaks the dataset.tsv digest, so both
+    commands refuse a load of the test subset, whether provenance.json
+    keeps the digest ingest wrote or records another."""
     data = tmp_path / "dataset"
     shutil.copytree(pipeline["data"], data)
     lines = (data / "dataset.tsv").read_text().splitlines()
@@ -1090,12 +1121,7 @@ def test_damaged_train_rows_fail_a_test_subset_load(pipeline, tmp_path, capsys,
         out = tmp_path / command
         assert main(["--quiet", "--config", pipeline["cfg"], command,
                      "--dataset", str(data), "--subset", "test", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        if command == "featurize":
-            assert_refused(err, STALE)
-        else:
-            assert "is not the key of its receptor and ligand" in err, err
-            assert f"line {line}" in err
+        assert_refused(capsys.readouterr().err, STALE)
         assert not out.exists()
 
 
@@ -1107,11 +1133,11 @@ def distinct_ligands(data, split_name):
 
 @pytest.mark.parametrize("digest", ["as ingest wrote it", "edited", "deleted"])
 def test_only_a_trusted_load_skips_the_other_subsets(pipeline, tmp_path,
-                                                     monkeypatch, digest):
+                                                     monkeypatch, capsys, digest):
     """export-graphs --subset test of the dataset ingest wrote parses each
-    distinct test ligand once and no other; with the digest edited or
-    deleted it parses every distinct ligand of the file.  The graphs are
-    the same bytes either way."""
+    distinct test ligand once and no other, and writes the fixture's
+    graphs; with the digest edited or deleted it refuses the dataset
+    before parsing any ligand."""
     data = tmp_path / "dataset"
     shutil.copytree(pipeline["data"], data)
     if digest != "as ingest wrote it":
@@ -1119,12 +1145,16 @@ def test_only_a_trusted_load_skips_the_other_subsets(pipeline, tmp_path,
     calls = collections.Counter()
     counted(monkeypatch, bindkit.smiles, "parse_smiles", calls)
     out = tmp_path / "graphs.jsonl"
-    assert main(["--quiet", "--config", pipeline["cfg"], "export-graphs",
-                 "--dataset", str(data), "--subset", "test",
-                 "--out", str(out)]) == 0
-    parsed = distinct_ligands(data, "test" if digest == "as ingest wrote it"
-                              else "all")
-    assert calls["parse_smiles"] == len(parsed)
+    capsys.readouterr()
+    code = main(["--quiet", "--config", pipeline["cfg"], "export-graphs",
+                 "--dataset", str(data), "--subset", "test", "--out", str(out)])
+    if digest != "as ingest wrote it":
+        assert code == 2
+        assert_refused(capsys.readouterr().err, STALE)
+        assert calls["parse_smiles"] == 0 and not out.exists()
+        return
+    assert code == 0
+    assert calls["parse_smiles"] == len(distinct_ligands(data, "test"))
     assert len(distinct_ligands(data, "test")) < len(distinct_ligands(data, "all"))
     assert out.read_bytes() == pathlib.Path(pipeline["graphs"]).read_bytes()
 
@@ -1143,11 +1173,10 @@ def _above(ki_max):
 def test_dataset_row_outside_the_curation_window_exits_2(pipeline, tmp_path,
                                                          capsys, case):
     """With the configured window ending at the largest ki_nm in the
-    dataset, the unedited dataset passes, and one row moved outside the
-    window fails export-graphs naming its line; featurize refuses the
-    edited dataset.tsv.  With the window ending below the largest ki_nm,
-    the unedited dataset fails both commands, naming the first line
-    outside it."""
+    dataset, the unedited dataset passes, and both commands refuse the
+    dataset.tsv edited to move one row outside the window.  With the
+    window ending below the largest ki_nm, the unedited dataset fails both
+    commands, naming the first line outside it."""
     data = tmp_path / "dataset"
     shutil.copytree(pipeline["data"], data)
     lines = (data / "dataset.tsv").read_text().splitlines()
@@ -1174,7 +1203,7 @@ def test_dataset_row_outside_the_curation_window_exits_2(pipeline, tmp_path,
         assert main([*argv, command, "--dataset", str(data), "--subset", "all",
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        if command == "featurize" and edited:
+        if edited:
             assert_refused(err, STALE)
         else:
             assert "outside the curation window" in err, err
@@ -1335,7 +1364,7 @@ def _nan_report(tmp_path, monkeypatch):
 ], ids=["model", "features", "dataset", "train-metrics", "report"])
 def test_json_writers_refuse_non_finite_values(tmp_path, monkeypatch, write,
                                                name, error):
-    """Each JSON artifact is written by metrics._write_json: a NaN or inf
+    """Each JSON artifact is written by _formats._write_json: a NaN or inf
     raises the writer's DataError, naming the file, and leaves no file."""
     with pytest.raises(DataError) as raised:
         write(tmp_path, monkeypatch)
@@ -1466,7 +1495,7 @@ def test_train_loads_neither_numpy_ma_nor_numpy_random(pipeline, tmp_path):
     assert proc.stdout == "[]\n"
 
 
-_PIPELINE_MODULES = """cli config dataset errors fasta ligand_features
+_PIPELINE_MODULES = """_formats cli config dataset errors fasta ligand_features
     metrics model protein_features smiles"""
 
 # For each command: whether it loads numpy, and the bindkit modules it loads.
@@ -1477,11 +1506,11 @@ _PIPELINE_MODULES = """cli config dataset errors fasta ligand_features
 # zipfile).
 COMMAND_MODULES = {
     "ingest": (True, _PIPELINE_MODULES),
-    "featurize": (False, "cli config errors metrics model"),
+    "featurize": (False, "_formats cli config errors metrics model"),
     "export-graphs": (True, _PIPELINE_MODULES),
-    "train": (True, "cli config errors gbdt metrics model"),
-    "predict": (False, "cli config errors metrics model"),
-    "evaluate": (False, "cli config errors metrics"),
+    "train": (True, "_formats cli config errors gbdt metrics model"),
+    "predict": (False, "_formats cli config errors metrics model"),
+    "evaluate": (False, "_formats cli config errors metrics"),
 }
 
 
@@ -2452,12 +2481,7 @@ def test_ligand_past_max_atoms_is_a_bad_smiles_drop_and_a_bad_dataset_line(
         assert main(["--quiet", "--config", pipeline["cfg"], command,
                      "--dataset", str(out), "--subset", "all",
                      "--out", str(target)]) == 2
-        err = capsys.readouterr().err
-        if command == "featurize":
-            assert_refused(err, STALE)
-        else:
-            assert f"more than {bindkit.smiles.MAX_ATOMS} atoms" in err, err
-            assert "line 8" in err
+        assert_refused(capsys.readouterr().err, STALE)
         assert not target.exists()
 
 
@@ -2480,12 +2504,7 @@ def test_receptor_past_max_residues_is_a_bad_receptor_drop_and_a_bad_dataset_lin
         assert main(["--quiet", "--config", pipeline["cfg"], command,
                      "--dataset", str(out), "--subset", "all",
                      "--out", str(target)]) == 2
-        err = capsys.readouterr().err
-        if command == "featurize":
-            assert_refused(err, STALE)
-        else:
-            assert f"more than {bindkit.fasta.MAX_RESIDUES}" in err, err
-            assert "line 8" in err
+        assert_refused(capsys.readouterr().err, STALE)
         assert not target.exists()
 
 
@@ -2620,9 +2639,9 @@ def edit_dataset_lines(lines: list[bytes], edit) -> None:
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(st.lists(dataset_edit, min_size=1, max_size=3))
 def test_fuzzed_dataset_tsv_never_exits_3_and_keeps_every_row(pipeline, edits):
-    """featurize serves only the dataset.tsv that ingest wrote and refuses
-    any edit of it; export-graphs loads an edited file with exit 0 or 2,
-    and writes a line for every row it loads."""
+    """featurize and export-graphs serve only the dataset.tsv that ingest
+    wrote: each exits 0 exactly when the edits leave the file unchanged,
+    and otherwise 2, naming the stale file and writing no --out."""
     original = (pathlib.Path(pipeline["data"]) / "dataset.tsv").read_bytes()
     lines = original.split(b"\n")[:-1]
     for edit in edits:
@@ -2642,22 +2661,17 @@ def test_fuzzed_dataset_tsv_never_exits_3_and_keeps_every_row(pipeline, edits):
                                    "--dataset", str(data), "--subset", "all",
                                    "--out", str(out)]))
             errs.append(err.getvalue())
-        if blob == original:
-            assert codes == [0, 0], errs
-        else:
-            assert codes[0] == 2 and codes[1] in (0, 2), (codes, errs)
-            assert_refused(errs[0], STALE)
-            assert not feats.exists()
-        if 0 not in codes:
+        if blob != original:
+            assert codes == [2, 2], (codes, errs)
+            for err in errs:
+                assert_refused(err, STALE)
+            assert not feats.exists() and not graphs.exists()
             return
-        # the rows load_dataset reads: universal newlines, blank lines skipped
-        text = blob.decode("utf-8").replace("\r\n", "\n")
-        keys = [row.split("\t")[0] for row in text.split("\n")[1:] if row]
-        if codes[0] == 0:
-            assert (feats / "ids.txt").read_text(encoding="utf-8").split("\n") == \
-                keys + [""]
-            X, y = read_features(str(feats))
-            assert X.shape[0] == len(y) == len(keys)
-        if codes[1] == 0:
-            with open(graphs, encoding="utf-8") as fh:
-                assert [json.loads(line)["id"] for line in fh] == keys
+        assert codes == [0, 0], errs
+        keys = [row.split("\t")[0] for row in blob.decode().split("\n")[1:] if row]
+        assert (feats / "ids.txt").read_text(encoding="utf-8").split("\n") == \
+            keys + [""]
+        X, y = read_features(str(feats))
+        assert X.shape[0] == len(y) == len(keys)
+        with open(graphs, encoding="utf-8") as fh:
+            assert [json.loads(line)["id"] for line in fh] == keys

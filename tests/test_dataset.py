@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import pathlib
-import shutil
 import statistics
 import struct
 
@@ -15,6 +14,7 @@ import bindkit.dataset as dataset_module
 from bindkit.dataset import (
     DEFAULT_BOUNDS,
     Dataset,
+    DatasetError,
     DatasetFormatError,
     EmptyAfterFilteringError,
     KiBounds,
@@ -377,35 +377,76 @@ def test_written_files_are_byte_stable(tmp_path):
     assert (third / "dataset.tsv").read_bytes() == (first / "dataset.tsv").read_bytes()
 
 
+# The refusal of a dataset.tsv that provenance.json does not record
+STALE = "dataset.tsv is not the file provenance.json records"
+
+
+def stamp(outdir, text):
+    """Write text as outdir's dataset.tsv and record its sha256 in
+    provenance.json, as if write_dataset had written it."""
+    (outdir / "dataset.tsv").write_text(text)
+    prov = json.loads((outdir / "provenance.json").read_text())
+    prov["dataset_tsv_sha256"] = file_digest(outdir / "dataset.tsv")
+    (outdir / "provenance.json").write_text(json.dumps(prov))
+
+
+def test_load_refuses_a_dataset_ingest_did_not_write(tmp_path):
+    """An edited row, a missing provenance.json, or a provenance.json that
+    records no dataset.tsv digest raises DatasetError naming the reason and
+    asking for an ingest, before any row is read."""
+    outdir = tmp_path / "curated"
+    write_dataset(bulk_dataset(3), outdir)
+    tsv, prov = outdir / "dataset.tsv", outdir / "provenance.json"
+    good = tsv.read_text()
+    doc = json.loads(prov.read_text())
+    cases = [
+        (lambda: tsv.write_text(good.replace("\tunassigned\t", "\ttrain\t", 1)),
+         STALE),
+        (prov.unlink, "the dataset has no provenance.json"),
+        (lambda: prov.write_text(json.dumps(
+            {k: v for k, v in doc.items() if k != "dataset_tsv_sha256"})), STALE),
+    ]
+    for damage, reason in cases:
+        damage()
+        with pytest.raises(DatasetError, match=reason) as info:
+            load_dataset(outdir)
+        assert type(info.value) is DatasetError
+        assert "re-run bindkit ingest" in str(info.value)
+        write_dataset(bulk_dataset(3), outdir)
+        assert tsv.read_text() == good
+
+
 def test_load_rejects_corruption(tmp_path):
+    """Every row of a dataset.tsv that provenance.json records gets the
+    per-line checks: each damage below, re-stamped as if write_dataset had
+    written it, raises DatasetFormatError."""
     ds = bulk_dataset(3)
     outdir = tmp_path / "curated"
     write_dataset(ds, outdir)
-    tsv = outdir / "dataset.tsv"
-    good = tsv.read_text().splitlines()
+    good = (outdir / "dataset.tsv").read_text().splitlines()
 
-    tsv.write_text("\n".join(["wrong\theader"] + good[1:]) + "\n")
+    stamp(outdir, "\n".join(["wrong\theader"] + good[1:]) + "\n")
     with pytest.raises(DatasetFormatError):
         load_dataset(outdir)
 
     cells = good[1].split("\t")
     cells[1] = "holdout"
-    tsv.write_text("\n".join([good[0], "\t".join(cells)]) + "\n")
+    stamp(outdir, "\n".join([good[0], "\t".join(cells)]) + "\n")
     with pytest.raises(DatasetFormatError):
         load_dataset(outdir)
 
-    tsv.write_text("\n".join([good[0], good[1] + "\textra"]) + "\n")
+    stamp(outdir, "\n".join([good[0], good[1] + "\textra"]) + "\n")
     with pytest.raises(DatasetFormatError):
         load_dataset(outdir)
 
     for bad in ("abc", "nan", "inf", "-inf", "1e999"):
         cells = good[2].split("\t")
         cells[-1] = bad
-        tsv.write_text("\n".join([good[0], good[1], "\t".join(cells)]) + "\n")
+        stamp(outdir, "\n".join([good[0], good[1], "\t".join(cells)]) + "\n")
         with pytest.raises(DatasetFormatError, match="log_ki .* at line 3"):
             load_dataset(outdir)
 
-    tsv.write_text("\n".join([good[0], good[1], good[2], good[1]]) + "\n")
+    stamp(outdir, "\n".join([good[0], good[1], good[2], good[1]]) + "\n")
     with pytest.raises(DatasetFormatError, match="duplicate pair_key .* at line 4"):
         load_dataset(outdir)
 
@@ -415,13 +456,24 @@ def test_load_rejects_corruption(tmp_path):
                         (6, "400.0"), (6, "-400.0")):
         cells = good[2].split("\t")
         cells[column] = bad
-        tsv.write_text("\n".join([good[0], good[1], "\t".join(cells)]) + "\n")
+        stamp(outdir, "\n".join([good[0], good[1], "\t".join(cells)]) + "\n")
         with pytest.raises(DatasetFormatError, match="ki_nm .* at line 3"):
             load_dataset(outdir)
 
-    tsv.write_text(good[0] + "\n")
+    stamp(outdir, good[0] + "\n")
     with pytest.raises(EmptyAfterFilteringError):
         load_dataset(outdir)
+
+
+def test_load_checks_the_curation_window_in_force(tmp_path):
+    """The file ingest wrote loads under ingest's window; under a narrower
+    one its first row outside raises DatasetFormatError naming the line."""
+    rows = [(unique_receptor(i), "CCO", ki) for i, ki in enumerate((10.0, 5e3, 20.0))]
+    write_dataset(ingest(rows_from(*rows)), tmp_path)
+    assert len(load_dataset(tmp_path).records) == 3
+    with pytest.raises(DatasetFormatError,
+                       match="outside the curation window .* at line 3"):
+        load_dataset(tmp_path, KiBounds(max_nm=1e3))
 
 
 def count_parses(monkeypatch):
@@ -471,12 +523,20 @@ def test_loaded_records_share_ligands_and_receptors(tmp_path):
 
 
 def test_recurring_bad_smiles_raises_at_its_first_row(tmp_path, monkeypatch):
+    """An edited dataset.tsv is refused before any SMILES is parsed; the
+    same edit recorded in provenance.json is parsed, and raises at the
+    first row that names the bad SMILES."""
     rows = [(unique_receptor(i), ("CCO", "CCN", "CCC")[i % 3], 10.0) for i in range(9)]
     outdir = tmp_path / "curated"
     write_dataset(ingest(rows_from(*rows)), outdir)
     tsv = outdir / "dataset.tsv"
-    tsv.write_text(tsv.read_text().replace("\tCCN\t", "\tC1CN\t"))
+    edited = tsv.read_text().replace("\tCCN\t", "\tC1CN\t")
+    tsv.write_text(edited)
     parsed = count_parses(monkeypatch)
+    with pytest.raises(DatasetError, match=STALE):
+        load_dataset(outdir)
+    assert parsed == []
+    stamp(outdir, edited)
     with pytest.raises(UnclosedRingError):
         load_dataset(outdir)
     assert parsed == ["CCO", "C1CN"]
@@ -491,12 +551,12 @@ def test_provenance_records_the_digest_of_the_written_tsv(tmp_path):
     assert prov == ds.provenance == before
 
 
-def write_fixture_dataset(outdir):
-    """The fixture raw TSV curated and written as `bindkit ingest` does."""
+def fixture_dataset():
+    """The fixture raw TSV curated and split as `bindkit ingest` does."""
     rows, drops, digest = read_raw_tsv(FIXTURES / "raw_affinities.tsv")
     index = build_fasta_index((FIXTURES / "receptors.fasta").read_text())
-    write_dataset(split(ingest(rows, fasta_index=index, source_digest=digest,
-                               initial_drops=drops), seed=11), outdir)
+    return split(ingest(rows, fasta_index=index, source_digest=digest,
+                        initial_drops=drops), seed=11)
 
 
 def record_fields(dataset):
@@ -505,28 +565,20 @@ def record_fields(dataset):
 
 
 @pytest.mark.parametrize("subset", ["train", "valid", "test", "all"])
-def test_trusted_and_full_loads_give_equal_records(tmp_path, monkeypatch,
-                                                   subset):
-    """The trusted load parses only the subset's ligands; the full load, of
-    the same file without its digest, parses every ligand.  Both return the
-    subset's records in file order, and the same provenance."""
-    trusted_dir, full_dir = tmp_path / "trusted", tmp_path / "full"
-    write_fixture_dataset(trusted_dir)
-    shutil.copytree(trusted_dir, full_dir)
-    prov = json.loads((full_dir / "provenance.json").read_text())
-    del prov["dataset_tsv_sha256"]
-    (full_dir / "provenance.json").write_text(json.dumps(prov))
-    everything = record_fields(load_dataset(full_dir))
-    expected = [f for f in everything if subset in ("all", f[1])]
+def test_load_returns_the_records_ingest_built(tmp_path, monkeypatch, subset):
+    """load_dataset of the directory write_dataset wrote returns exactly the
+    records of subset that ingest built, in file order, and the same
+    provenance, parsing each distinct ligand of the subset once and no
+    other."""
+    built = fixture_dataset()
+    write_dataset(built, tmp_path)
+    expected = [f for f in record_fields(built) if subset in ("all", f[1])]
     assert expected
     parsed = count_parses(monkeypatch)
-    trusted = load_dataset(trusted_dir, subset=subset)
+    loaded = load_dataset(tmp_path, subset=subset)
+    assert record_fields(loaded) == expected
     assert parsed == list(dict.fromkeys(f[4] for f in expected))
-    parsed.clear()
-    full = load_dataset(full_dir, subset=subset)
-    assert parsed == list(dict.fromkeys(f[4] for f in everything))
-    assert record_fields(trusted) == record_fields(full) == expected
-    assert trusted.provenance == full.provenance == prov
+    assert loaded.provenance == built.provenance
 
 
 def test_load_rejects_an_unknown_subset(tmp_path):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bindkit.metrics as metrics_module
+from bindkit._formats import _load_vector, _npy_payload, _write_npy
 from bindkit.dataset import DatasetError
 from bindkit.gbdt import DimensionMismatchError
 from bindkit.metrics import (
@@ -23,9 +24,6 @@ from bindkit.metrics import (
     DEFAULT_THRESHOLD,
     MAX_BINS,
     MetricsError,
-    _load_vector,
-    _npy_payload,
-    _write_npy,
     binned_mae,
     build_report,
     classify_accuracy,
