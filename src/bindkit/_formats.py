@@ -1,8 +1,8 @@
 """bindkit's file formats, read and written without numpy: strict JSON,
 .npy arrays, the vector files evaluate scores, and an ingested dataset
-directory's dataset.tsv and provenance.json, which _read_dataset alone
-reads.  Only the standard library and bindkit.errors are imported, and
-hashlib only when a file is digested.
+directory's dataset.tsv, provenance.json and feature store stamp, which
+_read_dataset alone reads.  Only the standard library and bindkit.errors
+are imported, and hashlib only when a file is digested or a store stamped.
 """
 from __future__ import annotations
 
@@ -134,12 +134,28 @@ def _little(values, typecode: str) -> bytes:
     return data.tobytes()
 
 
-# --- dataset.tsv and provenance.json, as dataset.write_dataset writes them ----
+# --- an ingested dataset directory, as dataset.write_dataset writes it -------
 
 SPLIT_NAMES = ("train", "valid", "test")
 DATASET_COLUMNS = ("pair_key", "split", "receptor_id", "receptor_fasta",
                    "ligand_smiles", "ki_nm", "log_ki")
-TSV_DIGEST = "dataset_tsv_sha256"       # the provenance.json key
+TSV_DIGEST = "dataset_tsv_sha256"       # the provenance.json and store key
+# A dataset directory's feature store: a feature directory of every record,
+# in dataset.tsv order, that ingest writes and featurize selects a split
+# from.  STORE_VERSION changes with any change to the bytes of its files.
+STORE_DIR = "features"
+STORE_VERSION = "1"
+
+
+def store_stamp(cfg) -> dict:
+    """The featurize.json fields that fix a feature store's bytes under the
+    config cfg: STORE_VERSION, radius, nbits and the property table's
+    sha256.  ingest writes them into the store; featurize reads with them."""
+    import hashlib
+    from .config import property_table_bytes
+    table = property_table_bytes(cfg.property_table)
+    return {"store_version": STORE_VERSION, "radius": cfg.radius,
+            "nbits": cfg.nbits, "table_sha256": hashlib.sha256(table).hexdigest()}
 
 
 def file_digest(path) -> str:
@@ -221,10 +237,32 @@ def _stale(path, reason: str) -> DatasetError:
                         "config to write its feature store")
 
 
-def _read_dataset(path, bounds, subset: str, store=None):
-    """(provenance less TSV_DIGEST, record count, rows) of the dataset
-    directory path, a row being the (record index, cells, log_ki) of each
-    record of subset ("all" or a split name), in file order.
+def _read_store(path, stamp) -> dict:
+    """The featurize.json of the feature store of the dataset at path, a
+    JSON object with columns and table_version that records stamp."""
+    meta_path = os.path.join(path, STORE_DIR, "featurize.json")
+    meta = _read_json(meta_path, DatasetError)
+    if not (isinstance(meta, dict) and isinstance(meta.get("columns"), list)
+            and isinstance(meta.get("table_version"), str)):
+        raise DatasetError(f"{meta_path}: expected a JSON object with a "
+                           "columns list and a table_version string")
+    if meta.get("store_version") != stamp["store_version"]:
+        raise _stale(path, "the feature store is version "
+                     f"{meta.get('store_version')!r}, not {stamp['store_version']!r}")
+    for key in ("radius", "nbits"):
+        if meta.get(key) != stamp[key]:
+            raise _stale(path, f"the feature store has {key} "
+                         f"{meta.get(key)!r}, not {stamp[key]!r}")
+    if meta.get("table_sha256") != stamp["table_sha256"]:
+        raise _stale(path, "the feature store was written with another "
+                     "property table")
+    return meta
+
+
+def _read_dataset(path, bounds, subset: str, stamp=None):
+    """(provenance less TSV_DIGEST, record count, rows, store) of the
+    dataset directory path, a row being the (record index, cells, log_ki)
+    of each record of subset ("all" or a split name), in file order.
 
     Only the dataset.tsv whose sha256 provenance.json records, as
     write_dataset wrote it, is read; else _stale names the reason.  Every
@@ -232,21 +270,23 @@ def _read_dataset(path, bounds, subset: str, store=None):
     curation window in force; ingest validated the rest.  ValueError for
     an unknown subset, EmptyAfterFilteringError for an empty one.
 
-    store, featurize's, is called once provenance.json is read: it checks
-    the feature store against the config and returns the dataset.tsv
-    digest the store records, which must be the file's too."""
+    Given a store_stamp, featurize's, the feature store must exist and
+    record stamp and this dataset.tsv's sha256; store is its _read_store."""
+    if stamp is not None and not os.path.exists(
+            os.path.join(path, STORE_DIR, "featurize.json")):
+        raise _stale(path, "the dataset has no feature store")
     if subset != "all" and subset not in SPLIT_NAMES:
         raise ValueError(f"unknown subset {subset!r}")
     prov_path = os.path.join(path, "provenance.json")
     if not os.path.exists(prov_path):
         raise _stale(path, "the dataset has no provenance.json")
     provenance = _read_provenance(prov_path)
-    stamped = store() if store is not None else None
+    store = None if stamp is None else _read_store(path, stamp)
     tsv = os.path.join(path, "dataset.tsv")
     digest = file_digest(tsv)
     if provenance.pop(TSV_DIGEST, None) != digest:
         raise _stale(path, "dataset.tsv is not the file provenance.json records")
-    if store is not None and stamped != digest:
+    if store is not None and store.get(TSV_DIGEST) != digest:
         raise _stale(path, "the feature store was written for another dataset.tsv")
     rows, n_records = [], 0
     with open(tsv, "r", encoding="utf-8") as fh:
@@ -257,4 +297,4 @@ def _read_dataset(path, bounds, subset: str, store=None):
             n_records += 1
     if not rows:
         raise EmptyAfterFilteringError(f"subset {subset!r} is empty")
-    return provenance, n_records, rows
+    return provenance, n_records, rows, store

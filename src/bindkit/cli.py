@@ -15,9 +15,9 @@ import sys
 
 from array import array
 
-from ._formats import (TSV_DIGEST, _load_vector, _read_dataset, _read_json,
-                       _stale, _write_json)
-from .config import ConfigError, PipelineConfig, load_config, property_table_bytes
+from ._formats import (STORE_DIR, _load_vector, _read_dataset, _write_json,
+                       store_stamp)
+from .config import ConfigError, PipelineConfig, load_config
 from .errors import DataError, DatasetError, GbdtError
 from .metrics import build_report, write_report
 
@@ -126,12 +126,6 @@ def _table_for(cfg: PipelineConfig):
     return _cli.load_property_table(cfg.property_table)
 
 
-def _table_digest(cfg: PipelineConfig) -> str:
-    """The sha256 of the bytes of the configured property table."""
-    import hashlib
-    return hashlib.sha256(property_table_bytes(cfg.property_table)).hexdigest()
-
-
 def _sidecar(cfg: PipelineConfig, columns, dataset_digest: str, subset: str,
              table_version: str) -> dict:
     """The featurize.json fields of a feature directory that featurize
@@ -141,9 +135,25 @@ def _sidecar(cfg: PipelineConfig, columns, dataset_digest: str, subset: str,
             "subset": subset, "table_version": table_version}
 
 
+def _refuse_overwrite(command: str, out: str, reads, beside=()) -> None:
+    """DatasetError where out, the --out of command, or a file written
+    beside it names, by any path, a file of reads: each file, or each
+    existing file of each directory, that command reads."""
+    read = {}
+    for path in reads:
+        for name in ([os.path.join(path, n) for n in os.listdir(path)]
+                     if os.path.isdir(path) else [path]):
+            read.setdefault(os.path.realpath(name), name)
+    for path in (out, *beside):
+        name = read.get(os.path.realpath(path))
+        if name is not None:
+            raise DatasetError(f"--out {out} " + (
+                f"is {name}" if path == out else f"writes {path}")
+                + f", which {command} reads; choose another file")
+
+
 def cmd_ingest(args, cfg: PipelineConfig) -> int:
     from . import dataset as ds_mod
-    from .model import STORE_VERSION
     rows, reader_drops, digest = ds_mod.read_raw_tsv(args.input)
     fasta_index = None
     if cfg.fasta is not None:
@@ -159,7 +169,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
     X, y, columns, ids = ds_mod.featurize_pairs(
         dataset, radius=cfg.radius, nbits=cfg.nbits, table=table)
     store = {**_sidecar(cfg, columns, digest, "all", table.version),
-             "store_version": STORE_VERSION, "table_sha256": _table_digest(cfg)}
+             **store_stamp(cfg)}
     ds_mod.write_dataset(dataset, args.out, features=(X, y, ids, store))
     sizes = dataset.provenance["split_sizes"]
     _info(args, f"ingested {len(dataset.records)} records ({sizes}) -> {args.out}")
@@ -167,55 +177,27 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_featurize(args, cfg: PipelineConfig) -> int:
-    """Write the features of --subset, selected from the dataset's feature
-    store.
+    """Write the features of --subset, selected from the dataset's store.
 
-    The store serves only a dataset.tsv that _formats._read_dataset reads
-    and whose sha256 featurize.json records, and only for the radius,
-    nbits, property-table bytes and STORE_VERSION it records; any other
-    dataset, and an --out that is the store, raises DatasetError naming
-    the reason before anything is written.  The rows of the subset give
-    ids and y, and select X from the store.  A store that read_features
-    refuses, whose featurize.json is not a JSON object naming its columns
-    and table_version, or whose row count is not the dataset's raises
-    DatasetError naming the file."""
-    from .model import STORE_DIR, STORE_VERSION, column_names
+    The store serves only a dataset that _formats._read_dataset reads under
+    the config's store_stamp; any other dataset, and an --out that is the
+    store, raises DatasetError naming the reason before anything is
+    written.  The rows of the subset give ids and y, and select X from the
+    store.  A store that read_features refuses, or whose row count is not
+    the dataset's, raises DatasetError naming the file."""
+    from .model import column_names
     path, subset = args.dataset, args.subset
     store = os.path.join(path, STORE_DIR)
     if os.path.realpath(args.out) == os.path.realpath(store):
         raise DatasetError(f"--out {args.out} is the feature store of {path}, "
                            "which featurize reads; choose another directory")
-    meta_path = os.path.join(store, "featurize.json")
-    if not os.path.exists(meta_path):
-        raise _stale(path, "the dataset has no feature store")
-    meta = None
-
-    def check_store():
-        nonlocal meta
-        meta = _read_json(meta_path, DatasetError)
-        if not (isinstance(meta, dict) and isinstance(meta.get("columns"), list)
-                and isinstance(meta.get("table_version"), str)):
-            raise DatasetError(f"{meta_path}: expected a JSON object with a "
-                               "columns list and a table_version string")
-        if meta.get("store_version") != STORE_VERSION:
-            raise _stale(path, "the feature store is version "
-                         f"{meta.get('store_version')!r}, not {STORE_VERSION!r}")
-        for key in ("radius", "nbits"):
-            if meta.get(key) != getattr(cfg, key):
-                raise _stale(path, f"the feature store has {key} "
-                             f"{meta.get(key)!r}, not {getattr(cfg, key)!r}")
-        if meta.get("table_sha256") != _table_digest(cfg):
-            raise _stale(path, "the feature store was written with another "
-                         "property table")
-        return meta.get(TSV_DIGEST)
-
-    provenance, n_records, rows = _read_dataset(path, cfg.bounds, subset,
-                                                store=check_store)
+    provenance, n_records, rows, meta = _read_dataset(path, cfg.bounds, subset,
+                                                      store_stamp(cfg))
     X, _ = _cli.read_features(store)
     if len(X) != n_records:
-        raise DatasetError(f"{meta_path}: {len(X)} rows, but "
-                           f"{os.path.join(path, 'dataset.tsv')} holds "
-                           f"{n_records} records")
+        raise DatasetError(f"{os.path.join(store, 'featurize.json')}: {len(X)} "
+                           f"rows, but {os.path.join(path, 'dataset.tsv')} "
+                           f"holds {n_records} records")
     X = X.take([i for i, _, _ in rows])
     sidecar = _sidecar(cfg, column_names(meta["columns"], cfg.nbits),
                        provenance.get("source_digest", ""), subset,
@@ -228,6 +210,9 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
+    metrics_path = args.out + ".metrics.json"
+    dirs = [d for d in (args.train_dir, args.valid_dir) if d is not None]
+    _refuse_overwrite("train", args.out, dirs, [metrics_path])
     X, y = _cli.read_features(args.train_dir)
     if y is None:
         raise DatasetError(f"no y.npy next to features in {args.train_dir}")
@@ -247,7 +232,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     model, metrics = _cli.train(X, y, params=cfg.gbdt, valid=valid)
     model = dataclasses.replace(model, schema=X.schema)
     _cli.save_model(model, args.out)
-    _write_json(args.out + ".metrics.json", metrics, GbdtError)
+    _write_json(metrics_path, metrics, GbdtError)
     last_loss = metrics["train_loss"][-1] if metrics["train_loss"] else None
     kept = (f", best iteration {metrics['best_iteration']} with "
             f"{len(model.trees)} trees kept" if valid is not None else "")
@@ -259,6 +244,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_predict(args, cfg: PipelineConfig) -> int:
+    _refuse_overwrite("predict", args.out, [args.model, args.features])
     model = _cli.load_model(args.model)
     X, _ = _cli.read_features(args.features)
     preds = model.predict(X)            # a width mismatch raises here
@@ -276,15 +262,16 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
-    preds = _load_vector(args.pred)
     truth = args.truth
     if os.path.isdir(truth):
         truth = os.path.join(truth, "y.npy")
+    csv_path = (args.out[:-5] + ".csv" if args.out.endswith(".json")
+                else args.out + ".csv")
+    _refuse_overwrite("evaluate", args.out, [args.pred, truth], [csv_path])
+    preds = _load_vector(args.pred)
     y = _load_vector(truth)
     report = build_report(y, preds, start=cfg.bin_start, stop=cfg.bin_stop,
                           width=cfg.bin_width, threshold=cfg.threshold)
-    csv_path = (args.out[:-5] + ".csv" if args.out.endswith(".json")
-                else args.out + ".csv")
     write_report(report, args.out, csv_path=csv_path)
     _info(args, f"MAE {report['mae']:.4f}, accuracy@{report['threshold']:.3g} "
                 f"{report['accuracy_at_threshold']:.4f} -> {args.out}")
@@ -321,7 +308,6 @@ def cmd_export_graphs(args, cfg: PipelineConfig) -> int:
     """Write the graphs of each record of --subset that load_dataset reads.
     An --out that is the dataset's dataset.tsv, provenance.json or a file
     of its store, by any path, raises DatasetError before anything is read."""
-    from .model import STORE_DIR
     out, data = os.path.realpath(args.out), os.path.realpath(args.dataset)
     store = os.path.join(data, STORE_DIR)
     if (out in (os.path.join(data, "dataset.tsv"),

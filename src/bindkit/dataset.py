@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._formats import (DATASET_COLUMNS, SPLIT_NAMES, TSV_DIGEST, _read_dataset,
-                       _write_json, file_digest)
+from ._formats import (DATASET_COLUMNS, SPLIT_NAMES, STORE_DIR, TSV_DIGEST,
+                       _read_dataset, _write_json, file_digest)
 from .config import KiBounds
 from .errors import DatasetError, DatasetFormatError, EmptyAfterFilteringError
 from .fasta import FastaError, ProteinSequence, parse_fasta
@@ -26,7 +26,7 @@ from .ligand_features import (
     ecfp,
     full_refinement_ids,
 )
-from .model import STORE_DIR, Features, column_names, write_features
+from .model import Features, column_names, write_features
 from .protein_features import (
     DESCRIPTOR_LAYOUT,
     ResiduePropertyTable,
@@ -415,7 +415,7 @@ def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS,
     parsed, and each distinct (receptor id, residues) pair validated, once;
     records that name the same ligand or receptor share one object.
     """
-    provenance, _, rows = _read_dataset(outdir, bounds, subset)
+    provenance, _, rows, _ = _read_dataset(outdir, bounds, subset)
     molecules: dict[str, Molecule] = {}
     receptors: dict[tuple[str, str], ProteinSequence] = {}
     records = []

@@ -25,8 +25,8 @@ from functools import cached_property
 from itertools import compress, count
 from operator import ge, gt
 
-from ._formats import (_little, _native, _npy_payload, _read_json, _write_json,
-                       _write_npy)
+from ._formats import (STORE_DIR, STORE_VERSION, _little, _native, _npy_payload,
+                       _read_json, _write_json, _write_npy)
 from .config import MAX_DEPTH, MAX_NBITS, TrainParams
 from .errors import (DatasetError, DimensionMismatchError,
                      FingerprintFormatError, GbdtError)
@@ -41,11 +41,6 @@ DENSE_FILE = "descriptors.npy"
 BITS_FILE = "fingerprints.npy"
 OFFSETS_FILE = "fingerprint_offsets.npy"
 INDEX_FILE = "pairs.npy"
-# A dataset directory's feature store: a feature directory of every record,
-# in dataset.tsv order, that ingest writes and featurize selects a split
-# from.  STORE_VERSION changes with any change to the bytes of its files.
-STORE_DIR = "features"
-STORE_VERSION = "1"
 
 
 class ModelFormatError(GbdtError):

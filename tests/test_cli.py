@@ -451,6 +451,76 @@ def test_each_reason_to_compute_gives_the_computed_bytes(pipeline, tmp_path,
     assert (got == files(pipeline["feats"]["test"])) is unchanged
 
 
+def _storeless_with_an_empty_valid(data, tmp_path, pipeline):
+    """The dataset of three records, whose 80:10:10 split leaves valid
+    empty, with no feature store."""
+    raw = tmp_path / "raw.tsv"
+    raw.write_text("receptor_fasta\tligand_smiles\tki_nm\n"
+                   "ACDEFGHIKL\tCCO\t10\nACDEFGHIKL\tCCN\t20\n"
+                   "ACDEFGHIKL\tc1ccccc1\t30\n")
+    shutil.rmtree(data)
+    assert main(["--quiet", "ingest", "--in", str(raw), "--out", str(data)]) == 0
+    shutil.rmtree(data / "features")
+    return pathlib.Path(pipeline["cfg"]).read_text()
+
+
+def _window_below_the_largest_ki(data, tmp_path, pipeline):
+    lines = (data / "dataset.tsv").read_text().splitlines()[1:]
+    window = max(float(line.split("\t")[5]) for line in lines) / 2
+    return (pathlib.Path(pipeline["cfg"]).read_text()
+            + f"\n[curation]\nki_max_nm = {window!r}\n")
+
+
+def _both(first, second):
+    """The edit of first and then second; the config text second returns."""
+    def edit(data, tmp_path, pipeline):
+        first(data, tmp_path, pipeline)
+        return second(data, tmp_path, pipeline)
+    return edit
+
+
+# Two faults at once, by the order in which featurize checks them: the edit
+# (it returns the config text), the subset, and the reasons featurize gives
+# for the first fault, which it names, and for the second, which it must not.
+REFUSAL_ORDER = {
+    "no store, then an empty subset": (
+        _storeless_with_an_empty_valid, "valid",
+        "the dataset has no feature store", "subset 'valid' is empty"),
+    "malformed provenance.json, then nbits": (
+        _both(lambda data, *_: (data / "provenance.json").write_text("[]"),
+              _config_with("nbits = 256", "nbits = 512")), "test",
+        "provenance.json: expected a JSON object", "nbits"),
+    "radius, then an edited dataset.tsv": (
+        _both(_append_blank_line,
+              _config_with("nbits = 256", "nbits = 256\nradius = 1")), "test",
+        "the feature store has radius 2, not 1", STALE),
+    "store of another dataset.tsv, then the curation window": (
+        _both(_store_of_another_split, _window_below_the_largest_ki), "test",
+        "the feature store was written for another dataset.tsv",
+        "outside the curation window"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSAL_ORDER))
+def test_featurize_names_the_first_of_two_faults(pipeline, tmp_path, capsys, case):
+    """featurize checks a dataset in one order: the store's presence, the
+    subset's name, provenance.json, the store's stamp, the dataset.tsv
+    digest, the store's dataset.tsv, each line, then the subset's size.  Of
+    two faults, it exits 2 naming the first only."""
+    edit, subset, first, second = REFUSAL_ORDER[case]
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    cfg = tmp_path / "edited.toml"
+    cfg.write_text(edit(data, tmp_path, pipeline))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["--quiet", "--config", str(cfg), "featurize", "--dataset",
+                 str(data), "--subset", subset, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and first in err and second not in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("out", [
     lambda data, _: data / "features",
     lambda data, _: f"{data / 'features'}{os.sep}",
@@ -503,6 +573,96 @@ def test_export_graphs_out_naming_a_dataset_file_exits_2(pipeline, tmp_path,
         assert "data error" in err and f"--out {target} is a file of the dataset" in err, err
     assert {p: p.read_bytes() for p in data.rglob("*") if p.is_file()} == before
     assert not (data / "split").exists()
+
+
+def _stamp_store(**fields):
+    def edit(store):
+        path = store / "featurize.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **fields)))
+    return edit
+
+
+@pytest.mark.parametrize("damage", [
+    shutil.rmtree, _stamp_store(radius=1), _stamp_store(nbits=512),
+    _stamp_store(dataset_tsv_sha256="0" * 64),
+], ids=["deleted", "radius", "nbits", "another dataset.tsv"])
+def test_only_featurize_reads_the_store(pipeline, tmp_path, capsys, damage):
+    """export-graphs and load_dataset never open the feature store: with it
+    deleted, or stamped for another radius, nbits or dataset.tsv, they
+    give the graphs and the records of the fixture's dataset."""
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    damage(data / "features")
+    out = tmp_path / "graphs.jsonl"
+    assert main(["--quiet", "--config", pipeline["cfg"], "export-graphs",
+                 "--dataset", str(data), "--subset", "test", "--out", str(out)]) == 0
+    assert out.read_bytes() == pathlib.Path(pipeline["graphs"]).read_bytes()
+
+    def records(path):
+        dataset = load_dataset(path, load_config(pipeline["cfg"]).bounds, "test")
+        return dataset.provenance, [
+            (r.pair_key, r.split, r.receptor, r.ligand.source, r.log_ki)
+            for r in dataset.records]
+    assert records(data) == records(pipeline["data"])
+
+
+# train, predict and evaluate in a directory holding a copy of the fixture's
+# model, test and valid features and predictions: the argv, and the file
+# of that directory that --out, or a file written beside it, would overwrite
+OVERWRITES = {
+    "predict --out is --model": (
+        ["predict", "--model", "model.json", "--features", "ftest",
+         "--out", "model.json"], "model.json"),
+    "predict --out by another path is --model": (
+        ["predict", "--model", "model.json", "--features", "ftest",
+         "--out", os.path.join("ftest", "..", "model.json")], "model.json"),
+    "predict --out is the truth": (
+        ["predict", "--model", "model.json", "--features", "ftest",
+         "--out", os.path.join("ftest", "y.npy")], os.path.join("ftest", "y.npy")),
+    "train --out is the sidecar": (
+        ["train", "--train", "ftest", "--out", os.path.join("ftest", "featurize.json")],
+        os.path.join("ftest", "featurize.json")),
+    "train --out is a file of --valid": (
+        ["train", "--train", "ftest", "--valid", "fvalid",
+         "--out", os.path.join("fvalid", "ids.txt")], os.path.join("fvalid", "ids.txt")),
+    "train .metrics.json is a file of --train": (
+        ["train", "--train", "ftest", "--out", os.path.join("ftest", "pairs")],
+        os.path.join("ftest", "pairs.metrics.json")),
+    "evaluate --out is --pred": (
+        ["evaluate", "--pred", "pred.csv", "--truth", "ftest", "--out", "pred.csv"],
+        "pred.csv"),
+    "evaluate .csv is --pred": (
+        ["evaluate", "--pred", "pred.csv", "--truth", "ftest", "--out", "pred.json"],
+        "pred.csv"),
+    "evaluate --out is the truth": (
+        ["evaluate", "--pred", "pred.csv", "--truth", "ftest",
+         "--out", os.path.join("ftest", "y.npy")], os.path.join("ftest", "y.npy")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERWRITES))
+def test_out_naming_an_input_exits_2(pipeline, tmp_path, capsys, monkeypatch,
+                                     case):
+    """An --out of train, predict or evaluate that names, by whatever path,
+    a file the command reads, or whose .metrics.json or .csv would, exits 2
+    naming it before anything is written; every input keeps its bytes.
+    Each of these commands used to write over its input and exit 0."""
+    argv, victim = OVERWRITES[case]
+    shutil.copy(pipeline["model"], tmp_path / "model.json")
+    shutil.copy(pipeline["preds"], tmp_path / "pred.csv")
+    for name in ("test", "valid"):
+        shutil.copytree(pipeline["feats"][name], tmp_path / f"f{name}")
+    # the train .metrics.json case needs a file of that name to overwrite
+    (tmp_path / "ftest" / "pairs.metrics.json").write_text("{}\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["--quiet", "--config", pipeline["cfg"], *argv]) == 2
+    err = capsys.readouterr().err
+    out = argv[argv.index("--out") + 1]
+    assert "data error" in err and f"--out {out} " in err, err
+    assert f"{victim}, which {argv[0]} reads; choose another file" in err, err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 def _store_of_the_test_split(store, pipeline):
