@@ -158,6 +158,12 @@ def store_stamp(cfg) -> dict:
             "nbits": cfg.nbits, "table_sha256": hashlib.sha256(table).hexdigest()}
 
 
+def _dataset_files(path) -> list:
+    """The dataset.tsv, provenance.json and store directory of a dataset."""
+    return [os.path.join(path, name)
+            for name in ("dataset.tsv", "provenance.json", STORE_DIR)]
+
+
 def file_digest(path) -> str:
     """The sha256 of a file's bytes, as hex."""
     import hashlib                      # only ingest and featurize digest files
@@ -272,17 +278,16 @@ def _read_dataset(path, bounds, subset: str, stamp=None):
 
     Given a store_stamp, featurize's, the feature store must exist and
     record stamp and this dataset.tsv's sha256; store is its _read_store."""
+    tsv, prov_path, store_dir = _dataset_files(path)
     if stamp is not None and not os.path.exists(
-            os.path.join(path, STORE_DIR, "featurize.json")):
+            os.path.join(store_dir, "featurize.json")):
         raise _stale(path, "the dataset has no feature store")
     if subset != "all" and subset not in SPLIT_NAMES:
         raise ValueError(f"unknown subset {subset!r}")
-    prov_path = os.path.join(path, "provenance.json")
     if not os.path.exists(prov_path):
         raise _stale(path, "the dataset has no provenance.json")
     provenance = _read_provenance(prov_path)
     store = None if stamp is None else _read_store(path, stamp)
-    tsv = os.path.join(path, "dataset.tsv")
     digest = file_digest(tsv)
     if provenance.pop(TSV_DIGEST, None) != digest:
         raise _stale(path, "dataset.tsv is not the file provenance.json records")

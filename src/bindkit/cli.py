@@ -15,8 +15,8 @@ import sys
 
 from array import array
 
-from ._formats import (STORE_DIR, _load_vector, _read_dataset, _write_json,
-                       store_stamp)
+from ._formats import (STORE_DIR, _dataset_files, _load_vector, _read_dataset,
+                       _write_json, store_stamp)
 from .config import ConfigError, PipelineConfig, load_config
 from .errors import DataError, DatasetError, GbdtError
 from .metrics import build_report, write_report
@@ -135,24 +135,29 @@ def _sidecar(cfg: PipelineConfig, columns, dataset_digest: str, subset: str,
             "subset": subset, "table_version": table_version}
 
 
-def _refuse_overwrite(command: str, out: str, reads, beside=()) -> None:
-    """DatasetError where out, the --out of command, or a file written
-    beside it names, by any path, a file of reads: each file, or each
-    existing file of each directory, that command reads."""
+def _refuse_overwrite(args, cfg: PipelineConfig, reads, writes) -> None:
+    """DatasetError where a path of writes, the files args.command writes,
+    names, by any path, an existing file it reads: a file of reads or of a
+    directory of reads, the --config file or a [paths] file."""
     read = {}
-    for path in reads:
-        for name in ([os.path.join(path, n) for n in os.listdir(path)]
-                     if os.path.isdir(path) else [path]):
-            read.setdefault(os.path.realpath(name), name)
-    for path in (out, *beside):
+    for path in (*reads, args.config, cfg.property_table, cfg.fasta):
+        if path is not None and os.path.exists(path):
+            for name in ([os.path.join(path, n) for n in os.listdir(path)]
+                         if os.path.isdir(path) else [path]):
+                read.setdefault(os.path.realpath(name), name)
+    for path in writes:
         name = read.get(os.path.realpath(path))
         if name is not None:
-            raise DatasetError(f"--out {out} " + (
-                f"is {name}" if path == out else f"writes {path}")
-                + f", which {command} reads; choose another file")
+            raise DatasetError(f"--out {args.out} " + (
+                f"is {name}" if path == args.out else f"writes {path}")
+                + f", which {args.command} reads; choose another file")
 
 
 def cmd_ingest(args, cfg: PipelineConfig) -> int:
+    from .model import FEATURE_FILES
+    tsv, provenance, store_dir = _dataset_files(args.out)
+    _refuse_overwrite(args, cfg, [args.input], [
+        tsv, provenance, *(os.path.join(store_dir, n) for n in FEATURE_FILES)])
     from . import dataset as ds_mod
     rows, reader_drops, digest = ds_mod.read_raw_tsv(args.input)
     fasta_index = None
@@ -180,17 +185,15 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
     """Write the features of --subset, selected from the dataset's store.
 
     The store serves only a dataset that _formats._read_dataset reads under
-    the config's store_stamp; any other dataset, and an --out that is the
-    store, raises DatasetError naming the reason before anything is
-    written.  The rows of the subset give ids and y, and select X from the
-    store.  A store that read_features refuses, or whose row count is not
-    the dataset's, raises DatasetError naming the file."""
-    from .model import column_names
+    the config's store_stamp; any other dataset raises DatasetError naming the
+    reason before anything is written.  The rows of the subset give ids and y,
+    and select X from the store.  A store that read_features refuses, or whose
+    row count is not the dataset's, raises DatasetError naming the file."""
+    from .model import FEATURE_FILES, column_names
     path, subset = args.dataset, args.subset
+    _refuse_overwrite(args, cfg, _dataset_files(path),
+                      [os.path.join(args.out, name) for name in FEATURE_FILES])
     store = os.path.join(path, STORE_DIR)
-    if os.path.realpath(args.out) == os.path.realpath(store):
-        raise DatasetError(f"--out {args.out} is the feature store of {path}, "
-                           "which featurize reads; choose another directory")
     provenance, n_records, rows, meta = _read_dataset(path, cfg.bounds, subset,
                                                       store_stamp(cfg))
     X, _ = _cli.read_features(store)
@@ -211,8 +214,8 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
     metrics_path = args.out + ".metrics.json"
-    dirs = [d for d in (args.train_dir, args.valid_dir) if d is not None]
-    _refuse_overwrite("train", args.out, dirs, [metrics_path])
+    _refuse_overwrite(args, cfg, [args.train_dir, args.valid_dir],
+                      [args.out, metrics_path])
     X, y = _cli.read_features(args.train_dir)
     if y is None:
         raise DatasetError(f"no y.npy next to features in {args.train_dir}")
@@ -244,7 +247,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_predict(args, cfg: PipelineConfig) -> int:
-    _refuse_overwrite("predict", args.out, [args.model, args.features])
+    _refuse_overwrite(args, cfg, [args.model, args.features], [args.out])
     model = _cli.load_model(args.model)
     X, _ = _cli.read_features(args.features)
     preds = model.predict(X)            # a width mismatch raises here
@@ -265,9 +268,8 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     truth = args.truth
     if os.path.isdir(truth):
         truth = os.path.join(truth, "y.npy")
-    csv_path = (args.out[:-5] + ".csv" if args.out.endswith(".json")
-                else args.out + ".csv")
-    _refuse_overwrite("evaluate", args.out, [args.pred, truth], [csv_path])
+    csv_path = args.out.removesuffix(".json") + ".csv"
+    _refuse_overwrite(args, cfg, [args.pred, truth], [args.out, csv_path])
     preds = _load_vector(args.pred)
     y = _load_vector(truth)
     report = build_report(y, preds, start=cfg.bin_start, stop=cfg.bin_stop,
@@ -305,17 +307,8 @@ def _block_json(features, rows: dict[bytes, str]) -> str:
 
 
 def cmd_export_graphs(args, cfg: PipelineConfig) -> int:
-    """Write the graphs of each record of --subset that load_dataset reads.
-    An --out that is the dataset's dataset.tsv, provenance.json or a file
-    of its store, by any path, raises DatasetError before anything is read."""
-    out, data = os.path.realpath(args.out), os.path.realpath(args.dataset)
-    store = os.path.join(data, STORE_DIR)
-    if (out in (os.path.join(data, "dataset.tsv"),
-                os.path.join(data, "provenance.json"))
-            or os.path.commonpath([out, store]) == store):
-        raise DatasetError(f"--out {args.out} is a file of the dataset "
-                           f"{args.dataset}, which export-graphs reads; "
-                           "choose another file")
+    """Write the graphs of each record of --subset that load_dataset reads."""
+    _refuse_overwrite(args, cfg, _dataset_files(args.dataset), [args.out])
     from . import dataset as ds_mod
     records = ds_mod.load_dataset(args.dataset, cfg.bounds, args.subset).records
     table = _table_for(cfg)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._formats import (DATASET_COLUMNS, SPLIT_NAMES, STORE_DIR, TSV_DIGEST,
+from ._formats import (DATASET_COLUMNS, SPLIT_NAMES, TSV_DIGEST, _dataset_files,
                        _read_dataset, _write_json, file_digest)
 from .config import KiBounds
 from .errors import DatasetError, DatasetFormatError, EmptyAfterFilteringError
@@ -395,16 +395,15 @@ def write_dataset(dataset: Dataset, outdir, features=None) -> None:
     for line in _tsv_lines(dataset):
         sha.update(line.encode("utf-8"))
     digest = sha.hexdigest()
+    tsv, prov_path, store = _dataset_files(outdir)
     if features is not None:
         X, y, ids, sidecar = features
-        write_features(os.path.join(outdir, STORE_DIR), X, y, ids,
-                       {**sidecar, TSV_DIGEST: digest})
+        write_features(store, X, y, ids, {**sidecar, TSV_DIGEST: digest})
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "dataset.tsv"), "w", encoding="utf-8",
-              newline="\n") as fh:
+    with open(tsv, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_tsv_lines(dataset))
     doc = {**dataset.provenance, TSV_DIGEST: digest}
-    _write_json(os.path.join(outdir, "provenance.json"), doc, DatasetFormatError)
+    _write_json(prov_path, doc, DatasetFormatError)
 
 
 def load_dataset(outdir, bounds: KiBounds = DEFAULT_BOUNDS,

@@ -41,6 +41,9 @@ DENSE_FILE = "descriptors.npy"
 BITS_FILE = "fingerprints.npy"
 OFFSETS_FILE = "fingerprint_offsets.npy"
 INDEX_FILE = "pairs.npy"
+# The files of a feature directory, in the order write_features writes them
+FEATURE_FILES = (DENSE_FILE, BITS_FILE, OFFSETS_FILE, INDEX_FILE, "y.npy",
+                 "ids.txt", "featurize.json")
 
 
 class ModelFormatError(GbdtError):
@@ -368,17 +371,17 @@ def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
             f"value in column {f}" + (f" ({names[f]})" if names else ""))
     targets = _little(y, "d")
     os.makedirs(outdir, exist_ok=True)
-    for name, descr, shape, data in (
-            (DENSE_FILE, "<f8", (X.dense_rows, X.n_dense), _little(X.dense, "d")),
-            (BITS_FILE, "<u2", (len(X.indices),), _little(X.indices, "H")),
-            (OFFSETS_FILE, "<i4", (len(X.offsets),), _little(X.offsets, "i")),
-            (INDEX_FILE, "<i4", (len(X), 2), _little(X.index, "i")),
-            ("y.npy", "<f8", (len(targets) // 8,), targets)):
-        _write_npy(os.path.join(outdir, name), descr, shape, data)
-    with open(os.path.join(outdir, "ids.txt"), "w", encoding="utf-8",
-              newline="\n") as fh:
+    *npy, ids_txt, meta_json = [os.path.join(outdir, n) for n in FEATURE_FILES]
+    for path, (descr, shape, data) in zip(npy, (
+            ("<f8", (X.dense_rows, X.n_dense), _little(X.dense, "d")),
+            ("<u2", (len(X.indices),), _little(X.indices, "H")),
+            ("<i4", (len(X.offsets),), _little(X.offsets, "i")),
+            ("<i4", (len(X), 2), _little(X.index, "i")),
+            ("<f8", (len(targets) // 8,), targets))):
+        _write_npy(path, descr, shape, data)
+    with open(ids_txt, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(i + "\n" for i in ids)
-    _write_json(os.path.join(outdir, "featurize.json"), meta, DatasetError)
+    _write_json(meta_json, meta, DatasetError)
 
 
 # The fields of featurize.json that fix what the columns mean

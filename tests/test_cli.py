@@ -27,12 +27,13 @@ from hypothesis import given, settings, strategies as st
 import bindkit.cli
 import bindkit.smiles
 from bindkit.cli import _COMMANDS, _block_json, build_parser, main
-from bindkit.config import DEFAULT_PROPERTY_TABLE, load_config
+from bindkit.config import DEFAULT_PROPERTY_TABLE, load_config, property_table_bytes
 from bindkit.dataset import featurize_pairs, load_dataset
 from bindkit.errors import DataError, EmptyAfterFilteringError, FingerprintFormatError
 from bindkit.gbdt import load_model
 from bindkit.ligand_features import GraphFeatures, graph_block
-from bindkit.model import STORE_VERSION, Features, read_features, write_features
+from bindkit.model import (STORE_DIR, STORE_VERSION, Features, read_features,
+                           write_features)
 from bindkit.protein_features import (
     DESCRIPTOR_LAYOUT,
     PROPERTIES,
@@ -293,9 +294,10 @@ def computed(cfg, data, out, subset="test"):
     return files(out)
 
 
-def child_main(argv):
+def child_main(argv, cwd=None):
     """The exit code, whether numpy loaded, and the stderr of main(argv) in
-    a child python -S, with bindkit's and numpy's directories on its path."""
+    a child python -S, run in cwd, with bindkit's and numpy's directories
+    on its path."""
     paths = [str(pathlib.Path(module.__file__).parent.parent)
              for module in (bindkit.cli, np)]
     code = ("import sys\n"
@@ -304,7 +306,7 @@ def child_main(argv):
             f"code = main({argv!r})\n"
             "print(code, 'numpy' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                          text=True)
+                          text=True, cwd=cwd)
     code, numpy = proc.stdout.split()
     return int(code), numpy == "True", proc.stderr
 
@@ -521,60 +523,6 @@ def test_featurize_names_the_first_of_two_faults(pipeline, tmp_path, capsys, cas
     assert not out.exists()
 
 
-@pytest.mark.parametrize("out", [
-    lambda data, _: data / "features",
-    lambda data, _: f"{data / 'features'}{os.sep}",
-    lambda data, _: data / "split" / ".." / "features",
-    lambda data, tmp_path: tmp_path / "link",
-], ids=["same path", "trailing separator", "dot-dot", "symlink"])
-def test_out_naming_the_feature_store_exits_2(pipeline, tmp_path, out):
-    """An --out that is the dataset's own feature store, by whatever path,
-    exits 2 naming it, before anything is written and without numpy; the
-    store keeps its bytes.  featurize used to replace the 28-row store with
-    the 3 rows of its split."""
-    data = tmp_path / "dataset"
-    shutil.copytree(pipeline["data"], data)
-    (tmp_path / "link").symlink_to(data / "features")
-    before = files(data / "features")
-    target = str(out(data, tmp_path))
-    code, numpy, err = child_main(["--config", pipeline["cfg"], "featurize",
-                                   "--dataset", str(data), "--subset", "test",
-                                   "--out", target])
-    assert (code, numpy) == (2, False), err
-    assert "data error" in err and f"--out {target} is the feature store" in err, err
-    assert files(data / "features") == before
-    assert not (data / "split").exists()
-
-
-@pytest.mark.parametrize("out", [
-    lambda data, name, _: data / name,
-    lambda data, name, _: f"{data / name}{os.sep}",
-    lambda data, name, _: data / "split" / ".." / name,
-    lambda data, name, tmp_path: tmp_path / name.replace(os.sep, "-"),
-], ids=["same path", "trailing separator", "dot-dot", "symlink"])
-def test_export_graphs_out_naming_a_dataset_file_exits_2(pipeline, tmp_path,
-                                                         capsys, out):
-    """An --out that is the dataset's dataset.tsv, its provenance.json or a
-    file of its feature store, by whatever path, exits 2 naming it before
-    anything is opened for writing; every file of the dataset keeps its
-    bytes.  export-graphs used to write its graphs over dataset.tsv and
-    exit 0."""
-    data = tmp_path / "dataset"
-    shutil.copytree(pipeline["data"], data)
-    before = {p: p.read_bytes() for p in data.rglob("*") if p.is_file()}
-    for name in ("dataset.tsv", "provenance.json", os.path.join("features", "ids.txt")):
-        (tmp_path / name.replace(os.sep, "-")).symlink_to(data / name)
-        target = str(out(data, name, tmp_path))
-        capsys.readouterr()
-        assert main(["--quiet", "--config", pipeline["cfg"], "export-graphs",
-                     "--dataset", str(data), "--subset", "test",
-                     "--out", target]) == 2
-        err = capsys.readouterr().err
-        assert "data error" in err and f"--out {target} is a file of the dataset" in err, err
-    assert {p: p.read_bytes() for p in data.rglob("*") if p.is_file()} == before
-    assert not (data / "split").exists()
-
-
 def _stamp_store(**fields):
     def edit(store):
         path = store / "featurize.json"
@@ -606,47 +554,109 @@ def test_only_featurize_reads_the_store(pipeline, tmp_path, capsys, damage):
     assert records(data) == records(pipeline["data"])
 
 
-# train, predict and evaluate in a directory holding a copy of the fixture's
-# model, test and valid features and predictions: the argv, and the file
-# of that directory that --out, or a file written beside it, would overwrite
+# Each case runs in a working directory holding copies of the fixture's
+# dataset, model, test and valid features and predictions, the raw TSV as
+# raw/dataset.tsv, and one config, saved as cfg.toml, cfg.csv and
+# conf/provenance.json, whose [paths] name receptors.fasta and table.csv
+# there.  The symlinks dataset.tsv, provenance.json, features and
+# features-ids.txt point into the dataset.  A case is the argv and the
+# middle of the refusal: "is NAME" when --out is NAME, a file read, and
+# "writes PATH" when the file at risk is written beside or under --out.
+CFG = ["--config", "cfg.toml"]
+
+
+def _spelled(name):
+    """The four spellings of the dataset's file name, by their ids: the
+    path itself, with a trailing separator, through dataset/split/.., and
+    through the symlink in the working directory."""
+    return {"same path": os.path.join("dataset", name),
+            "trailing separator": os.path.join("dataset", name, ""),
+            "dot-dot": os.path.join("dataset", "split", "..", name),
+            "symlink": name.replace(os.sep, "-")}
+
+
 OVERWRITES = {
     "predict --out is --model": (
-        ["predict", "--model", "model.json", "--features", "ftest",
-         "--out", "model.json"], "model.json"),
+        [*CFG, "predict", "--model", "model.json", "--features", "ftest",
+         "--out", "model.json"], "is model.json"),
     "predict --out by another path is --model": (
-        ["predict", "--model", "model.json", "--features", "ftest",
-         "--out", os.path.join("ftest", "..", "model.json")], "model.json"),
+        [*CFG, "predict", "--model", "model.json", "--features", "ftest",
+         "--out", os.path.join("ftest", "..", "model.json")], "is model.json"),
     "predict --out is the truth": (
-        ["predict", "--model", "model.json", "--features", "ftest",
-         "--out", os.path.join("ftest", "y.npy")], os.path.join("ftest", "y.npy")),
+        [*CFG, "predict", "--model", "model.json", "--features", "ftest",
+         "--out", os.path.join("ftest", "y.npy")],
+        f"is {os.path.join('ftest', 'y.npy')}"),
     "train --out is the sidecar": (
-        ["train", "--train", "ftest", "--out", os.path.join("ftest", "featurize.json")],
-        os.path.join("ftest", "featurize.json")),
+        [*CFG, "train", "--train", "ftest",
+         "--out", os.path.join("ftest", "featurize.json")],
+        f"is {os.path.join('ftest', 'featurize.json')}"),
     "train --out is a file of --valid": (
-        ["train", "--train", "ftest", "--valid", "fvalid",
-         "--out", os.path.join("fvalid", "ids.txt")], os.path.join("fvalid", "ids.txt")),
+        [*CFG, "train", "--train", "ftest", "--valid", "fvalid",
+         "--out", os.path.join("fvalid", "ids.txt")],
+        f"is {os.path.join('fvalid', 'ids.txt')}"),
     "train .metrics.json is a file of --train": (
-        ["train", "--train", "ftest", "--out", os.path.join("ftest", "pairs")],
-        os.path.join("ftest", "pairs.metrics.json")),
+        [*CFG, "train", "--train", "ftest", "--out", os.path.join("ftest", "pairs")],
+        f"writes {os.path.join('ftest', 'pairs.metrics.json')}"),
     "evaluate --out is --pred": (
-        ["evaluate", "--pred", "pred.csv", "--truth", "ftest", "--out", "pred.csv"],
-        "pred.csv"),
+        [*CFG, "evaluate", "--pred", "pred.csv", "--truth", "ftest",
+         "--out", "pred.csv"], "is pred.csv"),
     "evaluate .csv is --pred": (
-        ["evaluate", "--pred", "pred.csv", "--truth", "ftest", "--out", "pred.json"],
-        "pred.csv"),
+        [*CFG, "evaluate", "--pred", "pred.csv", "--truth", "ftest",
+         "--out", "pred.json"], "writes pred.csv"),
     "evaluate --out is the truth": (
-        ["evaluate", "--pred", "pred.csv", "--truth", "ftest",
-         "--out", os.path.join("ftest", "y.npy")], os.path.join("ftest", "y.npy")),
+        [*CFG, "evaluate", "--pred", "pred.csv", "--truth", "ftest",
+         "--out", os.path.join("ftest", "y.npy")],
+        f"is {os.path.join('ftest', 'y.npy')}"),
+    "ingest writes its --in": (
+        [*CFG, "ingest", "--in", os.path.join("raw", "dataset.tsv"), "--out", "raw"],
+        f"writes {os.path.join('raw', 'dataset.tsv')}"),
+    "ingest writes --config": (
+        ["--config", os.path.join("conf", "provenance.json"), "ingest",
+         "--in", os.path.join("raw", "dataset.tsv"), "--out", "conf"],
+        f"writes {os.path.join('conf', 'provenance.json')}"),
+    "train --out is --config": (
+        [*CFG, "train", "--train", "ftest", "--out", "cfg.toml"], "is cfg.toml"),
+    "predict --out is --config": (
+        [*CFG, "predict", "--model", "model.json", "--features", "ftest",
+         "--out", "cfg.toml"], "is cfg.toml"),
+    "evaluate --out is --config": (
+        [*CFG, "evaluate", "--pred", "pred.csv", "--truth", "ftest",
+         "--out", "cfg.toml"], "is cfg.toml"),
+    "evaluate .csv is --config": (
+        ["--config", "cfg.csv", "evaluate", "--pred", "pred.csv", "--truth",
+         "ftest", "--out", "cfg.json"], "writes cfg.csv"),
+    "export-graphs --out is --config": (
+        [*CFG, "export-graphs", "--dataset", "dataset", "--subset", "test",
+         "--out", "cfg.toml"], "is cfg.toml"),
+    "export-graphs --out is the [paths] fasta": (
+        [*CFG, "export-graphs", "--dataset", "dataset", "--subset", "test",
+         "--out", "receptors.fasta"], "is receptors.fasta"),
+    "export-graphs --out is the [paths] property_table": (
+        [*CFG, "export-graphs", "--dataset", "dataset", "--subset", "test",
+         "--out", "table.csv"], "is table.csv"),
+    # featurize used to replace the 28-row store with the 3 rows of its split
+    **{f"featurize --out is the store, {how}": (
+        [*CFG, "featurize", "--dataset", "dataset", "--subset", "test",
+         "--out", out], f"writes {os.path.join(out, 'descriptors.npy')}")
+       for how, out in _spelled(STORE_DIR).items()},
+    # export-graphs used to write its graphs over dataset.tsv
+    **{f"export-graphs --out is {name}, {how}": (
+        [*CFG, "export-graphs", "--dataset", "dataset", "--subset", "test",
+         "--out", out], f"is {os.path.join('dataset', name)}")
+       for name in ("dataset.tsv", "provenance.json", os.path.join(STORE_DIR, "ids.txt"))
+       for how, out in _spelled(name).items()},
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERWRITES))
-def test_out_naming_an_input_exits_2(pipeline, tmp_path, capsys, monkeypatch,
-                                     case):
-    """An --out of train, predict or evaluate that names, by whatever path,
-    a file the command reads, or whose .metrics.json or .csv would, exits 2
-    naming it before anything is written; every input keeps its bytes.
-    Each of these commands used to write over its input and exit 0."""
+def test_out_naming_an_input_exits_2(pipeline, tmp_path, case):
+    """A command whose --out, or a file it writes beside or under --out,
+    names, by whatever path, a file the command reads (an input, a file of
+    an input directory or of the dataset's store, the --config file or a
+    [paths] file) exits 2 naming both, before anything is read or written
+    and without numpy; every file keeps its bytes.  Each case used to
+    write over the file it names, but for the featurize and export-graphs
+    dataset cases, which two other checks refused."""
     argv, victim = OVERWRITES[case]
     shutil.copy(pipeline["model"], tmp_path / "model.json")
     shutil.copy(pipeline["preds"], tmp_path / "pred.csv")
@@ -654,15 +664,114 @@ def test_out_naming_an_input_exits_2(pipeline, tmp_path, capsys, monkeypatch,
         shutil.copytree(pipeline["feats"][name], tmp_path / f"f{name}")
     # the train .metrics.json case needs a file of that name to overwrite
     (tmp_path / "ftest" / "pairs.metrics.json").write_text("{}\n")
-    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    shutil.copytree(pipeline["data"], tmp_path / "dataset")
+    for name in ("dataset.tsv", "provenance.json", STORE_DIR,
+                 os.path.join(STORE_DIR, "ids.txt")):
+        (tmp_path / name.replace(os.sep, "-")).symlink_to(tmp_path / "dataset" / name)
+    (tmp_path / "raw").mkdir()
+    shutil.copy(RAW, tmp_path / "raw" / "dataset.tsv")
+    shutil.copy(FIXTURES / "receptors.fasta", tmp_path / "receptors.fasta")
+    (tmp_path / "table.csv").write_bytes(property_table_bytes(None))
+    config = (pathlib.Path(pipeline["cfg"]).read_text().split("[paths]")[0]
+              + '[paths]\nfasta = "receptors.fasta"\nproperty_table = "table.csv"\n')
+    (tmp_path / "conf").mkdir()
+    for name in ("cfg.toml", "cfg.csv", os.path.join("conf", "provenance.json")):
+        (tmp_path / name).write_text(config)
+    before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+    code, numpy, err = child_main(["--quiet", *argv], cwd=tmp_path)
+    assert (code, numpy) == (2, False), err
+    out = argv[argv.index("--out") + 1]
+    assert "data error" in err, err
+    assert (f"--out {out} {victim}, which {argv[2]} reads; choose another file"
+            in err), err
+    assert {p: p.read_bytes() if p.is_file() else None
+            for p in tmp_path.rglob("*")} == before
+
+
+def test_export_graphs_may_add_a_file_to_the_store(pipeline, tmp_path):
+    """export-graphs --out naming a new file inside the dataset's feature
+    store replaces nothing there, so it runs; once written, that file is an
+    existing store file, which a second run refuses like any other."""
+    data = tmp_path / "dataset"
+    shutil.copytree(pipeline["data"], data)
+    before = files(data / STORE_DIR)
+    out = str(data / STORE_DIR / "graphs.jsonl")
+    argv = ["--quiet", "--config", pipeline["cfg"], "export-graphs",
+            "--dataset", str(data), "--subset", "test", "--out", out]
+    assert main(argv) == 0
+    graphs = pathlib.Path(out).read_bytes()
+    assert graphs == pathlib.Path(pipeline["graphs"]).read_bytes()
+    assert files(data / STORE_DIR) == dict(before, **{"graphs.jsonl": graphs})
+    code, numpy, err = child_main(argv)
+    assert (code, numpy) == (2, False), err
+    assert f"--out {out} is {out}, which export-graphs reads" in err, err
+    assert files(data / STORE_DIR) == dict(before, **{"graphs.jsonl": graphs})
+
+
+# A nonexistent input of each command, and the error its reader gives
+MISSING_INPUTS = {
+    "ingest --in": (
+        ["ingest", "--in", "missing"], "[Errno 2] No such file or directory: 'missing'"),
+    "featurize --dataset": (
+        ["featurize", "--dataset", "missing", "--subset", "test"],
+        "missing: the dataset has no feature store; re-run bindkit ingest "
+        "with this config to write its feature store"),
+    "export-graphs --dataset": (
+        ["export-graphs", "--dataset", "missing", "--subset", "test"],
+        "missing: the dataset has no provenance.json; re-run bindkit ingest "
+        "with this config to write its feature store"),
+    "train --train": (
+        ["train", "--train", "missing"],
+        "[Errno 2] No such file or directory: "
+        f"{os.path.join('missing', 'featurize.json')!r}"),
+    "predict --model": (
+        ["predict", "--model", "missing", "--features", "ftest"],
+        "[Errno 2] No such file or directory: 'missing'"),
+    "evaluate --pred": (
+        ["evaluate", "--pred", "missing", "--truth", "ftest"],
+        "[Errno 2] No such file or directory: 'missing'"),
+    "evaluate --truth": (
+        ["evaluate", "--pred", "pred.csv", "--truth", "missing"],
+        "[Errno 2] No such file or directory: 'missing'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_INPUTS))
+def test_missing_input_keeps_its_own_refusal(pipeline, tmp_path, capsys,
+                                             monkeypatch, case):
+    """A nonexistent input exits 2 with the error of the command's own
+    reader, as it did before one overwrite check ran in every command:
+    that check passes over a file that does not exist."""
+    argv, message = MISSING_INPUTS[case]
+    shutil.copy(pipeline["preds"], tmp_path / "pred.csv")
+    shutil.copytree(pipeline["feats"]["test"], tmp_path / "ftest")
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
-    assert main(["--quiet", "--config", pipeline["cfg"], *argv]) == 2
-    err = capsys.readouterr().err
-    out = argv[argv.index("--out") + 1]
-    assert "data error" in err and f"--out {out} " in err, err
-    assert f"{victim}, which {argv[0]} reads; choose another file" in err, err
-    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert main(["--quiet", "--config", pipeline["cfg"], *argv, "--out", "out"]) == 2
+    assert capsys.readouterr().err == f"bindkit: data error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_paths_resolve_against_the_working_directory(tmp_path, monkeypatch):
+    """[paths] fasta and property_table name files relative to the working
+    directory, not to the config file's directory: ingest run elsewhere
+    reads the working directory's receptors.fasta, whose references resolve
+    (28 records, as in the fixture pipeline), and table.csv, which only the
+    working directory holds, not the config directory's decoy FASTA."""
+    conf, work = tmp_path / "conf", tmp_path / "work"
+    conf.mkdir()
+    work.mkdir()
+    cfg = conf / "cfg.toml"
+    cfg.write_text('[paths]\nfasta = "receptors.fasta"\nproperty_table = "table.csv"\n')
+    (conf / "receptors.fasta").write_text(">other\nMKT\n")
+    shutil.copy(FIXTURES / "receptors.fasta", work / "receptors.fasta")
+    (work / "table.csv").write_bytes(property_table_bytes(None))
+    monkeypatch.chdir(work)
+    assert main(["--quiet", "--config", str(cfg), "ingest", "--in", RAW,
+                 "--out", "data"]) == 0
+    prov = json.loads((work / "data" / "provenance.json").read_text())
+    assert prov["drops"] == EXPECTED_DROPS
+    assert prov["n_records"] == 28
 
 
 def _store_of_the_test_split(store, pipeline):
