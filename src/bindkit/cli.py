@@ -135,22 +135,44 @@ def _sidecar(cfg: PipelineConfig, columns, dataset_digest: str, subset: str,
             "subset": subset, "table_version": table_version}
 
 
+def _identity(path):
+    """The (device, inode) of the file path names, or None where it names
+    none.  realpath comes first, so dataset/split/.. and a file spelled
+    with a trailing separator name the file they resolve to."""
+    try:
+        stat = os.stat(os.path.realpath(path))
+    except OSError:
+        return None
+    return stat.st_dev, stat.st_ino
+
+
 def _refuse_overwrite(args, cfg: PipelineConfig, reads, writes) -> None:
-    """DatasetError where a path of writes, the files args.command writes,
-    names, by any path, an existing file it reads: a file of reads or of a
-    directory of reads, the --config file or a [paths] file."""
+    """DatasetError at the first path of writes, the files args.command
+    writes, that is, by any path or hard link, an existing file it reads (a
+    file of reads or of a directory of reads, the --config file or a
+    [paths] file), that names a directory, or that lies under an existing
+    file."""
     read = {}
     for path in (*reads, args.config, cfg.property_table, cfg.fasta):
-        if path is not None and os.path.exists(path):
+        if path is not None:
             for name in ([os.path.join(path, n) for n in os.listdir(path)]
                          if os.path.isdir(path) else [path]):
-                read.setdefault(os.path.realpath(name), name)
+                read.setdefault(_identity(name), name)
+    read.pop(None, None)                        # the paths that name no file
     for path in writes:
-        name = read.get(os.path.realpath(path))
+        name = read.get(_identity(path))
         if name is not None:
             raise DatasetError(f"--out {args.out} " + (
                 f"is {name}" if path == args.out else f"writes {path}")
                 + f", which {args.command} reads; choose another file")
+        where = os.path.dirname(path)           # its nearest existing ancestor
+        while where and not os.path.exists(where):
+            where = os.path.dirname(where)
+        named_dir = os.path.isdir(path) or path.endswith(os.sep)
+        if named_dir or (where and not os.path.isdir(where)):
+            raise DatasetError(f"--out {args.out} cannot write {path}: " + (
+                "it names a directory" if named_dir
+                else f"{where} is not a directory") + "; choose another path")
 
 
 def cmd_ingest(args, cfg: PipelineConfig) -> int:
@@ -248,6 +270,10 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 
 def cmd_predict(args, cfg: PipelineConfig) -> int:
     _refuse_overwrite(args, cfg, [args.model, args.features], [args.out])
+    if args.out.endswith(".npy"):       # evaluate would read it as one
+        raise DatasetError(f"--out {args.out} names a .npy file, but predict "
+                           "writes text, one prediction a line; choose another "
+                           "file")
     model = _cli.load_model(args.model)
     X, _ = _cli.read_features(args.features)
     preds = model.predict(X)            # a width mismatch raises here

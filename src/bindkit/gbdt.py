@@ -23,10 +23,13 @@ side, since no node or in-bag sample can take any other; that drops
 constant columns and most rare fingerprint bits once per fit (LightGBM's
 feature_pre_filter).  Kept columns are laid out by block, as
 model.Features stores them: dense columns keep their bin codes in one
-int32 block, and bit columns their set cells in a row-major CSR, the unset
-side being the node's count and total minus the set side.
+int32 block, and bit columns their set cells in a row-major CSR.
 Split search reads each tree's residuals rounded to integers in [-Q, Q], so
 every histogram sum is exact; leaf values take the mean float residual.
+A node's histogram is reduced at once to one side of each candidate, its
+count and sum: the rows at or below a dense cut, or the rows holding a bit
+column.  The other side is the node's count and total minus it, and a
+sibling's sides are its parent's minus its own, all exactly.
 Each level of a tree takes the first (feature, bin) with the largest
 variance gain summed over its nodes; the tree stops when that is <= 0.
 """
@@ -175,53 +178,48 @@ Q = 4096
 def _gain(s_left, n_left, total, m):
     """sum_L^2/n_L + sum_R^2/n_R - sum^2/m, elementwise, for sides of at
     least one row; every candidate uses this one operation order, so equal
-    sums give bit-equal gains."""
+    sums give bit-equal gains, and on exact sums L and R give it alike."""
     s_right = total - s_left
     return (s_left * s_left) / n_left + (s_right * s_right) / (m - n_left) \
         - (total * total) / m
 
 
 def _histograms(bm: _Binned, rows, q, slot, k):
-    """Counts and quantized residual sums of k nodes over training rows (q
-    their integer residuals, slot their node): (n1, s1) of the set cells of
-    every kept bit column, shape (k, bits), and (cnt, ssum) of every
-    (column, bin) cell of the kept dense columns, shape (k, dense, width).
-    Every sum is an exact integer."""
+    """The side of every candidate in each of k nodes over training rows (q
+    their integer residuals, slot their node): its count of rows and their
+    quantized residual sum, two arrays of shape (k, candidates).  A dense
+    cut's side is the rows at or below it, a running sum over its column's
+    (column, bin) cells; a bit candidate's is the rows that hold its
+    column.  Every sum is an exact integer."""
     p, size = bm.col.size - bm.cell.size, bm.codes.shape[1] * bm.width
+    shape = (k, bm.codes.shape[1], bm.width)
+    key = ((slot * size)[:, None] + bm.codes[rows]).ravel()
     starts = bm.indptr[rows]
     lens = bm.indptr[rows + 1] - starts
-    cells = bm.indices[_spans(starts, lens)]
-    key = np.repeat(slot * p, lens) + cells
-    n1 = np.bincount(key, minlength=k * p).reshape(k, p)
-    s1 = np.bincount(key, weights=np.repeat(q, lens), minlength=k * p).reshape(k, p)
-    key = ((slot * size)[:, None] + bm.codes[rows]).ravel()
-    shape = (k, bm.codes.shape[1], bm.width)
-    cnt = np.bincount(key, minlength=k * size).reshape(shape)
-    ssum = np.bincount(key, weights=np.repeat(q, shape[1]),
-                       minlength=k * size).reshape(shape)
-    return n1, s1, cnt, ssum
+    bits = np.repeat(slot * p, lens) + bm.indices[_spans(starts, lens)]
+
+    def sides(weights, bit_weights):
+        cells = np.bincount(key, weights=weights, minlength=k * size).reshape(shape)
+        return np.concatenate(
+            [np.cumsum(cells, axis=2).reshape(k, -1)[:, bm.cell],
+             np.bincount(bits, weights=bit_weights, minlength=k * p).reshape(k, p)],
+            axis=1)
+    return sides(None, None), sides(np.repeat(q, shape[1]), np.repeat(q, lens))
 
 
-def _best_split(bm: _Binned, hist, count, total, min_leaf):
-    """The index of the first best candidate of a level by its gain
-    summed, in node order, over the nodes where both its sides keep
-    min_leaf rows, or None when that gain is <= 0.  The candidates are in
-    (column, threshold) order, so the first best is the first maximum.  The
-    sums are exact, so a column and its complement, or two mirrored
-    columns, tie exactly."""
-    n1, s1, cnt, ssum = hist
-    k = len(count)
-    # the 0 side of each candidate: the rows at or below a dense cut, then
-    # the unset rows of a bit column
-    n_left = np.hstack([np.cumsum(cnt, axis=2).reshape(k, -1)[:, bm.cell],
-                        count[:, None] - n1])
-    s_left = np.hstack([np.cumsum(ssum, axis=2).reshape(k, -1)[:, bm.cell],
-                        total[:, None] - s1])
-    node, cand = np.nonzero((n_left >= min_leaf)
-                            & (count[:, None] - n_left >= min_leaf))
-    gain = np.bincount(cand, weights=_gain(s_left[node, cand], n_left[node, cand],
-                                           total[node], count[node]),
-                       minlength=bm.col.size)       # 0 where no node takes it
+@np.errstate(invalid="ignore")          # the 0/0 of an empty side, masked below
+def _best_split(hist, count, total, min_leaf):
+    """The index of the first best candidate of a level by its gain, from
+    the sides of hist, summed in node order over the nodes where both its
+    sides keep min_leaf rows (a masked cell adds an exact 0.0), or None
+    when that gain is <= 0.  The candidates are in (column, threshold)
+    order, so the first best is the first maximum.  The sums are exact, so
+    a column and its complement, or two mirrored columns, tie exactly."""
+    n, s = hist
+    count, total = count[:, None], total[:, None]
+    gain = _gain(s, n, total, count)
+    gain[(n < min_leaf) | (count - n < min_leaf)] = 0.0
+    gain = gain.sum(axis=0)         # adds the nodes in order
     if gain.max(initial=0.0) <= 0.0:
         return None
     return int(np.argmax(gain))
@@ -251,7 +249,7 @@ def _grow_tree(binned: _Binned, res, rows,
     feature, threshold = [], []
     while count.size and len(feature) < params.max_depth:
         k = count.size
-        c = _best_split(binned, hist, count, total, min_leaf)
+        c = _best_split(hist, count, total, min_leaf)
         if c is None:
             break
         feature.append(int(binned.col[c]))

@@ -559,7 +559,12 @@ def test_only_featurize_reads_the_store(pipeline, tmp_path, capsys, damage):
 # raw/dataset.tsv, and one config, saved as cfg.toml, cfg.csv and
 # conf/provenance.json, whose [paths] name receptors.fasta and table.csv
 # there.  The symlinks dataset.tsv, provenance.json, features and
-# features-ids.txt point into the dataset.  A case is the argv and the
+# features-ids.txt point into the dataset.  Hard links share a file with
+# one that is read: model-link.json with model.json, cfg-link.toml with
+# cfg.toml, ilink/dataset.tsv with the raw TSV and flink/descriptors.npy
+# with the store's.  afile is a file, and adir a directory holding the
+# directories m.json.metrics.json and r.csv and the file features.
+# A case is the argv and the
 # middle of the refusal: "is NAME" when --out is NAME, a file read, and
 # "writes PATH" when the file at risk is written beside or under --out.
 CFG = ["--config", "cfg.toml"]
@@ -635,6 +640,18 @@ OVERWRITES = {
         [*CFG, "export-graphs", "--dataset", "dataset", "--subset", "test",
          "--out", "table.csv"], "is table.csv"),
     # featurize used to replace the 28-row store with the 3 rows of its split
+    "predict --out is a hard link to --model": (
+        [*CFG, "predict", "--model", "model.json", "--features", "ftest",
+         "--out", "model-link.json"], "is model.json"),
+    "export-graphs --out is a hard link to --config": (
+        [*CFG, "export-graphs", "--dataset", "dataset", "--subset", "test",
+         "--out", "cfg-link.toml"], "is cfg.toml"),
+    "ingest writes a hard link to its --in": (
+        [*CFG, "ingest", "--in", os.path.join("raw", "dataset.tsv"), "--out", "ilink"],
+        f"writes {os.path.join('ilink', 'dataset.tsv')}"),
+    "featurize writes a hard link to the store": (
+        [*CFG, "featurize", "--dataset", "dataset", "--subset", "test",
+         "--out", "flink"], f"writes {os.path.join('flink', 'descriptors.npy')}"),
     **{f"featurize --out is the store, {how}": (
         [*CFG, "featurize", "--dataset", "dataset", "--subset", "test",
          "--out", out], f"writes {os.path.join(out, 'descriptors.npy')}")
@@ -648,16 +665,8 @@ OVERWRITES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(OVERWRITES))
-def test_out_naming_an_input_exits_2(pipeline, tmp_path, case):
-    """A command whose --out, or a file it writes beside or under --out,
-    names, by whatever path, a file the command reads (an input, a file of
-    an input directory or of the dataset's store, the --config file or a
-    [paths] file) exits 2 naming both, before anything is read or written
-    and without numpy; every file keeps its bytes.  Each case used to
-    write over the file it names, but for the featurize and export-graphs
-    dataset cases, which two other checks refused."""
-    argv, victim = OVERWRITES[case]
+def out_tree(pipeline, tmp_path):
+    """The working directory the OVERWRITES and OUT_KINDS cases run in."""
     shutil.copy(pipeline["model"], tmp_path / "model.json")
     shutil.copy(pipeline["preds"], tmp_path / "pred.csv")
     for name in ("test", "valid"):
@@ -677,15 +686,117 @@ def test_out_naming_an_input_exits_2(pipeline, tmp_path, case):
     (tmp_path / "conf").mkdir()
     for name in ("cfg.toml", "cfg.csv", os.path.join("conf", "provenance.json")):
         (tmp_path / name).write_text(config)
+    for link, name in (("model-link.json", "model.json"), ("cfg-link.toml", "cfg.toml"),
+                       ("ilink/dataset.tsv", "raw/dataset.tsv"),
+                       ("flink/descriptors.npy", f"dataset/{STORE_DIR}/descriptors.npy")):
+        (tmp_path / link).parent.mkdir(exist_ok=True)
+        os.link(tmp_path / name, tmp_path / link)
+    (tmp_path / "afile").write_text("a file\n")
+    for name in ("m.json.metrics.json", "r.csv"):
+        (tmp_path / "adir" / name).mkdir(parents=True)
+    (tmp_path / "adir" / "features").write_text("a file\n")
+
+
+def assert_refused_in_child(tmp_path, argv, message):
+    """main(argv) in a numpy-free child, run in tmp_path, exits 2 with a data
+    error holding message, and every file under tmp_path keeps its bytes."""
     before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
     code, numpy, err = child_main(["--quiet", *argv], cwd=tmp_path)
     assert (code, numpy) == (2, False), err
-    out = argv[argv.index("--out") + 1]
     assert "data error" in err, err
-    assert (f"--out {out} {victim}, which {argv[2]} reads; choose another file"
-            in err), err
+    assert message in err, err
     assert {p: p.read_bytes() if p.is_file() else None
             for p in tmp_path.rglob("*")} == before
+
+
+@pytest.mark.parametrize("case", sorted(OVERWRITES))
+def test_out_naming_an_input_exits_2(pipeline, tmp_path, case):
+    """A command whose --out, or a file it writes beside or under --out,
+    names, by whatever path or hard link, a file the command reads (an
+    input, a file of an input directory or of the dataset's store, the
+    --config file or a [paths] file) exits 2 naming both, before anything
+    is read or written and without numpy; every file keeps its bytes.
+    Each case used to write over the file it names, but for the featurize
+    and export-graphs dataset cases, which two other checks refused."""
+    argv, victim = OVERWRITES[case]
+    out_tree(pipeline, tmp_path)
+    out = argv[argv.index("--out") + 1]
+    assert_refused_in_child(tmp_path, argv, f"--out {out} {victim}, which "
+                                            f"{argv[2]} reads; choose another file")
+
+
+def _cannot(out, path, why):
+    return f"--out {out} cannot write {path}: {why}; choose another path"
+
+
+# An --out of the wrong kind, and the refusal: a directory where a file is
+# written, a file where a directory is, or a .npy name for predict's text
+OUT_KINDS = {
+    "ingest --out is a file": (
+        [*CFG, "ingest", "--in", os.path.join("raw", "dataset.tsv"), "--out", "afile"],
+        _cannot("afile", os.path.join("afile", "dataset.tsv"),
+                "afile is not a directory")),
+    "ingest --out is under a file": (
+        [*CFG, "ingest", "--in", os.path.join("raw", "dataset.tsv"),
+         "--out", os.path.join("afile", "ds")],
+        _cannot(os.path.join("afile", "ds"), os.path.join("afile", "ds", "dataset.tsv"),
+                "afile is not a directory")),
+    "ingest --out holds a file where the store goes": (
+        [*CFG, "ingest", "--in", os.path.join("raw", "dataset.tsv"), "--out", "adir"],
+        _cannot("adir", os.path.join("adir", STORE_DIR, "descriptors.npy"),
+                f"{os.path.join('adir', STORE_DIR)} is not a directory")),
+    "featurize --out is a file": (
+        [*CFG, "featurize", "--dataset", "dataset", "--subset", "test",
+         "--out", "afile"],
+        _cannot("afile", os.path.join("afile", "descriptors.npy"),
+                "afile is not a directory")),
+    "train --out is a directory": (
+        [*CFG, "train", "--train", "ftest", "--out", "adir"],
+        _cannot("adir", "adir", "it names a directory")),
+    "train .metrics.json is a directory": (
+        [*CFG, "train", "--train", "ftest", "--out", os.path.join("adir", "m.json")],
+        _cannot(os.path.join("adir", "m.json"),
+                os.path.join("adir", "m.json.metrics.json"), "it names a directory")),
+    "predict --out is a directory": (
+        [*CFG, "predict", "--model", "model.json", "--features", "ftest",
+         "--out", "adir"], _cannot("adir", "adir", "it names a directory")),
+    "predict --out ends in a separator": (
+        [*CFG, "predict", "--model", "model.json", "--features", "ftest",
+         "--out", os.path.join("new", "")],
+        _cannot(os.path.join("new", ""), os.path.join("new", ""),
+                "it names a directory")),
+    "predict --out is a .npy file": (
+        [*CFG, "predict", "--model", "model.json", "--features", "ftest",
+         "--out", "pred.npy"],
+        "--out pred.npy names a .npy file, but predict writes text, one "
+        "prediction a line; choose another file"),
+    "evaluate --out is a directory": (
+        [*CFG, "evaluate", "--pred", "pred.csv", "--truth", "ftest", "--out", "adir"],
+        _cannot("adir", "adir", "it names a directory")),
+    "evaluate .csv is a directory": (
+        [*CFG, "evaluate", "--pred", "pred.csv", "--truth", "ftest",
+         "--out", os.path.join("adir", "r.json")],
+        _cannot(os.path.join("adir", "r.json"), os.path.join("adir", "r.csv"),
+                "it names a directory")),
+    "export-graphs --out is a directory": (
+        [*CFG, "export-graphs", "--dataset", "dataset", "--subset", "test",
+         "--out", "adir"], _cannot("adir", "adir", "it names a directory")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_KINDS))
+def test_out_of_the_wrong_kind_exits_2(pipeline, tmp_path, case):
+    """A command whose --out names a directory where it writes a file (an
+    existing one, or any path ending in a separator), or an existing file
+    where it writes a directory, or that writes a file under an existing
+    file, exits 2 naming --out before anything is
+    read or written and without numpy; so does predict --out naming a .npy
+    file, which evaluate would read as one.  Every file keeps its bytes.
+    ingest and featurize used to do all their work before failing on the
+    store's path, and predict wrote text that evaluate could not read."""
+    argv, message = OUT_KINDS[case]
+    out_tree(pipeline, tmp_path)
+    assert_refused_in_child(tmp_path, argv, message)
 
 
 def test_export_graphs_may_add_a_file_to_the_store(pipeline, tmp_path):

@@ -25,7 +25,10 @@ from bindkit.gbdt import (
     train,
     Q,
     _above,
+    _best_split,
     _bin_columns,
+    _gain,
+    _histograms,
 )
 from bindkit.errors import FingerprintFormatError
 from bindkit.model import Features, _leaves, read_features, write_features
@@ -355,6 +358,64 @@ def test_tree_does_not_depend_on_row_order(seed):
     assert len(a.feature) > 1
     assert a.feature == b.feature and a.threshold == b.threshold
     assert np.allclose(a.leaf_value, b.leaf_value, rtol=0.0, atol=1e-12)
+
+
+def reference_best_split(bm, q, nodes, min_leaf):
+    """_best_split's choice, node by node: each candidate's gain from the
+    rows at or below its cut (for a bit candidate, the rows without the
+    bit), routed row by row, added in node order from 0.0 over the nodes
+    where both sides keep min_leaf rows; the first largest, or None where
+    it is <= 0."""
+    above = np.array([_above(bm, c) for c in range(bm.col.size)])
+    gain = np.zeros(bm.col.size)
+    for rows in nodes:
+        total = row_order_sum(q[rows])
+        for c in range(bm.col.size):
+            below = rows[~above[c, rows]]
+            if min(below.size, rows.size - below.size) >= min_leaf:
+                gain[c] += _gain(row_order_sum(q[below]), below.size, total, rows.size)
+    best = int(np.argmax(gain))
+    return best if gain[best] > 0.0 else None
+
+
+@pytest.mark.parametrize("min_leaf", [1, 5, 20])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_best_split_matches_a_per_node_reference(seed, min_leaf):
+    """On a level of nodes of 9 to 110 rows, a cut leaves min_leaf rows on
+    both sides in some nodes and not in others, and at min_leaf 20 the two
+    smallest nodes take no cut at all.  _best_split, which scores every
+    (node, candidate) from the side _histograms gives and masks the cells
+    that cannot split, picks what a per-node reference picks."""
+    store, _ = packed_matrix(seed)
+    bm = _bin_columns(store, 256, min_leaf)
+    rng = np.random.default_rng(seed + 200)
+    q = rng.integers(-Q, Q + 1, len(store)).astype(np.float64)
+    sizes = np.array([9, 14, 40, 110])
+    rows = rng.permutation(len(store))[:sizes.sum()]
+    slot = np.repeat(np.arange(sizes.size), sizes)
+    n, _ = hist = _histograms(bm, rows, q[rows], slot, sizes.size)
+    takes = (n >= min_leaf) & (sizes[:, None] - n >= min_leaf)
+    assert (takes.any(axis=0) & ~takes.all(axis=0)).any()
+    got = _best_split(hist, sizes, np.bincount(slot, weights=q[rows]), min_leaf)
+    assert got is not None
+    assert got == reference_best_split(bm, q, np.split(rows, np.cumsum(sizes)[:-1]),
+                                       min_leaf)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.integers(2, 2**40).flatmap(lambda m: st.tuples(
+           st.just(m), st.integers(1, m - 1))).flatmap(lambda mn: st.tuples(
+           st.just(mn), st.integers(-mn[1] * Q, mn[1] * Q),
+           st.integers(-(mn[0] - mn[1]) * Q, (mn[0] - mn[1]) * Q))))
+def test_gain_is_bit_equal_from_either_side(case):
+    """A node of m rows and a side of n of them, whose quantized sums are
+    exact integers: _gain from the side and from its complement give the
+    same bits, so _histograms may keep either side of a candidate."""
+    (m, n), s_side, s_rest = case
+    total = np.array([float(s_side + s_rest)])
+    side = _gain(np.array([float(s_side)]), np.array([n]), total, np.array([m]))
+    rest = _gain(np.array([float(s_rest)]), np.array([m - n]), total, np.array([m]))
+    assert side.tobytes() == rest.tobytes()
 
 
 def packed_matrix(seed, n=200, nbits=45):
