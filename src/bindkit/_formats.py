@@ -1,8 +1,9 @@
 """bindkit's file formats, read and written without numpy: strict JSON,
 .npy arrays, the vector files evaluate scores, and an ingested dataset
 directory's dataset.tsv, provenance.json and feature store stamp, which
-_read_dataset alone reads.  Only the standard library and bindkit.errors
-are imported, and hashlib only when a file is digested or a store stamped.
+_read_dataset alone reads.  Every output file reaches disk through _write,
+whole or not at all.  Only the standard library and bindkit.errors are
+imported, and hashlib only when a file is digested or a store stamped.
 """
 from __future__ import annotations
 
@@ -12,8 +13,34 @@ import os
 import re
 import sys
 from array import array
+from contextlib import suppress
 
 from .errors import DatasetError, DatasetFormatError, EmptyAfterFilteringError
+
+
+def _write(path, parts) -> None:
+    """Write parts, str (as UTF-8) and bytes, to path whole: to NAME.<pid>.part
+    beside os.path.realpath(path), then os.replace'd onto it, unsynced.  Any
+    exception removes the .part file and leaves path as it was; an OSError
+    names path.  parts None removes path, where it exists.  No other code
+    of bindkit writes or removes a file."""
+    if parts is None:
+        with suppress(FileNotFoundError):
+            os.remove(path)
+        return
+    target = os.path.realpath(path)
+    part = f"{target}.{os.getpid()}.part"
+    try:
+        with open(part, "wb") as fh:
+            for chunk in parts:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+        os.replace(part, target)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.remove(part)
+        if isinstance(exc, OSError) and exc.filename == part:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _write_json(path, doc, error, indent: int = 2) -> None:
@@ -24,8 +51,7 @@ def _write_json(path, doc, error, indent: int = 2) -> None:
         text = json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
     except ValueError as exc:
         raise error(f"cannot write {path}: {exc} (JSON has no inf or nan)") from exc
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    _write(path, (text, "\n"))
 
 
 def _read_json(path, error):
@@ -85,9 +111,8 @@ def _write_npy(path, descr: str, shape: tuple, data: bytes) -> None:
     header = f"{{'descr': '{descr}', 'fortran_order': False, 'shape': {shape!r}, }}"
     header += " " * (21 - len(repr(shape[0]))) if shape else ""
     pad = 64 - (len(header) + 11) % 64       # magic, length and newline: 11
-    with open(path, "wb") as fh:
-        fh.write(b"\x93NUMPY\x01\x00" + (len(header) + pad + 1).to_bytes(2, "little")
-                 + header.encode("latin-1") + b" " * pad + b"\n" + data)
+    _write(path, (b"\x93NUMPY\x01\x00" + (len(header) + pad + 1).to_bytes(2, "little")
+                  + header.encode("latin-1") + b" " * pad + b"\n", data))
 
 
 def _load_vector(path) -> list[float]:

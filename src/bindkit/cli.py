@@ -16,7 +16,7 @@ import sys
 from array import array
 
 from ._formats import (STORE_DIR, _dataset_files, _load_vector, _read_dataset,
-                       _write_json, store_stamp)
+                       _write, _write_json, store_stamp)
 from .config import ConfigError, PipelineConfig, load_config
 from .errors import DataError, DatasetError, GbdtError
 from .metrics import build_report, write_report
@@ -234,26 +234,29 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
     return 0
 
 
+def _labelled_features(path):
+    """read_features of path, whose y.npy must exist."""
+    X, y = _cli.read_features(path)
+    if y is None:
+        raise DatasetError(f"no y.npy next to features in {path}")
+    return X, y
+
+
 def cmd_train(args, cfg: PipelineConfig) -> int:
     metrics_path = args.out + ".metrics.json"
     _refuse_overwrite(args, cfg, [args.train_dir, args.valid_dir],
                       [args.out, metrics_path])
-    X, y = _cli.read_features(args.train_dir)
-    if y is None:
-        raise DatasetError(f"no y.npy next to features in {args.train_dir}")
+    X, y = _labelled_features(args.train_dir)
     valid = None
     if args.valid_dir is not None:
-        Xv, yv = _cli.read_features(args.valid_dir)
-        if yv is None:
-            raise DatasetError(f"no y.npy next to features in {args.valid_dir}")
-        if Xv.schema != X.schema:
+        valid = _labelled_features(args.valid_dir)
+        if valid[0].schema != X.schema:
             raise DatasetError(
                 f"{os.path.join(args.valid_dir, 'featurize.json')} describes "
                 "features of another schema than "
                 f"{os.path.join(args.train_dir, 'featurize.json')} (radius, "
                 "nbits, table_version or columns differ); featurize both "
                 "with one config")
-        valid = (Xv, yv)
     model, metrics = _cli.train(X, y, params=cfg.gbdt, valid=valid)
     model = dataclasses.replace(model, schema=X.schema)
     _cli.save_model(model, args.out)
@@ -284,8 +287,7 @@ def cmd_predict(args, cfg: PipelineConfig) -> int:
             f"{os.path.join(args.features, 'featurize.json')} (radius, nbits, "
             "table_version or columns differ); featurize with the training "
             "config")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(repr(float(p)) + "\n" for p in preds))
+    _write(args.out, (repr(float(p)) + "\n" for p in preds))
     _info(args, f"wrote {len(preds)} predictions -> {args.out}")
     return 0
 
@@ -352,24 +354,22 @@ def cmd_export_graphs(args, cfg: PipelineConfig) -> int:
             raise DatasetError(f"cannot write {args.out}: the graph of {what} "
                                "is not finite (JSON has no inf or nan)") from exc
 
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            for rec in records:
-                lig = lig_json.get(rec.ligand.source)
-                if lig is None:
-                    lig = lig_json[rec.ligand.source] = strict(
-                        _cli.ligand_graph_features(rec.ligand),
-                        f"ligand {rec.ligand.source!r}")
-                rgraph = rec_json.get(rec.receptor.residues)
-                if rgraph is None:
-                    rgraph = rec_json[rec.receptor.residues] = strict(
-                        _cli.receptor_graph_features(rec.receptor, table),
-                        f"receptor {rec.receptor.id}")
-                fh.write(f'{{"id": {json.dumps(rec.pair_key)}, "ligand": {lig}, '
-                         f'"receptor": {rgraph}}}\n')
-    except DatasetError:
-        os.remove(args.out)         # no partial file
-        raise
+    def lines():
+        for rec in records:
+            lig = lig_json.get(rec.ligand.source)
+            if lig is None:
+                lig = lig_json[rec.ligand.source] = strict(
+                    _cli.ligand_graph_features(rec.ligand),
+                    f"ligand {rec.ligand.source!r}")
+            rgraph = rec_json.get(rec.receptor.residues)
+            if rgraph is None:
+                rgraph = rec_json[rec.receptor.residues] = strict(
+                    _cli.receptor_graph_features(rec.receptor, table),
+                    f"receptor {rec.receptor.id}")
+            yield (f'{{"id": {json.dumps(rec.pair_key)}, "ligand": {lig}, '
+                   f'"receptor": {rgraph}}}\n')
+
+    _write(args.out, lines())
     _info(args, f"exported {len(records)} pair graphs -> {args.out}")
     return 0
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._formats import (DATASET_COLUMNS, SPLIT_NAMES, TSV_DIGEST, _dataset_files,
-                       _read_dataset, _write_json, file_digest)
+                       _read_dataset, _write, _write_json, file_digest)
 from .config import KiBounds
 from .errors import DatasetError, DatasetFormatError, EmptyAfterFilteringError
-from .fasta import FastaError, ProteinSequence, parse_fasta
+from .fasta import FastaError, ProteinSequence, _ascii_upper, parse_fasta
 from .ligand_features import (
     _full_refinement_ids_batch,
     ecfp,
@@ -222,7 +222,7 @@ def ingest(
                 continue
             seq = fasta_index[ref]
         else:
-            residues = row.receptor.upper()
+            residues = _ascii_upper(row.receptor)
             seq = seq_cache.get(residues)
             if seq is None:
                 try:
@@ -400,8 +400,7 @@ def write_dataset(dataset: Dataset, outdir, features=None) -> None:
         X, y, ids, sidecar = features
         write_features(store, X, y, ids, {**sidecar, TSV_DIGEST: digest})
     os.makedirs(outdir, exist_ok=True)
-    with open(tsv, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_tsv_lines(dataset))
+    _write(tsv, _tsv_lines(dataset))
     doc = {**dataset.provenance, TSV_DIGEST: digest}
     _write_json(prov_path, doc, DatasetFormatError)
 

@@ -29,6 +29,14 @@ RESIDUE_ALPHABET = frozenset(RESIDUE_CODES)
 # longer sequence is refused before any residue is read.
 MAX_RESIDUES = 40_000
 
+_ASCII_UPPER = {c: c - 32 for c in range(ord("a"), ord("z") + 1)}
+
+
+def _ascii_upper(text: str) -> str:
+    """text with only a-z upper-cased: str.upper maps ß to SS, which the
+    alphabet would pass."""
+    return text.upper() if text.isascii() else text.translate(_ASCII_UPPER)
+
 
 class FastaError(DataError):
     pass
@@ -81,7 +89,7 @@ class ProteinSequence:
 
 
 def _finish_record(record_id: str, chunks: list[str], warnings: list[str]) -> ProteinSequence:
-    residues = "".join(chunks).upper()
+    residues = _ascii_upper("".join(chunks))
     if residues.endswith("*"):
         residues = residues[:-1]
         warnings.append(f"stripped terminal '*' from {record_id!r}")
@@ -94,8 +102,9 @@ def parse_fasta(text: str, warnings: list[str] | None = None) -> list[ProteinSeq
     """Parse a FASTA document into ProteinSequence records.
 
     Headers are '>' lines; the id is the token up to the first whitespace.
-    Sequence lines are concatenated and upper-cased.  A single terminal '*'
-    is stripped with a warning (collected into the optional warnings list).
+    Sequence lines are concatenated and their ASCII letters upper-cased.
+    A single terminal '*' is stripped with a warning (collected into the
+    optional warnings list).
     Residues outside the 24-letter alphabet raise IllegalResidueError with a
     1-based position; a record with no residues raises EmptyRecordError, and
     one of more than MAX_RESIDUES raises SequenceTooLongError; data

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from ._formats import _write_json
+from ._formats import _write, _write_json
 from .errors import DataError, DimensionMismatchError
 
 __all__ = [
@@ -170,8 +170,7 @@ def write_report(report: dict, json_path, csv_path=None) -> None:
         raise MetricsError(f"cannot write {json_path}: MAE {report['mae']!r} is not JSON")
     _write_json(json_path, report, MetricsError)
     if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("bin_lo,bin_hi,count,mae\n")
-            for cell in report["bins"]:
-                mae_cell = "" if cell["mae"] is None else repr(cell["mae"])
-                fh.write(f"{cell['lo']!r},{cell['hi']!r},{cell['count']},{mae_cell}\n")
+        _write(csv_path, ["bin_lo,bin_hi,count,mae\n"] + [
+            f"{cell['lo']!r},{cell['hi']!r},{cell['count']},"
+            + ("" if cell["mae"] is None else repr(cell["mae"])) + "\n"
+            for cell in report["bins"]])

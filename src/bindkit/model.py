@@ -26,7 +26,7 @@ from itertools import compress, count
 from operator import ge, gt
 
 from ._formats import (STORE_DIR, STORE_VERSION, _little, _native, _npy_payload,
-                       _read_json, _write_json, _write_npy)
+                       _read_json, _write, _write_json, _write_npy)
 from .config import MAX_DEPTH, MAX_NBITS, TrainParams
 from .errors import (DatasetError, DimensionMismatchError,
                      FingerprintFormatError, GbdtError)
@@ -348,13 +348,15 @@ def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
     pairs.npy (<i4, one row per matrix row: its dense row, its bit row),
     y as y.npy (<f8), ids.txt (one pair key per line) and featurize.json,
     the sidecar with the n_rows, n_columns and nbits of X.  Each .npy file
-    holds the bytes np.save writes of that array.  sidecar["columns"],
-    when given, names every column of X as featurize_pairs does;
-    featurize.json lists its dense names only, since column_names rebuilds
-    the rest from nbits, and other names raise ValueError.  A non-finite
-    dense value, which read_features would refuse, raises DatasetError
-    naming the file and the first such column (by name, when given) before
-    anything is written."""
+    holds the bytes np.save writes of that array.  featurize.json goes
+    last, and an existing one is removed first, so a directory whose
+    writing stopped midway has none, which read_features refuses.
+    sidecar["columns"], when given, names every column of X as
+    featurize_pairs does; featurize.json lists its dense names only, since
+    column_names rebuilds the rest from nbits, and other names raise
+    ValueError.  A non-finite dense value, which read_features would
+    refuse, raises DatasetError naming the file and the first such column
+    (by name, when given) before anything is written."""
     meta = {**sidecar, "n_rows": X.shape[0], "n_columns": X.shape[1],
             "nbits": X.nbits}
     names = sidecar.get("columns")
@@ -372,6 +374,7 @@ def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
     targets = _little(y, "d")
     os.makedirs(outdir, exist_ok=True)
     *npy, ids_txt, meta_json = [os.path.join(outdir, n) for n in FEATURE_FILES]
+    _write(meta_json, None)
     for path, (descr, shape, data) in zip(npy, (
             ("<f8", (X.dense_rows, X.n_dense), _little(X.dense, "d")),
             ("<u2", (len(X.indices),), _little(X.indices, "H")),
@@ -379,8 +382,7 @@ def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
             ("<i4", (len(X), 2), _little(X.index, "i")),
             ("<f8", (len(targets) // 8,), targets))):
         _write_npy(path, descr, shape, data)
-    with open(ids_txt, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(i + "\n" for i in ids)
+    _write(ids_txt, (i + "\n" for i in ids))
     _write_json(meta_json, meta, DatasetError)
 
 

@@ -1169,11 +1169,10 @@ def test_ingest_refuses_a_table_featurize_refuses(tmp_path, capsys, table,
     assert not out.exists()
 
 
-def test_overflowing_property_table_writes_no_graphs(tmp_path):
-    """With the first property 1e308 for every residue, the code table's
-    averaged row for X overflows to inf, which JSON cannot hold.
-    export-graphs exits 2 naming the output file and the receptor, and
-    leaves no --out file; it used to write the non-JSON token Infinity."""
+def overflowing_table_dataset(tmp_path):
+    """A dataset holding a receptor with an X, and a config whose property
+    table, with the first property 1e308 for every residue, averages that
+    X's row to inf: the (dataset, config) export-graphs cannot write."""
     lines = pathlib.Path(RAW).read_text().splitlines()
     receptor, rest = lines[1].split("\t", 1)
     raw = tmp_path / "raw.tsv"
@@ -1189,15 +1188,44 @@ def test_overflowing_property_table_writes_no_graphs(tmp_path):
     table.write_text("\n".join(table_rows) + "\n")
     cfg = tmp_path / "table.toml"
     cfg.write_text(f"[paths]\nproperty_table = '{table}'\n")
-    out = tmp_path / "graphs.jsonl"
-    proc = subprocess.run(
-        [sys.executable, "-m", "bindkit.cli", "--quiet", "--config", str(cfg),
+    return data, cfg
+
+
+def export_graphs_child(data, out, *config):
+    """The completed python -m bindkit.cli export-graphs of every record."""
+    return subprocess.run(
+        [sys.executable, "-m", "bindkit.cli", "--quiet", *config,
          "export-graphs", "--dataset", str(data), "--subset", "all",
          "--out", str(out)], capture_output=True, text=True)
+
+
+def test_overflowing_property_table_writes_no_graphs(tmp_path):
+    """With the first property 1e308 for every residue, the code table's
+    averaged row for X overflows to inf, which JSON cannot hold.
+    export-graphs exits 2 naming the output file and the receptor, and
+    leaves no --out file; it used to write the non-JSON token Infinity."""
+    data, cfg = overflowing_table_dataset(tmp_path)
+    out = tmp_path / "graphs.jsonl"
+    proc = export_graphs_child(data, out, "--config", str(cfg))
     assert proc.returncode == 2, proc.stderr
     assert f"cannot write {out}: the graph of receptor seq-" in proc.stderr, proc.stderr
     assert "Warning" not in proc.stderr, proc.stderr
     assert not out.exists()
+
+
+def test_failed_export_graphs_rerun_keeps_the_old_output(tmp_path):
+    """A re-run of export-graphs that fails midway, here on the overflowing
+    property table, exits 2 and leaves the graphs.jsonl of the run before
+    with its bytes, and no other new file.  It used to delete it."""
+    data, cfg = overflowing_table_dataset(tmp_path)
+    out = tmp_path / "graphs.jsonl"
+    assert export_graphs_child(data, out).returncode == 0
+    names, graphs = sorted(os.listdir(tmp_path)), out.read_bytes()
+    proc = export_graphs_child(data, out, "--config", str(cfg))
+    assert proc.returncode == 2, proc.stderr
+    assert f"cannot write {out}: the graph of receptor seq-" in proc.stderr, proc.stderr
+    assert sorted(os.listdir(tmp_path)) == names
+    assert out.read_bytes() == graphs
 
 
 @pytest.mark.parametrize("command", ["ingest", "featurize"])
@@ -3055,3 +3083,171 @@ def test_fuzzed_dataset_tsv_never_exits_3_and_keeps_every_row(pipeline, edits):
         assert X.shape[0] == len(y) == len(keys)
         with open(graphs, encoding="utf-8") as fh:
             assert [json.loads(line)["id"] for line in fh] == keys
+
+
+# --- every output written whole, by _formats._write --------------------------
+
+
+def _writing_call(node):
+    """Why the ast.Call node writes or removes a file, or None: an open with
+    a mode that writes, appends, creates or updates (or a mode that is not
+    a literal), os.open, or a call that removes, renames or saves."""
+    func = node.func
+    name = getattr(func, "attr", getattr(func, "id", None))
+    owner = getattr(getattr(func, "value", None), "id", None)
+    if name == "open":
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), None)
+        if owner == "os" or (mode is not None and not (
+                isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))):
+            return "opens a file for writing"
+    if owner in ("os", "shutil") and name in (
+            "remove", "unlink", "rmdir", "rename", "replace", "copy",
+            "copyfile", "move", "rmtree"):
+        return f"calls {owner}.{name}"
+    if name in ("write_text", "write_bytes", "unlink", "tofile", "save",
+                "savez", "savetxt"):
+        return f"calls .{name}"
+    return None
+
+
+def test_only_the_one_writer_writes_or_removes_files():
+    """_formats._write is the only code of bindkit that opens a file for
+    writing or removes one, so every output reaches disk whole, under one
+    failure rule."""
+    package = pathlib.Path(bindkit.cli.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "_formats.py":
+            writer, = [fn for fn in tree.body
+                       if isinstance(fn, ast.FunctionDef) and fn.name == "_write"]
+            allowed = {id(node) for node in ast.walk(writer)}
+        found += [f"{path.name}:{node.lineno} {why}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and (why := _writing_call(node))]
+    assert found == []
+
+
+def test_one_writer_guard_sees_each_kind_of_write():
+    """The guard above flags what it is meant to, and passes over reads."""
+    calls = {
+        "open(p, 'w')": True, "open(p, mode='ab')": True, "open(p, 'r+')": True,
+        "open(p, 'x')": True, "open(p, m)": True, "os.open(p, 0)": True,
+        "os.remove(p)": True, "os.unlink(p)": True, "os.replace(p, q)": True,
+        "p.write_text(t)": True, "np.save(p, a)": True, "shutil.move(p, q)": True,
+        "open(p)": False, "open(p, 'rb')": False, "s.replace('a', 'b')": False,
+        "os.path.join(p, q)": False, "os.makedirs(p)": False,
+    }
+    for code, writes in calls.items():
+        call = ast.parse(code).body[0].value
+        assert (_writing_call(call) is not None) == writes, code
+
+
+@pytest.mark.parametrize("old", [b"old bytes\n", None], ids=["replaced", "new"])
+def test_interrupted_write_leaves_the_output_as_it_was(tmp_path, old):
+    """A write interrupted midway, even by KeyboardInterrupt, leaves the
+    output with its old bytes, or absent, and leaves no temporary file."""
+    from bindkit._formats import _write
+    out = tmp_path / "out.txt"
+    if old is not None:
+        out.write_bytes(old)
+
+    def parts():
+        yield "new "
+        yield b"bytes"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        _write(out, parts())
+    assert os.listdir(tmp_path) == ([] if old is None else ["out.txt"])
+    assert old is None or out.read_bytes() == old
+    _write(out, ["new ", b"bytes\n"])
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert out.read_bytes() == b"new bytes\n"
+
+
+def test_write_error_names_the_output_path(pipeline, tmp_path, capsys,
+                                           monkeypatch):
+    """An OSError of an output names the output path as given, not the
+    temporary file written beside it."""
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["--quiet", "--config", pipeline["cfg"], "predict", "--model",
+                 pipeline["model"], "--features", pipeline["feats"]["test"],
+                 "--out", os.path.join("nodir", "p.txt")]) == 2
+    assert capsys.readouterr().err == (
+        "bindkit: data error: [Errno 2] No such file or directory: "
+        f"{os.path.join('nodir', 'p.txt')!r}\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_out_hard_linked_to_another_file_leaves_that_file(pipeline, tmp_path):
+    """An --out that is a hard link to a file the command does not read gets
+    the new bytes under a new inode; the file's other name keeps its own."""
+    other, out = tmp_path / "other.txt", tmp_path / "pred.txt"
+    other.write_bytes(b"kept\n")
+    os.link(other, out)
+    assert main(["--quiet", "--config", pipeline["cfg"], "predict", "--model",
+                 pipeline["model"], "--features", pipeline["feats"]["test"],
+                 "--out", str(out)]) == 0
+    assert other.read_bytes() == b"kept\n"
+    assert out.read_bytes() == pathlib.Path(pipeline["preds"]).read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["other.txt", "pred.txt"]
+
+
+def test_symlinked_out_stays_a_symlink_to_the_new_bytes(pipeline, tmp_path):
+    """The new bytes of a symlinked --out land in the file it points to, in
+    its directory, and the link stays a link."""
+    target_dir = tmp_path / "target"
+    target_dir.mkdir()
+    target, link = target_dir / "pred.txt", tmp_path / "link.txt"
+    target.write_bytes(b"old\n")
+    link.symlink_to(target)
+    assert main(["--quiet", "--config", pipeline["cfg"], "predict", "--model",
+                 pipeline["model"], "--features", pipeline["feats"]["test"],
+                 "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == pathlib.Path(pipeline["preds"]).read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "target"]
+    assert os.listdir(target_dir) == ["pred.txt"]
+
+
+def test_interrupted_featurize_leaves_a_directory_read_features_refuses(
+        pipeline, tmp_path, monkeypatch):
+    """featurize --subset train over the features of test, interrupted at
+    its second .npy file, leaves the new descriptors.npy beside the old
+    pairs.npy, but no featurize.json: write_features removes the old one
+    first and writes the new one last, so read_features, and predict,
+    refuse the directory rather than pair the old sidecar with new rows.
+    A dataset directory needs no such step: write_dataset writes its
+    provenance.json last, and _read_dataset refuses a dataset.tsv or store
+    whose digest it does not record."""
+    import bindkit._formats
+    from bindkit.model import BITS_FILE, DENSE_FILE
+    out = tmp_path / "ft"
+    shutil.copytree(pipeline["feats"]["test"], out)
+    old = files(out)
+    write = bindkit._formats._write
+
+    def interrupted(path, parts):
+        if os.path.basename(path) == BITS_FILE:
+            raise KeyboardInterrupt
+        write(path, parts)
+    monkeypatch.setattr(bindkit._formats, "_write", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["--quiet", "--config", pipeline["cfg"], "featurize", "--dataset",
+              pipeline["data"], "--subset", "train", "--out", str(out)])
+    monkeypatch.undo()
+    new = files(out)
+    assert new[DENSE_FILE] != old[DENSE_FILE]
+    assert new["pairs.npy"] == old["pairs.npy"]
+    assert sorted(new) == sorted(set(old) - {"featurize.json"})
+    with pytest.raises(FileNotFoundError):
+        read_features(str(out))
+    assert main(["--quiet", "--config", pipeline["cfg"], "predict", "--model",
+                 pipeline["model"], "--features", str(out), "--out",
+                 str(tmp_path / "p.txt")]) == 2
+    assert not (tmp_path / "p.txt").exists()

@@ -174,6 +174,14 @@ def test_inline_receptors_are_case_insensitive():
     assert ds.records[0].receptor.residues == "MKV"
 
 
+@pytest.mark.parametrize("letter", ["ß", "ı", "ﬀ"])
+def test_inline_receptor_with_a_non_ascii_letter_is_dropped(letter):
+    """Only a-z are upper-cased, so ß is not read as the residues SS."""
+    ds = ingest(rows_from((f"mkv{letter}", "C", 10.0), ("MKV", "CC", 10.0)))
+    assert ds.provenance["drops"]["bad_receptor"] == 1
+    assert [r.receptor.residues for r in ds.records] == ["MKV"]
+
+
 def test_first_occurrence_order_is_kept():
     ds = ingest(rows_from(
         ("AAA", "C", 10.0), ("CCC", "C", 10.0),

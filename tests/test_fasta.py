@@ -35,6 +35,15 @@ def test_lowercase_is_normalized():
     assert recs[0].residues == "MKVL"
 
 
+@pytest.mark.parametrize("letter", ["ß", "ı", "ﬀ"])
+def test_only_ascii_letters_are_upper_cased(letter):
+    """str.upper would turn ß into SS, ı into I and ﬀ into FF, all
+    residues; the letter is kept, and refused at its own position."""
+    with pytest.raises(IllegalResidueError) as err:
+        parse_fasta(f">a\nmk{letter}a\n")
+    assert (err.value.position, err.value.residue) == (3, letter)
+
+
 def test_blank_lines_and_crlf():
     recs = parse_fasta(">x desc\r\nMK\r\n\r\nVL\r\n")
     assert recs[0].residues == "MKVL"
