@@ -2,15 +2,18 @@
 .npy arrays, the vector files evaluate scores, and an ingested dataset
 directory's dataset.tsv, provenance.json and feature store stamp, which
 _read_dataset alone reads.  Every output file reaches disk through _write,
-whole or not at all.  Only the standard library and bindkit.errors are
-imported, and hashlib only when a file is digested or a store stamped.
+whole or not at all, and _remove is the one removal of a file.  Only the
+standard library and bindkit.errors are imported, and hashlib only when a
+file is digested or a store stamped.
 """
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
 import re
+import stat
 import sys
 from array import array
 from contextlib import suppress
@@ -20,27 +23,35 @@ from .errors import DatasetError, DatasetFormatError, EmptyAfterFilteringError
 
 def _write(path, parts) -> None:
     """Write parts, str (as UTF-8) and bytes, to path whole: to NAME.<pid>.part
-    beside os.path.realpath(path), then os.replace'd onto it, unsynced.  Any
-    exception removes the .part file and leaves path as it was; an OSError
-    names path.  parts None removes path, where it exists.  No other code
-    of bindkit writes or removes a file."""
-    if parts is None:
-        with suppress(FileNotFoundError):
-            os.remove(path)
-        return
+    beside os.path.realpath(path), then os.replace'd onto it, unsynced.  A
+    replaced output keeps its mode; one the user may not write is refused,
+    as open(path, "w") would refuse it.  Any exception removes the .part
+    file and leaves path as it was; an OSError names path.  No other code
+    of bindkit opens a file for writing."""
     target = os.path.realpath(path)
     part = f"{target}.{os.getpid()}.part"
     try:
         with open(part, "wb") as fh:
+            with suppress(FileNotFoundError):
+                mode = stat.S_IMODE(os.stat(target).st_mode)
+                if not os.access(target, os.W_OK):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
+                os.fchmod(fh.fileno(), mode)
             for chunk in parts:
                 fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(part, target)
     except BaseException as exc:
         with suppress(OSError):
             os.remove(part)
-        if isinstance(exc, OSError) and exc.filename == part:
+        if isinstance(exc, OSError) and exc.filename in (part, target):
             raise OSError(exc.errno, exc.strerror, path) from None
         raise
+
+
+def _remove(path) -> None:
+    """Remove path, where it exists: the one removal of a file by bindkit."""
+    with suppress(FileNotFoundError):
+        os.remove(path)
 
 
 def _write_json(path, doc, error, indent: int = 2) -> None:

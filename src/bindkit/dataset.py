@@ -20,7 +20,7 @@ from ._formats import (DATASET_COLUMNS, SPLIT_NAMES, TSV_DIGEST, _dataset_files,
                        _read_dataset, _write, _write_json, file_digest)
 from .config import KiBounds
 from .errors import DatasetError, DatasetFormatError, EmptyAfterFilteringError
-from .fasta import FastaError, ProteinSequence, _ascii_upper, parse_fasta
+from .fasta import FastaError, ProteinSequence, _ASCII_UPPER, parse_fasta
 from .ligand_features import (
     _full_refinement_ids_batch,
     ecfp,
@@ -222,7 +222,7 @@ def ingest(
                 continue
             seq = fasta_index[ref]
         else:
-            residues = _ascii_upper(row.receptor)
+            residues = row.receptor.translate(_ASCII_UPPER)
             seq = seq_cache.get(residues)
             if seq is None:
                 try:

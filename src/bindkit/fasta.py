@@ -29,13 +29,9 @@ RESIDUE_ALPHABET = frozenset(RESIDUE_CODES)
 # longer sequence is refused before any residue is read.
 MAX_RESIDUES = 40_000
 
+# Residues are upper-cased by str.translate(_ASCII_UPPER), a-z only:
+# str.upper maps ß to SS, which the alphabet would pass.
 _ASCII_UPPER = {c: c - 32 for c in range(ord("a"), ord("z") + 1)}
-
-
-def _ascii_upper(text: str) -> str:
-    """text with only a-z upper-cased: str.upper maps ß to SS, which the
-    alphabet would pass."""
-    return text.upper() if text.isascii() else text.translate(_ASCII_UPPER)
 
 
 class FastaError(DataError):
@@ -89,7 +85,7 @@ class ProteinSequence:
 
 
 def _finish_record(record_id: str, chunks: list[str], warnings: list[str]) -> ProteinSequence:
-    residues = _ascii_upper("".join(chunks))
+    residues = "".join(chunks).translate(_ASCII_UPPER)
     if residues.endswith("*"):
         residues = residues[:-1]
         warnings.append(f"stripped terminal '*' from {record_id!r}")

@@ -26,7 +26,7 @@ from itertools import compress, count
 from operator import ge, gt
 
 from ._formats import (STORE_DIR, STORE_VERSION, _little, _native, _npy_payload,
-                       _read_json, _write, _write_json, _write_npy)
+                       _read_json, _remove, _write, _write_json, _write_npy)
 from .config import MAX_DEPTH, MAX_NBITS, TrainParams
 from .errors import (DatasetError, DimensionMismatchError,
                      FingerprintFormatError, GbdtError)
@@ -374,7 +374,7 @@ def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
     targets = _little(y, "d")
     os.makedirs(outdir, exist_ok=True)
     *npy, ids_txt, meta_json = [os.path.join(outdir, n) for n in FEATURE_FILES]
-    _write(meta_json, None)
+    _remove(meta_json)
     for path, (descr, shape, data) in zip(npy, (
             ("<f8", (X.dense_rows, X.n_dense), _little(X.dense, "d")),
             ("<u2", (len(X.indices),), _little(X.indices, "H")),

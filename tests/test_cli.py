@@ -15,6 +15,7 @@ import math
 import os
 import pathlib
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -3114,17 +3115,21 @@ def _writing_call(node):
 
 def test_only_the_one_writer_writes_or_removes_files():
     """_formats._write is the only code of bindkit that opens a file for
-    writing or removes one, so every output reaches disk whole, under one
-    failure rule."""
+    writing, so every output reaches disk whole, under one failure rule,
+    and _formats._remove the only other code that removes one."""
     package = pathlib.Path(bindkit.cli.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         allowed = set()
         if path.name == "_formats.py":
-            writer, = [fn for fn in tree.body
-                       if isinstance(fn, ast.FunctionDef) and fn.name == "_write"]
+            writer, remover = [
+                fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                and fn.name in ("_write", "_remove")]
             allowed = {id(node) for node in ast.walk(writer)}
+            allowed |= {id(node) for node in ast.walk(remover)
+                        if isinstance(node, ast.Call)
+                        and _writing_call(node) == "calls os.remove"}
         found += [f"{path.name}:{node.lineno} {why}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and id(node) not in allowed
                   and (why := _writing_call(node))]
@@ -3167,6 +3172,39 @@ def test_interrupted_write_leaves_the_output_as_it_was(tmp_path, old):
     _write(out, ["new ", b"bytes\n"])
     assert os.listdir(tmp_path) == ["out.txt"]
     assert out.read_bytes() == b"new bytes\n"
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o755])
+def test_replaced_output_keeps_its_mode(tmp_path, mode):
+    """A replaced output keeps the mode it had, so an output its user
+    restricted stays restricted; a new one gets a new file's mode."""
+    from bindkit._formats import _write
+    out, new = tmp_path / "out.txt", tmp_path / "new.txt"
+    out.write_bytes(b"old\n")
+    out.chmod(mode)
+    _write(out, ["new\n"])
+    _write(new, ["new\n"])
+    assert out.read_bytes() == b"new\n"
+    assert stat.S_IMODE(out.stat().st_mode) == mode
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+
+
+def test_output_its_user_may_not_write_is_refused(tmp_path, monkeypatch):
+    """An output its user may not write is refused, naming it, and keeps its
+    bytes, as when it was opened in place; no .part file is left.  (The
+    check is os.access, which passes every file for root, so it is faked.)"""
+    from bindkit._formats import _write
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"old\n")
+    out.chmod(0o444)
+    monkeypatch.setattr(os, "access", lambda p, m: p != os.path.realpath(out))
+    with pytest.raises(PermissionError) as info:
+        _write(out, ["new\n"])
+    assert info.value.filename == out
+    assert out.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 def test_write_error_names_the_output_path(pipeline, tmp_path, capsys,
