@@ -33,7 +33,7 @@ from .protein_features import (
     default_table,
     receptor_descriptor,
 )
-from .smiles import Molecule, ParseError, ValenceError, from_smiles
+from .smiles import Molecule, ParseError, ValenceError, _shared, from_smiles
 
 __all__ = [
     "KiBounds",
@@ -65,14 +65,14 @@ class TooFewRecordsError(DatasetError):
 DEFAULT_BOUNDS = KiBounds()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawRecord:
     receptor: str        # inline residue string, or "@file:ID" into a FASTA index
     ligand: str          # SMILES
     ki_nm: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffinityRecord:
     receptor: ProteinSequence
     ligand: Molecule
@@ -127,11 +127,13 @@ def read_raw_tsv(path):
     """Read a raw affinity TSV (receptor_fasta, ligand_smiles, ki_nm).
 
     Structurally broken rows are dropped and tallied rather than fatal;
-    a missing or wrong header is fatal (DatasetFormatError).
+    a missing or wrong header is fatal (DatasetFormatError).  Rows that
+    name the same receptor cell share one string of it.
     Returns (records, drop tally, sha256 of the file).
     """
     drops = {"bad_row": 0, "bad_number": 0}
     records: list[RawRecord] = []
+    receptors: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").rstrip("\r")
         if header.split("\t") != ["receptor_fasta", "ligand_smiles", "ki_nm"]:
@@ -150,7 +152,9 @@ def read_raw_tsv(path):
             except ValueError:
                 drops["bad_number"] += 1
                 continue
-            records.append(RawRecord(receptor=cells[0], ligand=cells[1], ki_nm=ki))
+            records.append(RawRecord(
+                receptor=receptors.setdefault(cells[0], cells[0]),
+                ligand=cells[1], ki_nm=ki))
     return records, drops, file_digest(path)
 
 
@@ -181,7 +185,10 @@ def ingest(
     """Validate, convert and deduplicate raw affinity rows into a Dataset.
 
     Rows are checked, and each distinct SMILES parsed, row by row; per-row
-    failures are tallied by reason, never fatal.  One batch-kernel call
+    failures are tallied by reason, never fatal.  Each valid ligand is kept
+    as smiles._shared rebuilds it from tables this call owns, so the kept
+    molecules hold each distinct atom, bond and component tuple once and
+    share none with another call.  One batch-kernel call
     then refines every distinct valid ligand, and the surviving rows are
     keyed in their input order: each is converted to log10 Ki, and
     duplicate pairs (same pair_key) are merged to the median log value,
@@ -202,6 +209,8 @@ def ingest(
     # distinct valid SMILES -> molecule; a failing SMILES is re-parsed and
     # tallied at each row that names it
     molecules: dict[str, Molecule] = {}
+    # smiles._shared's atom, bond and component tables, which go on return
+    tables: tuple[dict, dict, dict] = ({}, {}, {})
     kept: list[tuple[ProteinSequence, str, float]] = []
 
     for row in rows:
@@ -233,10 +242,11 @@ def ingest(
                 seq_cache[residues] = seq
         if row.ligand not in molecules:
             try:
-                molecules[row.ligand] = from_smiles(row.ligand)
+                mol = from_smiles(row.ligand)
             except (ParseError, ValenceError):
                 drops["bad_smiles"] += 1
                 continue
+            molecules[row.ligand] = _shared(mol, *tables)
         kept.append((seq, row.ligand, math.log10(row.ki_nm)))
 
     if not kept:

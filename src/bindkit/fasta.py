@@ -97,8 +97,10 @@ def _finish_record(record_id: str, chunks: list[str], warnings: list[str]) -> Pr
 def parse_fasta(text: str, warnings: list[str] | None = None) -> list[ProteinSequence]:
     """Parse a FASTA document into ProteinSequence records.
 
-    Headers are '>' lines; the id is the token up to the first whitespace.
-    Sequence lines are concatenated and their ASCII letters upper-cased.
+    A line ends at a line feed, a carriage return or the two together, and
+    ASCII spaces and tabs around a line are ignored.  Headers are '>'
+    lines; the id is the token up to the first whitespace.  Sequence lines
+    are concatenated and their ASCII letters upper-cased.
     A single terminal '*' is stripped with a warning (collected into the
     optional warnings list).
     Residues outside the 24-letter alphabet raise IllegalResidueError with a
@@ -112,8 +114,11 @@ def parse_fasta(text: str, warnings: list[str] | None = None) -> list[ProteinSeq
     record_id: str | None = None
     chunks: list[str] = []
     records: list[ProteinSequence] = []
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
+    # Not str.splitlines or str.strip: they also break or trim at \x0b,
+    # \x0c, \x1c-\x1e, \x85, \u2028 and \u2029, dropping a stray one
+    # without an error.
+    for raw_line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        line = raw_line.strip(" \t")
         if not line:
             continue
         if line.startswith(">"):

@@ -187,6 +187,26 @@ class Molecule:
         return adj
 
 
+def _shared(mol: Molecule, atoms: dict[Atom, Atom], bonds: dict[Bond, Bond],
+            components: dict[tuple, tuple]) -> Molecule:
+    """A molecule equal to mol, built from the tables its caller owns:
+    each atom, bond and component tuple of mol is replaced by the equal
+    one a table already holds, or is added to it.  One table per kind,
+    because a Bond equals the plain tuple of its fields.  Sharing equal
+    immutable values this way (hash-consing) makes a batch of molecules
+    hold each distinct atom, bond and component once."""
+    parts = tuple(components.setdefault(c, c) for c in mol.components)
+    return Molecule(
+        atoms=tuple(atoms.setdefault(atom, atom) for atom in mol.atoms),
+        bonds=tuple(bonds.setdefault(bond, bond) for bond in mol.bonds),
+        source=mol.source,
+        components=components.setdefault(parts, parts),
+        stereo_warnings=mol.stereo_warnings,
+        h_assigned=mol.h_assigned,
+        rings_perceived=mol.rings_perceived,
+    )
+
+
 # One alternative per token kind; parse_smiles dispatches on the name of the
 # group that matched.  Two-letter symbols come first, so Cl is never C + l.
 # Digits are ASCII only.

@@ -49,6 +49,39 @@ def test_blank_lines_and_crlf():
     assert recs[0].residues == "MKVL"
 
 
+def test_a_lone_carriage_return_ends_a_line():
+    recs = parse_fasta(">x\rMK\r \t\rVL\r")
+    assert (recs[0].id, recs[0].residues) == ("x", "MKVL")
+
+
+# str.splitlines breaks a line, and str.strip trims one, at each of these;
+# a FASTA line ends only at \n, \r\n or \r, and loses only spaces and tabs.
+STRAY = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+STRAY_IDS = [f"U+{ord(ch):04X}" for ch in STRAY]
+
+
+@pytest.mark.parametrize("ch", STRAY, ids=STRAY_IDS)
+def test_a_stray_separator_inside_residues_is_refused_at_its_position(ch):
+    with pytest.raises(IllegalResidueError) as err:
+        parse_fasta(f">a\nMK{ch}VL\n")
+    assert (err.value.record_id, err.value.position, err.value.residue) == ("a", 3, ch)
+
+
+@pytest.mark.parametrize("ch", STRAY, ids=STRAY_IDS)
+def test_a_stray_separator_at_a_line_end_is_refused_at_its_position(ch):
+    with pytest.raises(IllegalResidueError) as err:
+        parse_fasta(f">a\nMKVL{ch}\r\nAC\n")
+    assert (err.value.position, err.value.residue) == (5, ch)
+
+
+@pytest.mark.parametrize("ch", STRAY, ids=STRAY_IDS)
+def test_a_stray_separator_in_a_header_leaves_the_record_without_residues(ch):
+    """The id still ends at the first whitespace, so what follows the
+    character is the header's description, not a residue line."""
+    with pytest.raises(EmptyRecordError, match="'a' has no residues"):
+        parse_fasta(f">a{ch}MKV\n")
+
+
 def test_header_id_stops_at_whitespace():
     recs = parse_fasta(">seq7\tnote here\nAAA\n")
     assert recs[0].id == "seq7"
