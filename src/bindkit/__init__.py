@@ -26,8 +26,8 @@ _EXPORTS = {
     "ligand_features": """ecfp morgan_environments full_refinement_ids
         infer_hybridization ligand_graph_features""",
     "protein_features": """ResiduePropertyTable UnknownResidueError
-        EmptySequenceError load_property_table default_table
-        residue_properties receptor_descriptor receptor_graph_features""",
+        load_property_table default_table residue_properties
+        receptor_descriptor receptor_graph_features""",
     "dataset": """RawRecord AffinityRecord Dataset EmptyAfterFilteringError
         TooFewRecordsError pair_key ingest split featurize_pairs read_raw_tsv
         write_dataset load_dataset""",

@@ -133,7 +133,7 @@ def _load_vector(path) -> list[float]:
     other array, or a non-numeric line raises DatasetError naming the
     file."""
     if not path.endswith(".npy"):
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 return [float(line) for line in fh if line.strip()]
             except ValueError as exc:

@@ -15,8 +15,8 @@ import sys
 
 from array import array
 
-from ._formats import (STORE_DIR, _dataset_files, _load_vector, _read_dataset,
-                       _write, _write_json, store_stamp)
+from ._formats import (SPLIT_NAMES, STORE_DIR, _dataset_files, _load_vector,
+                       _read_dataset, _write, _write_json, store_stamp)
 from .config import ConfigError, PipelineConfig, load_config
 from .errors import DataError, DatasetError, GbdtError
 from .metrics import build_report, write_report
@@ -92,8 +92,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("featurize", help="build model matrices for a subset")
     p.add_argument("--dataset", required=True, metavar="DIR")
-    p.add_argument("--subset", default="all",
-                   choices=["train", "valid", "test", "all"])
+    p.add_argument("--subset", default="all", choices=[*SPLIT_NAMES, "all"])
     p.add_argument("--out", required=True, metavar="DIR")
 
     p = sub.add_parser("train", help="fit the boosted-tree regressor")
@@ -114,15 +113,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("export-graphs",
                        help="write receptor/ligand graph features as JSONL")
     p.add_argument("--dataset", required=True, metavar="DIR")
-    p.add_argument("--subset", default="all",
-                   choices=["train", "valid", "test", "all"])
+    p.add_argument("--subset", default="all", choices=[*SPLIT_NAMES, "all"])
     p.add_argument("--out", required=True, metavar="JSONL")
     return parser
 
 
 def _table_for(cfg: PipelineConfig):
+    """The property table in force: [paths] property_table, else the shipped one."""
     if cfg.property_table is None:
-        return None
+        return _cli.default_table()
     return _cli.load_property_table(cfg.property_table)
 
 
@@ -184,7 +183,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
     rows, reader_drops, digest = ds_mod.read_raw_tsv(args.input)
     fasta_index = None
     if cfg.fasta is not None:
-        with open(cfg.fasta, "r", encoding="utf-8") as fh:
+        with open(cfg.fasta, "r", encoding="utf-8-sig") as fh:
             fasta_index = ds_mod.build_fasta_index(fh.read())
     dataset = ds_mod.ingest(rows, bounds=cfg.bounds, fasta_index=fasta_index,
                             source_digest=digest, initial_drops=reader_drops)
@@ -192,7 +191,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
     dataset.provenance["config_digest"] = cfg.digest()
     # The feature store, from which featurize selects a split: the features
     # of every record, stamped with what fixes their bytes.
-    table = _table_for(cfg) or _cli.default_table()
+    table = _table_for(cfg)
     X, y, columns, ids = ds_mod.featurize_pairs(
         dataset, radius=cfg.radius, nbits=cfg.nbits, table=table)
     store = {**_sidecar(cfg, columns, digest, "all", table.version),
@@ -211,7 +210,7 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
     reason before anything is written.  The rows of the subset give ids and y,
     and select X from the store.  A store that read_features refuses, or whose
     row count is not the dataset's, raises DatasetError naming the file."""
-    from .model import FEATURE_FILES, column_names
+    from .model import FEATURE_FILES
     path, subset = args.dataset, args.subset
     _refuse_overwrite(args, cfg, _dataset_files(path),
                       [os.path.join(args.out, name) for name in FEATURE_FILES])
@@ -224,9 +223,8 @@ def cmd_featurize(args, cfg: PipelineConfig) -> int:
                            f"rows, but {os.path.join(path, 'dataset.tsv')} "
                            f"holds {n_records} records")
     X = X.take([i for i, _, _ in rows])
-    sidecar = _sidecar(cfg, column_names(meta["columns"], cfg.nbits),
-                       provenance.get("source_digest", ""), subset,
-                       meta["table_version"])
+    sidecar = _sidecar(cfg, meta["columns"], provenance.get("source_digest", ""),
+                       subset, meta["table_version"])
     _cli.write_features(args.out, X, array("d", [log_ki for _, _, log_ki in rows]),
                         [cells[0] for _, cells, _ in rows], sidecar)
     _info(args, f"featurized {subset}: X {X.shape} read from the dataset's "

@@ -227,7 +227,7 @@ def load_config(path=None) -> PipelineConfig:
     if path is None:
         return config_from_mapping({})
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc

@@ -26,7 +26,7 @@ from .ligand_features import (
     ecfp,
     full_refinement_ids,
 )
-from .model import Features, column_names, write_features
+from .model import Features, write_features
 from .protein_features import (
     DESCRIPTOR_LAYOUT,
     ResiduePropertyTable,
@@ -134,7 +134,7 @@ def read_raw_tsv(path):
     drops = {"bad_row": 0, "bad_number": 0}
     records: list[RawRecord] = []
     receptors: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().rstrip("\n").rstrip("\r")
         if header.split("\t") != ["receptor_fasta", "ligand_smiles", "ki_nm"]:
             raise DatasetFormatError(
@@ -342,8 +342,8 @@ def featurize_pairs(
     once, and its index gives each pair's receptor row and ligand row, in
     dataset record order.  Rows are numbered in order of first appearance.
     The ligands are fingerprinted by one ecfp call, whose CSR is the bit
-    block.  columns names every column (model.column_names: the
-    descriptor names, then fp_j for bit j), y is log10 Ki, ids are pair
+    block.  columns is DESCRIPTOR_LAYOUT, the names of the dense columns
+    (model.column_names adds fp_j for bit j), y is log10 Ki, ids are pair
     keys.
     """
     table = table or default_table()
@@ -365,8 +365,7 @@ def featurize_pairs(
                  descriptors.shape[1], memoryview(offsets), memoryview(bits),
                  nbits, memoryview(index.ravel()))
     y = np.array([rec.log_ki for rec in records], dtype=np.float64)
-    return (X, y, column_names(DESCRIPTOR_LAYOUT, nbits),
-            tuple(rec.pair_key for rec in records))
+    return X, y, DESCRIPTOR_LAYOUT, tuple(rec.pair_key for rec in records)
 
 
 # --- on-disk curated dataset -------------------------------------------------

@@ -79,38 +79,28 @@ class ProteinSequence:
             if ch not in RESIDUE_ALPHABET:
                 raise IllegalResidueError(self.id, pos, ch)
 
-    @property
-    def length(self) -> int:
-        return len(self.residues)
 
-
-def _finish_record(record_id: str, chunks: list[str], warnings: list[str]) -> ProteinSequence:
-    residues = "".join(chunks).translate(_ASCII_UPPER)
-    if residues.endswith("*"):
-        residues = residues[:-1]
-        warnings.append(f"stripped terminal '*' from {record_id!r}")
+def _finish_record(record_id: str, chunks: list[str]) -> ProteinSequence:
+    residues = "".join(chunks).translate(_ASCII_UPPER).removesuffix("*")
     if not residues:
         raise EmptyRecordError(f"record {record_id!r} has no residues")
     return ProteinSequence(id=record_id, residues=residues)
 
 
-def parse_fasta(text: str, warnings: list[str] | None = None) -> list[ProteinSequence]:
+def parse_fasta(text: str) -> list[ProteinSequence]:
     """Parse a FASTA document into ProteinSequence records.
 
     A line ends at a line feed, a carriage return or the two together, and
     ASCII spaces and tabs around a line are ignored.  Headers are '>'
     lines; the id is the token up to the first whitespace.  Sequence lines
     are concatenated and their ASCII letters upper-cased.
-    A single terminal '*' is stripped with a warning (collected into the
-    optional warnings list).
+    A single terminal '*' is stripped.
     Residues outside the 24-letter alphabet raise IllegalResidueError with a
     1-based position; a record with no residues raises EmptyRecordError, and
     one of more than MAX_RESIDUES raises SequenceTooLongError; data
     before the first header raises NoHeaderError.  A blank document yields
     an empty list.
     """
-    if warnings is None:
-        warnings = []
     record_id: str | None = None
     chunks: list[str] = []
     records: list[ProteinSequence] = []
@@ -123,7 +113,7 @@ def parse_fasta(text: str, warnings: list[str] | None = None) -> list[ProteinSeq
             continue
         if line.startswith(">"):
             if record_id is not None:
-                records.append(_finish_record(record_id, chunks, warnings))
+                records.append(_finish_record(record_id, chunks))
             record_id = line[1:].split(None, 1)[0] if line[1:].strip() else ""
             if not record_id:
                 raise EmptyRecordError("header with empty id")
@@ -135,7 +125,7 @@ def parse_fasta(text: str, warnings: list[str] | None = None) -> list[ProteinSeq
     if record_id is None:
         # blank documents are empty, not malformed
         return records
-    records.append(_finish_record(record_id, chunks, warnings))
+    records.append(_finish_record(record_id, chunks))
     return records
 
 
@@ -146,6 +136,6 @@ def format_fasta(records: list[ProteinSequence], width: int = 60) -> str:
     lines: list[str] = []
     for rec in records:
         lines.append(f">{rec.id}")
-        for start in range(0, rec.length, width):
+        for start in range(0, len(rec.residues), width):
             lines.append(rec.residues[start:start + width])
     return "\n".join(lines) + "\n"

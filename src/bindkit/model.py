@@ -86,8 +86,10 @@ class Features:
                 f"{self.dense_rows} rows of {self.n_dense} dense columns need "
                 f"{self.dense_rows * self.n_dense} values, and the index two "
                 f"entries per row; got {len(self.dense)} and {len(self.index)}")
-        offsets, bits = self.offsets.tolist(), self.indices.tolist()
-        if offsets[:1] != [0] or any(map(gt, offsets, offsets[1:])):
+        # checked in place: a list of every bit would take ~40 bytes a bit
+        offsets, bits = self.offsets, self.indices
+        if (not offsets or offsets[0] != 0
+                or any(map(gt, offsets, offsets[1:]))):
             raise FingerprintFormatError(
                 "offsets: bit row offsets must start at 0 and never decrease")
         if offsets[-1] != len(bits):
@@ -99,7 +101,7 @@ class Features:
                 f"indices: bit {max(bits) if min(bits) >= 0 else min(bits)} "
                 f"is outside the {self.nbits} bits")
         # a fall from one bit to the next is allowed only where a row starts
-        falls = set(compress(count(1), map(ge, bits, bits[1:]))) - set(offsets)
+        falls = set(compress(count(1), map(ge, bits, bits[1:]))).difference(offsets)
         if falls:
             raise FingerprintFormatError(
                 f"indices: the bits of bit row "
@@ -114,13 +116,11 @@ class Features:
 
     @classmethod
     def from_array(cls, X) -> Features:
-        """A 2-D array, or one row as a 1-D array, as float64 dense columns,
-        no bit columns and an identity index (ravel copies only an array
-        that is not a C-contiguous float64 one)."""
+        """A 2-D array as float64 dense columns, no bit columns and an
+        identity index (ravel copies only an array that is not a
+        C-contiguous float64 one)."""
         import numpy as np
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
         if X.ndim != 2:
             raise DimensionMismatchError(
                 f"feature matrix must be 2-D, got shape {X.shape}")
@@ -221,9 +221,9 @@ class GbdtModel:
     schema: str | None = None          # Features.schema of the training features
 
     def predict(self, X) -> array:
-        """Predictions for the rows of Features, a 2-D array, or one row as a
-        1-D array.  A non-finite value in the distinct dense rows raises
-        GbdtError, as train does."""
+        """Predictions for the rows of Features or a 2-D array.  A
+        non-finite value in the distinct dense rows raises GbdtError, as
+        train does."""
         if not isinstance(X, Features):
             X = Features.from_array(X)
         if X.shape[1] != self.feature_count:
@@ -351,20 +351,17 @@ def write_features(outdir, X: Features, y, ids, sidecar: dict) -> None:
     holds the bytes np.save writes of that array.  featurize.json goes
     last, and an existing one is removed first, so a directory whose
     writing stopped midway has none, which read_features refuses.
-    sidecar["columns"], when given, names every column of X as
-    featurize_pairs does; featurize.json lists its dense names only, since
-    column_names rebuilds the rest from nbits, and other names raise
-    ValueError.  A non-finite dense value, which read_features would
-    refuse, raises DatasetError naming the file and the first such column
-    (by name, when given) before anything is written."""
+    sidecar["columns"], when given, names the dense columns of X, as
+    featurize_pairs does (column_names adds the bit columns' names); another
+    count of names raises ValueError.  A non-finite dense value, which
+    read_features would refuse, raises DatasetError naming the file and the
+    first such column (by name, when given) before anything is written."""
     meta = {**sidecar, "n_rows": X.shape[0], "n_columns": X.shape[1],
             "nbits": X.nbits}
     names = sidecar.get("columns")
-    if names is not None:
-        meta["columns"] = list(names[:X.n_dense])
-        if tuple(names) != column_names(meta["columns"], X.nbits):
-            raise ValueError(f"columns must be column_names of {X.n_dense} "
-                             f"dense names and {X.nbits} bits")
+    if names is not None and len(names) != X.n_dense:
+        raise ValueError(f"columns must name the {X.n_dense} dense columns, "
+                         f"not {len(names)}")
     if not _finite(X.dense):
         f = min(i % X.n_dense for i, v in enumerate(X.dense.tolist())
                 if not math.isfinite(v))

@@ -24,7 +24,6 @@ __all__ = [
     "GRAPH_NODE_PROPERTIES",
     "ResiduePropertyTable",
     "UnknownResidueError",
-    "EmptySequenceError",
     "PropertyTableError",
     "load_property_table",
     "default_table",
@@ -51,10 +50,6 @@ _CODE_INDEX = {code: i for i, code in enumerate(RESIDUE_CODES)}
 
 
 class UnknownResidueError(DataError, KeyError):
-    pass
-
-
-class EmptySequenceError(DataError):
     pass
 
 
@@ -97,7 +92,7 @@ def load_property_table(path) -> ResiduePropertyTable:
     exactly the twenty standard residues, once each, and the fourteen
     property columns, with a finite number in every cell; anything else
     raises PropertyTableError naming the file and line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return _parse_property_table(fh, path)
 
 
@@ -155,12 +150,8 @@ def default_table() -> ResiduePropertyTable:
 
 
 def _gather(residues: str, table: ResiduePropertyTable) -> np.ndarray:
-    """The code-table row of every residue, in sequence order; the first
-    code outside the table raises."""
-    try:
-        return table.code_rows[[_CODE_INDEX[code] for code in residues]]
-    except KeyError as exc:
-        raise UnknownResidueError(exc.args[0]) from None
+    """The code-table row of every residue, in sequence order."""
+    return table.code_rows[[_CODE_INDEX[code] for code in residues]]
 
 
 def residue_properties(code: str, table: ResiduePropertyTable | None = None) -> dict[str, float]:
@@ -179,16 +170,9 @@ DESCRIPTOR_LAYOUT: tuple[str, ...] = (
 )
 
 
-def _coerce(seq: ProteinSequence | str) -> str:
-    residues = seq.residues if isinstance(seq, ProteinSequence) else seq
-    if not residues:
-        raise EmptySequenceError("cannot featurize an empty sequence")
-    return residues
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def receptor_descriptor(
-    seq: ProteinSequence | str, table: ResiduePropertyTable | None = None,
+    seq: ProteinSequence, table: ResiduePropertyTable | None = None,
 ) -> np.ndarray:
     """Fixed-length sequence descriptor: a float64 vector laid out as
     DESCRIPTOR_LAYOUT.
@@ -199,7 +183,7 @@ def receptor_descriptor(
     under concatenation: stats of s1+s2 are the elementwise sum / min / max
     of the per-sequence stats.
     """
-    residues = _coerce(seq)
+    residues = seq.residues
     rows = _gather(residues, table or default_table())
     props, counts = np.split(rows, [len(PROPERTIES)], axis=1)
     stats = np.stack([props.mean(axis=0), props.sum(axis=0),
@@ -218,13 +202,13 @@ _NODE_COLUMNS = ([PROPERTIES.index(p) for p in GRAPH_NODE_PROPERTIES]
 
 
 def receptor_graph_features(
-    seq: ProteinSequence | str, table: ResiduePropertyTable | None = None,
+    seq: ProteinSequence, table: ResiduePropertyTable | None = None,
 ) -> GraphFeatures:
     """Residue-chain graph: one node per residue, edges between sequence
     neighbors (the backbone), no edge features since every edge is the same
     peptide bond.  Node rows are 9 physical properties + 20-way one-hot, 29
     columns of each residue's code-table row."""
-    residues = _coerce(seq)
+    residues = seq.residues
     nodes = _gather(residues, table or default_table())[:, _NODE_COLUMNS]
     edge_list = tuple((i, i + 1) for i in range(len(residues) - 1))
     return GraphFeatures(nodes, edge_list, np.zeros((0, 0)),

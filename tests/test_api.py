@@ -38,7 +38,7 @@ def test_star_import_resolves_all(name):
                                   "feature_schema", "LigandGraphFeatures",
                                   "ReceptorGraphFeatures",
                                   "ReceptorDescriptor", "Fingerprint",
-                                  "BinnedMae"])
+                                  "BinnedMae", "EmptySequenceError"])
 def test_removed_names_are_not_exported(name):
     assert not hasattr(bindkit, name)
     for sub in SUBMODULES:
@@ -50,7 +50,8 @@ def test_removed_names_are_not_exported(name):
 # by the module it was imported from, less the classes deleted since
 # (LigandGraphFeatures, ReceptorGraphFeatures: one GraphFeatures record;
 # ReceptorDescriptor: receptor_descriptor returns its vector; Fingerprint:
-# ecfp returns packed rows).
+# ecfp returns packed rows; EmptySequenceError: the receptor featurizers
+# take a ProteinSequence, which is never empty).
 FORMER_EXPORTS = {
     "smiles": """Atom Bond Molecule ParseError EmptyInputError UnknownSymbolError
         UnbalancedParenError UnclosedRingError DuplicateBondError ValenceError
@@ -60,8 +61,8 @@ FORMER_EXPORTS = {
     "ligand_features": """ecfp morgan_environments full_refinement_ids
         infer_hybridization ligand_graph_features""",
     "protein_features": """ResiduePropertyTable UnknownResidueError
-        EmptySequenceError load_property_table default_table
-        residue_properties receptor_descriptor receptor_graph_features""",
+        load_property_table default_table residue_properties
+        receptor_descriptor receptor_graph_features""",
     "dataset": """KiBounds RawRecord AffinityRecord Dataset DatasetError
         EmptyAfterFilteringError TooFewRecordsError pair_key ingest split
         featurize_pairs read_raw_tsv write_dataset load_dataset write_features""",
@@ -128,7 +129,7 @@ def test_data_errors_share_one_base_and_config_errors_do_not():
     values = [getattr(bindkit, name) for name in bindkit.__all__]
     classes = [value for value in values
                if isinstance(value, type) and issubclass(value, Exception)]
-    assert len(classes) == 21
+    assert len(classes) == 20          # 21 less EmptySequenceError
     for cls in classes + [MetricsError, PropertyTableError]:
         assert issubclass(cls, DataError) is (cls is not ConfigError), cls
     assert not issubclass(ConfigError, DataError)

@@ -2175,6 +2175,63 @@ def test_undecodable_config_exits_1(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def bom_twin(path, tmp_path) -> pathlib.Path:
+    """A copy of the file at path that begins with a UTF-8 byte-order mark."""
+    twin = tmp_path / f"bom-{pathlib.Path(path).name}"
+    twin.write_bytes(BOM + pathlib.Path(path).read_bytes())
+    return twin
+
+
+@pytest.mark.parametrize("which", ["raw TSV", "FASTA", "property table"])
+def test_byte_order_mark_is_nothing_to_ingest(tmp_path, which):
+    """Some Windows editors and spreadsheet exports begin a UTF-8 file with
+    a byte-order mark.  A raw TSV, FASTA file or property table that holds
+    one ingests as its twin without: the same dataset.tsv bytes, the same
+    store arrays and the same featurize.json less the fields that digest an
+    input file or the config."""
+    inputs = {"raw TSV": RAW, "FASTA": FIXTURES / "receptors.fasta",
+              "property table": DEFAULT_PROPERTY_TABLE}
+
+    def ingested(name, raw, fasta, table):
+        cfg = tmp_path / f"{name}.toml"
+        cfg.write_text(f'[paths]\nfasta = "{fasta}"\nproperty_table = "{table}"\n')
+        out = tmp_path / name
+        assert main(["--quiet", "--config", str(cfg), "ingest", "--in", str(raw),
+                     "--out", str(out)]) == 0
+        store = files(out / STORE_DIR)
+        meta = json.loads(store.pop("featurize.json"))
+        for key in ("config_digest", "dataset_digest", "table_sha256"):
+            meta.pop(key)
+        return (out / "dataset.tsv").read_bytes(), store, meta
+
+    plain = ingested("plain", *inputs.values())
+    inputs[which] = bom_twin(inputs[which], tmp_path)
+    assert ingested("bom", *inputs.values()) == plain
+
+
+def test_byte_order_mark_is_nothing_to_a_config(tmp_path):
+    cfg = write_config(tmp_path)
+    assert load_config(str(bom_twin(cfg, tmp_path))) == load_config(cfg)
+
+
+def test_byte_order_mark_is_nothing_to_evaluate(tmp_path):
+    """Text vectors with a byte-order mark score as their twins without."""
+    pred, truth = tmp_path / "pred.txt", tmp_path / "truth.txt"
+    pred.write_text("3.5\n4.5\n4.5\n4.2\n")
+    truth.write_text("3.0\n5.0\n3.0\n5.0\n")
+    reports = []
+    for name, p, t in (("plain", pred, truth),
+                       ("bom", bom_twin(pred, tmp_path), bom_twin(truth, tmp_path))):
+        out = tmp_path / f"{name}.json"
+        assert main(["--quiet", "evaluate", "--pred", str(p), "--truth", str(t),
+                     "--out", str(out)]) == 0
+        reports.append((out.read_bytes(), (tmp_path / f"{name}.csv").read_bytes()))
+    assert reports[0] == reports[1]
+
+
 def small_model(tmp_path, n_trees=3):
     """A 5-column model file, its JSON document and a feature directory that
     the unedited model predicts from with exit code 0."""
@@ -2548,6 +2605,18 @@ def test_feature_width_must_match_sidecar(pipeline, tmp_path, capsys):
                              "featurize.json")
 
 
+def test_every_columns_list_is_the_descriptor_layout(pipeline):
+    """featurize_pairs, the dataset's feature store and a split's
+    featurize.json all name the dense columns alone; read_features names
+    the bit columns from nbits."""
+    dataset = load_dataset(pipeline["data"])
+    assert featurize_pairs(dataset, nbits=256)[2] == DESCRIPTOR_LAYOUT
+    for path in (pathlib.Path(pipeline["data"], STORE_DIR),
+                 pathlib.Path(pipeline["feats"]["train"])):
+        meta = json.loads((path / "featurize.json").read_text())
+        assert meta["columns"] == list(DESCRIPTOR_LAYOUT), path
+
+
 @pytest.mark.parametrize("columns", [
     "charge_mean",                               # not a list
     {"charge_mean": 0},
@@ -2569,16 +2638,17 @@ def test_sidecar_columns_are_checked(pipeline, tmp_path, capsys, columns):
 
 
 def test_write_features_lists_the_dense_names_only(tmp_path):
-    """write_features takes the name of every column, as featurize_pairs
-    gives them, and lists the dense ones in featurize.json; names that do
-    not end in fp_0 ... fp_{nbits - 1} raise ValueError and write nothing."""
+    """write_features takes the names of the dense columns, as
+    featurize_pairs gives them, and lists them in featurize.json; another
+    count of names, the name of every column included, raises ValueError
+    and writes nothing."""
     X = Features(memoryview(np.zeros(2)), 1, 2,
                  memoryview(np.array([0, 2], dtype=np.int32)),
                  memoryview(np.array([1, 3], dtype=np.uint16)), 4,
                  memoryview(np.zeros(4, dtype=np.int32)))
     names = ["a", "b", "fp_0", "fp_1", "fp_2", "fp_3"]
     write_features(tmp_path / "ok", X, np.zeros(2), ["p0", "p1"],
-                   {"columns": names})
+                   {"columns": ("a", "b")})
     sidecar = json.loads((tmp_path / "ok" / "featurize.json").read_text())
     assert sidecar["columns"] == ["a", "b"]
     assert (sidecar["n_columns"], sidecar["nbits"]) == (6, 4)
@@ -2586,8 +2656,7 @@ def test_write_features_lists_the_dense_names_only(tmp_path):
                        "table_version": None}, separators=(",", ":"))
     assert read_features(tmp_path / "ok")[0].schema == \
         format(zlib.crc32(text.encode()), "08x")
-    for bad in (["a", "b"], ["a", "b", "fp_1", "fp_0", "fp_2", "fp_3"],
-                names + ["fp_4"]):
+    for bad in (["a"], ["a", "b", "c"], names):
         with pytest.raises(ValueError):
             write_features(tmp_path / "bad", X, np.zeros(2), ["p0", "p1"],
                            {"columns": bad})

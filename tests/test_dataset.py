@@ -269,13 +269,13 @@ def test_featurize_layout_and_values():
     ))
     X, y, columns, ids = featurize_pairs(ds, nbits=128)
     assert X.shape == (3, 78 + 128)
-    assert columns[:78] == tuple(DESCRIPTOR_LAYOUT)
-    assert columns[78] == "fp_0" and columns[-1] == "fp_127"
+    assert columns == DESCRIPTOR_LAYOUT
     assert np.array_equal(y, [1.0, 2.0, 3.0])
     assert ids == tuple(r.pair_key for r in ds.records)
     assert X.bit_rows == 3 and len(X.indices) == X.offsets[-1]
     dense = dense_matrix(X)
-    assert np.array_equal(dense[0, :78], receptor_descriptor("MKVLQW"))
+    assert np.array_equal(dense[0, :78],
+                          receptor_descriptor(ds.records[0].receptor))
     assert np.array_equal(
         dense[1, 78:],
         fingerprint_bits(from_smiles("c1ccccc1"), nbits=128).astype(float))

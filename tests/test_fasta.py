@@ -20,7 +20,7 @@ def test_single_record():
     assert len(recs) == 1
     assert recs[0].id == "p1"
     assert recs[0].residues == "MKVLQW"
-    assert recs[0].length == 6
+    assert not hasattr(recs[0], "length")            # len(rec.residues)
 
 
 def test_multiple_records_keep_order():
@@ -87,11 +87,9 @@ def test_header_id_stops_at_whitespace():
     assert recs[0].id == "seq7"
 
 
-def test_terminal_stop_is_stripped_with_warning():
-    warnings = []
-    recs = parse_fasta(">x\nMKV*\n", warnings=warnings)
+def test_terminal_stop_is_stripped():
+    recs = parse_fasta(">x\nMKV*\n")
     assert recs[0].residues == "MKV"
-    assert len(warnings) == 1 and "x" in warnings[0]
 
 
 def test_internal_stop_is_an_error():
@@ -141,7 +139,7 @@ def test_extended_codes_accepted():
 
 def test_sequence_past_max_residues_is_refused_before_its_residues():
     assert MAX_RESIDUES >= 35_000                   # titin must fit
-    assert ProteinSequence("titin", "M" * MAX_RESIDUES).length == MAX_RESIDUES
+    assert len(ProteinSequence("titin", "M" * MAX_RESIDUES).residues) == MAX_RESIDUES
     for residues in ("M" * (MAX_RESIDUES + 1), "J" * (MAX_RESIDUES + 1)):
         with pytest.raises(SequenceTooLongError,
                            match=f"'long' has {MAX_RESIDUES + 1} residues"):

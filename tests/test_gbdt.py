@@ -5,6 +5,7 @@ constructed problems (where leaf means are dyadic rationals and thus exact
 in binary floating point), plus structural contracts on realistic data.
 """
 import tempfile
+import tracemalloc
 import warnings
 from array import array
 
@@ -467,10 +468,11 @@ def test_feature_store_layout():
     assert {d - 1, d, d + 44} <= candidates and not {d + 3, d + 17} & candidates
     for c, (f, t) in enumerate(zip(binned.col, binned.threshold)):
         assert np.array_equal(_above(binned, c), matrix[:, f] > t)
-    one = Features.from_array(dense[0])
+    one = Features.from_array(dense[:1])
     assert one.shape == (1, d) and np.array_equal(dense_matrix(one), dense[:1])
-    with pytest.raises(DimensionMismatchError):
-        Features.from_array(np.zeros((2, 2, 2)))
+    for shape in ((d,), (2, 2, 2)):             # a matrix is 2-D
+        with pytest.raises(DimensionMismatchError):
+            Features.from_array(np.zeros(shape))
 
 
 # repeats, both signed zeros and extremes, among arbitrary finite floats
@@ -661,6 +663,30 @@ def test_features_check_their_index(index):
              memoryview(array("i", [1, 2, 0, 0])))
 
 
+def test_reading_a_store_takes_under_12_bytes_per_set_bit(tmp_path):
+    """read_features checks the bit block in place.  A store of 4,000
+    ligand rows of 36 set bits each, 2.8 bytes per set bit on disk, is read
+    with a tracemalloc peak of 5 to 8 bytes per set bit (the files' bytes
+    and a set of row starts); checking Python lists of the offsets and bits
+    took 46 to 49 (CPython 3.11)."""
+    n, per_row = 4_000, 36
+    bits = np.sort((np.arange(n)[:, None] + 57 * np.arange(per_row)) % 2048,
+                   axis=1).astype(np.uint16)
+    offsets = np.arange(0, n * per_row + 1, per_row, dtype=np.int32)
+    index = np.stack([np.arange(n) % 10, np.arange(n)], axis=1).astype(np.int32)
+    X = Features(memoryview(np.ones(10 * 78)), 10, 78, memoryview(offsets),
+                 memoryview(bits.ravel()), 2048, memoryview(index.ravel()))
+    write_features(tmp_path, X, np.zeros(n), [f"p{i}" for i in range(n)], {})
+    tracemalloc.start()
+    try:
+        Y, _ = read_features(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert Y.shape == (n, 78 + 2048) and len(Y.indices) == n * per_row
+    assert peak / (n * per_row) < 12, f"{peak / (n * per_row):.1f} bytes per set bit"
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_PARAMS))
 def test_packed_trees_match_dense_trees(case, seed):
@@ -745,9 +771,11 @@ def test_predict_input_handling():
     X, y = regression_problem(n=50)
     model, _ = train(X, y, TrainParams(n_trees=3, max_depth=2,
                                        learning_rate=0.5, min_samples_leaf=2))
-    single = model.predict(X[0])
+    single = model.predict(X[0][None])
     assert len(single) == 1
-    assert single[0] == model.predict(X[:1])[0]
+    assert single[0] == model.predict(X[:2])[0]
+    with pytest.raises(DimensionMismatchError):     # one row is 2-D too
+        model.predict(X[0])
     as_list = model.predict(X[:4].tolist())
     assert np.array_equal(as_list, model.predict(X[:4]))
     with pytest.raises(DimensionMismatchError):
@@ -766,7 +794,7 @@ def test_predict_refuses_non_finite_rows(value):
     with pytest.raises(GbdtError, match="feature matrix contains non-finite"):
         model.predict(bad)
     with pytest.raises(GbdtError, match="feature matrix contains non-finite"):
-        model.predict(bad[2])
+        model.predict(bad[2:3])
 
 
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_PARAMS))
@@ -845,7 +873,7 @@ def test_router_matches_numpy_reference(seed):
                             trees=tuple(random_tree(rng, dense, d, 3)
                                         for _ in range(4)))
     for i in (0, len(X) - 1):
-        assert dense_model.predict(dense[i]).tobytes() == \
+        assert dense_model.predict(dense[i][None]).tobytes() == \
             reference_predict(dense_model, dense[i:i + 1]).tobytes()
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bindkit.dataset import AffinityRecord, Dataset, featurize_pairs
-from bindkit.fasta import ProteinSequence
+from bindkit.fasta import EmptyRecordError, IllegalResidueError, ProteinSequence
 from bindkit.ligand_features import GraphFeatures
 from bindkit.protein_features import (
     DESCRIPTOR_LAYOUT,
@@ -12,7 +12,6 @@ from bindkit.protein_features import (
     PROPERTIES,
     RECEPTOR_NODE_FEATURE_NAMES,
     STANDARD_ORDER,
-    EmptySequenceError,
     ResiduePropertyTable,
     UnknownResidueError,
     default_table,
@@ -23,6 +22,12 @@ from bindkit.protein_features import (
 )
 from bindkit.smiles import from_smiles
 from testutil import dense_matrix
+
+
+def seq(residues: str) -> ProteinSequence:
+    """The receptor featurizers take a ProteinSequence, which checks the
+    residues."""
+    return ProteinSequence("r", residues)
 
 
 def test_default_table_shape_and_version():
@@ -79,8 +84,8 @@ def test_ambiguity_codes():
 def test_unknown_residue_rejected():
     with pytest.raises(UnknownResidueError):
         residue_properties("J")
-    with pytest.raises(UnknownResidueError):
-        receptor_descriptor("AAJ")
+    with pytest.raises(IllegalResidueError):     # before any featurizer
+        seq("AAJ")
 
 
 def test_descriptor_layout():
@@ -89,14 +94,14 @@ def test_descriptor_layout():
     assert DESCRIPTOR_LAYOUT[3] == "charge_max"
     assert DESCRIPTOR_LAYOUT[56] == "frac_A"
     assert DESCRIPTOR_LAYOUT[-2:] == ("length", "disulfide_pairs")
-    desc = receptor_descriptor("ACDEFGHIKLMNPQRSTVWY")
+    desc = receptor_descriptor(seq("ACDEFGHIKLMNPQRSTVWY"))
     assert desc.shape == (len(DESCRIPTOR_LAYOUT),)
     assert desc.dtype == np.float64
 
 
 def test_homopolymer_statistics_collapse():
     table = default_table()
-    desc = receptor_descriptor("AA")
+    desc = receptor_descriptor(seq("AA"))
     a_row = np.array(table.rows["A"])
     stats = desc[:56].reshape(14, 4)
     assert np.allclose(stats[:, 0], a_row)          # mean
@@ -111,19 +116,19 @@ def test_homopolymer_statistics_collapse():
 
 
 def test_disulfide_proxy_counts_pairs():
-    assert receptor_descriptor("C")[77] == 0.0
-    assert receptor_descriptor("CC")[77] == 1.0
-    assert receptor_descriptor("CACAC")[77] == 1.0
-    assert receptor_descriptor("CCCC")[77] == 2.0
+    assert receptor_descriptor(seq("C"))[77] == 0.0
+    assert receptor_descriptor(seq("CC"))[77] == 1.0
+    assert receptor_descriptor(seq("CACAC"))[77] == 1.0
+    assert receptor_descriptor(seq("CCCC"))[77] == 2.0
 
 
 def test_composition_of_ambiguity_codes():
-    fracs = receptor_descriptor("BB")[56:76]
+    fracs = receptor_descriptor(seq("BB"))[56:76]
     assert fracs[STANDARD_ORDER.index("D")] == pytest.approx(0.5)
     assert fracs[STANDARD_ORDER.index("N")] == pytest.approx(0.5)
-    fracs = receptor_descriptor("XXXX")[56:76]
+    fracs = receptor_descriptor(seq("XXXX"))[56:76]
     assert np.allclose(fracs, 1.0 / 20.0)
-    fracs = receptor_descriptor("U")[56:76]
+    fracs = receptor_descriptor(seq("U"))[56:76]
     assert fracs[STANDARD_ORDER.index("C")] == 1.0
 
 
@@ -133,9 +138,9 @@ def test_sum_min_max_respect_concatenation():
     for _ in range(5):
         s1 = "".join(rng.choice(aas, size=17))
         s2 = "".join(rng.choice(aas, size=29))
-        d1 = receptor_descriptor(s1)[:56].reshape(14, 4)
-        d2 = receptor_descriptor(s2)[:56].reshape(14, 4)
-        d12 = receptor_descriptor(s1 + s2)[:56].reshape(14, 4)
+        d1 = receptor_descriptor(seq(s1))[:56].reshape(14, 4)
+        d2 = receptor_descriptor(seq(s2))[:56].reshape(14, 4)
+        d12 = receptor_descriptor(seq(s1 + s2))[:56].reshape(14, 4)
         assert np.allclose(d12[:, 1], d1[:, 1] + d2[:, 1])
         assert np.allclose(d12[:, 2], np.minimum(d1[:, 2], d2[:, 2]))
         assert np.allclose(d12[:, 3], np.maximum(d1[:, 3], d2[:, 3]))
@@ -154,12 +159,13 @@ def test_descriptor_is_the_dense_row_of_featurize_pairs():
         assert receptor_descriptor(rec.receptor).tobytes() == row.tobytes()
 
 
-def test_accepts_sequence_objects_and_strings():
-    seq = ProteinSequence("r1", "MKVLQW")
-    assert np.array_equal(receptor_descriptor(seq),
-                          receptor_descriptor("MKVLQW"))
-    with pytest.raises(EmptySequenceError):
-        receptor_descriptor("")
+def test_takes_a_protein_sequence_only():
+    """A residue string is no input; its ProteinSequence refuses it empty."""
+    for featurize in (receptor_descriptor, receptor_graph_features):
+        with pytest.raises(AttributeError):
+            featurize("MKVLQW")
+    with pytest.raises(EmptyRecordError):
+        seq("")
 
 
 def test_custom_table_round_trip(tmp_path):
@@ -172,8 +178,8 @@ def test_custom_table_round_trip(tmp_path):
     table = load_property_table(path)
     assert table.version == "custom-v9"
     assert table.rows == src.rows
-    got = receptor_descriptor("MKV", table=table)
-    assert np.array_equal(got, receptor_descriptor("MKV"))
+    got = receptor_descriptor(seq("MKV"), table=table)
+    assert np.array_equal(got, receptor_descriptor(seq("MKV")))
 
 
 def test_table_validation(tmp_path):
@@ -202,7 +208,7 @@ def test_table_validation(tmp_path):
 
 
 def test_graph_features_layout():
-    feats = receptor_graph_features("ACD")
+    feats = receptor_graph_features(seq("ACD"))
     assert feats.node_features.shape == (3, 29)
     assert feats.edge_list == ((0, 1), (1, 2))
     assert len(RECEPTOR_NODE_FEATURE_NAMES) == 29
@@ -218,15 +224,15 @@ def test_graph_features_layout():
 
 
 def test_graph_features_single_residue_and_ambiguity():
-    feats = receptor_graph_features("M")
+    feats = receptor_graph_features(seq("M"))
     assert feats.edge_list == ()
-    feats = receptor_graph_features("X")
+    feats = receptor_graph_features(seq("X"))
     assert np.allclose(feats.node_features[0, 9:], 1.0 / 20.0)
 
 
 def test_graph_feature_determinism():
-    a = receptor_graph_features("MKVLQWERTY").node_features
-    b = receptor_graph_features("MKVLQWERTY").node_features
+    a = receptor_graph_features(seq("MKVLQWERTY")).node_features
+    b = receptor_graph_features(seq("MKVLQWERTY")).node_features
     assert np.array_equal(a, b)
 
 
@@ -310,9 +316,9 @@ def test_code_rows_are_the_reference_rows_and_not_compared():
 
 def assert_matches_reference(residues):
     table = default_table()
-    got = receptor_descriptor(residues)
+    got = receptor_descriptor(seq(residues))
     assert got.tobytes() == reference_descriptor(residues, table).tobytes()
-    nodes = receptor_graph_features(residues).node_features
+    nodes = receptor_graph_features(seq(residues)).node_features
     want = reference_nodes(residues, table)
     assert nodes.shape == want.shape and nodes.tobytes() == want.tobytes()
 
@@ -343,10 +349,10 @@ def test_ambiguity_codes_keep_the_sign_of_zero(tmp_path):
     path = tmp_path / "signed.csv"
     path.write_text("\n".join(lines) + "\n")
     table = load_property_table(path)
-    got = receptor_descriptor("BZUX", table)
+    got = receptor_descriptor(seq("BZUX"), table)
     assert got.tobytes() == reference_descriptor("BZUX", table).tobytes()
     assert np.signbit(got[DESCRIPTOR_LAYOUT.index("charge_min")])
-    nodes = receptor_graph_features("BZUX", table).node_features
+    nodes = receptor_graph_features(seq("BZUX"), table).node_features
     assert nodes.tobytes() == reference_nodes("BZUX", table).tobytes()
     assert np.signbit(nodes[:3, GRAPH_NODE_PROPERTIES.index("charge")]).all()
 
@@ -356,7 +362,9 @@ def test_ambiguity_codes_keep_the_sign_of_zero(tmp_path):
     ("AC\ud800", "\ud800"),
 ])
 def test_first_bad_residue_in_sequence_order_is_named(residues, bad):
-    for featurize in (receptor_descriptor, receptor_graph_features):
-        with pytest.raises(UnknownResidueError) as info:
-            featurize(residues)
-        assert info.value.args == (bad,)
+    """The ProteinSequence a featurizer takes names the first residue outside
+    the 24 codes, and its 1-based position."""
+    with pytest.raises(IllegalResidueError) as info:
+        seq(residues)
+    assert (info.value.residue, info.value.position) == \
+        (bad, residues.index(bad) + 1)
